@@ -37,6 +37,7 @@ from .heisenberg import (
     evolve_schrodinger_exact,
     heisenberg_rhs,
     lagrangian_heisenberg,
+    lagrangian_heisenberg_values,
     lagrangian_schrodinger,
 )
 from .operator_core import (
@@ -105,6 +106,7 @@ from .verifier import (
     flatten_complex,
     grad_q,
     grad_qdot,
+    gradients,
     heisenberg_chart,
     operator_chart,
     path_from_matrices,

@@ -206,6 +206,13 @@ def load_config(path, kind: str, out_dir=None, fmt=None, seed=None,
     for required in REQUIRED_MATRICES[kind]:
         if required not in matrices:
             raise ConfigError(f"kind {kind!r} requires matrix {required!r}")
+    if kind in ("heisenberg", "lvn", "verify"):
+        shape = matrices["hamiltonian"].shape
+        if shape[0] != shape[1] or matrices["initial"].shape != shape:
+            raise ConfigError(
+                f"initial {matrices['initial'].shape} and hamiltonian {shape} "
+                f"must be square matrices of the same shape"
+            )
 
     times = doc.get("times", {})
     if not isinstance(times, dict) or "t_final" not in times or "step" not in times:
@@ -234,6 +241,8 @@ def load_config(path, kind: str, out_dir=None, fmt=None, seed=None,
             tolerances[key] = float(value)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"tolerance {key!r} is not a number: {exc}") from exc
+        if not math.isfinite(tolerances[key]):
+            raise ConfigError(f"tolerance {key!r} must be finite, got {value!r}")
 
     output = doc.get("output", {})
     if not isinstance(output, dict):
@@ -244,7 +253,7 @@ def load_config(path, kind: str, out_dir=None, fmt=None, seed=None,
         raise ConfigError(f"format must be csv or json, got {chosen_fmt!r}")
 
     chosen_seed = seed if seed is not None else doc.get("seed", 0)
-    if not isinstance(chosen_seed, int) or chosen_seed < 0:
+    if isinstance(chosen_seed, bool) or not isinstance(chosen_seed, int) or chosen_seed < 0:
         raise ConfigError(f"seed must be a non-negative integer, got {chosen_seed!r}")
 
     return ScenarioConfig(
@@ -491,6 +500,11 @@ def _run_verify(config: ScenarioConfig):
                              tolerance=config.tolerances["el_residual_max"])
     coarse = verify_trajectory(lag, path_from_matrices(times[::2], states[::2]),
                                tolerance=config.tolerances["el_residual_max"])
+    for label, report in (("fine", fine), ("coarse", coarse)):
+        logger.info("%s pass: %d Lagrangian evaluations in %d stacked calls",
+                    label, report.lagrangian_evals, report.lagrangian_calls)
+    logger.info("el_residual_max worst at sample %d, t=%s",
+                fine.worst_index, format_float(times[fine.worst_index]))
     warnings = []
     if fine.max_residual < 1e-12 and coarse.max_residual < 1e-12:
         ratio_dev = 0.0  # both at the rounding floor; refinement uninformative

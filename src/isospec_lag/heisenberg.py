@@ -85,10 +85,16 @@ class KetTangent:
             raise ValueError("ket entries must be finite")
 
 
+def _real_values(values: np.ndarray, what: str) -> np.ndarray:
+    """Real parts of ``values``, raising if any imaginary residue exceeds REALITY_TOL."""
+    residue = np.max(np.abs(values.imag), initial=0.0)
+    if residue > REALITY_TOL:
+        raise ValueError(f"{what} has imaginary residue {residue:.3e}")
+    return values.real
+
+
 def _real_part(value: complex, what: str) -> float:
-    if abs(value.imag) > REALITY_TOL:
-        raise ValueError(f"{what} has imaginary residue {value.imag:.3e}")
-    return float(value.real)
+    return float(_real_values(np.asarray(value), what))
 
 
 def heisenberg_rhs(a, h) -> np.ndarray:
@@ -157,13 +163,27 @@ def lagrangian_heisenberg(tangent: OperatorTangent, h) -> float:
     ``-Tr(A H A^dag - A^dag H A)``.  Vanishes identically on Hermitian
     (A, Adot) pairs.
     """
-    a, ad = tangent.point, tangent.velocity
+    a = tangent.point
     h = require_hermitian(h, name="hamiltonian")
     if h.shape != a.shape:
         raise ValueError("hamiltonian dimension differs from tangent")
-    kinetic = 0.5j * np.trace(dagger(a) @ ad - dagger(ad) @ a)
-    potential = np.trace(a @ h @ dagger(a) - dagger(a) @ h @ a)
-    return _real_part(kinetic - potential, "Lagrangian")
+    return float(lagrangian_heisenberg_values(a, tangent.velocity, h))
+
+
+def lagrangian_heisenberg_values(a: np.ndarray, ad: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Operator-space Lagrangian over stacks of points and velocities.
+
+    ``a`` and ``ad`` are complex arrays of shape ``(..., n, n)``; the result
+    has shape ``(...)``.  ``h`` must already be a validated Hermitian
+    ``(n, n)`` matrix: nothing but the reality of the result is checked
+    here.  The expression is the one of ``lagrangian_heisenberg`` term for
+    term, so a stacked evaluation rounds exactly like the per-point one.
+    """
+    a_dag = a.conj().swapaxes(-1, -2)
+    ad_dag = ad.conj().swapaxes(-1, -2)
+    kinetic = 0.5j * np.trace(a_dag @ ad - ad_dag @ a, axis1=-2, axis2=-1)
+    potential = np.trace(a @ h @ a_dag - a_dag @ h @ a, axis1=-2, axis2=-1)
+    return _real_values(kinetic - potential, "Lagrangian")
 
 
 def cartan_one_form_heisenberg(point, v) -> float:

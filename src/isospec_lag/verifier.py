@@ -3,7 +3,9 @@
 Everything here works on flat real coordinate charts.  A Lagrangian is
 any callable L(q, qdot); the checker samples a path on a uniform time
 grid, forms d/dt(dL/dqdot) - dL/dq with centered differences and
-reports the residual vectors at the interior samples.  Helpers chart
+reports the residual vectors at the interior samples.  Both gradients
+at a sample come from one batch of bumped points, evaluated in a single
+call when the chart has a stacked evaluator.  Helpers chart
 complex matrix spaces (entrywise real and imaginary parts) and the
 unitary group (exponential coordinates around each sample) so the
 analytic residuals of the operator and orbit Lagrangians can be
@@ -21,8 +23,8 @@ from typing import Callable, Sequence
 import numpy as np
 import scipy.linalg
 
-from .heisenberg import lagrangian_heisenberg, OperatorTangent
-from .operator_core import as_complex_matrix, dagger, unitary_algebra_basis
+from .heisenberg import lagrangian_heisenberg_values
+from .operator_core import as_complex_matrix, dagger, require_hermitian, unitary_algebra_basis
 from .unitary_orbit import lagrangian_unitary, UnitaryTangent
 
 DEFAULT_GRADIENT_STEP = 1e-5
@@ -31,14 +33,27 @@ UNIFORM_SPACING_RTOL = 1e-12
 
 @dataclass(frozen=True)
 class CoordinateLagrangian:
-    """A Lagrangian on a flat chart: evaluate(q, qdot) -> float."""
+    """A Lagrangian on a flat chart: evaluate(q, qdot) -> float.
+
+    evaluate_stack, when given, maps (k, dim) arrays of points and
+    velocities to the k Lagrangian values in one call; the gradient
+    routine then sends all bumped points of a sample through it at once.
+    Without it the points are evaluated one by one.
+    """
 
     dim: int
     evaluate: Callable[[np.ndarray, np.ndarray], float]
+    evaluate_stack: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("chart dimension must be positive")
+
+    def evaluate_points(self, qs: np.ndarray, qdots: np.ndarray) -> np.ndarray:
+        """Lagrangian values at the rows of qs and qdots."""
+        if self.evaluate_stack is not None:
+            return np.asarray(self.evaluate_stack(qs, qdots), dtype=float)
+        return np.array([float(self.evaluate(q, v)) for q, v in zip(qs, qdots)])
 
 
 @dataclass(frozen=True)
@@ -73,43 +88,69 @@ class SampledPath:
         return self.points.shape[1]
 
 
-def _finite(value, q, what):
-    value = float(value)
-    if not np.isfinite(value):
-        raise ValueError(f"Lagrangian is not finite ({what}) near q={q}")
-    return value
+def gradients(lag: CoordinateLagrangian, q, qdot, h: float = DEFAULT_GRADIENT_STEP,
+              wrt: Sequence[str] = ("q", "qdot")) -> tuple[np.ndarray, ...]:
+    """Centered-difference dL/dq and/or dL/dqdot at (q, qdot), error O(h^2).
+
+    wrt names the gradients wanted, in the order they are returned.  The
+    2 dim bumped points of each (q +- h e_i with qdot fixed, or qdot +- h e_i
+    with q fixed) are stacked and evaluated together.
+    """
+    if h <= 0:
+        raise ValueError("gradient step must be positive")
+    q = np.asarray(q, dtype=float)
+    qdot = np.asarray(qdot, dtype=float)
+    bump = h * np.eye(lag.dim)
+    fixed_q = np.broadcast_to(q, bump.shape)
+    fixed_qdot = np.broadcast_to(qdot, bump.shape)
+    qs, qdots, labels = [], [], []
+    for name in wrt:
+        if name == "q":
+            qs += [q + bump, q - bump]
+            qdots += [fixed_qdot, fixed_qdot]
+        elif name == "qdot":
+            qs += [fixed_q, fixed_q]
+            qdots += [qdot + bump, qdot - bump]
+        else:
+            raise ValueError(f"unknown gradient {name!r}")
+        labels += [f"grad_{name} +", f"grad_{name} -"]
+    values = lag.evaluate_points(np.concatenate(qs), np.concatenate(qdots))
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise ValueError(f"Lagrangian is not finite ({labels[bad[0] // lag.dim]}) near q={q}")
+    values = values.reshape(len(labels), lag.dim)
+    return tuple((values[2 * k] - values[2 * k + 1]) / (2 * h) for k in range(len(wrt)))
 
 
 def grad_q(lag: CoordinateLagrangian, q, qdot, h: float = DEFAULT_GRADIENT_STEP) -> np.ndarray:
     """Centered-difference dL/dq, error O(h^2)."""
-    if h <= 0:
-        raise ValueError("gradient step must be positive")
-    q = np.asarray(q, dtype=float)
-    qdot = np.asarray(qdot, dtype=float)
-    out = np.empty(lag.dim)
-    for i in range(lag.dim):
-        bump = np.zeros(lag.dim)
-        bump[i] = h
-        plus = _finite(lag.evaluate(q + bump, qdot), q, "grad_q +")
-        minus = _finite(lag.evaluate(q - bump, qdot), q, "grad_q -")
-        out[i] = (plus - minus) / (2 * h)
-    return out
+    return gradients(lag, q, qdot, h, wrt=("q",))[0]
 
 
 def grad_qdot(lag: CoordinateLagrangian, q, qdot, h: float = DEFAULT_GRADIENT_STEP) -> np.ndarray:
     """Centered-difference dL/dqdot, error O(h^2)."""
-    if h <= 0:
-        raise ValueError("gradient step must be positive")
-    q = np.asarray(q, dtype=float)
-    qdot = np.asarray(qdot, dtype=float)
-    out = np.empty(lag.dim)
-    for i in range(lag.dim):
-        bump = np.zeros(lag.dim)
-        bump[i] = h
-        plus = _finite(lag.evaluate(q, qdot + bump), q, "grad_qdot +")
-        minus = _finite(lag.evaluate(q, qdot - bump), q, "grad_qdot -")
-        out[i] = (plus - minus) / (2 * h)
-    return out
+    return gradients(lag, q, qdot, h, wrt=("qdot",))[0]
+
+
+def _residuals(lag: CoordinateLagrangian, path: SampledPath, h: float):
+    """el_residual_path rows plus the Lagrangian evaluations and calls they took."""
+    if path.dim != lag.dim:
+        raise ValueError(f"path dim {path.dim} does not match chart dim {lag.dim}")
+    n = len(path.times)
+    dt = path.spacing
+    velocities = (path.points[2:] - path.points[:-2]) / (2 * dt)  # samples 1..n-2
+    momenta = np.empty((n - 2, lag.dim))  # samples 1..n-2
+    forces = np.empty((n - 4, lag.dim))  # samples 2..n-3
+    for i in range(1, n - 1):
+        q, v = path.points[i], velocities[i - 1]
+        if 2 <= i <= n - 3:
+            forces[i - 2], momenta[i - 1] = gradients(lag, q, v, h)
+        else:  # the end samples only feed the momentum stencil
+            (momenta[i - 1],) = gradients(lag, q, v, h, wrt=("qdot",))
+    residuals = (momenta[2:] - momenta[:-2]) / (2 * dt) - forces
+    evaluations = 2 * lag.dim * ((n - 2) + (n - 4))  # qdot bumps, then q bumps
+    calls = n - 2 if lag.evaluate_stack is not None else evaluations
+    return residuals, evaluations, calls
 
 
 def el_residual_path(
@@ -121,22 +162,10 @@ def el_residual_path(
 
     Velocities exist at samples 1..N-2 and the momentum derivative at
     samples 2..N-3, so the returned array has shape (N-4, dim) and its
-    row i belongs to path sample i + 2.
+    row i belongs to path sample i + 2.  Each sample costs one gradient
+    call, so one stacked Lagrangian evaluation on charts that have one.
     """
-    if path.dim != lag.dim:
-        raise ValueError(f"path dim {path.dim} does not match chart dim {lag.dim}")
-    n = len(path.times)
-    dt = path.spacing
-    velocities = (path.points[2:] - path.points[:-2]) / (2 * dt)  # samples 1..n-2
-    momenta = np.array([
-        grad_qdot(lag, path.points[i], velocities[i - 1], h)
-        for i in range(1, n - 1)
-    ])
-    residuals = np.empty((n - 4, lag.dim))
-    for i in range(2, n - 2):
-        dpdt = (momenta[i] - momenta[i - 2]) / (2 * dt)
-        residuals[i - 2] = dpdt - grad_q(lag, path.points[i], velocities[i - 1], h)
-    return residuals
+    return _residuals(lag, path, h)[0]
 
 
 @dataclass(frozen=True)
@@ -146,6 +175,8 @@ class VerificationReport:
     mean_residual: float
     worst_index: int
     tolerance: float
+    lagrangian_evals: int
+    lagrangian_calls: int
 
 
 def verify_trajectory(
@@ -159,7 +190,7 @@ def verify_trajectory(
     worst_index refers to the original path sample, not the interior
     residual row.
     """
-    residuals = el_residual_path(lag, path, h)
+    residuals, evaluations, calls = _residuals(lag, path, h)
     norms = np.linalg.norm(residuals, axis=1)
     worst = int(np.argmax(norms))
     max_residual = float(norms[worst])
@@ -169,6 +200,8 @@ def verify_trajectory(
         mean_residual=float(np.mean(norms)),
         worst_index=worst + 2,
         tolerance=float(tolerance),
+        lagrangian_evals=evaluations,
+        lagrangian_calls=calls,
     )
 
 
@@ -182,9 +215,10 @@ def flatten_complex(a: np.ndarray) -> np.ndarray:
 
 
 def unflatten_complex(v: np.ndarray, shape) -> np.ndarray:
+    """Inverse of flatten_complex; leading axes of v are kept as stack axes."""
     v = np.asarray(v, dtype=float)
-    half = v.size // 2
-    return (v[:half] + 1j * v[half:]).reshape(shape)
+    half = v.shape[-1] // 2
+    return (v[..., :half] + 1j * v[..., half:]).reshape(v.shape[:-1] + tuple(shape))
 
 
 def operator_chart(n: int, lagrangian: Callable[[np.ndarray, np.ndarray], float]) -> CoordinateLagrangian:
@@ -199,14 +233,25 @@ def operator_chart(n: int, lagrangian: Callable[[np.ndarray, np.ndarray], float]
 
 
 def heisenberg_chart(hamiltonian) -> CoordinateLagrangian:
-    """Operator Lagrangian for a fixed Hamiltonian as a flat-chart Lagrangian."""
-    hamiltonian = as_complex_matrix(hamiltonian, name="hamiltonian")
+    """Operator Lagrangian for a fixed Hamiltonian as a flat-chart Lagrangian.
+
+    The Hamiltonian is validated once, here.  The chart evaluates stacks
+    of points through lagrangian_heisenberg_values, the same kernel as
+    lagrangian_heisenberg.
+    """
+    hamiltonian = require_hermitian(hamiltonian, name="hamiltonian")
     n = hamiltonian.shape[0]
 
-    def lagrangian(a, v):
-        return lagrangian_heisenberg(OperatorTangent(a, v), hamiltonian)
+    def evaluate_stack(qs, qdots):
+        a = unflatten_complex(qs, (n, n))
+        v = unflatten_complex(qdots, (n, n))
+        return lagrangian_heisenberg_values(a, v, hamiltonian)
 
-    return operator_chart(n, lagrangian)
+    return CoordinateLagrangian(
+        dim=2 * n * n,
+        evaluate=lambda q, qdot: float(evaluate_stack(q, qdot)),
+        evaluate_stack=evaluate_stack,
+    )
 
 
 def path_from_matrices(times, matrices) -> SampledPath:

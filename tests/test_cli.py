@@ -248,6 +248,66 @@ def test_non_hermitian_hamiltonian_exits_2(tmp_path, capsys):
     assert run_cli(["heisenberg", "--config", cfg, "--out", tmp_path]) == 2
 
 
+@pytest.mark.parametrize("kind", ["heisenberg", "lvn", "verify"])
+def test_initial_hamiltonian_shape_mismatch_exits_2(tmp_path, capsys, kind):
+    cfg = write_config(
+        tmp_path / "cfg.json", kind,
+        {"initial": np.eye(3) / 3, "hamiltonian": [[1, 0], [0, -1]]},
+        0.08, 0.01,
+    )
+    assert run_cli([kind, "--config", cfg, "--out", tmp_path]) == 2
+    err = capsys.readouterr().err
+    assert "same shape" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_tolerance_exits_2(tmp_path, capsys, value):
+    cfg = write_config(
+        tmp_path / "cfg.json", "heisenberg",
+        {"initial": [[0, 1], [1, 0]], "hamiltonian": [[1, 0], [0, -1]]},
+        0.05, 1e-3, tolerances={"trace_drift": value},
+    )
+    assert run_cli(["heisenberg", "--config", cfg, "--out", tmp_path]) == 2
+    err = capsys.readouterr().err
+    assert "must be finite" in err
+    assert "Traceback" not in err
+
+
+def test_non_finite_tolerance_override_exits_2(tmp_path, capsys):
+    cfg = heisenberg_config(tmp_path, t_final=0.05)
+    code = run_cli(["heisenberg", "--config", cfg, "--out", tmp_path,
+                    "--tolerance", "spectrum_drift=nan"])
+    assert code == 2
+    assert "must be finite" in capsys.readouterr().err
+
+
+def test_boolean_seed_exits_2(tmp_path, capsys):
+    cfg = write_config(
+        tmp_path / "cfg.json", "bloch", {"initial": [[0.2, 0.1, 0.3]]},
+        0.05, 1e-2, seed=True,
+    )
+    assert run_cli(["bloch", "--config", cfg, "--out", tmp_path]) == 2
+    err = capsys.readouterr().err
+    assert "seed must be a non-negative integer" in err
+    assert "Traceback" not in err
+
+
+def test_verify_logs_evaluation_counts_and_worst_sample(tmp_path, caplog):
+    cfg = write_config(
+        tmp_path / "cfg.json", "verify",
+        {"initial": [[0, 1], [1, 0]], "hamiltonian": [[1, 0], [0, -1]]},
+        0.016, 1e-3,
+    )
+    with caplog.at_level("INFO", logger="isospec_lag.cli"):
+        run_cli(["verify", "--config", cfg, "--out", tmp_path])
+    # N samples at dim 8 take 2*8*(2*(N-4) + 2) evaluations, one call per
+    # sample 1..N-2: N = 17 on the fine grid, 9 on the coarse one
+    assert "fine pass: 448 Lagrangian evaluations in 15 stacked calls" in caplog.text
+    assert "coarse pass: 192 Lagrangian evaluations in 7 stacked calls" in caplog.text
+    assert re.search(r"el_residual_max worst at sample \d+, t=", caplog.text)
+
+
 def test_bad_step_exits_2(tmp_path, capsys):
     cfg = write_config(
         tmp_path / "cfg.json", "heisenberg",

@@ -7,6 +7,8 @@ from isospec_lag.heisenberg import (
     el_residual_heisenberg,
     evolve_heisenberg_exact,
     heisenberg_rhs,
+    lagrangian_heisenberg,
+    lagrangian_heisenberg_values,
 )
 from isospec_lag.operator_core import unitary_algebra_basis
 from isospec_lag.unitary_orbit import UnitaryTangent, el_residual_unitary
@@ -20,6 +22,7 @@ from isospec_lag.verifier import (
     grad_q,
     grad_qdot,
     heisenberg_chart,
+    operator_chart,
     path_from_matrices,
     unflatten_complex,
     verify_trajectory,
@@ -174,6 +177,87 @@ def test_flat_chart_residual_matches_analytic_factor_two():
         tangent = OperatorTangent(a, heisenberg_rhs(a, h_wrong))
         analytic = el_residual_heisenberg(tangent, SZ)
         assert abs(np.linalg.norm(row) - 2 * analytic) <= 1e-3
+
+
+def scalar_heisenberg_chart(h):
+    """The Heisenberg chart without a stacked evaluator: one call per point."""
+    n = h.shape[0]
+    return operator_chart(n, lambda a, v: lagrangian_heisenberg(OperatorTangent(a, v), h))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_stacked_heisenberg_chart_matches_per_point_chart_exactly(n):
+    """Equal, not close: the centered difference amplifies rounding by 1/(2h)."""
+    rng = np.random.default_rng(20 + n)
+    h = rand_hermitian(rng, n)
+    h_flow = 1.05 * h  # off the extremal, so the residuals are not pure rounding
+    a0 = rand_hermitian(rng, n)
+    times = np.arange(11) * 1e-2
+    path = path_from_matrices(times, [evolve_heisenberg_exact(a0, h_flow, t) for t in times])
+    stacked = el_residual_path(heisenberg_chart(h), path)
+    np.testing.assert_array_equal(stacked, el_residual_path(scalar_heisenberg_chart(h), path))
+    assert np.max(np.abs(stacked)) > 1e-3
+
+
+def test_reported_evaluation_counts_match_actual_calls():
+    times = np.arange(9) * 1e-3
+    path = path_from_matrices(times, [evolve_heisenberg_exact(SX, SZ, t) for t in times])
+    chart = heisenberg_chart(SZ)
+    points, calls = [], []
+
+    def evaluate(q, qdot):
+        points.append(1)
+        return chart.evaluate(q, qdot)
+
+    def evaluate_stack(qs, qdots):
+        calls.append(len(qs))
+        return chart.evaluate_stack(qs, qdots)
+
+    stacked = verify_trajectory(
+        CoordinateLagrangian(chart.dim, evaluate, evaluate_stack), path)
+    per_point = verify_trajectory(CoordinateLagrangian(chart.dim, evaluate), path)
+    # 2 dim bumps for dL/dqdot at samples 1..7, 2 dim more for dL/dq at 2..6
+    assert stacked.lagrangian_evals == sum(calls) == 2 * 8 * (7 + 5)
+    assert stacked.lagrangian_calls == len(calls) == 7
+    assert per_point.lagrangian_evals == per_point.lagrangian_calls == len(points) == 2 * 8 * 12
+    assert stacked.max_residual == per_point.max_residual
+
+
+def nan_at_one_bump(q, qdot):
+    """FREE's Lagrangian, but NaN wherever the first velocity was bumped up."""
+    values = 0.5 * np.sum(qdot * qdot, axis=-1)
+    return np.where(qdot[..., 0] > 1.0 + 1e-7, np.nan, values)
+
+
+@pytest.mark.parametrize("stacked", [True, False])
+def test_non_finite_bumped_value_raises(stacked):
+    lag = CoordinateLagrangian(
+        dim=2, evaluate=lambda q, qdot: float(nan_at_one_bump(q, qdot)),
+        evaluate_stack=nan_at_one_bump if stacked else None,
+    )
+    with pytest.raises(ValueError, match=r"not finite \(grad_qdot \+\)"):
+        el_residual_path(lag, line_path())
+
+
+def test_heisenberg_chart_rejects_non_hermitian_hamiltonian():
+    with pytest.raises(ValueError, match="not Hermitian"):
+        heisenberg_chart(np.array([[0, 1], [0, 0]], dtype=complex))
+
+
+def test_stacked_evaluation_checks_reality_over_the_batch():
+    # the kernel trusts its caller to pass a Hermitian H; this one is not
+    h_bad = np.array([[1, 1], [0, -1]], dtype=complex)
+
+    def evaluate_stack(qs, qdots):
+        a, v = unflatten_complex(qs, (2, 2)), unflatten_complex(qdots, (2, 2))
+        return lagrangian_heisenberg_values(a, v, h_bad)
+
+    lag = CoordinateLagrangian(dim=8, evaluate=lambda q, qdot: float(evaluate_stack(q, qdot)),
+                               evaluate_stack=evaluate_stack)
+    times = np.arange(9) * 1e-3
+    path = path_from_matrices(times, [evolve_heisenberg_exact(SX, SZ, t) for t in times])
+    with pytest.raises(ValueError, match="imaginary residue"):
+        el_residual_path(lag, path)
 
 
 def test_chart_coordinates_recover_coefficients():
