@@ -61,7 +61,6 @@ from .sb2c import (
     SB2CElement,
     SB2CParameters,
     SB2CSetup,
-    SB2CState,
     SingularityError,
     build_matrix_system,
     constraint_residual,

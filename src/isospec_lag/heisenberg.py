@@ -16,7 +16,7 @@ Units take hbar = 1 throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from .operator_core import (
     matrix_exponential,
     require_hermitian,
 )
-from .trajectory import Trajectory
+from .trajectory import Trajectory, rk4_trajectory, time_grid
 
 #: Largest imaginary residue tolerated when a trace expression must be real.
 REALITY_TOL = 1e-12
@@ -50,20 +50,18 @@ class OperatorTangent:
 
 @dataclass(eq=False)
 class HeisenbergScenario:
-    """Inputs of one Heisenberg integration run."""
+    """Inputs of one Heisenberg integration run; ``times`` is their time grid."""
 
     hamiltonian: np.ndarray
     initial: np.ndarray
     t_final: float
     step: float
+    times: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.hamiltonian = require_hermitian(self.hamiltonian, name="hamiltonian")
         self.initial = as_complex_matrix(self.initial, "initial")
-        if self.step <= 0:
-            raise ValueError(f"step must be positive, got {self.step}")
-        if self.t_final < 0:
-            raise ValueError(f"t_final must be >= 0, got {self.t_final}")
+        self.times = time_grid(self.t_final, self.step)
         if self.t_final > 0 and self.step > self.t_final:
             raise ValueError("step must not exceed t_final")
 
@@ -116,44 +114,11 @@ def evolve_heisenberg_exact(a0, h, t: float) -> np.ndarray:
     return dagger(u) @ a0 @ u
 
 
-def _rk4_step(state: np.ndarray, h: np.ndarray, dt: float, rhs) -> np.ndarray:
-    k1 = rhs(state, h)
-    k2 = rhs(state + dt / 2 * k1, h)
-    k3 = rhs(state + dt / 2 * k2, h)
-    k4 = rhs(state + dt * k3, h)
-    return state + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-
-
-def _rk4_trajectory(a0, h, t_final, step, rhs, name) -> Trajectory:
-    times = [0.0]
-    states = [a0]
-    t = 0.0
-    state = a0
-    # full steps, then one shorter step if t_final is not a multiple
-    while t_final - t > step * (1 + 1e-12):
-        state = _rk4_step(state, h, step, rhs)
-        t += step
-        times.append(t)
-        states.append(state)
-    last = t_final - t
-    if last > 1e-15:
-        state = _rk4_step(state, h, last, rhs)
-        times.append(t_final)
-        states.append(state)
-    return Trajectory(
-        times=np.array(times),
-        states=np.array(states),
-        name=name,
-        meta={"step": step, "t_final": t_final},
-    )
-
-
 def evolve_heisenberg_rk4(scenario: HeisenbergScenario) -> Trajectory:
     """Classic fourth-order Runge-Kutta integration of ``Adot = -i[A, H]``."""
-    return _rk4_trajectory(
-        scenario.initial, scenario.hamiltonian,
-        scenario.t_final, scenario.step, heisenberg_rhs, "A",
-    )
+    h = scenario.hamiltonian
+    return rk4_trajectory(lambda a: heisenberg_rhs(a, h), scenario.initial,
+                          scenario.times, scenario.step, "A")
 
 
 def lagrangian_heisenberg(tangent: OperatorTangent, h) -> float:

@@ -34,7 +34,7 @@ from .operator_core import (
     hermitian_sqrt,
     require_hermitian,
 )
-from .trajectory import Trajectory
+from .trajectory import Trajectory, rk4_step, time_grid
 
 #: Tolerance for the internal scalar/matrix residual consistency identity.
 CONSISTENCY_TOL = 1e-9
@@ -99,12 +99,6 @@ class SB2CParameters:
     h2: float
     h3: float
     h4: float
-
-
-@dataclass(frozen=True)
-class SB2CState:
-    element: SB2CElement
-    time: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -218,14 +212,16 @@ def build_matrix_system(g: SB2CElement, setup: SB2CSetup):
     return amat, _y_vector(g.r, g.x, g.y, p)
 
 
-def constraint_residual(g: SB2CElement, setup: SB2CSetup) -> float:
+def constraint_residual(g: SB2CElement, setup: SB2CSetup,
+                        params: SB2CParameters | None = None) -> float:
     """Velocity-free configuration constraint ``d Y1 - a Y2 - b Y3``.
 
     (d, -a, -b) spans the left kernel of the system matrix, so this
     combination of the equations of motion carries no velocities; it
-    vanishes exactly on the admissible configuration surface.
+    vanishes exactly on the admissible configuration surface.  Pass
+    ``params = derive_parameters(setup)`` to skip deriving them again.
     """
-    p = derive_parameters(setup)
+    p = derive_parameters(setup) if params is None else params
     yv = _y_vector(g.r, g.x, g.y, p)
     return float(p.d * yv[0] - p.a * yv[1] - p.b * yv[2])
 
@@ -238,16 +234,17 @@ def _require_simplified(p: SB2CParameters, tol: float = HERMITIAN_TOL) -> None:
         )
 
 
+def _require_reducible(p: SB2CParameters) -> None:
+    _require_simplified(p)
+    if p.d == 0:
+        raise ValueError("reduced dynamics requires d != 0")
+
+
 def _phi_denominator(r: float, p: SB2CParameters) -> float:
     return r * ((p.h4 * p.a - p.d * p.h1) * r**2 - p.d**2 * p.alpha)
 
 
-def phi_of_r(r: float, params: SB2CParameters) -> float:
-    """Constraint surface ``x = Phi(r)`` of the real symmetric case."""
-    _require_simplified(params)
-    if r <= 0:
-        raise ValueError(f"r must be positive, got {r}")
-    p = params
+def _phi(r: float, p: SB2CParameters) -> float:
     den = _phi_denominator(r, p)
     if den == 0.0:
         raise SingularityError(f"constraint denominator vanishes at r={r}")
@@ -259,10 +256,7 @@ def phi_of_r(r: float, params: SB2CParameters) -> float:
     return num / den
 
 
-def phi_prime(r: float, params: SB2CParameters) -> float:
-    """Analytic derivative of the rational function Phi."""
-    _require_simplified(params)
-    p = params
+def _phi_prime(r: float, p: SB2CParameters) -> float:
     n4 = p.a * (p.gamma * p.a - p.h1) - p.d * (p.gamma * p.c - p.h3)
     n2 = p.a * p.d * p.alpha
     n0 = (p.delta * p.d - p.h4) * p.d
@@ -277,6 +271,31 @@ def phi_prime(r: float, params: SB2CParameters) -> float:
     return (dnum * den - num * dden) / den**2
 
 
+def phi_of_r(r: float, params: SB2CParameters) -> float:
+    """Constraint surface ``x = Phi(r)`` of the real symmetric case."""
+    _require_simplified(params)
+    if r <= 0:
+        raise ValueError(f"r must be positive, got {r}")
+    return _phi(r, params)
+
+
+def phi_prime(r: float, params: SB2CParameters) -> float:
+    """Analytic derivative of the rational function Phi."""
+    _require_simplified(params)
+    return _phi_prime(r, params)
+
+
+def _velocity(yv: float, r: float, p: SB2CParameters) -> tuple[float, float]:
+    # p has passed _require_reducible and r > 0
+    ydot = ((p.gamma * p.a - p.h1) * r
+            + (p.gamma * p.d - p.h4) * _phi(r, p)
+            + p.d * p.alpha / r) / p.d
+    denom = p.a + p.d * _phi_prime(r, p)
+    if denom == 0.0:
+        raise SingularityError(f"dynamical denominator a + d Phi'(r) vanishes at r={r}")
+    return ydot, -(p.gamma * p.d - p.h4) * yv / denom
+
+
 def reduced_rhs(state: ReducedState, params: SB2CParameters):
     """Right-hand sides (ydot, rdot) of the reduced dynamics.
 
@@ -288,109 +307,78 @@ def reduced_rhs(state: ReducedState, params: SB2CParameters):
     ValueError
         If d = 0 or the parameters are not in the real symmetric case.
     """
-    p = params
-    _require_simplified(p)
-    if p.d == 0:
-        raise ValueError("reduced dynamics requires d != 0")
-    r = state.r
-    ydot = ((p.gamma * p.a - p.h1) * r
-            + (p.gamma * p.d - p.h4) * phi_of_r(r, p)
-            + p.d * p.alpha / r) / p.d
-    denom = p.a + p.d * phi_prime(r, p)
-    if denom == 0.0:
-        raise SingularityError(f"dynamical denominator a + d Phi'(r) vanishes at r={r}")
-    rdot = -(p.gamma * p.d - p.h4) * state.y / denom
+    _require_reducible(params)
+    ydot, rdot = _velocity(state.y, state.r, params)
     return float(ydot), float(rdot)
 
 
-def _reduced_rhs_raw(yv: float, r: float, p: SB2CParameters):
-    return reduced_rhs(ReducedState(y=yv, r=r), p)
-
-
-def _reduced_step(yv: float, r: float, dt: float, p: SB2CParameters):
-    k1 = _reduced_rhs_raw(yv, r, p)
-    k2 = _reduced_rhs_raw(yv + dt / 2 * k1[0], r + dt / 2 * k1[1], p)
-    k3 = _reduced_rhs_raw(yv + dt / 2 * k2[0], r + dt / 2 * k2[1], p)
-    k4 = _reduced_rhs_raw(yv + dt * k3[0], r + dt * k3[1], p)
-    return (yv + dt / 6 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0]),
-            r + dt / 6 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1]))
-
-
-def _guard_value(r: float, p: SB2CParameters) -> tuple[float, float]:
-    """Signed values of the two denominators whose zeros stop the flow."""
-    return (p.a + p.d * phi_prime(r, p), _phi_denominator(r, p))
-
-
-def _probe(yv: float, r: float, dt: float, p: SB2CParameters):
-    """One step of size dt; None if it leaves the regular region."""
-    try:
-        y2, r2 = _reduced_step(yv, r, dt, p)
-    except SingularityError:
-        return None
-    if not (math.isfinite(y2) and math.isfinite(r2) and r2 > 0):
-        return None
-    return y2, r2
+def _guard_signs(r: float, p: SB2CParameters) -> tuple[float, float]:
+    """Signs of the two denominators whose zeros stop the flow."""
+    return (math.copysign(1.0, p.a + p.d * _phi_prime(r, p)),
+            math.copysign(1.0, _phi_denominator(r, p)))
 
 
 def integrate_reduced(initial: ReducedState, params: SB2CParameters,
                       t_final: float, step: float) -> Trajectory:
-    """RK4 trajectory of (y, r), with x = Phi(r) emitted alongside.
+    """RK4 trajectory of (y, r) on ``time_grid(t_final, step)``, with
+    x = Phi(r) emitted alongside.
 
-    If a denominator changes sign along the way, integration halts and
-    the crossing time is bracketed by bisection to 1e-8; the partial
-    trajectory is returned with a singularity record in ``meta``.
+    If a denominator changes sign along the way, or an RK4 stage drives r
+    to zero or below or to a non-finite value, integration halts and the
+    crossing time is bracketed by bisection to 1e-8; the partial
+    trajectory is returned with a singularity record in ``meta``.  Raises
+    ValueError for invalid grid inputs, d = 0 or parameters outside the
+    real symmetric case.
     """
-    if step <= 0:
-        raise ValueError(f"step must be positive, got {step}")
+    grid = time_grid(t_final, step).tolist()
     p = params
-    guard0 = _guard_value(initial.r, p)
-    sign0 = (math.copysign(1.0, guard0[0]), math.copysign(1.0, guard0[1]))
+    _require_reducible(p)
+    signs0 = _guard_signs(initial.r, p)
 
-    def regular(yv, r):
-        if not (math.isfinite(yv) and math.isfinite(r) and r > 0):
-            return False
+    def field(state):
+        yv, r = state.tolist()
+        if not 0 < r < math.inf:
+            raise SingularityError(f"an RK4 stage left r > 0: r={r}")
+        return np.array(_velocity(yv, r, p))
+
+    def advance(state, dt):
+        """One step of size dt; None if it leaves the regular region."""
         try:
-            ga, gb = _guard_value(r, p)
+            nxt = rk4_step(field, state, dt)
+            yv, r = nxt.tolist()
+            if math.isfinite(yv) and 0 < r < math.inf and _guard_signs(r, p) == signs0:
+                return nxt
         except SingularityError:
-            return False
-        return (math.copysign(1.0, ga) == sign0[0]
-                and math.copysign(1.0, gb) == sign0[1])
+            pass
+        return None
 
-    times = [initial.time]
-    ys = [initial.y]
-    rs = [initial.r]
+    states = [np.array([initial.y, initial.r])]
     meta: dict = {"step": step, "t_final": t_final}
-    t = initial.time
-    yv, r = initial.y, initial.r
-    t_end = initial.time + t_final
-    while t < t_end - 1e-15:
-        dt = min(step, t_end - t)
-        nxt = _probe(yv, r, dt, p)
-        if nxt is None or not regular(*nxt):
+    for k, t in enumerate(grid[:-1]):
+        dt = step if k < len(grid) - 2 else grid[-1] - t
+        nxt = advance(states[-1], dt)
+        if nxt is None:
             lo, hi = 0.0, dt  # bisect the crossing within this step
             while hi - lo > SINGULARITY_TIME_TOL:
                 mid = (lo + hi) / 2
-                probe = _probe(yv, r, mid, p)
-                if probe is None or not regular(*probe):
+                if advance(states[-1], mid) is None:
                     hi = mid
                 else:
                     lo = mid
+            t0 = initial.time + t
             meta["singularity"] = {
-                "time": t + (lo + hi) / 2,
-                "bracket": [t + lo, t + hi],
+                "time": t0 + (lo + hi) / 2,
+                "bracket": [t0 + lo, t0 + hi],
                 "reason": "denominator sign change or blow-up",
             }
             break
-        yv, r = nxt
-        t += dt
-        times.append(t)
-        ys.append(yv)
-        rs.append(r)
+        states.append(nxt)
 
-    xs = [phi_of_r(rv, p) for rv in rs]
-    states = np.column_stack([ys, rs, xs])
+    states = np.array(states)
+    xs = [_phi(r, p) for r in states[:, 1].tolist()]
     return Trajectory(
-        times=np.array(times), states=states,
+        times=initial.time + np.array(grid[:len(states)]),
+        states=np.column_stack([states, xs]),
         name="q", column_names=("y", "r", "x"), meta=meta,
     )
 

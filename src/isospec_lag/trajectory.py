@@ -1,4 +1,7 @@
-"""Time-stamped state sequences and their on-disk serialization.
+"""Time grids, the RK4 step, and time-stamped state sequences on disk.
+
+Every integration in the package samples its flow on
+:func:`time_grid` and advances it with :func:`rk4_step`.
 
 A :class:`Trajectory` stores either a stack of complex matrices
 (shape ``(N, n, n)``) or a stack of named real coordinate vectors
@@ -12,9 +15,49 @@ produce byte-identical files.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
+
+
+#: A remainder below this fraction of a step snaps onto the last grid point.
+GRID_SNAP = 1e-9
+
+
+def time_grid(t_final: float, step: float) -> np.ndarray:
+    """Sample times ``t_k = k*step`` whose last entry is exactly ``t_final``.
+
+    All gaps equal ``step`` except the last, which is a shorter remainder
+    when ``step`` does not divide ``t_final``.  A remainder below
+    ``GRID_SNAP * step`` moves the last full-step point onto ``t_final``
+    instead of adding a sliver row, so there are
+    ``ceil(t_final/step - GRID_SNAP) + 1`` samples; a positive
+    ``t_final`` below ``GRID_SNAP * step`` still gets its one step.
+
+    Raises
+    ------
+    ValueError
+        Unless ``step`` is finite and positive and ``t_final`` is finite
+        and non-negative.
+    """
+    if not (math.isfinite(step) and step > 0):
+        raise ValueError(f"step must be positive and finite, got {step}")
+    if not (math.isfinite(t_final) and t_final >= 0):
+        raise ValueError(f"t_final must be finite and >= 0, got {t_final}")
+    n_steps = max(math.ceil(t_final / step - GRID_SNAP), int(t_final > 0))
+    times = np.arange(n_steps + 1) * step
+    times[-1] = t_final
+    return times
+
+
+def rk4_step(f, y, dt: float):
+    """One classic fourth-order Runge-Kutta step of ``dy/dt = f(y)``."""
+    k1 = f(y)
+    k2 = f(y + dt / 2 * k1)
+    k3 = f(y + dt / 2 * k2)
+    k4 = f(y + dt * k3)
+    return y + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
 def format_float(x) -> str:
@@ -81,6 +124,19 @@ class Trajectory:
         else:
             for s in self.states:
                 yield [float(v) for v in s]
+
+
+def rk4_trajectory(f, y0, times: np.ndarray, step: float, name: str) -> Trajectory:
+    """RK4 samples of ``dy/dt = f(y)`` on ``times = time_grid(t_final, step)``.
+
+    Every step has size ``step`` except the last, which ends at ``times[-1]``.
+    """
+    states = [y0]
+    for k in range(1, len(times)):
+        dt = step if k < len(times) - 1 else times[-1] - times[-2]
+        states.append(rk4_step(f, states[-1], dt))
+    return Trajectory(times, np.array(states), name=name,
+                      meta={"step": step, "t_final": float(times[-1])})
 
 
 def write_csv(traj: Trajectory, path) -> None:

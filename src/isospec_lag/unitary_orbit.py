@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .heisenberg import _real_part, _rk4_trajectory
+from .heisenberg import _real_part
 from .operator_core import (
     HERMITIAN_TOL,
     as_complex_matrix,
@@ -32,7 +32,7 @@ from .operator_core import (
     require_hermitian,
     unitary_algebra_basis,
 )
-from .trajectory import Trajectory
+from .trajectory import Trajectory, rk4_trajectory, time_grid
 
 logger = logging.getLogger(__name__)
 
@@ -167,9 +167,8 @@ def evolve_lvn_rk4(rho0, h, t_final: float, step: float) -> Trajectory:
     """Fourth-order Runge-Kutta integration of ``rho_dot = i [rho, H]``."""
     rho0 = validate_density(rho0)
     h = require_hermitian(h, name="hamiltonian")
-    if step <= 0:
-        raise ValueError(f"step must be positive, got {step}")
-    return _rk4_trajectory(rho0, h, t_final, step, lvn_rhs, "rho")
+    return rk4_trajectory(lambda rho: lvn_rhs(rho, h), rho0,
+                          time_grid(t_final, step), step, "rho")
 
 
 def el_residual_unitary(ut: UnitaryTangent, sigma, h) -> np.ndarray:

@@ -118,7 +118,7 @@ def test_sb2c_run_passes(tmp_path, capsys):
     assert run_cli(["sb2c", "--config", cfg, "--out", tmp_path]) == 0
     lines = parse_lines(capsys.readouterr().out)
     assert set(lines) == {
-        "constraint_residual", "kernel_identity", "determinant_conservation",
+        "constraint_residual", "determinant_conservation",
     }
 
 
@@ -317,6 +317,23 @@ def test_bad_step_exits_2(tmp_path, capsys):
     assert run_cli(["heisenberg", "--config", cfg, "--out", tmp_path]) == 2
 
 
+@pytest.mark.parametrize("kind, matrices", [
+    ("heisenberg", {"initial": [[0, 1], [1, 0]], "hamiltonian": [[1, 0], [0, -1]]}),
+    ("lvn", {"initial": [[0.5, 0.5], [0.5, 0.5]], "hamiltonian": [[1, 0], [0, -1]]}),
+    ("sb2c", {"initial": [[-1.0, 6.0]], "a0": [[1, 1], [1, 2]],
+              "hamiltonian": [[1, 0], [0, -1]]}),
+    ("bloch", {"initial": [[0.1, -0.2, 0.3]]}),
+    ("verify", {"initial": [[0, 1], [1, 0]], "hamiltonian": [[1, 0], [0, -1]]}),
+])
+@pytest.mark.parametrize("t_final, step", [(1.0, 0.0), (-1.0, 0.1), (float("inf"), 0.1)])
+def test_bad_grid_exits_2_without_outputs(tmp_path, capsys, kind, matrices, t_final, step):
+    cfg = write_config(tmp_path / "cfg.json", kind, matrices, t_final, step)
+    out = tmp_path / "out"
+    assert run_cli([kind, "--config", cfg, "--out", out]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_singularity_exits_3(tmp_path, capsys):
     cfg = write_config(
         tmp_path / "cfg.json", "sb2c",
@@ -337,6 +354,42 @@ def test_singularity_exits_3(tmp_path, capsys):
     body = (tmp_path / "trajectory.csv").read_text().splitlines()
     assert body[0] == "t,y,r,x"
     assert len(body) > 10
+
+
+def test_stage_through_zero_radius_exits_3(tmp_path, capsys):
+    cfg = write_config(
+        tmp_path / "cfg.json", "sb2c",
+        {
+            "initial": [[-1.0, 1.2]],
+            "a0": [[1, 1], [1, 2]],
+            "hamiltonian": [[1, 0], [0, -1]],
+        },
+        5.0, 1e-3,
+    )
+    assert run_cli(["sb2c", "--config", cfg, "--out", tmp_path]) == 3
+    err = capsys.readouterr().err
+    assert "config error" not in err
+    assert "Traceback" not in err
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["singular"] is True
+    assert len((tmp_path / "trajectory.csv").read_text().splitlines()) == 1 + 1264
+
+
+@pytest.mark.parametrize("kind, initial", [
+    ("heisenberg", None),
+    ("bloch", [[0.1, -0.2, 0.3]]),
+])
+def test_non_divisible_grid_has_no_sliver_row(tmp_path, kind, initial):
+    # 5 / 0.01 is 500 up to rounding: 501 rows, the last one at t = 5
+    if initial is None:
+        cfg = heisenberg_config(tmp_path, t_final=5.0, step=1e-2)
+    else:
+        cfg = write_config(tmp_path / "cfg.json", kind, {"initial": initial}, 5.0, 1e-2)
+    # at step 1e-2 the heisenberg drifts may exceed their default tolerances
+    assert run_cli([kind, "--config", cfg, "--out", tmp_path]) in (0, 1)
+    rows = (tmp_path / "trajectory.csv").read_text().splitlines()[1:]
+    assert len(rows) == 501
+    assert float(rows[-1].split(",")[0]) == 5.0
 
 
 def test_invalid_log_level_is_tolerated(tmp_path, monkeypatch):

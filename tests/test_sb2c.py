@@ -420,6 +420,26 @@ def test_integrate_reduced_rejects_bad_step():
         integrate_reduced(ReducedState(y=0.0, r=1.0), p, t_final=1.0, step=0.0)
 
 
+def test_integrate_reduced_rejects_negative_t_final():
+    p = derive_parameters(worked_setup())
+    with pytest.raises(ValueError):
+        integrate_reduced(ReducedState(y=0.0, r=1.0), p, t_final=-1.0, step=0.1)
+
+
+def test_integrate_reduced_stage_through_zero_radius_is_singular():
+    # an RK4 stage of the step after t = 1.263 drives r through 0; this is a
+    # singularity of the flow, not an invalid input
+    p = derive_parameters(worked_setup())
+    traj = integrate_reduced(ReducedState(y=-1.0, r=1.2), p, t_final=5.0, step=1e-3)
+    record = traj.meta["singularity"]
+    lo, hi = record["bracket"]
+    assert hi - lo <= 1e-8
+    assert lo <= record["time"] <= hi
+    assert 1.263 < record["time"] < 1.264
+    assert traj.n_samples == 1264
+    assert np.all(traj.states[:, 1] > 0)
+
+
 def test_flow_map_is_nonlinear():
     p = derive_parameters(worked_setup())
 

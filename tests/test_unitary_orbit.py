@@ -244,6 +244,12 @@ def test_evolve_lvn_rk4_stationary():
         np.testing.assert_allclose(state, rho0, atol=1e-13)
 
 
+def test_evolve_lvn_rk4_rejects_negative_t_final():
+    rho0 = np.diag([0.3, 0.7]).astype(complex)
+    with pytest.raises(ValueError):
+        evolve_lvn_rk4(rho0, SZ, t_final=-1.0, step=0.05)
+
+
 def test_evolve_lvn_rk4_step_halving():
     rng = np.random.default_rng(10)
     rho0 = rand_density(rng, 3)
