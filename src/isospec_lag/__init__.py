@@ -16,6 +16,7 @@ from .bloch import (
     bloch_from_density,
     classify_orbit,
     density_from_bloch,
+    flow_exponential,
     flow_generator,
     sb2c_flow_on_state,
     sb2c_generator,
@@ -49,6 +50,7 @@ from .operator_core import (
     frobenius_norm,
     hermitian_defect,
     hermitian_eigendecomposition,
+    hermitian_propagator,
     hermitian_sqrt,
     is_hermitian,
     matrix_exponential,

@@ -18,7 +18,7 @@ from enum import Enum
 
 import numpy as np
 
-from .operator_core import dagger, matrix_exponential, require_hermitian
+from .operator_core import dagger, require_hermitian
 
 BALL_TOL = 1e-10
 CLASSIFY_TOL = 1e-9
@@ -50,6 +50,17 @@ def flow_generator(index: int) -> np.ndarray:
     if index not in (1, 2, 3):
         raise ValueError(f"generator index must be 1, 2 or 3, got {index}")
     return _FLOW_GENERATORS[index].copy()
+
+
+def flow_exponential(index: int, t: float) -> np.ndarray:
+    """Closed form of ``exp(t * flow_generator(index))``.
+
+    tau_1 and tau_2 square to zero, so their flows are ``I + t tau``;
+    tau_3 / 2 is diagonal, so its flow is ``diag(e^{t/2}, e^{-t/2})``.
+    """
+    if index == 3:
+        return np.diag([math.exp(t / 2), math.exp(-t / 2)]).astype(complex)
+    return np.eye(2, dtype=complex) + t * flow_generator(index)
 
 
 @dataclass(frozen=True)
@@ -143,7 +154,7 @@ def sb2c_flow_on_state(k: int, t: float, x0: BlochVector) -> BlochVector:
     if k not in (1, 2, 3):
         raise ValueError(f"flow index must be 1, 2 or 3, got {k}")
     sigma = density_from_bloch(x0)
-    g = matrix_exponential(t * _FLOW_GENERATORS[k])
+    g = flow_exponential(k, t)
     m = g @ sigma @ dagger(g)
     tr = float(np.trace(m).real)
     if tr <= 1e-14:
@@ -197,7 +208,7 @@ def tangency_to_unitary_orbit(x: BlochVector, fd_step: float = 1e-5) -> Tangency
     dets = []
     for k in (1, 2, 3):
         def det_at(s):
-            g = matrix_exponential(s * _FLOW_GENERATORS[k])
+            g = flow_exponential(k, s)
             return float(np.linalg.det(g @ sigma @ dagger(g)).real)
         dets.append((det_at(fd_step) - det_at(-fd_step)) / (2 * fd_step))
     return TangencyReport(point=x, radial_rates=radial, det_rates=tuple(dets))

@@ -41,7 +41,7 @@ from .bloch import (
     OrbitTag,
     classify_orbit,
     density_from_bloch,
-    flow_generator,
+    flow_exponential,
     sb2c_flow_on_state,
     uniform_ball_sample,
     wedge_closed_form,
@@ -56,7 +56,7 @@ from .heisenberg import (
 from .operator_core import (
     dagger,
     frobenius_norm,
-    matrix_exponential,
+    hermitian_propagator,
     require_hermitian,
 )
 from .sb2c import (
@@ -70,7 +70,7 @@ from .sb2c import (
     sb2c_to_matrix,
 )
 from .trajectory import Trajectory, format_float, time_grid, write_csv, write_json
-from .unitary_orbit import evolve_lvn_exact, evolve_lvn_rk4, validate_density
+from .unitary_orbit import evolve_lvn_rk4
 from .verifier import (
     UNIFORM_SPACING_RTOL,
     heisenberg_chart,
@@ -316,13 +316,15 @@ def _run_heisenberg(config: ScenarioConfig):
 
 
 def _run_lvn(config: ScenarioConfig):
+    h = config.matrices["hamiltonian"]
     try:
-        rho0 = validate_density(config.matrices["initial"])
-        h = require_hermitian(config.matrices["hamiltonian"], name="hamiltonian")
-        traj = evolve_lvn_rk4(rho0, h, config.t_final, config.step)
+        traj = evolve_lvn_rk4(config.matrices["initial"], h, config.t_final, config.step)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    exact_end = evolve_lvn_exact(rho0, h, config.t_final)
+    # evolve_lvn_rk4 has validated both inputs; its first row is the checked rho0
+    rho0 = traj.states[0]
+    u = hermitian_propagator(h, config.t_final)
+    exact_end = u @ rho0 @ dagger(u)
     purity0 = float(np.trace(rho0 @ rho0).real)
     entropy0 = _von_neumann_entropy(rho0)
     invariants = [
@@ -418,7 +420,7 @@ def _run_bloch(config: ScenarioConfig):
     det_drift = 0.0
     for k in (1, 2, 3):
         for t in times:
-            g = matrix_exponential(t * flow_generator(k))
+            g = flow_exponential(k, t)
             det_drift = max(
                 det_drift,
                 abs(complex(np.linalg.det(g @ sigma @ dagger(g))) - det0),
@@ -473,8 +475,8 @@ def _run_verify(config: ScenarioConfig):
     # the finite-difference stencils need the last gap to be a full step
     if abs(times[-1] - times[-2] - config.step) > UNIFORM_SPACING_RTOL * config.step:
         raise ConfigError("verify needs step to divide t_final exactly")
-    states = [evolve_heisenberg_exact(initial, h, t) for t in times]
-    traj = Trajectory(times=times, states=np.array(states), name="A",
+    states = evolve_heisenberg_exact(initial, h, times)
+    traj = Trajectory(times=times, states=states, name="A",
                       meta={"step": config.step, "t_final": config.t_final})
 
     lag = heisenberg_chart(h)

@@ -25,7 +25,7 @@ from .operator_core import (
     commutator,
     dagger,
     frobenius_norm,
-    matrix_exponential,
+    hermitian_propagator,
     require_hermitian,
 )
 from .trajectory import Trajectory, rk4_trajectory, time_grid
@@ -61,6 +61,8 @@ class HeisenbergScenario:
     def __post_init__(self):
         self.hamiltonian = require_hermitian(self.hamiltonian, name="hamiltonian")
         self.initial = as_complex_matrix(self.initial, "initial")
+        if self.initial.shape != self.hamiltonian.shape:
+            raise ValueError("initial and hamiltonian dimensions differ")
         self.times = time_grid(self.t_final, self.step)
         if self.t_final > 0 and self.step > self.t_final:
             raise ValueError("step must not exceed t_final")
@@ -100,8 +102,12 @@ def heisenberg_rhs(a, h) -> np.ndarray:
     return -1j * commutator(a, h)
 
 
-def evolve_heisenberg_exact(a0, h, t: float) -> np.ndarray:
+def evolve_heisenberg_exact(a0, h, t) -> np.ndarray:
     """Conjugation flow ``U^dag a0 U`` with ``U = exp(-i t h)``.
+
+    ``t`` is one time or an array of times; an array gives the stack of
+    states at those times, shape ``np.shape(t) + a0.shape``, from one
+    eigendecomposition of ``h``.
 
     Raises
     ------
@@ -110,14 +116,16 @@ def evolve_heisenberg_exact(a0, h, t: float) -> np.ndarray:
     """
     a0 = as_complex_matrix(a0, "initial")
     h = require_hermitian(h, name="hamiltonian")
-    u = matrix_exponential(-1j * t * h)
-    return dagger(u) @ a0 @ u
+    u = hermitian_propagator(h, t)
+    return u.conj().swapaxes(-1, -2) @ a0 @ u
 
 
 def evolve_heisenberg_rk4(scenario: HeisenbergScenario) -> Trajectory:
     """Classic fourth-order Runge-Kutta integration of ``Adot = -i[A, H]``."""
     h = scenario.hamiltonian
-    return rk4_trajectory(lambda a: heisenberg_rhs(a, h), scenario.initial,
+    # heisenberg_rhs without commutator's conversions and shape check: the
+    # scenario holds validated complex matrices of one shape
+    return rk4_trajectory(lambda a: -1j * (a @ h - h @ a), scenario.initial,
                           scenario.times, scenario.step, "A")
 
 
@@ -217,4 +225,4 @@ def evolve_schrodinger_exact(psi0, h, t: float) -> np.ndarray:
     h = require_hermitian(h, name="hamiltonian")
     if h.shape[0] != psi0.shape[0]:
         raise ValueError("hamiltonian dimension differs from ket")
-    return matrix_exponential(-1j * t * h) @ psi0
+    return hermitian_propagator(h, t) @ psi0

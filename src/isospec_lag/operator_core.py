@@ -11,7 +11,6 @@ with floating-point drift remain checkable.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 #: Default Frobenius-norm tolerance for hermiticity / positivity checks.
 HERMITIAN_TOL = 1e-10
@@ -105,13 +104,30 @@ def require_hermitian(m, tolerance: float = HERMITIAN_TOL, name: str = "matrix")
 
 
 def matrix_exponential(m) -> np.ndarray:
-    """Matrix exponential ``exp(m)``.
+    """Matrix exponential ``exp(m)`` of a general square matrix.
 
-    Uses scaling-and-squaring with Pade approximation.  For an
-    anti-Hermitian argument the result is unitary to within rounding.
+    Uses scipy's scaling-and-squaring with Pade approximation; scipy is
+    imported on the first call, not with the package.  For an
+    anti-Hermitian argument the result is unitary to within rounding;
+    ``hermitian_propagator`` computes ``exp(-i t h)`` from ``eigh`` instead.
     """
+    import scipy.linalg
+
     arr = as_complex_matrix(m, "exponent")
     return scipy.linalg.expm(arr)
+
+
+def hermitian_propagator(h: np.ndarray, t) -> np.ndarray:
+    """Propagator ``exp(-i t h) = V exp(-i t w) V^dag`` from ``eigh(h)``.
+
+    ``h`` must already be a validated Hermitian complex matrix; nothing
+    is checked here.  ``t`` is one time or an array of times: the result
+    has shape ``np.shape(t) + h.shape``, one unitary per time, all from
+    the one eigendecomposition.
+    """
+    w, v = np.linalg.eigh(h)
+    phases = np.exp(-1j * np.multiply.outer(t, w))
+    return (v * phases[..., np.newaxis, :]) @ v.conj().T
 
 
 def hermitian_eigendecomposition(m, tolerance: float = HERMITIAN_TOL):

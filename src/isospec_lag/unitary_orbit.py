@@ -27,8 +27,8 @@ from .operator_core import (
     commutator,
     dagger,
     frobenius_norm,
+    hermitian_propagator,
     hermitian_sqrt,
-    matrix_exponential,
     require_hermitian,
     unitary_algebra_basis,
 )
@@ -159,15 +159,22 @@ def evolve_lvn_exact(rho0, h, t: float) -> np.ndarray:
     """
     rho0 = validate_density(rho0)
     h = require_hermitian(h, name="hamiltonian")
-    u = matrix_exponential(-1j * t * h)
+    u = hermitian_propagator(h, t)
     return u @ rho0 @ dagger(u)
 
 
 def evolve_lvn_rk4(rho0, h, t_final: float, step: float) -> Trajectory:
-    """Fourth-order Runge-Kutta integration of ``rho_dot = i [rho, H]``."""
+    """Fourth-order Runge-Kutta integration of ``rho_dot = i [rho, H]``.
+
+    The first row of the trajectory is ``validate_density(rho0)``.
+    """
     rho0 = validate_density(rho0)
     h = require_hermitian(h, name="hamiltonian")
-    return rk4_trajectory(lambda rho: lvn_rhs(rho, h), rho0,
+    if h.shape != rho0.shape:
+        raise ValueError("density matrix and hamiltonian dimensions differ")
+    # lvn_rhs without commutator's conversions and shape check: both
+    # operands are validated complex matrices of one shape
+    return rk4_trajectory(lambda rho: 1j * (rho @ h - h @ rho), rho0,
                           time_grid(t_final, step), step, "rho")
 
 

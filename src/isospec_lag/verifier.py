@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .heisenberg import lagrangian_heisenberg_values
 from .operator_core import as_complex_matrix, dagger, require_hermitian, unitary_algebra_basis
@@ -265,14 +264,23 @@ def chart_coordinates(u_center, u, basis: Sequence[np.ndarray]) -> np.ndarray:
 
     Solves u = u_center expm(sum_j s_j B_j) for s using the principal
     logarithm; u must be close enough to u_center for that branch.
+    scipy is imported on the first call, not with the package.
     """
+    import scipy.linalg
+
     x = scipy.linalg.logm(dagger(u_center) @ u)
     x = 0.5 * (x - dagger(x))  # kill rounding off the algebra
     return np.array([np.trace(dagger(b) @ x).real for b in basis])
 
 
 def unitary_chart(u_center, sigma, hamiltonian) -> CoordinateLagrangian:
-    """Orbit Lagrangian in exponential coordinates around u_center."""
+    """Orbit Lagrangian in exponential coordinates around u_center.
+
+    The chart needs scipy's expm_frechet; scipy is imported when the
+    chart is built, not with the package.
+    """
+    import scipy.linalg
+
     u_center = as_complex_matrix(u_center, name="u_center")
     n = u_center.shape[0]
     basis = unitary_algebra_basis(n)

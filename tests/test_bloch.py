@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from isospec_lag.bloch import (
     BlochVector,
@@ -7,6 +9,7 @@ from isospec_lag.bloch import (
     bloch_from_density,
     classify_orbit,
     density_from_bloch,
+    flow_exponential,
     flow_generator,
     sb2c_flow_on_state,
     sb2c_generator,
@@ -214,3 +217,16 @@ def test_uniform_ball_sampler_stays_inside():
     assert all(p.norm < 1.0 for p in points)
     mean = np.mean([p.as_array() for p in points], axis=0)
     assert np.linalg.norm(mean) < 0.1  # crude centering check
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([1, 2, 3]), st.floats(min_value=-5.0, max_value=5.0))
+def test_flow_exponential_matches_matrix_exponential(k, t):
+    expected = matrix_exponential(t * flow_generator(k))
+    got = flow_exponential(k, t)
+    assert np.linalg.norm(got - expected) <= 1e-13 * np.linalg.norm(expected)
+
+
+def test_flow_exponential_rejects_bad_index():
+    with pytest.raises(ValueError):
+        flow_exponential(4, 1.0)

@@ -1,10 +1,15 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from isospec_lag import cli
+from isospec_lag import cli, unitary_orbit
+from isospec_lag.heisenberg import evolve_heisenberg_exact
 
 LINE = re.compile(
     r"^(?P<name>\w+) max=(?P<max>[^ ]+) tol=(?P<tol>[^ ]+) (?P<status>PASS|FAIL)$"
@@ -401,3 +406,82 @@ def test_invalid_log_level_is_tolerated(tmp_path, monkeypatch):
 def test_float_formatting_round_trips():
     for value in (0.1, 1e-300, 3.141592653589793, 4.2):
         assert float(cli.format_float(value)) == value
+
+
+LVN_MATRICES = {"initial": [[0.75, 0.25], [0.25, 0.25]], "hamiltonian": [[1, 0.5], [0.5, -1]]}
+
+
+def test_lvn_validates_the_density_once(tmp_path, monkeypatch):
+    calls = []
+    validate = unitary_orbit.validate_density
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return validate(*args, **kwargs)
+
+    monkeypatch.setattr(unitary_orbit, "validate_density", counting)
+    cfg = write_config(tmp_path / "cfg.json", "lvn", LVN_MATRICES, 0.1, 1e-2)
+    assert run_cli(["lvn", "--config", cfg, "--out", tmp_path]) == 0
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("name, value, message", [
+    ("initial", [[1, 0], [0, 1]], "trace"),
+    ("initial", [[1.5, 0], [0, -0.5]], "eigenvalue"),
+    ("hamiltonian", [[0, 1], [0, 0]], "not Hermitian"),
+])
+def test_lvn_bad_input_exits_2(tmp_path, capsys, name, value, message):
+    cfg = write_config(tmp_path / "cfg.json", "lvn",
+                       {**LVN_MATRICES, name: value}, 0.1, 1e-2)
+    assert run_cli(["lvn", "--config", cfg, "--out", tmp_path / "out"]) == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+
+
+def test_verify_states_are_the_exact_flow(tmp_path):
+    rng = np.random.default_rng(5)
+    g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    a0, h = g + g.conj().T, np.diag([0.3, -0.1, 0.7]) + 0.2
+    cfg = write_config(tmp_path / "cfg.json", "verify",
+                       {"initial": a0, "hamiltonian": h}, 0.5, 1e-2)
+    assert run_cli(["verify", "--config", cfg, "--out", tmp_path]) == 0
+    lines = (tmp_path / "trajectory.csv").read_text().splitlines()[1:]
+    assert len(lines) == 51
+    for line in lines:
+        t, *cols = (float(v) for v in line.split(","))
+        state = (np.array(cols[0::2]) + 1j * np.array(cols[1::2])).reshape(3, 3).T
+        assert np.linalg.norm(state - evolve_heisenberg_exact(a0, h, t)) <= 1e-13
+
+
+def test_no_kind_imports_scipy(tmp_path):
+    """All five kinds run in one fresh process without loading scipy."""
+    runs = []
+    for kind, matrices, t_final, step in [
+        ("heisenberg", {"initial": [[0, 1], [1, 0]], "hamiltonian": [[1, 0], [0, -1]]},
+         0.05, 1e-2),
+        ("lvn", LVN_MATRICES, 0.05, 1e-2),
+        ("sb2c", {"initial": [[-1.0, 6.0]], "a0": [[1, 1], [1, 2]],
+                  "hamiltonian": [[1, 0], [0, -1]]}, 0.05, 1e-2),
+        ("bloch", {"initial": [[0.1, -0.2, 0.3]]}, 0.05, 1e-2),
+        ("verify", {"initial": [[0, 1], [1, 0]], "hamiltonian": [[1, 0], [0, -1]]},
+         0.1, 1e-2),
+    ]:
+        cfg = write_config(tmp_path / f"{kind}.json", kind, matrices, t_final, step)
+        runs.append([kind, "--config", str(cfg), "--out", str(tmp_path / kind)])
+    script = (
+        "import sys\n"
+        "from isospec_lag import cli\n"
+        f"codes = [cli.main(argv) for argv in {runs!r}]\n"
+        "print(codes)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    codes, scipy_modules = proc.stdout.splitlines()[-2:]
+    assert codes == "[0, 0, 0, 0, 0]"
+    assert scipy_modules == "[]"

@@ -98,6 +98,11 @@ def test_scenario_validation():
         HeisenbergScenario(SZ, SX, t_final=0.5, step=0.7)
 
 
+def test_scenario_rejects_dimension_mismatch():
+    with pytest.raises(ValueError, match="dimensions differ"):
+        HeisenbergScenario(SZ, np.eye(3), t_final=1.0, step=1e-2)
+
+
 def test_rk4_matches_exact_flow():
     traj = evolve_heisenberg_rk4(HeisenbergScenario(SZ, SX, t_final=1.0, step=1e-3))
     exact = evolve_heisenberg_exact(SX, SZ, 1.0)
@@ -237,3 +242,19 @@ def test_schrodinger_exact_flow():
     h = rand_hermitian(rng, 3)
     out = evolve_schrodinger_exact(psi, h, 10.0)
     assert abs(np.linalg.norm(out) - np.linalg.norm(psi)) <= 1e-10
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.integers(min_value=1, max_value=4),
+    st.floats(min_value=1e-3, max_value=0.5),
+)
+def test_exact_flow_stacked_over_times_matches_per_time(seed, n, step):
+    rng = np.random.default_rng(seed)
+    a0, h = rand_hermitian(rng, n), rand_hermitian(rng, n)
+    times = np.arange(101) * step
+    stacked = evolve_heisenberg_exact(a0, h, times)
+    assert stacked.shape == (101, n, n)
+    for t, state in zip(times, stacked):
+        assert frobenius_norm(state - evolve_heisenberg_exact(a0, h, t)) <= 1e-13

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from isospec_lag.operator_core import (
     anticommutator,
@@ -9,6 +12,7 @@ from isospec_lag.operator_core import (
     frobenius_norm,
     hermitian_defect,
     hermitian_eigendecomposition,
+    hermitian_propagator,
     hermitian_sqrt,
     is_hermitian,
     matrix_exponential,
@@ -199,3 +203,25 @@ def test_unitary_algebra_basis_orthonormal(n):
 def test_unitary_algebra_basis_rejects_n0():
     with pytest.raises(ValueError):
         unitary_algebra_basis(0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.integers(min_value=1, max_value=4),
+    st.floats(min_value=-10.0, max_value=10.0),
+)
+def test_hermitian_propagator_matches_expm_and_is_unitary(seed, n, t):
+    h = rand_hermitian(np.random.default_rng(seed), n)
+    u = hermitian_propagator(h, t)
+    assert frobenius_norm(u - scipy.linalg.expm(-1j * t * h)) <= 1e-12
+    assert frobenius_norm(dagger(u) @ u - np.eye(n)) <= 1e-13
+
+
+def test_hermitian_propagator_stacks_over_times():
+    h = rand_hermitian(np.random.default_rng(7), 3)
+    times = np.linspace(-2.0, 3.0, 11)
+    stacked = hermitian_propagator(h, times)
+    assert stacked.shape == (11, 3, 3)
+    for t, u in zip(times, stacked):
+        np.testing.assert_array_equal(u, hermitian_propagator(h, t))

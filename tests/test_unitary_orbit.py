@@ -244,6 +244,11 @@ def test_evolve_lvn_rk4_stationary():
         np.testing.assert_allclose(state, rho0, atol=1e-13)
 
 
+def test_evolve_lvn_rk4_rejects_dimension_mismatch():
+    with pytest.raises(ValueError, match="dimensions differ"):
+        evolve_lvn_rk4(np.eye(3) / 3, SZ, t_final=1.0, step=0.05)
+
+
 def test_evolve_lvn_rk4_rejects_negative_t_final():
     rho0 = np.diag([0.3, 0.7]).astype(complex)
     with pytest.raises(ValueError):
