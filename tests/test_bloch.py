@@ -1,27 +1,33 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isospec_lag.bloch import (
+    FLOW_T_MAX,
     BlochVector,
     OrbitTag,
     bloch_from_density,
     classify_orbit,
+    conjugate_flow,
     density_from_bloch,
     flow_exponential,
     flow_generator,
+    generator_frame,
     sb2c_flow_on_state,
     sb2c_generator,
     tangency_to_unitary_orbit,
     uniform_ball_sample,
     wedge_closed_form,
+    wedge_closed_form_values,
     wedge_determinant,
     y_field,
 )
 from isospec_lag.operator_core import dagger, matrix_exponential
 
-from conftest import SI
+from conftest import SI, SX, SY, SZ
 
 ORIGIN = BlochVector(0.0, 0.0, 0.0)
 P = BlochVector(0.0, 0.0, 1.0)
@@ -230,3 +236,56 @@ def test_flow_exponential_matches_matrix_exponential(k, t):
 def test_flow_exponential_rejects_bad_index():
     with pytest.raises(ValueError):
         flow_exponential(4, 1.0)
+
+
+def test_flow_exponential_over_an_array_of_times():
+    times = np.linspace(-3.0, 3.0, 13)
+    for k in (1, 2, 3):
+        stacked = flow_exponential(k, times)
+        assert stacked.shape == (13, 2, 2)
+        np.testing.assert_array_equal(stacked, [flow_exponential(k, t) for t in times])
+
+
+def test_flow_exponential_stays_in_float_range():
+    assert np.all(np.isfinite(flow_exponential(3, [-FLOW_T_MAX, FLOW_T_MAX])))
+    for t in (FLOW_T_MAX * (1 + 1e-12), -800.0, math.nan):
+        with pytest.raises(ValueError, match="float range"):
+            flow_exponential(3, [0.0, t])
+
+
+def test_conjugate_flow_matches_per_point_reference():
+    # reference: scipy expm of the generator, one time and one point at a time
+    rng = np.random.default_rng(14)
+    points = np.array([uniform_ball_sample(rng).as_array() for _ in range(5)])
+    times = np.array([-2.0, -0.3, 0.0, 0.7, 4.0])
+    for k in (1, 2, 3):
+        m, coords = conjugate_flow(k, times[:, np.newaxis], points)
+        assert m.shape == (5, 5, 2, 2) and coords.shape == (5, 5, 3)
+        for i, t in enumerate(times):
+            g = matrix_exponential(t * flow_generator(k))
+            for j, x in enumerate(points):
+                want = g @ density_from_bloch(BlochVector(*x)) @ dagger(g)
+                np.testing.assert_allclose(m[i, j], want, rtol=1e-13, atol=1e-15)
+                rho = want / np.trace(want).real
+                comps = [np.trace(rho @ s).real for s in (SX, SY, SZ)]
+                np.testing.assert_allclose(coords[i, j], comps, atol=1e-13)
+                np.testing.assert_array_equal(
+                    sb2c_flow_on_state(k, t, BlochVector(*x)).as_array(), coords[i, j])
+
+
+def test_stacked_frame_matches_per_point_fields():
+    rng = np.random.default_rng(15)
+    points = [uniform_ball_sample(rng) for _ in range(20)]
+    stack = np.array([x.as_array() for x in points])
+    frames = generator_frame(stack)
+    assert frames.shape == (20, 3, 3)
+    for x, frame in zip(points, frames):
+        np.testing.assert_array_equal(frame, [y_field(k, x) for k in (1, 2, 3)])
+        assert np.linalg.det(frame) == wedge_determinant(x)
+    np.testing.assert_array_equal(wedge_closed_form_values(stack),
+                                  [wedge_closed_form(x) for x in points])
+
+
+def test_vector_with_huge_component_is_outside_the_ball():
+    with pytest.raises(ValueError, match="norm"):
+        BlochVector(1e300, 0.0, 0.0)

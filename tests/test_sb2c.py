@@ -14,6 +14,7 @@ from isospec_lag.sb2c import (
     SingularityError,
     build_matrix_system,
     constraint_residual,
+    constraint_residual_values,
     derive_parameters,
     full_el_residual,
     integrate_reduced,
@@ -26,6 +27,7 @@ from isospec_lag.sb2c import (
     rho1_projection,
     rho2_projection,
     sb2c_inv,
+    sb2c_matrices,
     sb2c_mul,
     sb2c_to_matrix,
     scalar_el_residuals,
@@ -256,6 +258,22 @@ def test_constraint_vanishes_on_phi_curve():
         assert abs(off) > 1e-3
 
 
+def test_stacked_constraint_and_matrices_match_per_element():
+    rng = np.random.default_rng(21)
+    setup = rand_setup(rng)
+    p = derive_parameters(setup)
+    elements = [rand_element(rng) for _ in range(30)]
+    r, x, y = (np.array([getattr(g, c) for g in elements]) for c in "rxy")
+    # numpy's array power may round r**3 one ulp away from Python's float power
+    want = np.array([constraint_residual(g, setup, p) for g in elements])
+    np.testing.assert_allclose(constraint_residual_values(r, x, y, p), want,
+                               rtol=1e-13, atol=1e-13 * np.max(np.abs(want)))
+    np.testing.assert_array_equal(sb2c_matrices(r, x, y),
+                                  [sb2c_to_matrix(g) for g in elements])
+    # scalar coordinates broadcast against arrays
+    assert sb2c_matrices(2.0, x, 0.0).shape == (30, 2, 2)
+
+
 def test_phi_worked_values():
     p = derive_parameters(worked_setup())
     assert phi_of_r(1.0, p) == pytest.approx(2.0, abs=1e-14)
@@ -438,6 +456,16 @@ def test_integrate_reduced_stage_through_zero_radius_is_singular():
     assert 1.263 < record["time"] < 1.264
     assert traj.n_samples == 1264
     assert np.all(traj.states[:, 1] > 0)
+
+
+def test_integrate_reduced_field_overflow_at_start_is_singular():
+    # r^4 leaves float range in Phi'(r): the field is not finite there
+    p = derive_parameters(worked_setup())
+    traj = integrate_reduced(ReducedState(y=-1.0, r=1e80, time=0.5), p, t_final=1.0, step=1e-2)
+    assert traj.states.shape == (0, 3) and traj.times.shape == (0,)
+    record = traj.meta["singularity"]
+    assert record["time"] == 0.5 and record["bracket"] is None
+    assert "overflow" in record["reason"]
 
 
 def test_flow_map_is_nonlinear():
