@@ -53,7 +53,6 @@ from .operator_core import (
     hermitian_propagator,
     hermitian_sqrt,
     is_hermitian,
-    matrix_exponential,
     require_hermitian,
     unitary_algebra_basis,
 )

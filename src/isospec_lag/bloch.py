@@ -180,13 +180,16 @@ def conjugate_flow(k: int, t, points) -> tuple[np.ndarray, np.ndarray]:
 
     Times ``t`` broadcast against ``points`` of shape (..., 3), whose
     states are ``sigma``; the points are not checked against the ball.
-    Raises ValueError as ``flow_exponential`` does, or for a vanishing trace.
+    Raises ValueError as ``flow_exponential`` does, or for a trace that
+    is not positive and finite.  At a point of the ball ``m`` is PSD and
+    nonzero, since g is invertible, but its trace can be tiny: ``e^-t``
+    at the south pole under the diagonal flow.
     """
     g = flow_exponential(k, t)
     m = g @ _densities(points) @ g.conj().swapaxes(-1, -2)
     tr = np.trace(m, axis1=-2, axis2=-1).real
-    if np.any(tr <= 1e-14):
-        raise ValueError("conjugated state has vanishing trace")
+    if not np.all((tr > 0) & np.isfinite(tr)):
+        raise ValueError("conjugated state has no positive finite trace")
     coords = _bloch_coordinates(m / tr[..., np.newaxis, np.newaxis])
     # clamp rounding overshoot at the sphere
     nrm = np.linalg.norm(coords, axis=-1, keepdims=True)

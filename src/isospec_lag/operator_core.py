@@ -103,20 +103,6 @@ def require_hermitian(m, tolerance: float = HERMITIAN_TOL, name: str = "matrix")
     return arr
 
 
-def matrix_exponential(m) -> np.ndarray:
-    """Matrix exponential ``exp(m)`` of a general square matrix.
-
-    Uses scipy's scaling-and-squaring with Pade approximation; scipy is
-    imported on the first call, not with the package.  For an
-    anti-Hermitian argument the result is unitary to within rounding;
-    ``hermitian_propagator`` computes ``exp(-i t h)`` from ``eigh`` instead.
-    """
-    import scipy.linalg
-
-    arr = as_complex_matrix(m, "exponent")
-    return scipy.linalg.expm(arr)
-
-
 def hermitian_propagator(h: np.ndarray, t) -> np.ndarray:
     """Propagator ``exp(-i t h) = V exp(-i t w) V^dag`` from ``eigh(h)``.
 

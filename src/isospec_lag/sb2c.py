@@ -476,8 +476,8 @@ def rho1_projection(g: SB2CElement, sigma) -> np.ndarray:
     gm = sb2c_to_matrix(g)
     m = gm @ sigma @ dagger(gm)
     tr = float(np.trace(m).real)
-    if tr <= 1e-14:
-        raise ValueError(f"projection trace is not positive: {tr:.3e}")
+    if not (tr > 0 and math.isfinite(tr)):
+        raise ValueError(f"projection trace is not positive and finite: {tr:.3e}")
     return m / tr
 
 
@@ -487,6 +487,6 @@ def rho2_projection(g: SB2CElement, sigma) -> np.ndarray:
     gm = sb2c_to_matrix(g)
     m = s @ dagger(gm) @ gm @ s
     tr = float(np.trace(m).real)
-    if tr <= 1e-14:
-        raise ValueError(f"projection trace is not positive: {tr:.3e}")
+    if not (tr > 0 and math.isfinite(tr)):
+        raise ValueError(f"projection trace is not positive and finite: {tr:.3e}")
     return m / tr

@@ -39,7 +39,8 @@ def time_grid(t_final: float, step: float) -> np.ndarray:
     ------
     ValueError
         Unless ``step`` is finite and positive, ``t_final`` is finite
-        and non-negative, and the step count ``t_final/step`` is finite.
+        and non-negative, the step count ``t_final/step`` is finite and
+        the grid fits in memory.
     """
     if not (math.isfinite(step) and step > 0):
         raise ValueError(f"step must be positive and finite, got {step}")
@@ -48,7 +49,10 @@ def time_grid(t_final: float, step: float) -> np.ndarray:
     if not math.isfinite(t_final / step):
         raise ValueError(f"t_final/step overflows: {t_final}/{step}")
     n_steps = max(math.ceil(t_final / step - GRID_SNAP), int(t_final > 0))
-    times = np.arange(n_steps + 1) * step
+    try:
+        times = np.arange(n_steps + 1) * step
+    except MemoryError as exc:
+        raise ValueError(f"a grid of {n_steps + 1} samples does not fit in memory") from exc
     times[-1] = t_final
     return times
 

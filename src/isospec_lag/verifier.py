@@ -7,9 +7,10 @@ reports the residual vectors at the interior samples.  Both gradients
 at a sample come from one batch of bumped points, evaluated in a single
 call when the chart has a stacked evaluator.  Helpers chart
 complex matrix spaces (entrywise real and imaginary parts) and the
-unitary group (exponential coordinates around each sample) so the
-analytic residuals of the operator and orbit Lagrangians can be
-cross-checked without trusting their derivations.
+unitary group (exponential coordinates around each sample, with the
+exponential, its Frechet derivative and the logarithm taken from
+numpy.linalg.eigh) so the analytic residuals of the operator and orbit
+Lagrangians can be cross-checked without trusting their derivations.
 
 Velocity-linear Lagrangians are degenerate; their residuals are
 reported as-is, with no constraint reduction.
@@ -262,33 +263,46 @@ def path_from_matrices(times, matrices) -> SampledPath:
 def chart_coordinates(u_center, u, basis: Sequence[np.ndarray]) -> np.ndarray:
     """Exponential-chart coordinates of u around u_center.
 
-    Solves u = u_center expm(sum_j s_j B_j) for s using the principal
-    logarithm; u must be close enough to u_center for that branch.
-    scipy is imported on the first call, not with the package.
+    Solves u = u_center exp(sum_j s_j B_j) for s with the principal
+    logarithm of the unitary w = u_center^dag u, valid while no
+    eigenvalue of w reaches -1 (inside the five-sample windows of
+    el_residual_unitary_path they stay near 1).  The Cayley transform
+    i (I + w)^-1 (I - w) is Hermitian with eigenvalues tan(theta/2) for
+    the eigenvalues e^(i theta) of w, so one eigh of it gives
+    log w = V diag(2i arctan(a)) V^dag.
     """
-    import scipy.linalg
-
-    x = scipy.linalg.logm(dagger(u_center) @ u)
-    x = 0.5 * (x - dagger(x))  # kill rounding off the algebra
+    w = dagger(u_center) @ u
+    eye = np.eye(len(w))
+    a, v = np.linalg.eigh(1j * np.linalg.solve(eye + w, eye - w))
+    x = (v * (2j * np.arctan(a))) @ dagger(v)
     return np.array([np.trace(dagger(b) @ x).real for b in basis])
 
 
-def unitary_chart(u_center, sigma, hamiltonian) -> CoordinateLagrangian:
-    """Orbit Lagrangian in exponential coordinates around u_center.
+def _exp_frechet(x: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """exp(x) and its Frechet derivative in the direction e, x anti-Hermitian.
 
-    The chart needs scipy's expm_frechet; scipy is imported when the
-    chart is built, not with the package.
+    With i x = V diag(lam) V^dag from one eigh and mu = -i lam,
+    exp(x) = V diag(e^mu) V^dag and L(x, e) = V (D o V^dag e V) V^dag,
+    D_ij = (e^mu_i - e^mu_j) / (mu_i - mu_j), D_ii = e^mu_i (Daleckii-Krein;
+    Higham, Functions of Matrices, 2008, ch. 3).  D is evaluated as
+    e^((mu_i + mu_j)/2) sin(d/2) / (d/2), d = lam_i - lam_j, which stays
+    exact as eigenvalues merge.
     """
-    import scipy.linalg
+    lam, v = np.linalg.eigh(1j * x)
+    vh = dagger(v)
+    d = (np.exp(-0.5j * np.add.outer(lam, lam))
+         * np.sinc(np.subtract.outer(lam, lam) / (2 * np.pi)))
+    return (v * np.exp(-1j * lam)) @ vh, v @ (d * (vh @ e @ v)) @ vh
 
+
+def unitary_chart(u_center, sigma, hamiltonian) -> CoordinateLagrangian:
+    """Orbit Lagrangian in exponential coordinates around u_center."""
     u_center = as_complex_matrix(u_center, name="u_center")
     n = u_center.shape[0]
-    basis = unitary_algebra_basis(n)
+    basis = np.array(unitary_algebra_basis(n))
 
     def evaluate(q, qdot):
-        x = sum(q[j] * basis[j] for j in range(len(basis)))
-        e = sum(qdot[j] * basis[j] for j in range(len(basis)))
-        expx, frechet = scipy.linalg.expm_frechet(x, e, compute_expm=True)
+        expx, frechet = _exp_frechet(np.tensordot(q, basis, 1), np.tensordot(qdot, basis, 1))
         tangent = UnitaryTangent(u_center @ expx, u_center @ frechet)
         return lagrangian_unitary(tangent, sigma, hamiltonian)
 

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -25,7 +26,7 @@ from isospec_lag.bloch import (
     wedge_determinant,
     y_field,
 )
-from isospec_lag.operator_core import dagger, matrix_exponential
+from isospec_lag.operator_core import dagger
 
 from conftest import SI, SX, SY, SZ
 
@@ -182,7 +183,7 @@ def test_flows_preserve_determinant_not_spectrum():
     det0 = np.linalg.det(sigma).real
     for k in (1, 2, 3):
         for t in np.linspace(-5.0, 5.0, 11):
-            g = matrix_exponential(t * flow_generator(k))
+            g = scipy.linalg.expm(t * flow_generator(k))
             det_t = np.linalg.det(g @ sigma @ dagger(g)).real
             assert abs(det_t - det0) <= 1e-10
     # yet the normalized state's spectrum moves
@@ -228,7 +229,7 @@ def test_uniform_ball_sampler_stays_inside():
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from([1, 2, 3]), st.floats(min_value=-5.0, max_value=5.0))
 def test_flow_exponential_matches_matrix_exponential(k, t):
-    expected = matrix_exponential(t * flow_generator(k))
+    expected = scipy.linalg.expm(t * flow_generator(k))
     got = flow_exponential(k, t)
     assert np.linalg.norm(got - expected) <= 1e-13 * np.linalg.norm(expected)
 
@@ -262,7 +263,7 @@ def test_conjugate_flow_matches_per_point_reference():
         m, coords = conjugate_flow(k, times[:, np.newaxis], points)
         assert m.shape == (5, 5, 2, 2) and coords.shape == (5, 5, 3)
         for i, t in enumerate(times):
-            g = matrix_exponential(t * flow_generator(k))
+            g = scipy.linalg.expm(t * flow_generator(k))
             for j, x in enumerate(points):
                 want = g @ density_from_bloch(BlochVector(*x)) @ dagger(g)
                 np.testing.assert_allclose(m[i, j], want, rtol=1e-13, atol=1e-15)
@@ -271,6 +272,15 @@ def test_conjugate_flow_matches_per_point_reference():
                 np.testing.assert_allclose(coords[i, j], comps, atol=1e-13)
                 np.testing.assert_array_equal(
                     sb2c_flow_on_state(k, t, BlochVector(*x)).as_array(), coords[i, j])
+
+
+def test_conjugate_flow_keeps_the_south_pole_at_tiny_trace():
+    # the diagonal flow fixes the south pole and scales its state by e^-t
+    times = np.array([40.0, 700.0])
+    m, coords = conjugate_flow(3, times[:, np.newaxis], np.array([[0.0, 0.0, -1.0]]))
+    np.testing.assert_allclose(np.trace(m, axis1=-2, axis2=-1).real[:, 0], np.exp(-times),
+                               rtol=1e-13)
+    np.testing.assert_array_equal(coords, [[[0.0, 0.0, -1.0]]] * 2)
 
 
 def test_stacked_frame_matches_per_point_fields():

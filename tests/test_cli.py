@@ -337,7 +337,7 @@ def test_bad_step_exits_2(tmp_path, capsys):
     ("verify", {"initial": [[0, 1], [1, 0]], "hamiltonian": [[1, 0], [0, -1]]}),
 ])
 @pytest.mark.parametrize("t_final, step", [
-    (1.0, 0.0), (-1.0, 0.1), (float("inf"), 0.1), (1e300, 1e-300),
+    (1.0, 0.0), (-1.0, 0.1), (float("inf"), 0.1), (1e300, 1e-300), (1e17, 1.0),
 ])
 def test_bad_grid_exits_2_without_outputs(tmp_path, capsys, kind, matrices, t_final, step):
     cfg = write_config(tmp_path / "cfg.json", kind, matrices, t_final, step)
@@ -463,7 +463,8 @@ def test_verify_states_are_the_exact_flow(tmp_path):
 
 
 def test_no_kind_imports_scipy(tmp_path):
-    """All five kinds run in one fresh process without loading scipy."""
+    """All five kinds and the unitary chart run in one fresh process with
+    scipy blocked, and no scipy module is loaded."""
     runs = []
     for kind, matrices, t_final, step in [
         ("heisenberg", {"initial": [[0, 1], [1, 0]], "hamiltonian": [[1, 0], [0, -1]]},
@@ -479,10 +480,19 @@ def test_no_kind_imports_scipy(tmp_path):
         runs.append([kind, "--config", str(cfg), "--out", str(tmp_path / kind)])
     script = (
         "import sys\n"
+        "sys.modules['scipy'] = None\n"  # any scipy import now raises ImportError
+        "import numpy as np\n"
         "from isospec_lag import cli\n"
+        "from isospec_lag.operator_core import hermitian_propagator\n"
+        "from isospec_lag.verifier import el_residual_unitary_path\n"
         f"codes = [cli.main(argv) for argv in {runs!r}]\n"
-        "print(codes)\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "h = np.array([[0.3, 0.2 - 0.1j], [0.2 + 0.1j, -0.5]])\n"
+        "times = np.arange(7) * 1e-3\n"
+        "rows = el_residual_unitary_path(times, hermitian_propagator(h, times),\n"
+        "                                np.diag([0.7, 0.3]), h)\n"
+        "print(codes, rows.shape, float(np.max(np.abs(rows))) <= 1e-4)\n"
+        "print(sorted(m for m, mod in sys.modules.items()\n"
+        "             if mod is not None and m.split('.')[0] == 'scipy'))\n"
     )
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
@@ -491,7 +501,7 @@ def test_no_kind_imports_scipy(tmp_path):
                           text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     codes, scipy_modules = proc.stdout.splitlines()[-2:]
-    assert codes == "[0, 0, 0, 0, 0]"
+    assert codes == "[0, 0, 0, 0, 0] (3, 4) True"
     assert scipy_modules == "[]"
 
 
@@ -504,6 +514,13 @@ def test_bloch_flow_beyond_float_range_exits_2(tmp_path, capsys):
     assert "config error: flow time leaves float range" in err
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+def test_bloch_at_the_south_pole_exits_0(tmp_path, capsys):
+    # the diagonal flow fixes the south pole and shrinks its state's trace to e^-40
+    cfg = write_config(tmp_path / "cfg.json", "bloch", {"initial": [[0, 0, -1]]}, 40.0, 0.1)
+    assert run_cli(["bloch", "--config", cfg, "--out", tmp_path / "out"]) == 0
+    assert "FAIL" not in capsys.readouterr().out
 
 
 def test_sb2c_field_overflow_at_start_exits_3(tmp_path, capsys):

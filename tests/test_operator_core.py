@@ -15,12 +15,11 @@ from isospec_lag.operator_core import (
     hermitian_propagator,
     hermitian_sqrt,
     is_hermitian,
-    matrix_exponential,
     require_hermitian,
     unitary_algebra_basis,
 )
 
-from conftest import SI, SX, SY, SZ, rand_antihermitian, rand_complex, rand_hermitian
+from conftest import SI, SX, SY, SZ, rand_complex, rand_hermitian
 
 
 def test_as_complex_matrix_rejects_bad_shapes():
@@ -84,27 +83,6 @@ def test_hermitian_predicates():
     m = SX + np.array([[0, 1e-6], [0, 0]])
     assert is_hermitian(m, tolerance=1e-5)
     assert not is_hermitian(m, tolerance=1e-7)
-
-
-def test_matrix_exponential_examples():
-    np.testing.assert_allclose(matrix_exponential(np.zeros((3, 3))), np.eye(3))
-    got = matrix_exponential(np.diag([-1j * np.pi / 2, 1j * np.pi / 2]))
-    np.testing.assert_allclose(got, np.diag([-1j, 1j]), atol=1e-14)
-
-
-@pytest.mark.parametrize("theta", [0.0, 0.3, 1.0, np.pi / 2, 2.7])
-def test_matrix_exponential_pauli_rotation(theta):
-    got = matrix_exponential(1j * theta * SX)
-    want = np.cos(theta) * SI + 1j * np.sin(theta) * SX
-    np.testing.assert_allclose(got, want, atol=1e-13)
-
-
-def test_matrix_exponential_unitarity():
-    rng = np.random.default_rng(2)
-    for n in (2, 3, 4, 6):
-        for _ in range(10):
-            u = matrix_exponential(rand_antihermitian(rng, n))
-            assert frobenius_norm(dagger(u) @ u - np.eye(n)) <= 1e-10
 
 
 def test_eigendecomposition_examples():

@@ -565,6 +565,20 @@ def test_rho1_preserves_determinant_and_rank():
         assert evals[1] == pytest.approx(1.0, abs=1e-10)
 
 
+def test_rho1_projection_keeps_a_tiny_positive_trace():
+    # g sigma g^dag = diag(0, 1e-16) is PSD and nonzero, so it normalizes to sigma
+    sigma = np.diag([0.0, 1.0]).astype(complex)
+    np.testing.assert_allclose(rho1_projection(SB2CElement(1e8, 0.0, 0.0), sigma), sigma,
+                               rtol=1e-15)
+
+
+def test_rho2_projection_keeps_a_tiny_positive_trace():
+    # sqrt(sigma) g^dag g sqrt(sigma) = diag(1e-16, 0)
+    sigma = np.diag([1.0, 0.0]).astype(complex)
+    np.testing.assert_allclose(rho2_projection(SB2CElement(1e-8, 0.0, 0.0), sigma), sigma,
+                               rtol=1e-15)
+
+
 def test_rho_projection_degenerate_trace():
     with pytest.raises(ValueError):
         rho1_projection(IDENTITY, np.zeros((2, 2)))

@@ -153,7 +153,7 @@ def test_time_grid_has_no_sliver_row(t_final, step, rows, last_gap):
 
 @pytest.mark.parametrize("t_final, step", [
     (1.0, 0.0), (1.0, -0.1), (1.0, math.nan), (1.0, math.inf),
-    (-1.0, 0.1), (math.nan, 0.1), (math.inf, 0.1), (1e300, 1e-300),
+    (-1.0, 0.1), (math.nan, 0.1), (math.inf, 0.1), (1e300, 1e-300), (1e17, 1.0),
 ])
 def test_time_grid_rejects_bad_inputs(t_final, step):
     with pytest.raises(ValueError):

@@ -11,7 +11,6 @@ from isospec_lag.operator_core import (
     dagger,
     frobenius_norm,
     hermitian_sqrt,
-    matrix_exponential,
 )
 from isospec_lag.unitary_orbit import (
     IsospectralOrbitPoint,

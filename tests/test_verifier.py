@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from isospec_lag.heisenberg import (
     OperatorTangent,
@@ -11,7 +13,7 @@ from isospec_lag.heisenberg import (
     lagrangian_heisenberg_values,
 )
 from isospec_lag.operator_core import unitary_algebra_basis
-from isospec_lag.unitary_orbit import UnitaryTangent, el_residual_unitary
+from isospec_lag.unitary_orbit import UnitaryTangent, el_residual_unitary, lagrangian_unitary
 from isospec_lag.verifier import (
     CoordinateLagrangian,
     SampledPath,
@@ -25,10 +27,11 @@ from isospec_lag.verifier import (
     operator_chart,
     path_from_matrices,
     unflatten_complex,
+    unitary_chart,
     verify_trajectory,
 )
 
-from conftest import SX, SZ, rand_complex, rand_hermitian, rand_unitary
+from conftest import SX, SZ, rand_complex, rand_density, rand_hermitian, rand_unitary
 
 FREE = CoordinateLagrangian(dim=2, evaluate=lambda q, qdot: 0.5 * float(qdot @ qdot))
 HARMONIC = CoordinateLagrangian(
@@ -262,13 +265,57 @@ def test_stacked_evaluation_checks_reality_over_the_batch():
 
 def test_chart_coordinates_recover_coefficients():
     rng = np.random.default_rng(11)
-    for n in (2, 3):
+    for n in (1, 2, 3, 4):
         basis = unitary_algebra_basis(n)
         center = rand_unitary(rng, n)
         coeffs = 0.02 * rng.standard_normal(n * n)
         u = center @ scipy.linalg.expm(sum(c * b for c, b in zip(coeffs, basis)))
         got = chart_coordinates(center, u, basis)
         np.testing.assert_allclose(got, coeffs, atol=1e-10)
+
+
+@pytest.mark.parametrize("angles", [[0.3, np.pi - 0.3], [2.5, 1.0, -0.4], [3.0, -3.0, 0.0, 1.5]])
+def test_chart_coordinates_cover_the_principal_branch(angles):
+    # eigenvalues e^(i theta) of u_center^dag u anywhere on the circle but -1,
+    # including a pair mirrored across the imaginary axis (equal sin theta)
+    rng = np.random.default_rng(16)
+    n = len(angles)
+    basis = unitary_algebra_basis(n)
+    v, center = rand_unitary(rng, n), rand_unitary(rng, n)
+    x = (v * (1j * np.array(angles))) @ v.conj().T
+    want = [np.trace(b.conj().T @ x).real for b in basis]
+    got = chart_coordinates(center, center @ scipy.linalg.expm(x), basis)
+    np.testing.assert_allclose(got, want, atol=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
+       spectrum=st.sampled_from(["random", "repeated", "close"]),
+       scale=st.floats(1e-3, 3.0), log_gap=st.floats(-16.0, -5.0))
+def test_unitary_chart_matches_scipy_frechet(n, seed, spectrum, scale, log_gap):
+    # X = i theta I repeats one eigenvalue n times; "close" puts two of
+    # them 10^log_gap apart, below and above 1e-8
+    rng = np.random.default_rng(seed)
+    basis = unitary_algebra_basis(n)
+    lam = scale * rng.standard_normal(n)
+    if spectrum == "repeated":
+        lam[:] = lam[0]
+    elif spectrum == "close" and n > 1:
+        lam[1] = lam[0] + 10.0**log_gap
+    v = rand_unitary(rng, n)
+    x = (v * (1j * lam)) @ v.conj().T
+    q = np.array([np.trace(b.conj().T @ x).real for b in basis])
+    qdot = rng.standard_normal(n * n)
+    qdot /= np.linalg.norm(qdot)
+    u_center, sigma = rand_unitary(rng, n), rand_density(rng, n)
+    h = rand_hermitian(rng, n)
+    h /= np.linalg.norm(h)
+    got = unitary_chart(u_center, sigma, h).evaluate(q, qdot)
+    expx, frechet = scipy.linalg.expm_frechet(
+        x, sum(c * b for c, b in zip(qdot, basis)))
+    want = lagrangian_unitary(UnitaryTangent(u_center @ expx, u_center @ frechet), sigma, h)
+    # both terms of the Lagrangian are O(1) here, so the floor is relative to them
+    assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
 def test_unitary_path_needs_five_samples():
