@@ -193,7 +193,8 @@ def conjugate_flow(k: int, t, points) -> tuple[np.ndarray, np.ndarray]:
     coords = _bloch_coordinates(m / tr[..., np.newaxis, np.newaxis])
     # clamp rounding overshoot at the sphere
     nrm = np.linalg.norm(coords, axis=-1, keepdims=True)
-    return m, np.where((1 < nrm) & (nrm <= 1 + BALL_TOL), coords / nrm, coords)
+    clamp = (1 < nrm) & (nrm <= 1 + BALL_TOL)
+    return m, np.where(clamp, coords / np.where(clamp, nrm, 1.0), coords)
 
 
 def sb2c_flow_on_state(k: int, t: float, x0: BlochVector) -> BlochVector:

@@ -381,8 +381,7 @@ def _run_bloch(config: ScenarioConfig):
     conjugated, flowed = _three_flows(times, x0.as_array())
     columns = tuple(f"f{k}_x{i}" for k in (1, 2, 3) for i in (1, 2, 3))
     traj = Trajectory(times=times, states=np.concatenate(flowed, axis=-1), name="x",
-                      column_names=columns,
-                      meta={"step": config.step, "t_final": config.t_final})
+                      column_names=columns)
 
     tol = config.tolerances
     # deviations of shape (3, N): flows by samples
@@ -427,8 +426,7 @@ def _run_verify(config: ScenarioConfig):
     if abs(times[-1] - times[-2] - config.step) > UNIFORM_SPACING_RTOL * config.step:
         raise ConfigError("verify needs step to divide t_final exactly")
     states = evolve_heisenberg_exact(initial, h, times)
-    traj = Trajectory(times=times, states=states, name="A",
-                      meta={"step": config.step, "t_final": config.t_final})
+    traj = Trajectory(times=times, states=states, name="A")
 
     lag = heisenberg_chart(h)
     fine = verify_trajectory(lag, path_from_matrices(times, states),
@@ -473,48 +471,48 @@ def run(config: ScenarioConfig) -> RunReport:
 
     The library raises ValueError for inputs outside its domain (a
     non-Hermitian matrix, a bad grid, a flow or a Lagrangian beyond float
-    range), so a runner's ValueError is a ConfigError.
+    range), so a runner's ValueError is a ConfigError, as is an OSError
+    from writing the outputs (the output path names a file, say).
     """
     start = time.perf_counter()
     try:
         traj, invariants, warnings, singular = _RUNNERS[config.kind](config)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    config.out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        config.out_dir.mkdir(parents=True, exist_ok=True)
+        traj_path = config.out_dir / f"trajectory.{config.fmt}"
+        (write_csv if config.fmt == "csv" else write_json)(traj, traj_path)
 
-    traj_path = config.out_dir / f"trajectory.{config.fmt}"
-    if config.fmt == "csv":
-        write_csv(traj, traj_path)
-    else:
-        write_json(traj, traj_path)
-
-    report = RunReport(
-        scenario_id=f"{config.kind}-seed{config.seed}",
-        kind=config.kind,
-        seed=config.seed,
-        wall_time_s=time.perf_counter() - start,
-        invariants=invariants,
-        trajectory_path=str(traj_path),
-        warnings=warnings,
-        singular=singular,
-    )
-    doc = {
-        "scenario": report.scenario_id,
-        "kind": report.kind,
-        "seed": report.seed,
-        "wall_time_s": report.wall_time_s,
-        "trajectory": report.trajectory_path,
-        "invariants": {
-            r.name: {"max": _json_safe(r.max_deviation), "tol": r.tolerance,
-                     "pass": r.passed}
-            for r in invariants
-        },
-        "warnings": warnings,
-        "singular": singular,
-    }
-    with open(config.out_dir / "report.json", "w") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+        report = RunReport(
+            scenario_id=f"{config.kind}-seed{config.seed}",
+            kind=config.kind,
+            seed=config.seed,
+            wall_time_s=time.perf_counter() - start,
+            invariants=invariants,
+            trajectory_path=str(traj_path),
+            warnings=warnings,
+            singular=singular,
+        )
+        doc = {
+            "scenario": report.scenario_id,
+            "kind": report.kind,
+            "seed": report.seed,
+            "wall_time_s": report.wall_time_s,
+            "trajectory": report.trajectory_path,
+            "invariants": {
+                r.name: {"max": _json_safe(r.max_deviation), "tol": r.tolerance,
+                         "pass": r.passed}
+                for r in invariants
+            },
+            "warnings": warnings,
+            "singular": singular,
+        }
+        with open(config.out_dir / "report.json", "w") as fh:
+            json.dump(doc, fh, indent=1, sort_keys=True)
+            fh.write("\n")
+    except OSError as exc:
+        raise ConfigError(f"cannot write outputs to {config.out_dir}: {exc}") from exc
     return report
 
 

@@ -45,11 +45,6 @@ SINGULARITY_TIME_TOL = 1e-8
 class SingularityError(RuntimeError):
     """A denominator of the reduced dynamics vanished."""
 
-    def __init__(self, message, time=None, bracket=None):
-        super().__init__(message)
-        self.time = time
-        self.bracket = bracket
-
 
 @dataclass(frozen=True)
 class SB2CElement:
@@ -253,35 +248,53 @@ def _require_reducible(p: SB2CParameters) -> None:
         raise ValueError("reduced dynamics requires d != 0")
 
 
-def _phi_denominator(r: float, p: SB2CParameters) -> float:
-    return r * ((p.h4 * p.a - p.d * p.h1) * r**2 - p.d**2 * p.alpha)
+class _ReducedField:
+    """Phi, Phi' and the (ydot, rdot) field of the real symmetric case, with
+    Phi(r) = (n4 r^4 + n2 r^2 + n0) / (r (k2 r^2 - k0)); the coefficients are
+    computed once, from unchecked parameters, and no method calls numpy."""
 
+    def __init__(self, p: SB2CParameters):
+        self.a, self.d = p.a, p.d
+        self.n4 = p.a * (p.gamma * p.a - p.h1) - p.d * (p.gamma * p.c - p.h3)
+        self.n2, self.n0 = p.a * p.d * p.alpha, (p.delta * p.d - p.h4) * p.d
+        self.k2, self.k0 = p.h4 * p.a - p.d * p.h1, p.d**2 * p.alpha
+        # ydot = (ga r + gd Phi + da / r) / d and rdot = -gd y / (a + d Phi')
+        self.ga, self.gd, self.da = p.gamma * p.a - p.h1, p.gamma * p.d - p.h4, p.d * p.alpha
 
-def _phi(r: float, p: SB2CParameters) -> float:
-    den = _phi_denominator(r, p)
-    if den == 0.0:
-        raise SingularityError(f"constraint denominator vanishes at r={r}")
-    num = (
-        (p.a * (p.gamma * p.a - p.h1) - p.d * (p.gamma * p.c - p.h3)) * r**4
-        + p.a * p.d * p.alpha * r**2
-        + (p.delta * p.d - p.h4) * p.d
-    )
-    return num / den
+    def denominator(self, r: float) -> float:
+        return r * (self.k2 * r**2 - self.k0)
 
+    def phi(self, r: float) -> float:
+        den = self.denominator(r)
+        if den == 0.0:
+            raise SingularityError(f"constraint denominator vanishes at r={r}")
+        return (self.n4 * r**4 + self.n2 * r**2 + self.n0) / den
 
-def _phi_prime(r: float, p: SB2CParameters) -> float:
-    n4 = p.a * (p.gamma * p.a - p.h1) - p.d * (p.gamma * p.c - p.h3)
-    n2 = p.a * p.d * p.alpha
-    n0 = (p.delta * p.d - p.h4) * p.d
-    k2 = p.h4 * p.a - p.d * p.h1
-    k0 = p.d**2 * p.alpha
-    num = n4 * r**4 + n2 * r**2 + n0
-    den = k2 * r**3 - k0 * r
-    if den == 0.0:
-        raise SingularityError(f"constraint denominator vanishes at r={r}")
-    dnum = 4 * n4 * r**3 + 2 * n2 * r
-    dden = 3 * k2 * r**2 - k0
-    return (dnum * den - num * dden) / den**2
+    def phi_prime(self, r: float) -> float:
+        num = self.n4 * r**4 + self.n2 * r**2 + self.n0
+        den = self.k2 * r**3 - self.k0 * r
+        if den == 0.0:
+            raise SingularityError(f"constraint denominator vanishes at r={r}")
+        dnum = 4 * self.n4 * r**3 + 2 * self.n2 * r
+        dden = 3 * self.k2 * r**2 - self.k0
+        return (dnum * den - num * dden) / den**2
+
+    def signs(self, r: float) -> tuple[float, float]:
+        """Signs of the two denominators whose zeros stop the flow."""
+        return (math.copysign(1.0, self.a + self.d * self.phi_prime(r)),
+                math.copysign(1.0, self.denominator(r)))
+
+    def field(self, z: complex) -> complex:
+        """ydot + i rdot at z = y + i r (d != 0).  RK4's sums and real scalings
+        of z act on each part as on a float pair, up to the sign of a zero."""
+        r = z.imag
+        if not 0 < r < math.inf:
+            raise SingularityError(f"an RK4 stage left r > 0: r={r}")
+        ydot = (self.ga * r + self.gd * self.phi(r) + self.da / r) / self.d
+        denom = self.a + self.d * self.phi_prime(r)
+        if denom == 0.0:
+            raise SingularityError(f"dynamical denominator a + d Phi'(r) vanishes at r={r}")
+        return complex(ydot, -self.gd * z.real / denom)
 
 
 def phi_of_r(r: float, params: SB2CParameters) -> float:
@@ -289,24 +302,13 @@ def phi_of_r(r: float, params: SB2CParameters) -> float:
     _require_simplified(params)
     if r <= 0:
         raise ValueError(f"r must be positive, got {r}")
-    return _phi(r, params)
+    return _ReducedField(params).phi(r)
 
 
 def phi_prime(r: float, params: SB2CParameters) -> float:
     """Analytic derivative of the rational function Phi."""
     _require_simplified(params)
-    return _phi_prime(r, params)
-
-
-def _velocity(yv: float, r: float, p: SB2CParameters) -> tuple[float, float]:
-    # p has passed _require_reducible and r > 0
-    ydot = ((p.gamma * p.a - p.h1) * r
-            + (p.gamma * p.d - p.h4) * _phi(r, p)
-            + p.d * p.alpha / r) / p.d
-    denom = p.a + p.d * _phi_prime(r, p)
-    if denom == 0.0:
-        raise SingularityError(f"dynamical denominator a + d Phi'(r) vanishes at r={r}")
-    return ydot, -(p.gamma * p.d - p.h4) * yv / denom
+    return _ReducedField(params).phi_prime(r)
 
 
 def reduced_rhs(state: ReducedState, params: SB2CParameters):
@@ -321,14 +323,8 @@ def reduced_rhs(state: ReducedState, params: SB2CParameters):
         If d = 0 or the parameters are not in the real symmetric case.
     """
     _require_reducible(params)
-    ydot, rdot = _velocity(state.y, state.r, params)
-    return float(ydot), float(rdot)
-
-
-def _guard_signs(r: float, p: SB2CParameters) -> tuple[float, float]:
-    """Signs of the two denominators whose zeros stop the flow."""
-    return (math.copysign(1.0, p.a + p.d * _phi_prime(r, p)),
-            math.copysign(1.0, _phi_denominator(r, p)))
+    z = _ReducedField(params).field(complex(state.y, state.r))
+    return z.real, z.imag
 
 
 def integrate_reduced(initial: ReducedState, params: SB2CParameters,
@@ -337,39 +333,34 @@ def integrate_reduced(initial: ReducedState, params: SB2CParameters,
     x = Phi(r) emitted alongside.
 
     If a denominator changes sign along the way, or an RK4 stage drives r
-    to zero or below or to a non-finite value, or the field overflows,
-    integration halts and the crossing time is bracketed by bisection to
-    1e-8; the partial trajectory is returned with a singularity record in
-    ``meta``; a field that is singular or overflows at the initial state
-    gives no rows.  Raises ValueError for invalid grid inputs, d = 0 or
-    parameters outside the real symmetric case.
+    to zero or below or to a non-finite value, or the field leaves float
+    range, integration halts and the crossing time is bracketed by
+    bisection to 1e-8; the partial trajectory is returned with a
+    singularity record in ``meta``; a field that is singular or out of
+    float range at the initial state gives no rows.  Raises ValueError
+    for invalid grid inputs, d = 0 or parameters outside the real
+    symmetric case.
     """
     grid = time_grid(t_final, step).tolist()
-    p = params
-    _require_reducible(p)
-    states = [np.array([initial.y, initial.r])]
-    meta: dict = {"step": step, "t_final": t_final}
+    _require_reducible(params)
+    flow = _ReducedField(params)
+    states = [complex(initial.y, initial.r)]
+    meta: dict = {}
     try:
-        signs0 = _guard_signs(initial.r, p)
-    except (SingularityError, OverflowError) as exc:
-        states, grid = np.empty((0, 2)), grid[:1]
+        signs0 = flow.signs(initial.r)
+    except (SingularityError, ArithmeticError) as exc:
+        states, grid = [], grid[:1]
         reason = f"singular or overflowing field at r={initial.r}: {exc}"
         meta["singularity"] = {"time": initial.time, "bracket": None, "reason": reason}
 
-    def field(state):
-        yv, r = state.tolist()
-        if not 0 < r < math.inf:
-            raise SingularityError(f"an RK4 stage left r > 0: r={r}")
-        return np.array(_velocity(yv, r, p))
-
-    def advance(state, dt):
+    def advance(z, dt):
         """One step of size dt; None if it leaves the regular region."""
         try:
-            nxt = rk4_step(field, state, dt)
-            yv, r = nxt.tolist()
-            if math.isfinite(yv) and 0 < r < math.inf and _guard_signs(r, p) == signs0:
+            nxt = rk4_step(flow.field, z, dt)
+            r = nxt.imag
+            if math.isfinite(nxt.real) and 0 < r < math.inf and flow.signs(r) == signs0:
                 return nxt
-        except (SingularityError, OverflowError):
+        except (SingularityError, ArithmeticError):
             pass
         return None
 
@@ -393,11 +384,10 @@ def integrate_reduced(initial: ReducedState, params: SB2CParameters,
             break
         states.append(nxt)
 
-    states = np.array(states)
-    xs = [_phi(r, p) for r in states[:, 1].tolist()]
+    rows = [(z.real, z.imag, flow.phi(z.imag)) for z in states]
     return Trajectory(
         times=initial.time + np.array(grid[:len(states)]),
-        states=np.column_stack([states, xs]),
+        states=np.array(rows, dtype=float).reshape(len(rows), 3),
         name="q", column_names=("y", "r", "x"), meta=meta,
     )
 

@@ -79,7 +79,7 @@ class Trajectory:
     states : (N, n, n) complex matrices or (N, k) real vectors.
     name : column prefix for matrix states.
     column_names : names of the k coordinates when states are vectors.
-    meta : free-form metadata (step size, warnings, singularity record).
+    meta : free-form metadata, such as sb2c's singularity record.
     """
 
     times: np.ndarray
@@ -133,8 +133,7 @@ def rk4_trajectory(f, y0, times: np.ndarray, step: float, name: str) -> Trajecto
     for k in range(1, len(times)):
         dt = step if k < len(times) - 1 else times[-1] - times[-2]
         states.append(rk4_step(f, states[-1], dt))
-    return Trajectory(times, np.array(states), name=name,
-                      meta={"step": step, "t_final": float(times[-1])})
+    return Trajectory(times, np.array(states), name=name)
 
 
 def write_csv(traj: Trajectory, path) -> None:

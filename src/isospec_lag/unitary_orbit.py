@@ -124,7 +124,11 @@ def lagrangian_unitary(ut: UnitaryTangent, sigma, h) -> float:
     """Pulled-back Lagrangian ``i Tr(sigma udot u^dag) - Tr(u^dag sigma u H - sigma H)``."""
     sigma = require_hermitian(sigma, name="sigma")
     h = require_hermitian(h, name="hamiltonian")
-    u, ud = ut.u, ut.udot
+    return lagrangian_unitary_value(ut.u, ut.udot, sigma, h)
+
+
+def lagrangian_unitary_value(u, ud, sigma, h) -> float:
+    """``lagrangian_unitary`` at u, udot and already checked sigma and H."""
     kinetic = 1j * np.trace(sigma @ ud @ dagger(u))
     potential = np.trace(dagger(u) @ sigma @ u @ h - sigma @ h)
     return _real_part(kinetic - potential, "Lagrangian")

@@ -25,7 +25,7 @@ import numpy as np
 
 from .heisenberg import lagrangian_heisenberg_values
 from .operator_core import as_complex_matrix, dagger, require_hermitian, unitary_algebra_basis
-from .unitary_orbit import lagrangian_unitary, UnitaryTangent
+from .unitary_orbit import TANGENT_TOL, lagrangian_unitary_value
 
 DEFAULT_GRADIENT_STEP = 1e-5
 UNIFORM_SPACING_RTOL = 1e-12
@@ -296,15 +296,23 @@ def _exp_frechet(x: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def unitary_chart(u_center, sigma, hamiltonian) -> CoordinateLagrangian:
-    """Orbit Lagrangian in exponential coordinates around u_center."""
+    """Orbit Lagrangian in exponential coordinates around u_center.
+
+    The inputs are validated once, here: the chart's points and velocities
+    are unitary and tangent by construction, so they go unchecked to
+    lagrangian_unitary_value, the kernel of lagrangian_unitary.
+    """
     u_center = as_complex_matrix(u_center, name="u_center")
+    sigma = require_hermitian(sigma, name="sigma")
+    hamiltonian = require_hermitian(hamiltonian, name="hamiltonian")
     n = u_center.shape[0]
+    if np.linalg.norm(dagger(u_center) @ u_center - np.eye(n)) > TANGENT_TOL:
+        raise ValueError("u_center is not unitary")
     basis = np.array(unitary_algebra_basis(n))
 
     def evaluate(q, qdot):
         expx, frechet = _exp_frechet(np.tensordot(q, basis, 1), np.tensordot(qdot, basis, 1))
-        tangent = UnitaryTangent(u_center @ expx, u_center @ frechet)
-        return lagrangian_unitary(tangent, sigma, hamiltonian)
+        return lagrangian_unitary_value(u_center @ expx, u_center @ frechet, sigma, hamiltonian)
 
     return CoordinateLagrangian(dim=n * n, evaluate=evaluate)
 

@@ -255,13 +255,14 @@ def test_flow_exponential_stays_in_float_range():
 
 
 def test_conjugate_flow_matches_per_point_reference():
-    # reference: scipy expm of the generator, one time and one point at a time
+    # reference: scipy expm of the generator, one time and one point at a time;
+    # the last point is the centre of the ball, whose norm is 0 at t = 0
     rng = np.random.default_rng(14)
-    points = np.array([uniform_ball_sample(rng).as_array() for _ in range(5)])
+    points = np.array([uniform_ball_sample(rng).as_array() for _ in range(5)] + [[0.0] * 3])
     times = np.array([-2.0, -0.3, 0.0, 0.7, 4.0])
     for k in (1, 2, 3):
         m, coords = conjugate_flow(k, times[:, np.newaxis], points)
-        assert m.shape == (5, 5, 2, 2) and coords.shape == (5, 5, 3)
+        assert m.shape == (5, 6, 2, 2) and coords.shape == (5, 6, 3)
         for i, t in enumerate(times):
             g = scipy.linalg.expm(t * flow_generator(k))
             for j, x in enumerate(points):

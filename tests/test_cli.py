@@ -517,28 +517,56 @@ def test_bloch_flow_beyond_float_range_exits_2(tmp_path, capsys):
 
 
 def test_bloch_at_the_south_pole_exits_0(tmp_path, capsys):
-    # the diagonal flow fixes the south pole and shrinks its state's trace to e^-40
-    cfg = write_config(tmp_path / "cfg.json", "bloch", {"initial": [[0, 0, -1]]}, 40.0, 0.1)
-    assert run_cli(["bloch", "--config", cfg, "--out", tmp_path / "out"]) == 0
-    assert "FAIL" not in capsys.readouterr().out
+    # the diagonal flow fixes the south pole and shrinks its state's trace to
+    # e^-40; the centre of the ball, whose Bloch vector has norm 0 at t = 0,
+    # must not reach the division of the rounding clamp
+    for point in ([0, 0, -1], [0, 0, 0]):
+        cfg = write_config(tmp_path / "cfg.json", "bloch", {"initial": [point]}, 40.0, 0.1)
+        assert run_cli(["bloch", "--config", cfg, "--out", tmp_path / "out"]) == 0
+        captured = capsys.readouterr()
+        assert "FAIL" not in captured.out
+        assert captured.err == ""
+
+
+@pytest.mark.parametrize("via, under", [("--out", False), ("output.path", True)],
+                         ids=["out-names-a-file", "output-path-under-a-file"])
+def test_unwritable_output_path_exits_2(tmp_path, capsys, via, under):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a regular file\n")
+    out = blocker / "out" if under else blocker
+    cfg = heisenberg_config(tmp_path)
+    args = ["heisenberg", "--config", cfg]
+    if via == "--out":
+        args += ["--out", out]
+    else:
+        doc = json.loads(cfg.read_text())
+        doc["output"]["path"] = str(out)
+        cfg.write_text(json.dumps(doc))
+    assert run_cli(args) == 2
+    err = capsys.readouterr().err
+    assert f"config error: cannot write outputs to {out}: " in err
+    assert "Traceback" not in err
+    assert blocker.read_text() == "a regular file\n"
 
 
 def test_sb2c_field_overflow_at_start_exits_3(tmp_path, capsys):
-    cfg = write_config(
-        tmp_path / "cfg.json", "sb2c",
-        {"initial": [[-1.0, 1e80]], "a0": [[1, 1], [1, 2]],
-         "hamiltonian": [[1, 0], [0, -1]]},
-        1.0, 1e-2,
-    )
-    assert run_cli(["sb2c", "--config", cfg, "--out", tmp_path]) == 3
-    captured = capsys.readouterr()
-    assert "overflowing field" in captured.err
-    assert "Traceback" not in captured.err
-    # the zero-row trajectory: no sample to judge an invariant by
-    assert all(value != value for value, _, _ in parse_lines(captured.out).values())
-    report = json.loads((tmp_path / "report.json").read_text())
-    assert report["singular"] is True
-    assert (tmp_path / "trajectory.csv").read_text().splitlines() == ["t,y,r,x"]
+    # at r = 1e-55 Phi'(r) divides by a den^2 that underflows to 0
+    for r in (1e80, 1e-55):
+        cfg = write_config(
+            tmp_path / "cfg.json", "sb2c",
+            {"initial": [[-1.0, r]], "a0": [[1, 1], [1, 2]],
+             "hamiltonian": [[1, 0], [0, -1]]},
+            1.0, 1e-2,
+        )
+        assert run_cli(["sb2c", "--config", cfg, "--out", tmp_path]) == 3
+        captured = capsys.readouterr()
+        assert "overflowing field" in captured.err
+        assert "Traceback" not in captured.err
+        # the zero-row trajectory: no sample to judge an invariant by
+        assert all(value != value for value, _, _ in parse_lines(captured.out).values())
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["singular"] is True
+        assert (tmp_path / "trajectory.csv").read_text().splitlines() == ["t,y,r,x"]
 
 
 def test_verify_with_large_entries_has_no_rounding_error(tmp_path, capsys):

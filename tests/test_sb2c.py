@@ -32,6 +32,7 @@ from isospec_lag.sb2c import (
     sb2c_to_matrix,
     scalar_el_residuals,
 )
+from isospec_lag.trajectory import rk4_step, time_grid
 
 from conftest import SX, SZ, rand_complex, rand_hermitian
 
@@ -458,14 +459,53 @@ def test_integrate_reduced_stage_through_zero_radius_is_singular():
     assert np.all(traj.states[:, 1] > 0)
 
 
-def test_integrate_reduced_field_overflow_at_start_is_singular():
-    # r^4 leaves float range in Phi'(r): the field is not finite there
+def assert_pair_oracle_rows(traj, initial, p, t_final, step):
+    """Check the rows of traj bit for bit, signs of zeros included, against
+    rk4_step over a numpy (y, r) pair through the public reduced_rhs, with
+    x from phi_of_r."""
+    times = time_grid(t_final, step)
+    states = [np.array([initial.y, initial.r])]
+    for k in range(traj.n_samples - 1):
+        dt = step if k < len(times) - 2 else times[-1] - times[k]
+        states.append(rk4_step(
+            lambda s: np.array(reduced_rhs(ReducedState(y=s[0], r=s[1]), p)),
+            states[-1], dt))
+    want = np.array([[y, r, phi_of_r(r, p)] for y, r in np.array(states).tolist()])
+    np.testing.assert_array_equal(traj.states, want)
+    np.testing.assert_array_equal(np.signbit(traj.states), np.signbit(want))
+
+
+@settings(max_examples=40, deadline=None)
+@given(y=st.floats(-3.0, -0.5), r=st.floats(3.0, 9.0))
+def test_integrate_reduced_equals_the_numpy_pair_oracle(y, r):
+    # (y, r) rides through rk4_step as the complex y + i r; every row must be
+    # the one the same step gives on a float64 pair
     p = derive_parameters(worked_setup())
-    traj = integrate_reduced(ReducedState(y=-1.0, r=1e80, time=0.5), p, t_final=1.0, step=1e-2)
-    assert traj.states.shape == (0, 3) and traj.times.shape == (0,)
-    record = traj.meta["singularity"]
-    assert record["time"] == 0.5 and record["bracket"] is None
-    assert "overflow" in record["reason"]
+    initial = ReducedState(y=y, r=r)
+    traj = integrate_reduced(initial, p, t_final=0.5, step=1e-3)
+    assert traj.n_samples >= 2
+    assert_pair_oracle_rows(traj, initial, p, 0.5, 1e-3)
+
+
+def test_integrate_reduced_equals_the_numpy_pair_oracle_up_to_the_halt():
+    p = derive_parameters(worked_setup())
+    initial = ReducedState(y=-1.0, r=1.2)
+    traj = integrate_reduced(initial, p, t_final=5.0, step=1e-3)
+    assert "singularity" in traj.meta and traj.n_samples == 1264
+    assert_pair_oracle_rows(traj, initial, p, 5.0, 1e-3)
+
+
+def test_integrate_reduced_field_overflow_at_start_is_singular():
+    # the field is not finite at either start: r^4 leaves float range in
+    # Phi'(r) at r = 1e80, and Phi' divides by a den^2 that underflows to 0
+    # at r = 1e-55
+    p = derive_parameters(worked_setup())
+    for r in (1e80, 1e-55):
+        traj = integrate_reduced(ReducedState(y=-1.0, r=r, time=0.5), p, t_final=1.0, step=1e-2)
+        assert traj.states.shape == (0, 3) and traj.times.shape == (0,)
+        record = traj.meta["singularity"]
+        assert record["time"] == 0.5 and record["bracket"] is None
+        assert "overflowing field" in record["reason"]
 
 
 def test_flow_map_is_nonlinear():

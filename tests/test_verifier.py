@@ -328,6 +328,16 @@ def test_unitary_path_needs_five_samples():
         el_residual_unitary_path(np.arange(5) * 0.1, [u] * 4, sigma, SZ)
 
 
+@pytest.mark.parametrize("bad", ["u_center", "sigma", "hamiltonian"])
+def test_unitary_chart_validates_its_inputs_at_construction(bad):
+    # the chart evaluates through an unchecked kernel, so a bad input must
+    # raise when the chart is built, before any evaluation
+    args = {"u_center": np.eye(2), "sigma": np.diag([0.7, 0.3]), "hamiltonian": SZ}
+    args[bad] = np.array([[1.0, 1.0], [0.0, 1.0]])  # neither Hermitian nor unitary
+    with pytest.raises(ValueError, match=bad):
+        unitary_chart(args["u_center"], args["sigma"], args["hamiltonian"])
+
+
 def test_unitary_chart_vanishes_on_orbit_solution():
     rng = np.random.default_rng(13)
     u0 = rand_unitary(rng, 2)
