@@ -28,7 +28,7 @@ from .operator_core import (
     hermitian_propagator,
     require_hermitian,
 )
-from .trajectory import Trajectory, rk4_trajectory, time_grid
+from .trajectory import Trajectory, rk4_commutator_trajectory, time_grid
 
 #: Largest imaginary residue tolerated when a trace expression must be real,
 #: relative to the size of its terms where that is known (and at least 1).
@@ -125,12 +125,10 @@ def evolve_heisenberg_exact(a0, h, t) -> np.ndarray:
 
 
 def evolve_heisenberg_rk4(scenario: HeisenbergScenario) -> Trajectory:
-    """Classic fourth-order Runge-Kutta integration of ``Adot = -i[A, H]``."""
-    h = scenario.hamiltonian
-    # heisenberg_rhs without commutator's conversions and shape check: the
-    # scenario holds validated complex matrices of one shape
-    return rk4_trajectory(lambda a: -1j * (a @ h - h @ a), scenario.initial,
-                          scenario.times, scenario.step, "A")
+    """Classic fourth-order Runge-Kutta integration of ``Adot = -i[A, H]``,
+    evaluated in closed form in H's eigenbasis (``rk4_commutator_trajectory``)."""
+    return rk4_commutator_trajectory(scenario.initial, scenario.hamiltonian, -1,
+                                     scenario.times, scenario.step, "A")
 
 
 def lagrangian_heisenberg(tangent: OperatorTangent, h) -> float:

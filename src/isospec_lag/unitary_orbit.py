@@ -32,7 +32,7 @@ from .operator_core import (
     require_hermitian,
     unitary_algebra_basis,
 )
-from .trajectory import Trajectory, rk4_trajectory, time_grid
+from .trajectory import Trajectory, rk4_commutator_trajectory, time_grid
 
 logger = logging.getLogger(__name__)
 
@@ -168,7 +168,8 @@ def evolve_lvn_exact(rho0, h, t: float) -> np.ndarray:
 
 
 def evolve_lvn_rk4(rho0, h, t_final: float, step: float) -> Trajectory:
-    """Fourth-order Runge-Kutta integration of ``rho_dot = i [rho, H]``.
+    """Fourth-order Runge-Kutta integration of ``rho_dot = i [rho, H]``,
+    evaluated in closed form in H's eigenbasis (``rk4_commutator_trajectory``).
 
     The first row of the trajectory is ``validate_density(rho0)``.
     """
@@ -176,10 +177,7 @@ def evolve_lvn_rk4(rho0, h, t_final: float, step: float) -> Trajectory:
     h = require_hermitian(h, name="hamiltonian")
     if h.shape != rho0.shape:
         raise ValueError("density matrix and hamiltonian dimensions differ")
-    # lvn_rhs without commutator's conversions and shape check: both
-    # operands are validated complex matrices of one shape
-    return rk4_trajectory(lambda rho: 1j * (rho @ h - h @ rho), rho0,
-                          time_grid(t_final, step), step, "rho")
+    return rk4_commutator_trajectory(rho0, h, 1, time_grid(t_final, step), step, "rho")
 
 
 def el_residual_unitary(ut: UnitaryTangent, sigma, h) -> np.ndarray:

@@ -459,20 +459,57 @@ def test_integrate_reduced_stage_through_zero_radius_is_singular():
     assert np.all(traj.states[:, 1] > 0)
 
 
+def pair_oracle(p):
+    """(Phi, field) of the reduced dynamics on a float64 (y, r) pair, written
+    out from the parameters term for term and without sb2c._ReducedField,
+    so a fault in one of its coefficients shows in the last bit:
+    Phi(r) = (n4 r^4 + n2 r^2 + n0) / (r (k2 r^2 - k0)),
+    ydot = ((gamma a - h1) r + (gamma d - h4) Phi + d alpha / r) / d and
+    rdot = -(gamma d - h4) y / (a + d Phi'(r))."""
+    n4 = p.a * (p.gamma * p.a - p.h1) - p.d * (p.gamma * p.c - p.h3)
+    n2, n0 = p.a * p.d * p.alpha, (p.delta * p.d - p.h4) * p.d
+    k2, k0 = p.h4 * p.a - p.d * p.h1, p.d**2 * p.alpha
+
+    def phi(r):
+        return (n4 * r**4 + n2 * r**2 + n0) / (r * (k2 * r**2 - k0))
+
+    def phi_prime(r):
+        num, den = n4 * r**4 + n2 * r**2 + n0, k2 * r**3 - k0 * r
+        dnum, dden = 4 * n4 * r**3 + 2 * n2 * r, 3 * k2 * r**2 - k0
+        return (dnum * den - num * dden) / den**2
+
+    def field(s):
+        y, r = s.tolist()
+        ydot = ((p.gamma * p.a - p.h1) * r + (p.gamma * p.d - p.h4) * phi(r)
+                + p.d * p.alpha / r) / p.d
+        return np.array([ydot, -(p.gamma * p.d - p.h4) * y / (p.a + p.d * phi_prime(r))])
+
+    return phi, field
+
+
 def assert_pair_oracle_rows(traj, initial, p, t_final, step):
     """Check the rows of traj bit for bit, signs of zeros included, against
-    rk4_step over a numpy (y, r) pair through the public reduced_rhs, with
-    x from phi_of_r."""
+    rk4_step over a numpy (y, r) pair through pair_oracle's field, with x
+    from its Phi; the public reduced_rhs and phi_of_r agree with both."""
     times = time_grid(t_final, step)
+    phi, field = pair_oracle(p)
     states = [np.array([initial.y, initial.r])]
     for k in range(traj.n_samples - 1):
         dt = step if k < len(times) - 2 else times[-1] - times[k]
-        states.append(rk4_step(
-            lambda s: np.array(reduced_rhs(ReducedState(y=s[0], r=s[1]), p)),
-            states[-1], dt))
-    want = np.array([[y, r, phi_of_r(r, p)] for y, r in np.array(states).tolist()])
+        states.append(rk4_step(field, states[-1], dt))
+    want = np.array([[y, r, phi(r)] for y, r in np.array(states).tolist()])
     np.testing.assert_array_equal(traj.states, want)
     np.testing.assert_array_equal(np.signbit(traj.states), np.signbit(want))
+    y, r, x = want[-1].tolist()
+    assert reduced_rhs(ReducedState(y=y, r=r), p) == tuple(field(want[-1, :2]).tolist())
+    assert phi_of_r(r, p) == x
+
+
+def tilted_setup():
+    """Same reference with H = [[1, 0.7], [0.7, -1]]: alpha = 0.7, and no
+    halt from (y, r) in [-3, -0.5] x [3, 9] within t = 0.5."""
+    return SB2CSetup(np.array([[1, 1], [1, 2]], dtype=complex),
+                     np.array([[1, 0.7], [0.7, -1]], dtype=complex))
 
 
 @settings(max_examples=40, deadline=None)
@@ -487,12 +524,32 @@ def test_integrate_reduced_equals_the_numpy_pair_oracle(y, r):
     assert_pair_oracle_rows(traj, initial, p, 0.5, 1e-3)
 
 
+@settings(max_examples=40, deadline=None)
+@given(y=st.floats(-3.0, -0.5), r=st.floats(3.0, 9.0))
+def test_integrate_reduced_equals_the_numpy_pair_oracle_with_alpha(y, r):
+    # alpha = 0.7 brings in Phi's k0 and n2 and the field's d alpha / r term,
+    # all zero at the worked setup's alpha = 0
+    p = derive_parameters(tilted_setup())
+    initial = ReducedState(y=y, r=r)
+    traj = integrate_reduced(initial, p, t_final=0.5, step=1e-3)
+    assert "singularity" not in traj.meta and traj.n_samples == 501
+    assert_pair_oracle_rows(traj, initial, p, 0.5, 1e-3)
+
+
 def test_integrate_reduced_equals_the_numpy_pair_oracle_up_to_the_halt():
     p = derive_parameters(worked_setup())
     initial = ReducedState(y=-1.0, r=1.2)
     traj = integrate_reduced(initial, p, t_final=5.0, step=1e-3)
     assert "singularity" in traj.meta and traj.n_samples == 1264
     assert_pair_oracle_rows(traj, initial, p, 5.0, 1e-3)
+
+
+def test_integrate_reduced_equals_the_numpy_pair_oracle_up_to_the_halt_with_alpha():
+    p = derive_parameters(offdiag_setup())  # alpha = 1
+    initial = ReducedState(y=-2.0, r=6.0)
+    traj = integrate_reduced(initial, p, t_final=0.5, step=1e-3)
+    assert "singularity" in traj.meta and traj.n_samples == 481
+    assert_pair_oracle_rows(traj, initial, p, 0.5, 1e-3)
 
 
 def test_integrate_reduced_field_overflow_at_start_is_singular():

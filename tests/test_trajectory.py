@@ -3,18 +3,21 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from isospec_lag.trajectory import (
     GRID_SNAP,
     Trajectory,
     format_float,
+    rk4_commutator_trajectory,
     rk4_step,
     time_grid,
     write_csv,
     write_json,
 )
+
+from conftest import rand_complex, rand_hermitian, rand_unitary
 
 
 def matrix_traj():
@@ -164,3 +167,76 @@ def test_rk4_step_is_exact_on_cubic_time_flow():
     # dy/dt = f(y) with y = (t, t^3 / 3): f = (1, y0^2) is integrated exactly
     y = rk4_step(lambda y: np.array([1.0, y[0] ** 2]), np.array([0.5, 0.5**3 / 3]), 0.25)
     np.testing.assert_allclose(y, [0.75, 0.75**3 / 3], rtol=1e-15)
+
+
+def rk4_loop(y0, h, sign, times, step):
+    """The reference for rk4_commutator_trajectory: rk4_step on
+    sign * i [y, h], one step at a time over the grid."""
+    states = [y0]
+    for k in range(1, len(times)):
+        dt = step if k < len(times) - 1 else times[-1] - times[-2]
+        states.append(rk4_step(lambda y: sign * 1j * (y @ h - h @ y), states[-1], dt))
+    return np.array(states)
+
+
+def oracle_hamiltonian(spectrum, n, rng):
+    """Unit-norm Hermitian (n, n) matrix: random, the identity, or the
+    repeated spectrum (1, 1, -1, 0.5)[:n], diagonal or in a random eigenbasis."""
+    if spectrum == "random":
+        h = rand_hermitian(rng, n)
+    elif spectrum == "identity":
+        h = np.eye(n, dtype=complex)
+    else:
+        h = np.diag([1.0, 1.0, -1.0, 0.5][:n]).astype(complex)
+        if spectrum == "repeated-rotated":
+            u = rand_unitary(rng, n)
+            h = u @ h @ u.conj().T
+            h = (h + h.conj().T) / 2
+    return h / np.linalg.norm(h)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 4),
+    sign=st.sampled_from([-1, 1]),
+    spectrum=st.sampled_from(["random", "identity", "repeated", "repeated-rotated"]),
+    seed=st.integers(0, 2**32 - 1),
+    t_final=st.floats(0.0, 2.0),
+    step=st.floats(1e-3, 0.5),
+)
+@example(n=3, sign=-1, spectrum="repeated", seed=0, t_final=0.35, step=0.1)
+@example(n=3, sign=1, spectrum="repeated-rotated", seed=6, t_final=0.35, step=0.1)
+@example(n=4, sign=1, spectrum="random", seed=1, t_final=1.0005, step=1e-3)
+@example(n=2, sign=1, spectrum="random", seed=2, t_final=0.04, step=0.1)
+@example(n=2, sign=-1, spectrum="random", seed=7, t_final=0.05, step=1e300)
+@example(n=4, sign=-1, spectrum="random", seed=3, t_final=0.0, step=0.1)
+@example(n=1, sign=1, spectrum="random", seed=4, t_final=2.0, step=0.3)
+@example(n=2, sign=-1, spectrum="identity", seed=5, t_final=1.25, step=0.1)
+def test_rk4_commutator_trajectory_matches_the_step_loop(n, sign, spectrum, seed,
+                                                          t_final, step):
+    # the closed form rounds differently from the loop but must agree with
+    # it row by row; rk4_exact_endpoint could not catch an eigh fault, since
+    # the exact flow uses the same eigenbasis
+    rng = np.random.default_rng(seed)
+    h = oracle_hamiltonian(spectrum, n, rng)
+    y0 = rand_complex(rng, n)
+    y0 /= np.linalg.norm(y0)
+    times = time_grid(t_final, step)
+    traj = rk4_commutator_trajectory(y0, h, sign, times, step, "A")
+    assert traj.times is times and traj.name == "A"
+    assert traj.states.shape == (len(times), n, n)
+    np.testing.assert_array_equal(traj.states[0], y0)
+    np.testing.assert_allclose(traj.states, rk4_loop(y0, h, sign, times, step),
+                               rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("sign", [-1, 1])
+def test_rk4_commutator_trajectory_keeps_a_commuting_state_beyond_the_stability_bound(sign):
+    # |p(3i)| > 1, so the running product of the off-diagonal factors
+    # overflows; the state's zero entries there must stay zero, as in the loop
+    h = np.diag([1.0, -1.0]).astype(complex)
+    y0 = np.diag([1.0, 0.25]).astype(complex)
+    times = time_grid(3000.0, 1.5)
+    traj = rk4_commutator_trajectory(y0, h, sign, times, 1.5, "A")
+    np.testing.assert_array_equal(traj.states, rk4_loop(y0, h, sign, times, 1.5))
+    np.testing.assert_array_equal(traj.states, np.broadcast_to(y0, traj.states.shape))

@@ -8,9 +8,13 @@ package from it and runs the warm-up and the cycle of every workload in
 ``perfbench/workloads.py`` at seeds 11, 12 and 13 through
 ``isospec_lag.cli.main``, one scenario after another.  Every run whose
 exit code, stdout, stderr or trajectory bytes differ between the trees
-is printed, and the exit status is 1 if there is any, else 0 (2 if a
-tree could not be run).  Of this checkout only ``perfbench/`` is read;
-configs and outputs go to a temporary directory.
+is printed, with what decides whether the difference is only rounding:
+whether the exit codes agree, whether every invariant's PASS/FAIL
+verdict agrees, and the largest absolute difference between the two
+trajectories' values, read from the files.  The exit status is 1 if any
+run differs, else 0 (2 if a tree could not be run).  Of this checkout
+only ``perfbench/`` is read; configs and outputs go to a temporary
+directory.
 """
 
 from __future__ import annotations
@@ -20,15 +24,19 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
 import traceback
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (11, 12, 13)
 FIELDS = ("exit", "stdout", "stderr", "trajectory")
+VERDICT = re.compile(r"(\S+) max=\S+ tol=\S+ (PASS|FAIL)")
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
 
@@ -49,8 +57,9 @@ class _Buffer(io.TextIOBase):
         return text
 
 
-def _run_tree(src: str) -> dict:
-    """Outputs of every benchmark run, keyed by workload, seed and scenario."""
+def _run_tree(src: str, out_root: str) -> dict:
+    """Outputs of every benchmark run, keyed by workload, seed and scenario;
+    each run's files stay in ``out_root/<run id>/out``."""
     sys.path[:0] = [src, str(ROOT / "perfbench")]
     from isospec_lag import cli
     import workloads
@@ -60,36 +69,69 @@ def _run_tree(src: str) -> dict:
     out, err = _Buffer(), _Buffer()
     sys.stdout, sys.stderr = out, err
     results = {}
-    with tempfile.TemporaryDirectory() as tmp:
-        for name in workloads.WORKLOADS:
-            for seed in SEEDS:
-                warmup, scenarios = workloads.cycle(name, seed)
-                for sc in ([warmup] if warmup else []) + scenarios:
-                    run_id = f"{name}/seed{seed}/{sc.id}"
-                    run_dir = Path(tmp, run_id)
-                    run_dir.mkdir(parents=True)
-                    config = workloads.write_config(sc, run_dir)
-                    try:
-                        code = cli.main([sc.kind, "--config", str(config),
-                                         "--out", str(run_dir / "out")])
-                    except SystemExit as exc:
-                        code = exc.code if isinstance(exc.code, int) else 1
-                    except Exception:  # a traceback is an output like any other
-                        code = 1
-                        traceback.print_exc()
-                    traj = list((run_dir / "out").glob("trajectory.*"))
-                    digest = hashlib.sha256(traj[0].read_bytes()).hexdigest() if traj else None
-                    results[run_id] = {"exit": code, "stdout": out.take(),
-                                       "stderr": err.take(), "trajectory": digest}
-                    for p in traj:
-                        p.unlink()
+    for name in workloads.WORKLOADS:
+        for seed in SEEDS:
+            warmup, scenarios = workloads.cycle(name, seed)
+            for sc in ([warmup] if warmup else []) + scenarios:
+                run_id = f"{name}/seed{seed}/{sc.id}"
+                run_dir = Path(out_root, run_id)
+                run_dir.mkdir(parents=True)
+                config = workloads.write_config(sc, run_dir)
+                try:
+                    code = cli.main([sc.kind, "--config", str(config),
+                                     "--out", str(run_dir / "out")])
+                except SystemExit as exc:
+                    code = exc.code if isinstance(exc.code, int) else 1
+                except Exception:  # a traceback is an output like any other
+                    code = 1
+                    traceback.print_exc()
+                traj = _trajectory_file(out_root, run_id)
+                digest = hashlib.sha256(traj.read_bytes()).hexdigest() if traj else None
+                results[run_id] = {"exit": code, "stdout": out.take(),
+                                   "stderr": err.take(), "trajectory": digest}
     return results
 
 
-def _outputs(src: str) -> dict | None:
+def _trajectory_file(out_root: str, run_id: str) -> Path | None:
+    found = list(Path(out_root, run_id, "out").glob("trajectory.*"))
+    return found[0] if found else None
+
+
+def _table(path: Path) -> tuple[list, list]:
+    """Column names (``t`` first) and rows of floats of a trajectory file."""
+    if path.suffix == ".json":
+        doc = json.loads(path.read_text())
+        names = sorted(doc["columns"])
+        return ["t"] + names, [list(row) for row in
+                               zip(doc["t"], *(doc["columns"][k] for k in names))]
+    header, *lines = path.read_text().splitlines()
+    return header.split(","), [[float(x) for x in line.split(",")] for line in lines]
+
+
+def _largest_difference(parent_root: str, change_root: str, run_id: str) -> float | str:
+    """Largest absolute difference between the runs' trajectory values, or
+    why they cannot be compared value by value."""
+    paths = [_trajectory_file(root, run_id) for root in (parent_root, change_root)]
+    if None in paths:
+        return "no trajectory on " + ("both sides" if paths == [None, None]
+                                      else "one side")
+    (names_a, rows_a), (names_b, rows_b) = (_table(p) for p in paths)
+    if names_a != names_b or len(rows_a) != len(rows_b):
+        return f"shapes differ: {len(rows_a)} and {len(rows_b)} rows"
+    a, b = np.array(rows_a, dtype=float), np.array(rows_b, dtype=float)
+    with np.errstate(invalid="ignore"):  # inf - inf where both sides agree
+        diff = np.where((a == b) | (np.isnan(a) & np.isnan(b)), 0.0, np.abs(a - b))
+    return float(np.max(diff, initial=0.0))
+
+
+def _verdicts(stdout: str) -> list:
+    return [m.groups() for m in map(VERDICT.fullmatch, stdout.splitlines()) if m]
+
+
+def _outputs(src: str, out_root: str) -> dict | None:
     env = {k: v for k, v in os.environ.items() if k not in ("ISOSPEC_LOG", "PYTHONPATH")}
     env.update({var: "1" for var in THREAD_VARS})
-    proc = subprocess.run([sys.executable, __file__, "--child", src], env=env,
+    proc = subprocess.run([sys.executable, __file__, "--child", src, out_root], env=env,
                           capture_output=True, text=True)
     if proc.returncode != 0:
         print(f"{src}: child exited {proc.returncode}\n{proc.stderr[-2000:]}")
@@ -100,27 +142,42 @@ def _outputs(src: str) -> dict | None:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if argv[:1] == ["--child"]:
-        print(json.dumps(_run_tree(argv[1])), file=sys.__stdout__)
+        print(json.dumps(_run_tree(argv[1], argv[2])), file=sys.__stdout__)
         return 0
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent_src")
     parser.add_argument("change_src")
     args = parser.parse_args(argv)
-    parent, change = _outputs(args.parent_src), _outputs(args.change_src)
-    if parent is None or change is None:
-        return 2
-    runs = sorted(parent.keys() | change.keys())
-    differ = [run_id for run_id in runs if parent.get(run_id) != change.get(run_id)]
-    for run_id in differ:
-        a, b = parent.get(run_id), change.get(run_id)
-        if a is None or b is None:
-            print(f"{run_id}: only in the {'change' if a is None else 'parent'}")
-            continue
-        print(f"{run_id}: {', '.join(f for f in FIELDS if a[f] != b[f])} differ")
-        for f in FIELDS[:3]:
-            if a[f] != b[f]:
-                print(f"  parent {f}: {a[f]!r}\n  change {f}: {b[f]!r}")
-    print(f"{len(differ)} of {len(runs)} runs differ")
+    with tempfile.TemporaryDirectory() as tmp:
+        roots = str(Path(tmp, "parent")), str(Path(tmp, "change"))
+        parent, change = _outputs(args.parent_src, roots[0]), _outputs(args.change_src, roots[1])
+        if parent is None or change is None:
+            return 2
+        runs = sorted(parent.keys() | change.keys())
+        differ = [run_id for run_id in runs if parent.get(run_id) != change.get(run_id)]
+        exits_differ, verdicts_differ, deltas = 0, 0, []
+        for run_id in differ:
+            a, b = parent.get(run_id), change.get(run_id)
+            if a is None or b is None:
+                print(f"{run_id}: only in the {'change' if a is None else 'parent'}")
+                continue
+            print(f"{run_id}: {', '.join(f for f in FIELDS if a[f] != b[f])} differ")
+            for f in FIELDS[:3]:
+                if a[f] != b[f]:
+                    print(f"  parent {f}: {a[f]!r}\n  change {f}: {b[f]!r}")
+            same_exit = a["exit"] == b["exit"]
+            same_verdicts = _verdicts(a["stdout"]) == _verdicts(b["stdout"])
+            delta = _largest_difference(*roots, run_id)
+            exits_differ += not same_exit
+            verdicts_differ += not same_verdicts
+            if isinstance(delta, float):
+                deltas.append(delta)
+            print(f"  exit codes {'agree' if same_exit else 'DIFFER'}; "
+                  f"PASS/FAIL verdicts {'agree' if same_verdicts else 'DIFFER'}; "
+                  f"largest trajectory difference: {delta}")
+    print(f"{len(differ)} of {len(runs)} runs differ; of those, exit codes differ in "
+          f"{exits_differ}, PASS/FAIL verdicts in {verdicts_differ}; "
+          f"largest trajectory difference: {np.max(deltas, initial=0.0)}")
     return 1 if differ else 0
 
 
