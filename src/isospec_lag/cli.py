@@ -31,7 +31,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -144,22 +144,6 @@ class InvariantResult:
     passed: bool
 
 
-@dataclass
-class RunReport:
-    scenario_id: str
-    kind: str
-    seed: int
-    wall_time_s: float
-    invariants: list
-    trajectory_path: str
-    warnings: list = field(default_factory=list)
-    singular: bool = False
-
-    @property
-    def all_passed(self) -> bool:
-        return all(r.passed for r in self.invariants)
-
-
 def _number(value, what: str) -> float:
     """A config number; bools, which float() would take for 0 and 1, are not."""
     if isinstance(value, bool):
@@ -267,22 +251,27 @@ def load_config(path, kind: str, out_dir=None, fmt=None, seed=None,
     )
 
 
-def _invariant(name, value, tolerances) -> InvariantResult:
-    value = float(value)
-    tol = float(tolerances[name])
-    return InvariantResult(name, value, tol, bool(value <= tol))
+def _judge(measured: dict, times, tolerances: dict) -> list:
+    """One InvariantResult per tolerance, in the table's order.
 
-
-def _grid_invariant(name, deviations, times, tolerances) -> InvariantResult:
-    """Invariant whose value is the worst of per-sample deviations.
-
-    Logs the index and time of the worst sample; an empty grid gives NaN.
+    A measurement is a number, or one deviation per sample of ``times``;
+    then its worst sample is the value, and its index and time are
+    logged.  An empty grid gives NaN, which fails.
     """
-    if len(deviations) == 0:
-        return _invariant(name, float("nan"), tolerances)
-    worst = int(np.argmax(deviations))
-    logger.info("%s worst at sample %d, t=%s", name, worst, format_float(times[worst]))
-    return _invariant(name, deviations[worst], tolerances)
+    results = []
+    for name, tol in tolerances.items():
+        value = measured[name]
+        if np.ndim(value):
+            if len(value) == 0:
+                value = float("nan")
+            else:
+                worst = int(np.argmax(value))
+                logger.info("%s worst at sample %d, t=%s",
+                            name, worst, format_float(times[worst]))
+                value = value[worst]
+        value, tol = float(value), float(tol)
+        results.append(InvariantResult(name, value, tol, bool(value <= tol)))
+    return results
 
 
 def _trace(states) -> np.ndarray:
@@ -296,21 +285,19 @@ def _run_heisenberg(config: ScenarioConfig):
         t_final=config.t_final, step=config.step,
     )
     traj = evolve_heisenberg_rk4(scenario)
-    exact_end = evolve_heisenberg_exact(initial, scenario.hamiltonian, config.t_final)
+    u = hermitian_propagator(scenario.hamiltonian, config.t_final)
+    exact_end = dagger(u) @ scenario.initial @ u
     # the first row is the initial state, the reference of every drift
-    states, times, tol = traj.states, traj.times, config.tolerances
+    states = traj.states
     spectra = np.linalg.eigvalsh(states)
     traces = _trace(states)
     norms = np.linalg.norm(states, axis=(-2, -1))
-    invariants = [
-        _grid_invariant("spectrum_drift",
-                        np.max(np.abs(spectra - spectra[0]), axis=-1), times, tol),
-        _grid_invariant("trace_drift", np.abs(traces - traces[0]), times, tol),
-        _grid_invariant("frobenius_drift", np.abs(norms - norms[0]), times, tol),
-        _invariant("rk4_exact_endpoint",
-                   frobenius_norm(traj.final_state - exact_end), tol),
-    ]
-    return traj, invariants, [], False
+    return traj, {
+        "spectrum_drift": np.max(np.abs(spectra - spectra[0]), axis=-1),
+        "trace_drift": np.abs(traces - traces[0]),
+        "frobenius_drift": np.abs(norms - norms[0]),
+        "rk4_exact_endpoint": frobenius_norm(traj.final_state - exact_end),
+    }, []
 
 
 def _run_lvn(config: ScenarioConfig):
@@ -318,7 +305,7 @@ def _run_lvn(config: ScenarioConfig):
     traj = evolve_lvn_rk4(config.matrices["initial"], h, config.t_final, config.step)
     # evolve_lvn_rk4 has validated both inputs; its first row is the checked rho0,
     # the reference of every drift
-    states, times, tol = traj.states, traj.times, config.tolerances
+    states = traj.states
     u = hermitian_propagator(h, config.t_final)
     exact_end = u @ states[0] @ dagger(u)
     spectra = np.linalg.eigvalsh(states)
@@ -327,16 +314,13 @@ def _run_lvn(config: ScenarioConfig):
     kept = weights > 1e-14
     entropy = -np.sum(np.where(kept, weights * np.log(np.where(kept, weights, 1.0)), 0.0),
                       axis=-1)
-    invariants = [
-        _grid_invariant("spectrum_drift",
-                        np.max(np.abs(spectra - spectra[0]), axis=-1), times, tol),
-        _grid_invariant("purity_drift", np.abs(purity - purity[0]), times, tol),
-        _grid_invariant("entropy_drift", np.abs(entropy - entropy[0]), times, tol),
-        _grid_invariant("trace_drift", np.abs(_trace(states) - 1.0), times, tol),
-        _invariant("rk4_exact_endpoint",
-                   frobenius_norm(traj.final_state - exact_end), tol),
-    ]
-    return traj, invariants, [], False
+    return traj, {
+        "spectrum_drift": np.max(np.abs(spectra - spectra[0]), axis=-1),
+        "purity_drift": np.abs(purity - purity[0]),
+        "entropy_drift": np.abs(entropy - entropy[0]),
+        "trace_drift": np.abs(_trace(states) - 1.0),
+        "rk4_exact_endpoint": frobenius_norm(traj.final_state - exact_end),
+    }, []
 
 
 def _run_sb2c(config: ScenarioConfig):
@@ -344,29 +328,16 @@ def _run_sb2c(config: ScenarioConfig):
     setup = SB2CSetup(a0=config.matrices["a0"], hamiltonian=config.matrices["hamiltonian"])
     params = derive_parameters(setup)
     initial = ReducedState(y=float(row[0]), r=float(row[1]))
-    warnings = []
     traj = integrate_reduced(initial, params, config.t_final, config.step)
-    record = traj.meta.get("singularity")
-    singular = record is not None
-    if singular:
-        warnings.append(
-            f"singularity near t={record['time']!r}, bracket={record['bracket']!r}: "
-            f"{record['reason']}"
-        )
-
     rho0 = setup.a0 @ dagger(setup.a0)
     ys, rs, xs = traj.states.T
     gm = sb2c_matrices(rs, xs, ys)
     det_drifts = np.abs(np.linalg.det(gm @ rho0 @ gm.conj().swapaxes(-1, -2))
                         - np.linalg.det(rho0))
-    invariants = [
-        _grid_invariant("constraint_residual",
-                        np.abs(constraint_residual_values(rs, xs, ys, params)),
-                        traj.times, config.tolerances),
-        _grid_invariant("determinant_conservation", det_drifts, traj.times,
-                        config.tolerances),
-    ]
-    return traj, invariants, warnings, singular
+    return traj, {
+        "constraint_residual": np.abs(constraint_residual_values(rs, xs, ys, params)),
+        "determinant_conservation": det_drifts,
+    }, []
 
 
 def _three_flows(t, points):
@@ -383,7 +354,6 @@ def _run_bloch(config: ScenarioConfig):
     traj = Trajectory(times=times, states=np.concatenate(flowed, axis=-1), name="x",
                       column_names=columns)
 
-    tol = config.tolerances
     # deviations of shape (3, N): flows by samples
     ball_excess = np.maximum(0.0, np.linalg.norm(flowed, axis=-1) - 1.0)
     det_drift = np.abs(np.linalg.det(conjugated) - np.linalg.det(density_from_bloch(x0)))
@@ -406,14 +376,13 @@ def _run_bloch(config: ScenarioConfig):
     moved = _three_flows(probe_times, pole)[1]
     p_err = np.max(np.linalg.norm(moved - pole, axis=-1), initial=0.0)
 
-    invariants = [
-        _grid_invariant("ball_invariance", np.max(ball_excess, axis=0), times, tol),
-        _grid_invariant("det_conservation", np.max(det_drift, axis=0), times, tol),
-        _invariant("wedge_closed_form", wedge_err, tol),
-        _invariant("flow_field_consistency", flow_err, tol),
-        _invariant("fixed_point_p", p_err, tol),
-    ]
-    return traj, invariants, [], False
+    return traj, {
+        "ball_invariance": np.max(ball_excess, axis=0),
+        "det_conservation": np.max(det_drift, axis=0),
+        "wedge_closed_form": wedge_err,
+        "flow_field_consistency": flow_err,
+        "fixed_point_p": p_err,
+    }, []
 
 
 def _run_verify(config: ScenarioConfig):
@@ -429,10 +398,8 @@ def _run_verify(config: ScenarioConfig):
     traj = Trajectory(times=times, states=states, name="A")
 
     lag = heisenberg_chart(h)
-    fine = verify_trajectory(lag, path_from_matrices(times, states),
-                             tolerance=config.tolerances["el_residual_max"])
-    coarse = verify_trajectory(lag, path_from_matrices(times[::2], states[::2]),
-                               tolerance=config.tolerances["el_residual_max"])
+    fine = verify_trajectory(lag, path_from_matrices(times, states))
+    coarse = verify_trajectory(lag, path_from_matrices(times[::2], states[::2]))
     for label, report in (("fine", fine), ("coarse", coarse)):
         logger.info("%s pass: %d Lagrangian evaluations in %d stacked calls",
                     label, report.lagrangian_evals, report.lagrangian_calls)
@@ -446,11 +413,10 @@ def _run_verify(config: ScenarioConfig):
         ratio = coarse.max_residual / max(fine.max_residual, 1e-300)
         ratio_dev = abs(ratio - 4.0)
         logger.info("refinement ratio %.3f", ratio)
-    invariants = [
-        _invariant("el_residual_max", fine.max_residual, config.tolerances),
-        _invariant("convergence_ratio", ratio_dev, config.tolerances),
-    ]
-    return traj, invariants, warnings, False
+    return traj, {
+        "el_residual_max": fine.max_residual,
+        "convergence_ratio": ratio_dev,
+    }, warnings
 
 
 _RUNNERS = {
@@ -466,8 +432,9 @@ def _json_safe(x: float):
     return float(x) if math.isfinite(x) else None
 
 
-def run(config: ScenarioConfig) -> RunReport:
-    """Execute one scenario: write trajectory and report, return the report.
+def run(config: ScenarioConfig):
+    """Execute one scenario, judge its invariants, write trajectory and
+    report; return the invariant results, the warnings and the singular flag.
 
     The library raises ValueError for inputs outside its domain (a
     non-Hermitian matrix, a bad grid, a flow or a Lagrangian beyond float
@@ -476,30 +443,25 @@ def run(config: ScenarioConfig) -> RunReport:
     """
     start = time.perf_counter()
     try:
-        traj, invariants, warnings, singular = _RUNNERS[config.kind](config)
+        traj, measured, warnings = _RUNNERS[config.kind](config)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    invariants = _judge(measured, traj.times, config.tolerances)
+    record = traj.meta.get("singularity")
+    singular = record is not None
+    if singular:
+        warnings.append(f"singularity near t={record['time']!r}, "
+                        f"bracket={record['bracket']!r}: {record['reason']}")
     try:
         config.out_dir.mkdir(parents=True, exist_ok=True)
         traj_path = config.out_dir / f"trajectory.{config.fmt}"
         (write_csv if config.fmt == "csv" else write_json)(traj, traj_path)
-
-        report = RunReport(
-            scenario_id=f"{config.kind}-seed{config.seed}",
-            kind=config.kind,
-            seed=config.seed,
-            wall_time_s=time.perf_counter() - start,
-            invariants=invariants,
-            trajectory_path=str(traj_path),
-            warnings=warnings,
-            singular=singular,
-        )
         doc = {
-            "scenario": report.scenario_id,
-            "kind": report.kind,
-            "seed": report.seed,
-            "wall_time_s": report.wall_time_s,
-            "trajectory": report.trajectory_path,
+            "scenario": f"{config.kind}-seed{config.seed}",
+            "kind": config.kind,
+            "seed": config.seed,
+            "wall_time_s": time.perf_counter() - start,
+            "trajectory": str(traj_path),
             "invariants": {
                 r.name: {"max": _json_safe(r.max_deviation), "tol": r.tolerance,
                          "pass": r.passed}
@@ -513,7 +475,7 @@ def run(config: ScenarioConfig) -> RunReport:
             fh.write("\n")
     except OSError as exc:
         raise ConfigError(f"cannot write outputs to {config.out_dir}: {exc}") from exc
-    return report
+    return invariants, warnings, singular
 
 
 def _configure_logging() -> None:
@@ -565,21 +527,21 @@ def main(argv=None) -> int:
         config = load_config(args.config, args.kind, out_dir=args.out,
                              fmt=args.fmt, seed=args.seed,
                              tolerance_overrides=overrides)
-        report = run(config)
+        invariants, warnings, singular = run(config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
-    for r in report.invariants:
+    for r in invariants:
         status = "PASS" if r.passed else "FAIL"
         print(f"{r.name} max={format_float(r.max_deviation)} "
               f"tol={format_float(r.tolerance)} {status}")
-    for w in report.warnings:
+    for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
 
-    if report.singular:
+    if singular:
         return 3
-    return 0 if report.all_passed else 1
+    return 0 if all(r.passed for r in invariants) else 1
 
 
 if __name__ == "__main__":

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isospec_lag import cli, unitary_orbit
+from isospec_lag import cli, operator_core, unitary_orbit
 from isospec_lag.heisenberg import evolve_heisenberg_exact
 
 LINE = re.compile(
@@ -433,6 +433,23 @@ def test_lvn_validates_the_density_once(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
+def test_heisenberg_checks_the_hamiltonian_once(tmp_path, monkeypatch):
+    names = []
+    check = operator_core.require_hermitian
+
+    def counting(m, *args, name="matrix", **kwargs):
+        names.append(name)
+        return check(m, *args, name=name, **kwargs)
+
+    for module in list(sys.modules.values()):
+        if (module.__name__.startswith("isospec_lag.")
+                and getattr(module, "require_hermitian", None) is check):
+            monkeypatch.setattr(module, "require_hermitian", counting)
+    cfg = heisenberg_config(tmp_path, t_final=0.1, step=1e-2)
+    assert run_cli(["heisenberg", "--config", cfg, "--out", tmp_path]) == 0
+    assert names == ["initial", "hamiltonian"]
+
+
 @pytest.mark.parametrize("name, value, message", [
     ("initial", [[1, 0], [0, 1]], "trace"),
     ("initial", [[1.5, 0], [0, -0.5]], "eigenvalue"),
@@ -549,7 +566,7 @@ def test_unwritable_output_path_exits_2(tmp_path, capsys, via, under):
     assert blocker.read_text() == "a regular file\n"
 
 
-def test_sb2c_field_overflow_at_start_exits_3(tmp_path, capsys):
+def test_sb2c_field_overflow_at_start_exits_3(tmp_path, capsys, caplog):
     # at r = 1e-55 Phi'(r) divides by a den^2 that underflows to 0
     for r in (1e80, 1e-55):
         cfg = write_config(
@@ -558,14 +575,20 @@ def test_sb2c_field_overflow_at_start_exits_3(tmp_path, capsys):
              "hamiltonian": [[1, 0], [0, -1]]},
             1.0, 1e-2,
         )
-        assert run_cli(["sb2c", "--config", cfg, "--out", tmp_path]) == 3
+        with caplog.at_level("INFO", logger="isospec_lag.cli"):
+            assert run_cli(["sb2c", "--config", cfg, "--out", tmp_path]) == 3
         captured = capsys.readouterr()
         assert "overflowing field" in captured.err
         assert "Traceback" not in captured.err
         # the zero-row trajectory: no sample to judge an invariant by
         assert all(value != value for value, _, _ in parse_lines(captured.out).values())
+        assert "worst at sample" not in caplog.text
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["singular"] is True
+        assert set(report["invariants"]) == set(cli.DEFAULT_TOLERANCES["sb2c"])
+        for entry in report["invariants"].values():
+            assert entry["max"] is None
+            assert entry["pass"] is False
         assert (tmp_path / "trajectory.csv").read_text().splitlines() == ["t,y,r,x"]
 
 
@@ -764,6 +787,22 @@ def test_grid_invariants_log_their_worst_sample(tmp_path, caplog, kind, matrices
              (tmp_path / "trajectory.csv").read_text().splitlines()[1:]]
     for _, index, t in logged:
         assert float(t) == times[int(index)]
+
+
+@pytest.mark.parametrize("kind", cli.KINDS)
+def test_invariants_print_in_the_tolerance_table_order(tmp_path, capsys, kind):
+    names = list(cli.DEFAULT_TOLERANCES[kind])
+    doc = valid_doc(kind)
+    # the config file overrides the last tolerance, the command line the first
+    doc["tolerances"] = {names[-1]: 2.0}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    assert run_cli([kind, "--config", cfg, "--out", tmp_path,
+                    "--tolerance", f"{names[0]}=3.0"]) == 0
+    printed = [LINE.match(line) for line in capsys.readouterr().out.splitlines()]
+    assert [m["name"] for m in printed] == names
+    assert float(printed[0]["tol"]) == 3.0
+    assert float(printed[-1]["tol"]) == 2.0
 
 
 def _loop_drifts(states):

@@ -6,15 +6,17 @@ Each SRC is a directory holding the ``isospec_lag`` package, such as the
 ``src`` of a checkout.  For each tree, one child process imports the
 package from it and runs the warm-up and the cycle of every workload in
 ``perfbench/workloads.py`` at seeds 11, 12 and 13 through
-``isospec_lag.cli.main``, one scenario after another.  Every run whose
-exit code, stdout, stderr or trajectory bytes differ between the trees
-is printed, with what decides whether the difference is only rounding:
-whether the exit codes agree, whether every invariant's PASS/FAIL
-verdict agrees, and the largest absolute difference between the two
-trajectories' values, read from the files.  The exit status is 1 if any
-run differs, else 0 (2 if a tree could not be run).  Of this checkout
-only ``perfbench/`` is read; configs and outputs go to a temporary
-directory.
+``isospec_lag.cli.main``, one scenario after another, with
+``ISOSPEC_LOG=info``.  Every run whose exit code, stdout, stderr (the
+INFO log included), ``report.json`` (without ``wall_time_s``, with
+``trajectory`` relative to the output directory) or trajectory bytes
+differ between the trees is printed, with what decides whether the
+difference is only rounding: whether the exit codes agree, whether every
+invariant's PASS/FAIL verdict agrees, and the largest absolute
+difference between the two trajectories' values, read from the files.
+The exit status is 1 if any run differs, else 0 (2 if a tree could not
+be run).  Of this checkout only ``perfbench/`` is read; configs and
+outputs go to a temporary directory.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (11, 12, 13)
-FIELDS = ("exit", "stdout", "stderr", "trajectory")
+FIELDS = ("exit", "stdout", "stderr", "report", "trajectory")
 VERDICT = re.compile(r"(\S+) max=\S+ tol=\S+ (PASS|FAIL)")
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
@@ -88,8 +90,21 @@ def _run_tree(src: str, out_root: str) -> dict:
                 traj = _trajectory_file(out_root, run_id)
                 digest = hashlib.sha256(traj.read_bytes()).hexdigest() if traj else None
                 results[run_id] = {"exit": code, "stdout": out.take(),
-                                   "stderr": err.take(), "trajectory": digest}
+                                   "stderr": err.take(), "report": _report(run_dir / "out"),
+                                   "trajectory": digest}
     return results
+
+
+def _report(out_dir: Path) -> dict | None:
+    """report.json without its wall time, with the trajectory path relative
+    to ``out_dir``; None if the run wrote no report."""
+    path = out_dir / "report.json"
+    if not path.is_file():
+        return None
+    doc = json.loads(path.read_text())
+    del doc["wall_time_s"]
+    doc["trajectory"] = os.path.relpath(doc["trajectory"], out_dir)
+    return doc
 
 
 def _trajectory_file(out_root: str, run_id: str) -> Path | None:
@@ -129,8 +144,8 @@ def _verdicts(stdout: str) -> list:
 
 
 def _outputs(src: str, out_root: str) -> dict | None:
-    env = {k: v for k, v in os.environ.items() if k not in ("ISOSPEC_LOG", "PYTHONPATH")}
-    env.update({var: "1" for var in THREAD_VARS})
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    env.update({var: "1" for var in THREAD_VARS}, ISOSPEC_LOG="info")
     proc = subprocess.run([sys.executable, __file__, "--child", src, out_root], env=env,
                           capture_output=True, text=True)
     if proc.returncode != 0:
@@ -162,7 +177,7 @@ def main(argv=None) -> int:
                 print(f"{run_id}: only in the {'change' if a is None else 'parent'}")
                 continue
             print(f"{run_id}: {', '.join(f for f in FIELDS if a[f] != b[f])} differ")
-            for f in FIELDS[:3]:
+            for f in FIELDS[:4]:
                 if a[f] != b[f]:
                     print(f"  parent {f}: {a[f]!r}\n  change {f}: {b[f]!r}")
             same_exit = a["exit"] == b["exit"]
