@@ -104,8 +104,6 @@ from .verifier import (
     el_residual_path,
     el_residual_unitary_path,
     flatten_complex,
-    grad_q,
-    grad_qdot,
     gradients,
     heisenberg_chart,
     operator_chart,

@@ -48,8 +48,8 @@ from .bloch import (
 )
 from .heisenberg import (
     HeisenbergScenario,
-    evolve_heisenberg_exact,
     evolve_heisenberg_rk4,
+    lagrangian_heisenberg_values,
 )
 from .operator_core import (
     dagger,
@@ -69,7 +69,7 @@ from .trajectory import Trajectory, format_float, time_grid, write_csv, write_js
 from .unitary_orbit import evolve_lvn_rk4
 from .verifier import (
     UNIFORM_SPACING_RTOL,
-    heisenberg_chart,
+    operator_chart,
     path_from_matrices,
     verify_trajectory,
 )
@@ -394,10 +394,12 @@ def _run_verify(config: ScenarioConfig):
     # the finite-difference stencils need the last gap to be a full step
     if abs(times[-1] - times[-2] - config.step) > UNIFORM_SPACING_RTOL * config.step:
         raise ConfigError("verify needs step to divide t_final exactly")
-    states = evolve_heisenberg_exact(initial, h, times)
+    # the exact flow and the chart of heisenberg_chart, on the matrices checked above
+    u = hermitian_propagator(h, times)
+    states = u.conj().swapaxes(-1, -2) @ initial @ u
     traj = Trajectory(times=times, states=states, name="A")
 
-    lag = heisenberg_chart(h)
+    lag = operator_chart(len(h), lambda a, v: lagrangian_heisenberg_values(a, v, h))
     fine = verify_trajectory(lag, path_from_matrices(times, states))
     coarse = verify_trajectory(lag, path_from_matrices(times[::2], states[::2]))
     for label, report in (("fine", fine), ("coarse", coarse)):

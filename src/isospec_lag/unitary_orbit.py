@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .heisenberg import _real_part
+from .heisenberg import _real_part, _real_values
 from .operator_core import (
     HERMITIAN_TOL,
     as_complex_matrix,
@@ -124,14 +124,20 @@ def lagrangian_unitary(ut: UnitaryTangent, sigma, h) -> float:
     """Pulled-back Lagrangian ``i Tr(sigma udot u^dag) - Tr(u^dag sigma u H - sigma H)``."""
     sigma = require_hermitian(sigma, name="sigma")
     h = require_hermitian(h, name="hamiltonian")
-    return lagrangian_unitary_value(ut.u, ut.udot, sigma, h)
+    return float(lagrangian_unitary_values(ut.u, ut.udot, sigma, h))
 
 
-def lagrangian_unitary_value(u, ud, sigma, h) -> float:
-    """``lagrangian_unitary`` at u, udot and already checked sigma and H."""
-    kinetic = 1j * np.trace(sigma @ ud @ dagger(u))
-    potential = np.trace(dagger(u) @ sigma @ u @ h - sigma @ h)
-    return _real_part(kinetic - potential, "Lagrangian")
+def lagrangian_unitary_values(u, ud, sigma, h) -> np.ndarray:
+    """``lagrangian_unitary`` over stacks of u and udot, shape ``(..., n, n)``.
+
+    The result has shape ``(...)``.  sigma and H must already be checked
+    Hermitian ``(n, n)`` matrices; nothing but the reality of the result
+    is checked here.
+    """
+    u_dag = u.conj().swapaxes(-1, -2)
+    kinetic = 1j * np.trace(sigma @ ud @ u_dag, axis1=-2, axis2=-1)
+    potential = np.trace(u_dag @ sigma @ u @ h - sigma @ h, axis1=-2, axis2=-1)
+    return _real_values(kinetic - potential, "Lagrangian")
 
 
 def maurer_cartan_left(ut: UnitaryTangent) -> np.ndarray:

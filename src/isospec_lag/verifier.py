@@ -1,16 +1,16 @@
 """Finite-difference Euler-Lagrange residual checks.
 
 Everything here works on flat real coordinate charts.  A Lagrangian is
-any callable L(q, qdot); the checker samples a path on a uniform time
-grid, forms d/dt(dL/dqdot) - dL/dq with centered differences and
-reports the residual vectors at the interior samples.  Both gradients
-at a sample come from one batch of bumped points, evaluated in a single
-call when the chart has a stacked evaluator.  Helpers chart
-complex matrix spaces (entrywise real and imaginary parts) and the
-unitary group (exponential coordinates around each sample, with the
-exponential, its Frechet derivative and the logarithm taken from
-numpy.linalg.eigh) so the analytic residuals of the operator and orbit
-Lagrangians can be cross-checked without trusting their derivations.
+a callable L(q, qdot) over stacks of points; the checker samples a path
+on a uniform time grid, forms d/dt(dL/dqdot) - dL/dq with centered
+differences and reports the residual vectors at the interior samples.
+Both gradients at a sample come from one batch of bumped points,
+evaluated in a single call.  Helpers chart complex matrix spaces
+(entrywise real and imaginary parts) and the unitary group (exponential
+coordinates around each sample, with the exponential, its Frechet
+derivative and the logarithm taken from numpy.linalg.eigh) so the
+analytic residuals of the operator and orbit Lagrangians can be
+cross-checked without trusting their derivations.
 
 Velocity-linear Lagrangians are degenerate; their residuals are
 reported as-is, with no constraint reduction.
@@ -25,7 +25,7 @@ import numpy as np
 
 from .heisenberg import lagrangian_heisenberg_values
 from .operator_core import as_complex_matrix, dagger, require_hermitian, unitary_algebra_basis
-from .unitary_orbit import TANGENT_TOL, lagrangian_unitary_value
+from .unitary_orbit import TANGENT_TOL, lagrangian_unitary_values
 
 DEFAULT_GRADIENT_STEP = 1e-5
 UNIFORM_SPACING_RTOL = 1e-12
@@ -33,27 +33,21 @@ UNIFORM_SPACING_RTOL = 1e-12
 
 @dataclass(frozen=True)
 class CoordinateLagrangian:
-    """A Lagrangian on a flat chart: evaluate(q, qdot) -> float.
+    """A Lagrangian on a flat chart of dimension dim.
 
-    evaluate_stack, when given, maps (k, dim) arrays of points and
-    velocities to the k Lagrangian values in one call; the gradient
-    routine then sends all bumped points of a sample through it at once.
-    Without it the points are evaluated one by one.
+    evaluate(q, qdot) maps points and velocities of shape (..., dim) to
+    the Lagrangian values, shape (...): one call evaluates a whole stack,
+    and a single point of shape (dim,) gives one value.  A per-point
+    function f wraps as
+    ``lambda qs, vs: np.array([f(q, v) for q, v in zip(qs, vs)])``.
     """
 
     dim: int
-    evaluate: Callable[[np.ndarray, np.ndarray], float]
-    evaluate_stack: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
+    evaluate: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("chart dimension must be positive")
-
-    def evaluate_points(self, qs: np.ndarray, qdots: np.ndarray) -> np.ndarray:
-        """Lagrangian values at the rows of qs and qdots."""
-        if self.evaluate_stack is not None:
-            return np.asarray(self.evaluate_stack(qs, qdots), dtype=float)
-        return np.array([float(self.evaluate(q, v)) for q, v in zip(qs, qdots)])
 
 
 @dataclass(frozen=True)
@@ -70,11 +64,13 @@ class SampledPath:
             raise ValueError("need times (N,) and points (N, dim) of equal length")
         if len(times) < 5:
             raise ValueError("centered stencils need at least 5 samples")
+        if not np.all(np.isfinite(times)):
+            raise ValueError("times must be finite")
         spacings = np.diff(times)
-        if np.any(spacings <= 0):
+        if not np.all(spacings > 0):
             raise ValueError("times must be strictly increasing")
         dt = spacings[0]
-        if np.max(np.abs(spacings - dt)) > UNIFORM_SPACING_RTOL * abs(dt):
+        if not np.all(np.abs(spacings - dt) <= UNIFORM_SPACING_RTOL * dt):
             raise ValueError("time grid must be uniform")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "points", points)
@@ -113,8 +109,8 @@ def gradients(lag: CoordinateLagrangian, q, qdot, h: float = DEFAULT_GRADIENT_ST
             qdots += [qdot + bump, qdot - bump]
         else:
             raise ValueError(f"unknown gradient {name!r}")
-        labels += [f"grad_{name} +", f"grad_{name} -"]
-    values = lag.evaluate_points(np.concatenate(qs), np.concatenate(qdots))
+        labels += [f"dL/d{name} +", f"dL/d{name} -"]
+    values = np.asarray(lag.evaluate(np.concatenate(qs), np.concatenate(qdots)), dtype=float)
     bad = np.flatnonzero(~np.isfinite(values))
     if bad.size:
         raise ValueError(f"Lagrangian is not finite ({labels[bad[0] // lag.dim]}) near q={q}")
@@ -122,18 +118,18 @@ def gradients(lag: CoordinateLagrangian, q, qdot, h: float = DEFAULT_GRADIENT_ST
     return tuple((values[2 * k] - values[2 * k + 1]) / (2 * h) for k in range(len(wrt)))
 
 
-def grad_q(lag: CoordinateLagrangian, q, qdot, h: float = DEFAULT_GRADIENT_STEP) -> np.ndarray:
-    """Centered-difference dL/dq, error O(h^2)."""
-    return gradients(lag, q, qdot, h, wrt=("q",))[0]
+def el_residual_path(
+    lag: CoordinateLagrangian,
+    path: SampledPath,
+    h: float = DEFAULT_GRADIENT_STEP,
+) -> np.ndarray:
+    """Residuals d/dt(dL/dqdot) - dL/dq along the path.
 
-
-def grad_qdot(lag: CoordinateLagrangian, q, qdot, h: float = DEFAULT_GRADIENT_STEP) -> np.ndarray:
-    """Centered-difference dL/dqdot, error O(h^2)."""
-    return gradients(lag, q, qdot, h, wrt=("qdot",))[0]
-
-
-def _residuals(lag: CoordinateLagrangian, path: SampledPath, h: float):
-    """el_residual_path rows plus the Lagrangian evaluations and calls they took."""
+    Velocities exist at samples 1..N-2 and the momentum derivative at
+    samples 2..N-3, so the returned array has shape (N-4, dim) and its
+    row i belongs to path sample i + 2.  Each sample costs one gradient
+    call, so one stacked Lagrangian evaluation.
+    """
     if path.dim != lag.dim:
         raise ValueError(f"path dim {path.dim} does not match chart dim {lag.dim}")
     n = len(path.times)
@@ -147,34 +143,13 @@ def _residuals(lag: CoordinateLagrangian, path: SampledPath, h: float):
             forces[i - 2], momenta[i - 1] = gradients(lag, q, v, h)
         else:  # the end samples only feed the momentum stencil
             (momenta[i - 1],) = gradients(lag, q, v, h, wrt=("qdot",))
-    residuals = (momenta[2:] - momenta[:-2]) / (2 * dt) - forces
-    evaluations = 2 * lag.dim * ((n - 2) + (n - 4))  # qdot bumps, then q bumps
-    calls = n - 2 if lag.evaluate_stack is not None else evaluations
-    return residuals, evaluations, calls
-
-
-def el_residual_path(
-    lag: CoordinateLagrangian,
-    path: SampledPath,
-    h: float = DEFAULT_GRADIENT_STEP,
-) -> np.ndarray:
-    """Residuals d/dt(dL/dqdot) - dL/dq along the path.
-
-    Velocities exist at samples 1..N-2 and the momentum derivative at
-    samples 2..N-3, so the returned array has shape (N-4, dim) and its
-    row i belongs to path sample i + 2.  Each sample costs one gradient
-    call, so one stacked Lagrangian evaluation on charts that have one.
-    """
-    return _residuals(lag, path, h)[0]
+    return (momenta[2:] - momenta[:-2]) / (2 * dt) - forces
 
 
 @dataclass(frozen=True)
 class VerificationReport:
-    passed: bool
     max_residual: float
-    mean_residual: float
     worst_index: int
-    tolerance: float
     lagrangian_evals: int
     lagrangian_calls: int
 
@@ -182,26 +157,22 @@ class VerificationReport:
 def verify_trajectory(
     lag: CoordinateLagrangian,
     path: SampledPath,
-    tolerance: float = 1e-3,
     h: float = DEFAULT_GRADIENT_STEP,
 ) -> VerificationReport:
-    """Pass iff the largest interior residual norm is within tolerance.
+    """The largest interior residual norm, where it occurs and what it cost.
 
     worst_index refers to the original path sample, not the interior
-    residual row.
+    residual row.  Each of the N-2 samples with a velocity is one
+    Lagrangian call; the counts are those of el_residual_path.
     """
-    residuals, evaluations, calls = _residuals(lag, path, h)
-    norms = np.linalg.norm(residuals, axis=1)
+    norms = np.linalg.norm(el_residual_path(lag, path, h), axis=1)
     worst = int(np.argmax(norms))
-    max_residual = float(norms[worst])
+    n = len(path.times)
     return VerificationReport(
-        passed=bool(max_residual <= tolerance),
-        max_residual=max_residual,
-        mean_residual=float(np.mean(norms)),
+        max_residual=float(norms[worst]),
         worst_index=worst + 2,
-        tolerance=float(tolerance),
-        lagrangian_evals=evaluations,
-        lagrangian_calls=calls,
+        lagrangian_evals=2 * lag.dim * ((n - 2) + (n - 4)),  # qdot bumps, then q bumps
+        lagrangian_calls=n - 2,
     )
 
 
@@ -210,8 +181,11 @@ def verify_trajectory(
 
 
 def flatten_complex(a: np.ndarray) -> np.ndarray:
+    """Real then imaginary parts of the trailing (n, n) axes as one real axis;
+    leading axes of a are kept as stack axes."""
     a = np.asarray(a, dtype=complex)
-    return np.concatenate([a.real.ravel(), a.imag.ravel()])
+    flat = a.reshape(a.shape[:-2] + (-1,))
+    return np.concatenate([flat.real, flat.imag], axis=-1)
 
 
 def unflatten_complex(v: np.ndarray, shape) -> np.ndarray:
@@ -221,13 +195,16 @@ def unflatten_complex(v: np.ndarray, shape) -> np.ndarray:
     return (v[..., :half] + 1j * v[..., half:]).reshape(v.shape[:-1] + tuple(shape))
 
 
-def operator_chart(n: int, lagrangian: Callable[[np.ndarray, np.ndarray], float]) -> CoordinateLagrangian:
-    """Flatten an operator-space Lagrangian to 2 n^2 real coordinates."""
+def operator_chart(n: int, lagrangian: Callable[[np.ndarray, np.ndarray], np.ndarray]
+                   ) -> CoordinateLagrangian:
+    """Flatten an operator-space Lagrangian to 2 n^2 real coordinates.
+
+    lagrangian(a, v) takes complex stacks of shape (..., n, n) and
+    returns values of shape (...).
+    """
 
     def evaluate(q, qdot):
-        a = unflatten_complex(q, (n, n))
-        v = unflatten_complex(qdot, (n, n))
-        return lagrangian(a, v)
+        return lagrangian(unflatten_complex(q, (n, n)), unflatten_complex(qdot, (n, n)))
 
     return CoordinateLagrangian(dim=2 * n * n, evaluate=evaluate)
 
@@ -235,29 +212,17 @@ def operator_chart(n: int, lagrangian: Callable[[np.ndarray, np.ndarray], float]
 def heisenberg_chart(hamiltonian) -> CoordinateLagrangian:
     """Operator Lagrangian for a fixed Hamiltonian as a flat-chart Lagrangian.
 
-    The Hamiltonian is validated once, here.  The chart evaluates stacks
-    of points through lagrangian_heisenberg_values, the same kernel as
-    lagrangian_heisenberg.
+    The Hamiltonian is validated once, here; the chart evaluates through
+    lagrangian_heisenberg_values, the kernel of lagrangian_heisenberg.
     """
     hamiltonian = require_hermitian(hamiltonian, name="hamiltonian")
-    n = hamiltonian.shape[0]
-
-    def evaluate_stack(qs, qdots):
-        a = unflatten_complex(qs, (n, n))
-        v = unflatten_complex(qdots, (n, n))
-        return lagrangian_heisenberg_values(a, v, hamiltonian)
-
-    return CoordinateLagrangian(
-        dim=2 * n * n,
-        evaluate=lambda q, qdot: float(evaluate_stack(q, qdot)),
-        evaluate_stack=evaluate_stack,
-    )
+    return operator_chart(len(hamiltonian),
+                          lambda a, v: lagrangian_heisenberg_values(a, v, hamiltonian))
 
 
 def path_from_matrices(times, matrices) -> SampledPath:
     """Sample a matrix-valued path in the entrywise real chart."""
-    points = np.array([flatten_complex(m) for m in matrices])
-    return SampledPath(np.asarray(times, dtype=float), points)
+    return SampledPath(times, flatten_complex(matrices))
 
 
 def chart_coordinates(u_center, u, basis: Sequence[np.ndarray]) -> np.ndarray:
@@ -281,7 +246,8 @@ def chart_coordinates(u_center, u, basis: Sequence[np.ndarray]) -> np.ndarray:
 def _exp_frechet(x: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """exp(x) and its Frechet derivative in the direction e, x anti-Hermitian.
 
-    With i x = V diag(lam) V^dag from one eigh and mu = -i lam,
+    x and e are stacks of shape (..., n, n), decomposed by one stacked
+    eigh.  With i x = V diag(lam) V^dag and mu = -i lam,
     exp(x) = V diag(e^mu) V^dag and L(x, e) = V (D o V^dag e V) V^dag,
     D_ij = (e^mu_i - e^mu_j) / (mu_i - mu_j), D_ii = e^mu_i (Daleckii-Krein;
     Higham, Functions of Matrices, 2008, ch. 3).  D is evaluated as
@@ -289,18 +255,19 @@ def _exp_frechet(x: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     exact as eigenvalues merge.
     """
     lam, v = np.linalg.eigh(1j * x)
-    vh = dagger(v)
-    d = (np.exp(-0.5j * np.add.outer(lam, lam))
-         * np.sinc(np.subtract.outer(lam, lam) / (2 * np.pi)))
-    return (v * np.exp(-1j * lam)) @ vh, v @ (d * (vh @ e @ v)) @ vh
+    vh = v.conj().swapaxes(-1, -2)
+    lam_i, lam_j = lam[..., :, np.newaxis], lam[..., np.newaxis, :]
+    d = np.exp(-0.5j * (lam_i + lam_j)) * np.sinc((lam_i - lam_j) / (2 * np.pi))
+    return (v * np.exp(-1j * lam_j)) @ vh, v @ (d * (vh @ e @ v)) @ vh
 
 
 def unitary_chart(u_center, sigma, hamiltonian) -> CoordinateLagrangian:
     """Orbit Lagrangian in exponential coordinates around u_center.
 
     The inputs are validated once, here: the chart's points and velocities
-    are unitary and tangent by construction, so they go unchecked to
-    lagrangian_unitary_value, the kernel of lagrangian_unitary.
+    are unitary and tangent by construction, so stacks of them go
+    unchecked to lagrangian_unitary_values, the kernel of
+    lagrangian_unitary.
     """
     u_center = as_complex_matrix(u_center, name="u_center")
     sigma = require_hermitian(sigma, name="sigma")
@@ -312,7 +279,7 @@ def unitary_chart(u_center, sigma, hamiltonian) -> CoordinateLagrangian:
 
     def evaluate(q, qdot):
         expx, frechet = _exp_frechet(np.tensordot(q, basis, 1), np.tensordot(qdot, basis, 1))
-        return lagrangian_unitary_value(u_center @ expx, u_center @ frechet, sigma, hamiltonian)
+        return lagrangian_unitary_values(u_center @ expx, u_center @ frechet, sigma, hamiltonian)
 
     return CoordinateLagrangian(dim=n * n, evaluate=evaluate)
 

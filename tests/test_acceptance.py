@@ -321,7 +321,8 @@ def test_criterion_10_determinant_conserved_spectrum_not():
 
 def test_criterion_11_verifier_convergence():
     harmonic = CoordinateLagrangian(
-        dim=1, evaluate=lambda q, qdot: 0.5 * float(qdot @ qdot) - 0.5 * float(q @ q)
+        dim=1,
+        evaluate=lambda q, qdot: 0.5 * np.sum(qdot * qdot, axis=-1) - 0.5 * np.sum(q * q, axis=-1),
     )
 
     def cosine(dt):

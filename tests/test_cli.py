@@ -433,7 +433,8 @@ def test_lvn_validates_the_density_once(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
-def test_heisenberg_checks_the_hamiltonian_once(tmp_path, monkeypatch):
+def hermitian_check_names(monkeypatch):
+    """Names passed to require_hermitian from here on, in call order."""
     names = []
     check = operator_core.require_hermitian
 
@@ -445,8 +446,21 @@ def test_heisenberg_checks_the_hamiltonian_once(tmp_path, monkeypatch):
         if (module.__name__.startswith("isospec_lag.")
                 and getattr(module, "require_hermitian", None) is check):
             monkeypatch.setattr(module, "require_hermitian", counting)
+    return names
+
+
+def test_heisenberg_checks_the_hamiltonian_once(tmp_path, monkeypatch):
+    names = hermitian_check_names(monkeypatch)
     cfg = heisenberg_config(tmp_path, t_final=0.1, step=1e-2)
     assert run_cli(["heisenberg", "--config", cfg, "--out", tmp_path]) == 0
+    assert names == ["initial", "hamiltonian"]
+
+
+def test_verify_checks_each_input_once(tmp_path, monkeypatch):
+    names = hermitian_check_names(monkeypatch)
+    cfg = write_config(tmp_path / "cfg.json", "verify",
+                       {"initial": [[0, 1], [1, 0]], "hamiltonian": [[1, 0], [0, -1]]}, 0.1, 1e-2)
+    assert run_cli(["verify", "--config", cfg, "--out", tmp_path]) == 0
     assert names == ["initial", "hamiltonian"]
 
 

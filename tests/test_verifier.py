@@ -21,8 +21,7 @@ from isospec_lag.verifier import (
     el_residual_path,
     el_residual_unitary_path,
     flatten_complex,
-    grad_q,
-    grad_qdot,
+    gradients,
     heisenberg_chart,
     operator_chart,
     path_from_matrices,
@@ -33,9 +32,10 @@ from isospec_lag.verifier import (
 
 from conftest import SX, SZ, rand_complex, rand_density, rand_hermitian, rand_unitary
 
-FREE = CoordinateLagrangian(dim=2, evaluate=lambda q, qdot: 0.5 * float(qdot @ qdot))
+FREE = CoordinateLagrangian(dim=2, evaluate=lambda q, qdot: 0.5 * np.sum(qdot * qdot, axis=-1))
 HARMONIC = CoordinateLagrangian(
-    dim=1, evaluate=lambda q, qdot: 0.5 * float(qdot @ qdot) - 0.5 * float(q @ q)
+    dim=1,
+    evaluate=lambda q, qdot: 0.5 * np.sum(qdot * qdot, axis=-1) - 0.5 * np.sum(q * q, axis=-1),
 )
 
 
@@ -51,30 +51,31 @@ def cosine_path(dt, n=21):
 
 
 def test_gradients_of_bilinear_lagrangian():
-    lag = CoordinateLagrangian(dim=3, evaluate=lambda q, qdot: float(q @ qdot))
+    lag = CoordinateLagrangian(dim=3, evaluate=lambda q, qdot: np.sum(q * qdot, axis=-1))
     q = np.array([0.3, -1.2, 0.5])
     qdot = np.array([2.0, 0.1, -0.7])
-    np.testing.assert_allclose(grad_q(lag, q, qdot), qdot, atol=1e-8)
-    np.testing.assert_allclose(grad_qdot(lag, q, qdot), q, atol=1e-8)
+    np.testing.assert_allclose(gradients(lag, q, qdot, wrt=("q",))[0], qdot, atol=1e-8)
+    np.testing.assert_allclose(gradients(lag, q, qdot, wrt=("qdot",))[0], q, atol=1e-8)
 
 
 def test_gradients_of_constant_lagrangian():
-    lag = CoordinateLagrangian(dim=2, evaluate=lambda q, qdot: 4.2)
-    np.testing.assert_allclose(grad_q(lag, np.ones(2), np.ones(2)), np.zeros(2))
-    np.testing.assert_allclose(grad_qdot(lag, np.ones(2), np.ones(2)), np.zeros(2))
+    lag = CoordinateLagrangian(dim=2, evaluate=lambda q, qdot: np.full(q.shape[:-1], 4.2))
+    for wrt in ("q", "qdot"):
+        np.testing.assert_allclose(gradients(lag, np.ones(2), np.ones(2), wrt=(wrt,))[0],
+                                   np.zeros(2))
 
 
 def test_gradient_of_kinetic_term():
     qdot = np.array([1.5, -0.25])
-    got = grad_qdot(FREE, np.zeros(2), qdot)
+    got = gradients(FREE, np.zeros(2), qdot, wrt=("qdot",))[0]
     np.testing.assert_allclose(got, qdot, atol=1e-8)
 
 
 def test_gradient_step_must_be_positive():
     with pytest.raises(ValueError):
-        grad_q(FREE, np.zeros(2), np.zeros(2), h=0.0)
+        gradients(FREE, np.zeros(2), np.zeros(2), h=0.0, wrt=("q",))
     with pytest.raises(ValueError):
-        grad_qdot(FREE, np.zeros(2), np.zeros(2), h=-1e-5)
+        gradients(FREE, np.zeros(2), np.zeros(2), h=-1e-5, wrt=("qdot",))
 
 
 def test_chart_dimension_must_be_positive():
@@ -91,6 +92,12 @@ def test_sampled_path_validation():
         SampledPath(np.array([0.0, 0.1, 0.05, 0.2, 0.3]), np.zeros((5, 1)))
     with pytest.raises(ValueError):
         SampledPath(np.arange(5.0), np.zeros((6, 1)))
+    # NaN and inf fail every comparison, so they must not slip through as uniform
+    for bad in ([0.0, 0.1, np.nan, 0.3, 0.4, 0.5], [np.nan, 0.1, 0.2, 0.3, 0.4],
+                [0.0, np.nan, 0.2, 0.3, 0.4], [0.0, 0.1, 0.2, 0.3, np.inf],
+                [-np.inf, 0.1, 0.2, 0.3, 0.4], [0.0, np.inf, 0.2, 0.3, 0.4]):
+        with pytest.raises(ValueError):
+            SampledPath(np.array(bad), np.zeros((len(bad), 1)))
 
 
 def test_el_residual_path_rejects_dim_mismatch():
@@ -99,20 +106,18 @@ def test_el_residual_path_rejects_dim_mismatch():
 
 
 def test_free_particle_line_is_extremal():
-    report = verify_trajectory(FREE, line_path(), tolerance=1e-8)
-    assert report.passed
+    report = verify_trajectory(FREE, line_path())
     assert report.max_residual <= 1e-8
 
 
 def test_constant_path_passes_for_velocity_only_lagrangian():
     path = SampledPath(np.arange(7) * 0.1, np.tile([0.4, -0.9], (7, 1)))
-    report = verify_trajectory(FREE, path, tolerance=1e-10)
-    assert report.passed
+    report = verify_trajectory(FREE, path)
+    assert report.max_residual <= 1e-10
 
 
 def test_harmonic_cosine_is_extremal():
-    report = verify_trajectory(HARMONIC, cosine_path(1e-3), tolerance=1e-5)
-    assert report.passed
+    report = verify_trajectory(HARMONIC, cosine_path(1e-3))
     assert report.max_residual <= 1e-5
 
 
@@ -125,8 +130,8 @@ def test_worst_index_points_at_perturbed_sample():
     times = np.arange(9) * 0.1
     points = np.outer(times, [1.0, -2.0])
     points[4] += 0.01
-    report = verify_trajectory(FREE, SampledPath(times, points), tolerance=1e-8)
-    assert not report.passed
+    report = verify_trajectory(FREE, SampledPath(times, points))
+    assert report.max_residual > 1e-8
     assert report.worst_index == 4
 
 
@@ -150,13 +155,15 @@ def test_flatten_round_trip():
     v = flatten_complex(m)
     assert v.shape == (18,)
     np.testing.assert_array_equal(unflatten_complex(v, (3, 3)), m)
+    stack = np.array([m, rand_complex(rng, 3)])
+    np.testing.assert_array_equal(flatten_complex(stack), [v, flatten_complex(stack[1])])
+    np.testing.assert_array_equal(unflatten_complex(flatten_complex(stack), (3, 3)), stack)
 
 
 def test_heisenberg_chart_passes_on_exact_flow():
     times = np.arange(9) * 1e-3
     mats = [evolve_heisenberg_exact(SX, SZ, t) for t in times]
     report = verify_trajectory(heisenberg_chart(SZ), path_from_matrices(times, mats))
-    assert report.passed
     assert report.max_residual <= 1e-3
 
 
@@ -165,7 +172,7 @@ def test_heisenberg_chart_fails_on_wrong_hamiltonian():
     times = np.arange(9) * 1e-3
     mats = [evolve_heisenberg_exact(SX, h_wrong, t) for t in times]
     report = verify_trajectory(heisenberg_chart(SZ), path_from_matrices(times, mats))
-    assert not report.passed
+    assert report.max_residual > 1e-3
     # residual norm is 0.1 * ||[A, H]||_F doubled by the real chart
     assert 0.5 <= report.max_residual <= 0.65
 
@@ -183,9 +190,10 @@ def test_flat_chart_residual_matches_analytic_factor_two():
 
 
 def scalar_heisenberg_chart(h):
-    """The Heisenberg chart without a stacked evaluator: one call per point."""
+    """The Heisenberg chart through lagrangian_heisenberg, one point at a time."""
     n = h.shape[0]
-    return operator_chart(n, lambda a, v: lagrangian_heisenberg(OperatorTangent(a, v), h))
+    return operator_chart(n, lambda a, v: np.array(
+        [lagrangian_heisenberg(OperatorTangent(x, y), h) for x, y in zip(a, v)]))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -206,24 +214,16 @@ def test_reported_evaluation_counts_match_actual_calls():
     times = np.arange(9) * 1e-3
     path = path_from_matrices(times, [evolve_heisenberg_exact(SX, SZ, t) for t in times])
     chart = heisenberg_chart(SZ)
-    points, calls = [], []
+    calls = []
 
-    def evaluate(q, qdot):
-        points.append(1)
-        return chart.evaluate(q, qdot)
-
-    def evaluate_stack(qs, qdots):
+    def evaluate(qs, qdots):
         calls.append(len(qs))
-        return chart.evaluate_stack(qs, qdots)
+        return chart.evaluate(qs, qdots)
 
-    stacked = verify_trajectory(
-        CoordinateLagrangian(chart.dim, evaluate, evaluate_stack), path)
-    per_point = verify_trajectory(CoordinateLagrangian(chart.dim, evaluate), path)
+    report = verify_trajectory(CoordinateLagrangian(chart.dim, evaluate), path)
     # 2 dim bumps for dL/dqdot at samples 1..7, 2 dim more for dL/dq at 2..6
-    assert stacked.lagrangian_evals == sum(calls) == 2 * 8 * (7 + 5)
-    assert stacked.lagrangian_calls == len(calls) == 7
-    assert per_point.lagrangian_evals == per_point.lagrangian_calls == len(points) == 2 * 8 * 12
-    assert stacked.max_residual == per_point.max_residual
+    assert report.lagrangian_evals == sum(calls) == 2 * 8 * (7 + 5)
+    assert report.lagrangian_calls == len(calls) == 7
 
 
 def nan_at_one_bump(q, qdot):
@@ -232,13 +232,9 @@ def nan_at_one_bump(q, qdot):
     return np.where(qdot[..., 0] > 1.0 + 1e-7, np.nan, values)
 
 
-@pytest.mark.parametrize("stacked", [True, False])
-def test_non_finite_bumped_value_raises(stacked):
-    lag = CoordinateLagrangian(
-        dim=2, evaluate=lambda q, qdot: float(nan_at_one_bump(q, qdot)),
-        evaluate_stack=nan_at_one_bump if stacked else None,
-    )
-    with pytest.raises(ValueError, match=r"not finite \(grad_qdot \+\)"):
+def test_non_finite_bumped_value_raises():
+    lag = CoordinateLagrangian(dim=2, evaluate=nan_at_one_bump)
+    with pytest.raises(ValueError, match=r"not finite \(dL/dqdot \+\)"):
         el_residual_path(lag, line_path())
 
 
@@ -250,13 +246,7 @@ def test_heisenberg_chart_rejects_non_hermitian_hamiltonian():
 def test_stacked_evaluation_checks_reality_over_the_batch():
     # the kernel trusts its caller to pass a Hermitian H; this one is not
     h_bad = np.array([[1, 1], [0, -1]], dtype=complex)
-
-    def evaluate_stack(qs, qdots):
-        a, v = unflatten_complex(qs, (2, 2)), unflatten_complex(qdots, (2, 2))
-        return lagrangian_heisenberg_values(a, v, h_bad)
-
-    lag = CoordinateLagrangian(dim=8, evaluate=lambda q, qdot: float(evaluate_stack(q, qdot)),
-                               evaluate_stack=evaluate_stack)
+    lag = operator_chart(2, lambda a, v: lagrangian_heisenberg_values(a, v, h_bad))
     times = np.arange(9) * 1e-3
     path = path_from_matrices(times, [evolve_heisenberg_exact(SX, SZ, t) for t in times])
     with pytest.raises(ValueError, match="imaginary residue"):
@@ -316,6 +306,21 @@ def test_unitary_chart_matches_scipy_frechet(n, seed, spectrum, scale, log_gap):
     want = lagrangian_unitary(UnitaryTangent(u_center @ expx, u_center @ frechet), sigma, h)
     # both terms of the Lagrangian are O(1) here, so the floor is relative to them
     assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_unitary_chart_evaluates_stacks(n):
+    # one stacked call agrees with k single-point calls; the stacked eigh
+    # and matmuls may round differently, so equality is to 1e-13
+    rng = np.random.default_rng(30 + n)
+    h = rand_hermitian(rng, n)
+    chart = unitary_chart(rand_unitary(rng, n), rand_density(rng, n), h / np.linalg.norm(h))
+    qs = 0.5 * rng.standard_normal((40, n * n))
+    qdots = rng.standard_normal((40, n * n))
+    stacked = chart.evaluate(qs, qdots)
+    assert stacked.shape == (40,)
+    per_point = [chart.evaluate(q, v) for q, v in zip(qs, qdots)]
+    np.testing.assert_allclose(stacked, per_point, rtol=0, atol=1e-13)
 
 
 def test_unitary_path_needs_five_samples():
