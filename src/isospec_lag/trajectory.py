@@ -12,9 +12,15 @@ A :class:`Trajectory` stores either a stack of complex matrices
 (shape ``(N, n, n)``) or a stack of named real coordinate vectors
 (shape ``(N, k)``).  Serialization flattens complex matrices
 column-major into ``<name>_re_<row>_<col>`` / ``<name>_im_<row>_<col>``
-columns; real coordinate stacks use their explicit column names.  All
-floats are written with shortest round-trip formatting so repeated runs
-produce byte-identical files.
+columns; real coordinate stacks use their explicit column names.
+
+Every float is written as its shortest round-trip ``repr``, so repeated
+runs produce byte-identical files.  :func:`write_csv` writes the ``repr``
+tokens themselves, ``nan``, ``inf`` and ``-inf`` included;
+:func:`write_json` writes the bytes of ``json.dump(doc, indent=1,
+sort_keys=True)`` plus a newline, ``NaN``, ``Infinity`` and
+``-Infinity`` included.  Both stream to the file a block of rows or a
+column at a time, never holding the whole document as one string.
 """
 
 from __future__ import annotations
@@ -83,7 +89,7 @@ class Trajectory:
     times : (N,) array of sample times.
     states : (N, n, n) complex matrices or (N, k) real vectors.
     name : column prefix for matrix states.
-    column_names : names of the k coordinates when states are vectors.
+    column_names : names (strings) of the k coordinates when states are vectors.
     meta : free-form metadata, such as sb2c's singularity record.
     """
 
@@ -98,6 +104,8 @@ class Trajectory:
         self.states = np.asarray(self.states)
         if len(self.times) != len(self.states):
             raise ValueError("times and states lengths differ")
+        if not all(isinstance(c, str) for c in self.column_names or ()):
+            raise TypeError("column names must be strings")
 
     @property
     def n_samples(self) -> int:
@@ -169,19 +177,52 @@ def rk4_commutator_trajectory(y0: np.ndarray, h: np.ndarray, sign: int,
     return Trajectory(times, states, name=name)
 
 
+#: Rows per ``repr`` pass of write_csv, so a block's text stays under a few hundred KiB.
+CSV_BLOCK_ROWS = 256
+
+
 def write_csv(traj: Trajectory, path) -> None:
-    """Write a trajectory as CSV with a leading ``t`` column."""
-    lines = [",".join(["t"] + traj.headers())]
-    for t, row in zip(traj.times.tolist(), traj.table()):
-        lines.append(",".join(map(format_float, [t] + row.tolist())))
+    """Write a trajectory as CSV with a leading ``t`` column.
+
+    Each block of rows is one ``repr`` of a list of lists of floats, cut
+    into lines: a float's ``repr`` holds neither ``", "`` nor ``"]"``.
+    """
+    rows = np.column_stack([traj.times, traj.table()])
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(",".join(["t"] + traj.headers()) + "\n")
+        for start in range(0, len(rows), CSV_BLOCK_ROWS):
+            block = repr(rows[start:start + CSV_BLOCK_ROWS].tolist())[2:-2]
+            fh.write(block.replace(", ", ",").replace("],[", "\n") + "\n")
+
+
+def _json_list(values: np.ndarray, indent: str) -> str:
+    """A float list as ``json.dump(indent=1)`` lays it out with its items
+    at ``indent`` and its closing bracket one space less.
+
+    Of the float ``repr`` tokens only ``nan`` and ``inf`` hold letters
+    other than ``e``, so renaming them touches no finite value.
+    """
+    if not len(values):
+        return "[]"
+    items = repr(values.tolist())[1:-1].replace(", ", ",\n" + indent)
+    if not np.isfinite(values).all():
+        items = items.replace("nan", "NaN").replace("inf", "Infinity")
+    return f"[\n{indent}{items}\n{indent[:-1]}]"
 
 
 def write_json(traj: Trajectory, path) -> None:
-    """Write a trajectory as JSON: time list plus per-column value lists."""
-    columns = dict(zip(traj.headers(), traj.table().T.tolist()))
-    doc = {"t": traj.times.tolist(), "columns": columns}
+    """Write a trajectory as JSON: time list plus per-column value lists.
+
+    The bytes are those of ``json.dump({"t": ..., "columns": {header:
+    column}}, fh, indent=1, sort_keys=True)`` and a newline, written one
+    column at a time; a repeated header keeps its last column.
+    """
+    table = traj.table()
+    columns = dict(zip(traj.headers(), range(table.shape[1])))
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+        fh.write('{\n "columns": ' + ("{" if columns else "{}"))
+        for k, name in enumerate(sorted(columns)):
+            fh.write(("," if k else "") + f"\n  {json.dumps(name)}: ")
+            fh.write(_json_list(table[:, columns[name]], "   "))
+        fh.write(("\n }" if columns else "") + ',\n "t": ')
+        fh.write(_json_list(traj.times, "  ") + "\n}\n")

@@ -7,8 +7,11 @@ pulls back to the unitary group as
 
     L_u = i Tr(sigma udot u^dag) - Tr(u^dag sigma u H - sigma H)
 
-whose extremals project onto solutions of rho_dot = i [rho, H].  This
-module evaluates that Lagrangian, the Maurer-Cartan forms, the
+whose extremals project onto solutions of rho_dot = -i [rho, H] (see
+verifier.el_residual_unitary_path), while the ``lvn`` kind, through
+lvn_rhs and the evolve_lvn_* functions below, integrates
+rho_dot = +i [rho, H]: the same orbit traversed backwards in time.
+This module evaluates that Lagrangian, the Maurer-Cartan forms, the
 Euler-Lagrange residual projected on an orthonormal basis of the
 unitary algebra, and the exact and Runge-Kutta state evolutions.
 """

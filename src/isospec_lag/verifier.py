@@ -269,9 +269,14 @@ def unitary_chart(u_center, sigma, hamiltonian) -> CoordinateLagrangian:
     unchecked to lagrangian_unitary_values, the kernel of
     lagrangian_unitary.
     """
-    u_center = as_complex_matrix(u_center, name="u_center")
-    sigma = require_hermitian(sigma, name="sigma")
-    hamiltonian = require_hermitian(hamiltonian, name="hamiltonian")
+    return _unitary_chart(as_complex_matrix(u_center, name="u_center"),
+                          require_hermitian(sigma, name="sigma"),
+                          require_hermitian(hamiltonian, name="hamiltonian"))
+
+
+def _unitary_chart(u_center, sigma, hamiltonian) -> CoordinateLagrangian:
+    """unitary_chart of complex matrices, sigma and hamiltonian already
+    checked Hermitian; u_center is still checked unitary."""
     n = u_center.shape[0]
     if np.linalg.norm(dagger(u_center) @ u_center - np.eye(n)) > TANGENT_TOL:
         raise ValueError("u_center is not unitary")
@@ -310,11 +315,13 @@ def el_residual_unitary_path(
     unitaries = [as_complex_matrix(u, name="unitary sample") for u in unitaries]
     if len(times) != len(unitaries) or len(times) < 5:
         raise ValueError("need at least 5 matched samples")
+    sigma = require_hermitian(sigma, name="sigma")
+    hamiltonian = require_hermitian(hamiltonian, name="hamiltonian")
     n = unitaries[0].shape[0]
     basis = unitary_algebra_basis(n)
     rows = []
     for m in range(2, len(unitaries) - 2):
-        lag = unitary_chart(unitaries[m], sigma, hamiltonian)
+        lag = _unitary_chart(unitaries[m], sigma, hamiltonian)
         window = np.array([
             chart_coordinates(unitaries[m], unitaries[i], basis)
             for i in range(m - 2, m + 3)

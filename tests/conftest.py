@@ -1,6 +1,10 @@
 """Shared random-matrix helpers for the test suite."""
 
+import sys
+
 import numpy as np
+
+from isospec_lag import operator_core
 
 SI = np.eye(2, dtype=complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -31,3 +35,19 @@ def rand_density(rng, n):
     m = rand_complex(rng, n)
     rho = m @ m.conj().T
     return rho / np.trace(rho).real
+
+
+def hermitian_check_names(monkeypatch):
+    """Names passed to require_hermitian from here on, in call order."""
+    names = []
+    check = operator_core.require_hermitian
+
+    def counting(m, *args, name="matrix", **kwargs):
+        names.append(name)
+        return check(m, *args, name=name, **kwargs)
+
+    for module in list(sys.modules.values()):
+        if (module.__name__.startswith("isospec_lag.")
+                and getattr(module, "require_hermitian", None) is check):
+            monkeypatch.setattr(module, "require_hermitian", counting)
+    return names

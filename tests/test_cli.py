@@ -14,8 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isospec_lag import cli, operator_core, unitary_orbit
+from isospec_lag import cli, unitary_orbit
 from isospec_lag.heisenberg import evolve_heisenberg_exact
+
+from conftest import hermitian_check_names
 
 LINE = re.compile(
     r"^(?P<name>\w+) max=(?P<max>[^ ]+) tol=(?P<tol>[^ ]+) (?P<status>PASS|FAIL)$"
@@ -431,22 +433,6 @@ def test_lvn_validates_the_density_once(tmp_path, monkeypatch):
     cfg = write_config(tmp_path / "cfg.json", "lvn", LVN_MATRICES, 0.1, 1e-2)
     assert run_cli(["lvn", "--config", cfg, "--out", tmp_path]) == 0
     assert len(calls) == 1
-
-
-def hermitian_check_names(monkeypatch):
-    """Names passed to require_hermitian from here on, in call order."""
-    names = []
-    check = operator_core.require_hermitian
-
-    def counting(m, *args, name="matrix", **kwargs):
-        names.append(name)
-        return check(m, *args, name=name, **kwargs)
-
-    for module in list(sys.modules.values()):
-        if (module.__name__.startswith("isospec_lag.")
-                and getattr(module, "require_hermitian", None) is check):
-            monkeypatch.setattr(module, "require_hermitian", counting)
-    return names
 
 
 def test_heisenberg_checks_the_hamiltonian_once(tmp_path, monkeypatch):

@@ -1,5 +1,7 @@
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from isospec_lag.trajectory import (
+    CSV_BLOCK_ROWS,
     GRID_SNAP,
     Trajectory,
     format_float,
@@ -64,6 +67,12 @@ def test_length_mismatch_rejected():
         Trajectory(np.array([0.0, 1.0]), np.zeros((3, 2, 2)))
 
 
+def test_column_names_must_be_strings():
+    # write_json writes each name as a JSON string key
+    with pytest.raises(TypeError):
+        Trajectory(np.array([0.0]), np.zeros((1, 2)), column_names=("y", 1))
+
+
 def test_final_state_and_counts():
     traj = matrix_traj()
     assert traj.n_samples == 3
@@ -113,6 +122,66 @@ def test_write_json_structure(tmp_path):
     assert payload["t"] == [0.0, 0.5]
     assert payload["columns"]["y"] == [1.0, 3.0]
     assert payload["columns"]["r"] == [2.0, 4.0]
+
+
+def reference_csv(traj, path):
+    """The per-value writer that write_csv must match byte for byte."""
+    lines = [",".join(["t"] + traj.headers())]
+    for t, row in zip(traj.times.tolist(), traj.table()):
+        lines.append(",".join(map(repr, [t] + row.tolist())))
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def reference_json(traj, path):
+    """The json.dump writer that write_json must match byte for byte."""
+    columns = dict(zip(traj.headers(), traj.table().T.tolist()))
+    doc = {"t": traj.times.tolist(), "columns": columns}
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+
+
+SPECIAL_FLOATS = (math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -2.5e-310,
+                  1e-300, 1e300, -1e300)
+SB2C_COLUMNS = ("y", "r", "x")
+BLOCH_COLUMNS = tuple(f"f{k}_x{i}" for k in (1, 2, 3) for i in (1, 2, 3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    layout=st.sampled_from([1, 2, 3, 4, SB2C_COLUMNS, BLOCH_COLUMNS, ("b", "a\u00e9\"", "b")]),
+    rows=st.sampled_from([0, 1, 2, 7, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS,
+                          CSV_BLOCK_ROWS + 1, 2 * CSV_BLOCK_ROWS + 1]),
+    seed=st.integers(0, 2**32 - 1),
+    specials=st.lists(st.sampled_from(SPECIAL_FLOATS), max_size=12),
+)
+@example(layout=2, rows=3, seed=0, specials=[math.nan, math.inf, -math.inf, -0.0, 5e-324])
+@example(layout=SB2C_COLUMNS, rows=0, seed=1, specials=[])
+@example(layout=BLOCH_COLUMNS, rows=CSV_BLOCK_ROWS + 1, seed=2, specials=[1e-300, 1e300])
+def test_writers_match_their_references_byte_for_byte(layout, rows, seed, specials):
+    # special values land at random cells of the states and the times
+    rng = np.random.default_rng(seed)
+    times = np.arange(rows) * 1e-3
+    if isinstance(layout, int):
+        shape = (rows, layout, layout)
+        states = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        traj = Trajectory(times, states)
+        values = states.view(float).reshape(-1)
+    else:
+        states = rng.standard_normal((rows, len(layout))) * 10.0 ** rng.integers(-20, 20)
+        traj = Trajectory(times, states, name="q", column_names=layout)
+        values = traj.states.reshape(-1)
+    if rows:
+        for x in specials:
+            target = values if rng.integers(4) else traj.times
+            target[rng.integers(len(target))] = x
+    with tempfile.TemporaryDirectory() as tmp:
+        new, ref = Path(tmp) / "new", Path(tmp) / "ref"
+        for write, reference in ((write_csv, reference_csv), (write_json, reference_json)):
+            write(traj, new)
+            reference(traj, ref)
+            assert new.read_bytes() == ref.read_bytes(), write.__name__
 
 
 @settings(max_examples=200, deadline=None)

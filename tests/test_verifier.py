@@ -30,7 +30,15 @@ from isospec_lag.verifier import (
     verify_trajectory,
 )
 
-from conftest import SX, SZ, rand_complex, rand_density, rand_hermitian, rand_unitary
+from conftest import (
+    SX,
+    SZ,
+    hermitian_check_names,
+    rand_complex,
+    rand_density,
+    rand_hermitian,
+    rand_unitary,
+)
 
 FREE = CoordinateLagrangian(dim=2, evaluate=lambda q, qdot: 0.5 * np.sum(qdot * qdot, axis=-1))
 HARMONIC = CoordinateLagrangian(
@@ -341,6 +349,20 @@ def test_unitary_chart_validates_its_inputs_at_construction(bad):
     args[bad] = np.array([[1.0, 1.0], [0.0, 1.0]])  # neither Hermitian nor unitary
     with pytest.raises(ValueError, match=bad):
         unitary_chart(args["u_center"], args["sigma"], args["hamiltonian"])
+
+
+def test_unitary_path_checks_sigma_and_hamiltonian_once(monkeypatch):
+    names = hermitian_check_names(monkeypatch)
+    rng = np.random.default_rng(15)
+    u0, h = rand_unitary(rng, 2), rand_hermitian(rng, 2)
+    sigma = np.diag([0.7, 0.3]).astype(complex)
+    times = np.arange(11) * 1e-3
+    us = [u0 @ scipy.linalg.expm(-1j * t * h) for t in times]
+    assert el_residual_unitary_path(times, us, sigma, h).shape == (7, 4)
+    assert names == ["sigma", "hamiltonian"]
+    us[5] = 1.1 * us[5]  # each chart centre is still checked unitary
+    with pytest.raises(ValueError, match="not unitary"):
+        el_residual_unitary_path(times, us, sigma, h)
 
 
 def test_unitary_chart_vanishes_on_orbit_solution():
