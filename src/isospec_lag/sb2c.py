@@ -248,53 +248,50 @@ def _require_reducible(p: SB2CParameters) -> None:
         raise ValueError("reduced dynamics requires d != 0")
 
 
-class _ReducedField:
-    """Phi, Phi' and the (ydot, rdot) field of the real symmetric case, with
-    Phi(r) = (n4 r^4 + n2 r^2 + n0) / (r (k2 r^2 - k0)); the coefficients are
-    computed once, from unchecked parameters, and no method calls numpy."""
+def _reduced_flow(p: SB2CParameters):
+    """Closures (terms, field, guard) over coefficients computed once from
+    unchecked parameters, none calling numpy.  terms(r) = (Phi, den, top, den1)
+    takes each power of r once: Phi = (n4 r^4 + n2 r^2 + n0) / den and
+    Phi' = top / den1**2, where den = r (k2 r^2 - k0) and den1 = k2 r^3 - k0 r,
+    and raises SingularityError where either rounds to 0.  The field is
+    ydot = (ga r + gd Phi + da / r) / d, rdot = -gd y / (a + d Phi')."""
+    a, d = p.a, p.d
+    n4 = p.a * (p.gamma * p.a - p.h1) - p.d * (p.gamma * p.c - p.h3)
+    n2, n0 = p.a * p.d * p.alpha, (p.delta * p.d - p.h4) * p.d
+    k2, k0 = p.h4 * p.a - p.d * p.h1, p.d**2 * p.alpha
+    ga, gd, da = p.gamma * p.a - p.h1, p.gamma * p.d - p.h4, p.d * p.alpha
 
-    def __init__(self, p: SB2CParameters):
-        self.a, self.d = p.a, p.d
-        self.n4 = p.a * (p.gamma * p.a - p.h1) - p.d * (p.gamma * p.c - p.h3)
-        self.n2, self.n0 = p.a * p.d * p.alpha, (p.delta * p.d - p.h4) * p.d
-        self.k2, self.k0 = p.h4 * p.a - p.d * p.h1, p.d**2 * p.alpha
-        # ydot = (ga r + gd Phi + da / r) / d and rdot = -gd y / (a + d Phi')
-        self.ga, self.gd, self.da = p.gamma * p.a - p.h1, p.gamma * p.d - p.h4, p.d * p.alpha
-
-    def denominator(self, r: float) -> float:
-        return r * (self.k2 * r**2 - self.k0)
-
-    def phi(self, r: float) -> float:
-        den = self.denominator(r)
+    def terms(r):
+        r2 = r**2
+        den = r * (k2 * r2 - k0)
         if den == 0.0:
             raise SingularityError(f"constraint denominator vanishes at r={r}")
-        return (self.n4 * r**4 + self.n2 * r**2 + self.n0) / den
-
-    def phi_prime(self, r: float) -> float:
-        num = self.n4 * r**4 + self.n2 * r**2 + self.n0
-        den = self.k2 * r**3 - self.k0 * r
-        if den == 0.0:
+        num = n4 * r**4 + n2 * r2 + n0
+        r3 = r**3
+        den1 = k2 * r3 - k0 * r
+        if den1 == 0.0:
             raise SingularityError(f"constraint denominator vanishes at r={r}")
-        dnum = 4 * self.n4 * r**3 + 2 * self.n2 * r
-        dden = 3 * self.k2 * r**2 - self.k0
-        return (dnum * den - num * dden) / den**2
+        top = (4 * n4 * r3 + 2 * n2 * r) * den1 - num * (3 * k2 * r2 - k0)
+        return num / den, den, top, den1
 
-    def signs(self, r: float) -> tuple[float, float]:
-        """Signs of the two denominators whose zeros stop the flow."""
-        return (math.copysign(1.0, self.a + self.d * self.phi_prime(r)),
-                math.copysign(1.0, self.denominator(r)))
-
-    def field(self, z: complex) -> complex:
+    def field(z):
         """ydot + i rdot at z = y + i r (d != 0).  RK4's sums and real scalings
         of z act on each part as on a float pair, up to the sign of a zero."""
         r = z.imag
         if not 0 < r < math.inf:
             raise SingularityError(f"an RK4 stage left r > 0: r={r}")
-        ydot = (self.ga * r + self.gd * self.phi(r) + self.da / r) / self.d
-        denom = self.a + self.d * self.phi_prime(r)
+        phi, _, top, den1 = terms(r)
+        denom = a + d * (top / den1**2)
         if denom == 0.0:
             raise SingularityError(f"dynamical denominator a + d Phi'(r) vanishes at r={r}")
-        return complex(ydot, -self.gd * z.real / denom)
+        return complex((ga * r + gd * phi + da / r) / d, -gd * z.real / denom)
+
+    def guard(r):
+        """Phi(r) and the signs of the two denominators whose zeros stop the flow."""
+        phi, den, top, den1 = terms(r)
+        return phi, (math.copysign(1.0, a + d * (top / den1**2)), math.copysign(1.0, den))
+
+    return terms, field, guard
 
 
 def phi_of_r(r: float, params: SB2CParameters) -> float:
@@ -302,13 +299,16 @@ def phi_of_r(r: float, params: SB2CParameters) -> float:
     _require_simplified(params)
     if r <= 0:
         raise ValueError(f"r must be positive, got {r}")
-    return _ReducedField(params).phi(r)
+    return _reduced_flow(params)[0](r)[0]
 
 
 def phi_prime(r: float, params: SB2CParameters) -> float:
     """Analytic derivative of the rational function Phi."""
     _require_simplified(params)
-    return _ReducedField(params).phi_prime(r)
+    if r <= 0:
+        raise ValueError(f"r must be positive, got {r}")
+    _, _, top, den1 = _reduced_flow(params)[0](r)
+    return top / den1**2
 
 
 def reduced_rhs(state: ReducedState, params: SB2CParameters):
@@ -323,7 +323,7 @@ def reduced_rhs(state: ReducedState, params: SB2CParameters):
         If d = 0 or the parameters are not in the real symmetric case.
     """
     _require_reducible(params)
-    z = _ReducedField(params).field(complex(state.y, state.r))
+    z = _reduced_flow(params)[1](complex(state.y, state.r))
     return z.real, z.imag
 
 
@@ -343,35 +343,38 @@ def integrate_reduced(initial: ReducedState, params: SB2CParameters,
     """
     grid = time_grid(t_final, step).tolist()
     _require_reducible(params)
-    flow = _ReducedField(params)
-    states = [complex(initial.y, initial.r)]
+    _, field, guard = _reduced_flow(params)
+    z = complex(initial.y, initial.r)
     meta: dict = {}
     try:
-        signs0 = flow.signs(initial.r)
+        x0, signs0 = guard(initial.r)
+        rows = [(z.real, z.imag, x0)]
     except (SingularityError, ArithmeticError) as exc:
-        states, grid = [], grid[:1]
+        rows, grid = [], grid[:1]
         reason = f"singular or overflowing field at r={initial.r}: {exc}"
         meta["singularity"] = {"time": initial.time, "bracket": None, "reason": reason}
 
     def advance(z, dt):
-        """One step of size dt; None if it leaves the regular region."""
+        """One step of size dt and Phi there; None if it leaves the regular region."""
         try:
-            nxt = rk4_step(flow.field, z, dt)
+            nxt = rk4_step(field, z, dt)
             r = nxt.imag
-            if math.isfinite(nxt.real) and 0 < r < math.inf and flow.signs(r) == signs0:
-                return nxt
+            if math.isfinite(nxt.real) and 0 < r < math.inf:
+                x, signs = guard(r)
+                if signs == signs0:
+                    return nxt, x
         except (SingularityError, ArithmeticError):
             pass
         return None
 
     for k, t in enumerate(grid[:-1]):
         dt = step if k < len(grid) - 2 else grid[-1] - t
-        nxt = advance(states[-1], dt)
+        nxt = advance(z, dt)
         if nxt is None:
             lo, hi = 0.0, dt  # bisect the crossing within this step
             while hi - lo > SINGULARITY_TIME_TOL:
                 mid = (lo + hi) / 2
-                if advance(states[-1], mid) is None:
+                if advance(z, mid) is None:
                     hi = mid
                 else:
                     lo = mid
@@ -382,11 +385,11 @@ def integrate_reduced(initial: ReducedState, params: SB2CParameters,
                 "reason": "denominator sign change or blow-up",
             }
             break
-        states.append(nxt)
+        z, x = nxt
+        rows.append((z.real, z.imag, x))
 
-    rows = [(z.real, z.imag, flow.phi(z.imag)) for z in states]
     return Trajectory(
-        times=initial.time + np.array(grid[:len(states)]),
+        times=initial.time + np.array(grid[:len(rows)]),
         states=np.array(rows, dtype=float).reshape(len(rows), 3),
         name="q", column_names=("y", "r", "x"), meta=meta,
     )

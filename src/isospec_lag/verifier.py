@@ -269,18 +269,18 @@ def unitary_chart(u_center, sigma, hamiltonian) -> CoordinateLagrangian:
     unchecked to lagrangian_unitary_values, the kernel of
     lagrangian_unitary.
     """
-    return _unitary_chart(as_complex_matrix(u_center, name="u_center"),
-                          require_hermitian(sigma, name="sigma"),
-                          require_hermitian(hamiltonian, name="hamiltonian"))
+    u_center = as_complex_matrix(u_center, name="u_center")
+    return _unitary_chart(u_center, require_hermitian(sigma, name="sigma"),
+                          require_hermitian(hamiltonian, name="hamiltonian"),
+                          np.array(unitary_algebra_basis(len(u_center))))
 
 
-def _unitary_chart(u_center, sigma, hamiltonian) -> CoordinateLagrangian:
-    """unitary_chart of complex matrices, sigma and hamiltonian already
-    checked Hermitian; u_center is still checked unitary."""
+def _unitary_chart(u_center, sigma, hamiltonian, basis) -> CoordinateLagrangian:
+    """unitary_chart over the stacked basis, of complex matrices with sigma and
+    hamiltonian already checked Hermitian; u_center is still checked unitary."""
     n = u_center.shape[0]
     if np.linalg.norm(dagger(u_center) @ u_center - np.eye(n)) > TANGENT_TOL:
         raise ValueError("u_center is not unitary")
-    basis = np.array(unitary_algebra_basis(n))
 
     def evaluate(q, qdot):
         expx, frechet = _exp_frechet(np.tensordot(q, basis, 1), np.tensordot(qdot, basis, 1))
@@ -317,11 +317,10 @@ def el_residual_unitary_path(
         raise ValueError("need at least 5 matched samples")
     sigma = require_hermitian(sigma, name="sigma")
     hamiltonian = require_hermitian(hamiltonian, name="hamiltonian")
-    n = unitaries[0].shape[0]
-    basis = unitary_algebra_basis(n)
+    basis = np.array(unitary_algebra_basis(len(unitaries[0])))
     rows = []
     for m in range(2, len(unitaries) - 2):
-        lag = _unitary_chart(unitaries[m], sigma, hamiltonian)
+        lag = _unitary_chart(unitaries[m], sigma, hamiltonian, basis)
         window = np.array([
             chart_coordinates(unitaries[m], unitaries[i], basis)
             for i in range(m - 2, m + 3)

@@ -314,6 +314,10 @@ def test_phi_domain_errors():
         phi_of_r(-1.0, p)
     with pytest.raises(ValueError):
         phi_of_r(0.0, p)
+    with pytest.raises(ValueError, match="r must be positive"):
+        phi_prime(-1.0, p)
+    with pytest.raises(ValueError, match="r must be positive"):
+        phi_prime(0.0, p)
     rng = np.random.default_rng(10)
     complex_setup = SB2CSetup(rand_complex(rng, 2), rand_hermitian(rng, 2))
     with pytest.raises(ValueError):
@@ -460,8 +464,8 @@ def test_integrate_reduced_stage_through_zero_radius_is_singular():
 
 
 def pair_oracle(p):
-    """(Phi, field) of the reduced dynamics on a float64 (y, r) pair, written
-    out from the parameters term for term and without sb2c._ReducedField,
+    """(Phi, Phi', field) of the reduced dynamics on a float64 (y, r) pair, written
+    out from the parameters term for term and without sb2c._reduced_flow,
     so a fault in one of its coefficients shows in the last bit:
     Phi(r) = (n4 r^4 + n2 r^2 + n0) / (r (k2 r^2 - k0)),
     ydot = ((gamma a - h1) r + (gamma d - h4) Phi + d alpha / r) / d and
@@ -484,15 +488,16 @@ def pair_oracle(p):
                 + p.d * p.alpha / r) / p.d
         return np.array([ydot, -(p.gamma * p.d - p.h4) * y / (p.a + p.d * phi_prime(r))])
 
-    return phi, field
+    return phi, phi_prime, field
 
 
 def assert_pair_oracle_rows(traj, initial, p, t_final, step):
     """Check the rows of traj bit for bit, signs of zeros included, against
     rk4_step over a numpy (y, r) pair through pair_oracle's field, with x
-    from its Phi; the public reduced_rhs and phi_of_r agree with both."""
+    from its Phi; the public reduced_rhs, phi_of_r and phi_prime agree with
+    both."""
     times = time_grid(t_final, step)
-    phi, field = pair_oracle(p)
+    phi, oracle_phi_prime, field = pair_oracle(p)
     states = [np.array([initial.y, initial.r])]
     for k in range(traj.n_samples - 1):
         dt = step if k < len(times) - 2 else times[-1] - times[k]
@@ -503,6 +508,7 @@ def assert_pair_oracle_rows(traj, initial, p, t_final, step):
     y, r, x = want[-1].tolist()
     assert reduced_rhs(ReducedState(y=y, r=r), p) == tuple(field(want[-1, :2]).tolist())
     assert phi_of_r(r, p) == x
+    assert phi_prime(r, p) == oracle_phi_prime(r)
 
 
 def tilted_setup():
@@ -557,12 +563,42 @@ def test_integrate_reduced_field_overflow_at_start_is_singular():
     # Phi'(r) at r = 1e80, and Phi' divides by a den^2 that underflows to 0
     # at r = 1e-55
     p = derive_parameters(worked_setup())
-    for r in (1e80, 1e-55):
+    reasons = {
+        1e80: "singular or overflowing field at r=1e+80: (34, 'Numerical result out of range')",
+        1e-55: "singular or overflowing field at r=1e-55: float division by zero",
+    }
+    for r, reason in reasons.items():
         traj = integrate_reduced(ReducedState(y=-1.0, r=r, time=0.5), p, t_final=1.0, step=1e-2)
         assert traj.states.shape == (0, 3) and traj.times.shape == (0,)
         record = traj.meta["singularity"]
-        assert record["time"] == 0.5 and record["bracket"] is None
-        assert "overflowing field" in record["reason"]
+        assert record == {"time": 0.5, "bracket": None, "reason": reason}
+
+
+@pytest.mark.parametrize("form", ["factored", "expanded"])
+def test_denominator_rounding_to_zero_in_either_form_is_singular(form):
+    # Phi's denominator is r (k2 r^2 - k0) and, in Phi', k2 r^3 - k0 r.  With
+    # k2 = 1, k0 is chosen so that one form rounds to exactly 0 at r and the
+    # other does not; phi_of_r, phi_prime and the flow all treat r as singular
+    rs = np.linspace(0.5, 5.0, 1001).tolist()
+    if form == "factored":
+        r = next(r for r in rs if r**3 != r**2 * r)
+        k0 = r**2
+    else:
+        r = next(r for r in rs if r**3 / r != r**2 and r**3 - r**3 / r * r == 0)
+        k0 = r**3 / r
+    p = SB2CParameters(
+        a=1.0, b=0.0, c=1.0, d=1.0,
+        alpha=k0, beta=0.0, gamma=1.0, delta=0.5,
+        h1=0.0, h2=0.0, h3=0.2, h4=1.0,
+    )
+    message = f"constraint denominator vanishes at r={r}"
+    for f in (phi_of_r, phi_prime):
+        with pytest.raises(SingularityError, match=message):
+            f(r, p)
+    traj = integrate_reduced(ReducedState(y=-1.0, r=r), p, t_final=1.0, step=0.1)
+    assert traj.states.shape == (0, 3)
+    assert traj.meta["singularity"]["reason"] == (
+        f"singular or overflowing field at r={r}: {message}")
 
 
 def test_flow_map_is_nonlinear():

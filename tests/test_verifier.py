@@ -4,6 +4,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from isospec_lag import verifier
 from isospec_lag.heisenberg import (
     OperatorTangent,
     el_residual_heisenberg,
@@ -363,6 +364,22 @@ def test_unitary_path_checks_sigma_and_hamiltonian_once(monkeypatch):
     us[5] = 1.1 * us[5]  # each chart centre is still checked unitary
     with pytest.raises(ValueError, match="not unitary"):
         el_residual_unitary_path(times, us, sigma, h)
+
+
+def test_unitary_path_builds_the_basis_once(monkeypatch):
+    calls = []
+
+    def counting(n):
+        calls.append(n)
+        return unitary_algebra_basis(n)
+
+    monkeypatch.setattr(verifier, "unitary_algebra_basis", counting)
+    rng = np.random.default_rng(16)
+    u0, h = rand_unitary(rng, 2), rand_hermitian(rng, 2)
+    times = np.arange(11) * 1e-3
+    us = [u0 @ scipy.linalg.expm(-1j * t * h) for t in times]
+    assert el_residual_unitary_path(times, us, np.diag([0.7, 0.3]), h).shape == (7, 4)
+    assert calls == [2]
 
 
 def test_unitary_chart_vanishes_on_orbit_solution():
