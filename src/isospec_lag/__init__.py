@@ -27,7 +27,6 @@ from .bloch import (
     y_field,
 )
 from .heisenberg import (
-    HeisenbergScenario,
     KetTangent,
     OperatorTangent,
     cartan_one_form_heisenberg,

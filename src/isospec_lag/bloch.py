@@ -18,7 +18,7 @@ from enum import Enum
 
 import numpy as np
 
-from .operator_core import require_hermitian
+from .operator_core import dagger, require_hermitian
 
 BALL_TOL = 1e-10
 CLASSIFY_TOL = 1e-9
@@ -35,6 +35,8 @@ TAU_3 = np.array([[1, 0], [0, -1]], dtype=complex)
 #: Largest |t| at which the flows stay in float range: the diagonal flow
 #: scales an entry of g sigma g^dag by e^|t|.
 FLOW_T_MAX = math.log(np.finfo(float).max)
+#: Step of the centered differences in t that check the flows' rates.
+FD_STEP = 1e-5
 
 
 def sb2c_generator(index: int) -> np.ndarray:
@@ -186,7 +188,7 @@ def conjugate_flow(k: int, t, points) -> tuple[np.ndarray, np.ndarray]:
     at the south pole under the diagonal flow.
     """
     g = flow_exponential(k, t)
-    m = g @ _densities(points) @ g.conj().swapaxes(-1, -2)
+    m = g @ _densities(points) @ dagger(g)
     tr = np.trace(m, axis1=-2, axis2=-1).real
     if not np.all((tr > 0) & np.isfinite(tr)):
         raise ValueError("conjugated state has no positive finite trace")
@@ -226,7 +228,7 @@ class TangencyReport:
     det_rates: tuple
 
 
-def tangency_to_unitary_orbit(x: BlochVector, fd_step: float = 1e-5) -> TangencyReport:
+def tangency_to_unitary_orbit(x: BlochVector) -> TangencyReport:
     """Rates of spectrum change and determinant change along the flows.
 
     Raises
@@ -239,6 +241,6 @@ def tangency_to_unitary_orbit(x: BlochVector, fd_step: float = 1e-5) -> Tangency
         raise ValueError(f"tangency report needs a bulk point, got {cls.tag.value}")
     arr = x.as_array()
     radial = (2 * generator_frame(arr) @ arr).tolist()
-    dets = np.linalg.det([conjugate_flow(k, [fd_step, -fd_step], arr)[0] for k in (1, 2, 3)])
-    rates = (dets[:, 0].real - dets[:, 1].real) / (2 * fd_step)
+    dets = np.linalg.det([conjugate_flow(k, [FD_STEP, -FD_STEP], arr)[0] for k in (1, 2, 3)])
+    rates = (dets[:, 0].real - dets[:, 1].real) / (2 * FD_STEP)
     return TangencyReport(point=x, radial_rates=tuple(radial), det_rates=tuple(rates.tolist()))

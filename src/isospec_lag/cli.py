@@ -37,6 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from .bloch import (
+    FD_STEP,
     BlochVector,
     OrbitTag,
     classify_orbit,
@@ -46,11 +47,7 @@ from .bloch import (
     uniform_ball_sample,
     wedge_closed_form_values,
 )
-from .heisenberg import (
-    HeisenbergScenario,
-    evolve_heisenberg_rk4,
-    lagrangian_heisenberg_values,
-)
+from .heisenberg import evolve_heisenberg_rk4, lagrangian_heisenberg_values
 from .operator_core import (
     dagger,
     frobenius_norm,
@@ -280,13 +277,11 @@ def _trace(states) -> np.ndarray:
 
 def _run_heisenberg(config: ScenarioConfig):
     initial = require_hermitian(config.matrices["initial"], name="initial")
-    scenario = HeisenbergScenario(
-        hamiltonian=config.matrices["hamiltonian"], initial=initial,
-        t_final=config.t_final, step=config.step,
-    )
-    traj = evolve_heisenberg_rk4(scenario)
-    u = hermitian_propagator(scenario.hamiltonian, config.t_final)
-    exact_end = dagger(u) @ scenario.initial @ u
+    h = config.matrices["hamiltonian"]
+    traj = evolve_heisenberg_rk4(initial, h, config.t_final, config.step)
+    # evolve_heisenberg_rk4 has validated h
+    u = hermitian_propagator(h, config.t_final)
+    exact_end = dagger(u) @ initial @ u
     # the first row is the initial state, the reference of every drift
     states = traj.states
     spectra = np.linalg.eigvalsh(states)
@@ -332,7 +327,7 @@ def _run_sb2c(config: ScenarioConfig):
     rho0 = setup.a0 @ dagger(setup.a0)
     ys, rs, xs = traj.states.T
     gm = sb2c_matrices(rs, xs, ys)
-    det_drifts = np.abs(np.linalg.det(gm @ rho0 @ gm.conj().swapaxes(-1, -2))
+    det_drifts = np.abs(np.linalg.det(gm @ rho0 @ dagger(gm))
                         - np.linalg.det(rho0))
     return traj, {
         "constraint_residual": np.abs(constraint_residual_values(rs, xs, ys, params)),
@@ -364,11 +359,10 @@ def _run_bloch(config: ScenarioConfig):
     wedge_err = np.max(np.abs(np.linalg.det(generator_frame(checked))
                               - wedge_closed_form_values(checked)))
 
-    fd = 1e-5
     bulk = np.array([p.as_array() for p in samples
                      if classify_orbit(p).tag is OrbitTag.BULK][:64]).reshape(-1, 3)
-    nearby = _three_flows([[fd], [-fd]], bulk)[1]
-    rates = (nearby[:, 0] - nearby[:, 1]) / (2 * fd)
+    nearby = _three_flows([[FD_STEP], [-FD_STEP]], bulk)[1]
+    rates = (nearby[:, 0] - nearby[:, 1]) / (2 * FD_STEP)
     flow_err = np.max(np.abs(rates - generator_frame(bulk).swapaxes(0, 1)), initial=0.0)
 
     pole = np.array([0.0, 0.0, 1.0])
@@ -396,7 +390,7 @@ def _run_verify(config: ScenarioConfig):
         raise ConfigError("verify needs step to divide t_final exactly")
     # the exact flow and the chart of heisenberg_chart, on the matrices checked above
     u = hermitian_propagator(h, times)
-    states = u.conj().swapaxes(-1, -2) @ initial @ u
+    states = dagger(u) @ initial @ u
     traj = Trajectory(times=times, states=states, name="A")
 
     lag = operator_chart(len(h), lambda a, v: lagrangian_heisenberg_values(a, v, h))

@@ -16,7 +16,7 @@ Units take hbar = 1 throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,24 +47,6 @@ class OperatorTangent:
         self.velocity = as_complex_matrix(self.velocity, "velocity")
         if self.point.shape != self.velocity.shape:
             raise ValueError("point and velocity dimensions differ")
-
-
-@dataclass(eq=False)
-class HeisenbergScenario:
-    """Inputs of one Heisenberg integration run; ``times`` is their time grid."""
-
-    hamiltonian: np.ndarray
-    initial: np.ndarray
-    t_final: float
-    step: float
-    times: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self.hamiltonian = require_hermitian(self.hamiltonian, name="hamiltonian")
-        self.initial = as_complex_matrix(self.initial, "initial")
-        if self.initial.shape != self.hamiltonian.shape:
-            raise ValueError("initial and hamiltonian dimensions differ")
-        self.times = time_grid(self.t_final, self.step)
 
 
 @dataclass(eq=False)
@@ -121,14 +103,25 @@ def evolve_heisenberg_exact(a0, h, t) -> np.ndarray:
     a0 = as_complex_matrix(a0, "initial")
     h = require_hermitian(h, name="hamiltonian")
     u = hermitian_propagator(h, t)
-    return u.conj().swapaxes(-1, -2) @ a0 @ u
+    return dagger(u) @ a0 @ u
 
 
-def evolve_heisenberg_rk4(scenario: HeisenbergScenario) -> Trajectory:
-    """Classic fourth-order Runge-Kutta integration of ``Adot = -i[A, H]``,
-    evaluated in closed form in H's eigenbasis (``rk4_commutator_trajectory``)."""
-    return rk4_commutator_trajectory(scenario.initial, scenario.hamiltonian, -1,
-                                     scenario.times, scenario.step, "A")
+def evolve_heisenberg_rk4(a0, h, t_final: float, step: float) -> Trajectory:
+    """Classic fourth-order Runge-Kutta integration of ``Adot = -i[A, H]``
+    on ``time_grid(t_final, step)``, evaluated in closed form in H's
+    eigenbasis (``rk4_commutator_trajectory``).
+
+    Raises
+    ------
+    ValueError
+        If ``h`` is not Hermitian, the dimensions differ, or the grid
+        inputs are invalid.
+    """
+    h = require_hermitian(h, name="hamiltonian")
+    a0 = as_complex_matrix(a0, "initial")
+    if a0.shape != h.shape:
+        raise ValueError("initial and hamiltonian dimensions differ")
+    return rk4_commutator_trajectory(a0, h, -1, time_grid(t_final, step), step, "A")
 
 
 def lagrangian_heisenberg(tangent: OperatorTangent, h) -> float:
@@ -154,8 +147,8 @@ def lagrangian_heisenberg_values(a: np.ndarray, ad: np.ndarray, h: np.ndarray) -
     here.  The expression is the one of ``lagrangian_heisenberg`` term for
     term, so a stacked evaluation rounds exactly like the per-point one.
     """
-    a_dag = a.conj().swapaxes(-1, -2)
-    ad_dag = ad.conj().swapaxes(-1, -2)
+    a_dag = dagger(a)
+    ad_dag = dagger(ad)
     kinetic = 0.5j * np.trace(a_dag @ ad - ad_dag @ a, axis1=-2, axis2=-1)
     potential = np.trace(a @ h @ a_dag - a_dag @ h @ a, axis1=-2, axis2=-1)
 
@@ -208,13 +201,11 @@ def el_residual_heisenberg(tangent: OperatorTangent, h) -> float:
     return frobenius_norm(commutator(a, h) - 1j * ad)
 
 
-def lagrangian_schrodinger(kt: KetTangent, h, potential_prefactor: float = 1.0) -> float:
-    """State-vector Lagrangian
-    ``(i/2)(<psi|psidot> - <psidot|psi>) - prefactor * <psi|H|psi>``.
+def lagrangian_schrodinger(kt: KetTangent, h) -> float:
+    """State-vector Lagrangian ``(i/2)(<psi|psidot> - <psidot|psi>) - <psi|H|psi>``.
 
-    With ``potential_prefactor = 1`` the stationarity condition is the
-    standard state-vector evolution ``i psidot = H psi``; the prefactor
-    is exposed because conventions with 1/2 are also in circulation.
+    Its stationarity condition is the state-vector evolution
+    ``i psidot = H psi``.
     """
     h = require_hermitian(h, name="hamiltonian")
     psi, psid = kt.ket, kt.ket_velocity
@@ -222,7 +213,7 @@ def lagrangian_schrodinger(kt: KetTangent, h, potential_prefactor: float = 1.0) 
         raise ValueError("hamiltonian dimension differs from ket")
     z = np.vdot(psi, psid)  # <psi|psidot>
     kinetic = 0.5j * (z - np.conj(z))
-    potential = potential_prefactor * np.vdot(psi, h @ psi)
+    potential = np.vdot(psi, h @ psi)
     return _real_part(kinetic - potential, "Lagrangian")
 
 

@@ -4,15 +4,15 @@ Everything in this module is a pure function over small dense numpy
 arrays.  Matrices are plain ``numpy.ndarray`` objects of complex dtype;
 validation helpers raise ``ValueError`` on malformed input instead of
 silently coercing.  Hermiticity and positivity are always judged in the
-Frobenius norm against an explicit tolerance so that long integrations
-with floating-point drift remain checkable.
+Frobenius norm against the one tolerance ``HERMITIAN_TOL``, so that long
+integrations with floating-point drift remain checkable.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-#: Default Frobenius-norm tolerance for hermiticity / positivity checks.
+#: Frobenius-norm tolerance of every hermiticity / positivity check.
 HERMITIAN_TOL = 1e-10
 
 
@@ -50,8 +50,9 @@ def _check_same_dim(a: np.ndarray, b: np.ndarray) -> None:
 
 
 def dagger(m) -> np.ndarray:
-    """Conjugate transpose."""
-    return np.asarray(m, dtype=complex).conj().T
+    """Conjugate transpose of a matrix, or of each matrix of a stack of
+    shape (..., n, n): only the last two axes are swapped."""
+    return np.asarray(m, dtype=complex).conj().swapaxes(-1, -2)
 
 
 def commutator(a, b) -> np.ndarray:
@@ -81,24 +82,24 @@ def hermitian_defect(m) -> float:
     return frobenius_norm(m - dagger(m))
 
 
-def is_hermitian(m, tolerance: float = HERMITIAN_TOL) -> bool:
-    """Whether ``||M - M^dag||_F <= tolerance``."""
-    return hermitian_defect(m) <= tolerance
+def is_hermitian(m) -> bool:
+    """Whether ``||M - M^dag||_F <= HERMITIAN_TOL``."""
+    return hermitian_defect(m) <= HERMITIAN_TOL
 
 
-def require_hermitian(m, tolerance: float = HERMITIAN_TOL, name: str = "matrix") -> np.ndarray:
+def require_hermitian(m, name: str = "matrix") -> np.ndarray:
     """Return ``m`` as a complex matrix, raising if it is not Hermitian.
 
     Raises
     ------
     ValueError
-        If the Hermitian defect exceeds ``tolerance``.
+        If the Hermitian defect exceeds ``HERMITIAN_TOL``.
     """
     arr = as_complex_matrix(m, name)
     defect = hermitian_defect(arr)
-    if defect > tolerance:
+    if defect > HERMITIAN_TOL:
         raise ValueError(
-            f"{name} is not Hermitian: defect {defect:.3e} > tolerance {tolerance:.3e}"
+            f"{name} is not Hermitian: defect {defect:.3e} > tolerance {HERMITIAN_TOL:.3e}"
         )
     return arr
 
@@ -113,18 +114,16 @@ def hermitian_propagator(h: np.ndarray, t) -> np.ndarray:
     """
     w, v = np.linalg.eigh(h)
     phases = np.exp(-1j * np.multiply.outer(t, w))
-    return (v * phases[..., np.newaxis, :]) @ v.conj().T
+    return (v * phases[..., np.newaxis, :]) @ dagger(v)
 
 
-def hermitian_eigendecomposition(m, tolerance: float = HERMITIAN_TOL):
+def hermitian_eigendecomposition(m):
     """Eigendecomposition of a Hermitian matrix.
 
     Parameters
     ----------
     m : array_like
-        Hermitian matrix.
-    tolerance : float
-        Hermiticity tolerance in Frobenius norm.
+        Hermitian matrix, within ``HERMITIAN_TOL`` in Frobenius norm.
 
     Returns
     -------
@@ -137,25 +136,25 @@ def hermitian_eigendecomposition(m, tolerance: float = HERMITIAN_TOL):
     ValueError
         If ``m`` fails the Hermiticity check.
     """
-    arr = require_hermitian(m, tolerance)
+    arr = require_hermitian(m)
     w, v = np.linalg.eigh(arr)
     return w, v
 
 
-def hermitian_sqrt(m, tolerance: float = HERMITIAN_TOL) -> np.ndarray:
+def hermitian_sqrt(m) -> np.ndarray:
     """Hermitian PSD square root ``S`` with ``S @ S = m``.
 
-    Eigenvalues in ``[-tolerance, 0)`` are clipped to zero; anything
+    Eigenvalues in ``[-HERMITIAN_TOL, 0)`` are clipped to zero; anything
     more negative raises.
 
     Raises
     ------
     ValueError
         If ``m`` is not Hermitian or has an eigenvalue below
-        ``-tolerance``.
+        ``-HERMITIAN_TOL``.
     """
-    w, v = hermitian_eigendecomposition(m, tolerance)
-    if np.min(w) < -tolerance:
+    w, v = hermitian_eigendecomposition(m)
+    if np.min(w) < -HERMITIAN_TOL:
         raise ValueError(
             f"matrix is not positive semidefinite: min eigenvalue {np.min(w):.3e}"
         )

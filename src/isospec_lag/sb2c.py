@@ -98,11 +98,11 @@ class SB2CParameters:
 
 @dataclass(frozen=True)
 class ReducedState:
-    """State (y, r) of the reduced dynamics on the constraint surface."""
+    """State (y, r) of the reduced dynamics on the constraint surface;
+    integrate_reduced starts from one at t = 0."""
 
     y: float
     r: float
-    time: float = 0.0
 
     def __post_init__(self):
         if not (self.r > 0 and math.isfinite(self.r)):
@@ -215,17 +215,14 @@ def build_matrix_system(g: SB2CElement, setup: SB2CSetup):
     return amat, _y_vector(g.r, g.x, g.y, p)
 
 
-def constraint_residual(g: SB2CElement, setup: SB2CSetup,
-                        params: SB2CParameters | None = None) -> float:
+def constraint_residual(g: SB2CElement, setup: SB2CSetup) -> float:
     """Velocity-free configuration constraint ``d Y1 - a Y2 - b Y3``.
 
     (d, -a, -b) spans the left kernel of the system matrix, so this
     combination of the equations of motion carries no velocities; it
-    vanishes exactly on the admissible configuration surface.  Pass
-    ``params = derive_parameters(setup)`` to skip deriving them again.
+    vanishes exactly on the admissible configuration surface.
     """
-    p = derive_parameters(setup) if params is None else params
-    return float(constraint_residual_values(g.r, g.x, g.y, p))
+    return float(constraint_residual_values(g.r, g.x, g.y, derive_parameters(setup)))
 
 
 def constraint_residual_values(r, x, y, params: SB2CParameters) -> np.ndarray:
@@ -234,8 +231,8 @@ def constraint_residual_values(r, x, y, params: SB2CParameters) -> np.ndarray:
     return params.d * yv[0] - params.a * yv[1] - params.b * yv[2]
 
 
-def _require_simplified(p: SB2CParameters, tol: float = HERMITIAN_TOL) -> None:
-    if abs(p.b) > tol or abs(p.h2) > tol or abs(p.beta) > tol:
+def _require_simplified(p: SB2CParameters) -> None:
+    if abs(p.b) > HERMITIAN_TOL or abs(p.h2) > HERMITIAN_TOL or abs(p.beta) > HERMITIAN_TOL:
         raise ValueError(
             "reduction requires the real symmetric case (b = h2 = beta = 0); "
             f"got b={p.b:.3e}, h2={p.h2:.3e}, beta={p.beta:.3e}"
@@ -352,7 +349,7 @@ def integrate_reduced(initial: ReducedState, params: SB2CParameters,
     except (SingularityError, ArithmeticError) as exc:
         rows, grid = [], grid[:1]
         reason = f"singular or overflowing field at r={initial.r}: {exc}"
-        meta["singularity"] = {"time": initial.time, "bracket": None, "reason": reason}
+        meta["singularity"] = {"time": 0.0, "bracket": None, "reason": reason}
 
     def advance(z, dt):
         """One step of size dt and Phi there; None if it leaves the regular region."""
@@ -378,10 +375,9 @@ def integrate_reduced(initial: ReducedState, params: SB2CParameters,
                     hi = mid
                 else:
                     lo = mid
-            t0 = initial.time + t
             meta["singularity"] = {
-                "time": t0 + (lo + hi) / 2,
-                "bracket": [t0 + lo, t0 + hi],
+                "time": t + (lo + hi) / 2,
+                "bracket": [t + lo, t + hi],
                 "reason": "denominator sign change or blow-up",
             }
             break
@@ -389,7 +385,7 @@ def integrate_reduced(initial: ReducedState, params: SB2CParameters,
         rows.append((z.real, z.imag, x))
 
     return Trajectory(
-        times=initial.time + np.array(grid[:len(rows)]),
+        times=np.array(grid[:len(rows)]),
         states=np.array(rows, dtype=float).reshape(len(rows), 3),
         name="q", column_names=("y", "r", "x"), meta=meta,
     )

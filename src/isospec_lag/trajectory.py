@@ -31,6 +31,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .operator_core import dagger
+
 
 #: A remainder below this fraction of a step snaps onto the last grid point.
 GRID_SNAP = 1e-9
@@ -154,7 +156,7 @@ def rk4_commutator_trajectory(y0: np.ndarray, h: np.ndarray, sign: int,
     ``y0`` itself.
     """
     w, v = np.linalg.eigh(h)
-    v_dag = v.conj().T
+    v_dag = dagger(v)
     y0_eig = v_dag @ y0 @ v
     # an entry that is exactly zero stays zero, as in the step loop, even
     # where a step beyond RK4's stability bound overflows the running product

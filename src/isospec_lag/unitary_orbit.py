@@ -45,18 +45,19 @@ TANGENT_TOL = 1e-10
 ORBIT_SPECTRUM_TOL = 1e-8
 
 
-def validate_density(rho, tolerance: float = TANGENT_TOL) -> np.ndarray:
-    """Check Hermiticity, unit trace and positivity of a density matrix.
+def validate_density(rho) -> np.ndarray:
+    """Check Hermiticity, unit trace and positivity of a density matrix,
+    each within ``HERMITIAN_TOL``.
 
-    Eigenvalues in ``[-tolerance, 0)`` are clipped to zero (the result
+    Eigenvalues in ``[-HERMITIAN_TOL, 0)`` are clipped to zero (the result
     is renormalized and a warning is logged); worse violations raise.
     """
-    rho = require_hermitian(rho, tolerance, name="density matrix")
+    rho = require_hermitian(rho, name="density matrix")
     tr = float(np.trace(rho).real)
-    if abs(tr - 1.0) > tolerance:
+    if abs(tr - 1.0) > HERMITIAN_TOL:
         raise ValueError(f"density matrix trace {tr} is not 1")
     w = np.linalg.eigvalsh(rho)
-    if w[0] < -tolerance:
+    if w[0] < -HERMITIAN_TOL:
         raise ValueError(f"density matrix has eigenvalue {w[0]:.3e} < 0")
     if w[0] < 0:
         logger.warning(
@@ -137,7 +138,7 @@ def lagrangian_unitary_values(u, ud, sigma, h) -> np.ndarray:
     Hermitian ``(n, n)`` matrices; nothing but the reality of the result
     is checked here.
     """
-    u_dag = u.conj().swapaxes(-1, -2)
+    u_dag = dagger(u)
     kinetic = 1j * np.trace(sigma @ ud @ u_dag, axis1=-2, axis2=-1)
     potential = np.trace(u_dag @ sigma @ u @ h - sigma @ h, axis1=-2, axis2=-1)
     return _real_values(kinetic - potential, "Lagrangian")
@@ -165,10 +166,13 @@ def lvn_rhs(rho, h) -> np.ndarray:
     return 1j * commutator(rho, h)
 
 
-def evolve_lvn_exact(rho0, h, t: float) -> np.ndarray:
+def evolve_lvn_exact(rho0, h, t) -> np.ndarray:
     """Conjugation flow ``U rho0 U^dag`` with ``U = exp(-i t h)``.
 
     Spectrum-preserving; its time derivative at t = 0 is ``lvn_rhs``.
+    ``t`` is one time or an array of times; an array gives the stack of
+    states at those times, shape ``np.shape(t) + rho0.shape``, from one
+    eigendecomposition of ``h``.
     """
     rho0 = validate_density(rho0)
     h = require_hermitian(h, name="hamiltonian")

@@ -27,7 +27,8 @@ from .heisenberg import lagrangian_heisenberg_values
 from .operator_core import as_complex_matrix, dagger, require_hermitian, unitary_algebra_basis
 from .unitary_orbit import TANGENT_TOL, lagrangian_unitary_values
 
-DEFAULT_GRADIENT_STEP = 1e-5
+#: Bump size h of every centered difference in gradients.
+GRADIENT_STEP = 1e-5
 UNIFORM_SPACING_RTOL = 1e-12
 
 
@@ -84,16 +85,16 @@ class SampledPath:
         return self.points.shape[1]
 
 
-def gradients(lag: CoordinateLagrangian, q, qdot, h: float = DEFAULT_GRADIENT_STEP,
+def gradients(lag: CoordinateLagrangian, q, qdot,
               wrt: Sequence[str] = ("q", "qdot")) -> tuple[np.ndarray, ...]:
-    """Centered-difference dL/dq and/or dL/dqdot at (q, qdot), error O(h^2).
+    """Centered-difference dL/dq and/or dL/dqdot at (q, qdot), error O(h^2)
+    with h = GRADIENT_STEP.
 
     wrt names the gradients wanted, in the order they are returned.  The
     2 dim bumped points of each (q +- h e_i with qdot fixed, or qdot +- h e_i
     with q fixed) are stacked and evaluated together.
     """
-    if h <= 0:
-        raise ValueError("gradient step must be positive")
+    h = GRADIENT_STEP
     q = np.asarray(q, dtype=float)
     qdot = np.asarray(qdot, dtype=float)
     bump = h * np.eye(lag.dim)
@@ -118,11 +119,7 @@ def gradients(lag: CoordinateLagrangian, q, qdot, h: float = DEFAULT_GRADIENT_ST
     return tuple((values[2 * k] - values[2 * k + 1]) / (2 * h) for k in range(len(wrt)))
 
 
-def el_residual_path(
-    lag: CoordinateLagrangian,
-    path: SampledPath,
-    h: float = DEFAULT_GRADIENT_STEP,
-) -> np.ndarray:
+def el_residual_path(lag: CoordinateLagrangian, path: SampledPath) -> np.ndarray:
     """Residuals d/dt(dL/dqdot) - dL/dq along the path.
 
     Velocities exist at samples 1..N-2 and the momentum derivative at
@@ -140,9 +137,9 @@ def el_residual_path(
     for i in range(1, n - 1):
         q, v = path.points[i], velocities[i - 1]
         if 2 <= i <= n - 3:
-            forces[i - 2], momenta[i - 1] = gradients(lag, q, v, h)
+            forces[i - 2], momenta[i - 1] = gradients(lag, q, v)
         else:  # the end samples only feed the momentum stencil
-            (momenta[i - 1],) = gradients(lag, q, v, h, wrt=("qdot",))
+            (momenta[i - 1],) = gradients(lag, q, v, wrt=("qdot",))
     return (momenta[2:] - momenta[:-2]) / (2 * dt) - forces
 
 
@@ -154,18 +151,14 @@ class VerificationReport:
     lagrangian_calls: int
 
 
-def verify_trajectory(
-    lag: CoordinateLagrangian,
-    path: SampledPath,
-    h: float = DEFAULT_GRADIENT_STEP,
-) -> VerificationReport:
+def verify_trajectory(lag: CoordinateLagrangian, path: SampledPath) -> VerificationReport:
     """The largest interior residual norm, where it occurs and what it cost.
 
     worst_index refers to the original path sample, not the interior
     residual row.  Each of the N-2 samples with a velocity is one
     Lagrangian call; the counts are those of el_residual_path.
     """
-    norms = np.linalg.norm(el_residual_path(lag, path, h), axis=1)
+    norms = np.linalg.norm(el_residual_path(lag, path), axis=1)
     worst = int(np.argmax(norms))
     n = len(path.times)
     return VerificationReport(
@@ -255,7 +248,7 @@ def _exp_frechet(x: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     exact as eigenvalues merge.
     """
     lam, v = np.linalg.eigh(1j * x)
-    vh = v.conj().swapaxes(-1, -2)
+    vh = dagger(v)
     lam_i, lam_j = lam[..., :, np.newaxis], lam[..., np.newaxis, :]
     d = np.exp(-0.5j * (lam_i + lam_j)) * np.sinc((lam_i - lam_j) / (2 * np.pi))
     return (v * np.exp(-1j * lam_j)) @ vh, v @ (d * (vh @ e @ v)) @ vh
@@ -289,13 +282,7 @@ def _unitary_chart(u_center, sigma, hamiltonian, basis) -> CoordinateLagrangian:
     return CoordinateLagrangian(dim=n * n, evaluate=evaluate)
 
 
-def el_residual_unitary_path(
-    times,
-    unitaries,
-    sigma,
-    hamiltonian,
-    h: float = DEFAULT_GRADIENT_STEP,
-) -> np.ndarray:
+def el_residual_unitary_path(times, unitaries, sigma, hamiltonian) -> np.ndarray:
     """Chart-based EL residuals along a sampled unitary path.
 
     Each interior sample gets its own exponential chart; the five-point
@@ -326,5 +313,5 @@ def el_residual_unitary_path(
             for i in range(m - 2, m + 3)
         ])
         path = SampledPath(times[m - 2:m + 3], window)
-        rows.append(el_residual_path(lag, path, h)[0])
+        rows.append(el_residual_path(lag, path)[0])
     return np.array(rows)

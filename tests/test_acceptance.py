@@ -24,7 +24,6 @@ from isospec_lag.bloch import (
     y_field,
 )
 from isospec_lag.heisenberg import (
-    HeisenbergScenario,
     OperatorTangent,
     cartan_one_form_heisenberg,
     cartan_two_form_heisenberg,
@@ -128,9 +127,7 @@ def test_criterion_03_rk4_matches_exact_flows():
     a3 = rand_hermitian(rng, 3)
     errs = []
     for a0, h in ((SX, SZ), (a3, h3)):
-        scenario = HeisenbergScenario(hamiltonian=h, initial=a0,
-                                      t_final=1.0, step=1e-3)
-        got = evolve_heisenberg_rk4(scenario).final_state
+        got = evolve_heisenberg_rk4(a0, h, 1.0, 1e-3).final_state
         errs.append(frobenius_norm(got - evolve_heisenberg_exact(a0, h, 1.0)))
     rho0 = rand_density(rng, 3)
     got = evolve_lvn_rk4(rho0, h3, 1.0, 1e-3).final_state
@@ -138,9 +135,7 @@ def test_criterion_03_rk4_matches_exact_flows():
     endpoint = max(errs)
 
     def run_h(step):
-        scenario = HeisenbergScenario(hamiltonian=h3, initial=a3,
-                                      t_final=1.0, step=step)
-        return evolve_heisenberg_rk4(scenario).final_state
+        return evolve_heisenberg_rk4(a3, h3, 1.0, step).final_state
 
     def run_l(step):
         return evolve_lvn_rk4(rho0, h3, 1.0, step).final_state

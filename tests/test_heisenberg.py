@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isospec_lag.heisenberg import (
-    HeisenbergScenario,
     KetTangent,
     OperatorTangent,
     cartan_one_form_heisenberg,
@@ -90,22 +89,21 @@ def test_exact_flow_isospectral(seed, n, t):
 
 
 def test_scenario_validation():
-    with pytest.raises(ValueError):
-        HeisenbergScenario(np.array([[0, 1], [0, 0]]), SX, t_final=1.0, step=1e-2)
-    with pytest.raises(ValueError):
-        HeisenbergScenario(SZ, SX, t_final=1.0, step=0.0)
+    with pytest.raises(ValueError, match="hamiltonian is not Hermitian"):
+        evolve_heisenberg_rk4(SX, np.array([[0, 1], [0, 0]]), 1.0, 1e-2)
+    with pytest.raises(ValueError, match="step must be positive and finite"):
+        evolve_heisenberg_rk4(SX, SZ, 1.0, 0.0)
     # a step longer than t_final is one shorter step, as on every kind's grid
-    np.testing.assert_array_equal(
-        HeisenbergScenario(SZ, SX, t_final=0.5, step=0.7).times, [0.0, 0.5])
+    np.testing.assert_array_equal(evolve_heisenberg_rk4(SX, SZ, 0.5, 0.7).times, [0.0, 0.5])
 
 
 def test_scenario_rejects_dimension_mismatch():
-    with pytest.raises(ValueError, match="dimensions differ"):
-        HeisenbergScenario(SZ, np.eye(3), t_final=1.0, step=1e-2)
+    with pytest.raises(ValueError, match="initial and hamiltonian dimensions differ"):
+        evolve_heisenberg_rk4(np.eye(3), SZ, 1.0, 1e-2)
 
 
 def test_rk4_matches_exact_flow():
-    traj = evolve_heisenberg_rk4(HeisenbergScenario(SZ, SX, t_final=1.0, step=1e-3))
+    traj = evolve_heisenberg_rk4(SX, SZ, 1.0, 1e-3)
     exact = evolve_heisenberg_exact(SX, SZ, 1.0)
     assert frobenius_norm(traj.final_state - exact) <= 1e-8
     assert traj.times[0] == 0.0
@@ -113,16 +111,16 @@ def test_rk4_matches_exact_flow():
 
 
 def test_rk4_constant_for_conserved_operators():
-    traj = evolve_heisenberg_rk4(HeisenbergScenario(SZ, SZ, t_final=1.0, step=0.05))
+    traj = evolve_heisenberg_rk4(SZ, SZ, 1.0, 0.05)
     for state in traj.states:
         np.testing.assert_allclose(state, SZ, atol=1e-13)
-    traj = evolve_heisenberg_rk4(HeisenbergScenario(SZ, SI, t_final=1.0, step=0.05))
+    traj = evolve_heisenberg_rk4(SI, SZ, 1.0, 0.05)
     for state in traj.states:
         np.testing.assert_allclose(state, SI, atol=1e-13)
 
 
 def test_rk4_fractional_last_step():
-    traj = evolve_heisenberg_rk4(HeisenbergScenario(SZ, SX, t_final=0.35, step=0.1))
+    traj = evolve_heisenberg_rk4(SX, SZ, 0.35, 0.1)
     np.testing.assert_allclose(traj.times, [0.0, 0.1, 0.2, 0.3, 0.35], atol=1e-12)
     exact = evolve_heisenberg_exact(SX, SZ, 0.35)
     assert frobenius_norm(traj.final_state - exact) <= 1e-4
@@ -134,7 +132,7 @@ def test_rk4_step_halving_ratio():
     exact = evolve_heisenberg_exact(a0, h, 1.0)
     errs = []
     for step in (0.05, 0.025):
-        traj = evolve_heisenberg_rk4(HeisenbergScenario(h, a0, t_final=1.0, step=step))
+        traj = evolve_heisenberg_rk4(a0, h, 1.0, step)
         errs.append(frobenius_norm(traj.final_state - exact))
     assert 12.0 <= errs[0] / errs[1] <= 20.0
 
@@ -218,8 +216,6 @@ def test_schrodinger_lagrangian():
     # eigenvector with eigenvalue 1, on-shell velocity: kinetic cancels potential
     kt = KetTangent(psi, -1j * psi)
     assert lagrangian_schrodinger(kt, SZ) == pytest.approx(0.0, abs=1e-14)
-    # prefactor p leaves E(1 - p)
-    assert lagrangian_schrodinger(kt, SZ, potential_prefactor=0.5) == pytest.approx(0.5)
     kt = KetTangent(psi, 1j * psi)
     assert lagrangian_schrodinger(kt, np.zeros((2, 2))) == pytest.approx(-1.0)
     psi_perp = np.array([0.0, 1.0], dtype=complex)

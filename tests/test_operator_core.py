@@ -79,10 +79,9 @@ def test_hermitian_predicates():
     assert hermitian_defect(SY) == 0.0
     with pytest.raises(ValueError):
         require_hermitian(np.array([[0, 1], [0, 0]]))
-    # defect just above / below an explicit tolerance
-    m = SX + np.array([[0, 1e-6], [0, 0]])
-    assert is_hermitian(m, tolerance=1e-5)
-    assert not is_hermitian(m, tolerance=1e-7)
+    # defect just below / above the fixed tolerance HERMITIAN_TOL = 1e-10
+    assert is_hermitian(SX + np.array([[0, 7e-11], [0, 0]]))
+    assert not is_hermitian(SX + np.array([[0, 7.1e-11], [0, 0]]))
 
 
 def test_eigendecomposition_examples():

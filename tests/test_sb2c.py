@@ -266,7 +266,7 @@ def test_stacked_constraint_and_matrices_match_per_element():
     elements = [rand_element(rng) for _ in range(30)]
     r, x, y = (np.array([getattr(g, c) for g in elements]) for c in "rxy")
     # numpy's array power may round r**3 one ulp away from Python's float power
-    want = np.array([constraint_residual(g, setup, p) for g in elements])
+    want = np.array([constraint_residual(g, setup) for g in elements])
     np.testing.assert_allclose(constraint_residual_values(r, x, y, p), want,
                                rtol=1e-13, atol=1e-13 * np.max(np.abs(want)))
     np.testing.assert_array_equal(sb2c_matrices(r, x, y),
@@ -437,6 +437,39 @@ def test_integrate_reduced_halts_at_singularity():
     assert traj.states[-1, 1] > 75.0 ** 0.25
 
 
+def test_integrate_reduced_halts_where_a_step_crosses_the_pole_of_phi():
+    # with alpha != 0, Phi = num / (r (k2 r^2 - k0)) has a pole at
+    # r* = sqrt(k0 / k2) ~ 2.953.  One step of 0.5 from r = 2.7 lands beyond
+    # it, at r ~ 3.10, while a + d Phi' keeps its sign, so only the sign of
+    # Phi's own denominator can stop the flow, and it must stop inside that step
+    setup = SB2CSetup(np.array([[0.0, -2.0], [-0.3, 2.0]]),
+                      np.array([[-1.8, -1.6], [-1.6, 0.1]]))
+    p = derive_parameters(setup)
+    assert p.alpha != 0
+    r_star = np.sqrt(p.d**2 * p.alpha / (p.h4 * p.a - p.d * p.h1))
+    initial = ReducedState(y=-2.0, r=2.7)
+
+    def step(dt):
+        z = rk4_step(lambda z: complex(*reduced_rhs(ReducedState(z.real, z.imag), p)),
+                     complex(initial.y, initial.r), dt)
+        return z.imag
+
+    def dynamical_sign(r):
+        return np.sign(p.a + p.d * phi_prime(r, p))
+
+    landing = step(0.5)
+    assert initial.r < r_star < landing
+    assert dynamical_sign(landing) == dynamical_sign(initial.r)
+
+    traj = integrate_reduced(initial, p, t_final=1.0, step=0.5)
+    assert traj.n_samples == 1
+    record = traj.meta["singularity"]
+    lo, hi = record["bracket"]
+    assert 0.0 <= lo < hi <= 0.5 and hi - lo <= 1e-8
+    assert lo <= record["time"] <= hi
+    assert step(lo) < r_star < step(hi)
+
+
 def test_integrate_reduced_rejects_bad_step():
     p = derive_parameters(worked_setup())
     with pytest.raises(ValueError):
@@ -568,10 +601,10 @@ def test_integrate_reduced_field_overflow_at_start_is_singular():
         1e-55: "singular or overflowing field at r=1e-55: float division by zero",
     }
     for r, reason in reasons.items():
-        traj = integrate_reduced(ReducedState(y=-1.0, r=r, time=0.5), p, t_final=1.0, step=1e-2)
+        traj = integrate_reduced(ReducedState(y=-1.0, r=r), p, t_final=1.0, step=1e-2)
         assert traj.states.shape == (0, 3) and traj.times.shape == (0,)
         record = traj.meta["singularity"]
-        assert record == {"time": 0.5, "bracket": None, "reason": reason}
+        assert record == {"time": 0.0, "bracket": None, "reason": reason}
 
 
 @pytest.mark.parametrize("form", ["factored", "expanded"])

@@ -226,6 +226,22 @@ def test_evolve_lvn_exact_invariants(seed, t):
     assert abs(purity_t - purity0) <= 1e-10
 
 
+@settings(max_examples=25, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.integers(min_value=1, max_value=4),
+    st.floats(min_value=1e-3, max_value=0.5),
+)
+def test_evolve_lvn_exact_stacked_over_times_matches_per_time(seed, n, step):
+    rng = np.random.default_rng(seed)
+    rho0, h = rand_density(rng, n), rand_hermitian(rng, n)
+    times = np.arange(101) * step
+    stacked = evolve_lvn_exact(rho0, h, times)
+    assert stacked.shape == (101, n, n)
+    for t, state in zip(times, stacked):
+        np.testing.assert_array_equal(state, evolve_lvn_exact(rho0, h, t))
+
+
 def test_evolve_lvn_rk4_matches_exact():
     rho0 = 0.5 * (SI + 0.6 * SX + 0.3 * SZ)
     traj = evolve_lvn_rk4(rho0, SZ, t_final=1.0, step=1e-3)

@@ -80,13 +80,6 @@ def test_gradient_of_kinetic_term():
     np.testing.assert_allclose(got, qdot, atol=1e-8)
 
 
-def test_gradient_step_must_be_positive():
-    with pytest.raises(ValueError):
-        gradients(FREE, np.zeros(2), np.zeros(2), h=0.0, wrt=("q",))
-    with pytest.raises(ValueError):
-        gradients(FREE, np.zeros(2), np.zeros(2), h=-1e-5, wrt=("qdot",))
-
-
 def test_chart_dimension_must_be_positive():
     with pytest.raises(ValueError):
         CoordinateLagrangian(dim=0, evaluate=lambda q, qdot: 0.0)

@@ -5,18 +5,18 @@
 Each SRC is a directory holding the ``isospec_lag`` package, such as the
 ``src`` of a checkout.  For each tree, one child process imports the
 package from it and runs the warm-up and the cycle of every workload in
-``perfbench/workloads.py`` at seeds 11, 12 and 13 through
-``isospec_lag.cli.main``, one scenario after another, with
-``ISOSPEC_LOG=info``.  Every run whose exit code, stdout, stderr (the
-INFO log included), ``report.json`` (without ``wall_time_s``, with
-``trajectory`` relative to the output directory) or trajectory bytes
-differ between the trees is printed, with what decides whether the
-difference is only rounding: whether the exit codes agree, whether every
-invariant's PASS/FAIL verdict agrees, and the largest absolute
-difference between the two trajectories' values, read from the files.
-The exit status is 1 if any run differs, else 0 (2 if a tree could not
-be run).  Of this checkout only ``perfbench/`` is read; configs and
-outputs go to a temporary directory.
+``perfbench/workloads.py`` at seeds 11, 12 and 13, then the sb2c runs of
+``ALPHA_SB2C`` below, through ``isospec_lag.cli.main``, one scenario
+after another, with ``ISOSPEC_LOG=info``.  Every run whose exit code,
+stdout, stderr (the INFO log included), ``report.json`` (without
+``wall_time_s``, with ``trajectory`` relative to the output directory)
+or trajectory bytes differ between the trees is printed, with what
+decides whether the difference is only rounding: whether the exit codes
+agree, whether every invariant's PASS/FAIL verdict agrees, and the
+largest absolute difference between the two trajectories' values, read
+from the files.  The exit status is 1 if any run differs, else 0 (2 if a
+tree could not be run).  Of this checkout only ``perfbench/`` is read;
+configs and outputs go to a temporary directory.
 """
 
 from __future__ import annotations
@@ -41,6 +41,22 @@ FIELDS = ("exit", "stdout", "stderr", "report", "trajectory")
 VERDICT = re.compile(r"(\S+) max=\S+ tol=\S+ (PASS|FAIL)")
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
+#: sb2c runs with a real off-diagonal H, so alpha != 0.  Every benchmark sb2c
+#: config has H = diag(1, -1), which leaves the k0, n2 and d alpha terms of
+#: Phi out of the comparison.  Each row is (id, a0, H, (y, r), t_final, step,
+#: format); the comment gives the exit code and what decides it.
+ALPHA_SB2C = (
+    ("regular", [[1, 1], [1, 2]], [[1, 0.5], [0.5, -1]], (-1.0, 6.0), 2.0, 1e-2,
+     "csv"),  # 0
+    ("regular-json", [[1, 1], [1, 2]], [[1, 0.5], [0.5, -1]], (-2.0, 6.0), 2.0, 1e-2,
+     "json"),  # 0
+    ("halt", [[1, 1], [1, 2]], [[1, 0.5], [0.5, -1]], (1.0, 4.0), 2.0, 1e-2,
+     "csv"),  # 3 at t = 0.558
+    ("fail", [[-1.7, -1.9], [-1.1, -1.5]], [[1.2, -1.0], [-1.0, -1.9]], (-2.0, 6.0),
+     2.0, 1e-2, "csv"),  # 1: constraint_residual 1.3e-8 > 1e-8
+    ("pole", [[0, -2], [-0.3, 2]], [[-1.8, -1.6], [-1.6, 0.1]], (-2.0, 2.7), 1.0, 0.5,
+     "csv"),  # 3: the first step jumps Phi's pole r = 2.953
+)
 
 
 class _Buffer(io.TextIOBase):
@@ -59,9 +75,30 @@ class _Buffer(io.TextIOBase):
         return text
 
 
+def _real_pairs(m) -> list:
+    return [[[float(v), 0.0] for v in row] for row in m]
+
+
+def _scenarios(workloads):
+    """(run id, scenario) of every run: the benchmark cycles, then ALPHA_SB2C."""
+    for name in workloads.WORKLOADS:
+        for seed in SEEDS:
+            warmup, scenarios = workloads.cycle(name, seed)
+            for sc in ([warmup] if warmup else []) + scenarios:
+                yield f"{name}/seed{seed}/{sc.id}", sc
+    for run, a0, h, (y, r), t_final, step, fmt in ALPHA_SB2C:
+        doc = {"kind": "sb2c",
+               "matrices": {"initial": _real_pairs([[y, r]]), "a0": _real_pairs(a0),
+                            "hamiltonian": _real_pairs(h)},
+               "times": {"t_final": t_final, "step": step},
+               "output": {"format": fmt}, "seed": 0}
+        yield f"sb2c-alpha/{run}", workloads.Scenario(f"sb2c-alpha-{run}", "sb2c", doc)
+
+
 def _run_tree(src: str, out_root: str) -> dict:
-    """Outputs of every benchmark run, keyed by workload, seed and scenario;
-    each run's files stay in ``out_root/<run id>/out``."""
+    """Outputs of every run, keyed by workload, seed and scenario (or by
+    ``sb2c-alpha`` and the ALPHA_SB2C id); each run's files stay in
+    ``out_root/<run id>/out``."""
     sys.path[:0] = [src, str(ROOT / "perfbench")]
     from isospec_lag import cli
     import workloads
@@ -71,27 +108,21 @@ def _run_tree(src: str, out_root: str) -> dict:
     out, err = _Buffer(), _Buffer()
     sys.stdout, sys.stderr = out, err
     results = {}
-    for name in workloads.WORKLOADS:
-        for seed in SEEDS:
-            warmup, scenarios = workloads.cycle(name, seed)
-            for sc in ([warmup] if warmup else []) + scenarios:
-                run_id = f"{name}/seed{seed}/{sc.id}"
-                run_dir = Path(out_root, run_id)
-                run_dir.mkdir(parents=True)
-                config = workloads.write_config(sc, run_dir)
-                try:
-                    code = cli.main([sc.kind, "--config", str(config),
-                                     "--out", str(run_dir / "out")])
-                except SystemExit as exc:
-                    code = exc.code if isinstance(exc.code, int) else 1
-                except Exception:  # a traceback is an output like any other
-                    code = 1
-                    traceback.print_exc()
-                traj = _trajectory_file(out_root, run_id)
-                digest = hashlib.sha256(traj.read_bytes()).hexdigest() if traj else None
-                results[run_id] = {"exit": code, "stdout": out.take(),
-                                   "stderr": err.take(), "report": _report(run_dir / "out"),
-                                   "trajectory": digest}
+    for run_id, sc in _scenarios(workloads):
+        run_dir = Path(out_root, run_id)
+        run_dir.mkdir(parents=True)
+        config = workloads.write_config(sc, run_dir)
+        try:
+            code = cli.main([sc.kind, "--config", str(config), "--out", str(run_dir / "out")])
+        except SystemExit as exc:
+            code = exc.code if isinstance(exc.code, int) else 1
+        except Exception:  # a traceback is an output like any other
+            code = 1
+            traceback.print_exc()
+        traj = _trajectory_file(out_root, run_id)
+        digest = hashlib.sha256(traj.read_bytes()).hexdigest() if traj else None
+        results[run_id] = {"exit": code, "stdout": out.take(), "stderr": err.take(),
+                           "report": _report(run_dir / "out"), "trajectory": digest}
     return results
 
 
