@@ -36,40 +36,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .bloch import (
-    FD_STEP,
-    BlochVector,
-    OrbitTag,
-    classify_orbit,
-    conjugate_flow,
-    density_from_bloch,
-    generator_frame,
-    uniform_ball_sample,
-    wedge_closed_form_values,
-)
-from .heisenberg import evolve_heisenberg_rk4, lagrangian_heisenberg_values
-from .operator_core import (
-    dagger,
-    frobenius_norm,
-    hermitian_propagator,
-    require_hermitian,
-)
-from .sb2c import (
-    ReducedState,
-    SB2CSetup,
-    constraint_residual_values,
-    derive_parameters,
-    integrate_reduced,
-    sb2c_matrices,
-)
+# Each runner imports the modules of its own kind, so one process loads
+# only what its scenario runs.
 from .trajectory import Trajectory, format_float, time_grid, write_csv, write_json
-from .unitary_orbit import evolve_lvn_rk4
-from .verifier import (
-    UNIFORM_SPACING_RTOL,
-    operator_chart,
-    path_from_matrices,
-    verify_trajectory,
-)
 
 logger = logging.getLogger(__name__)
 
@@ -276,6 +245,9 @@ def _trace(states) -> np.ndarray:
 
 
 def _run_heisenberg(config: ScenarioConfig):
+    from .heisenberg import evolve_heisenberg_rk4
+    from .operator_core import dagger, frobenius_norm, hermitian_propagator, require_hermitian
+
     initial = require_hermitian(config.matrices["initial"], name="initial")
     h = config.matrices["hamiltonian"]
     traj = evolve_heisenberg_rk4(initial, h, config.t_final, config.step)
@@ -296,6 +268,9 @@ def _run_heisenberg(config: ScenarioConfig):
 
 
 def _run_lvn(config: ScenarioConfig):
+    from .operator_core import dagger, frobenius_norm, hermitian_propagator
+    from .unitary_orbit import evolve_lvn_rk4
+
     h = config.matrices["hamiltonian"]
     traj = evolve_lvn_rk4(config.matrices["initial"], h, config.t_final, config.step)
     # evolve_lvn_rk4 has validated both inputs; its first row is the checked rho0,
@@ -319,6 +294,10 @@ def _run_lvn(config: ScenarioConfig):
 
 
 def _run_sb2c(config: ScenarioConfig):
+    from .operator_core import dagger
+    from .sb2c import (ReducedState, SB2CSetup, constraint_residual_values,
+                       derive_parameters, integrate_reduced, sb2c_matrices)
+
     row = _real_row(config.matrices["initial"], "initial", 2)
     setup = SB2CSetup(a0=config.matrices["a0"], hamiltonian=config.matrices["hamiltonian"])
     params = derive_parameters(setup)
@@ -337,11 +316,16 @@ def _run_sb2c(config: ScenarioConfig):
 
 def _three_flows(t, points):
     """conjugate_flow of the three subgroups, stacked on a leading axis."""
+    from .bloch import conjugate_flow
+
     conjugated, coords = zip(*(conjugate_flow(k, t, points) for k in (1, 2, 3)))
     return np.stack(conjugated), np.stack(coords)
 
 
 def _run_bloch(config: ScenarioConfig):
+    from .bloch import (FD_STEP, BlochVector, OrbitTag, classify_orbit, density_from_bloch,
+                        generator_frame, uniform_ball_sample, wedge_closed_form_values)
+
     x0 = BlochVector(*_real_row(config.matrices["initial"], "initial", 3).tolist())
     times = time_grid(config.t_final, config.step)
     conjugated, flowed = _three_flows(times, x0.as_array())
@@ -380,6 +364,11 @@ def _run_bloch(config: ScenarioConfig):
 
 
 def _run_verify(config: ScenarioConfig):
+    from .heisenberg import lagrangian_heisenberg_values
+    from .operator_core import dagger, hermitian_propagator, require_hermitian
+    from .verifier import (UNIFORM_SPACING_RTOL, operator_chart, path_from_matrices,
+                           verify_trajectory)
+
     initial = require_hermitian(config.matrices["initial"], name="initial")
     h = require_hermitian(config.matrices["hamiltonian"], name="hamiltonian")
     times = time_grid(config.t_final, config.step)

@@ -21,6 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operator_core import (
+    _real_part,
+    _real_values,
     as_complex_matrix,
     commutator,
     dagger,
@@ -29,10 +31,6 @@ from .operator_core import (
     require_hermitian,
 )
 from .trajectory import Trajectory, rk4_commutator_trajectory, time_grid
-
-#: Largest imaginary residue tolerated when a trace expression must be real,
-#: relative to the size of its terms where that is known (and at least 1).
-REALITY_TOL = 1e-12
 
 
 @dataclass(eq=False)
@@ -64,23 +62,6 @@ class KetTangent:
         if not (np.all(np.isfinite(self.ket.view(float)))
                 and np.all(np.isfinite(self.ket_velocity.view(float)))):
             raise ValueError("ket entries must be finite")
-
-
-def _real_values(values: np.ndarray, what: str, scale=lambda: 1.0) -> np.ndarray:
-    """Real parts of ``values``, raising if an imaginary residue exceeds
-    REALITY_TOL times ``max(1, scale())``; ``scale`` gives the size of the
-    terms summed into each value, and is called only for a residue above
-    REALITY_TOL."""
-    residue = np.abs(values.imag)
-    if np.max(residue, initial=0.0) > REALITY_TOL:
-        excess = residue[residue > REALITY_TOL * np.maximum(1.0, scale())]
-        if excess.size:
-            raise ValueError(f"{what} has imaginary residue {np.max(excess):.3e}")
-    return values.real
-
-
-def _real_part(value: complex, what: str) -> float:
-    return float(_real_values(np.asarray(value), what))
 
 
 def heisenberg_rhs(a, h) -> np.ndarray:

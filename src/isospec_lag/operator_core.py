@@ -15,6 +15,10 @@ import numpy as np
 #: Frobenius-norm tolerance of every hermiticity / positivity check.
 HERMITIAN_TOL = 1e-10
 
+#: Largest imaginary residue tolerated when a trace expression must be real,
+#: relative to the size of its terms where that is known (and at least 1).
+REALITY_TOL = 1e-12
+
 
 def as_complex_matrix(m, name: str = "matrix") -> np.ndarray:
     """Validate and return ``m`` as a square complex matrix.
@@ -42,6 +46,23 @@ def as_complex_matrix(m, name: str = "matrix") -> np.ndarray:
     if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
         raise ValueError(f"{name} contains non-finite entries")
     return arr
+
+
+def _real_values(values: np.ndarray, what: str, scale=lambda: 1.0) -> np.ndarray:
+    """Real parts of ``values``, raising if an imaginary residue exceeds
+    REALITY_TOL times ``max(1, scale())``; ``scale`` gives the size of the
+    terms summed into each value, and is called only for a residue above
+    REALITY_TOL."""
+    residue = np.abs(values.imag)
+    if np.max(residue, initial=0.0) > REALITY_TOL:
+        excess = residue[residue > REALITY_TOL * np.maximum(1.0, scale())]
+        if excess.size:
+            raise ValueError(f"{what} has imaginary residue {np.max(excess):.3e}")
+    return values.real
+
+
+def _real_part(value: complex, what: str) -> float:
+    return float(_real_values(np.asarray(value), what))
 
 
 def _check_same_dim(a: np.ndarray, b: np.ndarray) -> None:

@@ -23,9 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .heisenberg import _real_part, _real_values
 from .operator_core import (
     HERMITIAN_TOL,
+    _real_part,
+    _real_values,
     as_complex_matrix,
     commutator,
     dagger,

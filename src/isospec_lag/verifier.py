@@ -25,7 +25,6 @@ import numpy as np
 
 from .heisenberg import lagrangian_heisenberg_values
 from .operator_core import as_complex_matrix, dagger, require_hermitian, unitary_algebra_basis
-from .unitary_orbit import TANGENT_TOL, lagrangian_unitary_values
 
 #: Bump size h of every centered difference in gradients.
 GRADIENT_STEP = 1e-5
@@ -271,6 +270,10 @@ def unitary_chart(u_center, sigma, hamiltonian) -> CoordinateLagrangian:
 def _unitary_chart(u_center, sigma, hamiltonian, basis) -> CoordinateLagrangian:
     """unitary_chart over the stacked basis, of complex matrices with sigma and
     hamiltonian already checked Hermitian; u_center is still checked unitary."""
+    # here, not at the top: a process that charts only operator spaces (the
+    # verify kind) then never loads unitary_orbit
+    from .unitary_orbit import TANGENT_TOL, lagrangian_unitary_values
+
     n = u_center.shape[0]
     if np.linalg.norm(dagger(u_center) @ u_center - np.eye(n)) > TANGENT_TOL:
         raise ValueError("u_center is not unitary")

@@ -1,9 +1,14 @@
-"""Shared random-matrix helpers for the test suite."""
+"""Shared random-matrix and process helpers for the test suite."""
 
+import importlib
+import os
+import pkgutil
 import sys
+from pathlib import Path
 
 import numpy as np
 
+import isospec_lag
 from isospec_lag import operator_core
 
 SI = np.eye(2, dtype=complex)
@@ -37,8 +42,21 @@ def rand_density(rng, n):
     return rho / np.trace(rho).real
 
 
+def src_env():
+    """The environment of a child process that imports the package under test."""
+    src = str(Path(isospec_lag.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+
+
 def hermitian_check_names(monkeypatch):
-    """Names passed to require_hermitian from here on, in call order."""
+    """Names passed to require_hermitian from here on, in call order.
+
+    Every submodule is imported first, so each binding of require_hermitian
+    is patched whichever tests ran before, and none is left patched after.
+    """
+    for info in pkgutil.iter_modules(isospec_lag.__path__):
+        importlib.import_module(f"isospec_lag.{info.name}")
     names = []
     check = operator_core.require_hermitian
 

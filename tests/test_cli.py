@@ -1,7 +1,6 @@
 import contextlib
 import io
 import json
-import os
 import re
 import subprocess
 import sys
@@ -17,7 +16,7 @@ from hypothesis import strategies as st
 from isospec_lag import cli, unitary_orbit
 from isospec_lag.heisenberg import evolve_heisenberg_exact
 
-from conftest import hermitian_check_names
+from conftest import hermitian_check_names, src_env
 
 LINE = re.compile(
     r"^(?P<name>\w+) max=(?P<max>[^ ]+) tol=(?P<tol>[^ ]+) (?P<status>PASS|FAIL)$"
@@ -479,20 +478,24 @@ def test_verify_states_are_the_exact_flow(tmp_path):
         assert np.linalg.norm(state - evolve_heisenberg_exact(a0, h, t)) <= 1e-13
 
 
+#: One short passing run of each kind: (kind, matrices, t_final, step).
+SMALL_RUNS = [
+    ("heisenberg", {"initial": [[0, 1], [1, 0]], "hamiltonian": [[1, 0], [0, -1]]},
+     0.05, 1e-2),
+    ("lvn", LVN_MATRICES, 0.05, 1e-2),
+    ("sb2c", {"initial": [[-1.0, 6.0]], "a0": [[1, 1], [1, 2]],
+              "hamiltonian": [[1, 0], [0, -1]]}, 0.05, 1e-2),
+    ("bloch", {"initial": [[0.1, -0.2, 0.3]]}, 0.05, 1e-2),
+    ("verify", {"initial": [[0, 1], [1, 0]], "hamiltonian": [[1, 0], [0, -1]]},
+     0.1, 1e-2),
+]
+
+
 def test_no_kind_imports_scipy(tmp_path):
     """All five kinds and the unitary chart run in one fresh process with
     scipy blocked, and no scipy module is loaded."""
     runs = []
-    for kind, matrices, t_final, step in [
-        ("heisenberg", {"initial": [[0, 1], [1, 0]], "hamiltonian": [[1, 0], [0, -1]]},
-         0.05, 1e-2),
-        ("lvn", LVN_MATRICES, 0.05, 1e-2),
-        ("sb2c", {"initial": [[-1.0, 6.0]], "a0": [[1, 1], [1, 2]],
-                  "hamiltonian": [[1, 0], [0, -1]]}, 0.05, 1e-2),
-        ("bloch", {"initial": [[0.1, -0.2, 0.3]]}, 0.05, 1e-2),
-        ("verify", {"initial": [[0, 1], [1, 0]], "hamiltonian": [[1, 0], [0, -1]]},
-         0.1, 1e-2),
-    ]:
+    for kind, matrices, t_final, step in SMALL_RUNS:
         cfg = write_config(tmp_path / f"{kind}.json", kind, matrices, t_final, step)
         runs.append([kind, "--config", str(cfg), "--out", str(tmp_path / kind)])
     script = (
@@ -511,15 +514,42 @@ def test_no_kind_imports_scipy(tmp_path):
         "print(sorted(m for m, mod in sys.modules.items()\n"
         "             if mod is not None and m.split('.')[0] == 'scipy'))\n"
     )
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                          text=True, env=env, timeout=120)
+                          text=True, env=src_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
     codes, scipy_modules = proc.stdout.splitlines()[-2:]
     assert codes == "[0, 0, 0, 0, 0] (3, 4) True"
     assert scipy_modules == "[]"
+
+
+#: The package's modules each kind runs, beside the root, trajectory and
+#: operator_core, which every kind loads.
+KIND_MODULES = {
+    "heisenberg": {"heisenberg"},
+    "lvn": {"unitary_orbit"},
+    "sb2c": {"sb2c"},
+    "bloch": {"bloch"},
+    "verify": {"heisenberg", "verifier"},
+}
+
+
+@pytest.mark.parametrize("kind, matrices, t_final, step", SMALL_RUNS,
+                         ids=[run[0] for run in SMALL_RUNS])
+def test_each_kind_loads_only_its_modules(tmp_path, kind, matrices, t_final, step):
+    """A fresh ``python -m isospec_lag.cli KIND`` process, the path of one
+    command-line scenario, imports exactly its kind's package modules.
+    ``-X importtime`` names every module the process imports, once."""
+    cfg = write_config(tmp_path / "cfg.json", kind, matrices, t_final, step)
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "isospec_lag.cli", kind,
+         "--config", str(cfg), "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=src_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    imported = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+                if line.startswith("import time:")}
+    assert {m for m in imported if m.split(".")[0] == "isospec_lag"} == (
+        {"isospec_lag", "isospec_lag.trajectory", "isospec_lag.operator_core"}
+        | {f"isospec_lag.{m}" for m in KIND_MODULES[kind]})
 
 
 def test_bloch_flow_beyond_float_range_exits_2(tmp_path, capsys):
