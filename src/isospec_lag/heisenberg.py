@@ -125,13 +125,25 @@ def lagrangian_heisenberg_values(a: np.ndarray, ad: np.ndarray, h: np.ndarray) -
     ``a`` and ``ad`` are complex arrays of shape ``(..., n, n)``; the result
     has shape ``(...)``.  ``h`` must already be a validated Hermitian
     ``(n, n)`` matrix: nothing but the reality of the result is checked
-    here.  The expression is the one of ``lagrangian_heisenberg`` term for
-    term, so a stacked evaluation rounds exactly like the per-point one.
+    here.  With the stack axis last, ``[A, H]`` is n multiply-adds over the
+    stack and each trace a sum of entrywise products in index order, so a
+    stacked evaluation rounds exactly like the per-point one.
     """
-    a_dag = dagger(a)
-    ad_dag = dagger(ad)
-    kinetic = 0.5j * np.trace(a_dag @ ad - ad_dag @ a, axis1=-2, axis2=-1)
-    potential = np.trace(a @ h @ a_dag - a_dag @ h @ a, axis1=-2, axis2=-1)
+    n = h.shape[0]
+    a_t = np.moveaxis(a.reshape(-1, n, n), 0, -1).copy()  # (n, n, stack)
+    comm = np.zeros_like(a_t)
+    for k in range(n):  # [A, H] = A H - H A
+        comm += a_t[:, k:k + 1] * h[k][:, None]
+        comm -= h[:, k:k + 1, None] * a_t[k]
+    a_bar = np.conj(a_t).reshape(n * n, -1)
+
+    def trace(y):  # Tr(A^dag Y) for y of shape (n, n, stack)
+        products = a_bar * y.reshape(n * n, -1)
+        return sum(products[1:], products[0]).reshape(a.shape[:-2])
+
+    z = trace(np.moveaxis(ad.reshape(-1, n, n), 0, -1))  # Tr(A^dag Adot)
+    kinetic = 0.5j * (z - np.conj(z))  # Tr(Adot^dag A) = conj(z)
+    potential = trace(comm)  # Tr(A H A^dag) - Tr(A^dag H A) = Tr(A^dag [A, H])
 
     def scale():  # |Tr(X Y)| <= |X|_F |Y|_F bounds every trace above
         norm_a = np.linalg.norm(a, axis=(-2, -1))

@@ -313,10 +313,10 @@ def test_verify_logs_evaluation_counts_and_worst_sample(tmp_path, caplog):
     )
     with caplog.at_level("INFO", logger="isospec_lag.cli"):
         run_cli(["verify", "--config", cfg, "--out", tmp_path])
-    # N samples at dim 8 take 2*8*(2*(N-4) + 2) evaluations, one call per
-    # sample 1..N-2: N = 17 on the fine grid, 9 on the coarse one
-    assert "fine pass: 448 Lagrangian evaluations in 15 stacked calls" in caplog.text
-    assert "coarse pass: 192 Lagrangian evaluations in 7 stacked calls" in caplog.text
+    # N samples at dim 8 take 2*8*(2*(N-4) + 2) evaluations, in one call for
+    # dL/dqdot and one for dL/dq: N = 17 on the fine grid, 9 on the coarse one
+    assert "fine pass: 448 Lagrangian evaluations in 2 stacked calls" in caplog.text
+    assert "coarse pass: 192 Lagrangian evaluations in 2 stacked calls" in caplog.text
     assert re.search(r"el_residual_max worst at sample \d+, t=", caplog.text)
 
 

@@ -14,6 +14,7 @@ from isospec_lag.heisenberg import (
     evolve_schrodinger_exact,
     heisenberg_rhs,
     lagrangian_heisenberg,
+    lagrangian_heisenberg_values,
     lagrangian_schrodinger,
 )
 from isospec_lag.operator_core import frobenius_norm
@@ -154,6 +155,36 @@ def test_lagrangian_is_real_valued():
         tangent = OperatorTangent(rand_complex(rng, 3), rand_complex(rng, 3))
         value = lagrangian_heisenberg(tangent, rand_hermitian(rng, 3))
         assert isinstance(value, float)
+
+
+def matmul_lagrangian(a, ad, h):
+    """The Lagrangian as matrix products and traces, the kernel's former form."""
+    a_dag, ad_dag = a.conj().swapaxes(-1, -2), ad.conj().swapaxes(-1, -2)
+    kinetic = 0.5j * np.trace(a_dag @ ad - ad_dag @ a, axis1=-2, axis2=-1)
+    potential = np.trace(a @ h @ a_dag - a_dag @ h @ a, axis1=-2, axis2=-1)
+    return (kinetic - potential).real
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=1, max_value=40),
+    st.floats(min_value=1e-3, max_value=1e3),
+    st.floats(min_value=1e-3, max_value=1e3),
+    st.booleans(),
+)
+def test_elementwise_kernel_agrees_with_matmul_traces(seed, n, stack, size, h_size, hermitian):
+    rng = np.random.default_rng(seed)
+    a = size * rng.standard_normal((stack, n, n)) + 1j * size * rng.standard_normal((stack, n, n))
+    ad = rng.standard_normal((stack, n, n)) + 1j * rng.standard_normal((stack, n, n))
+    if hermitian:  # else both are general complex matrices
+        a, ad = (0.5 * (m + m.conj().swapaxes(-1, -2)) for m in (a, ad))
+    h = h_size * rand_hermitian(rng, n)
+    values = lagrangian_heisenberg_values(a, ad, h)
+    norm_a = np.linalg.norm(a, axis=(-2, -1))
+    scale = norm_a * (np.linalg.norm(ad, axis=(-2, -1)) + norm_a * np.linalg.norm(h))
+    assert np.all(np.abs(values - matmul_lagrangian(a, ad, h)) <= 1e-13 * np.maximum(1.0, scale))
 
 
 def test_cartan_one_form():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from isospec_lag import verifier
@@ -212,10 +212,13 @@ def test_stacked_heisenberg_chart_matches_per_point_chart_exactly(n):
     assert np.max(np.abs(stacked)) > 1e-3
 
 
-def test_reported_evaluation_counts_match_actual_calls():
-    times = np.arange(9) * 1e-3
-    path = path_from_matrices(times, [evolve_heisenberg_exact(SX, SZ, t) for t in times])
-    chart = heisenberg_chart(SZ)
+def counted_verification(n, samples):
+    """verify_trajectory on an n x n Heisenberg path, with each call's size."""
+    h = np.diag(np.arange(n) - 0.5).astype(complex)
+    times = np.arange(samples) * 1e-3
+    a0 = rand_hermitian(np.random.default_rng(n), n)
+    path = path_from_matrices(times, evolve_heisenberg_exact(a0, h, times))
+    chart = heisenberg_chart(h)
     calls = []
 
     def evaluate(qs, qdots):
@@ -223,9 +226,58 @@ def test_reported_evaluation_counts_match_actual_calls():
         return chart.evaluate(qs, qdots)
 
     report = verify_trajectory(CoordinateLagrangian(chart.dim, evaluate), path)
-    # 2 dim bumps for dL/dqdot at samples 1..7, 2 dim more for dL/dq at 2..6
-    assert report.lagrangian_evals == sum(calls) == 2 * 8 * (7 + 5)
-    assert report.lagrangian_calls == len(calls) == 7
+    assert report.lagrangian_evals == sum(calls) == 2 * chart.dim * ((samples - 2) + (samples - 4))
+    assert report.lagrangian_calls == len(calls)
+    return calls
+
+
+def test_reported_evaluation_counts_match_actual_calls():
+    # 2 dim bumps for dL/dqdot at samples 1..7 in one call, 2 dim more for
+    # dL/dq at 2..6 in another
+    assert counted_verification(2, 9) == [2 * 8 * 7, 2 * 8 * 5]
+
+
+@pytest.mark.parametrize("n, samples, calls_made", [
+    (2, 70, [512, 512, 64, 512, 512, 32]),  # 32 samples to a call at dim 8
+    (4, 9, [128, 128, 128, 64, 128, 128, 64]),  # 2 samples to a call at dim 32
+])
+def test_long_paths_split_into_bounded_calls(n, samples, calls_made):
+    calls = counted_verification(n, samples)
+    assert calls == calls_made
+    assert max(calls) * 2 * n * n <= verifier.COORDINATES_PER_CALL
+
+
+def bumpy_lagrangian(q, qdot):
+    """Neither quadratic nor separable, so every bump moves the value."""
+    return np.sum(np.sin(q) * qdot ** 3 + np.cos(q * qdot), axis=-1) + np.sum(q, axis=-1) ** 2
+
+
+def per_sample_residuals(lag, path):
+    """el_residual_path as a loop of one gradients call per sample."""
+    dt = path.spacing
+    velocities = (path.points[2:] - path.points[:-2]) / (2 * dt)
+    momenta = np.array([gradients(lag, q, v, wrt=("qdot",))[0]
+                        for q, v in zip(path.points[1:-1], velocities)])
+    forces = np.array([gradients(lag, q, v, wrt=("q",))[0]
+                       for q, v in zip(path.points[2:-2], velocities[1:-1])])
+    return (momenta[2:] - momenta[:-2]) / (2 * dt) - forces
+
+
+# 32 samples to a call at dim 8 and 2 at dim 32: the first two examples fill
+# their last dL/dqdot, then dL/dq, call exactly; the others end with a call of
+# a single sample
+@example(dim=8, samples=2 + 64, seed=0)
+@example(dim=8, samples=4 + 64, seed=0)
+@example(dim=8, samples=2 + 65, seed=0)
+@example(dim=32, samples=4 + 3, seed=0)
+@settings(max_examples=40, deadline=None)
+@given(dim=st.integers(1, 32), samples=st.integers(5, 400), seed=st.integers(0, 2**32 - 1))
+def test_chunked_residuals_equal_per_sample_loop(dim, samples, seed):
+    rng = np.random.default_rng(seed)
+    times = 0.3 + np.arange(samples) * 1e-2
+    path = SampledPath(times, np.cumsum(rng.normal(scale=0.1, size=(samples, dim)), axis=0))
+    lag = CoordinateLagrangian(dim, bumpy_lagrangian)
+    np.testing.assert_array_equal(el_residual_path(lag, path), per_sample_residuals(lag, path))
 
 
 def nan_at_one_bump(q, qdot):

@@ -12,9 +12,11 @@ stdout, stderr (the INFO log included), ``report.json`` (without
 ``wall_time_s``, with ``trajectory`` relative to the output directory)
 or trajectory bytes differ between the trees is printed, with what
 decides whether the difference is only rounding: whether the exit codes
-agree, whether every invariant's PASS/FAIL verdict agrees, and the
-largest absolute difference between the two trajectories' values, read
-from the files.  The exit status is 1 if any run differs, else 0 (2 if a
+agree, whether every invariant's PASS/FAIL verdict agrees, the largest
+absolute difference between the two trajectories' values, read from the
+files, and how far each invariant's ``max`` in ``report.json`` moved,
+relative to the larger of the two values and in absolute terms.  The
+summary line gives the largest of each over all runs.  The exit status is 1 if any run differs, else 0 (2 if a
 tree could not be run).  Of this checkout only ``perfbench/`` is read;
 configs and outputs go to a temporary directory.
 """
@@ -170,6 +172,34 @@ def _largest_difference(parent_root: str, change_root: str, run_id: str) -> floa
     return float(np.max(diff, initial=0.0))
 
 
+def _value_drift(parent: dict | None, change: dict | None) -> dict | str:
+    """{invariant: (relative, absolute difference)} of every invariant whose
+    ``max`` differs between two reports, relative to the larger magnitude;
+    or why the reports cannot be compared."""
+    if parent is None or change is None:
+        return "no report on " + ("both sides" if parent is change else "one side")
+    maxima = [{name: inv["max"] for name, inv in doc["invariants"].items()}
+              for doc in (parent, change)]
+    if maxima[0].keys() != maxima[1].keys():
+        return "the invariants differ"
+    drift = {}
+    for name, a in sorted(maxima[0].items()):
+        b = maxima[1][name]
+        if a == b:
+            continue
+        if a is None or b is None:  # a non-finite max is written as null
+            return f"{name} max is {a} and {b}"
+        drift[name] = (abs(a - b) / max(abs(a), abs(b)), abs(a - b))
+    return drift
+
+
+def _describe(drift: dict | str) -> str:
+    if isinstance(drift, str):
+        return drift
+    return ", ".join(f"{name} {rel:.3g} relative ({diff:.3g} absolute)"
+                     for name, (rel, diff) in drift.items()) or "none"
+
+
 def _verdicts(stdout: str) -> list:
     return [m.groups() for m in map(VERDICT.fullmatch, stdout.splitlines()) if m]
 
@@ -201,7 +231,7 @@ def main(argv=None) -> int:
             return 2
         runs = sorted(parent.keys() | change.keys())
         differ = [run_id for run_id in runs if parent.get(run_id) != change.get(run_id)]
-        exits_differ, verdicts_differ, deltas = 0, 0, []
+        exits_differ, verdicts_differ, deltas, drifts = 0, 0, [], {}
         for run_id in differ:
             a, b = parent.get(run_id), change.get(run_id)
             if a is None or b is None:
@@ -214,16 +244,23 @@ def main(argv=None) -> int:
             same_exit = a["exit"] == b["exit"]
             same_verdicts = _verdicts(a["stdout"]) == _verdicts(b["stdout"])
             delta = _largest_difference(*roots, run_id)
+            drift = _value_drift(a["report"], b["report"])
             exits_differ += not same_exit
             verdicts_differ += not same_verdicts
             if isinstance(delta, float):
                 deltas.append(delta)
+            if isinstance(drift, dict):
+                for name, (rel, diff) in drift.items():
+                    worst_rel, worst_diff = drifts.get(name, (0.0, 0.0))
+                    drifts[name] = (max(worst_rel, rel), max(worst_diff, diff))
             print(f"  exit codes {'agree' if same_exit else 'DIFFER'}; "
                   f"PASS/FAIL verdicts {'agree' if same_verdicts else 'DIFFER'}; "
-                  f"largest trajectory difference: {delta}")
+                  f"largest trajectory difference: {delta}; "
+                  f"invariant max differences: {_describe(drift)}")
     print(f"{len(differ)} of {len(runs)} runs differ; of those, exit codes differ in "
           f"{exits_differ}, PASS/FAIL verdicts in {verdicts_differ}; "
-          f"largest trajectory difference: {np.max(deltas, initial=0.0)}")
+          f"largest trajectory difference: {np.max(deltas, initial=0.0)}; "
+          f"largest invariant max differences: {_describe(dict(sorted(drifts.items())))}")
     return 1 if differ else 0
 
 
