@@ -34,7 +34,7 @@ from .operator_core import (
     hermitian_sqrt,
     require_hermitian,
 )
-from .trajectory import Trajectory, rk4_step, time_grid
+from .trajectory import Trajectory, time_grid
 
 #: Tolerance for the internal scalar/matrix residual consistency identity.
 CONSISTENCY_TOL = 1e-9
@@ -246,11 +246,12 @@ def _require_reducible(p: SB2CParameters) -> None:
 
 
 def _reduced_flow(p: SB2CParameters):
-    """Closures (terms, field, guard) over coefficients computed once from
+    """Closures (terms, point, stage) over coefficients computed once from
     unchecked parameters, none calling numpy.  terms(r) = (Phi, den, top, den1)
     takes each power of r once: Phi = (n4 r^4 + n2 r^2 + n0) / den and
     Phi' = top / den1**2, where den = r (k2 r^2 - k0) and den1 = k2 r^3 - k0 r,
-    and raises SingularityError where either rounds to 0.  The field is
+    and raises SingularityError where either rounds to 0.  point and stage
+    (d != 0) call it once each.  The field is
     ydot = (ga r + gd Phi + da / r) / d, rdot = -gd y / (a + d Phi')."""
     a, d = p.a, p.d
     n4 = p.a * (p.gamma * p.a - p.h1) - p.d * (p.gamma * p.c - p.h3)
@@ -271,24 +272,26 @@ def _reduced_flow(p: SB2CParameters):
         top = (4 * n4 * r3 + 2 * n2 * r) * den1 - num * (3 * k2 * r2 - k0)
         return num / den, den, top, den1
 
-    def field(z):
-        """ydot + i rdot at z = y + i r (d != 0).  RK4's sums and real scalings
-        of z act on each part as on a float pair, up to the sign of a zero."""
-        r = z.imag
+    def point(r):
+        """(Phi, a + d Phi', ydot, signs) at an accepted r, where signs are
+        those of the two denominators whose zeros stop the flow, a + d Phi'
+        and den; a + d Phi' = 0 does not raise here."""
+        phi, den, top, den1 = terms(r)
+        denom = a + d * (top / den1**2)
+        signs = (math.copysign(1.0, denom), math.copysign(1.0, den))
+        return phi, denom, (ga * r + gd * phi + da / r) / d, signs
+
+    def stage(y, r):
+        """(ydot, rdot) at an RK4 stage."""
         if not 0 < r < math.inf:
             raise SingularityError(f"an RK4 stage left r > 0: r={r}")
         phi, _, top, den1 = terms(r)
         denom = a + d * (top / den1**2)
         if denom == 0.0:
             raise SingularityError(f"dynamical denominator a + d Phi'(r) vanishes at r={r}")
-        return complex((ga * r + gd * phi + da / r) / d, -gd * z.real / denom)
+        return (ga * r + gd * phi + da / r) / d, -gd * y / denom
 
-    def guard(r):
-        """Phi(r) and the signs of the two denominators whose zeros stop the flow."""
-        phi, den, top, den1 = terms(r)
-        return phi, (math.copysign(1.0, a + d * (top / den1**2)), math.copysign(1.0, den))
-
-    return terms, field, guard
+    return terms, point, stage
 
 
 def phi_of_r(r: float, params: SB2CParameters) -> float:
@@ -320,8 +323,7 @@ def reduced_rhs(state: ReducedState, params: SB2CParameters):
         If d = 0 or the parameters are not in the real symmetric case.
     """
     _require_reducible(params)
-    z = _reduced_flow(params)[1](complex(state.y, state.r))
-    return z.real, z.imag
+    return _reduced_flow(params)[2](state.y, state.r)
 
 
 def integrate_reduced(initial: ReducedState, params: SB2CParameters,
@@ -329,49 +331,65 @@ def integrate_reduced(initial: ReducedState, params: SB2CParameters,
     """RK4 trajectory of (y, r) on ``time_grid(t_final, step)``, with
     x = Phi(r) emitted alongside.
 
+    Each classic RK4 step is written out on the float pair (y, r), each
+    sum per component as the step acts on a float64 pair: k1 is the
+    point evaluation of the point it starts from, k2 to k4 are three
+    stage calls, and one point evaluation of the landing point gives the
+    row's x, the sign guard and the next step's k1.
+
     If a denominator changes sign along the way, or an RK4 stage drives r
     to zero or below or to a non-finite value, or the field leaves float
-    range, integration halts and the crossing time is bracketed by
-    bisection to 1e-8; the partial trajectory is returned with a
-    singularity record in ``meta``; a field that is singular or out of
-    float range at the initial state gives no rows.  Raises ValueError
-    for invalid grid inputs, d = 0 or parameters outside the real
-    symmetric case.
+    range, integration halts and the failing step is bisected to 1e-8;
+    the partial trajectory is returned with a singularity record in
+    ``meta``; a field that is singular or out of float range at the
+    initial state gives no rows.  The bracket is the step length at which
+    the bisection first finds a failing step.  Failure is not monotone in
+    the step length, so on a coarse step that need not be where the flow
+    crosses a pole.  Raises ValueError for invalid grid inputs, d = 0 or
+    parameters outside the real symmetric case.
     """
     grid = time_grid(t_final, step).tolist()
     _require_reducible(params)
-    _, field, guard = _reduced_flow(params)
-    z = complex(initial.y, initial.r)
+    _, point, stage = _reduced_flow(params)
+    gd = params.gamma * params.d - params.h4  # rdot = -gd y / (a + d Phi')
+    y, r = initial.y, initial.r
     meta: dict = {}
     try:
-        x0, signs0 = guard(initial.r)
-        rows = [(z.real, z.imag, x0)]
+        here = point(r)
+        signs0 = here[3]
+        rows = [(y, r, here[0])]
     except (SingularityError, ArithmeticError) as exc:
         rows, grid = [], grid[:1]
-        reason = f"singular or overflowing field at r={initial.r}: {exc}"
+        reason = f"singular or overflowing field at r={r}: {exc}"
         meta["singularity"] = {"time": 0.0, "bracket": None, "reason": reason}
 
-    def advance(z, dt):
-        """One step of size dt and Phi there; None if it leaves the regular region."""
+    def advance(y, r, here, dt):
+        """The RK4 step of size dt from (y, r), whose point is here, and the
+        point it lands on; None if it leaves the regular region."""
         try:
-            nxt = rk4_step(field, z, dt)
-            r = nxt.imag
-            if math.isfinite(nxt.real) and 0 < r < math.inf:
-                x, signs = guard(r)
-                if signs == signs0:
-                    return nxt, x
+            k1y, k1r = here[2], -gd * y / here[1]
+            h = dt / 2
+            k2y, k2r = stage(y + h * k1y, r + h * k1r)
+            k3y, k3r = stage(y + h * k2y, r + h * k2r)
+            k4y, k4r = stage(y + dt * k3y, r + dt * k3r)
+            h = dt / 6
+            y, r = y + h * (k1y + 2 * k2y + 2 * k3y + k4y), r + h * (k1r + 2 * k2r + 2 * k3r + k4r)
+            if math.isfinite(y) and 0 < r < math.inf:
+                here = point(r)
+                if here[3] == signs0:
+                    return y, r, here
         except (SingularityError, ArithmeticError):
             pass
         return None
 
     for k, t in enumerate(grid[:-1]):
         dt = step if k < len(grid) - 2 else grid[-1] - t
-        nxt = advance(z, dt)
+        nxt = advance(y, r, here, dt)
         if nxt is None:
             lo, hi = 0.0, dt  # bisect the crossing within this step
             while hi - lo > SINGULARITY_TIME_TOL:
                 mid = (lo + hi) / 2
-                if advance(z, mid) is None:
+                if advance(y, r, here, mid) is None:
                     hi = mid
                 else:
                     lo = mid
@@ -381,8 +399,8 @@ def integrate_reduced(initial: ReducedState, params: SB2CParameters,
                 "reason": "denominator sign change or blow-up",
             }
             break
-        z, x = nxt
-        rows.append((z.real, z.imag, x))
+        y, r, here = nxt
+        rows.append((y, r, here[0]))
 
     return Trajectory(
         times=np.array(grid[:len(rows)]),

@@ -1,12 +1,12 @@
 """Time grids, classic RK4, and time-stamped state sequences on disk.
 
-Every flow in the package is sampled on :func:`time_grid`.  Classic
-fourth-order Runge-Kutta comes in two forms: :func:`rk4_step`, one step
-of any field (sb2c's reduced dynamics), and
-:func:`rk4_commutator_trajectory`, the whole grid of a commutator flow
-with constant H (heisenberg, lvn) in closed form in H's eigenbasis,
-which matches the step loop within 1e-12 on unit-norm inputs rather
-than byte for byte.
+Every flow in the package is sampled on :func:`time_grid`.
+:func:`rk4_commutator_trajectory` gives the classic fourth-order
+Runge-Kutta samples of a commutator flow with constant H (heisenberg,
+lvn) on the whole grid, in closed form in H's eigenbasis; it matches a
+step-by-step loop within 1e-12 on unit-norm inputs rather than byte for
+byte.  sb2c writes its RK4 step out on the float pair (y, r) in
+``sb2c.integrate_reduced``.
 
 A :class:`Trajectory` stores either a stack of complex matrices
 (shape ``(N, n, n)``) or a stack of named real coordinate vectors
@@ -68,15 +68,6 @@ def time_grid(t_final: float, step: float) -> np.ndarray:
         raise ValueError(f"a grid of {n_steps + 1} samples does not fit in memory") from exc
     times[-1] = t_final
     return times
-
-
-def rk4_step(f, y, dt: float):
-    """One classic fourth-order Runge-Kutta step of ``dy/dt = f(y)``."""
-    k1 = f(y)
-    k2 = f(y + dt / 2 * k1)
-    k3 = f(y + dt / 2 * k2)
-    k4 = f(y + dt * k3)
-    return y + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
 def format_float(x) -> str:

@@ -1,4 +1,4 @@
-"""Shared random-matrix and process helpers for the test suite."""
+"""Shared random-matrix, process and reference-integrator helpers for the test suite."""
 
 import importlib
 import os
@@ -40,6 +40,16 @@ def rand_density(rng, n):
     m = rand_complex(rng, n)
     rho = m @ m.conj().T
     return rho / np.trace(rho).real
+
+
+def rk4_step(f, y, dt: float):
+    """One classic fourth-order Runge-Kutta step of ``dy/dt = f(y)``: the
+    reference step that the package's integrators are tested against."""
+    k1 = f(y)
+    k2 = f(y + dt / 2 * k1)
+    k3 = f(y + dt / 2 * k2)
+    k4 = f(y + dt * k3)
+    return y + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
 def src_env():

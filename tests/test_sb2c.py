@@ -1,12 +1,15 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from isospec_lag.heisenberg import OperatorTangent, lagrangian_heisenberg
 from isospec_lag.operator_core import dagger, frobenius_norm
 from isospec_lag.sb2c import (
     IDENTITY,
+    SINGULARITY_TIME_TOL,
     ReducedState,
     SB2CElement,
     SB2CParameters,
@@ -32,9 +35,9 @@ from isospec_lag.sb2c import (
     sb2c_to_matrix,
     scalar_el_residuals,
 )
-from isospec_lag.trajectory import rk4_step, time_grid
+from isospec_lag.trajectory import time_grid
 
-from conftest import SX, SZ, rand_complex, rand_hermitian
+from conftest import SX, SZ, rand_complex, rand_hermitian, rk4_step
 
 
 def worked_setup():
@@ -470,6 +473,32 @@ def test_integrate_reduced_halts_where_a_step_crosses_the_pole_of_phi():
     assert step(lo) < r_star < step(hi)
 
 
+def test_integrate_reduced_brackets_the_first_failing_step_length_not_the_pole():
+    # whether a step fails is not monotone in its length.  The full step of
+    # 0.5 from r = 2.3 lands just past the pole r* ~ 2.527 of Phi, while the
+    # bisection, which keeps halving towards the failing end, ends where
+    # the k4 stage of a step of ~0.315 drives r through 0; a step of that
+    # length lands far from r*, at r ~ 1.61
+    setup = SB2CSetup(np.array([[-1.7, -1.9], [-1.1, -1.5]]),
+                      np.array([[1.2, -1.0], [-1.0, -1.9]]))
+    p = derive_parameters(setup)
+    r_star = np.sqrt(p.d**2 * p.alpha / (p.h4 * p.a - p.d * p.h1))
+    initial = ReducedState(y=1.0, r=2.3)
+
+    def step(dt):
+        z = rk4_step(lambda z: complex(*reduced_rhs(ReducedState(z.real, z.imag), p)),
+                     complex(initial.y, initial.r), dt)
+        return z.imag
+
+    traj = integrate_reduced(initial, p, t_final=1.0, step=0.5)
+    assert traj.n_samples == 1
+    lo, hi = traj.meta["singularity"]["bracket"]
+    assert lo == pytest.approx(0.31494823098, abs=1e-11)
+    assert hi == pytest.approx(0.31494823843, abs=1e-11)
+    assert initial.r < r_star < step(0.5) < r_star + 1e-3
+    assert step(lo) < r_star - 0.9
+
+
 def test_integrate_reduced_rejects_bad_step():
     p = derive_parameters(worked_setup())
     with pytest.raises(ValueError):
@@ -497,12 +526,13 @@ def test_integrate_reduced_stage_through_zero_radius_is_singular():
 
 
 def pair_oracle(p):
-    """(Phi, Phi', field) of the reduced dynamics on a float64 (y, r) pair, written
-    out from the parameters term for term and without sb2c._reduced_flow,
-    so a fault in one of its coefficients shows in the last bit:
-    Phi(r) = (n4 r^4 + n2 r^2 + n0) / (r (k2 r^2 - k0)),
+    """(Phi, Phi', field, signs) of the reduced dynamics on a float64 (y, r)
+    pair, written out from the parameters term for term and without
+    sb2c._reduced_flow, so a fault in one of its coefficients shows in the
+    last bit: Phi(r) = (n4 r^4 + n2 r^2 + n0) / (r (k2 r^2 - k0)),
     ydot = ((gamma a - h1) r + (gamma d - h4) Phi + d alpha / r) / d and
-    rdot = -(gamma d - h4) y / (a + d Phi'(r))."""
+    rdot = -(gamma d - h4) y / (a + d Phi'(r)); signs(r) are those of
+    a + d Phi'(r) and of Phi's denominator, whose changes stop the flow."""
     n4 = p.a * (p.gamma * p.a - p.h1) - p.d * (p.gamma * p.c - p.h3)
     n2, n0 = p.a * p.d * p.alpha, (p.delta * p.d - p.h4) * p.d
     k2, k0 = p.h4 * p.a - p.d * p.h1, p.d**2 * p.alpha
@@ -521,16 +551,45 @@ def pair_oracle(p):
                 + p.d * p.alpha / r) / p.d
         return np.array([ydot, -(p.gamma * p.d - p.h4) * y / (p.a + p.d * phi_prime(r))])
 
-    return phi, phi_prime, field
+    def signs(r):
+        return (math.copysign(1.0, p.a + p.d * phi_prime(r)),
+                math.copysign(1.0, r * (k2 * r**2 - k0)))
+
+    return phi, phi_prime, field, signs
+
+
+def oracle_step(p, state, dt, signs0):
+    """rk4_step of size dt from the float64 pair state through pair_oracle's
+    field, or None unless it is accepted: no stage leaves 0 < r < inf, the
+    field neither raises nor overflows, and the landing point has finite y,
+    0 < r < inf and both denominators with the signs signs0."""
+    _, _, field, signs = pair_oracle(p)
+
+    def stage_field(s):
+        if not 0 < s[1] < math.inf:
+            raise ArithmeticError(f"an RK4 stage left r > 0: r={s[1]}")
+        return field(s)
+
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            nxt = rk4_step(stage_field, state, dt)
+        y, r = nxt.tolist()
+        if math.isfinite(y) and 0 < r < math.inf and signs(r) == signs0:
+            return nxt
+    except ArithmeticError:
+        pass
+    return None
 
 
 def assert_pair_oracle_rows(traj, initial, p, t_final, step):
     """Check the rows of traj bit for bit, signs of zeros included, against
     rk4_step over a numpy (y, r) pair through pair_oracle's field, with x
     from its Phi; the public reduced_rhs, phi_of_r and phi_prime agree with
-    both."""
+    both.  A run that halts must carry the singularity record that the
+    same bisection over oracle_step gives: the time and bracket of the
+    first step it rejects."""
     times = time_grid(t_final, step)
-    phi, oracle_phi_prime, field = pair_oracle(p)
+    phi, oracle_phi_prime, field, signs = pair_oracle(p)
     states = [np.array([initial.y, initial.r])]
     for k in range(traj.n_samples - 1):
         dt = step if k < len(times) - 2 else times[-1] - times[k]
@@ -542,6 +601,24 @@ def assert_pair_oracle_rows(traj, initial, p, t_final, step):
     assert reduced_rhs(ReducedState(y=y, r=r), p) == tuple(field(want[-1, :2]).tolist())
     assert phi_of_r(r, p) == x
     assert phi_prime(r, p) == oracle_phi_prime(r)
+    if "singularity" not in traj.meta:
+        assert traj.n_samples == len(times)
+        return
+    k = traj.n_samples - 1
+    t = float(times[k])
+    dt = step if k < len(times) - 2 else float(times[-1]) - t
+    signs0 = signs(initial.r)
+    assert oracle_step(p, states[-1], dt, signs0) is None
+    lo, hi = 0.0, dt
+    while hi - lo > SINGULARITY_TIME_TOL:
+        mid = (lo + hi) / 2
+        if oracle_step(p, states[-1], mid, signs0) is None:
+            hi = mid
+        else:
+            lo = mid
+    record = traj.meta["singularity"]
+    assert record["bracket"] == [t + lo, t + hi]
+    assert record["time"] == t + (lo + hi) / 2
 
 
 def tilted_setup():
@@ -554,8 +631,8 @@ def tilted_setup():
 @settings(max_examples=40, deadline=None)
 @given(y=st.floats(-3.0, -0.5), r=st.floats(3.0, 9.0))
 def test_integrate_reduced_equals_the_numpy_pair_oracle(y, r):
-    # (y, r) rides through rk4_step as the complex y + i r; every row must be
-    # the one the same step gives on a float64 pair
+    # every row must be the one the reference rk4_step gives on a float64
+    # (y, r) pair
     p = derive_parameters(worked_setup())
     initial = ReducedState(y=y, r=r)
     traj = integrate_reduced(initial, p, t_final=0.5, step=1e-3)
@@ -589,6 +666,22 @@ def test_integrate_reduced_equals_the_numpy_pair_oracle_up_to_the_halt_with_alph
     traj = integrate_reduced(initial, p, t_final=0.5, step=1e-3)
     assert "singularity" in traj.meta and traj.n_samples == 481
     assert_pair_oracle_rows(traj, initial, p, 0.5, 1e-3)
+
+
+@settings(max_examples=25, deadline=None)
+@given(y=st.floats(-3.0, -0.5), r=st.floats(1.0, 2.9))
+@example(y=-3.0, r=1.0)
+def test_integrate_reduced_equals_the_numpy_pair_oracle_with_its_halt(y, r):
+    # nearly every start in this column halts within t = 2, where an RK4
+    # stage drives r through 0 (418 of a 21 x 20 grid of them, between
+    # t = 1.04 and 1.98; not (-0.99999, 1.0)): the rows up to the halt and
+    # the bracket of the singularity record are the oracle's
+    p = derive_parameters(worked_setup())
+    initial = ReducedState(y=y, r=r)
+    traj = integrate_reduced(initial, p, t_final=2.0, step=1e-3)
+    assert_pair_oracle_rows(traj, initial, p, 2.0, 1e-3)
+    if (y, r) == (-3.0, 1.0):
+        assert "singularity" in traj.meta
 
 
 def test_integrate_reduced_field_overflow_at_start_is_singular():

@@ -14,13 +14,12 @@ from isospec_lag.trajectory import (
     Trajectory,
     format_float,
     rk4_commutator_trajectory,
-    rk4_step,
     time_grid,
     write_csv,
     write_json,
 )
 
-from conftest import rand_complex, rand_hermitian, rand_unitary
+from conftest import rand_complex, rand_hermitian, rand_unitary, rk4_step
 
 
 def matrix_traj():
