@@ -17,36 +17,30 @@ import importlib
 #: The submodule that defines each exported name.
 _EXPORTS = {
     "bloch": """
-        BlochVector OrbitClass OrbitTag TangencyReport bloch_from_density
-        classify_orbit density_from_bloch flow_exponential flow_generator
-        sb2c_flow_on_state sb2c_generator tangency_to_unitary_orbit
+        BlochVector OrbitClass OrbitTag classify_orbit density_from_bloch
+        flow_exponential flow_generator sb2c_flow_on_state sb2c_generator
         uniform_ball_sample wedge_closed_form wedge_determinant y_field
     """,
     "heisenberg": """
-        KetTangent OperatorTangent cartan_one_form_heisenberg
-        cartan_two_form_heisenberg el_residual_heisenberg evolve_heisenberg_exact
-        evolve_heisenberg_rk4 evolve_schrodinger_exact heisenberg_rhs
-        lagrangian_heisenberg lagrangian_heisenberg_values lagrangian_schrodinger
+        OperatorTangent cartan_one_form_heisenberg cartan_two_form_heisenberg
+        el_residual_heisenberg evolve_heisenberg_exact evolve_heisenberg_rk4
+        heisenberg_rhs lagrangian_heisenberg lagrangian_heisenberg_values
     """,
     "operator_core": """
-        HERMITIAN_TOL anticommutator as_complex_matrix commutator dagger
-        frobenius_norm hermitian_defect hermitian_eigendecomposition
-        hermitian_propagator hermitian_sqrt is_hermitian require_hermitian
-        unitary_algebra_basis
+        HERMITIAN_TOL as_complex_matrix commutator dagger frobenius_norm
+        hermitian_defect hermitian_propagator hermitian_sqrt
+        require_hermitian unitary_algebra_basis
     """,
     "sb2c": """
-        IDENTITY ReducedState SB2CElement SB2CParameters SB2CSetup
-        SingularityError build_matrix_system constraint_residual
-        derive_parameters full_el_residual integrate_reduced lagrangian_sb2c
-        matrix_el_residuals orbit_point phi_of_r phi_prime reduced_rhs
-        rho1_projection rho2_projection sb2c_inv sb2c_mul sb2c_to_matrix
-        scalar_el_residuals
+        ReducedState SB2CElement SB2CParameters SB2CSetup SingularityError
+        build_matrix_system constraint_residual derive_parameters
+        integrate_reduced lagrangian_sb2c matrix_el_residuals phi_of_r
+        phi_prime reduced_rhs sb2c_to_matrix scalar_el_residuals
     """,
     "trajectory": "Trajectory format_float write_csv write_json",
     "unitary_orbit": """
-        IsospectralOrbitPoint UnitaryTangent el_residual_unitary evolve_lvn_exact
-        evolve_lvn_rk4 immersion_phi_sigma lagrangian_unitary lvn_rhs
-        maurer_cartan_left maurer_cartan_right theta_u_pairing validate_density
+        UnitaryTangent el_residual_unitary evolve_lvn_exact evolve_lvn_rk4
+        lagrangian_unitary lvn_rhs validate_density
     """,
     "verifier": """
         CoordinateLagrangian SampledPath VerificationReport chart_coordinates

@@ -18,7 +18,7 @@ from enum import Enum
 
 import numpy as np
 
-from .operator_core import dagger, require_hermitian
+from .operator_core import dagger
 
 BALL_TOL = 1e-10
 CLASSIFY_TOL = 1e-9
@@ -118,16 +118,6 @@ def density_from_bloch(x: BlochVector) -> np.ndarray:
     return _densities(x.as_array())
 
 
-def bloch_from_density(rho) -> BlochVector:
-    rho = require_hermitian(rho, name="density matrix")
-    if rho.shape != (2, 2):
-        raise ValueError("Bloch coordinates need a 2x2 state")
-    tr = float(np.trace(rho).real)
-    if abs(tr - 1.0) > BALL_TOL:
-        raise ValueError(f"density matrix trace {tr} is not 1")
-    return BlochVector(*_bloch_coordinates(rho).tolist())
-
-
 def generator_frame(points) -> np.ndarray:
     """Frame (Y1, Y2, Y3) at points of shape (..., 3): row k - 1 of each
     (3, 3) block is the component vector of Y_k."""
@@ -210,37 +200,3 @@ def uniform_ball_sample(rng: np.random.Generator) -> BlochVector:
         candidate = rng.uniform(-1.0, 1.0, size=3)
         if candidate @ candidate < 1.0:
             return BlochVector(*candidate)
-
-
-@dataclass(frozen=True)
-class TangencyReport:
-    """Radial and determinant rates of the three flows at a bulk point.
-
-    radial_rates[k-1] is d(||x||^2)/dt = 2 x . Y_k(x): nonzero rates
-    witness that the flows leave the isospectral (constant-radius)
-    orbits.  det_rates[k-1] is the numerical t-derivative of
-    det(g_k sigma g_k^dag), which the unit-determinant group keeps at
-    zero.
-    """
-
-    point: BlochVector
-    radial_rates: tuple
-    det_rates: tuple
-
-
-def tangency_to_unitary_orbit(x: BlochVector) -> TangencyReport:
-    """Rates of spectrum change and determinant change along the flows.
-
-    Raises
-    ------
-    ValueError
-        If x is not a bulk (0 < ||x|| < 1) point.
-    """
-    cls = classify_orbit(x)
-    if cls.tag is not OrbitTag.BULK:
-        raise ValueError(f"tangency report needs a bulk point, got {cls.tag.value}")
-    arr = x.as_array()
-    radial = (2 * generator_frame(arr) @ arr).tolist()
-    dets = np.linalg.det([conjugate_flow(k, [FD_STEP, -FD_STEP], arr)[0] for k in (1, 2, 3)])
-    rates = (dets[:, 0].real - dets[:, 1].real) / (2 * FD_STEP)
-    return TangencyReport(point=x, radial_rates=tuple(radial), det_rates=tuple(rates.tolist()))

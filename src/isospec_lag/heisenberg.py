@@ -8,8 +8,7 @@ operators admits a first-order Lagrangian
 whose Euler-Lagrange equations reproduce the equation of motion on the
 complexified operator space.  This module evaluates that Lagrangian,
 its Poincare-Cartan one-form and Cartan two-form, the Euler-Lagrange
-residual, and the exact and Runge-Kutta evolutions.  The auxiliary
-state-vector (Schrodinger) Lagrangian lives here too.
+residual, and the exact and Runge-Kutta evolutions.
 
 Units take hbar = 1 throughout.
 """
@@ -21,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operator_core import (
-    _real_part,
     _real_values,
     as_complex_matrix,
     commutator,
@@ -45,23 +43,6 @@ class OperatorTangent:
         self.velocity = as_complex_matrix(self.velocity, "velocity")
         if self.point.shape != self.velocity.shape:
             raise ValueError("point and velocity dimensions differ")
-
-
-@dataclass(eq=False)
-class KetTangent:
-    """A state vector and its velocity."""
-
-    ket: np.ndarray
-    ket_velocity: np.ndarray
-
-    def __post_init__(self):
-        self.ket = np.asarray(self.ket, dtype=complex).reshape(-1)
-        self.ket_velocity = np.asarray(self.ket_velocity, dtype=complex).reshape(-1)
-        if self.ket.shape != self.ket_velocity.shape:
-            raise ValueError("ket and ket_velocity lengths differ")
-        if not (np.all(np.isfinite(self.ket.view(float)))
-                and np.all(np.isfinite(self.ket_velocity.view(float)))):
-            raise ValueError("ket entries must be finite")
 
 
 def heisenberg_rhs(a, h) -> np.ndarray:
@@ -192,28 +173,3 @@ def el_residual_heisenberg(tangent: OperatorTangent, h) -> float:
     if h.shape != a.shape:
         raise ValueError("hamiltonian dimension differs from tangent")
     return frobenius_norm(commutator(a, h) - 1j * ad)
-
-
-def lagrangian_schrodinger(kt: KetTangent, h) -> float:
-    """State-vector Lagrangian ``(i/2)(<psi|psidot> - <psidot|psi>) - <psi|H|psi>``.
-
-    Its stationarity condition is the state-vector evolution
-    ``i psidot = H psi``.
-    """
-    h = require_hermitian(h, name="hamiltonian")
-    psi, psid = kt.ket, kt.ket_velocity
-    if h.shape[0] != psi.shape[0]:
-        raise ValueError("hamiltonian dimension differs from ket")
-    z = np.vdot(psi, psid)  # <psi|psidot>
-    kinetic = 0.5j * (z - np.conj(z))
-    potential = np.vdot(psi, h @ psi)
-    return _real_part(kinetic - potential, "Lagrangian")
-
-
-def evolve_schrodinger_exact(psi0, h, t: float) -> np.ndarray:
-    """Return ``exp(-i t h) psi0``; norm-preserving for Hermitian ``h``."""
-    psi0 = np.asarray(psi0, dtype=complex).reshape(-1)
-    h = require_hermitian(h, name="hamiltonian")
-    if h.shape[0] != psi0.shape[0]:
-        raise ValueError("hamiltonian dimension differs from ket")
-    return hermitian_propagator(h, t) @ psi0

@@ -84,14 +84,6 @@ def commutator(a, b) -> np.ndarray:
     return a @ b - b @ a
 
 
-def anticommutator(a, b) -> np.ndarray:
-    """Return ``ab + ba``."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    _check_same_dim(a, b)
-    return a @ b + b @ a
-
-
 def frobenius_norm(m) -> float:
     """Frobenius norm of a matrix."""
     return float(np.linalg.norm(np.asarray(m)))
@@ -101,11 +93,6 @@ def hermitian_defect(m) -> float:
     """Frobenius distance ``||M - M^dag||_F`` from the Hermitian cone."""
     m = np.asarray(m, dtype=complex)
     return frobenius_norm(m - dagger(m))
-
-
-def is_hermitian(m) -> bool:
-    """Whether ``||M - M^dag||_F <= HERMITIAN_TOL``."""
-    return hermitian_defect(m) <= HERMITIAN_TOL
 
 
 def require_hermitian(m, name: str = "matrix") -> np.ndarray:
@@ -138,30 +125,6 @@ def hermitian_propagator(h: np.ndarray, t) -> np.ndarray:
     return (v * phases[..., np.newaxis, :]) @ dagger(v)
 
 
-def hermitian_eigendecomposition(m):
-    """Eigendecomposition of a Hermitian matrix.
-
-    Parameters
-    ----------
-    m : array_like
-        Hermitian matrix, within ``HERMITIAN_TOL`` in Frobenius norm.
-
-    Returns
-    -------
-    (numpy.ndarray, numpy.ndarray)
-        Ascending real eigenvalues and a unitary ``V`` with
-        ``m = V diag(w) V^dag``.
-
-    Raises
-    ------
-    ValueError
-        If ``m`` fails the Hermiticity check.
-    """
-    arr = require_hermitian(m)
-    w, v = np.linalg.eigh(arr)
-    return w, v
-
-
 def hermitian_sqrt(m) -> np.ndarray:
     """Hermitian PSD square root ``S`` with ``S @ S = m``.
 
@@ -174,7 +137,7 @@ def hermitian_sqrt(m) -> np.ndarray:
         If ``m`` is not Hermitian or has an eigenvalue below
         ``-HERMITIAN_TOL``.
     """
-    w, v = hermitian_eigendecomposition(m)
+    w, v = np.linalg.eigh(require_hermitian(m))
     if np.min(w) < -HERMITIAN_TOL:
         raise ValueError(
             f"matrix is not positive semidefinite: min eigenvalue {np.min(w):.3e}"

@@ -30,14 +30,10 @@ from .operator_core import (
     HERMITIAN_TOL,
     as_complex_matrix,
     dagger,
-    frobenius_norm,
-    hermitian_sqrt,
     require_hermitian,
 )
 from .trajectory import Trajectory, time_grid
 
-#: Tolerance for the internal scalar/matrix residual consistency identity.
-CONSISTENCY_TOL = 1e-9
 #: Time resolution of the singularity bisection.
 SINGULARITY_TIME_TOL = 1e-8
 
@@ -59,9 +55,6 @@ class SB2CElement:
             raise ValueError(f"r must be positive and finite, got {self.r}")
         if not (math.isfinite(self.x) and math.isfinite(self.y)):
             raise ValueError("coordinates must be finite")
-
-
-IDENTITY = SB2CElement(1.0, 0.0, 0.0)
 
 
 @dataclass(eq=False)
@@ -107,6 +100,8 @@ class ReducedState:
     def __post_init__(self):
         if not (self.r > 0 and math.isfinite(self.r)):
             raise ValueError(f"r must be positive and finite, got {self.r}")
+        if not math.isfinite(self.y):
+            raise ValueError(f"y must be finite, got {self.y}")
 
 
 def sb2c_matrices(r, x, y) -> np.ndarray:
@@ -119,22 +114,6 @@ def sb2c_matrices(r, x, y) -> np.ndarray:
 
 def sb2c_to_matrix(g: SB2CElement) -> np.ndarray:
     return sb2c_matrices(g.r, g.x, g.y)
-
-
-def sb2c_mul(g1: SB2CElement, g2: SB2CElement) -> SB2CElement:
-    # (g1 g2) stays upper triangular: r = r1 r2, offdiag = r1*w2 + w1/r2
-    w = g1.r * complex(g2.x, g2.y) + complex(g1.x, g1.y) / g2.r
-    return SB2CElement(g1.r * g2.r, w.real, w.imag)
-
-
-def sb2c_inv(g: SB2CElement) -> SB2CElement:
-    # [[r, w],[0,1/r]]^-1 = [[1/r, -w],[0, r]]
-    return SB2CElement(1.0 / g.r, -g.x, -g.y)
-
-
-def orbit_point(g: SB2CElement, setup: SB2CSetup) -> np.ndarray:
-    """Orbit element ``g A0``."""
-    return sb2c_to_matrix(g) @ setup.a0
 
 
 def derive_parameters(setup: SB2CSetup) -> SB2CParameters:
@@ -303,7 +282,11 @@ def phi_of_r(r: float, params: SB2CParameters) -> float:
 
 
 def phi_prime(r: float, params: SB2CParameters) -> float:
-    """Analytic derivative of the rational function Phi."""
+    """Analytic derivative of the rational function Phi, the slope of the
+    constraint surface x = Phi(r); the reduced velocity of r divides by
+    a + d Phi'(r).  ``assert_pair_oracle_rows`` in tests/test_sb2c.py pins
+    it bit for bit, and ``test_phi_prime_matches_finite_difference`` pins
+    it against Phi."""
     _require_simplified(params)
     if r <= 0:
         raise ValueError(f"r must be positive, got {r}")
@@ -312,7 +295,11 @@ def phi_prime(r: float, params: SB2CParameters) -> float:
 
 
 def reduced_rhs(state: ReducedState, params: SB2CParameters):
-    """Right-hand sides (ydot, rdot) of the reduced dynamics.
+    """Right-hand sides (ydot, rdot) of the reduced dynamics: the two
+    nonlinear ODEs in (y, r) that the implicit Euler-Lagrange system
+    reduces to on x = Phi(r) in the real symmetric case.
+    ``assert_pair_oracle_rows`` in tests/test_sb2c.py pins them bit for
+    bit, and ``test_reduced_rhs_worked_closed_form`` in closed form.
 
     Raises
     ------
@@ -410,10 +397,12 @@ def integrate_reduced(initial: ReducedState, params: SB2CParameters,
 
 
 def scalar_el_residuals(g: SB2CElement, gdot, setup: SB2CSetup) -> np.ndarray:
-    """Row residuals of the implicit system, ``A Xdot - Y``.
+    """Row residuals of the implicit system, ``A Xdot - Y``: the coordinate
+    Euler-Lagrange equations of the orbit Lagrangian.
 
     ``gdot`` is ``(rdot, xdot, ydot)``; rows follow the (xdot, ydot, rdot)
-    ordering of the system matrix.
+    ordering of the system matrix.  They vanish along the reduced flow
+    (``test_scalar_residuals_vanish_on_reduced_solutions``).
     """
     rdot, xdot, ydot = (float(v) for v in gdot)
     amat, yv = build_matrix_system(g, setup)
@@ -429,8 +418,15 @@ def matrix_el_residuals(g: SB2CElement, gdot, setup: SB2CSetup):
         E_h = Im(M rho_g) - (1/2){H, rho_g} + g A0 H A0^dag g^dag
 
     where Re/Im are the matrix real and imaginary parts with respect to
-    the adjoint.  Both vanish along extremals paired against the group
-    directions.
+    the adjoint.  This is the matrix form of the coordinate equations:
+    with P = E_a + E_h, projecting onto the group directions gives back
+    the rows of ``scalar_el_residuals``,
+
+        row2 =  r Re(P_21)
+        row3 = -r Im(P_21)
+        row1 = (Re(P_11 - P_22) - x row2 - y row3) / r
+
+    which ``test_matrix_residuals_project_onto_the_scalar_rows`` pins.
     """
     gm = sb2c_to_matrix(g)
     gd = _velocity_matrix(g, gdot)
@@ -444,56 +440,3 @@ def matrix_el_residuals(g: SB2CElement, gdot, setup: SB2CSetup):
     e_a = 1j * re_part - 0.5 * (rho_g @ h - h @ rho_g)
     e_h = im_part - 0.5 * (h @ rho_g + rho_g @ h) + h_g
     return e_a, e_h
-
-
-def full_el_residual(g: SB2CElement, gdot, setup: SB2CSetup) -> float:
-    """Summed Frobenius norms of the two matrix residuals.
-
-    Also verifies, on every call, that projecting the matrix residuals
-    onto the group directions reproduces the scalar row residuals:
-    with P = E_a + E_h,
-
-        row2 =  r Re(P_21)
-        row3 = -r Im(P_21)
-        row1 = (Re(P_11 - P_22) - x row2 - y row3) / r
-
-    a derived identity that ties the coordinate equations to the matrix
-    form.  A violation beyond tolerance means an internal inconsistency
-    and raises.
-    """
-    e_a, e_h = matrix_el_residuals(g, gdot, setup)
-    pmat = e_a + e_h
-    rows = scalar_el_residuals(g, gdot, setup)
-    row2 = g.r * pmat[1, 0].real
-    row3 = -g.r * pmat[1, 0].imag
-    row1 = ((pmat[0, 0] - pmat[1, 1]).real - g.x * row2 - g.y * row3) / g.r
-    extracted = np.array([row1, row2, row3])
-    scale = max(1.0, float(np.linalg.norm(rows)), float(np.linalg.norm(extracted)))
-    err = float(np.linalg.norm(rows - extracted))
-    if err > CONSISTENCY_TOL * scale:
-        raise RuntimeError(
-            f"scalar/matrix residual consistency violated: {err:.3e}"
-        )
-    return frobenius_norm(e_a) + frobenius_norm(e_h)
-
-
-def rho1_projection(g: SB2CElement, sigma) -> np.ndarray:
-    """Normalized conjugation ``g sigma g^dag / Tr(g sigma g^dag)``."""
-    sigma = require_hermitian(sigma, name="sigma")
-    gm = sb2c_to_matrix(g)
-    m = gm @ sigma @ dagger(gm)
-    tr = float(np.trace(m).real)
-    if not (tr > 0 and math.isfinite(tr)):
-        raise ValueError(f"projection trace is not positive and finite: {tr:.3e}")
-    return m / tr
-
-
-def rho2_projection(g: SB2CElement, sigma) -> np.ndarray:
-    """Normalized ``sqrt(sigma) g^dag g sqrt(sigma)``."""
-    s = hermitian_sqrt(sigma)
-    gm = sb2c_to_matrix(g)
-    m = s @ dagger(gm) @ gm @ s
-    tr = float(np.trace(m).real)
-    if not (tr > 0 and math.isfinite(tr)):
-        raise ValueError(f"projection trace is not positive and finite: {tr:.3e}")
-    return m / tr

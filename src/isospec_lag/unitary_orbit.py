@@ -11,9 +11,9 @@ whose extremals project onto solutions of rho_dot = -i [rho, H] (see
 verifier.el_residual_unitary_path), while the ``lvn`` kind, through
 lvn_rhs and the evolve_lvn_* functions below, integrates
 rho_dot = +i [rho, H]: the same orbit traversed backwards in time.
-This module evaluates that Lagrangian, the Maurer-Cartan forms, the
-Euler-Lagrange residual projected on an orthonormal basis of the
-unitary algebra, and the exact and Runge-Kutta state evolutions.
+This module evaluates that Lagrangian, the Euler-Lagrange residual
+projected on an orthonormal basis of the unitary algebra, and the exact
+and Runge-Kutta state evolutions.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from .operator_core import (
     dagger,
     frobenius_norm,
     hermitian_propagator,
-    hermitian_sqrt,
     require_hermitian,
     unitary_algebra_basis,
 )
@@ -42,8 +41,6 @@ logger = logging.getLogger(__name__)
 
 #: Frobenius tolerance for unitarity and tangency of group tangent vectors.
 TANGENT_TOL = 1e-10
-#: Spectrum agreement tolerance for orbit membership.
-ORBIT_SPECTRUM_TOL = 1e-8
 
 
 def validate_density(rho) -> np.ndarray:
@@ -97,34 +94,6 @@ class UnitaryTangent:
             raise ValueError(f"udot is not tangent: defect {tangency:.3e}")
 
 
-@dataclass(eq=False)
-class IsospectralOrbitPoint:
-    """A density matrix known to lie on the orbit of a reference spectrum."""
-
-    rho: np.ndarray
-    reference_spectrum: np.ndarray
-
-    def __post_init__(self):
-        self.rho = validate_density(self.rho)
-        self.reference_spectrum = np.sort(np.asarray(self.reference_spectrum, dtype=float))
-        w = np.linalg.eigvalsh(self.rho)
-        drift = float(np.max(np.abs(w - self.reference_spectrum)))
-        if drift > ORBIT_SPECTRUM_TOL:
-            raise ValueError(f"spectrum deviates from reference by {drift:.3e}")
-
-
-def immersion_phi_sigma(u, sigma) -> np.ndarray:
-    """Immersion ``sqrt(sigma) u`` of the unitary group into operators.
-
-    The image satisfies ``phi phi^dag = sigma``.
-    """
-    u = as_complex_matrix(u, "u")
-    n = u.shape[0]
-    if frobenius_norm(dagger(u) @ u - np.eye(n)) > TANGENT_TOL:
-        raise ValueError("u is not unitary")
-    return hermitian_sqrt(sigma) @ u
-
-
 def lagrangian_unitary(ut: UnitaryTangent, sigma, h) -> float:
     """Pulled-back Lagrangian ``i Tr(sigma udot u^dag) - Tr(u^dag sigma u H - sigma H)``."""
     sigma = require_hermitian(sigma, name="sigma")
@@ -143,23 +112,6 @@ def lagrangian_unitary_values(u, ud, sigma, h) -> np.ndarray:
     kinetic = 1j * np.trace(sigma @ ud @ u_dag, axis1=-2, axis2=-1)
     potential = np.trace(u_dag @ sigma @ u @ h - sigma @ h, axis1=-2, axis2=-1)
     return _real_values(kinetic - potential, "Lagrangian")
-
-
-def maurer_cartan_left(ut: UnitaryTangent) -> np.ndarray:
-    """Left Maurer-Cartan pairing ``u^dag udot``; anti-Hermitian."""
-    return dagger(ut.u) @ ut.udot
-
-
-def maurer_cartan_right(ut: UnitaryTangent) -> np.ndarray:
-    """Right Maurer-Cartan pairing ``udot u^dag``; anti-Hermitian."""
-    return ut.udot @ dagger(ut.u)
-
-
-def theta_u_pairing(ut: UnitaryTangent, sigma) -> float:
-    """Cartan one-form ``i Tr(sigma udot u^dag)``, a real number."""
-    sigma = require_hermitian(sigma, name="sigma")
-    value = 1j * np.trace(sigma @ maurer_cartan_right(ut))
-    return _real_part(value, "one-form value")
 
 
 def lvn_rhs(rho, h) -> np.ndarray:

@@ -7,10 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isospec_lag.bloch import (
+    FD_STEP,
     FLOW_T_MAX,
     BlochVector,
     OrbitTag,
-    bloch_from_density,
     classify_orbit,
     conjugate_flow,
     density_from_bloch,
@@ -19,7 +19,6 @@ from isospec_lag.bloch import (
     generator_frame,
     sb2c_flow_on_state,
     sb2c_generator,
-    tangency_to_unitary_orbit,
     uniform_ball_sample,
     wedge_closed_form,
     wedge_closed_form_values,
@@ -56,15 +55,10 @@ def test_density_round_trip():
         rho = density_from_bloch(x)
         assert abs(np.trace(rho).real - 1.0) <= 1e-14
         assert np.min(np.linalg.eigvalsh(rho)) >= -1e-14
-        back = bloch_from_density(rho)
-        np.testing.assert_allclose(back.as_array(), x.as_array(), atol=1e-12)
-
-
-def test_bloch_from_density_validation():
-    with pytest.raises(ValueError):
-        bloch_from_density(np.diag([0.6, 0.6]))
-    with pytest.raises(ValueError):
-        bloch_from_density(np.diag([0.2, 0.3, 0.5]))
+        for k in (1, 2, 3):  # at t = 0 every flow is the identity
+            m, back = conjugate_flow(k, 0.0, x.as_array())
+            np.testing.assert_array_equal(m, rho)
+            np.testing.assert_allclose(back, x.as_array(), atol=1e-12)
 
 
 def test_y_field_reference_points():
@@ -192,30 +186,30 @@ def test_flows_preserve_determinant_not_spectrum():
     assert np.max(np.abs(after - before)) > 1e-3
 
 
-def test_tangency_report():
-    x = BlochVector(0.0, 0.0, 0.5)
-    report = tangency_to_unitary_orbit(x)
-    np.testing.assert_allclose(report.radial_rates, [0.0, 0.0, 0.75], atol=1e-12)
-    assert np.max(np.abs(report.det_rates)) <= 1e-10
+def det_rates(arr):
+    """Centered-difference t-derivatives at t = 0 of det(g_k sigma g_k^dag)."""
+    dets = np.linalg.det([conjugate_flow(k, [FD_STEP, -FD_STEP], arr)[0] for k in (1, 2, 3)])
+    return (dets[:, 0].real - dets[:, 1].real) / (2 * FD_STEP)
+
+
+def test_flows_move_the_radius_but_not_the_determinant():
+    # d(|x|^2)/dt = 2 x . Y_k(x): the flows leave the isospectral spheres
+    # |x| = const at these rates, while det(g sigma g^dag) stays put
+    arr = np.array([0.0, 0.0, 0.5])
+    np.testing.assert_allclose(2 * generator_frame(arr) @ arr, [0.0, 0.0, 0.75], atol=1e-12)
+    assert np.max(np.abs(det_rates(arr))) <= 1e-10
     rng = np.random.default_rng(7)
     for _ in range(20):
         x = uniform_ball_sample(rng)
         r2 = x.norm**2
-        report = tangency_to_unitary_orbit(x)
         want = (
             2 * x.x1 * (1 - r2),
             -2 * x.x2 * (1 - r2),
             2 * x.x3 * (1 - r2),
         )
-        np.testing.assert_allclose(report.radial_rates, want, atol=1e-9)
-        assert np.max(np.abs(report.det_rates)) <= 1e-8
-
-
-def test_tangency_report_needs_bulk_point():
-    with pytest.raises(ValueError):
-        tangency_to_unitary_orbit(P)
-    with pytest.raises(ValueError):
-        tangency_to_unitary_orbit(BlochVector(1.0, 0.0, 0.0))
+        np.testing.assert_allclose(2 * generator_frame(x.as_array()) @ x.as_array(), want,
+                                   atol=1e-9)
+        assert np.max(np.abs(det_rates(x.as_array()))) <= 1e-8
 
 
 def test_uniform_ball_sampler_stays_inside():

@@ -4,18 +4,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isospec_lag.heisenberg import (
-    KetTangent,
     OperatorTangent,
     cartan_one_form_heisenberg,
     cartan_two_form_heisenberg,
     el_residual_heisenberg,
     evolve_heisenberg_exact,
     evolve_heisenberg_rk4,
-    evolve_schrodinger_exact,
     heisenberg_rhs,
     lagrangian_heisenberg,
     lagrangian_heisenberg_values,
-    lagrangian_schrodinger,
 )
 from isospec_lag.operator_core import frobenius_norm
 
@@ -240,36 +237,6 @@ def test_el_residual_with_finite_difference_velocity():
     a_plus = evolve_heisenberg_exact(SX, SZ, t + h)
     v = (a_plus - a_minus) / (2 * h)
     assert el_residual_heisenberg(OperatorTangent(a_mid, v), SZ) <= 1e-6
-
-
-def test_schrodinger_lagrangian():
-    psi = np.array([1.0, 0.0], dtype=complex)
-    # eigenvector with eigenvalue 1, on-shell velocity: kinetic cancels potential
-    kt = KetTangent(psi, -1j * psi)
-    assert lagrangian_schrodinger(kt, SZ) == pytest.approx(0.0, abs=1e-14)
-    kt = KetTangent(psi, 1j * psi)
-    assert lagrangian_schrodinger(kt, np.zeros((2, 2))) == pytest.approx(-1.0)
-    psi_perp = np.array([0.0, 1.0], dtype=complex)
-    h = np.diag([3.0, 0.0]).astype(complex)
-    assert lagrangian_schrodinger(KetTangent(psi_perp, 0 * psi_perp), h) == pytest.approx(0.0)
-
-
-def test_ket_tangent_validation():
-    with pytest.raises(ValueError):
-        KetTangent(np.array([1.0, 0.0]), np.array([1.0, 0.0, 0.0]))
-
-
-def test_schrodinger_exact_flow():
-    psi = np.array([1.0, 0.0], dtype=complex)
-    np.testing.assert_allclose(evolve_schrodinger_exact(psi, SZ, 0.0), psi)
-    t = 1.3
-    got = evolve_schrodinger_exact(psi, SZ, t)
-    np.testing.assert_allclose(got, [np.exp(-1j * t), 0.0], atol=1e-13)
-    rng = np.random.default_rng(14)
-    psi = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-    h = rand_hermitian(rng, 3)
-    out = evolve_schrodinger_exact(psi, h, 10.0)
-    assert abs(np.linalg.norm(out) - np.linalg.norm(psi)) <= 1e-10
 
 
 @settings(max_examples=25, deadline=None)

@@ -5,16 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isospec_lag.operator_core import (
-    anticommutator,
     as_complex_matrix,
     commutator,
     dagger,
     frobenius_norm,
     hermitian_defect,
-    hermitian_eigendecomposition,
     hermitian_propagator,
     hermitian_sqrt,
-    is_hermitian,
     require_hermitian,
     unitary_algebra_basis,
 )
@@ -66,60 +63,15 @@ def test_commutator_traceless():
             )
 
 
-def test_anticommutator():
-    np.testing.assert_allclose(anticommutator(SX, SY), np.zeros((2, 2)), atol=1e-15)
-    np.testing.assert_allclose(anticommutator(SZ, SZ), 2 * SI)
-    b = np.array([[0.5, 1j], [2, -1]])
-    np.testing.assert_allclose(anticommutator(SI, b), 2 * b)
-
-
 def test_hermitian_predicates():
-    assert is_hermitian(SX)
-    assert not is_hermitian(np.array([[0, 1], [0, 0]]))
+    np.testing.assert_array_equal(require_hermitian(SX), SX)
     assert hermitian_defect(SY) == 0.0
     with pytest.raises(ValueError):
         require_hermitian(np.array([[0, 1], [0, 0]]))
     # defect just below / above the fixed tolerance HERMITIAN_TOL = 1e-10
-    assert is_hermitian(SX + np.array([[0, 7e-11], [0, 0]]))
-    assert not is_hermitian(SX + np.array([[0, 7.1e-11], [0, 0]]))
-
-
-def test_eigendecomposition_examples():
-    w, v = hermitian_eigendecomposition(np.diag([0.7, 0.3]))
-    np.testing.assert_allclose(w, [0.3, 0.7])
-    assert frobenius_norm(dagger(v) @ v - np.eye(2)) <= 1e-12
-
-    w, _ = hermitian_eigendecomposition(SX)
-    np.testing.assert_allclose(w, [-1.0, 1.0], atol=1e-12)
-
-    w, _ = hermitian_eigendecomposition(SI)
-    np.testing.assert_allclose(w, [1.0, 1.0])
-
-
-def test_eigendecomposition_reconstruction():
-    rng = np.random.default_rng(3)
-    for n in (2, 3, 4, 6):
-        for _ in range(5):
-            m = rand_hermitian(rng, n)
-            w, v = hermitian_eigendecomposition(m)
-            assert np.all(np.diff(w) >= 0)
-            np.testing.assert_allclose(v @ np.diag(w) @ dagger(v), m, atol=1e-9)
-
-
-def test_eigenvalues_match_characteristic_roots_dim2():
-    rng = np.random.default_rng(4)
-    for _ in range(50):
-        m = rand_hermitian(rng, 2)
-        w, _ = hermitian_eigendecomposition(m)
-        tr = np.trace(m).real
-        det = np.linalg.det(m).real
-        roots = np.sort(np.roots([1.0, -tr, det]).real)
-        np.testing.assert_allclose(w, roots, atol=1e-9)
-
-
-def test_eigendecomposition_rejects_non_hermitian():
+    require_hermitian(SX + np.array([[0, 7e-11], [0, 0]]))
     with pytest.raises(ValueError):
-        hermitian_eigendecomposition(np.array([[0, 1], [0, 0]]))
+        require_hermitian(SX + np.array([[0, 7.1e-11], [0, 0]]))
 
 
 def test_hermitian_sqrt_examples():
@@ -150,6 +102,12 @@ def test_hermitian_sqrt_negative_clip():
     np.testing.assert_allclose(s @ s, v @ np.diag([1.0, 0.0]) @ v.T, atol=1e-9)
     with pytest.raises(ValueError):
         hermitian_sqrt(v @ np.diag([1.0, -1e-3]) @ v.T)
+
+
+def test_eigendecomposition_rejects_non_hermitian():
+    # the eigendecomposition inside hermitian_sqrt refuses a non-Hermitian input
+    with pytest.raises(ValueError):
+        hermitian_sqrt(np.array([[0, 1], [0, 0]]))
 
 
 def test_unitary_algebra_basis_n1():

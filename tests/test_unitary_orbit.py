@@ -13,17 +13,12 @@ from isospec_lag.operator_core import (
     hermitian_sqrt,
 )
 from isospec_lag.unitary_orbit import (
-    IsospectralOrbitPoint,
     UnitaryTangent,
     el_residual_unitary,
     evolve_lvn_exact,
     evolve_lvn_rk4,
-    immersion_phi_sigma,
     lagrangian_unitary,
     lvn_rhs,
-    maurer_cartan_left,
-    maurer_cartan_right,
-    theta_u_pairing,
     validate_density,
 )
 
@@ -33,7 +28,6 @@ from conftest import (
     SY,
     SZ,
     rand_antihermitian,
-    rand_complex,
     rand_density,
     rand_hermitian,
     rand_unitary,
@@ -83,32 +77,6 @@ def test_unitary_tangent_validation():
         UnitaryTangent(u, np.zeros((2, 2)))
 
 
-def test_isospectral_orbit_point():
-    rng = np.random.default_rng(1)
-    rho = rand_density(rng, 3)
-    spectrum = np.linalg.eigvalsh(rho)
-    u = rand_unitary(rng, 3)
-    IsospectralOrbitPoint(dagger(u) @ rho @ u, spectrum)
-    with pytest.raises(ValueError):
-        IsospectralOrbitPoint(rho, spectrum + 0.01)
-
-
-def test_immersion():
-    rng = np.random.default_rng(2)
-    sigma = rand_density(rng, 3)
-    np.testing.assert_allclose(
-        immersion_phi_sigma(np.eye(3), sigma), hermitian_sqrt(sigma), atol=1e-12
-    )
-    for _ in range(20):
-        u = rand_unitary(rng, 3)
-        phi = immersion_phi_sigma(u, sigma)
-        np.testing.assert_allclose(phi @ dagger(phi), sigma, atol=1e-10)
-    u = rand_unitary(rng, 3)
-    np.testing.assert_allclose(immersion_phi_sigma(u, np.eye(3)), u)
-    with pytest.raises(ValueError):
-        immersion_phi_sigma(np.ones((2, 2)), np.eye(2))
-
-
 def test_lagrangian_unitary_examples():
     rng = np.random.default_rng(3)
     sigma = rand_density(rng, 2)
@@ -132,35 +100,6 @@ def test_lagrangian_unitary_pullback():
                 OperatorTangent(root @ ut.u, root @ ut.udot), h
             )
             assert lagrangian_unitary(ut, sigma, h) == pytest.approx(pulled, abs=1e-10)
-
-
-def test_maurer_cartan_forms():
-    rng = np.random.default_rng(5)
-    u = rand_unitary(rng, 3)
-    zero = UnitaryTangent(u, np.zeros((3, 3)))
-    np.testing.assert_allclose(maurer_cartan_left(zero), np.zeros((3, 3)))
-    np.testing.assert_allclose(maurer_cartan_right(zero), np.zeros((3, 3)))
-    x = rand_antihermitian(rng, 3)
-    at_identity = UnitaryTangent(np.eye(3), x)
-    np.testing.assert_allclose(maurer_cartan_left(at_identity), x, atol=1e-14)
-    np.testing.assert_allclose(maurer_cartan_right(at_identity), x, atol=1e-14)
-    for _ in range(20):
-        ut = rand_tangent(rng, 3)
-        for theta in (maurer_cartan_left(ut), maurer_cartan_right(ut)):
-            assert frobenius_norm(theta + dagger(theta)) <= 1e-10
-
-
-def test_theta_u_pairing():
-    rng = np.random.default_rng(6)
-    sigma = rand_density(rng, 2)
-    u = rand_unitary(rng, 2)
-    assert theta_u_pairing(UnitaryTangent(u, np.zeros((2, 2))), sigma) == 0.0
-    h = rand_hermitian(rng, 2)
-    got = theta_u_pairing(UnitaryTangent(SI, -1j * h), sigma)
-    assert got == pytest.approx(np.trace(sigma @ h).real, abs=1e-12)
-    for _ in range(50):
-        value = theta_u_pairing(rand_tangent(rng, 3), rand_density(rng, 3))
-        assert isinstance(value, float)
 
 
 def test_lvn_rhs():
