@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 
 import isospec_lag
-from isospec_lag import operator_core
+from isospec_lag import operator_core, trajectory
 
 SI = np.eye(2, dtype=complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -79,3 +79,22 @@ def hermitian_check_names(monkeypatch):
                 and getattr(module, "require_hermitian", None) is check):
             monkeypatch.setattr(module, "require_hermitian", counting)
     return names
+
+
+def force_split(mp):
+    """Split every write of two or more pieces, on any host with ``os.fork``."""
+    mp.setattr(trajectory, "PARALLEL_MIN_FLOATS", 0)
+    mp.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
+def fail_in(process, function):
+    """``function``, raising RuntimeError when called in the parent or the
+    child of the split write, as ``process`` says."""
+    parent = os.getpid()
+
+    def failing(*args, **kwargs):
+        if (os.getpid() == parent) == (process == "parent"):
+            raise RuntimeError(f"planted failure in the {process}")
+        return function(*args, **kwargs)
+
+    return failing

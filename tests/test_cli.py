@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import os
 import re
 import subprocess
 import sys
@@ -13,10 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isospec_lag import cli, unitary_orbit
+from isospec_lag import cli, trajectory, unitary_orbit
 from isospec_lag.heisenberg import evolve_heisenberg_exact
 
-from conftest import hermitian_check_names, src_env
+from conftest import fail_in, force_split, hermitian_check_names, src_env
 
 LINE = re.compile(
     r"^(?P<name>\w+) max=(?P<max>[^ ]+) tol=(?P<tol>[^ ]+) (?P<status>PASS|FAIL)$"
@@ -594,6 +595,43 @@ def test_unwritable_output_path_exits_2(tmp_path, capsys, via, under):
     assert f"config error: cannot write outputs to {out}: " in err
     assert "Traceback" not in err
     assert blocker.read_text() == "a regular file\n"
+
+
+def test_a_failing_split_write_exits_2(tmp_path, capsys, monkeypatch):
+    force_split(monkeypatch)
+    monkeypatch.setattr(trajectory, "_csv_block", fail_in("child", trajectory._csv_block))
+    cfg = heisenberg_config(tmp_path)
+    assert run_cli(["heisenberg", "--config", cfg, "--out", tmp_path / "out"]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: cannot write outputs to {tmp_path / 'out'}: " in err
+    assert "exited with status 1" in err
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_a_split_cli_run_prints_each_line_once(tmp_path, fmt):
+    """A command-line run whose table is split (5,001 rows x 9 floats): the
+    forked child leaves without flushing what the parent has buffered, so
+    stdout holds the marker printed before the run and each invariant
+    line exactly once, and stderr holds no traceback."""
+    cfg = heisenberg_config(tmp_path, t_final=5.0)
+    script = ("import sys; from isospec_lag import cli; print('started'); "
+              "sys.exit(cli.main(sys.argv[1:]))")
+    # stdout is a pipe, so the marker stays in its buffer through the fork
+    env = {k: v for k, v in src_env().items() if k != "PYTHONUNBUFFERED"}
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "heisenberg", "--config", str(cfg),
+         "--out", str(tmp_path / "out"), "--format", fmt],
+        capture_output=True, text=True, env={**env, "ISOSPEC_LOG": "debug"}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "started"
+    assert [LINE.match(line)["name"] for line in lines[1:]] == list(
+        cli.DEFAULT_TOLERANCES["heisenberg"])
+    assert "Traceback" not in proc.stderr
+    mode = "split" if trajectory._can_split() else "serial"
+    assert f": 5001 x 9, 45009 floats, {mode}, " in proc.stderr
 
 
 def test_sb2c_field_overflow_at_start_exits_3(tmp_path, capsys, caplog):

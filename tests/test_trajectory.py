@@ -1,6 +1,12 @@
 import json
+import logging
 import math
+import os
+import re
+import signal
 import tempfile
+import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from isospec_lag import trajectory
 from isospec_lag.trajectory import (
     CSV_BLOCK_ROWS,
     GRID_SNAP,
@@ -19,7 +26,7 @@ from isospec_lag.trajectory import (
     write_json,
 )
 
-from conftest import rand_complex, rand_hermitian, rand_unitary, rk4_step
+from conftest import fail_in, force_split, rand_complex, rand_hermitian, rand_unitary, rk4_step
 
 
 def matrix_traj():
@@ -147,6 +154,11 @@ SB2C_COLUMNS = ("y", "r", "x")
 BLOCH_COLUMNS = tuple(f"f{k}_x{i}" for k in (1, 2, 3) for i in (1, 2, 3))
 
 
+#: How a drawn write may run: as it would (None), split into two processes
+#: at any size, or at any size but without ``os.fork`` or a second CPU.
+SPLITS = (None, "fork", "no fork", "one cpu")
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     layout=st.sampled_from([1, 2, 3, 4, SB2C_COLUMNS, BLOCH_COLUMNS, ("b", "a\u00e9\"", "b")]),
@@ -154,11 +166,21 @@ BLOCH_COLUMNS = tuple(f"f{k}_x{i}" for k in (1, 2, 3) for i in (1, 2, 3))
                           CSV_BLOCK_ROWS + 1, 2 * CSV_BLOCK_ROWS + 1]),
     seed=st.integers(0, 2**32 - 1),
     specials=st.lists(st.sampled_from(SPECIAL_FLOATS), max_size=12),
+    split=st.sampled_from(SPLITS),
 )
-@example(layout=2, rows=3, seed=0, specials=[math.nan, math.inf, -math.inf, -0.0, 5e-324])
-@example(layout=SB2C_COLUMNS, rows=0, seed=1, specials=[])
-@example(layout=BLOCH_COLUMNS, rows=CSV_BLOCK_ROWS + 1, seed=2, specials=[1e-300, 1e300])
-def test_writers_match_their_references_byte_for_byte(layout, rows, seed, specials):
+@example(layout=2, rows=3, seed=0, specials=[math.nan, math.inf, -math.inf, -0.0, 5e-324],
+         split=None)
+@example(layout=SB2C_COLUMNS, rows=0, seed=1, specials=[], split=None)
+@example(layout=BLOCH_COLUMNS, rows=CSV_BLOCK_ROWS + 1, seed=2, specials=[1e-300, 1e300],
+         split=None)
+@example(layout=SB2C_COLUMNS, rows=0, seed=3, specials=[], split="fork")
+@example(layout=1, rows=1, seed=4, specials=[math.nan, -0.0], split="fork")
+@example(layout=2, rows=2, seed=5, specials=[math.inf, -math.inf, 5e-324], split="fork")
+@example(layout=BLOCH_COLUMNS, rows=2 * CSV_BLOCK_ROWS + 1, seed=6,
+         specials=[math.nan, math.inf, -math.inf, -0.0, -2.5e-310], split="fork")
+@example(layout=3, rows=CSV_BLOCK_ROWS + 1, seed=7, specials=[], split="no fork")
+@example(layout=3, rows=CSV_BLOCK_ROWS + 1, seed=8, specials=[], split="one cpu")
+def test_writers_match_their_references_byte_for_byte(layout, rows, seed, specials, split):
     # special values land at random cells of the states and the times
     rng = np.random.default_rng(seed)
     times = np.arange(rows) * 1e-3
@@ -175,12 +197,127 @@ def test_writers_match_their_references_byte_for_byte(layout, rows, seed, specia
         for x in specials:
             target = values if rng.integers(4) else traj.times
             target[rng.integers(len(target))] = x
-    with tempfile.TemporaryDirectory() as tmp:
+    # a table in two or more pieces is split when forced to and able to
+    pieces = {write_csv: -(-rows // CSV_BLOCK_ROWS), write_json: len(set(traj.headers())) + 1}
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        forks = count_forks(mp)
+        if split is not None:
+            force_split(mp)
+        if split == "no fork":
+            mp.delattr(os, "fork")
+        if split == "one cpu":
+            mp.setattr(os, "sched_getaffinity", lambda pid: {0})
         new, ref = Path(tmp) / "new", Path(tmp) / "ref"
         for write, reference in ((write_csv, reference_csv), (write_json, reference_json)):
+            forks.clear()
             write(traj, new)
             reference(traj, ref)
             assert new.read_bytes() == ref.read_bytes(), write.__name__
+            assert len(forks) == (split == "fork" and pieces[write] > 1), write.__name__
+    assert_no_child_left()
+
+
+def count_forks(mp):
+    """Make ``os.fork`` record in the returned list each fork this process makes."""
+    forks, fork = [], os.fork
+
+    def counting():
+        pid = fork()
+        forks.append(pid)
+        return pid
+
+    mp.setattr(os, "fork", counting)
+    return forks
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def split_traj(rows=2 * CSV_BLOCK_ROWS + 1):
+    rng = np.random.default_rng(rows)
+    return Trajectory(np.arange(rows) * 1e-3, rng.standard_normal((rows, 2, 2)) + 0j)
+
+
+@pytest.mark.parametrize("write, renderer", [(write_csv, "_csv_block"), (write_json, "_json_list")])
+def test_a_failing_child_raises_oserror_and_is_reaped(tmp_path, monkeypatch, write, renderer):
+    force_split(monkeypatch)
+    monkeypatch.setattr(trajectory, renderer, fail_in("child", getattr(trajectory, renderer)))
+    with pytest.raises(OSError, match="exited with status 1"):
+        write(split_traj(), tmp_path / "out")
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("write, renderer", [(write_csv, "_csv_block"), (write_json, "_json_list")])
+def test_a_failing_parent_still_reaps_the_child(tmp_path, monkeypatch, write, renderer):
+    force_split(monkeypatch)
+    monkeypatch.setattr(trajectory, renderer, fail_in("parent", getattr(trajectory, renderer)))
+    forks = count_forks(monkeypatch)
+    with pytest.raises(RuntimeError, match="planted failure in the parent"):
+        write(split_traj(), tmp_path / "out")
+    assert len(forks) == 1
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("write", [write_csv, write_json])
+def test_an_output_directory_raises_before_any_fork(tmp_path, monkeypatch, write):
+    force_split(monkeypatch)
+    forks = count_forks(monkeypatch)
+    with pytest.raises(IsADirectoryError):
+        write(split_traj(), tmp_path)
+    assert forks == []
+
+
+@pytest.mark.parametrize("write, reference", [(write_csv, reference_csv),
+                                              (write_json, reference_json)])
+def test_a_process_that_ignores_sigchld_writes_serially(tmp_path, monkeypatch, write, reference):
+    # the kernel would reap the child, and its exit status would be lost
+    force_split(monkeypatch)
+    forks = count_forks(monkeypatch)
+    previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+    try:
+        write(split_traj(), tmp_path / "new")
+    finally:
+        signal.signal(signal.SIGCHLD, previous)
+    reference(split_traj(), tmp_path / "ref")
+    assert (tmp_path / "new").read_bytes() == (tmp_path / "ref").read_bytes()
+    assert forks == []
+
+
+@pytest.mark.parametrize("write", [write_csv, write_json])
+def test_a_split_write_lets_no_warning_escape(tmp_path, monkeypatch, write):
+    # Python 3.12+ warns on a fork from a multi-threaded process; the
+    # writer ignores exactly that warning, and nothing else escapes
+    force_split(monkeypatch)
+    forks = count_forks(monkeypatch)
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait, args=(60,))
+    thread.start()
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            write(split_traj(), tmp_path / "out")
+    finally:
+        release.set()
+        thread.join(timeout=60)
+    assert not thread.is_alive()
+    assert len(forks) == 1
+    assert [str(w.message) for w in caught] == []
+
+
+def test_each_write_logs_its_shape_and_path(tmp_path, monkeypatch, caplog):
+    caplog.set_level(logging.DEBUG, logger="isospec_lag.trajectory")
+    traj = split_traj()
+    write_csv(traj, tmp_path / "serial.csv")
+    force_split(monkeypatch)
+    write_json(traj, tmp_path / "split.json")
+    lines = [r.getMessage() for r in caplog.records]
+    assert len(lines) == 2
+    assert re.fullmatch(r"wrote csv .*serial\.csv: 513 x 9, 4617 floats, serial, \d+\.\d{4} s",
+                        lines[0])
+    assert re.fullmatch(r"wrote json .*split\.json: 513 x 9, 4617 floats, split, \d+\.\d{4} s",
+                        lines[1])
 
 
 @settings(max_examples=200, deadline=None)
