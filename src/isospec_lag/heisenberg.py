@@ -169,7 +169,7 @@ def el_residual_heisenberg(tangent: OperatorTangent, h) -> float:
     equation.
     """
     a, ad = tangent.point, tangent.velocity
-    h = as_complex_matrix(h, "hamiltonian")
+    h = require_hermitian(h, name="hamiltonian")
     if h.shape != a.shape:
         raise ValueError("hamiltonian dimension differs from tangent")
     return frobenius_norm(commutator(a, h) - 1j * ad)

@@ -1,18 +1,21 @@
 """Dense complex linear algebra and operator primitives.
 
 Everything in this module is a pure function over small dense numpy
-arrays.  Matrices are plain ``numpy.ndarray`` objects of complex dtype;
-validation helpers raise ``ValueError`` on malformed input instead of
-silently coercing.  Hermiticity and positivity are always judged in the
-Frobenius norm against the one tolerance ``HERMITIAN_TOL``, so that long
-integrations with floating-point drift remain checkable.
+arrays.  Matrices are plain ``numpy.ndarray`` objects of complex dtype,
+and a stack of them (the u(n) basis, say) is one array of shape
+``(..., n, n)``; validation helpers raise ``ValueError`` on malformed
+input instead of silently coercing.  Hermiticity, positivity, unitarity
+and tangency are always judged against the one tolerance
+``HERMITIAN_TOL``, so that long integrations with floating-point drift
+remain checkable.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-#: Frobenius-norm tolerance of every hermiticity / positivity check.
+#: Frobenius-norm tolerance of every hermiticity, positivity, unitarity and
+#: tangency check.
 HERMITIAN_TOL = 1e-10
 
 #: Largest imaginary residue tolerated when a trace expression must be real,
@@ -59,10 +62,6 @@ def _real_values(values: np.ndarray, what: str, scale=lambda: 1.0) -> np.ndarray
         if excess.size:
             raise ValueError(f"{what} has imaginary residue {np.max(excess):.3e}")
     return values.real
-
-
-def _real_part(value: complex, what: str) -> float:
-    return float(_real_values(np.asarray(value), what))
 
 
 def _check_same_dim(a: np.ndarray, b: np.ndarray) -> None:
@@ -125,11 +124,11 @@ def hermitian_propagator(h: np.ndarray, t) -> np.ndarray:
     return (v * phases[..., np.newaxis, :]) @ dagger(v)
 
 
-def hermitian_sqrt(m) -> np.ndarray:
+def hermitian_sqrt(m, name: str = "matrix") -> np.ndarray:
     """Hermitian PSD square root ``S`` with ``S @ S = m``.
 
     Eigenvalues in ``[-HERMITIAN_TOL, 0)`` are clipped to zero; anything
-    more negative raises.
+    more negative raises.  ``name`` labels ``m`` in error messages.
 
     Raises
     ------
@@ -137,17 +136,17 @@ def hermitian_sqrt(m) -> np.ndarray:
         If ``m`` is not Hermitian or has an eigenvalue below
         ``-HERMITIAN_TOL``.
     """
-    w, v = np.linalg.eigh(require_hermitian(m))
+    w, v = np.linalg.eigh(require_hermitian(m, name=name))
     if np.min(w) < -HERMITIAN_TOL:
         raise ValueError(
-            f"matrix is not positive semidefinite: min eigenvalue {np.min(w):.3e}"
+            f"{name} is not positive semidefinite: min eigenvalue {np.min(w):.3e}"
         )
     w = np.clip(w, 0.0, None)
     s = (v * np.sqrt(w)) @ dagger(v)
     return (s + dagger(s)) / 2
 
 
-def unitary_algebra_basis(n: int) -> list[np.ndarray]:
+def unitary_algebra_basis(n: int) -> np.ndarray:
     """Anti-Hermitian basis of u(n), orthonormal for ``<X,Y> = Tr(X^dag Y)``.
 
     The n = 1 basis is ``[[i]]``.  For n = 2 the ordering is
@@ -158,26 +157,25 @@ def unitary_algebra_basis(n: int) -> list[np.ndarray]:
 
     Returns
     -------
-    list of numpy.ndarray
-        ``n**2`` matrices ``tau_j`` with ``tau_j^dag = -tau_j``.
+    numpy.ndarray
+        Complex stack of shape ``(n**2, n, n)``: the matrices ``tau_j``,
+        each with ``tau_j^dag = -tau_j``.
     """
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
-    basis: list[np.ndarray] = []
-    basis.append(1j * np.eye(n, dtype=complex) / np.sqrt(n))
+    basis = np.zeros((n * n, n, n), dtype=complex)
+    basis[0] = 1j * np.eye(n) / np.sqrt(n)
+    j = 1
     for p in range(n):
         for q in range(p + 1, n):
-            sym = np.zeros((n, n), dtype=complex)
-            sym[p, q] = sym[q, p] = 1.0 / np.sqrt(2)
-            basis.append(1j * sym)
-            asym = np.zeros((n, n), dtype=complex)
-            asym[p, q] = -1j / np.sqrt(2)
-            asym[q, p] = 1j / np.sqrt(2)
-            basis.append(1j * asym)
+            basis[j, p, q] = basis[j, q, p] = 1j / np.sqrt(2)
+            basis[j + 1, p, q], basis[j + 1, q, p] = 1 / np.sqrt(2), -1 / np.sqrt(2)
+            j += 2
     for k in range(1, n):
         diag = np.zeros(n)
         diag[:k] = 1.0
         diag[k] = -float(k)
         diag /= np.linalg.norm(diag)
-        basis.append(1j * np.diag(diag).astype(complex))
+        basis[j] = np.diag(1j * diag)
+        j += 1
     return basis

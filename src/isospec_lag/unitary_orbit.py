@@ -25,7 +25,6 @@ import numpy as np
 
 from .operator_core import (
     HERMITIAN_TOL,
-    _real_part,
     _real_values,
     as_complex_matrix,
     commutator,
@@ -38,9 +37,6 @@ from .operator_core import (
 from .trajectory import Trajectory, rk4_commutator_trajectory, time_grid
 
 logger = logging.getLogger(__name__)
-
-#: Frobenius tolerance for unitarity and tangency of group tangent vectors.
-TANGENT_TOL = 1e-10
 
 
 def validate_density(rho) -> np.ndarray:
@@ -73,8 +69,9 @@ def validate_density(rho) -> np.ndarray:
 class UnitaryTangent:
     """A unitary ``u`` with a tangent vector ``udot``.
 
-    Tangency to the unitary group means ``u udot^dag = -udot u^dag``,
-    checked in Frobenius norm at construction.
+    Tangency to the unitary group means ``u udot^dag = -udot u^dag``;
+    unitarity and tangency are checked in Frobenius norm against
+    ``HERMITIAN_TOL`` at construction.
     """
 
     u: np.ndarray
@@ -87,31 +84,25 @@ class UnitaryTangent:
             raise ValueError("u and udot dimensions differ")
         n = self.u.shape[0]
         unitary_defect = frobenius_norm(dagger(self.u) @ self.u - np.eye(n))
-        if unitary_defect > TANGENT_TOL:
+        if unitary_defect > HERMITIAN_TOL:
             raise ValueError(f"u is not unitary: defect {unitary_defect:.3e}")
         tangency = frobenius_norm(self.u @ dagger(self.udot) + self.udot @ dagger(self.u))
-        if tangency > TANGENT_TOL:
+        if tangency > HERMITIAN_TOL:
             raise ValueError(f"udot is not tangent: defect {tangency:.3e}")
 
 
 def lagrangian_unitary(ut: UnitaryTangent, sigma, h) -> float:
-    """Pulled-back Lagrangian ``i Tr(sigma udot u^dag) - Tr(u^dag sigma u H - sigma H)``."""
+    """Pulled-back Lagrangian ``i Tr(sigma udot u^dag) - Tr(u^dag sigma u H - sigma H)``.
+
+    The paper's closed form; the verifier's unitary chart evaluates the
+    operator Lagrangian at ``(sqrt(sigma) u, sqrt(sigma) udot)`` instead.
+    """
     sigma = require_hermitian(sigma, name="sigma")
     h = require_hermitian(h, name="hamiltonian")
-    return float(lagrangian_unitary_values(ut.u, ut.udot, sigma, h))
-
-
-def lagrangian_unitary_values(u, ud, sigma, h) -> np.ndarray:
-    """``lagrangian_unitary`` over stacks of u and udot, shape ``(..., n, n)``.
-
-    The result has shape ``(...)``.  sigma and H must already be checked
-    Hermitian ``(n, n)`` matrices; nothing but the reality of the result
-    is checked here.
-    """
-    u_dag = dagger(u)
-    kinetic = 1j * np.trace(sigma @ ud @ u_dag, axis1=-2, axis2=-1)
-    potential = np.trace(u_dag @ sigma @ u @ h - sigma @ h, axis1=-2, axis2=-1)
-    return _real_values(kinetic - potential, "Lagrangian")
+    u, ud = ut.u, ut.udot
+    kinetic = 1j * np.trace(sigma @ ud @ dagger(u))
+    potential = np.trace(dagger(u) @ sigma @ u @ h - sigma @ h)
+    return float(_real_values(kinetic - potential, "Lagrangian"))
 
 
 def lvn_rhs(rho, h) -> np.ndarray:
@@ -165,7 +156,5 @@ def el_residual_unitary(ut: UnitaryTangent, sigma, h) -> np.ndarray:
     rho = dagger(u) @ sigma @ u
     rho_dot = dagger(u) @ sigma @ ud - dagger(u) @ ud @ dagger(u) @ sigma @ u
     defect = rho_dot - lvn_rhs(rho, h)
-    out = []
-    for tau in unitary_algebra_basis(u.shape[0]):
-        out.append(_real_part(1j * np.trace(defect @ tau), "residual projection"))
-    return np.array(out)
+    projections = 1j * np.einsum("ab,jba->j", defect, unitary_algebra_basis(u.shape[0]))
+    return _real_values(projections, "residual projection")

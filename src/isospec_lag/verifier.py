@@ -10,7 +10,10 @@ matrix spaces (entrywise real and imaginary parts) and the unitary group
 (exponential coordinates around each sample, with the exponential, its
 Frechet derivative and the logarithm taken from numpy.linalg.eigh) so
 the analytic residuals of the operator and orbit Lagrangians can be
-cross-checked without trusting their derivations.
+cross-checked without trusting their derivations.  Every chart here
+evaluates the one operator kernel, lagrangian_heisenberg_values; the
+unitary chart evaluates it at the pullback (sqrt(sigma) u,
+sqrt(sigma) udot) of the orbit Lagrangian.
 
 Velocity-linear Lagrangians are degenerate; their residuals are
 reported as-is, with no constraint reduction.
@@ -24,7 +27,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .heisenberg import lagrangian_heisenberg_values
-from .operator_core import as_complex_matrix, dagger, require_hermitian, unitary_algebra_basis
+from .operator_core import (HERMITIAN_TOL, as_complex_matrix, dagger, hermitian_sqrt,
+                            require_hermitian, unitary_algebra_basis)
 
 #: Bump size h of every centered difference in gradients.
 GRADIENT_STEP = 1e-5
@@ -224,10 +228,11 @@ def path_from_matrices(times, matrices) -> SampledPath:
     return SampledPath(times, flatten_complex(matrices))
 
 
-def chart_coordinates(u_center, u, basis: Sequence[np.ndarray]) -> np.ndarray:
+def chart_coordinates(u_center, u, basis: np.ndarray) -> np.ndarray:
     """Exponential-chart coordinates of u around u_center.
 
-    Solves u = u_center exp(sum_j s_j B_j) for s with the principal
+    Solves u = u_center exp(sum_j s_j B_j) for s, over the orthonormal
+    basis stack B of shape (n^2, n, n), with the principal
     logarithm of the unitary w = u_center^dag u, valid while no
     eigenvalue of w reaches -1 (inside the five-sample windows of
     el_residual_unitary_path they stay near 1).  The Cayley transform
@@ -239,7 +244,7 @@ def chart_coordinates(u_center, u, basis: Sequence[np.ndarray]) -> np.ndarray:
     eye = np.eye(len(w))
     a, v = np.linalg.eigh(1j * np.linalg.solve(eye + w, eye - w))
     x = (v * (2j * np.arctan(a))) @ dagger(v)
-    return np.array([np.trace(dagger(b) @ x).real for b in basis])
+    return np.einsum("jab,ab->j", np.conj(basis), x).real  # s_j = Re Tr(B_j^dag x)
 
 
 def _exp_frechet(x: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -263,31 +268,31 @@ def _exp_frechet(x: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def unitary_chart(u_center, sigma, hamiltonian) -> CoordinateLagrangian:
     """Orbit Lagrangian in exponential coordinates around u_center.
 
-    The inputs are validated once, here: the chart's points and velocities
-    are unitary and tangent by construction, so stacks of them go
-    unchecked to lagrangian_unitary_values, the kernel of
-    lagrangian_unitary.
+    It is the pullback of the operator Lagrangian along
+    phi_sigma(u) = sqrt(sigma) u, so the chart evaluates
+    lagrangian_heisenberg_values at (sqrt(sigma) u, sqrt(sigma) udot); sigma
+    must be positive semidefinite, as a state is.  The inputs are validated
+    and the root taken once, here: the chart's points and velocities are
+    unitary and tangent by construction, so stacks of them go unchecked to
+    the kernel.
     """
     u_center = as_complex_matrix(u_center, name="u_center")
-    return _unitary_chart(u_center, require_hermitian(sigma, name="sigma"),
+    return _unitary_chart(u_center, hermitian_sqrt(sigma, name="sigma"),
                           require_hermitian(hamiltonian, name="hamiltonian"),
-                          np.array(unitary_algebra_basis(len(u_center))))
+                          unitary_algebra_basis(len(u_center)))
 
 
-def _unitary_chart(u_center, sigma, hamiltonian, basis) -> CoordinateLagrangian:
-    """unitary_chart over the stacked basis, of complex matrices with sigma and
-    hamiltonian already checked Hermitian; u_center is still checked unitary."""
-    # here, not at the top: a process that charts only operator spaces (the
-    # verify kind) then never loads unitary_orbit
-    from .unitary_orbit import TANGENT_TOL, lagrangian_unitary_values
-
+def _unitary_chart(u_center, root, hamiltonian, basis) -> CoordinateLagrangian:
+    """unitary_chart over the basis stack, with root = sqrt(sigma) and the
+    hamiltonian already checked; u_center is still checked unitary."""
     n = u_center.shape[0]
-    if np.linalg.norm(dagger(u_center) @ u_center - np.eye(n)) > TANGENT_TOL:
+    if np.linalg.norm(dagger(u_center) @ u_center - np.eye(n)) > HERMITIAN_TOL:
         raise ValueError("u_center is not unitary")
+    root_center = root @ u_center
 
     def evaluate(q, qdot):
         expx, frechet = _exp_frechet(np.tensordot(q, basis, 1), np.tensordot(qdot, basis, 1))
-        return lagrangian_unitary_values(u_center @ expx, u_center @ frechet, sigma, hamiltonian)
+        return lagrangian_heisenberg_values(root_center @ expx, root_center @ frechet, hamiltonian)
 
     return CoordinateLagrangian(dim=n * n, evaluate=evaluate)
 
@@ -312,12 +317,12 @@ def el_residual_unitary_path(times, unitaries, sigma, hamiltonian) -> np.ndarray
     unitaries = [as_complex_matrix(u, name="unitary sample") for u in unitaries]
     if len(times) != len(unitaries) or len(times) < 5:
         raise ValueError("need at least 5 matched samples")
-    sigma = require_hermitian(sigma, name="sigma")
+    root = hermitian_sqrt(sigma, name="sigma")
     hamiltonian = require_hermitian(hamiltonian, name="hamiltonian")
-    basis = np.array(unitary_algebra_basis(len(unitaries[0])))
+    basis = unitary_algebra_basis(len(unitaries[0]))
     rows = []
     for m in range(2, len(unitaries) - 2):
-        lag = _unitary_chart(unitaries[m], sigma, hamiltonian, basis)
+        lag = _unitary_chart(unitaries[m], root, hamiltonian, basis)
         window = np.array([
             chart_coordinates(unitaries[m], unitaries[i], basis)
             for i in range(m - 2, m + 3)

@@ -229,6 +229,12 @@ def test_el_residual_zero_iff_on_shell():
     )
 
 
+def test_el_residual_rejects_non_hermitian_h():
+    # the dA coefficient carries the norm of the dA^dag one only for Hermitian H
+    with pytest.raises(ValueError, match="hamiltonian is not Hermitian"):
+        el_residual_heisenberg(OperatorTangent(SX, np.zeros((2, 2))), np.array([[0, 1], [0, 0]]))
+
+
 def test_el_residual_with_finite_difference_velocity():
     h = 1e-4
     t = 0.4

@@ -387,13 +387,23 @@ def test_unitary_path_needs_five_samples():
         el_residual_unitary_path(np.arange(5) * 0.1, [u] * 4, sigma, SZ)
 
 
-@pytest.mark.parametrize("bad", ["u_center", "sigma", "hamiltonian"])
-def test_unitary_chart_validates_its_inputs_at_construction(bad):
+NEITHER = np.array([[1.0, 1.0], [0.0, 1.0]])  # neither Hermitian nor unitary
+
+
+@pytest.mark.parametrize("bad, value, match", [
+    pytest.param("u_center", NEITHER, "u_center", id="u_center"),
+    pytest.param("sigma", NEITHER, "sigma", id="sigma"),
+    pytest.param("hamiltonian", NEITHER, "hamiltonian", id="hamiltonian"),
+    # the chart takes sqrt(sigma), which a state's positive semidefinite sigma has
+    pytest.param("sigma", np.diag([1.5, -0.5]), "sigma is not positive semidefinite",
+                 id="sigma-indefinite"),
+])
+def test_unitary_chart_validates_its_inputs_at_construction(bad, value, match):
     # the chart evaluates through an unchecked kernel, so a bad input must
     # raise when the chart is built, before any evaluation
     args = {"u_center": np.eye(2), "sigma": np.diag([0.7, 0.3]), "hamiltonian": SZ}
-    args[bad] = np.array([[1.0, 1.0], [0.0, 1.0]])  # neither Hermitian nor unitary
-    with pytest.raises(ValueError, match=bad):
+    args[bad] = value
+    with pytest.raises(ValueError, match=match):
         unitary_chart(args["u_center"], args["sigma"], args["hamiltonian"])
 
 
