@@ -34,9 +34,6 @@ from .operator_core import (
 )
 from .trajectory import Trajectory, time_grid
 
-#: Time resolution of the singularity bisection.
-SINGULARITY_TIME_TOL = 1e-8
-
 
 class SingularityError(RuntimeError):
     """A denominator of the reduced dynamics vanished."""
@@ -324,16 +321,19 @@ def integrate_reduced(initial: ReducedState, params: SB2CParameters,
     stage calls, and one point evaluation of the landing point gives the
     row's x, the sign guard and the next step's k1.
 
-    If a denominator changes sign along the way, or an RK4 stage drives r
-    to zero or below or to a non-finite value, or the field leaves float
-    range, integration halts and the failing step is bisected to 1e-8;
-    the partial trajectory is returned with a singularity record in
-    ``meta``; a field that is singular or out of float range at the
-    initial state gives no rows.  The bracket is the step length at which
-    the bisection first finds a failing step.  Failure is not monotone in
-    the step length, so on a coarse step that need not be where the flow
-    crosses a pole.  Raises ValueError for invalid grid inputs, d = 0 or
-    parameters outside the real symmetric case.
+    The first step that fails halts the run, and the partial trajectory
+    is returned with a singularity record in ``meta``: its ``time`` is
+    t_k, the time of the last row, its ``bracket`` the failing grid step
+    [t_k, t_k+1], and its ``reason`` the check that failed.  A step fails
+    where an RK4 stage leaves r > 0 or meets a denominator that rounds to
+    0, where the field leaves float range, where it lands on a
+    non-finite point or on r <= 0, or where a + d Phi' or Phi's
+    denominator has changed sign.  The record is no more precise than the
+    step: a finer step moves the time.  A field that is singular or out
+    of float range at the initial state gives no rows and the record
+    ``{"time": 0.0, "bracket": None, ...}``.  Raises ValueError for
+    invalid grid inputs, d = 0 or parameters outside the real symmetric
+    case.
     """
     grid = time_grid(t_final, step).tolist()
     _require_reducible(params)
@@ -350,9 +350,9 @@ def integrate_reduced(initial: ReducedState, params: SB2CParameters,
         reason = f"singular or overflowing field at r={r}: {exc}"
         meta["singularity"] = {"time": 0.0, "bracket": None, "reason": reason}
 
-    def advance(y, r, here, dt):
-        """The RK4 step of size dt from (y, r), whose point is here, and the
-        point it lands on; None if it leaves the regular region."""
+    for k, t in enumerate(grid[:-1]):
+        dt = step if k < len(grid) - 2 else grid[-1] - t
+        reason = None
         try:
             k1y, k1r = here[2], -gd * y / here[1]
             h = dt / 2
@@ -360,33 +360,23 @@ def integrate_reduced(initial: ReducedState, params: SB2CParameters,
             k3y, k3r = stage(y + h * k2y, r + h * k2r)
             k4y, k4r = stage(y + dt * k3y, r + dt * k3r)
             h = dt / 6
-            y, r = y + h * (k1y + 2 * k2y + 2 * k3y + k4y), r + h * (k1r + 2 * k2r + 2 * k3r + k4r)
-            if math.isfinite(y) and 0 < r < math.inf:
-                here = point(r)
-                if here[3] == signs0:
-                    return y, r, here
-        except (SingularityError, ArithmeticError):
-            pass
-        return None
-
-    for k, t in enumerate(grid[:-1]):
-        dt = step if k < len(grid) - 2 else grid[-1] - t
-        nxt = advance(y, r, here, dt)
-        if nxt is None:
-            lo, hi = 0.0, dt  # bisect the crossing within this step
-            while hi - lo > SINGULARITY_TIME_TOL:
-                mid = (lo + hi) / 2
-                if advance(y, r, here, mid) is None:
-                    hi = mid
-                else:
-                    lo = mid
-            meta["singularity"] = {
-                "time": t + (lo + hi) / 2,
-                "bracket": [t + lo, t + hi],
-                "reason": "denominator sign change or blow-up",
-            }
+            y1, r1 = y + h * (k1y + 2 * k2y + 2 * k3y + k4y), r + h * (k1r + 2 * k2r + 2 * k3r + k4r)
+            if not (math.isfinite(y1) and 0 < r1 < math.inf):
+                reason = f"the step landed outside r > 0 or on a non-finite point: y={y1}, r={r1}"
+            else:
+                there = point(r1)
+                if there[3] != signs0:
+                    names = ("a + d Phi'(r)", "Phi's denominator r (k2 r^2 - k0)")
+                    reason = " and ".join(n for n, s, s0 in zip(names, there[3], signs0) if s != s0)
+                    reason += f" changed sign from r={r} to r={r1}"
+        except SingularityError as exc:
+            reason = str(exc)
+        except ArithmeticError as exc:
+            reason = f"the field left float range: {exc}"
+        if reason is not None:
+            meta["singularity"] = {"time": t, "bracket": [t, grid[k + 1]], "reason": reason}
             break
-        y, r, here = nxt
+        y, r, here = y1, r1, there
         rows.append((y, r, here[0]))
 
     return Trajectory(

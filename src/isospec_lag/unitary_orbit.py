@@ -7,9 +7,13 @@ pulls back to the unitary group as
 
     L_u = i Tr(sigma udot u^dag) - Tr(u^dag sigma u H - sigma H)
 
-whose extremals project onto solutions of rho_dot = -i [rho, H] (see
-verifier.el_residual_unitary_path), while the ``lvn`` kind, through
-lvn_rhs and the evolve_lvn_* functions below, integrates
+whose extremals project onto solutions of rho_dot = -i [rho, H]: with
+A = sqrt(sigma) u the state is rho = A^dag A, and the operator
+Lagrangian's extremal Adot = -i [A, H] carries it as the Heisenberg
+picture does.  el_residual_unitary is the residual of that equation
+(verifier.el_residual_unitary_path measures the same one from
+Lagrangian values alone), while the ``lvn`` kind, through lvn_rhs and
+the evolve_lvn_* functions below, integrates the Schroedinger-picture
 rho_dot = +i [rho, H]: the same orbit traversed backwards in time.
 This module evaluates that Lagrangian, the Euler-Lagrange residual
 projected on an orthonormal basis of the unitary algebra, and the exact
@@ -144,17 +148,19 @@ def el_residual_unitary(ut: UnitaryTangent, sigma, h) -> np.ndarray:
 
         rho_dot = u^dag sigma udot - u^dag udot u^dag sigma u
 
-    and returns the n^2 real projections ``i Tr((rho_dot - i[rho, H]) tau_j)``
-    over the orthonormal anti-Hermitian basis.  The vector vanishes
-    exactly when the state follows rho_dot = i [rho, H]; in terms of the
-    group tangent that is ``udot = i u H + u k`` with k commuting with
-    u^dag sigma u.
+    and returns the n^2 real projections ``i Tr((rho_dot + i[rho, H]) tau_j)``
+    over the orthonormal anti-Hermitian basis: the residual of the
+    Lagrangian's own Euler-Lagrange equation.  The vector vanishes
+    exactly when the state follows rho_dot = -i [rho, H], the flow that
+    lagrangian_unitary generates (opposite in time to lvn_rhs); in terms
+    of the group tangent that is ``udot = -i u H + u k`` with k commuting
+    with u^dag sigma u.
     """
     sigma = require_hermitian(sigma, name="sigma")
     h = require_hermitian(h, name="hamiltonian")
     u, ud = ut.u, ut.udot
     rho = dagger(u) @ sigma @ u
     rho_dot = dagger(u) @ sigma @ ud - dagger(u) @ ud @ dagger(u) @ sigma @ u
-    defect = rho_dot - lvn_rhs(rho, h)
+    defect = rho_dot + lvn_rhs(rho, h)
     projections = 1j * np.einsum("ab,jba->j", defect, unitary_algebra_basis(u.shape[0]))
     return _real_values(projections, "residual projection")

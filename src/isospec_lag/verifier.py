@@ -22,7 +22,7 @@ reported as-is, with no constraint reduction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -91,14 +91,12 @@ class SampledPath:
         return self.points.shape[1]
 
 
-def gradients(lag: CoordinateLagrangian, q, qdot,
-              wrt: Sequence[str] = ("q", "qdot")) -> tuple[np.ndarray, ...]:
-    """Centered-difference dL/dq and/or dL/dqdot at (q, qdot), error O(h^2)
-    with h = GRADIENT_STEP.
+def gradients(lag: CoordinateLagrangian, q, qdot, wrt: str) -> np.ndarray:
+    """Centered-difference dL/dq (wrt="q") or dL/dqdot (wrt="qdot") at
+    (q, qdot), error O(h^2) with h = GRADIENT_STEP.
 
-    q and qdot are one point (dim,) or a stack (m, dim), as is each gradient;
-    wrt names the gradients wanted, in the order they are returned.  The
-    2 dim bumped points of each (q +- h e_i with qdot fixed, or qdot +- h e_i
+    q and qdot are one point (dim,) or a stack (m, dim), as is the gradient.
+    The 2 dim bumped points (q +- h e_i with qdot fixed, or qdot +- h e_i
     with q fixed) at every point are stacked and evaluated in one call.
     """
     h = GRADIENT_STEP
@@ -106,25 +104,20 @@ def gradients(lag: CoordinateLagrangian, q, qdot,
     # copies, not broadcast views: C-ordered stacks, whose rows numpy reduces alike
     q, qdot = (np.repeat(np.asarray(x, dtype=float).reshape(-1, 1, lag.dim), lag.dim, axis=1)
                for x in (q, qdot))
-    qs, qdots, labels = [], [], []
-    for name in wrt:
-        if name == "q":
-            qs += [q + bump, q - bump]
-            qdots += [qdot, qdot]
-        elif name == "qdot":
-            qs += [q, q]
-            qdots += [qdot + bump, qdot - bump]
-        else:
-            raise ValueError(f"unknown gradient {name!r}")
-        labels += [f"dL/d{name} +", f"dL/d{name} -"]
+    if wrt == "q":
+        qs, qdots = [q + bump, q - bump], [qdot, qdot]
+    elif wrt == "qdot":
+        qs, qdots = [q, q], [qdot + bump, qdot - bump]
+    else:
+        raise ValueError(f"unknown gradient {wrt!r}")
     values = np.asarray(lag.evaluate(np.concatenate(qs, axis=1).reshape(-1, lag.dim),
                                      np.concatenate(qdots, axis=1).reshape(-1, lag.dim)),
-                        dtype=float).reshape(len(q), len(labels), lag.dim)
+                        dtype=float).reshape(len(q), 2, lag.dim)
     bad = np.argwhere(~np.isfinite(values))
     if bad.size:
-        raise ValueError(f"Lagrangian is not finite ({labels[bad[0, 1]]}) near q={q[bad[0, 0], 0]}")
-    return tuple(((values[:, 2 * k] - values[:, 2 * k + 1]) / (2 * h)).reshape(shape)
-                 for k in range(len(wrt)))
+        sign = "+-"[bad[0, 1]]
+        raise ValueError(f"Lagrangian is not finite (dL/d{wrt} {sign}) near q={q[bad[0, 0], 0]}")
+    return ((values[:, 0] - values[:, 1]) / (2 * h)).reshape(shape)
 
 
 def el_residual_path(lag: CoordinateLagrangian, path: SampledPath) -> np.ndarray:
@@ -144,7 +137,7 @@ def el_residual_path(lag: CoordinateLagrangian, path: SampledPath) -> np.ndarray
     step = max(1, COORDINATES_PER_CALL // (2 * lag.dim ** 2))  # samples per call
 
     def gradient(wrt, q, qdot):
-        return np.concatenate([gradients(lag, q[s:s + step], qdot[s:s + step], (wrt,))[0]
+        return np.concatenate([gradients(lag, q[s:s + step], qdot[s:s + step], wrt)
                                for s in range(0, len(q), step)])
 
     momenta = gradient("qdot", points, velocities)
@@ -308,10 +301,10 @@ def el_residual_unitary_path(times, unitaries, sigma, hamiltonian) -> np.ndarray
     With rho = u^dag sigma u the exact Euler-Lagrange covector of
     lagrangian_unitary in the left-invariant frame B_j works out to
     Tr((i rho_dot - [rho, H]) B_j), so its extremals satisfy
-    rho_dot = -i [rho, H]: the orbit Lagrangian drives the conjugation
+    rho_dot = -i [rho, H]: the orbit Lagrangian generates the conjugation
     flow opposite in time to lvn_rhs.  Numerically the rows returned
-    here agree with el_residual_unitary evaluated with the sign of the
-    Hamiltonian flipped, up to the O(grid^2) discretization error.
+    here agree with el_residual_unitary, the residual of that equation,
+    up to the O(grid^2) discretization error.
     """
     times = np.asarray(times, dtype=float)
     unitaries = [as_complex_matrix(u, name="unitary sample") for u in unitaries]

@@ -369,13 +369,20 @@ def test_singularity_exits_3(tmp_path, capsys):
     body = (tmp_path / "trajectory.csv").read_text().splitlines()
     assert body[0] == "t,y,r,x"
     assert len(body) > 10
+    # the bracket is the failing step: one step of the config wide, from
+    # the last row kept
+    (warning,) = report["warnings"]
+    lo, hi = map(float, re.search(r"bracket=\[(\S+), (\S+)\]", warning).groups())
+    assert hi - lo == pytest.approx(1e-4, rel=1e-12)
+    assert lo == float(body[-1].split(",")[0])
 
 
 def test_stage_through_zero_radius_exits_3(tmp_path, capsys):
+    # the third RK4 stage of the step after t = 1.065 reaches r ~ -24.3
     cfg = write_config(
         tmp_path / "cfg.json", "sb2c",
         {
-            "initial": [[-1.0, 1.2]],
+            "initial": [[-3.0, 0.5]],
             "a0": [[1, 1], [1, 2]],
             "hamiltonian": [[1, 0], [0, -1]],
         },
@@ -387,7 +394,8 @@ def test_stage_through_zero_radius_exits_3(tmp_path, capsys):
     assert "Traceback" not in err
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["singular"] is True
-    assert len((tmp_path / "trajectory.csv").read_text().splitlines()) == 1 + 1264
+    assert "an RK4 stage left r > 0: r=-" in report["warnings"][0]
+    assert len((tmp_path / "trajectory.csv").read_text().splitlines()) == 1 + 1066
 
 
 @pytest.mark.parametrize("kind, initial", [

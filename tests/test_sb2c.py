@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from isospec_lag.heisenberg import OperatorTangent, lagrangian_heisenberg
 from isospec_lag.operator_core import dagger, frobenius_norm
 from isospec_lag.sb2c import (
-    SINGULARITY_TIME_TOL,
     ReducedState,
     SB2CElement,
     SB2CParameters,
@@ -388,73 +387,52 @@ def test_integrate_reduced_halts_at_singularity():
     p = derive_parameters(worked_setup())
     traj = integrate_reduced(ReducedState(y=1.0, r=4.0), p, t_final=5.0, step=1e-3)
     record = traj.meta["singularity"]
-    lo, hi = record["bracket"]
-    assert hi - lo <= 2e-8
-    assert lo <= record["time"] <= hi
-    assert 0.031 < record["time"] < 0.033
+    # the record is the failing step, one step wide, starting at the last row
+    assert record["time"] == traj.times[-1] == pytest.approx(0.032, abs=1e-15)
+    assert record["bracket"] == [record["time"], 0.033]
+    assert record["reason"].startswith("a + d Phi'(r) changed sign from r=")
     # partial trajectory stops on the regular side of r* = 75^(1/4)
     assert traj.n_samples >= 2
-    assert traj.times[-1] <= record["time"]
     assert traj.states[-1, 1] > 75.0 ** 0.25
 
 
 def test_integrate_reduced_halts_where_a_step_crosses_the_pole_of_phi():
     # with alpha != 0, Phi = num / (r (k2 r^2 - k0)) has a pole at
-    # r* = sqrt(k0 / k2) ~ 2.953.  One step of 0.5 from r = 2.7 lands beyond
-    # it, at r ~ 3.10, while a + d Phi' keeps its sign, so only the sign of
-    # Phi's own denominator can stop the flow, and it must stop inside that step
-    setup = SB2CSetup(np.array([[0.0, -2.0], [-0.3, 2.0]]),
-                      np.array([[-1.8, -1.6], [-1.6, 0.1]]))
-    p = derive_parameters(setup)
-    assert p.alpha != 0
-    r_star = np.sqrt(p.d**2 * p.alpha / (p.h4 * p.a - p.d * p.h1))
-    initial = ReducedState(y=-2.0, r=2.7)
+    # r* = sqrt(k0 / k2).  One step of 0.5 from each start lands beyond it,
+    # by less than `past` (r* ~ 2.953, landing at r ~ 3.10; r* ~ 2.527,
+    # landing 3e-4 beyond it) while a + d Phi' keeps its sign, so only the
+    # sign of Phi's own denominator can stop the flow, and the record must
+    # be that step
+    cases = [
+        ([[0.0, -2.0], [-0.3, 2.0]], [[-1.8, -1.6], [-1.6, 0.1]], (-2.0, 2.7), 0.15),
+        ([[-1.7, -1.9], [-1.1, -1.5]], [[1.2, -1.0], [-1.0, -1.9]], (1.0, 2.3), 1e-3),
+    ]
+    for a0, h, (y, r), past in cases:
+        p = derive_parameters(SB2CSetup(np.array(a0), np.array(h)))
+        assert p.alpha != 0
+        r_star = np.sqrt(p.d**2 * p.alpha / (p.h4 * p.a - p.d * p.h1))
+        initial = ReducedState(y=y, r=r)
 
-    def step(dt):
-        z = rk4_step(lambda z: complex(*reduced_rhs(ReducedState(z.real, z.imag), p)),
-                     complex(initial.y, initial.r), dt)
-        return z.imag
+        def step(dt):
+            z = rk4_step(lambda z: complex(*reduced_rhs(ReducedState(z.real, z.imag), p)),
+                         complex(initial.y, initial.r), dt)
+            return z.imag
 
-    def dynamical_sign(r):
-        return np.sign(p.a + p.d * phi_prime(r, p))
+        def dynamical_sign(r):
+            return np.sign(p.a + p.d * phi_prime(r, p))
 
-    landing = step(0.5)
-    assert initial.r < r_star < landing
-    assert dynamical_sign(landing) == dynamical_sign(initial.r)
+        landing = step(0.5)
+        assert initial.r < r_star < landing < r_star + past
+        assert dynamical_sign(landing) == dynamical_sign(initial.r)
 
-    traj = integrate_reduced(initial, p, t_final=1.0, step=0.5)
-    assert traj.n_samples == 1
-    record = traj.meta["singularity"]
-    lo, hi = record["bracket"]
-    assert 0.0 <= lo < hi <= 0.5 and hi - lo <= 1e-8
-    assert lo <= record["time"] <= hi
-    assert step(lo) < r_star < step(hi)
-
-
-def test_integrate_reduced_brackets_the_first_failing_step_length_not_the_pole():
-    # whether a step fails is not monotone in its length.  The full step of
-    # 0.5 from r = 2.3 lands just past the pole r* ~ 2.527 of Phi, while the
-    # bisection, which keeps halving towards the failing end, ends where
-    # the k4 stage of a step of ~0.315 drives r through 0; a step of that
-    # length lands far from r*, at r ~ 1.61
-    setup = SB2CSetup(np.array([[-1.7, -1.9], [-1.1, -1.5]]),
-                      np.array([[1.2, -1.0], [-1.0, -1.9]]))
-    p = derive_parameters(setup)
-    r_star = np.sqrt(p.d**2 * p.alpha / (p.h4 * p.a - p.d * p.h1))
-    initial = ReducedState(y=1.0, r=2.3)
-
-    def step(dt):
-        z = rk4_step(lambda z: complex(*reduced_rhs(ReducedState(z.real, z.imag), p)),
-                     complex(initial.y, initial.r), dt)
-        return z.imag
-
-    traj = integrate_reduced(initial, p, t_final=1.0, step=0.5)
-    assert traj.n_samples == 1
-    lo, hi = traj.meta["singularity"]["bracket"]
-    assert lo == pytest.approx(0.31494823098, abs=1e-11)
-    assert hi == pytest.approx(0.31494823843, abs=1e-11)
-    assert initial.r < r_star < step(0.5) < r_star + 1e-3
-    assert step(lo) < r_star - 0.9
+        traj = integrate_reduced(initial, p, t_final=1.0, step=0.5)
+        assert traj.n_samples == 1
+        record = traj.meta["singularity"]
+        assert record["time"] == 0.0 and record["bracket"] == [0.0, 0.5]
+        assert record["reason"] == (f"Phi's denominator r (k2 r^2 - k0) changed sign "
+                                    f"from r={initial.r} to r={landing}")
+        lo, hi = record["bracket"]
+        assert step(lo) < r_star < step(hi)
 
 
 def test_integrate_reduced_rejects_bad_step():
@@ -470,15 +448,24 @@ def test_integrate_reduced_rejects_negative_t_final():
 
 
 def test_integrate_reduced_stage_through_zero_radius_is_singular():
-    # an RK4 stage of the step after t = 1.263 drives r through 0; this is a
-    # singularity of the flow, not an invalid input
+    # an RK4 stage that drives r through 0 is a singularity of the flow, not
+    # an invalid input: from (-3, 0.5) the third stage of the step after
+    # t = 1.065 reaches r ~ -24.3
     p = derive_parameters(worked_setup())
+    traj = integrate_reduced(ReducedState(y=-3.0, r=0.5), p, t_final=5.0, step=1e-3)
+    record = traj.meta["singularity"]
+    assert record["time"] == traj.times[-1] == pytest.approx(1.065, abs=1e-12)
+    assert record["bracket"] == [record["time"], 1.066]
+    assert record["reason"].startswith("an RK4 stage left r > 0: r=-")
+    assert traj.n_samples == 1066
+    assert np.all(traj.states[:, 1] > 0)
+    # from (-1, 1.2) the step after t = 1.263 lands past the root
+    # r* = 75^(1/4) of a + d Phi' (its second stage at r ~ 2.9420, r* - 9e-4)
     traj = integrate_reduced(ReducedState(y=-1.0, r=1.2), p, t_final=5.0, step=1e-3)
     record = traj.meta["singularity"]
-    lo, hi = record["bracket"]
-    assert hi - lo <= 1e-8
-    assert lo <= record["time"] <= hi
-    assert 1.263 < record["time"] < 1.264
+    assert record["time"] == traj.times[-1] == pytest.approx(1.263, abs=1e-12)
+    assert record["bracket"] == [record["time"], 1.264]
+    assert record["reason"].startswith("a + d Phi'(r) changed sign from r=")
     assert traj.n_samples == 1264
     assert np.all(traj.states[:, 1] > 0)
 
@@ -543,9 +530,9 @@ def assert_pair_oracle_rows(traj, initial, p, t_final, step):
     """Check the rows of traj bit for bit, signs of zeros included, against
     rk4_step over a numpy (y, r) pair through pair_oracle's field, with x
     from its Phi; the public reduced_rhs, phi_of_r and phi_prime agree with
-    both.  A run that halts must carry the singularity record that the
-    same bisection over oracle_step gives: the time and bracket of the
-    first step it rejects."""
+    both.  A run that halts must carry the singularity record of the
+    first step the oracle rejects: its time and that grid step as the
+    bracket."""
     times = time_grid(t_final, step)
     phi, oracle_phi_prime, field, signs = pair_oracle(p)
     states = [np.array([initial.y, initial.r])]
@@ -565,18 +552,10 @@ def assert_pair_oracle_rows(traj, initial, p, t_final, step):
     k = traj.n_samples - 1
     t = float(times[k])
     dt = step if k < len(times) - 2 else float(times[-1]) - t
-    signs0 = signs(initial.r)
-    assert oracle_step(p, states[-1], dt, signs0) is None
-    lo, hi = 0.0, dt
-    while hi - lo > SINGULARITY_TIME_TOL:
-        mid = (lo + hi) / 2
-        if oracle_step(p, states[-1], mid, signs0) is None:
-            hi = mid
-        else:
-            lo = mid
+    assert oracle_step(p, states[-1], dt, signs(initial.r)) is None
     record = traj.meta["singularity"]
-    assert record["bracket"] == [t + lo, t + hi]
-    assert record["time"] == t + (lo + hi) / 2
+    assert record["time"] == t
+    assert record["bracket"] == [t, float(times[k + 1])]
 
 
 def tilted_setup():
@@ -630,10 +609,11 @@ def test_integrate_reduced_equals_the_numpy_pair_oracle_up_to_the_halt_with_alph
 @given(y=st.floats(-3.0, -0.5), r=st.floats(1.0, 2.9))
 @example(y=-3.0, r=1.0)
 def test_integrate_reduced_equals_the_numpy_pair_oracle_with_its_halt(y, r):
-    # nearly every start in this column halts within t = 2, where an RK4
-    # stage drives r through 0 (418 of a 21 x 20 grid of them, between
-    # t = 1.04 and 1.98; not (-0.99999, 1.0)): the rows up to the halt and
-    # the bracket of the singularity record are the oracle's
+    # nearly every start in this column halts within t = 2 (418 of a
+    # 21 x 20 grid of them, between t = 1.04 and 1.98; not (-0.99999, 1.0)):
+    # 395 on a step that lands past the root of a + d Phi', 18 where an RK4
+    # stage drives r through 0 and 5 on a step that lands outside r > 0.  The
+    # rows up to the halt and the singularity record are the oracle's
     p = derive_parameters(worked_setup())
     initial = ReducedState(y=y, r=r)
     traj = integrate_reduced(initial, p, t_final=2.0, step=1e-3)

@@ -228,7 +228,7 @@ def test_el_residual_zero_on_lvn_tangents():
             sigma = rand_density(rng, n)
             h = rand_hermitian(rng, n)
             u = rand_unitary(rng, n)
-            ut = UnitaryTangent(u, 1j * u @ h)
+            ut = UnitaryTangent(u, -1j * u @ h)
             res = el_residual_unitary(ut, sigma, h)
             assert res.shape == (n * n,)
             assert np.max(np.abs(res)) <= 1e-10
@@ -242,7 +242,7 @@ def test_el_residual_isotropy_directions_also_vanish():
         u = rand_unitary(rng, 3)
         k = dagger(u) @ (1j * np.diag(rng.standard_normal(3))) @ u
         assert frobenius_norm(commutator(k, dagger(u) @ sigma @ u)) <= 1e-12
-        ut = UnitaryTangent(u, 1j * u @ h + u @ k)
+        ut = UnitaryTangent(u, -1j * u @ h + u @ k)
         assert np.max(np.abs(el_residual_unitary(ut, sigma, h))) <= 1e-10
 
 

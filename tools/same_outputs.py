@@ -53,11 +53,11 @@ ALPHA_SB2C = (
     ("regular-json", [[1, 1], [1, 2]], [[1, 0.5], [0.5, -1]], (-2.0, 6.0), 2.0, 1e-2,
      "json"),  # 0
     ("halt", [[1, 1], [1, 2]], [[1, 0.5], [0.5, -1]], (1.0, 4.0), 2.0, 1e-2,
-     "csv"),  # 3 at t = 0.558
+     "csv"),  # 3: the step [0.55, 0.56] lands past a root of a + d Phi'
     ("fail", [[-1.7, -1.9], [-1.1, -1.5]], [[1.2, -1.0], [-1.0, -1.9]], (-2.0, 6.0),
      2.0, 1e-2, "csv"),  # 1: constraint_residual 1.3e-8 > 1e-8
     ("pole", [[0, -2], [-0.3, 2]], [[-1.8, -1.6], [-1.6, 0.1]], (-2.0, 2.7), 1.0, 0.5,
-     "csv"),  # 3: the first step jumps Phi's pole r = 2.953
+     "csv"),  # 3: the first step [0, 0.5] jumps Phi's pole r = 2.953
 )
 
 
