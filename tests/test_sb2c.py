@@ -435,6 +435,29 @@ def test_integrate_reduced_halts_where_a_step_crosses_the_pole_of_phi():
         assert step(lo) < r_star < step(hi)
 
 
+def test_integrate_reduced_brackets_the_first_failing_step_length_not_the_pole():
+    # whether a step fails is not monotone in its length: from r = 2.3 a
+    # step of 0.3 fails, one of 0.31 is accepted (landing at r ~ 1.59, far
+    # from the pole r* ~ 2.527 of Phi), and one of 0.315 fails again, where
+    # an RK4 stage drives r through 0.  The record is the grid step of 0.5
+    # that failed, crossing r*, and no shorter step length inside it
+    p = derive_parameters(SB2CSetup(np.array([[-1.7, -1.9], [-1.1, -1.5]]),
+                                    np.array([[1.2, -1.0], [-1.0, -1.9]])))
+    r_star = np.sqrt(p.d**2 * p.alpha / (p.h4 * p.a - p.d * p.h1))
+    initial = ReducedState(y=1.0, r=2.3)
+    start = np.array([initial.y, initial.r])
+    signs0 = pair_oracle(p)[3](initial.r)
+    assert [oracle_step(p, start, dt, signs0) is None
+            for dt in (0.2, 0.3, 0.31, 0.315, 0.5)] == [False, True, False, True, True]
+    assert oracle_step(p, start, 0.31, signs0)[1] < r_star - 0.9
+
+    traj = integrate_reduced(initial, p, t_final=1.0, step=0.5)
+    assert traj.n_samples == 1
+    record = traj.meta["singularity"]
+    assert record["time"] == 0.0 and record["bracket"] == [0.0, 0.5]
+    assert record["reason"].startswith("Phi's denominator r (k2 r^2 - k0) changed sign")
+
+
 def test_integrate_reduced_rejects_bad_step():
     p = derive_parameters(worked_setup())
     with pytest.raises(ValueError):
