@@ -67,7 +67,7 @@ def flow_exponential(index: int, t) -> np.ndarray:
     if not np.max(np.abs(t), initial=0.0) <= FLOW_T_MAX:
         raise ValueError(f"flow time leaves float range: |t| must be <= {FLOW_T_MAX:.2f}")
     if index == 3:
-        diagonal = np.exp(np.multiply.outer(t / 2, [1.0, -1.0]))
+        diagonal = np.exp(np.multiply.outer(t, generator.diagonal().real))
         return diagonal[..., np.newaxis] * np.eye(2, dtype=complex)
     return np.eye(2) + np.multiply.outer(t, generator)
 

@@ -95,7 +95,8 @@ def hermitian_defect(m) -> float:
 
 
 def require_hermitian(m, name: str = "matrix") -> np.ndarray:
-    """Return ``m`` as a complex matrix, raising if it is not Hermitian.
+    """Return the Hermitian part ``(m + m^dag) / 2`` of ``m``, raising if
+    ``m`` is not Hermitian; an exactly Hermitian ``m`` comes back as given.
 
     Raises
     ------
@@ -108,7 +109,7 @@ def require_hermitian(m, name: str = "matrix") -> np.ndarray:
         raise ValueError(
             f"{name} is not Hermitian: defect {defect:.3e} > tolerance {HERMITIAN_TOL:.3e}"
         )
-    return arr
+    return arr / 2 + dagger(arr) / 2 if defect else arr  # halves: no sum overflows
 
 
 def hermitian_propagator(h: np.ndarray, t) -> np.ndarray:

@@ -75,7 +75,8 @@ class UnitaryTangent:
 
     Tangency to the unitary group means ``u udot^dag = -udot u^dag``;
     unitarity and tangency are checked in Frobenius norm against
-    ``HERMITIAN_TOL`` at construction.
+    ``HERMITIAN_TOL`` at construction; within it, ``udot`` keeps its tangent
+    part ``udot - (u udot^dag + udot u^dag) u / 2``.
     """
 
     u: np.ndarray
@@ -90,9 +91,11 @@ class UnitaryTangent:
         unitary_defect = frobenius_norm(dagger(self.u) @ self.u - np.eye(n))
         if unitary_defect > HERMITIAN_TOL:
             raise ValueError(f"u is not unitary: defect {unitary_defect:.3e}")
-        tangency = frobenius_norm(self.u @ dagger(self.udot) + self.udot @ dagger(self.u))
+        normal = self.u @ dagger(self.udot) + self.udot @ dagger(self.u)
+        tangency = frobenius_norm(normal)
         if tangency > HERMITIAN_TOL:
             raise ValueError(f"udot is not tangent: defect {tangency:.3e}")
+        self.udot = self.udot - normal @ self.u / 2
 
 
 def lagrangian_unitary(ut: UnitaryTangent, sigma, h) -> float:

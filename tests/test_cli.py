@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isospec_lag import cli, trajectory, unitary_orbit
+from isospec_lag import bloch, cli, trajectory, unitary_orbit
 from isospec_lag.heisenberg import evolve_heisenberg_exact
 
 from conftest import fail_in, force_split, hermitian_check_names, src_env
@@ -85,12 +85,10 @@ def test_report_json_schema(tmp_path):
     run_cli(["heisenberg", "--config", cfg, "--out", tmp_path])
     report = json.loads((tmp_path / "report.json").read_text())
     assert set(report) == {
-        "invariants", "kind", "scenario", "seed", "singular",
-        "trajectory", "wall_time_s", "warnings",
+        "invariants", "kind", "singular", "trajectory", "wall_time_s", "warnings",
     }
     for entry in report["invariants"].values():
         assert set(entry) == {"max", "pass", "tol"}
-    assert report["scenario"] == "heisenberg-seed0"
     assert report["warnings"] == []
 
 
@@ -171,33 +169,49 @@ def test_json_trajectory_format(tmp_path):
     assert len(doc["columns"]["A_re_0_1"]) == len(doc["t"])
 
 
+def outputs(cfg, kind, out):
+    """Exit code, stdout, trajectory bytes and report (without its wall
+    time) of one run of a config into ``out``."""
+    with contextlib.redirect_stdout(io.StringIO()) as stdout:
+        code = run_cli([kind, "--config", cfg, "--out", out])
+    report = json.loads((out / "report.json").read_text())
+    del report["wall_time_s"]
+    return code, stdout.getvalue(), (out / "trajectory.csv").read_bytes(), report
+
+
 def test_repeated_runs_are_byte_identical(tmp_path):
     cfg = write_config(
         tmp_path / "cfg.json", "bloch",
         {"initial": [[0.0, 0.0, 0.5]]},
-        1.0, 0.25, seed=3,
+        1.0, 0.25,
     )
-    run_cli(["bloch", "--config", cfg, "--out", tmp_path / "one"])
-    run_cli(["bloch", "--config", cfg, "--out", tmp_path / "two"])
-    first = (tmp_path / "one" / "trajectory.csv").read_bytes()
-    second = (tmp_path / "two" / "trajectory.csv").read_bytes()
-    assert first == second
-    r1 = json.loads((tmp_path / "one" / "report.json").read_text())
-    r2 = json.loads((tmp_path / "two" / "report.json").read_text())
-    assert r1["invariants"] == r2["invariants"]
-    assert r1["seed"] == 3
+    first = outputs(cfg, "bloch", tmp_path / "out")
+    assert first == outputs(cfg, "bloch", tmp_path / "out")
 
 
-def test_seed_flag_overrides_config(tmp_path):
-    cfg = write_config(
-        tmp_path / "cfg.json", "bloch",
-        {"initial": [[0.0, 0.0, 0.5]]},
-        0.5, 0.25,
-    )
-    run_cli(["bloch", "--config", cfg, "--out", tmp_path, "--seed", 7])
-    report = json.loads((tmp_path / "report.json").read_text())
-    assert report["seed"] == 7
-    assert report["scenario"] == "bloch-seed7"
+def test_a_legacy_seed_key_changes_nothing(tmp_path):
+    # configs written for the former --seed carry a "seed" key, which the
+    # loader ignores like any other unknown key
+    matrices = {"initial": [[0.1, -0.2, 0.3]]}
+    plain = write_config(tmp_path / "plain.json", "bloch", matrices, 1.0, 0.01)
+    seeded = write_config(tmp_path / "seeded.json", "bloch", matrices, 1.0, 0.01, seed=7)
+    assert outputs(seeded, "bloch", tmp_path / "out") == outputs(plain, "bloch", tmp_path / "out")
+
+
+@pytest.mark.parametrize("point, verdict", [([0.1, -0.2, 0.3], "FAIL"), ([0, 0, 1], "PASS")],
+                         ids=["bulk", "fixed-point-p"])
+def test_bloch_flow_field_consistency_checks_the_run(tmp_path, capsys, monkeypatch,
+                                                     point, verdict):
+    # the diagonal flow at double speed, exp(t tau_3): its rate is 2 Y3, which
+    # the rows of a bulk run show, while every row of a run from P stays at P
+    monkeypatch.setattr(bloch, "flow_generator", bloch.sb2c_generator)
+    cfg = write_config(tmp_path / "cfg.json", "bloch", {"initial": [point]}, 1.0, 0.01)
+    code = run_cli(["bloch", "--config", cfg, "--out", tmp_path])
+    lines = parse_lines(capsys.readouterr().out)
+    assert lines["flow_field_consistency"][2] == verdict
+    assert [name for name, (_, _, status) in lines.items() if status == "FAIL"] == (
+        ["flow_field_consistency"] if verdict == "FAIL" else [])
+    assert code == (1 if verdict == "FAIL" else 0)
 
 
 def test_tolerance_override_forces_failure(tmp_path, capsys):
@@ -293,17 +307,6 @@ def test_non_finite_tolerance_override_exits_2(tmp_path, capsys):
                     "--tolerance", "spectrum_drift=nan"])
     assert code == 2
     assert "must be finite" in capsys.readouterr().err
-
-
-def test_boolean_seed_exits_2(tmp_path, capsys):
-    cfg = write_config(
-        tmp_path / "cfg.json", "bloch", {"initial": [[0.2, 0.1, 0.3]]},
-        0.05, 1e-2, seed=True,
-    )
-    assert run_cli(["bloch", "--config", cfg, "--out", tmp_path]) == 2
-    err = capsys.readouterr().err
-    assert "seed must be a non-negative integer" in err
-    assert "Traceback" not in err
 
 
 def test_verify_logs_evaluation_counts_and_worst_sample(tmp_path, caplog):
@@ -701,7 +704,8 @@ VALID_MATRICES = {
 
 
 def valid_doc(kind):
-    """A config of the kind that exits 0, with every optional key set."""
+    """A config of the kind that exits 0, with every optional key set and
+    the legacy key "seed", which the loader ignores."""
     t_final, step = TINY_GRID[kind]
     return {
         "kind": kind,
@@ -779,7 +783,8 @@ def mutated_configs(draw):
 
     ``overflow`` marks an extreme float in a matrix other than the bloch
     ball point, where the integration or an invariant may overflow float
-    range on its way to a failed invariant.
+    range on its way to a failed invariant.  A mutated "seed" is neither:
+    the loader ignores that key, so the run exits as the valid config does.
     """
     kind = draw(st.sampled_from(cli.KINDS))
     doc = valid_doc(kind)
@@ -806,7 +811,7 @@ def mutated_configs(draw):
             doc = value
         else:
             _set(doc, path, value)
-        return kind, doc, True, False
+        return kind, doc, path != ("seed",), False
     if mutation == "shape":
         name = draw(st.sampled_from(sorted(doc["matrices"])))
         shape = draw(st.sampled_from(
@@ -816,13 +821,10 @@ def mutated_configs(draw):
     path = draw(st.sampled_from(_numeric_leaves(doc)))
     if mutation == "non_finite":
         _set(doc, path, draw(st.sampled_from(NON_FINITE)))
-        return kind, doc, True, False
+        return kind, doc, path != ("seed",), False
     value = draw(st.sampled_from(EXTREMES))
     _set(doc, path, value)
-    if path == ("seed",):
-        malformed = value != 10**400  # a float is no seed; a big integer is one
-    else:
-        malformed = value == 10**400  # a big integer is no float
+    malformed = value == 10**400 and path != ("seed",)  # a big integer is no float
     overflow = path[0] == "matrices" and kind != "bloch" and not malformed
     return kind, doc, malformed, overflow
 
@@ -841,6 +843,11 @@ def test_mutated_configs_keep_the_exit_code_contract(case):
     assert "Traceback" not in err
     if malformed:
         assert code == 2, err
+    def without_seed(d):  # as JSON text, where True and 1.0 differ
+        return json.dumps({k: v for k, v in d.items() if k != "seed"}, sort_keys=True)
+
+    if isinstance(doc, dict) and without_seed(doc) == without_seed(valid_doc(kind)):
+        assert code == 0, err  # only the seed moved: the valid config decides
 
 
 @pytest.mark.parametrize("kind, matrices, names", [

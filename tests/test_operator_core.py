@@ -74,6 +74,16 @@ def test_hermitian_predicates():
         require_hermitian(SX + np.array([[0, 7.1e-11], [0, 0]]))
 
 
+def test_require_hermitian_returns_the_hermitian_part():
+    near = SX + np.array([[0, 7e-11j], [0, 0]])
+    np.testing.assert_array_equal(require_hermitian(near), SX + np.array([[0, 3.5e-11j],
+                                                                          [-3.5e-11j, 0]]))
+    assert hermitian_defect(require_hermitian(near)) == 0.0
+    # an exactly Hermitian matrix comes back as given, signed zeros included
+    exact = np.array([[complex(1, -0.0), 2 + 1j], [2 - 1j, complex(-1, -0.0)]])
+    assert require_hermitian(exact).tobytes() == exact.tobytes()
+
+
 def test_hermitian_sqrt_examples():
     np.testing.assert_allclose(hermitian_sqrt(np.diag([4.0, 9.0])), np.diag([2.0, 3.0]))
     np.testing.assert_allclose(hermitian_sqrt(SI), SI)

@@ -88,6 +88,14 @@ def test_lagrangian_unitary_examples():
     assert lagrangian_unitary(ut, sigma, h) == pytest.approx(want, abs=1e-12)
 
 
+def test_lagrangian_unitary_keeps_the_tangent_part_of_udot():
+    # udot = i sigma_x + 3e-11 I is within HERMITIAN_TOL of the tangent
+    # i sigma_x at u = I; its normal part left an imaginary residue of 3e-11
+    ut = UnitaryTangent(SI, 1j * SX + 3e-11 * SI)
+    np.testing.assert_array_equal(ut.udot, 1j * SX)
+    assert lagrangian_unitary(ut, np.diag([0.7, 0.3]), SZ) == 0.0
+
+
 def test_lagrangian_unitary_pullback():
     rng = np.random.default_rng(4)
     for n in (2, 3, 4):
@@ -221,7 +229,7 @@ def test_evolve_lvn_rk4_step_halving():
     assert 12.0 <= errs[0] / errs[1] <= 20.0
 
 
-def test_el_residual_zero_on_lvn_tangents():
+def test_el_residual_zero_on_own_flow_udot_minus_i_u_h():
     rng = np.random.default_rng(11)
     for n in (2, 3):
         for _ in range(25):

@@ -93,7 +93,7 @@ def _scenarios(workloads):
                "matrices": {"initial": _real_pairs([[y, r]]), "a0": _real_pairs(a0),
                             "hamiltonian": _real_pairs(h)},
                "times": {"t_final": t_final, "step": step},
-               "output": {"format": fmt}, "seed": 0}
+               "output": {"format": fmt}}
         yield f"sb2c-alpha/{run}", workloads.Scenario(f"sb2c-alpha-{run}", "sb2c", doc)
 
 
