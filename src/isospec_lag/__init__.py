@@ -19,7 +19,7 @@ _EXPORTS = {
     "bloch": """
         BlochVector OrbitClass OrbitTag classify_orbit density_from_bloch
         flow_exponential flow_generator sb2c_flow_on_state sb2c_generator
-        uniform_ball_sample wedge_closed_form wedge_determinant y_field
+        wedge_closed_form wedge_determinant y_field
     """,
     "heisenberg": """
         OperatorTangent cartan_one_form_heisenberg cartan_two_form_heisenberg

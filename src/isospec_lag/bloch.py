@@ -192,11 +192,3 @@ def conjugate_flow(k: int, t, points) -> tuple[np.ndarray, np.ndarray]:
 def sb2c_flow_on_state(k: int, t: float, x0: BlochVector) -> BlochVector:
     """Conjugate-and-renormalize flow of the k-th subgroup on the ball."""
     return BlochVector(*conjugate_flow(k, t, x0.as_array())[1].tolist())
-
-
-def uniform_ball_sample(rng: np.random.Generator) -> BlochVector:
-    """Uniform point of the open ball, by rejection from the cube."""
-    while True:
-        candidate = rng.uniform(-1.0, 1.0, size=3)
-        if candidate @ candidate < 1.0:
-            return BlochVector(*candidate)

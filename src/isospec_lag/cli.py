@@ -40,7 +40,8 @@ import numpy as np
 
 # Each runner imports the modules of its own kind, so one process loads
 # only what its scenario runs.
-from .trajectory import Trajectory, format_float, time_grid, write_csv, write_json
+from .trajectory import (Trajectory, format_float, rk4_commutator_trajectory, time_grid,
+                         write_csv, write_json)
 
 logger = logging.getLogger(__name__)
 
@@ -241,13 +242,13 @@ def _trace(states) -> np.ndarray:
 
 
 def _run_heisenberg(config: ScenarioConfig):
-    from .heisenberg import evolve_heisenberg_rk4
     from .operator_core import dagger, frobenius_norm, hermitian_propagator, require_hermitian
 
+    # load_config has matched the shapes; RK4 and the reference share one H
     initial = require_hermitian(config.matrices["initial"], name="initial")
-    h = config.matrices["hamiltonian"]
-    traj = evolve_heisenberg_rk4(initial, h, config.t_final, config.step)
-    # evolve_heisenberg_rk4 has validated h
+    h = require_hermitian(config.matrices["hamiltonian"], name="hamiltonian")
+    times = time_grid(config.t_final, config.step)
+    traj = rk4_commutator_trajectory(initial, h, -1, times, config.step, "A")
     u = hermitian_propagator(h, config.t_final)
     exact_end = dagger(u) @ initial @ u
     # the first row is the initial state, the reference of every drift
@@ -264,16 +265,18 @@ def _run_heisenberg(config: ScenarioConfig):
 
 
 def _run_lvn(config: ScenarioConfig):
-    from .operator_core import dagger, frobenius_norm, hermitian_propagator
-    from .unitary_orbit import evolve_lvn_rk4
+    from .operator_core import dagger, frobenius_norm, hermitian_propagator, require_hermitian
+    from .unitary_orbit import validate_density
 
-    h = config.matrices["hamiltonian"]
-    traj = evolve_lvn_rk4(config.matrices["initial"], h, config.t_final, config.step)
-    # evolve_lvn_rk4 has validated both inputs; its first row is the checked rho0,
-    # the reference of every drift
+    # load_config has matched the shapes; RK4 and the reference share one H
+    rho0 = validate_density(config.matrices["initial"])
+    h = require_hermitian(config.matrices["hamiltonian"], name="hamiltonian")
+    times = time_grid(config.t_final, config.step)
+    traj = rk4_commutator_trajectory(rho0, h, 1, times, config.step, "rho")
+    # the first row is rho0, the reference of every drift
     states = traj.states
     u = hermitian_propagator(h, config.t_final)
-    exact_end = u @ states[0] @ dagger(u)
+    exact_end = u @ rho0 @ dagger(u)
     spectra = np.linalg.eigvalsh(states)
     purity = _trace(states @ states).real
     weights = np.clip(spectra, 0.0, None)

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operator_core import (
-    _real_values,
     as_complex_matrix,
     commutator,
     dagger,
@@ -105,10 +104,13 @@ def lagrangian_heisenberg_values(a: np.ndarray, ad: np.ndarray, h: np.ndarray) -
 
     ``a`` and ``ad`` are complex arrays of shape ``(..., n, n)``; the result
     has shape ``(...)``.  ``h`` must already be a validated Hermitian
-    ``(n, n)`` matrix: nothing but the reality of the result is checked
-    here.  With the stack axis last, ``[A, H]`` is n multiply-adds over the
-    stack and each trace a sum of entrywise products in index order, so a
-    stacked evaluation rounds exactly like the per-point one.
+    ``(n, n)`` matrix: nothing is checked here.  Both traces are real for
+    Hermitian ``H``, and an anti-Hermitian part of ``H`` adds only an
+    imaginary part, so the real part returned is the Lagrangian of ``H``'s
+    Hermitian part.  With the stack axis last, ``[A, H]`` is n
+    multiply-adds over the stack and each trace a sum of entrywise
+    products in index order, so a stacked evaluation rounds exactly like
+    the per-point one.
     """
     n = h.shape[0]
     a_t = np.moveaxis(a.reshape(-1, n, n), 0, -1).copy()  # (n, n, stack)
@@ -125,12 +127,7 @@ def lagrangian_heisenberg_values(a: np.ndarray, ad: np.ndarray, h: np.ndarray) -
     z = trace(np.moveaxis(ad.reshape(-1, n, n), 0, -1))  # Tr(A^dag Adot)
     kinetic = 0.5j * (z - np.conj(z))  # Tr(Adot^dag A) = conj(z)
     potential = trace(comm)  # Tr(A H A^dag) - Tr(A^dag H A) = Tr(A^dag [A, H])
-
-    def scale():  # |Tr(X Y)| <= |X|_F |Y|_F bounds every trace above
-        norm_a = np.linalg.norm(a, axis=(-2, -1))
-        return norm_a * (np.linalg.norm(ad, axis=(-2, -1)) + norm_a * np.linalg.norm(h))
-
-    return _real_values(kinetic - potential, "Lagrangian", scale)
+    return (kinetic - potential).real
 
 
 def cartan_one_form_heisenberg(point, v) -> float:

@@ -4,8 +4,9 @@ Everything in this module is a pure function over small dense numpy
 arrays.  Matrices are plain ``numpy.ndarray`` objects of complex dtype,
 and a stack of them (the u(n) basis, say) is one array of shape
 ``(..., n, n)``; validation helpers raise ``ValueError`` on malformed
-input instead of silently coercing.  Hermiticity, positivity, unitarity
-and tangency are always judged against the one tolerance
+input and return inputs within tolerance projected onto their set (the
+Hermitian part, the clipped PSD root).  Hermiticity, positivity,
+unitarity and tangency are always judged against the one tolerance
 ``HERMITIAN_TOL``, so that long integrations with floating-point drift
 remain checkable.
 """
@@ -17,10 +18,6 @@ import numpy as np
 #: Frobenius-norm tolerance of every hermiticity, positivity, unitarity and
 #: tangency check.
 HERMITIAN_TOL = 1e-10
-
-#: Largest imaginary residue tolerated when a trace expression must be real,
-#: relative to the size of its terms where that is known (and at least 1).
-REALITY_TOL = 1e-12
 
 
 def as_complex_matrix(m, name: str = "matrix") -> np.ndarray:
@@ -49,19 +46,6 @@ def as_complex_matrix(m, name: str = "matrix") -> np.ndarray:
     if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
         raise ValueError(f"{name} contains non-finite entries")
     return arr
-
-
-def _real_values(values: np.ndarray, what: str, scale=lambda: 1.0) -> np.ndarray:
-    """Real parts of ``values``, raising if an imaginary residue exceeds
-    REALITY_TOL times ``max(1, scale())``; ``scale`` gives the size of the
-    terms summed into each value, and is called only for a residue above
-    REALITY_TOL."""
-    residue = np.abs(values.imag)
-    if np.max(residue, initial=0.0) > REALITY_TOL:
-        excess = residue[residue > REALITY_TOL * np.maximum(1.0, scale())]
-        if excess.size:
-            raise ValueError(f"{what} has imaginary residue {np.max(excess):.3e}")
-    return values.real
 
 
 def _check_same_dim(a: np.ndarray, b: np.ndarray) -> None:

@@ -29,7 +29,6 @@ import numpy as np
 
 from .operator_core import (
     HERMITIAN_TOL,
-    _real_values,
     as_complex_matrix,
     commutator,
     dagger,
@@ -109,7 +108,7 @@ def lagrangian_unitary(ut: UnitaryTangent, sigma, h) -> float:
     u, ud = ut.u, ut.udot
     kinetic = 1j * np.trace(sigma @ ud @ dagger(u))
     potential = np.trace(dagger(u) @ sigma @ u @ h - sigma @ h)
-    return float(_real_values(kinetic - potential, "Lagrangian"))
+    return float((kinetic - potential).real)
 
 
 def lvn_rhs(rho, h) -> np.ndarray:
@@ -166,4 +165,4 @@ def el_residual_unitary(ut: UnitaryTangent, sigma, h) -> np.ndarray:
     rho_dot = dagger(u) @ sigma @ ud - dagger(u) @ ud @ dagger(u) @ sigma @ u
     defect = rho_dot + lvn_rhs(rho, h)
     projections = 1j * np.einsum("ab,jba->j", defect, unitary_algebra_basis(u.shape[0]))
-    return _real_values(projections, "residual projection")
+    return projections.real

@@ -10,6 +10,7 @@ import numpy as np
 
 import isospec_lag
 from isospec_lag import operator_core, trajectory
+from isospec_lag.bloch import BlochVector
 
 SI = np.eye(2, dtype=complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -40,6 +41,14 @@ def rand_density(rng, n):
     m = rand_complex(rng, n)
     rho = m @ m.conj().T
     return rho / np.trace(rho).real
+
+
+def uniform_ball_sample(rng):
+    """Uniform point of the open Bloch ball, by rejection from the cube."""
+    while True:
+        candidate = rng.uniform(-1.0, 1.0, size=3)
+        if candidate @ candidate < 1.0:
+            return BlochVector(*candidate)
 
 
 def rk4_step(f, y, dt: float):

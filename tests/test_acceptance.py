@@ -18,7 +18,6 @@ from isospec_lag.bloch import (
     density_from_bloch,
     flow_generator,
     sb2c_flow_on_state,
-    uniform_ball_sample,
     wedge_closed_form,
     wedge_determinant,
     y_field,
@@ -71,6 +70,7 @@ from conftest import (
     rand_density,
     rand_hermitian,
     rand_unitary,
+    uniform_ball_sample,
 )
 
 

@@ -19,7 +19,6 @@ from isospec_lag.bloch import (
     generator_frame,
     sb2c_flow_on_state,
     sb2c_generator,
-    uniform_ball_sample,
     wedge_closed_form,
     wedge_closed_form_values,
     wedge_determinant,
@@ -27,7 +26,7 @@ from isospec_lag.bloch import (
 )
 from isospec_lag.operator_core import dagger
 
-from conftest import SI, SX, SY, SZ
+from conftest import SI, SX, SY, SZ, uniform_ball_sample
 
 ORIGIN = BlochVector(0.0, 0.0, 0.0)
 P = BlochVector(0.0, 0.0, 1.0)

@@ -453,6 +453,21 @@ def test_heisenberg_checks_the_hamiltonian_once(tmp_path, monkeypatch):
     assert names == ["initial", "hamiltonian"]
 
 
+@pytest.mark.parametrize("kind, initial, bound", [
+    ("heisenberg", [[0, 1], [1, 0]], 3e-11),
+    ("lvn", LVN_MATRICES["initial"], 1e-14),
+])
+def test_endpoint_reference_uses_the_evolved_hamiltonian(tmp_path, capsys, kind, initial,
+                                                        bound):
+    # H is within HERMITIAN_TOL of Hermitian; RK4 evolves its Hermitian part,
+    # and so must the exact reference (eigh of H itself reads one triangle)
+    h = [[1, 1 + 4e-11], [1, -1]]
+    cfg = write_config(tmp_path / "cfg.json", kind, {"initial": initial, "hamiltonian": h},
+                       10.0, 1e-3)
+    assert run_cli([kind, "--config", cfg, "--out", tmp_path]) == 0
+    assert parse_lines(capsys.readouterr().out)["rk4_exact_endpoint"][0] <= bound
+
+
 def test_verify_checks_each_input_once(tmp_path, monkeypatch):
     names = hermitian_check_names(monkeypatch)
     cfg = write_config(tmp_path / "cfg.json", "verify",
@@ -537,7 +552,7 @@ def test_no_kind_imports_scipy(tmp_path):
 #: The package's modules each kind runs, beside the root, trajectory and
 #: operator_core, which every kind loads.
 KIND_MODULES = {
-    "heisenberg": {"heisenberg"},
+    "heisenberg": set(),
     "lvn": {"unitary_orbit"},
     "sb2c": {"sb2c"},
     "bloch": {"bloch"},
@@ -672,7 +687,8 @@ def test_sb2c_field_overflow_at_start_exits_3(tmp_path, capsys, caplog):
 
 
 def test_verify_with_large_entries_has_no_rounding_error(tmp_path, capsys):
-    # rounding leaves an imaginary Lagrangian residue of order eps |A|^2 |H| ~ 1e-10
+    # entries of 1e4 make the Lagrangian's terms ~1e8: its finite differences
+    # round at that scale
     cfg = write_config(
         tmp_path / "cfg.json", "verify",
         {"initial": [[1e4, 2e4 - 3e4j], [2e4 + 3e4j, -1e4]],

@@ -147,8 +147,8 @@ def test_lagrangian_examples():
 
 
 def test_lagrangian_takes_the_hermitian_part_of_h():
-    # H's defect 8.5e-11 is within HERMITIAN_TOL; its anti-Hermitian part
-    # 3e-11 i sigma_x left an imaginary residue of 5.4e-10
+    # H's defect 8.5e-11 is within HERMITIAN_TOL, so H is accepted and its
+    # anti-Hermitian part 3e-11 i sigma_x is projected away
     tangent = OperatorTangent(3 * np.array([[1, 2j], [0.5, -1]]), np.zeros((2, 2)))
     assert lagrangian_heisenberg(tangent, SZ + 3e-11j * SX) == lagrangian_heisenberg(tangent, SZ)
     assert lagrangian_heisenberg(tangent, SZ) == pytest.approx(67.5)

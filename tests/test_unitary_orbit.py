@@ -90,10 +90,25 @@ def test_lagrangian_unitary_examples():
 
 def test_lagrangian_unitary_keeps_the_tangent_part_of_udot():
     # udot = i sigma_x + 3e-11 I is within HERMITIAN_TOL of the tangent
-    # i sigma_x at u = I; its normal part left an imaginary residue of 3e-11
+    # i sigma_x at u = I; UnitaryTangent keeps that tangent
     ut = UnitaryTangent(SI, 1j * SX + 3e-11 * SI)
     np.testing.assert_array_equal(ut.udot, 1j * SX)
     assert lagrangian_unitary(ut, np.diag([0.7, 0.3]), SZ) == 0.0
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_near_unitary_tangents_give_finite_values(n):
+    # UnitaryTangent accepts a unitarity defect up to HERMITIAN_TOL, and
+    # the traces' rounding at such a u is no error
+    rng = np.random.default_rng(40 + n)
+    for defect in (1e-12, 1e-11, 5e-11):
+        for _ in range(20):
+            x = rand_hermitian(rng, n)
+            u = rand_unitary(rng, n) @ (np.eye(n) + defect / 2 * x / np.linalg.norm(x))
+            ut = UnitaryTangent(u, u @ rand_antihermitian(rng, n))
+            sigma, h = rand_density(rng, n), rand_hermitian(rng, n)
+            assert np.isfinite(lagrangian_unitary(ut, sigma, h))
+            assert np.all(np.isfinite(el_residual_unitary(ut, sigma, h)))
 
 
 def test_lagrangian_unitary_pullback():

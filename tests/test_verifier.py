@@ -298,14 +298,15 @@ def test_heisenberg_chart_rejects_non_hermitian_hamiltonian():
         heisenberg_chart(np.array([[0, 1], [0, 0]], dtype=complex))
 
 
-def test_stacked_evaluation_checks_reality_over_the_batch():
-    # the kernel trusts its caller to pass a Hermitian H; this one is not
-    h_bad = np.array([[1, 1], [0, -1]], dtype=complex)
-    lag = operator_chart(2, lambda a, v: lagrangian_heisenberg_values(a, v, h_bad))
-    times = np.arange(9) * 1e-3
-    path = path_from_matrices(times, [evolve_heisenberg_exact(SX, SZ, t) for t in times])
-    with pytest.raises(ValueError, match="imaginary residue"):
-        el_residual_path(lag, path)
+def test_stacked_kernel_reads_the_hermitian_part_of_h():
+    # an anti-Hermitian part of H adds only imaginary parts to the traces
+    rng = np.random.default_rng(24)
+    for n in (2, 3, 4):
+        a, ad = (rng.standard_normal((2, 64, n, n)) + 1j * rng.standard_normal((2, 64, n, n)))
+        h = rand_complex(rng, n)
+        want = lagrangian_heisenberg_values(a, ad, (h + h.conj().T) / 2)
+        np.testing.assert_allclose(lagrangian_heisenberg_values(a, ad, h), want,
+                                   rtol=1e-12, atol=1e-12 * np.max(np.abs(want)))
 
 
 def test_chart_coordinates_recover_coefficients():
