@@ -194,8 +194,8 @@ def load_config(path, kind: str, out_dir=None, fmt=None,
                 f"known: {', '.join(sorted(tolerances))}"
             )
         tolerances[key] = _number(value, f"tolerance {key!r}")
-        if not math.isfinite(tolerances[key]):
-            raise ConfigError(f"tolerance {key!r} must be finite, got {value!r}")
+        if not (math.isfinite(tolerances[key]) and tolerances[key] >= 0):
+            raise ConfigError(f"tolerance {key!r} must be finite and non-negative, got {value!r}")
 
     output = doc.get("output", {})
     if not isinstance(output, dict):
@@ -247,8 +247,7 @@ def _run_heisenberg(config: ScenarioConfig):
     # load_config has matched the shapes; RK4 and the reference share one H
     initial = require_hermitian(config.matrices["initial"], name="initial")
     h = require_hermitian(config.matrices["hamiltonian"], name="hamiltonian")
-    times = time_grid(config.t_final, config.step)
-    traj = rk4_commutator_trajectory(initial, h, -1, times, config.step, "A")
+    traj = rk4_commutator_trajectory(initial, h, -1, config.t_final, config.step, "A")
     u = hermitian_propagator(h, config.t_final)
     exact_end = dagger(u) @ initial @ u
     # the first row is the initial state, the reference of every drift
@@ -271,8 +270,7 @@ def _run_lvn(config: ScenarioConfig):
     # load_config has matched the shapes; RK4 and the reference share one H
     rho0 = validate_density(config.matrices["initial"])
     h = require_hermitian(config.matrices["hamiltonian"], name="hamiltonian")
-    times = time_grid(config.t_final, config.step)
-    traj = rk4_commutator_trajectory(rho0, h, 1, times, config.step, "rho")
+    traj = rk4_commutator_trajectory(rho0, h, 1, config.t_final, config.step, "rho")
     # the first row is rho0, the reference of every drift
     states = traj.states
     u = hermitian_propagator(h, config.t_final)

@@ -27,7 +27,7 @@ from .operator_core import (
     hermitian_propagator,
     require_hermitian,
 )
-from .trajectory import Trajectory, rk4_commutator_trajectory, time_grid
+from .trajectory import Trajectory, rk4_commutator_trajectory
 
 
 @dataclass(eq=False)
@@ -82,7 +82,7 @@ def evolve_heisenberg_rk4(a0, h, t_final: float, step: float) -> Trajectory:
     a0 = as_complex_matrix(a0, "initial")
     if a0.shape != h.shape:
         raise ValueError("initial and hamiltonian dimensions differ")
-    return rk4_commutator_trajectory(a0, h, -1, time_grid(t_final, step), step, "A")
+    return rk4_commutator_trajectory(a0, h, -1, t_final, step, "A")
 
 
 def lagrangian_heisenberg(tangent: OperatorTangent, h) -> float:

@@ -16,11 +16,12 @@ columns; real coordinate stacks use their explicit column names.
 
 Every float is written as its shortest round-trip ``repr``, so repeated
 runs produce byte-identical files.  :func:`write_csv` writes the ``repr``
-tokens themselves, ``nan``, ``inf`` and ``-inf`` included;
-:func:`write_json` writes the bytes of ``json.dump(doc, indent=1,
-sort_keys=True)`` plus a newline, ``NaN``, ``Infinity`` and
-``-Infinity`` included.  Both stream to the file a block of rows or a
-column at a time, never holding the whole document as one string.
+tokens themselves, ``nan``, ``inf`` and ``-inf`` included, one line per
+row; :func:`write_json` writes the bytes of ``json.dump(doc,
+sort_keys=True)`` plus a newline, json's default layout on one line,
+``NaN``, ``Infinity`` and ``-Infinity`` included.  Both stream to the
+file a block of rows or a column at a time, never holding the whole
+document as one string.
 
 A table of at least ``PARALLEL_MIN_FLOATS`` floats (``t`` included) in
 two or more of those pieces is written by two processes when
@@ -148,12 +149,12 @@ class Trajectory:
 
 
 def rk4_commutator_trajectory(y0: np.ndarray, h: np.ndarray, sign: int,
-                              times: np.ndarray, step: float, name: str) -> Trajectory:
-    """RK4 samples of ``dy/dt = sign * i [y, h]`` on ``times = time_grid(t_final, step)``.
+                              t_final: float, step: float, name: str) -> Trajectory:
+    """RK4 samples of ``dy/dt = sign * i [y, h]`` on ``time_grid(t_final, step)``.
 
     ``y0`` and ``h`` must be validated complex ``(n, n)`` matrices, ``h``
     Hermitian.  Every step has size ``step`` except the last, which ends
-    at ``times[-1]``.  In the eigenbasis ``h = V diag(w) V^dag`` the field
+    at ``t_final``.  In the eigenbasis ``h = V diag(w) V^dag`` the field
     is diagonal: entry (i, j) of ``V^dag y V`` grows at rate
     ``sign * i * (w_j - w_i)`` times itself, so one classic RK4 step of
     size dt multiplies it by the method's stability function
@@ -163,6 +164,7 @@ def rk4_commutator_trajectory(y0: np.ndarray, h: np.ndarray, sign: int,
     loop's values up to rounding, from one ``eigh``.  The first row is
     ``y0`` itself.
     """
+    times = time_grid(t_final, step)
     w, v = np.linalg.eigh(h)
     v_dag = dagger(v)
     y0_eig = v_dag @ y0 @ v
@@ -289,37 +291,22 @@ def write_csv(traj: Trajectory, path) -> None:
     _write_table(path, "csv", ",".join(["t"] + traj.headers()) + "\n", pieces, rows.shape)
 
 
-def _json_list(values: np.ndarray, indent: str) -> str:
-    """A float list as ``json.dump(indent=1)`` lays it out with its items
-    at ``indent`` and its closing bracket one space less.
-
-    Of the float ``repr`` tokens only ``nan`` and ``inf`` hold letters
-    other than ``e``, so renaming them touches no finite value.
-    """
-    if not len(values):
-        return "[]"
-    items = repr(values.tolist())[1:-1].replace(", ", ",\n" + indent)
-    if not np.isfinite(values).all():
-        items = items.replace("nan", "NaN").replace("inf", "Infinity")
-    return f"[\n{indent}{items}\n{indent[:-1]}]"
+def _json_member(name: str, values: np.ndarray, lead: str, tail: str = "") -> str:
+    """``lead``, then ``"name": [values]`` as ``json.dumps`` writes them, then ``tail``."""
+    return f"{lead}{json.dumps(name)}: {json.dumps(values.tolist())}{tail}"
 
 
 def write_json(traj: Trajectory, path) -> None:
     """Write a trajectory as JSON: time list plus per-column value lists.
 
     The bytes are those of ``json.dump({"t": ..., "columns": {header:
-    column}}, fh, indent=1, sort_keys=True)`` and a newline, written one
-    column at a time; a repeated header keeps its last column.
+    column}}, fh, sort_keys=True)`` and a newline, one line in json's
+    default layout, written one column at a time; a repeated header keeps
+    its last column.
     """
     table = traj.table()
     columns = dict(zip(traj.headers(), range(table.shape[1])))
-
-    def column(k, name):
-        return ("," if k else "") + f"\n  {json.dumps(name)}: " + _json_list(table[:, columns[name]], "   ")
-
-    def times():
-        return ("\n }" if columns else "") + ',\n "t": ' + _json_list(traj.times, "  ") + "\n}\n"
-
-    pieces = [functools.partial(column, k, name) for k, name in enumerate(sorted(columns))]
-    _write_table(path, "json", '{\n "columns": ' + ("{" if columns else "{}"), pieces + [times],
-                 (len(table), len(columns) + 1))
+    pieces = [functools.partial(_json_member, name, table[:, columns[name]], ", " if k else "")
+              for k, name in enumerate(sorted(columns))]
+    pieces.append(functools.partial(_json_member, "t", traj.times, "}, ", "}\n"))
+    _write_table(path, "json", '{"columns": {', pieces, (len(table), len(columns) + 1))

@@ -37,7 +37,7 @@ from .operator_core import (
     require_hermitian,
     unitary_algebra_basis,
 )
-from .trajectory import Trajectory, rk4_commutator_trajectory, time_grid
+from .trajectory import Trajectory, rk4_commutator_trajectory
 
 logger = logging.getLogger(__name__)
 
@@ -140,7 +140,7 @@ def evolve_lvn_rk4(rho0, h, t_final: float, step: float) -> Trajectory:
     h = require_hermitian(h, name="hamiltonian")
     if h.shape != rho0.shape:
         raise ValueError("density matrix and hamiltonian dimensions differ")
-    return rk4_commutator_trajectory(rho0, h, 1, time_grid(t_final, step), step, "rho")
+    return rk4_commutator_trajectory(rho0, h, 1, t_final, step, "rho")
 
 
 def el_residual_unitary(ut: UnitaryTangent, sigma, h) -> np.ndarray:

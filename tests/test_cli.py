@@ -159,14 +159,23 @@ def test_verify_run_passes(tmp_path, capsys):
 
 
 def test_json_trajectory_format(tmp_path):
-    cfg = heisenberg_config(tmp_path, t_final=0.01)
-    run_cli(["heisenberg", "--config", cfg, "--out", tmp_path,
-             "--format", "json"])
-    doc = json.loads((tmp_path / "trajectory.json").read_text())
+    # 5,001 rows of 9 floats: on two CPUs the write is split across two processes
+    cfg = heisenberg_config(tmp_path, t_final=5.0)
+    for fmt in ("json", "csv"):
+        assert run_cli(["heisenberg", "--config", cfg, "--out", tmp_path / fmt,
+                        "--format", fmt]) == 0
+    text = (tmp_path / "json" / "trajectory.json").read_text()
+    doc = json.loads(text)
+    assert text == json.dumps(doc, sort_keys=True) + "\n"
     assert set(doc) == {"t", "columns"}
-    assert doc["t"][0] == 0.0
-    assert "A_re_0_1" in doc["columns"]
-    assert len(doc["columns"]["A_re_0_1"]) == len(doc["t"])
+    header, *rows = (tmp_path / "csv" / "trajectory.csv").read_text().splitlines()
+    columns = list(zip(*([float(v) for v in row.split(",")] for row in rows)))
+    headers = header.split(",")
+    assert len(rows) == 5001 and headers[0] == "t" and "A_re_0_1" in headers
+    assert sorted(doc["columns"]) == sorted(headers[1:])
+    assert doc["t"] == list(columns[0])
+    for name, column in zip(headers[1:], columns[1:]):
+        assert doc["columns"][name] == list(column), name
 
 
 def outputs(cfg, kind, out):
@@ -307,6 +316,28 @@ def test_non_finite_tolerance_override_exits_2(tmp_path, capsys):
                     "--tolerance", "spectrum_drift=nan"])
     assert code == 2
     assert "must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("source", ["config", "override"])
+def test_negative_tolerance_exits_2(tmp_path, capsys, source):
+    # no run can pass a tolerance below 0, so it is a config error, not a FAIL
+    declared = {"trace_drift": -1e-12} if source == "config" else {}
+    cfg = write_config(
+        tmp_path / "cfg.json", "heisenberg",
+        {"initial": [[0, 1], [1, 0]], "hamiltonian": [[1, 0], [0, -1]]},
+        0.05, 1e-3, tolerances=declared,
+    )
+    override = ["--tolerance", "trace_drift=-1e-12"] if source == "override" else []
+    assert run_cli(["heisenberg", "--config", cfg, "--out", tmp_path / "out", *override]) == 2
+    assert "must be finite and non-negative" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_zero_tolerance_is_valid(tmp_path, capsys):
+    cfg = heisenberg_config(tmp_path, t_final=0.05)
+    assert run_cli(["heisenberg", "--config", cfg, "--out", tmp_path / "out",
+                    "--tolerance", "rk4_exact_endpoint=0"]) == 1
+    assert "rk4_exact_endpoint max=" in capsys.readouterr().out
 
 
 def test_verify_logs_evaluation_counts_and_worst_sample(tmp_path, caplog):
@@ -840,7 +871,8 @@ def mutated_configs(draw):
         return kind, doc, path != ("seed",), False
     value = draw(st.sampled_from(EXTREMES))
     _set(doc, path, value)
-    malformed = value == 10**400 and path != ("seed",)  # a big integer is no float
+    # a big integer is no float, and no run can pass a negative tolerance
+    malformed = (value == 10**400 or path[0] == "tolerances" and value < 0) and path != ("seed",)
     overflow = path[0] == "matrices" and kind != "bloch" and not malformed
     return kind, doc, malformed, overflow
 

@@ -144,7 +144,7 @@ def reference_json(traj, path):
     columns = dict(zip(traj.headers(), traj.table().T.tolist()))
     doc = {"t": traj.times.tolist(), "columns": columns}
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
+        json.dump(doc, fh, sort_keys=True)
         fh.write("\n")
 
 
@@ -240,7 +240,7 @@ def split_traj(rows=2 * CSV_BLOCK_ROWS + 1):
     return Trajectory(np.arange(rows) * 1e-3, rng.standard_normal((rows, 2, 2)) + 0j)
 
 
-@pytest.mark.parametrize("write, renderer", [(write_csv, "_csv_block"), (write_json, "_json_list")])
+@pytest.mark.parametrize("write, renderer", [(write_csv, "_csv_block"), (write_json, "_json_member")])
 def test_a_failing_child_raises_oserror_and_is_reaped(tmp_path, monkeypatch, write, renderer):
     force_split(monkeypatch)
     monkeypatch.setattr(trajectory, renderer, fail_in("child", getattr(trajectory, renderer)))
@@ -249,7 +249,7 @@ def test_a_failing_child_raises_oserror_and_is_reaped(tmp_path, monkeypatch, wri
     assert_no_child_left()
 
 
-@pytest.mark.parametrize("write, renderer", [(write_csv, "_csv_block"), (write_json, "_json_list")])
+@pytest.mark.parametrize("write, renderer", [(write_csv, "_csv_block"), (write_json, "_json_member")])
 def test_a_failing_parent_still_reaps_the_child(tmp_path, monkeypatch, write, renderer):
     force_split(monkeypatch)
     monkeypatch.setattr(trajectory, renderer, fail_in("parent", getattr(trajectory, renderer)))
@@ -427,8 +427,9 @@ def test_rk4_commutator_trajectory_matches_the_step_loop(n, sign, spectrum, seed
     y0 = rand_complex(rng, n)
     y0 /= np.linalg.norm(y0)
     times = time_grid(t_final, step)
-    traj = rk4_commutator_trajectory(y0, h, sign, times, step, "A")
-    assert traj.times is times and traj.name == "A"
+    traj = rk4_commutator_trajectory(y0, h, sign, t_final, step, "A")
+    np.testing.assert_array_equal(traj.times, times)
+    assert traj.name == "A"
     assert traj.states.shape == (len(times), n, n)
     np.testing.assert_array_equal(traj.states[0], y0)
     np.testing.assert_allclose(traj.states, rk4_loop(y0, h, sign, times, step),
@@ -442,6 +443,6 @@ def test_rk4_commutator_trajectory_keeps_a_commuting_state_beyond_the_stability_
     h = np.diag([1.0, -1.0]).astype(complex)
     y0 = np.diag([1.0, 0.25]).astype(complex)
     times = time_grid(3000.0, 1.5)
-    traj = rk4_commutator_trajectory(y0, h, sign, times, 1.5, "A")
+    traj = rk4_commutator_trajectory(y0, h, sign, 3000.0, 1.5, "A")
     np.testing.assert_array_equal(traj.states, rk4_loop(y0, h, sign, times, 1.5))
     np.testing.assert_array_equal(traj.states, np.broadcast_to(y0, traj.states.shape))
