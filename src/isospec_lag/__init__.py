@@ -24,7 +24,8 @@ _EXPORTS = {
     "heisenberg": """
         OperatorTangent cartan_one_form_heisenberg cartan_two_form_heisenberg
         el_residual_heisenberg evolve_heisenberg_exact evolve_heisenberg_rk4
-        heisenberg_rhs lagrangian_heisenberg lagrangian_heisenberg_values
+        flatten_complex heisenberg_rhs lagrangian_heisenberg
+        lagrangian_heisenberg_chart lagrangian_heisenberg_values
     """,
     "operator_core": """
         HERMITIAN_TOL as_complex_matrix commutator dagger frobenius_norm
@@ -44,7 +45,7 @@ _EXPORTS = {
     """,
     "verifier": """
         CoordinateLagrangian SampledPath VerificationReport chart_coordinates
-        el_residual_path el_residual_unitary_path flatten_complex gradients
+        el_residual_path el_residual_unitary_path gradients
         heisenberg_chart operator_chart path_from_matrices unflatten_complex
         unitary_chart verify_trajectory
     """,

@@ -360,9 +360,9 @@ def _run_bloch(config: ScenarioConfig):
 
 
 def _run_verify(config: ScenarioConfig):
-    from .heisenberg import lagrangian_heisenberg_values
+    from .heisenberg import lagrangian_heisenberg_chart
     from .operator_core import dagger, hermitian_propagator, require_hermitian
-    from .verifier import (UNIFORM_SPACING_RTOL, operator_chart, path_from_matrices,
+    from .verifier import (UNIFORM_SPACING_RTOL, CoordinateLagrangian, path_from_matrices,
                            verify_trajectory)
 
     initial = require_hermitian(config.matrices["initial"], name="initial")
@@ -373,12 +373,12 @@ def _run_verify(config: ScenarioConfig):
     # the finite-difference stencils need the last gap to be a full step
     if abs(times[-1] - times[-2] - config.step) > UNIFORM_SPACING_RTOL * config.step:
         raise ConfigError("verify needs step to divide t_final exactly")
-    # the exact flow and the chart of heisenberg_chart, on the matrices checked above
     u = hermitian_propagator(h, times)
     states = dagger(u) @ initial @ u
     traj = Trajectory(times=times, states=states, name="A")
 
-    lag = operator_chart(len(h), lambda a, v: lagrangian_heisenberg_values(a, v, h))
+    # heisenberg_chart(h) without its second check of h
+    lag = CoordinateLagrangian(2 * h.size, lagrangian_heisenberg_chart(h))
     fine = verify_trajectory(lag, path_from_matrices(times, states))
     coarse = verify_trajectory(lag, path_from_matrices(times[::2], states[::2]))
     for label, report in (("fine", fine), ("coarse", coarse)):

@@ -8,7 +8,8 @@ operators admits a first-order Lagrangian
 whose Euler-Lagrange equations reproduce the equation of motion on the
 complexified operator space.  This module evaluates that Lagrangian,
 its Poincare-Cartan one-form and Cartan two-form, the Euler-Lagrange
-residual, and the exact and Runge-Kutta evolutions.
+residual, and the exact and Runge-Kutta evolutions.  On the real chart
+q = [Re vec A, Im vec A] the Lagrangian is one fixed real quadratic form.
 
 Units take hbar = 1 throughout.
 """
@@ -99,35 +100,46 @@ def lagrangian_heisenberg(tangent: OperatorTangent, h) -> float:
     return float(lagrangian_heisenberg_values(a, tangent.velocity, h))
 
 
-def lagrangian_heisenberg_values(a: np.ndarray, ad: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Operator-space Lagrangian over stacks of points and velocities.
+def flatten_complex(a: np.ndarray) -> np.ndarray:
+    """Real then imaginary parts of the trailing (n, n) axes, row-major, as
+    one real axis; leading axes of a are kept as stack axes."""
+    a = np.asarray(a, dtype=complex)
+    flat = a.reshape(a.shape[:-2] + (-1,))
+    return np.concatenate([flat.real, flat.imag], axis=-1)
 
-    ``a`` and ``ad`` are complex arrays of shape ``(..., n, n)``; the result
-    has shape ``(...)``.  ``h`` must already be a validated Hermitian
-    ``(n, n)`` matrix: nothing is checked here.  Both traces are real for
-    Hermitian ``H``, and an anti-Hermitian part of ``H`` adds only an
-    imaginary part, so the real part returned is the Lagrangian of ``H``'s
-    Hermitian part.  With the stack axis last, ``[A, H]`` is n
-    multiply-adds over the stack and each trace a sum of entrywise
-    products in index order, so a stacked evaluation rounds exactly like
-    the per-point one.
+
+def lagrangian_heisenberg_chart(h: np.ndarray):
+    """evaluate(q, v), the operator Lagrangian of ``h`` at q = flatten_complex(A)
+    and v = flatten_complex(Adot), over stacks of shape ``(..., 2 n^2)``.
+
+    L(q, v) = -q.(M q + J v): q.M q = Re Tr(A^dag [A, H]), M the real form of
+    A -> [A, H] on row-major vec A, built once, here; J v = [Im v, -Re v] is
+    -i Adot.  ``h`` must already be a validated Hermitian matrix: nothing is
+    checked (an anti-Hermitian part adds only imaginary parts to the traces).
+    Each row's M q is its own vector-matrix product, so a stacked evaluation
+    rounds exactly like the per-point one.
     """
     n = h.shape[0]
-    a_t = np.moveaxis(a.reshape(-1, n, n), 0, -1).copy()  # (n, n, stack)
-    comm = np.zeros_like(a_t)
-    for k in range(n):  # [A, H] = A H - H A
-        comm += a_t[:, k:k + 1] * h[k][:, None]
-        comm -= h[:, k:k + 1, None] * a_t[k]
-    a_bar = np.conj(a_t).reshape(n * n, -1)
+    c = np.kron(np.eye(n), h.T) - np.kron(h, np.eye(n))  # vec [A, H] = C vec A
+    form_t = np.block([[c.real, -c.imag], [c.imag, c.real]]).T.copy()  # M^T, C-ordered
+    half = n * n
 
-    def trace(y):  # Tr(A^dag Y) for y of shape (n, n, stack)
-        products = a_bar * y.reshape(n * n, -1)
-        return sum(products[1:], products[0]).reshape(a.shape[:-2])
+    def evaluate(q, v):
+        # row by row, not one (stack, 2n^2) GEMM, whose rounding depends on the stack
+        y = np.matmul(q[..., np.newaxis, :], form_t)[..., 0, :]
+        y[..., :half] += v[..., half:]
+        y[..., half:] -= v[..., :half]
+        return -np.einsum("...i,...i->...", q, y)
 
-    z = trace(np.moveaxis(ad.reshape(-1, n, n), 0, -1))  # Tr(A^dag Adot)
-    kinetic = 0.5j * (z - np.conj(z))  # Tr(Adot^dag A) = conj(z)
-    potential = trace(comm)  # Tr(A H A^dag) - Tr(A^dag H A) = Tr(A^dag [A, H])
-    return (kinetic - potential).real
+    return evaluate
+
+
+def lagrangian_heisenberg_values(a: np.ndarray, ad: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Operator-space Lagrangian over stacks: lagrangian_heisenberg_chart(h) at
+    flatten_complex of ``a`` and ``ad``, complex arrays of shape ``(..., n, n)``;
+    the result has shape ``(...)``.  ``h`` must already be a validated
+    Hermitian ``(n, n)`` matrix: nothing is checked here."""
+    return lagrangian_heisenberg_chart(h)(flatten_complex(a), flatten_complex(ad))
 
 
 def cartan_one_form_heisenberg(point, v) -> float:

@@ -10,8 +10,10 @@ from isospec_lag.heisenberg import (
     el_residual_heisenberg,
     evolve_heisenberg_exact,
     evolve_heisenberg_rk4,
+    flatten_complex,
     heisenberg_rhs,
     lagrangian_heisenberg,
+    lagrangian_heisenberg_chart,
     lagrangian_heisenberg_values,
 )
 from isospec_lag.operator_core import frobenius_norm
@@ -190,6 +192,29 @@ def test_elementwise_kernel_agrees_with_matmul_traces(seed, n, stack, size, h_si
     norm_a = np.linalg.norm(a, axis=(-2, -1))
     scale = norm_a * (np.linalg.norm(ad, axis=(-2, -1)) + norm_a * np.linalg.norm(h))
     assert np.all(np.abs(values - matmul_lagrangian(a, ad, h)) <= 1e-13 * np.maximum(1.0, scale))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=1, max_value=300),
+    st.data(),
+)
+def test_chart_kernel_rounds_each_row_alike_in_any_stack(seed, n, stack, data):
+    """Equal, not close: the verifier's centered differences amplify rounding."""
+    rng = np.random.default_rng(seed)
+    a, ad = rng.standard_normal((2, stack, n, n)) + 1j * rng.standard_normal((2, stack, n, n))
+    h = rand_hermitian(rng, n)
+    evaluate = lagrangian_heisenberg_chart(h)
+    q, v = flatten_complex(a), flatten_complex(ad)
+    values = evaluate(q, v)
+    assert values.shape == (stack,)
+    np.testing.assert_array_equal(values, [evaluate(x.copy(), y.copy()) for x, y in zip(q, v)])
+    cuts = sorted(data.draw(st.lists(st.integers(0, stack), max_size=4)))
+    parts = [evaluate(x, y) for x, y in zip(np.split(q, cuts), np.split(v, cuts))]
+    np.testing.assert_array_equal(values, np.concatenate(parts))
+    np.testing.assert_array_equal(lagrangian_heisenberg_values(a, ad, h), values)
 
 
 def test_cartan_one_form():

@@ -239,8 +239,8 @@ def test_reported_evaluation_counts_match_actual_calls():
 
 
 @pytest.mark.parametrize("n, samples, calls_made", [
-    (2, 70, [512, 512, 64, 512, 512, 32]),  # 32 samples to a call at dim 8
-    (4, 9, [128, 128, 128, 64, 128, 128, 64]),  # 2 samples to a call at dim 32
+    (2, 70, [1024, 64, 1024, 32]),  # 64 samples to a call at dim 8
+    (4, 9, [256, 192, 256, 64]),  # 4 samples to a call at dim 32
 ])
 def test_long_paths_split_into_bounded_calls(n, samples, calls_made):
     calls = counted_verification(n, samples)
@@ -264,7 +264,7 @@ def per_sample_residuals(lag, path):
     return (momenta[2:] - momenta[:-2]) / (2 * dt) - forces
 
 
-# 32 samples to a call at dim 8 and 2 at dim 32: the first two examples fill
+# 64 samples to a call at dim 8 and 4 at dim 32: the first two examples fill
 # their last dL/dqdot, then dL/dq, call exactly; the others end with a call of
 # a single sample
 @example(dim=8, samples=2 + 64, seed=0)
