@@ -7,9 +7,9 @@ differences and reports the residual vectors at the interior samples.
 The bumped points of consecutive samples are stacked into calls of at
 most COORDINATES_PER_CALL coordinates each.  Helpers chart complex
 matrix spaces (entrywise real and imaginary parts) and the unitary group
-(exponential coordinates around each sample, with the exponential, its
-Frechet derivative and the logarithm taken from numpy.linalg.eigh) so
-the analytic residuals of the operator and orbit Lagrangians can be
+(Cayley coordinates around each sample, u = u_center cay(X): rational,
+exactly unitary and taken from linear solves, with no eigendecomposition)
+so the analytic residuals of the operator and orbit Lagrangians can be
 cross-checked without trusting their derivations.  Every chart here
 evaluates the one operator kernel, lagrangian_heisenberg_chart, a real
 quadratic form built once per chart: the operator chart on its own
@@ -58,6 +58,22 @@ class CoordinateLagrangian:
             raise ValueError("chart dimension must be positive")
 
 
+def _uniform_spacing(times: np.ndarray) -> float:
+    """The step times[1] - times[0] of finite, increasing times (N,), where every gap is
+    that step to within the rounding of the times themselves (as in k * step or
+    numpy.linspace): UNIFORM_SPACING_RTOL of the step plus 4 ulps of max|t|."""
+    if not np.all(np.isfinite(times)):
+        raise ValueError("times must be finite")
+    gaps = np.diff(times)
+    if not np.all(gaps > 0):
+        raise ValueError("times must be strictly increasing")
+    slack = UNIFORM_SPACING_RTOL * gaps[0] + 4 * np.spacing(np.max(np.abs(times)))
+    off = np.flatnonzero(~(np.abs(gaps - gaps[0]) <= slack))
+    if off.size:
+        raise ValueError(f"time grid must be uniform: gap {off[0]} is not {float(gaps[0])!r}")
+    return float(gaps[0])
+
+
 @dataclass(frozen=True)
 class SampledPath:
     """Uniformly sampled path: times (N,), points (N, dim), N >= 5."""
@@ -72,14 +88,7 @@ class SampledPath:
             raise ValueError("need times (N,) and points (N, dim) of equal length")
         if len(times) < 5:
             raise ValueError("centered stencils need at least 5 samples")
-        if not np.all(np.isfinite(times)):
-            raise ValueError("times must be finite")
-        spacings = np.diff(times)
-        if not np.all(spacings > 0):
-            raise ValueError("times must be strictly increasing")
-        dt = spacings[0]
-        if not np.all(np.abs(spacings - dt) <= UNIFORM_SPACING_RTOL * dt):
-            raise ValueError("time grid must be uniform")
+        _uniform_spacing(times)
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "points", points)
 
@@ -210,71 +219,54 @@ def path_from_matrices(times, matrices) -> SampledPath:
 
 
 def chart_coordinates(u_center, u, basis: np.ndarray) -> np.ndarray:
-    """Exponential-chart coordinates of u around u_center.
+    """Cayley-chart coordinates s of u around u_center, u = u_center cay(sum_j s_j B_j)
+    with cay(X) = (I - X/2)^-1 (I + X/2), over the orthonormal basis stack B (n^2, n, n).
 
-    Solves u = u_center exp(sum_j s_j B_j) for s, over the orthonormal
-    basis stack B of shape (n^2, n, n), with the principal
-    logarithm of the unitary w = u_center^dag u, valid while no
-    eigenvalue of w reaches -1 (inside the five-sample windows of
-    el_residual_unitary_path they stay near 1).  The Cayley transform
-    i (I + w)^-1 (I - w) is Hermitian with eigenvalues tan(theta/2) for
-    the eigenvalues e^(i theta) of w, so one eigh of it gives
-    log w = V diag(2i arctan(a)) V^dag.
+    X = -2 (I + w)^-1 (I - w) with w = u_center^dag u, defined while no eigenvalue
+    of w is -1 (in the five-sample windows of el_residual_unitary_path they stay
+    near 1).  u_center and u (..., n, n) broadcast; s has shape (..., n^2).
     """
     w = dagger(u_center) @ u
-    eye = np.eye(len(w))
-    a, v = np.linalg.eigh(1j * np.linalg.solve(eye + w, eye - w))
-    x = (v * (2j * np.arctan(a))) @ dagger(v)
-    return np.einsum("jab,ab->j", np.conj(basis), x).real  # s_j = Re Tr(B_j^dag x)
-
-
-def _exp_frechet(x: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """exp(x) and its Frechet derivative in the direction e, x anti-Hermitian.
-
-    x and e are stacks of shape (..., n, n), decomposed by one stacked
-    eigh.  With i x = V diag(lam) V^dag and mu = -i lam,
-    exp(x) = V diag(e^mu) V^dag and L(x, e) = V (D o V^dag e V) V^dag,
-    D_ij = (e^mu_i - e^mu_j) / (mu_i - mu_j), D_ii = e^mu_i (Daleckii-Krein;
-    Higham, Functions of Matrices, 2008, ch. 3).  D is evaluated as
-    e^((mu_i + mu_j)/2) sin(d/2) / (d/2), d = lam_i - lam_j, which stays
-    exact as eigenvalues merge.
-    """
-    lam, v = np.linalg.eigh(1j * x)
-    vh = dagger(v)
-    lam_i, lam_j = lam[..., :, np.newaxis], lam[..., np.newaxis, :]
-    d = np.exp(-0.5j * (lam_i + lam_j)) * np.sinc((lam_i - lam_j) / (2 * np.pi))
-    return (v * np.exp(-1j * lam_j)) @ vh, v @ (d * (vh @ e @ v)) @ vh
+    eye = np.eye(w.shape[-1])
+    x = -2 * np.linalg.solve(eye + w, eye - w)
+    return np.einsum("jab,...ab->...j", np.conj(basis), x).real  # s_j = Re Tr(B_j^dag x)
 
 
 def unitary_chart(u_center, sigma, hamiltonian) -> CoordinateLagrangian:
-    """Orbit Lagrangian in exponential coordinates around u_center.
+    """Orbit Lagrangian in Cayley coordinates around u_center.
 
     It is the pullback of the operator Lagrangian along
     phi_sigma(u) = sqrt(sigma) u, so the chart evaluates
     lagrangian_heisenberg_chart at (sqrt(sigma) u, sqrt(sigma) udot); sigma
-    must be positive semidefinite, as a state is.  The inputs are validated
-    and the root taken once, here: the chart's points and velocities are
-    unitary and tangent by construction, so stacks of them go unchecked to
-    the kernel.
+    must be positive semidefinite, as a state is.  With X = sum_j q_j B_j,
+    Y = I - X/2 and E = sum_j qdot_j B_j, u = u_center cay(X) = u_center
+    (2 Y^-1 - I) and udot = u_center Y^-1 E Y^-1 (Iserles et al., Lie-group
+    methods, Acta Numerica 2000, sec. 8).  The inputs are validated and the
+    root taken once, here: the chart's points and velocities are unitary and
+    tangent by construction, so stacks of them go unchecked to the kernel.
     """
     u_center = as_complex_matrix(u_center, name="u_center")
+    if np.linalg.norm(dagger(u_center) @ u_center - np.eye(len(u_center))) > HERMITIAN_TOL:
+        raise ValueError("u_center is not unitary")
     root = hermitian_sqrt(sigma, name="sigma")
     lagrangian = lagrangian_heisenberg_chart(require_hermitian(hamiltonian, name="hamiltonian"))
     return _unitary_chart(u_center, root, lagrangian, unitary_algebra_basis(len(u_center)))
 
 
-def _unitary_chart(u_center, root, lagrangian, basis) -> CoordinateLagrangian:
-    """unitary_chart with root = sqrt(sigma), lagrangian_heisenberg_chart of the
-    checked hamiltonian and the basis stack; u_center is still checked unitary."""
-    n = u_center.shape[0]
-    if np.linalg.norm(dagger(u_center) @ u_center - np.eye(n)) > HERMITIAN_TOL:
-        raise ValueError("u_center is not unitary")
-    root_center = root @ u_center
+def _unitary_chart(u_centers, root, lagrangian, basis) -> CoordinateLagrangian:
+    """unitary_chart around each unchecked unitary of u_centers, (n, n) or (k, n, n), with
+    root = sqrt(sigma), lagrangian_heisenberg_chart of the checked hamiltonian and the
+    basis stack.  A call's rows are split evenly among the centres, in order."""
+    n = u_centers.shape[-1]
+    root_centers = (root @ u_centers).reshape(-1, 1, n, n)
 
     def evaluate(q, qdot):
-        expx, frechet = _exp_frechet(np.tensordot(q, basis, 1), np.tensordot(qdot, basis, 1))
-        return lagrangian(flatten_complex(root_center @ expx),
-                          flatten_complex(root_center @ frechet))
+        x, e = (np.tensordot(np.reshape(v, (len(root_centers), -1, n * n)), basis, 1)
+                for v in (q, qdot))
+        y_inv = np.linalg.inv(np.eye(n) - x / 2)
+        root_y_inv = root_centers @ y_inv  # sqrt(sigma) u = 2 root_y_inv - root_centers
+        return lagrangian(flatten_complex(2 * root_y_inv - root_centers),
+                          flatten_complex(root_y_inv @ e @ y_inv)).reshape(np.shape(q)[:-1])
 
     return CoordinateLagrangian(dim=n * n, evaluate=evaluate)
 
@@ -282,10 +274,12 @@ def _unitary_chart(u_center, root, lagrangian, basis) -> CoordinateLagrangian:
 def el_residual_unitary_path(times, unitaries, sigma, hamiltonian) -> np.ndarray:
     """Chart-based EL residuals along a sampled unitary path.
 
-    Each interior sample gets its own exponential chart; the five-point
-    window around it is pulled into that chart and the flat-chart
-    residual is evaluated at the center.  Row i belongs to sample
-    i + 2, as in el_residual_path.
+    Each interior sample gets its own Cayley chart; the five-point window
+    around it is pulled into that chart and el_residual_path's stencil is
+    evaluated at the centre.  Row i belongs to sample i + 2, as in
+    el_residual_path.  The inputs, every sample included, are checked once,
+    here.  The windows go in blocks of at most COORDINATES_PER_CALL
+    coordinates to a gradients call.
 
     With rho = u^dag sigma u the exact Euler-Lagrange covector of
     lagrangian_unitary in the left-invariant frame B_j works out to
@@ -296,17 +290,26 @@ def el_residual_unitary_path(times, unitaries, sigma, hamiltonian) -> np.ndarray
     up to the O(grid^2) discretization error.
     """
     times = np.asarray(times, dtype=float)
-    unitaries = [as_complex_matrix(u, name="unitary sample") for u in unitaries]
-    if len(times) != len(unitaries) or len(times) < 5:
-        raise ValueError("need at least 5 matched samples")
+    us = np.asarray(unitaries, dtype=complex)
+    if us.ndim != 3 or us.shape[1] != us.shape[2] or times.shape != us.shape[:1] or len(us) < 5:
+        raise ValueError("need times (N,) and unitaries (N, n, n), N >= 5")
+    defects = np.linalg.norm(dagger(us) @ us - np.eye(us.shape[-1]), axis=(1, 2))
+    bad = np.flatnonzero(~(defects <= HERMITIAN_TOL))  # NaN and inf fail too
+    if bad.size:
+        raise ValueError(f"unitary sample {bad[0]} is not unitary")
+    dt = _uniform_spacing(times)
     root = hermitian_sqrt(sigma, name="sigma")
     lagrangian = lagrangian_heisenberg_chart(require_hermitian(hamiltonian, name="hamiltonian"))
-    basis = unitary_algebra_basis(len(unitaries[0]))
+    basis = unitary_algebra_basis(us.shape[-1])
+    block = max(1, COORDINATES_PER_CALL // (6 * len(basis) ** 2))  # 3 x 2 dim bumps per window
     rows = []
-    for m in range(2, len(unitaries) - 2):
-        lag = _unitary_chart(unitaries[m], root, lagrangian, basis)
-        window = np.array([chart_coordinates(unitaries[m], unitaries[i], basis)
-                           for i in range(m - 2, m + 3)])
-        path = SampledPath(times[m - 2:m + 3], window)
-        rows.append(el_residual_path(lag, path)[0])
-    return np.array(rows)
+    for start in range(2, len(us) - 2, block):
+        centers = np.arange(start, min(start + block, len(us) - 2))
+        lag = _unitary_chart(us[centers], root, lagrangian, basis)
+        windows = chart_coordinates(us[centers, np.newaxis],
+                                    us[centers[:, np.newaxis] + np.arange(-2, 3)], basis)
+        velocities = (windows[:, 2:] - windows[:, :-2]) / (2 * dt)  # window samples 1..3
+        momenta = gradients(lag, windows[:, 1:4], velocities, "qdot")
+        forces = gradients(lag, windows[:, 2], velocities[:, 1], "q")
+        rows.append((momenta[:, 2] - momenta[:, 0]) / (2 * dt) - forces)
+    return np.concatenate(rows)

@@ -383,6 +383,21 @@ def test_bad_grid_exits_2_without_outputs(tmp_path, capsys, kind, matrices, t_fi
     assert not out.exists()
 
 
+@pytest.mark.parametrize("t_final, step, codes", [
+    # time_grid's k * step round by up to 0.7 ulp of t_final: 1.0e-12 and
+    # 1.2e-12 of step here, which is no config error
+    (1.0, 1e-4, (0, 1)), (10.0, 1e-3, (0, 1)),
+    (0.095, 0.01, (2,)),  # a last gap of 0.005: the stencils need a full step
+])
+def test_verify_needs_a_grid_uniform_to_rounding(tmp_path, capsys, t_final, step, codes):
+    cfg = write_config(tmp_path / "cfg.json", "verify",
+                       {"initial": [[0, 1], [1, 0]], "hamiltonian": [[1, 0], [0, -1]]},
+                       t_final, step)
+    assert run_cli(["verify", "--config", cfg, "--out", tmp_path]) in codes
+    err = capsys.readouterr().err
+    assert ("config error: time grid must be uniform: gap 9 is not 0.01" in err) == (codes == (2,))
+
+
 def test_singularity_exits_3(tmp_path, capsys):
     cfg = write_config(
         tmp_path / "cfg.json", "sb2c",

@@ -13,7 +13,7 @@ from isospec_lag.heisenberg import (
     lagrangian_heisenberg,
     lagrangian_heisenberg_values,
 )
-from isospec_lag.operator_core import unitary_algebra_basis
+from isospec_lag.operator_core import hermitian_propagator, unitary_algebra_basis
 from isospec_lag.unitary_orbit import UnitaryTangent, el_residual_unitary, lagrangian_unitary
 from isospec_lag.verifier import (
     CoordinateLagrangian,
@@ -35,6 +35,7 @@ from conftest import (
     SX,
     SZ,
     hermitian_check_names,
+    rand_antihermitian,
     rand_complex,
     rand_density,
     rand_hermitian,
@@ -101,6 +102,13 @@ def test_sampled_path_validation():
                 [-np.inf, 0.1, 0.2, 0.3, 0.4], [0.0, np.inf, 0.2, 0.3, 0.4]):
         with pytest.raises(ValueError):
             SampledPath(np.array(bad), np.zeros((len(bad), 1)))
+    # the gaps of a linspace grid round by up to half an ulp of its largest
+    # time, 1.1e-12 of its step here; a gap off by 1e-9 of the step is no rounding
+    times = np.linspace(0, 1, 10001)
+    assert SampledPath(times, np.zeros((len(times), 1))).spacing == pytest.approx(1e-4)
+    times[5000:] += 1e-9 * 1e-4
+    with pytest.raises(ValueError, match="uniform"):
+        SampledPath(times, np.zeros((len(times), 1)))
 
 
 def test_el_residual_path_rejects_dim_mismatch():
@@ -309,29 +317,50 @@ def test_stacked_kernel_reads_the_hermitian_part_of_h():
                                    rtol=1e-12, atol=1e-12 * np.max(np.abs(want)))
 
 
+def cayley(x):
+    """cay(x) = (I - x/2)^-1 (I + x/2), independently of the package."""
+    eye = np.eye(x.shape[-1])
+    return scipy.linalg.solve(eye - x / 2, eye + x / 2)
+
+
 def test_chart_coordinates_recover_coefficients():
     rng = np.random.default_rng(11)
     for n in (1, 2, 3, 4):
         basis = unitary_algebra_basis(n)
         center = rand_unitary(rng, n)
         coeffs = 0.02 * rng.standard_normal(n * n)
-        u = center @ scipy.linalg.expm(sum(c * b for c, b in zip(coeffs, basis)))
+        u = center @ cayley(sum(c * b for c, b in zip(coeffs, basis)))
         got = chart_coordinates(center, u, basis)
-        np.testing.assert_allclose(got, coeffs, atol=1e-10)
+        np.testing.assert_allclose(got, coeffs, atol=1e-12)
 
 
 @pytest.mark.parametrize("angles", [[0.3, np.pi - 0.3], [2.5, 1.0, -0.4], [3.0, -3.0, 0.0, 1.5]])
-def test_chart_coordinates_cover_the_principal_branch(angles):
+def test_chart_coordinates_cover_the_cayley_domain(angles):
     # eigenvalues e^(i theta) of u_center^dag u anywhere on the circle but -1,
-    # including a pair mirrored across the imaginary axis (equal sin theta)
+    # including a pair mirrored across the imaginary axis (equal sin theta):
+    # cay maps X = V diag(2i tan(theta/2)) V^dag onto them
     rng = np.random.default_rng(16)
     n = len(angles)
     basis = unitary_algebra_basis(n)
     v, center = rand_unitary(rng, n), rand_unitary(rng, n)
-    x = (v * (1j * np.array(angles))) @ v.conj().T
+    w = (v * np.exp(1j * np.array(angles))) @ v.conj().T
+    x = (v * (2j * np.tan(np.array(angles) / 2))) @ v.conj().T
     want = [np.trace(b.conj().T @ x).real for b in basis]
-    got = chart_coordinates(center, center @ scipy.linalg.expm(x), basis)
-    np.testing.assert_allclose(got, want, atol=1e-12)
+    got = chart_coordinates(center, center @ w, basis)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.max(np.abs(want)))
+
+
+def test_chart_coordinates_broadcast_over_stacks():
+    rng = np.random.default_rng(17)
+    basis = unitary_algebra_basis(3)
+    centers = np.array([rand_unitary(rng, 3) for _ in range(4)])
+    us = centers[:, np.newaxis] @ np.array([cayley(0.1 * rand_antihermitian(rng, 3))
+                                             for _ in range(5)])
+    got = chart_coordinates(centers[:, np.newaxis], us, basis)
+    assert got.shape == (4, 5, 9)
+    for i, j in np.ndindex(4, 5):
+        np.testing.assert_allclose(got[i, j], chart_coordinates(centers[i], us[i, j], basis),
+                                   rtol=0, atol=1e-14)
 
 
 @settings(max_examples=200, deadline=None)
@@ -353,20 +382,26 @@ def test_unitary_chart_matches_scipy_frechet(n, seed, spectrum, scale, log_gap):
     q = np.array([np.trace(b.conj().T @ x).real for b in basis])
     qdot = rng.standard_normal(n * n)
     qdot /= np.linalg.norm(qdot)
+    e = sum(c * b for c, b in zip(qdot, basis))
     u_center, sigma = rand_unitary(rng, n), rand_density(rng, n)
     h = rand_hermitian(rng, n)
     h /= np.linalg.norm(h)
     got = unitary_chart(u_center, sigma, h).evaluate(q, qdot)
-    expx, frechet = scipy.linalg.expm_frechet(
-        x, sum(c * b for c, b in zip(qdot, basis)))
-    want = lagrangian_unitary(UnitaryTangent(u_center @ expx, u_center @ frechet), sigma, h)
+    # the Frechet derivative of cay along e is Y^-1 e Y^-1, Y = I - x/2 ...
+    y = np.eye(n) - x / 2
+    frechet = scipy.linalg.solve(y, scipy.linalg.solve(y.T, e.T).T)
+    # ... which a central difference of cay along e confirms to its O(step^2) error
+    step = 1e-5
+    central = (cayley(x + step * e) - cayley(x - step * e)) / (2 * step)
+    np.testing.assert_allclose(frechet, central, rtol=0, atol=1e-8)
+    want = lagrangian_unitary(UnitaryTangent(u_center @ cayley(x), u_center @ frechet), sigma, h)
     # both terms of the Lagrangian are O(1) here, so the floor is relative to them
     assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_unitary_chart_evaluates_stacks(n):
-    # one stacked call agrees with k single-point calls; the stacked eigh
+    # one stacked call agrees with k single-point calls; the stacked inverse
     # and matmuls may round differently, so equality is to 1e-13
     rng = np.random.default_rng(30 + n)
     h = rand_hermitian(rng, n)
@@ -387,6 +422,10 @@ def test_unitary_path_needs_five_samples():
         el_residual_unitary_path(np.arange(4) * 0.1, [u] * 4, sigma, SZ)
     with pytest.raises(ValueError):
         el_residual_unitary_path(np.arange(5) * 0.1, [u] * 4, sigma, SZ)
+    with pytest.raises(ValueError, match="unitaries"):
+        el_residual_unitary_path(np.arange(5) * 0.1, [u[:1]] * 5, sigma, SZ)
+    with pytest.raises(ValueError, match="uniform: gap 2"):
+        el_residual_unitary_path(np.array([0, 0.1, 0.2, 0.35, 0.4]), [u] * 5, sigma, SZ)
 
 
 NEITHER = np.array([[1.0, 1.0], [0.0, 1.0]])  # neither Hermitian nor unitary
@@ -418,9 +457,13 @@ def test_unitary_path_checks_sigma_and_hamiltonian_once(monkeypatch):
     us = [u0 @ scipy.linalg.expm(-1j * t * h) for t in times]
     assert el_residual_unitary_path(times, us, sigma, h).shape == (7, 4)
     assert names == ["sigma", "hamiltonian"]
-    us[5] = 1.1 * us[5]  # each chart centre is still checked unitary
-    with pytest.raises(ValueError, match="not unitary"):
-        el_residual_unitary_path(times, us, sigma, h)
+    # every sample is checked unitary, the first and last two too, which no
+    # chart is centred on
+    for bad in (0, 1, 5, 9, 10):
+        scaled = list(us)
+        scaled[bad] = 1.1 * us[bad]
+        with pytest.raises(ValueError, match=f"unitary sample {bad} is not unitary"):
+            el_residual_unitary_path(times, scaled, sigma, h)
 
 
 def test_unitary_path_builds_the_basis_once(monkeypatch):
@@ -437,6 +480,56 @@ def test_unitary_path_builds_the_basis_once(monkeypatch):
     us = [u0 @ scipy.linalg.expm(-1j * t * h) for t in times]
     assert el_residual_unitary_path(times, us, np.diag([0.7, 0.3]), h).shape == (7, 4)
     assert calls == [2]
+
+
+def orbit_setup(n, samples, seed):
+    """times, the flow u(t) = u0 exp(-iHt) sampled on them, sigma and a unit-norm H."""
+    rng = np.random.default_rng(seed)
+    h = rand_hermitian(rng, n)
+    h /= np.linalg.norm(h)
+    times = np.arange(samples) * 1e-2
+    us = rand_unitary(rng, n) @ hermitian_propagator(h, times)
+    return times, us, rand_density(rng, n), h
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_stacked_rows_match_a_chart_per_window(n):
+    # the residual at each sample from its own chart and five-sample path,
+    # built from the public pieces
+    times, us, sigma, h = orbit_setup(n, 41, seed=40 + n)
+    basis = unitary_algebra_basis(n)
+    want = [el_residual_path(unitary_chart(us[m], sigma, h),
+                             SampledPath(times[m - 2:m + 3],
+                                         chart_coordinates(us[m], us[m - 2:m + 3], basis)))[0]
+            for m in range(2, len(times) - 2)]
+    got = el_residual_unitary_path(times, us, sigma, h)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-8)
+
+
+@pytest.mark.parametrize("n, samples, blocks", [
+    (2, 11, 1), (2, 401, 5),  # 85 windows to a block at n = 2
+    (4, 11, 2), (4, 401, 80),  # 5 windows to a block at n = 4
+])
+def test_unitary_path_splits_into_bounded_calls(monkeypatch, n, samples, blocks):
+    calls = []
+    chart = verifier._unitary_chart
+
+    def counting(*args):
+        lag = chart(*args)
+
+        def evaluate(q, qdot):
+            calls.append(len(q))
+            return lag.evaluate(q, qdot)
+
+        return CoordinateLagrangian(lag.dim, evaluate)
+
+    monkeypatch.setattr(verifier, "_unitary_chart", counting)
+    times, us, sigma, h = orbit_setup(n, samples, seed=50)
+    assert len(el_residual_unitary_path(times, us, sigma, h)) == samples - 4
+    # 3 samples of 2 n^2 bumps for dL/dqdot and 1 for dL/dq in each window
+    assert sum(calls) == 8 * n * n * (samples - 4)
+    assert len(calls) == 2 * blocks
+    assert max(calls) * n * n <= verifier.COORDINATES_PER_CALL
 
 
 def test_unitary_chart_vanishes_on_orbit_solution():
