@@ -44,10 +44,9 @@ _EXPORTS = {
         lagrangian_unitary lvn_rhs validate_density
     """,
     "verifier": """
-        CoordinateLagrangian SampledPath VerificationReport chart_coordinates
-        el_residual_path el_residual_unitary_path gradients
-        heisenberg_chart operator_chart path_from_matrices unflatten_complex
-        unitary_chart verify_trajectory
+        VerificationReport chart_coordinates el_residual_path
+        el_residual_unitary_path gradients heisenberg_chart operator_chart
+        unflatten_complex unitary_chart verify_trajectory
     """,
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}

@@ -360,9 +360,9 @@ def _run_bloch(config: ScenarioConfig):
 
 
 def _run_verify(config: ScenarioConfig):
-    from .heisenberg import lagrangian_heisenberg_chart
+    from .heisenberg import flatten_complex, lagrangian_heisenberg_chart
     from .operator_core import dagger, hermitian_propagator, require_hermitian
-    from .verifier import CoordinateLagrangian, path_from_matrices, verify_trajectory
+    from .verifier import verify_trajectory
 
     initial = require_hermitian(config.matrices["initial"], name="initial")
     h = require_hermitian(config.matrices["hamiltonian"], name="hamiltonian")
@@ -373,10 +373,9 @@ def _run_verify(config: ScenarioConfig):
     states = dagger(u) @ initial @ u
     traj = Trajectory(times=times, states=states, name="A")
 
-    # heisenberg_chart(h) without its second check of h
-    lag = CoordinateLagrangian(2 * h.size, lagrangian_heisenberg_chart(h))
-    fine = verify_trajectory(lag, path_from_matrices(times, states))
-    coarse = verify_trajectory(lag, path_from_matrices(times[::2], states[::2]))
+    lag, points = lagrangian_heisenberg_chart(h), flatten_complex(states)
+    fine = verify_trajectory(lag, times, points)
+    coarse = verify_trajectory(lag, times[::2], points[::2])
     for label, report in (("fine", fine), ("coarse", coarse)):
         logger.info("%s pass: %d Lagrangian evaluations in %d stacked calls",
                     label, report.lagrangian_evals, report.lagrangian_calls)

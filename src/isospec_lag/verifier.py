@@ -1,20 +1,22 @@
 """Finite-difference Euler-Lagrange residual checks.
 
 Everything here works on flat real coordinate charts.  A Lagrangian is
-a callable L(q, qdot) over stacks of points; the checker samples a path
-on a uniform time grid, forms d/dt(dL/dqdot) - dL/dq with centered
-differences and reports the residual vectors at the interior samples.
-The bumped points of consecutive samples are stacked into calls of at
-most COORDINATES_PER_CALL coordinates each.  Helpers chart complex
-matrix spaces (entrywise real and imaginary parts) and the unitary group
-(Cayley coordinates around each sample, u = u_center cay(X): rational,
-exactly unitary and taken from linear solves, with no eigendecomposition)
-so the analytic residuals of the operator and orbit Lagrangians can be
-cross-checked without trusting their derivations.  Every chart here
-evaluates the one operator kernel, lagrangian_heisenberg_chart, a real
-quadratic form built once per chart: the operator chart on its own
-coordinates, the unitary chart at flatten_complex of the pullback
-(sqrt(sigma) u, sqrt(sigma) udot) of the orbit Lagrangian.
+any callable evaluate(q, qdot) mapping points and velocities of shape
+(..., dim) to values of shape (...); a path is times (N,) on a uniform
+grid plus points (N, dim), N >= 5.  The checker forms d/dt(dL/dqdot) -
+dL/dq with centered differences and reports the residual vectors at the
+interior samples, the bumped points of consecutive samples stacked into
+calls of at most COORDINATES_PER_CALL coordinates each.  Helpers chart
+complex matrix spaces (entrywise real and imaginary parts) and the
+unitary group (Cayley coordinates around each sample, u = u_center
+cay(X): rational, exactly unitary and taken from linear solves, with no
+eigendecomposition) so the analytic residuals of the operator and orbit
+Lagrangians can be cross-checked without trusting their derivations.
+Every chart here evaluates the one operator kernel,
+lagrangian_heisenberg_chart, a real quadratic form built once per chart:
+the operator chart on its own coordinates, the unitary chart at
+flatten_complex of the pullback (sqrt(sigma) u, sqrt(sigma) udot) of the
+orbit Lagrangian.
 
 Velocity-linear Lagrangians are degenerate; their residuals are
 reported as-is, with no constraint reduction.
@@ -39,29 +41,13 @@ COORDINATES_PER_CALL = 8192
 UNIFORM_SPACING_RTOL = 1e-12
 
 
-@dataclass(frozen=True)
-class CoordinateLagrangian:
-    """A Lagrangian on a flat chart of dimension dim.
-
-    evaluate(q, qdot) maps points and velocities of shape (..., dim) to
-    the Lagrangian values, shape (...): one call evaluates a whole stack,
-    and a single point of shape (dim,) gives one value.  A per-point
-    function f wraps as
-    ``lambda qs, vs: np.array([f(q, v) for q, v in zip(qs, vs)])``.
-    """
-
-    dim: int
-    evaluate: Callable[[np.ndarray, np.ndarray], np.ndarray]
-
-    def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError("chart dimension must be positive")
-
-
-def _uniform_spacing(times: np.ndarray) -> float:
-    """The step times[1] - times[0] of finite, increasing times (N,), where every gap is
-    that step to within the rounding of the times themselves (as in k * step or
-    numpy.linspace): UNIFORM_SPACING_RTOL of the step plus 4 ulps of max|t|."""
+def _uniform_spacing(times, samples: int) -> float:
+    """The step of the grid times (N,) of a path of N >= 5 samples: finite, increasing and
+    every gap times[1] - times[0] to within the rounding of the times themselves (as in
+    k * step or numpy.linspace), UNIFORM_SPACING_RTOL of the step plus 4 ulps of max|t|."""
+    times = np.asarray(times, dtype=float)
+    if times.shape != (samples,) or samples < 5:
+        raise ValueError(f"need times (N,) for N >= 5 samples, got {times.shape} for {samples}")
     if not np.all(np.isfinite(times)):
         raise ValueError("times must be finite")
     gaps = np.diff(times)
@@ -74,34 +60,7 @@ def _uniform_spacing(times: np.ndarray) -> float:
     return float(gaps[0])
 
 
-@dataclass(frozen=True)
-class SampledPath:
-    """Uniformly sampled path: times (N,), points (N, dim), N >= 5."""
-
-    times: np.ndarray
-    points: np.ndarray
-
-    def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
-        points = np.asarray(self.points, dtype=float)
-        if times.ndim != 1 or points.ndim != 2 or len(times) != len(points):
-            raise ValueError("need times (N,) and points (N, dim) of equal length")
-        if len(times) < 5:
-            raise ValueError("centered stencils need at least 5 samples")
-        _uniform_spacing(times)
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "points", points)
-
-    @property
-    def spacing(self) -> float:
-        return float(self.times[1] - self.times[0])
-
-    @property
-    def dim(self) -> int:
-        return self.points.shape[1]
-
-
-def gradients(lag: CoordinateLagrangian, q, qdot, wrt: str) -> np.ndarray:
+def gradients(lagrangian: Callable, q, qdot, wrt: str) -> np.ndarray:
     """Centered-difference dL/dq (wrt="q") or dL/dqdot (wrt="qdot") at
     (q, qdot), error O(h^2) with h = GRADIENT_STEP.
 
@@ -109,10 +68,10 @@ def gradients(lag: CoordinateLagrangian, q, qdot, wrt: str) -> np.ndarray:
     The 2 dim bumped points (q +- h e_i with qdot fixed, or qdot +- h e_i
     with q fixed) at every point are stacked and evaluated in one call.
     """
-    h = GRADIENT_STEP
-    shape, bump = np.shape(q), h * np.eye(lag.dim)
+    h, shape = GRADIENT_STEP, np.shape(q)
+    dim, bump = shape[-1], h * np.eye(shape[-1])
     # copies, not broadcast views: C-ordered stacks, whose rows numpy reduces alike
-    q, qdot = (np.repeat(np.asarray(x, dtype=float).reshape(-1, 1, lag.dim), lag.dim, axis=1)
+    q, qdot = (np.repeat(np.asarray(x, dtype=float).reshape(-1, 1, dim), dim, axis=1)
                for x in (q, qdot))
     if wrt == "q":
         qs, qdots = [q + bump, q - bump], [qdot, qdot]
@@ -120,37 +79,41 @@ def gradients(lag: CoordinateLagrangian, q, qdot, wrt: str) -> np.ndarray:
         qs, qdots = [q, q], [qdot + bump, qdot - bump]
     else:
         raise ValueError(f"unknown gradient {wrt!r}")
-    values = np.asarray(lag.evaluate(np.concatenate(qs, axis=1).reshape(-1, lag.dim),
-                                     np.concatenate(qdots, axis=1).reshape(-1, lag.dim)),
-                        dtype=float).reshape(len(q), 2, lag.dim)
+    values = np.asarray(lagrangian(np.concatenate(qs, axis=1).reshape(-1, dim),
+                                   np.concatenate(qdots, axis=1).reshape(-1, dim)),
+                        dtype=float).reshape(len(q), 2, dim)
     if not np.isfinite(values).all():
         i, sign, _ = np.argwhere(~np.isfinite(values))[0]
         raise ValueError(f"Lagrangian is not finite (dL/d{wrt} {'+-'[sign]}) near q={q[i, 0]}")
     return ((values[:, 0] - values[:, 1]) / (2 * h)).reshape(shape)
 
 
-def el_residual_path(lag: CoordinateLagrangian, path: SampledPath) -> np.ndarray:
-    """Residuals d/dt(dL/dqdot) - dL/dq along the path.
+def el_residual_path(lagrangian: Callable, times, points) -> np.ndarray:
+    """Residuals d/dt(dL/dqdot) - dL/dq along the path times (N,), points (N, dim).
 
-    Velocities exist at samples 1..N-2 and the momentum derivative at
-    samples 2..N-3, so the returned array has shape (N-4, dim) and its
-    row i belongs to path sample i + 2.  dL/dqdot at samples 1..N-2, then
-    dL/dq at samples 2..N-3, come from gradients over runs of consecutive
+    The path is checked once, here: finite points (an error names the first
+    bad sample) on a grid that _uniform_spacing takes.  Velocities exist at
+    samples 1..N-2 and the momentum derivative at 2..N-3, so row i of the
+    (N-4, dim) result belongs to sample i + 2.  dL/dqdot at samples 1..N-2,
+    then dL/dq at 2..N-3, come from gradients over runs of consecutive
     samples, at most COORDINATES_PER_CALL coordinates to a call.
     """
-    if path.dim != lag.dim:
-        raise ValueError(f"path dim {path.dim} does not match chart dim {lag.dim}")
-    dt = path.spacing
-    points = path.points[1:-1]  # samples 1..n-2
-    velocities = (path.points[2:] - path.points[:-2]) / (2 * dt)
-    step = max(1, COORDINATES_PER_CALL // (2 * lag.dim ** 2))  # samples per call
+    points = np.asarray(points, dtype=float)
+    if points.ndim != 2 or points.shape[1] < 1:
+        raise ValueError(f"need points (N, dim), dim >= 1, got shape {points.shape}")
+    bad = np.flatnonzero(~np.isfinite(points).all(axis=1))
+    if bad.size:
+        raise ValueError(f"path sample {bad[0]} is not finite")
+    dt = _uniform_spacing(times, len(points))
+    velocities = (points[2:] - points[:-2]) / (2 * dt)  # at samples 1..N-2
+    step = max(1, COORDINATES_PER_CALL // (2 * points.shape[1] ** 2))  # samples per call
 
     def gradient(wrt, q, qdot):
-        return np.concatenate([gradients(lag, q[s:s + step], qdot[s:s + step], wrt)
+        return np.concatenate([gradients(lagrangian, q[s:s + step], qdot[s:s + step], wrt)
                                for s in range(0, len(q), step)])
 
-    momenta = gradient("qdot", points, velocities)
-    forces = gradient("q", points[1:-1], velocities[1:-1])  # samples 2..n-3
+    momenta = gradient("qdot", points[1:-1], velocities)
+    forces = gradient("q", points[2:-2], velocities[1:-1])  # samples 2..N-3
     return (momenta[2:] - momenta[:-2]) / (2 * dt) - forces
 
 
@@ -162,7 +125,7 @@ class VerificationReport:
     lagrangian_calls: int
 
 
-def verify_trajectory(lag: CoordinateLagrangian, path: SampledPath) -> VerificationReport:
+def verify_trajectory(lagrangian: Callable, times, points) -> VerificationReport:
     """The largest interior residual norm, where it occurs and what it cost.
 
     worst_index refers to the original path sample, not the interior
@@ -173,9 +136,9 @@ def verify_trajectory(lag: CoordinateLagrangian, path: SampledPath) -> Verificat
 
     def counted(q, qdot):
         calls.append(len(q))
-        return lag.evaluate(q, qdot)
+        return lagrangian(q, qdot)
 
-    norms = np.linalg.norm(el_residual_path(CoordinateLagrangian(lag.dim, counted), path), axis=1)
+    norms = np.linalg.norm(el_residual_path(counted, times, points), axis=1)
     worst = int(np.argmax(norms))
     return VerificationReport(max_residual=float(norms[worst]), worst_index=worst + 2,
                               lagrangian_evals=sum(calls), lagrangian_calls=len(calls))
@@ -192,30 +155,20 @@ def unflatten_complex(v: np.ndarray, shape) -> np.ndarray:
     return (v[..., :half] + 1j * v[..., half:]).reshape(v.shape[:-1] + tuple(shape))
 
 
-def operator_chart(n: int, lagrangian: Callable[[np.ndarray, np.ndarray], np.ndarray]
-                   ) -> CoordinateLagrangian:
-    """Flatten an operator-space Lagrangian to 2 n^2 real coordinates.
-
-    lagrangian(a, v) takes complex stacks of shape (..., n, n) and
-    returns values of shape (...).
-    """
+def operator_chart(n: int, lagrangian: Callable) -> Callable:
+    """Flatten an operator-space Lagrangian lagrangian(a, v), over complex stacks of
+    shape (..., n, n) with values (...), to a Lagrangian on 2 n^2 real coordinates."""
 
     def evaluate(q, qdot):
         return lagrangian(unflatten_complex(q, (n, n)), unflatten_complex(qdot, (n, n)))
 
-    return CoordinateLagrangian(dim=2 * n * n, evaluate=evaluate)
+    return evaluate
 
 
-def heisenberg_chart(hamiltonian) -> CoordinateLagrangian:
-    """The operator Lagrangian of a fixed Hamiltonian, validated once, here, as a
-    flat-chart Lagrangian: lagrangian_heisenberg_chart on the chart's coordinates."""
-    hamiltonian = require_hermitian(hamiltonian, name="hamiltonian")
-    return CoordinateLagrangian(2 * hamiltonian.size, lagrangian_heisenberg_chart(hamiltonian))
-
-
-def path_from_matrices(times, matrices) -> SampledPath:
-    """Sample a matrix-valued path in the entrywise real chart."""
-    return SampledPath(times, flatten_complex(matrices))
+def heisenberg_chart(hamiltonian) -> Callable:
+    """The operator Lagrangian of a fixed Hamiltonian, validated once, here, on the
+    chart flatten_complex: lagrangian_heisenberg_chart on points of width 2 n^2."""
+    return lagrangian_heisenberg_chart(require_hermitian(hamiltonian, name="hamiltonian"))
 
 
 def chart_coordinates(u_center, u, basis: np.ndarray) -> np.ndarray:
@@ -232,7 +185,7 @@ def chart_coordinates(u_center, u, basis: np.ndarray) -> np.ndarray:
     return np.einsum("jab,...ab->...j", np.conj(basis), x).real  # s_j = Re Tr(B_j^dag x)
 
 
-def unitary_chart(u_center, sigma, hamiltonian) -> CoordinateLagrangian:
+def unitary_chart(u_center, sigma, hamiltonian) -> Callable:
     """Orbit Lagrangian in Cayley coordinates around u_center.
 
     It is the pullback of the operator Lagrangian along
@@ -248,12 +201,20 @@ def unitary_chart(u_center, sigma, hamiltonian) -> CoordinateLagrangian:
     u_center = as_complex_matrix(u_center, name="u_center")
     if np.linalg.norm(dagger(u_center) @ u_center - np.eye(len(u_center))) > HERMITIAN_TOL:
         raise ValueError("u_center is not unitary")
-    root = hermitian_sqrt(sigma, name="sigma")
-    lagrangian = lagrangian_heisenberg_chart(require_hermitian(hamiltonian, name="hamiltonian"))
+    root, lagrangian = _orbit_operators(len(u_center), sigma, hamiltonian)
     return _unitary_chart(u_center, root, lagrangian, unitary_algebra_basis(len(u_center)))
 
 
-def _unitary_chart(u_centers, root, lagrangian, basis) -> CoordinateLagrangian:
+def _orbit_operators(n, sigma, hamiltonian):
+    """sqrt(sigma) and lagrangian_heisenberg_chart(h), both checked, n x n as the unitaries."""
+    root, h = hermitian_sqrt(sigma, name="sigma"), require_hermitian(hamiltonian, name="hamiltonian")
+    for name, m in (("sigma", root), ("hamiltonian", h)):
+        if m.shape != (n, n):
+            raise ValueError(f"{name} is {m.shape[0]}x{m.shape[1]} but the unitaries are {n}x{n}")
+    return root, lagrangian_heisenberg_chart(h)
+
+
+def _unitary_chart(u_centers, root, lagrangian, basis) -> Callable:
     """unitary_chart around each unchecked unitary of u_centers, (n, n) or (k, n, n), with
     root = sqrt(sigma), lagrangian_heisenberg_chart of the checked hamiltonian and the
     basis stack.  A call's rows are split evenly among the centres, in order."""
@@ -268,7 +229,7 @@ def _unitary_chart(u_centers, root, lagrangian, basis) -> CoordinateLagrangian:
         return lagrangian(flatten_complex(2 * root_y_inv - root_centers),
                           flatten_complex(root_y_inv @ e @ y_inv)).reshape(np.shape(q)[:-1])
 
-    return CoordinateLagrangian(dim=n * n, evaluate=evaluate)
+    return evaluate
 
 
 def el_residual_unitary_path(times, unitaries, sigma, hamiltonian) -> np.ndarray:
@@ -277,9 +238,10 @@ def el_residual_unitary_path(times, unitaries, sigma, hamiltonian) -> np.ndarray
     Each interior sample gets its own Cayley chart; the five-point window
     around it is pulled into that chart and el_residual_path's stencil is
     evaluated at the centre.  Row i belongs to sample i + 2, as in
-    el_residual_path.  The inputs, every sample included, are checked once,
-    here.  The windows go in blocks of at most COORDINATES_PER_CALL
-    coordinates to a gradients call.
+    el_residual_path.  The inputs are checked once, here (every sample
+    unitary, the grid as in el_residual_path, sigma and H n x n); the
+    windows go in blocks of at most COORDINATES_PER_CALL coordinates to a
+    gradients call.
 
     With rho = u^dag sigma u the exact Euler-Lagrange covector of
     lagrangian_unitary in the left-invariant frame B_j works out to
@@ -289,17 +251,15 @@ def el_residual_unitary_path(times, unitaries, sigma, hamiltonian) -> np.ndarray
     here agree with el_residual_unitary, the residual of that equation,
     up to the O(grid^2) discretization error.
     """
-    times = np.asarray(times, dtype=float)
     us = np.asarray(unitaries, dtype=complex)
-    if us.ndim != 3 or us.shape[1] != us.shape[2] or times.shape != us.shape[:1] or len(us) < 5:
-        raise ValueError("need times (N,) and unitaries (N, n, n), N >= 5")
+    if us.ndim != 3 or us.shape[1] != us.shape[2]:
+        raise ValueError(f"need unitaries (N, n, n), got shape {us.shape}")
+    dt = _uniform_spacing(times, len(us))
     defects = np.linalg.norm(dagger(us) @ us - np.eye(us.shape[-1]), axis=(1, 2))
     bad = np.flatnonzero(~(defects <= HERMITIAN_TOL))  # NaN and inf fail too
     if bad.size:
         raise ValueError(f"unitary sample {bad[0]} is not unitary")
-    dt = _uniform_spacing(times)
-    root = hermitian_sqrt(sigma, name="sigma")
-    lagrangian = lagrangian_heisenberg_chart(require_hermitian(hamiltonian, name="hamiltonian"))
+    root, lagrangian = _orbit_operators(us.shape[-1], sigma, hamiltonian)
     basis = unitary_algebra_basis(us.shape[-1])
     block = max(1, COORDINATES_PER_CALL // (6 * len(basis) ** 2))  # 3 x 2 dim bumps per window
     rows = []

@@ -29,6 +29,7 @@ from isospec_lag.heisenberg import (
     el_residual_heisenberg,
     evolve_heisenberg_exact,
     evolve_heisenberg_rk4,
+    flatten_complex,
     heisenberg_rhs,
     lagrangian_heisenberg,
 )
@@ -56,10 +57,7 @@ from isospec_lag.unitary_orbit import (
     lagrangian_unitary,
 )
 from isospec_lag.verifier import (
-    CoordinateLagrangian,
-    SampledPath,
     heisenberg_chart,
-    path_from_matrices,
     verify_trajectory,
 )
 
@@ -315,17 +313,15 @@ def test_criterion_10_determinant_conserved_spectrum_not():
 
 
 def test_criterion_11_verifier_convergence():
-    harmonic = CoordinateLagrangian(
-        dim=1,
-        evaluate=lambda q, qdot: 0.5 * np.sum(qdot * qdot, axis=-1) - 0.5 * np.sum(q * q, axis=-1),
-    )
+    def harmonic(q, qdot):
+        return 0.5 * np.sum(qdot * qdot, axis=-1) - 0.5 * np.sum(q * q, axis=-1)
 
     def cosine(dt):
         times = np.arange(21) * dt
-        return SampledPath(times, np.cos(times)[:, None])
+        return times, np.cos(times)[:, None]
 
-    fine = verify_trajectory(harmonic, cosine(1e-3)).max_residual
-    coarse = verify_trajectory(harmonic, cosine(2e-3)).max_residual
+    fine = verify_trajectory(harmonic, *cosine(1e-3)).max_residual
+    coarse = verify_trajectory(harmonic, *cosine(2e-3)).max_residual
     ratio_h = coarse / fine
 
     lag = heisenberg_chart(SZ)
@@ -333,7 +329,7 @@ def test_criterion_11_verifier_convergence():
     def flow_residual(dt):
         times = np.arange(9) * dt
         mats = [evolve_heisenberg_exact(SX, SZ, t) for t in times]
-        return verify_trajectory(lag, path_from_matrices(times, mats)).max_residual
+        return verify_trajectory(lag, times, flatten_complex(mats)).max_residual
 
     ratio_op = flow_residual(2e-3) / flow_residual(1e-3)
     ok = fine <= 1e-5 and 3 <= ratio_h <= 5 and 3 <= ratio_op <= 5

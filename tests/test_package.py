@@ -40,10 +40,9 @@ EXPORTS = {
         lagrangian_unitary lvn_rhs validate_density
     """,
     verifier: """
-        CoordinateLagrangian SampledPath VerificationReport chart_coordinates
-        el_residual_path el_residual_unitary_path gradients
-        heisenberg_chart operator_chart path_from_matrices unflatten_complex
-        unitary_chart verify_trajectory
+        VerificationReport chart_coordinates el_residual_path
+        el_residual_unitary_path gradients heisenberg_chart operator_chart
+        unflatten_complex unitary_chart verify_trajectory
     """,
 }
 EXPORTED = {name: module for module, names in EXPORTS.items() for name in names.split()}

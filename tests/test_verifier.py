@@ -16,8 +16,6 @@ from isospec_lag.heisenberg import (
 from isospec_lag.operator_core import hermitian_propagator, unitary_algebra_basis
 from isospec_lag.unitary_orbit import UnitaryTangent, el_residual_unitary, lagrangian_unitary
 from isospec_lag.verifier import (
-    CoordinateLagrangian,
-    SampledPath,
     chart_coordinates,
     el_residual_path,
     el_residual_unitary_path,
@@ -25,7 +23,6 @@ from isospec_lag.verifier import (
     gradients,
     heisenberg_chart,
     operator_chart,
-    path_from_matrices,
     unflatten_complex,
     unitary_chart,
     verify_trajectory,
@@ -42,26 +39,30 @@ from conftest import (
     rand_unitary,
 )
 
-FREE = CoordinateLagrangian(dim=2, evaluate=lambda q, qdot: 0.5 * np.sum(qdot * qdot, axis=-1))
-HARMONIC = CoordinateLagrangian(
-    dim=1,
-    evaluate=lambda q, qdot: 0.5 * np.sum(qdot * qdot, axis=-1) - 0.5 * np.sum(q * q, axis=-1),
-)
+def free(q, qdot):
+    return 0.5 * np.sum(qdot * qdot, axis=-1)
+
+
+def harmonic(q, qdot):
+    return 0.5 * np.sum(qdot * qdot, axis=-1) - 0.5 * np.sum(q * q, axis=-1)
 
 
 def line_path(n=11, dt=0.1):
+    """times (n,) and points (n, 2) of a straight line, free's extremal."""
     times = np.arange(n) * dt
-    points = np.outer(times, [1.0, -2.0]) + np.array([0.3, 0.7])
-    return SampledPath(times, points)
+    return times, np.outer(times, [1.0, -2.0]) + np.array([0.3, 0.7])
 
 
 def cosine_path(dt, n=21):
+    """times (n,) and points (n, 1) of cos t, harmonic's extremal."""
     times = np.arange(n) * dt
-    return SampledPath(times, np.cos(times)[:, None])
+    return times, np.cos(times)[:, None]
 
 
 def test_gradients_of_bilinear_lagrangian():
-    lag = CoordinateLagrangian(dim=3, evaluate=lambda q, qdot: np.sum(q * qdot, axis=-1))
+    def lag(q, qdot):
+        return np.sum(q * qdot, axis=-1)
+
     q = np.array([0.3, -1.2, 0.5])
     qdot = np.array([2.0, 0.1, -0.7])
     np.testing.assert_allclose(gradients(lag, q, qdot, wrt="q"), qdot, atol=1e-8)
@@ -69,7 +70,9 @@ def test_gradients_of_bilinear_lagrangian():
 
 
 def test_gradients_of_constant_lagrangian():
-    lag = CoordinateLagrangian(dim=2, evaluate=lambda q, qdot: np.full(q.shape[:-1], 4.2))
+    def lag(q, qdot):
+        return np.full(q.shape[:-1], 4.2)
+
     for wrt in ("q", "qdot"):
         np.testing.assert_allclose(gradients(lag, np.ones(2), np.ones(2), wrt=wrt), np.zeros(2))
     with pytest.raises(ValueError, match="unknown gradient 'p'"):
@@ -78,62 +81,79 @@ def test_gradients_of_constant_lagrangian():
 
 def test_gradient_of_kinetic_term():
     qdot = np.array([1.5, -0.25])
-    got = gradients(FREE, np.zeros(2), qdot, wrt="qdot")
+    got = gradients(free, np.zeros(2), qdot, wrt="qdot")
     np.testing.assert_allclose(got, qdot, atol=1e-8)
 
 
 def test_chart_dimension_must_be_positive():
-    with pytest.raises(ValueError):
-        CoordinateLagrangian(dim=0, evaluate=lambda q, qdot: 0.0)
+    # the chart's dimension is the width of the points; zero width is no chart
+    with pytest.raises(ValueError, match="need points"):
+        el_residual_path(free, np.arange(5.0), np.zeros((5, 0)))
 
 
 def test_sampled_path_validation():
-    with pytest.raises(ValueError):
-        SampledPath(np.arange(4.0), np.zeros((4, 1)))
-    with pytest.raises(ValueError):
-        SampledPath(np.array([0.0, 0.1, 0.25, 0.3, 0.4]), np.zeros((5, 1)))
-    with pytest.raises(ValueError):
-        SampledPath(np.array([0.0, 0.1, 0.05, 0.2, 0.3]), np.zeros((5, 1)))
-    with pytest.raises(ValueError):
-        SampledPath(np.arange(5.0), np.zeros((6, 1)))
+    with pytest.raises(ValueError, match="N >= 5"):
+        el_residual_path(free, np.arange(4.0), np.zeros((4, 1)))
+    with pytest.raises(ValueError, match="uniform"):
+        el_residual_path(free, np.array([0.0, 0.1, 0.25, 0.3, 0.4]), np.zeros((5, 1)))
+    with pytest.raises(ValueError, match="increasing"):
+        el_residual_path(free, np.array([0.0, 0.1, 0.05, 0.2, 0.3]), np.zeros((5, 1)))
+    with pytest.raises(ValueError, match="N >= 5"):
+        el_residual_path(free, np.arange(5.0), np.zeros((6, 1)))
+    # points that are not one row per sample are no path
+    for points in (np.zeros(5), np.zeros((5, 1, 1))):
+        with pytest.raises(ValueError, match="need points"):
+            el_residual_path(free, np.arange(5.0), points)
     # NaN and inf fail every comparison, so they must not slip through as uniform
     for bad in ([0.0, 0.1, np.nan, 0.3, 0.4, 0.5], [np.nan, 0.1, 0.2, 0.3, 0.4],
                 [0.0, np.nan, 0.2, 0.3, 0.4], [0.0, 0.1, 0.2, 0.3, np.inf],
                 [-np.inf, 0.1, 0.2, 0.3, 0.4], [0.0, np.inf, 0.2, 0.3, 0.4]):
         with pytest.raises(ValueError):
-            SampledPath(np.array(bad), np.zeros((len(bad), 1)))
+            el_residual_path(free, np.array(bad), np.zeros((len(bad), 1)))
     # the gaps of a linspace grid round by up to half an ulp of its largest
     # time, 1.1e-12 of its step here; a gap off by 1e-9 of the step is no rounding
     times = np.linspace(0, 1, 10001)
-    assert SampledPath(times, np.zeros((len(times), 1))).spacing == pytest.approx(1e-4)
+    assert el_residual_path(free, times, np.zeros((len(times), 1))).shape == (len(times) - 4, 1)
     times[5000:] += 1e-9 * 1e-4
     with pytest.raises(ValueError, match="uniform"):
-        SampledPath(times, np.zeros((len(times), 1)))
+        el_residual_path(free, times, np.zeros((len(times), 1)))
 
 
-def test_el_residual_path_rejects_dim_mismatch():
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("sample", [0, 4, 8])
+def test_non_finite_path_sample_is_named(value, sample):
+    # the sample itself, not the Lagrangian near a neighbouring point
+    times, points = line_path(n=9)
+    points[sample, 1] = value
+    for check in (el_residual_path, verify_trajectory):
+        with pytest.raises(ValueError, match=f"^path sample {sample} is not finite$"):
+            check(free, times, points)
+
+
+def test_heisenberg_chart_rejects_points_of_another_width():
+    # the chart of a 2 x 2 H takes points of width 8; the width is the points'
+    times, points = line_path(n=9)
     with pytest.raises(ValueError):
-        el_residual_path(HARMONIC, line_path())
+        el_residual_path(heisenberg_chart(SZ), times, points)
 
 
 def test_free_particle_line_is_extremal():
-    report = verify_trajectory(FREE, line_path())
+    report = verify_trajectory(free, *line_path())
     assert report.max_residual <= 1e-8
 
 
 def test_constant_path_passes_for_velocity_only_lagrangian():
-    path = SampledPath(np.arange(7) * 0.1, np.tile([0.4, -0.9], (7, 1)))
-    report = verify_trajectory(FREE, path)
+    report = verify_trajectory(free, np.arange(7) * 0.1, np.tile([0.4, -0.9], (7, 1)))
     assert report.max_residual <= 1e-10
 
 
 def test_harmonic_cosine_is_extremal():
-    report = verify_trajectory(HARMONIC, cosine_path(1e-3))
+    report = verify_trajectory(harmonic, *cosine_path(1e-3))
     assert report.max_residual <= 1e-5
 
 
 def test_residual_rows_map_to_interior_samples():
-    rows = el_residual_path(FREE, line_path(n=9))
+    rows = el_residual_path(free, *line_path(n=9))
     assert rows.shape == (5, 2)
 
 
@@ -141,22 +161,22 @@ def test_worst_index_points_at_perturbed_sample():
     times = np.arange(9) * 0.1
     points = np.outer(times, [1.0, -2.0])
     points[4] += 0.01
-    report = verify_trajectory(FREE, SampledPath(times, points))
+    report = verify_trajectory(free, times, points)
     assert report.max_residual > 1e-8
     assert report.worst_index == 4
 
 
 def test_residual_shrinks_quadratically_with_grid():
-    coarse = verify_trajectory(HARMONIC, cosine_path(2e-3)).max_residual
-    fine = verify_trajectory(HARMONIC, cosine_path(1e-3)).max_residual
+    coarse = verify_trajectory(harmonic, *cosine_path(2e-3)).max_residual
+    fine = verify_trajectory(harmonic, *cosine_path(1e-3)).max_residual
     ratio = coarse / fine
     assert 3.0 <= ratio <= 5.0
 
 
 def test_verification_report_is_deterministic():
     path = cosine_path(1e-3)
-    first = verify_trajectory(HARMONIC, path)
-    second = verify_trajectory(HARMONIC, path)
+    first = verify_trajectory(harmonic, *path)
+    second = verify_trajectory(harmonic, *path)
     assert first == second
 
 
@@ -174,7 +194,7 @@ def test_flatten_round_trip():
 def test_heisenberg_chart_passes_on_exact_flow():
     times = np.arange(9) * 1e-3
     mats = [evolve_heisenberg_exact(SX, SZ, t) for t in times]
-    report = verify_trajectory(heisenberg_chart(SZ), path_from_matrices(times, mats))
+    report = verify_trajectory(heisenberg_chart(SZ), times, flatten_complex(mats))
     assert report.max_residual <= 1e-3
 
 
@@ -182,7 +202,7 @@ def test_heisenberg_chart_fails_on_wrong_hamiltonian():
     h_wrong = 1.1 * SZ
     times = np.arange(9) * 1e-3
     mats = [evolve_heisenberg_exact(SX, h_wrong, t) for t in times]
-    report = verify_trajectory(heisenberg_chart(SZ), path_from_matrices(times, mats))
+    report = verify_trajectory(heisenberg_chart(SZ), times, flatten_complex(mats))
     assert report.max_residual > 1e-3
     # residual norm is 0.1 * ||[A, H]||_F doubled by the real chart
     assert 0.5 <= report.max_residual <= 0.65
@@ -192,7 +212,7 @@ def test_flat_chart_residual_matches_analytic_factor_two():
     h_wrong = 1.1 * SZ
     times = np.arange(9) * 1e-3
     mats = [evolve_heisenberg_exact(SX, h_wrong, t) for t in times]
-    rows = el_residual_path(heisenberg_chart(SZ), path_from_matrices(times, mats))
+    rows = el_residual_path(heisenberg_chart(SZ), times, flatten_complex(mats))
     for i, row in enumerate(rows):
         a = mats[i + 2]
         tangent = OperatorTangent(a, heisenberg_rhs(a, h_wrong))
@@ -215,10 +235,29 @@ def test_stacked_heisenberg_chart_matches_per_point_chart_exactly(n):
     h_flow = 1.05 * h  # off the extremal, so the residuals are not pure rounding
     a0 = rand_hermitian(rng, n)
     times = np.arange(11) * 1e-2
-    path = path_from_matrices(times, [evolve_heisenberg_exact(a0, h_flow, t) for t in times])
-    stacked = el_residual_path(heisenberg_chart(h), path)
-    np.testing.assert_array_equal(stacked, el_residual_path(scalar_heisenberg_chart(h), path))
+    points = flatten_complex([evolve_heisenberg_exact(a0, h_flow, t) for t in times])
+    stacked = el_residual_path(heisenberg_chart(h), times, points)
+    np.testing.assert_array_equal(stacked,
+                                  el_residual_path(scalar_heisenberg_chart(h), times, points))
     assert np.max(np.abs(stacked)) > 1e-3
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_strided_points_give_the_rows_of_a_contiguous_copy(n):
+    # the verify runner's coarse pass hands over flatten_complex(states)[::2],
+    # a view; 101 samples take 2/3/4 dL/dqdot calls at n = 2/3/4
+    rng = np.random.default_rng(60 + n)
+    h = rand_hermitian(rng, n)
+    times = np.arange(201) * 1e-2
+    a0 = rand_hermitian(rng, n)
+    points = flatten_complex(evolve_heisenberg_exact(a0, 1.05 * h, times))[::2]
+    copy = np.ascontiguousarray(points)
+    assert not points.flags.c_contiguous
+    chart = heisenberg_chart(h)
+    np.testing.assert_array_equal(el_residual_path(chart, times[::2], points),
+                                  el_residual_path(chart, times[::2], copy))
+    assert verify_trajectory(chart, times[::2], points) == verify_trajectory(chart, times[::2],
+                                                                             copy)
 
 
 def counted_verification(n, samples):
@@ -226,16 +265,17 @@ def counted_verification(n, samples):
     h = np.diag(np.arange(n) - 0.5).astype(complex)
     times = np.arange(samples) * 1e-3
     a0 = rand_hermitian(np.random.default_rng(n), n)
-    path = path_from_matrices(times, evolve_heisenberg_exact(a0, h, times))
+    points = flatten_complex(evolve_heisenberg_exact(a0, h, times))
     chart = heisenberg_chart(h)
     calls = []
 
     def evaluate(qs, qdots):
         calls.append(len(qs))
-        return chart.evaluate(qs, qdots)
+        return chart(qs, qdots)
 
-    report = verify_trajectory(CoordinateLagrangian(chart.dim, evaluate), path)
-    assert report.lagrangian_evals == sum(calls) == 2 * chart.dim * ((samples - 2) + (samples - 4))
+    report = verify_trajectory(evaluate, times, points)
+    dim = 2 * n * n
+    assert report.lagrangian_evals == sum(calls) == 2 * dim * ((samples - 2) + (samples - 4))
     assert report.lagrangian_calls == len(calls)
     return calls
 
@@ -261,14 +301,14 @@ def bumpy_lagrangian(q, qdot):
     return np.sum(np.sin(q) * qdot ** 3 + np.cos(q * qdot), axis=-1) + np.sum(q, axis=-1) ** 2
 
 
-def per_sample_residuals(lag, path):
+def per_sample_residuals(lag, times, points):
     """el_residual_path as a loop of one gradients call per sample."""
-    dt = path.spacing
-    velocities = (path.points[2:] - path.points[:-2]) / (2 * dt)
+    dt = times[1] - times[0]
+    velocities = (points[2:] - points[:-2]) / (2 * dt)
     momenta = np.array([gradients(lag, q, v, wrt="qdot")
-                        for q, v in zip(path.points[1:-1], velocities)])
+                        for q, v in zip(points[1:-1], velocities)])
     forces = np.array([gradients(lag, q, v, wrt="q")
-                       for q, v in zip(path.points[2:-2], velocities[1:-1])])
+                       for q, v in zip(points[2:-2], velocities[1:-1])])
     return (momenta[2:] - momenta[:-2]) / (2 * dt) - forces
 
 
@@ -284,21 +324,20 @@ def per_sample_residuals(lag, path):
 def test_chunked_residuals_equal_per_sample_loop(dim, samples, seed):
     rng = np.random.default_rng(seed)
     times = 0.3 + np.arange(samples) * 1e-2
-    path = SampledPath(times, np.cumsum(rng.normal(scale=0.1, size=(samples, dim)), axis=0))
-    lag = CoordinateLagrangian(dim, bumpy_lagrangian)
-    np.testing.assert_array_equal(el_residual_path(lag, path), per_sample_residuals(lag, path))
+    points = np.cumsum(rng.normal(scale=0.1, size=(samples, dim)), axis=0)
+    np.testing.assert_array_equal(el_residual_path(bumpy_lagrangian, times, points),
+                                  per_sample_residuals(bumpy_lagrangian, times, points))
 
 
 def nan_at_one_bump(q, qdot):
-    """FREE's Lagrangian, but NaN wherever the first velocity was bumped up."""
+    """free's Lagrangian, but NaN wherever the first velocity was bumped up."""
     values = 0.5 * np.sum(qdot * qdot, axis=-1)
     return np.where(qdot[..., 0] > 1.0 + 1e-7, np.nan, values)
 
 
 def test_non_finite_bumped_value_raises():
-    lag = CoordinateLagrangian(dim=2, evaluate=nan_at_one_bump)
     with pytest.raises(ValueError, match=r"not finite \(dL/dqdot \+\)"):
-        el_residual_path(lag, line_path())
+        el_residual_path(nan_at_one_bump, *line_path())
 
 
 def test_heisenberg_chart_rejects_non_hermitian_hamiltonian():
@@ -386,7 +425,7 @@ def test_unitary_chart_matches_scipy_frechet(n, seed, spectrum, scale, log_gap):
     u_center, sigma = rand_unitary(rng, n), rand_density(rng, n)
     h = rand_hermitian(rng, n)
     h /= np.linalg.norm(h)
-    got = unitary_chart(u_center, sigma, h).evaluate(q, qdot)
+    got = unitary_chart(u_center, sigma, h)(q, qdot)
     # the Frechet derivative of cay along e is Y^-1 e Y^-1, Y = I - x/2 ...
     y = np.eye(n) - x / 2
     frechet = scipy.linalg.solve(y, scipy.linalg.solve(y.T, e.T).T)
@@ -408,9 +447,9 @@ def test_unitary_chart_evaluates_stacks(n):
     chart = unitary_chart(rand_unitary(rng, n), rand_density(rng, n), h / np.linalg.norm(h))
     qs = 0.5 * rng.standard_normal((40, n * n))
     qdots = rng.standard_normal((40, n * n))
-    stacked = chart.evaluate(qs, qdots)
+    stacked = chart(qs, qdots)
     assert stacked.shape == (40,)
-    per_point = [chart.evaluate(q, v) for q, v in zip(qs, qdots)]
+    per_point = [chart(q, v) for q, v in zip(qs, qdots)]
     np.testing.assert_allclose(stacked, per_point, rtol=0, atol=1e-13)
 
 
@@ -492,15 +531,29 @@ def orbit_setup(n, samples, seed):
     return times, us, rand_density(rng, n), h
 
 
+@pytest.mark.parametrize("check", [
+    pytest.param(lambda times, us, sigma, h: el_residual_unitary_path(times, us, sigma, h),
+                 id="path"),
+    pytest.param(lambda times, us, sigma, h: unitary_chart(us[2], sigma, h), id="chart"),
+])
+@pytest.mark.parametrize("bad", ["sigma", "hamiltonian"])
+def test_orbit_inputs_must_have_the_unitaries_shape(check, bad):
+    # a valid 3 x 3 state or Hamiltonian beside 2 x 2 unitaries
+    times, us, sigma, h = orbit_setup(2, 7, seed=18)
+    args = {"sigma": sigma, "hamiltonian": h}
+    args[bad] = np.diag([0.5, 0.3, 0.2]) if bad == "sigma" else np.diag([1.0, 0.0, -1.0])
+    with pytest.raises(ValueError, match=f"^{bad} is 3x3 but the unitaries are 2x2$"):
+        check(times, us, args["sigma"], args["hamiltonian"])
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_stacked_rows_match_a_chart_per_window(n):
     # the residual at each sample from its own chart and five-sample path,
     # built from the public pieces
     times, us, sigma, h = orbit_setup(n, 41, seed=40 + n)
     basis = unitary_algebra_basis(n)
-    want = [el_residual_path(unitary_chart(us[m], sigma, h),
-                             SampledPath(times[m - 2:m + 3],
-                                         chart_coordinates(us[m], us[m - 2:m + 3], basis)))[0]
+    want = [el_residual_path(unitary_chart(us[m], sigma, h), times[m - 2:m + 3],
+                             chart_coordinates(us[m], us[m - 2:m + 3], basis))[0]
             for m in range(2, len(times) - 2)]
     got = el_residual_unitary_path(times, us, sigma, h)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-8)
@@ -519,9 +572,9 @@ def test_unitary_path_splits_into_bounded_calls(monkeypatch, n, samples, blocks)
 
         def evaluate(q, qdot):
             calls.append(len(q))
-            return lag.evaluate(q, qdot)
+            return lag(q, qdot)
 
-        return CoordinateLagrangian(lag.dim, evaluate)
+        return evaluate
 
     monkeypatch.setattr(verifier, "_unitary_chart", counting)
     times, us, sigma, h = orbit_setup(n, samples, seed=50)
