@@ -45,8 +45,8 @@ _EXPORTS = {
     """,
     "verifier": """
         VerificationReport chart_coordinates el_residual_path
-        el_residual_unitary_path gradients heisenberg_chart operator_chart
-        unflatten_complex unitary_chart verify_trajectory
+        el_residual_unitary_path gradients heisenberg_chart unitary_chart
+        verify_trajectory
     """,
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}

@@ -115,7 +115,8 @@ def lagrangian_heisenberg_chart(h: np.ndarray):
     L(q, v) = -q.(M q + J v): q.M q = Re Tr(A^dag [A, H]), M the real form of
     A -> [A, H] on row-major vec A, built once, here; J v = [Im v, -Re v] is
     -i Adot.  ``h`` must already be a validated Hermitian matrix: nothing is
-    checked (an anti-Hermitian part adds only imaginary parts to the traces).
+    checked (an anti-Hermitian part adds only imaginary parts to the traces)
+    but the widths of q and v, once per stacked call.
     Each row's M q is its own vector-matrix product, so a stacked evaluation
     rounds exactly like the per-point one.
     """
@@ -125,6 +126,9 @@ def lagrangian_heisenberg_chart(h: np.ndarray):
     half = n * n
 
     def evaluate(q, v):
+        if q.shape[-1] != 2 * half or v.shape[-1] != 2 * half:
+            raise ValueError(f"the chart of a {n}x{n} hamiltonian has width {2 * half}, got "
+                             f"points of width {q.shape[-1]} and velocities of width {v.shape[-1]}")
         # row by row, not one (stack, 2n^2) GEMM, whose rounding depends on the stack
         y = np.matmul(q[..., np.newaxis, :], form_t)[..., 0, :]
         y[..., :half] += v[..., half:]

@@ -1,7 +1,7 @@
 """Finite-difference Euler-Lagrange residual checks.
 
 Everything here works on flat real coordinate charts.  A Lagrangian is
-any callable evaluate(q, qdot) mapping points and velocities of shape
+any callable evaluate(q, qdot) mapping points and velocities of one shape
 (..., dim) to values of shape (...); a path is times (N,) on a uniform
 grid plus points (N, dim), N >= 5.  The checker forms d/dt(dL/dqdot) -
 dL/dq with centered differences and reports the residual vectors at the
@@ -14,7 +14,8 @@ eigendecomposition) so the analytic residuals of the operator and orbit
 Lagrangians can be cross-checked without trusting their derivations.
 Every chart here evaluates the one operator kernel,
 lagrangian_heisenberg_chart, a real quadratic form built once per chart:
-the operator chart on its own coordinates, the unitary chart at
+the operator chart on its own coordinates (points of another width than
+2 n^2 raise an error naming both widths), the unitary chart at
 flatten_complex of the pullback (sqrt(sigma) u, sqrt(sigma) udot) of the
 orbit Lagrangian.
 
@@ -64,23 +65,24 @@ def gradients(lagrangian: Callable, q, qdot, wrt: str) -> np.ndarray:
     """Centered-difference dL/dq (wrt="q") or dL/dqdot (wrt="qdot") at
     (q, qdot), error O(h^2) with h = GRADIENT_STEP.
 
-    q and qdot are one point (dim,) or a stack (m, dim), as is the gradient.
-    The 2 dim bumped points (q +- h e_i with qdot fixed, or qdot +- h e_i
-    with q fixed) at every point are stacked and evaluated in one call.
+    q and qdot are one point (dim,) or a stack (m, dim), alike, as is the
+    gradient.  The 2 dim bumped points (q +- h e_i with qdot fixed, or qdot
+    +- h e_i with q fixed) at every point are stacked and evaluated in one call.
     """
     h, shape = GRADIENT_STEP, np.shape(q)
-    dim, bump = shape[-1], h * np.eye(shape[-1])
-    # copies, not broadcast views: C-ordered stacks, whose rows numpy reduces alike
-    q, qdot = (np.repeat(np.asarray(x, dtype=float).reshape(-1, 1, dim), dim, axis=1)
-               for x in (q, qdot))
-    if wrt == "q":
-        qs, qdots = [q + bump, q - bump], [qdot, qdot]
-    elif wrt == "qdot":
-        qs, qdots = [q, q], [qdot + bump, qdot - bump]
-    else:
+    if np.shape(qdot) != shape:
+        raise ValueError(f"q has shape {shape} but qdot has shape {np.shape(qdot)}")
+    if wrt not in ("q", "qdot"):
         raise ValueError(f"unknown gradient {wrt!r}")
-    values = np.asarray(lagrangian(np.concatenate(qs, axis=1).reshape(-1, dim),
-                                   np.concatenate(qdots, axis=1).reshape(-1, dim)),
+    dim = shape[-1]
+    bumps = h * np.concatenate([np.eye(dim), -np.eye(dim)])  # (2 dim, dim): +h e_i, -h e_i
+    q, qdot = (np.asarray(x, dtype=float).reshape(-1, 1, dim) for x in (q, qdot))
+    # fresh C-ordered stacks, not broadcast views: numpy reduces their rows alike
+    if wrt == "q":
+        q, qdot = q + bumps, np.repeat(qdot, 2 * dim, axis=1)
+    else:
+        q, qdot = np.repeat(q, 2 * dim, axis=1), qdot + bumps
+    values = np.asarray(lagrangian(q.reshape(-1, dim), qdot.reshape(-1, dim)),
                         dtype=float).reshape(len(q), 2, dim)
     if not np.isfinite(values).all():
         i, sign, _ = np.argwhere(~np.isfinite(values))[0]
@@ -146,23 +148,6 @@ def verify_trajectory(lagrangian: Callable, times, points) -> VerificationReport
 
 # ---------------------------------------------------------------------------
 # charts
-
-
-def unflatten_complex(v: np.ndarray, shape) -> np.ndarray:
-    """Inverse of flatten_complex; leading axes of v are kept as stack axes."""
-    v = np.asarray(v, dtype=float)
-    half = v.shape[-1] // 2
-    return (v[..., :half] + 1j * v[..., half:]).reshape(v.shape[:-1] + tuple(shape))
-
-
-def operator_chart(n: int, lagrangian: Callable) -> Callable:
-    """Flatten an operator-space Lagrangian lagrangian(a, v), over complex stacks of
-    shape (..., n, n) with values (...), to a Lagrangian on 2 n^2 real coordinates."""
-
-    def evaluate(q, qdot):
-        return lagrangian(unflatten_complex(q, (n, n)), unflatten_complex(qdot, (n, n)))
-
-    return evaluate
 
 
 def heisenberg_chart(hamiltonian) -> Callable:

@@ -732,6 +732,22 @@ def test_sb2c_field_overflow_at_start_exits_3(tmp_path, capsys, caplog):
         assert (tmp_path / "trajectory.csv").read_text().splitlines() == ["t,y,r,x"]
 
 
+def test_verify_at_the_rounding_floor_skips_the_ratio(tmp_path, capsys):
+    # A0 = H: the exact flow is stationary, so both residuals are rounding
+    cfg = write_config(tmp_path / "cfg.json", "verify",
+                       {"initial": [[1, 0], [0, -1]], "hamiltonian": [[1, 0], [0, -1]]},
+                       0.1, 0.01)
+    assert run_cli(["verify", "--config", cfg, "--out", tmp_path]) == 0
+    captured = capsys.readouterr()
+    lines = parse_lines(captured.out)
+    assert lines["el_residual_max"][0] < 1e-12
+    assert lines["convergence_ratio"][0] == 0.0
+    assert {status for _, _, status in lines.values()} == {"PASS"}
+    warning = "residuals at rounding floor; convergence ratio not measured"
+    assert captured.err.splitlines() == [f"warning: {warning}"]
+    assert json.loads((tmp_path / "report.json").read_text())["warnings"] == [warning]
+
+
 def test_verify_with_large_entries_has_no_rounding_error(tmp_path, capsys):
     # entries of 1e4 make the Lagrangian's terms ~1e8: its finite differences
     # round at that scale
@@ -814,6 +830,36 @@ def test_non_string_output_path_exits_2(tmp_path, capsys):
     cfg.write_text(json.dumps(doc))
     assert run_cli(["heisenberg", "--config", cfg]) == 2
     assert "output path must be a string" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind, text, args, message", [
+    pytest.param("heisenberg", "{not json", [], "config is not valid JSON", id="not-json"),
+    pytest.param("heisenberg", "[]", [], "config root must be an object", id="list-root"),
+    pytest.param("heisenberg", json.dumps({**valid_doc("heisenberg"), "matrices": []}), [],
+                 "matrices must be an object", id="list-matrices"),
+    pytest.param("heisenberg", json.dumps(valid_doc("heisenberg")), ["--tolerance", "foo"],
+                 "--tolerance expects NAME=VALUE, got 'foo'", id="tolerance-without-value"),
+    pytest.param("verify", json.dumps({**valid_doc("verify"),
+                                       "times": {"t_final": 0.05, "step": 0.01}}), [],
+                 "verify needs at least 9 grid samples", id="six-sample-verify"),
+])
+def test_config_error_exits_2_on_one_line_without_outputs(tmp_path, capsys, kind, text, args,
+                                                          message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    assert run_cli([kind, "--config", cfg, "--out", out, *args]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("config error: ") and message in line
+    assert not out.exists()
+
+
+def test_load_config_rejects_an_unknown_kind(tmp_path):
+    # main's argparse choices keep such a kind from the loader; a direct caller meets this
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(valid_doc("heisenberg")))
+    with pytest.raises(cli.ConfigError, match="^unknown kind 'nope'$"):
+        cli.load_config(cfg, "nope")
 
 
 WRONG_TYPES = ["x", None, True, [], [1, 2], {}]

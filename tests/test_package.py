@@ -41,8 +41,8 @@ EXPORTS = {
     """,
     verifier: """
         VerificationReport chart_coordinates el_residual_path
-        el_residual_unitary_path gradients heisenberg_chart operator_chart
-        unflatten_complex unitary_chart verify_trajectory
+        el_residual_unitary_path gradients heisenberg_chart unitary_chart
+        verify_trajectory
     """,
 }
 EXPORTED = {name: module for module, names in EXPORTS.items() for name in names.split()}

@@ -22,8 +22,6 @@ from isospec_lag.verifier import (
     flatten_complex,
     gradients,
     heisenberg_chart,
-    operator_chart,
-    unflatten_complex,
     unitary_chart,
     verify_trajectory,
 )
@@ -77,6 +75,13 @@ def test_gradients_of_constant_lagrangian():
         np.testing.assert_allclose(gradients(lag, np.ones(2), np.ones(2), wrt=wrt), np.zeros(2))
     with pytest.raises(ValueError, match="unknown gradient 'p'"):
         gradients(lag, np.ones(2), np.ones(2), wrt="p")
+
+
+@pytest.mark.parametrize("wrt", ["q", "qdot"])
+def test_gradients_reject_a_velocity_of_another_shape(wrt):
+    # same size, other shape: the velocities must not be re-paired with the points
+    with pytest.raises(ValueError, match=r"^q has shape \(2, 3\) but qdot has shape \(3, 2\)$"):
+        gradients(free, np.zeros((2, 3)), np.arange(6.0).reshape(3, 2), wrt)
 
 
 def test_gradient_of_kinetic_term():
@@ -133,8 +138,12 @@ def test_non_finite_path_sample_is_named(value, sample):
 def test_heisenberg_chart_rejects_points_of_another_width():
     # the chart of a 2 x 2 H takes points of width 8; the width is the points'
     times, points = line_path(n=9)
-    with pytest.raises(ValueError):
+    message = ("^the chart of a 2x2 hamiltonian has width 8, "
+               "got points of width {} and velocities of width {}$")
+    with pytest.raises(ValueError, match=message.format(2, 2)):
         el_residual_path(heisenberg_chart(SZ), times, points)
+    with pytest.raises(ValueError, match=message.format(8, 2)):
+        heisenberg_chart(SZ)(np.zeros((3, 8)), np.zeros((3, 2)))
 
 
 def test_free_particle_line_is_extremal():
@@ -181,14 +190,14 @@ def test_verification_report_is_deterministic():
 
 
 def test_flatten_round_trip():
+    # the chart layout: real parts, then imaginary parts, each row-major
     rng = np.random.default_rng(10)
     m = rand_complex(rng, 3)
     v = flatten_complex(m)
     assert v.shape == (18,)
-    np.testing.assert_array_equal(unflatten_complex(v, (3, 3)), m)
+    np.testing.assert_array_equal(v[:9] + 1j * v[9:], m.ravel())
     stack = np.array([m, rand_complex(rng, 3)])
     np.testing.assert_array_equal(flatten_complex(stack), [v, flatten_complex(stack[1])])
-    np.testing.assert_array_equal(unflatten_complex(flatten_complex(stack), (3, 3)), stack)
 
 
 def test_heisenberg_chart_passes_on_exact_flow():
@@ -223,8 +232,12 @@ def test_flat_chart_residual_matches_analytic_factor_two():
 def scalar_heisenberg_chart(h):
     """The Heisenberg chart through lagrangian_heisenberg, one point at a time."""
     n = h.shape[0]
-    return operator_chart(n, lambda a, v: np.array(
-        [lagrangian_heisenberg(OperatorTangent(x, y), h) for x, y in zip(a, v)]))
+
+    def matrix(x):  # inverse of flatten_complex on one point
+        return (x[:n * n] + 1j * x[n * n:]).reshape(n, n)
+
+    return lambda q, qdot: np.array(
+        [lagrangian_heisenberg(OperatorTangent(matrix(x), matrix(y)), h) for x, y in zip(q, qdot)])
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
