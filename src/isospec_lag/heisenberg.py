@@ -114,16 +114,16 @@ def lagrangian_heisenberg_chart(h: np.ndarray):
 
     L(q, v) = -q.(M q + J v): q.M q = Re Tr(A^dag [A, H]), M the real form of
     A -> [A, H] on row-major vec A, built once, here; J v = [Im v, -Re v] is
-    -i Adot.  ``h`` must already be a validated Hermitian matrix: nothing is
-    checked (an anti-Hermitian part adds only imaginary parts to the traces)
-    but the widths of q and v, once per stacked call.
+    -i Adot.  ``h`` is checked square and finite (as_complex_matrix) once, here,
+    but not Hermitian: an anti-Hermitian part adds only imaginary parts to the
+    traces.  The widths of q and v are checked once per stacked call.
     Each row's M q is its own vector-matrix product, so a stacked evaluation
     rounds exactly like the per-point one.
     """
-    n = h.shape[0]
+    h = as_complex_matrix(h, "hamiltonian")
+    n, half = len(h), h.size
     c = np.kron(np.eye(n), h.T) - np.kron(h, np.eye(n))  # vec [A, H] = C vec A
     form_t = np.block([[c.real, -c.imag], [c.imag, c.real]]).T.copy()  # M^T, C-ordered
-    half = n * n
 
     def evaluate(q, v):
         if q.shape[-1] != 2 * half or v.shape[-1] != 2 * half:
@@ -141,8 +141,8 @@ def lagrangian_heisenberg_chart(h: np.ndarray):
 def lagrangian_heisenberg_values(a: np.ndarray, ad: np.ndarray, h: np.ndarray) -> np.ndarray:
     """Operator-space Lagrangian over stacks: lagrangian_heisenberg_chart(h) at
     flatten_complex of ``a`` and ``ad``, complex arrays of shape ``(..., n, n)``;
-    the result has shape ``(...)``.  ``h`` must already be a validated
-    Hermitian ``(n, n)`` matrix: nothing is checked here."""
+    the result has shape ``(...)``.  ``h`` must already be Hermitian ``(n, n)``:
+    the chart checks only its shape and finiteness."""
     return lagrangian_heisenberg_chart(h)(flatten_complex(a), flatten_complex(ad))
 
 

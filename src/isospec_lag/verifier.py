@@ -6,18 +6,16 @@ any callable evaluate(q, qdot) mapping points and velocities of one shape
 grid plus points (N, dim), N >= 5.  The checker forms d/dt(dL/dqdot) -
 dL/dq with centered differences and reports the residual vectors at the
 interior samples, the bumped points of consecutive samples stacked into
-calls of at most COORDINATES_PER_CALL coordinates each.  Helpers chart
-complex matrix spaces (entrywise real and imaginary parts) and the
-unitary group (Cayley coordinates around each sample, u = u_center
-cay(X): rational, exactly unitary and taken from linear solves, with no
-eigendecomposition) so the analytic residuals of the operator and orbit
-Lagrangians can be cross-checked without trusting their derivations.
-Every chart here evaluates the one operator kernel,
-lagrangian_heisenberg_chart, a real quadratic form built once per chart:
-the operator chart on its own coordinates (points of another width than
-2 n^2 raise an error naming both widths), the unitary chart at
-flatten_complex of the pullback (sqrt(sigma) u, sqrt(sigma) udot) of the
-orbit Lagrangian.
+calls of at most COORDINATES_PER_CALL coordinates each.  Charts of
+complex matrix spaces (flatten_complex) and of the unitary group (Cayley
+coordinates around each sample, u = u_center cay(X): rational, exactly
+unitary and taken from linear solves) let the analytic residuals of the
+operator and orbit Lagrangians be cross-checked without trusting their
+derivations.  Each evaluates lagrangian_heisenberg_chart, a real quadratic
+form built once per chart: the operator chart on its own coordinates
+(another width than 2 n^2 raises an error naming both), the unitary chart
+on the pullback (sqrt(sigma) u, sqrt(sigma) udot) of the orbit Lagrangian,
+its inputs checked by one helper for the chart and the path alike.
 
 Velocity-linear Lagrangians are degenerate; their residuals are
 reported as-is, with no constraint reduction.
@@ -31,8 +29,8 @@ from typing import Callable
 import numpy as np
 
 from .heisenberg import flatten_complex, lagrangian_heisenberg_chart
-from .operator_core import (HERMITIAN_TOL, as_complex_matrix, dagger, hermitian_sqrt,
-                            require_hermitian, unitary_algebra_basis)
+from .operator_core import (HERMITIAN_TOL, dagger, hermitian_sqrt, require_hermitian,
+                            unitary_algebra_basis)
 
 #: Bump size h of every centered difference in gradients.
 GRADIENT_STEP = 1e-5
@@ -74,6 +72,8 @@ def gradients(lagrangian: Callable, q, qdot, wrt: str) -> np.ndarray:
         raise ValueError(f"q has shape {shape} but qdot has shape {np.shape(qdot)}")
     if wrt not in ("q", "qdot"):
         raise ValueError(f"unknown gradient {wrt!r}")
+    if shape[-1:] in ((), (0,)):
+        raise ValueError(f"need q and qdot of shape (..., dim) with dim >= 1, got {shape}")
     dim = shape[-1]
     bumps = h * np.concatenate([np.eye(dim), -np.eye(dim)])  # (2 dim, dim): +h e_i, -h e_i
     q, qdot = (np.asarray(x, dtype=float).reshape(-1, 1, dim) for x in (q, qdot))
@@ -179,24 +179,32 @@ def unitary_chart(u_center, sigma, hamiltonian) -> Callable:
     must be positive semidefinite, as a state is.  With X = sum_j q_j B_j,
     Y = I - X/2 and E = sum_j qdot_j B_j, u = u_center cay(X) = u_center
     (2 Y^-1 - I) and udot = u_center Y^-1 E Y^-1 (Iserles et al., Lie-group
-    methods, Acta Numerica 2000, sec. 8).  The inputs are validated and the
-    root taken once, here: the chart's points and velocities are unitary and
+    methods, Acta Numerica 2000, sec. 8).  _orbit_inputs checks the inputs and
+    takes the root once: the chart's points and velocities are unitary and
     tangent by construction, so stacks of them go unchecked to the kernel.
     """
-    u_center = as_complex_matrix(u_center, name="u_center")
-    if np.linalg.norm(dagger(u_center) @ u_center - np.eye(len(u_center))) > HERMITIAN_TOL:
-        raise ValueError("u_center is not unitary")
-    root, lagrangian = _orbit_operators(len(u_center), sigma, hamiltonian)
-    return _unitary_chart(u_center, root, lagrangian, unitary_algebra_basis(len(u_center)))
+    u_center, root, lagrangian, basis = _orbit_inputs("u_center", u_center, sigma, hamiltonian)
+    return _unitary_chart(u_center, root, lagrangian, basis)
 
 
-def _orbit_operators(n, sigma, hamiltonian):
-    """sqrt(sigma) and lagrangian_heisenberg_chart(h), both checked, n x n as the unitaries."""
+def _orbit_inputs(name, unitaries, sigma, hamiltonian):
+    """The unitaries "u_center" (n, n) or "unitaries" (N, n, n), each within HERMITIAN_TOL of
+    unitary (NaN and inf fail; the first bad "unitary sample k" is named), sqrt(sigma),
+    lagrangian_heisenberg_chart(H) for sigma and H n x n, and the u(n) basis, all checked."""
+    us, path = np.asarray(unitaries, dtype=complex), name == "unitaries"
+    if us.ndim != 2 + path or us.shape[-1] != us.shape[-2]:
+        raise ValueError(f"need {name} ({'N, ' * path}n, n), got shape {us.shape}")
+    n = us.shape[-1]
+    with np.errstate(invalid="ignore", over="ignore"):  # inf and NaN defects fail below
+        defects = np.linalg.norm(dagger(us) @ us - np.eye(n), axis=(-2, -1))
+    bad = np.flatnonzero(~(defects <= HERMITIAN_TOL))
+    if bad.size:
+        raise ValueError(f"{f'unitary sample {bad[0]}' if path else name} is not unitary")
     root, h = hermitian_sqrt(sigma, name="sigma"), require_hermitian(hamiltonian, name="hamiltonian")
-    for name, m in (("sigma", root), ("hamiltonian", h)):
+    for label, m in (("sigma", root), ("hamiltonian", h)):
         if m.shape != (n, n):
-            raise ValueError(f"{name} is {m.shape[0]}x{m.shape[1]} but the unitaries are {n}x{n}")
-    return root, lagrangian_heisenberg_chart(h)
+            raise ValueError(f"{label} is {m.shape[0]}x{m.shape[1]} but the unitaries are {n}x{n}")
+    return us, root, lagrangian_heisenberg_chart(h), unitary_algebra_basis(n)
 
 
 def _unitary_chart(u_centers, root, lagrangian, basis) -> Callable:
@@ -220,13 +228,12 @@ def _unitary_chart(u_centers, root, lagrangian, basis) -> Callable:
 def el_residual_unitary_path(times, unitaries, sigma, hamiltonian) -> np.ndarray:
     """Chart-based EL residuals along a sampled unitary path.
 
-    Each interior sample gets its own Cayley chart; the five-point window
-    around it is pulled into that chart and el_residual_path's stencil is
-    evaluated at the centre.  Row i belongs to sample i + 2, as in
-    el_residual_path.  The inputs are checked once, here (every sample
-    unitary, the grid as in el_residual_path, sigma and H n x n); the
-    windows go in blocks of at most COORDINATES_PER_CALL coordinates to a
-    gradients call.
+    Each interior sample gets its own Cayley chart; the five-point window around it
+    is pulled into that chart and el_residual_path's stencil is evaluated at the centre,
+    dL/dqdot only at the two samples it differences: 6 n^2 evaluations per window.  Row
+    i belongs to sample i + 2, as in el_residual_path.  _orbit_inputs checks the inputs,
+    then the grid is checked as in el_residual_path; the windows go in blocks of at most
+    COORDINATES_PER_CALL coordinates to a gradients call.
 
     With rho = u^dag sigma u the exact Euler-Lagrange covector of
     lagrangian_unitary in the left-invariant frame B_j works out to
@@ -236,17 +243,9 @@ def el_residual_unitary_path(times, unitaries, sigma, hamiltonian) -> np.ndarray
     here agree with el_residual_unitary, the residual of that equation,
     up to the O(grid^2) discretization error.
     """
-    us = np.asarray(unitaries, dtype=complex)
-    if us.ndim != 3 or us.shape[1] != us.shape[2]:
-        raise ValueError(f"need unitaries (N, n, n), got shape {us.shape}")
+    us, root, lagrangian, basis = _orbit_inputs("unitaries", unitaries, sigma, hamiltonian)
     dt = _uniform_spacing(times, len(us))
-    defects = np.linalg.norm(dagger(us) @ us - np.eye(us.shape[-1]), axis=(1, 2))
-    bad = np.flatnonzero(~(defects <= HERMITIAN_TOL))  # NaN and inf fail too
-    if bad.size:
-        raise ValueError(f"unitary sample {bad[0]} is not unitary")
-    root, lagrangian = _orbit_operators(us.shape[-1], sigma, hamiltonian)
-    basis = unitary_algebra_basis(us.shape[-1])
-    block = max(1, COORDINATES_PER_CALL // (6 * len(basis) ** 2))  # 3 x 2 dim bumps per window
+    block = max(1, COORDINATES_PER_CALL // (4 * len(basis) ** 2))  # 2 x 2 dim bumps per window
     rows = []
     for start in range(2, len(us) - 2, block):
         centers = np.arange(start, min(start + block, len(us) - 2))
@@ -254,7 +253,7 @@ def el_residual_unitary_path(times, unitaries, sigma, hamiltonian) -> np.ndarray
         windows = chart_coordinates(us[centers, np.newaxis],
                                     us[centers[:, np.newaxis] + np.arange(-2, 3)], basis)
         velocities = (windows[:, 2:] - windows[:, :-2]) / (2 * dt)  # window samples 1..3
-        momenta = gradients(lag, windows[:, 1:4], velocities, "qdot")
+        momenta = gradients(lag, windows[:, 1:4:2], velocities[:, ::2], "qdot")  # samples 1, 3
         forces = gradients(lag, windows[:, 2], velocities[:, 1], "q")
-        rows.append((momenta[:, 2] - momenta[:, 0]) / (2 * dt) - forces)
+        rows.append((momenta[:, 1] - momenta[:, 0]) / (2 * dt) - forces)
     return np.concatenate(rows)

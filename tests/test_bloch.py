@@ -277,6 +277,13 @@ def test_conjugate_flow_keeps_the_south_pole_at_tiny_trace():
     np.testing.assert_array_equal(coords, [[[0.0, 0.0, -1.0]]] * 2)
 
 
+def test_conjugate_flow_rejects_a_state_without_positive_trace():
+    # points are not checked against the ball: [0, 0, -3] is diag(-1, 2), whose
+    # trace 2 e^-t - e^t under the diagonal flow is negative at t = 1
+    with pytest.raises(ValueError, match="^conjugated state has no positive finite trace$"):
+        conjugate_flow(3, 1.0, [0.0, 0.0, -3.0])
+
+
 def test_stacked_frame_matches_per_point_fields():
     rng = np.random.default_rng(15)
     points = [uniform_ball_sample(rng) for _ in range(20)]

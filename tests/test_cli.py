@@ -842,6 +842,14 @@ def test_non_string_output_path_exits_2(tmp_path, capsys):
     pytest.param("verify", json.dumps({**valid_doc("verify"),
                                        "times": {"t_final": 0.05, "step": 0.01}}), [],
                  "verify needs at least 9 grid samples", id="six-sample-verify"),
+    pytest.param("heisenberg", json.dumps({**valid_doc("heisenberg"), "matrices": {
+        **valid_doc("heisenberg")["matrices"], "initial": [[0, 1], [1, 0]]}}), [],
+                 "matrix 'initial' must be a nested array of [re, im] pairs, got shape (2, 2)",
+                 id="real-matrix"),
+    pytest.param("heisenberg", json.dumps({**valid_doc("heisenberg"), "tolerances": [1.0]}), [],
+                 "tolerances must be an object", id="list-tolerances"),
+    pytest.param("heisenberg", json.dumps({**valid_doc("heisenberg"), "output": {"format": "xml"}}),
+                 [], "format must be csv or json, got 'xml'", id="xml-format"),
 ])
 def test_config_error_exits_2_on_one_line_without_outputs(tmp_path, capsys, kind, text, args,
                                                           message):

@@ -217,6 +217,49 @@ def test_chart_kernel_rounds_each_row_alike_in_any_stack(seed, n, stack, data):
     np.testing.assert_array_equal(lagrangian_heisenberg_values(a, ad, h), values)
 
 
+def test_chart_kernel_takes_array_like_hamiltonians():
+    rng = np.random.default_rng(9)
+    q, v = rng.standard_normal((2, 5, 8))
+    h = [[1.0, 0.5], [0.5, -1.0]]
+    np.testing.assert_array_equal(lagrangian_heisenberg_chart(h)(q, v),
+                                  lagrangian_heisenberg_chart(np.array(h, dtype=complex))(q, v))
+
+
+@pytest.mark.parametrize("h, match", [
+    pytest.param(np.ones((2, 3)), r"^hamiltonian must be a square matrix, got shape \(2, 3\)$",
+                 id="2x3"),
+    pytest.param(np.ones(4), r"^hamiltonian must be a square matrix, got shape \(4,\)$",
+                 id="vector"),
+    pytest.param([[1, np.nan], [np.nan, -1]], "^hamiltonian contains non-finite entries$",
+                 id="nan"),
+    pytest.param([[np.inf, 0], [0, 1]], "^hamiltonian contains non-finite entries$", id="inf"),
+])
+def test_chart_kernel_checks_its_hamiltonian_when_built(h, match):
+    # checked when the chart is built, so that no evaluation meets a bad H
+    with pytest.raises(ValueError, match=match):
+        lagrangian_heisenberg_chart(h)
+
+
+THREE = np.eye(3)
+
+
+@pytest.mark.parametrize("call, match", [
+    pytest.param(lambda: OperatorTangent(SX, THREE), "^point and velocity dimensions differ$",
+                 id="tangent"),
+    pytest.param(lambda: lagrangian_heisenberg(OperatorTangent(THREE, THREE), SZ),
+                 "^hamiltonian dimension differs from tangent$", id="lagrangian"),
+    pytest.param(lambda: cartan_one_form_heisenberg(SX, THREE), "^dimension mismatch$",
+                 id="one-form"),
+    pytest.param(lambda: cartan_two_form_heisenberg(SX, THREE), "^dimension mismatch$",
+                 id="two-form"),
+    pytest.param(lambda: el_residual_heisenberg(OperatorTangent(THREE, THREE), SZ),
+                 "^hamiltonian dimension differs from tangent$", id="el-residual"),
+])
+def test_operator_forms_reject_a_dimension_mismatch(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
 def test_cartan_one_form():
     rng = np.random.default_rng(10)
     assert abs(cartan_one_form_heisenberg(rand_hermitian(rng, 4), rand_hermitian(rng, 4))) <= 1e-12

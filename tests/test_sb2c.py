@@ -71,6 +71,12 @@ def test_element_requires_positive_r():
         SB2CElement(-1.0, 0.0, 0.0)
 
 
+@pytest.mark.parametrize("x, y", [(math.nan, 0.0), (0.0, math.inf), (-math.inf, 0.0)])
+def test_element_requires_finite_coordinates(x, y):
+    with pytest.raises(ValueError, match="^coordinates must be finite$"):
+        SB2CElement(1.0, x, y)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_reduced_state_requires_finite_coordinates(bad):
     # a non-finite y used to start a run whose first row was non-finite,

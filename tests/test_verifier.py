@@ -84,6 +84,17 @@ def test_gradients_reject_a_velocity_of_another_shape(wrt):
         gradients(free, np.zeros((2, 3)), np.arange(6.0).reshape(3, 2), wrt)
 
 
+@pytest.mark.parametrize("shape, text", [
+    pytest.param((), r"\(\)", id="0-d"),
+    pytest.param((0,), r"\(0,\)", id="no-coordinates"),
+    pytest.param((3, 0), r"\(3, 0\)", id="stack-without-coordinates"),
+])
+def test_gradients_name_a_shape_without_coordinates(shape, text):
+    with pytest.raises(ValueError, match=r"^need q and qdot of shape \(\.\.\., dim\) with dim >= 1, "
+                                         rf"got {text}$"):
+        gradients(free, np.zeros(shape), np.zeros(shape), "qdot")
+
+
 def test_gradient_of_kinetic_term():
     qdot = np.array([1.5, -0.25])
     got = gradients(free, np.zeros(2), qdot, wrt="qdot")
@@ -532,6 +543,8 @@ def test_unitary_path_builds_the_basis_once(monkeypatch):
     us = [u0 @ scipy.linalg.expm(-1j * t * h) for t in times]
     assert el_residual_unitary_path(times, us, np.diag([0.7, 0.3]), h).shape == (7, 4)
     assert calls == [2]
+    unitary_chart(us[2], np.diag([0.7, 0.3]), h)
+    assert calls == [2, 2]
 
 
 def orbit_setup(n, samples, seed):
@@ -559,6 +572,26 @@ def test_orbit_inputs_must_have_the_unitaries_shape(check, bad):
         check(times, us, args["sigma"], args["hamiltonian"])
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, 1e200])
+def test_orbit_inputs_name_the_first_bad_unitary(value):
+    # one check serves both entry points: NaN, inf and overflow fail it as a
+    # large defect does, with no floating-point warning
+    times, us, sigma, h = orbit_setup(2, 9, seed=19)
+    us[[4, 6], 0, 1] = value
+    with pytest.raises(ValueError, match="^unitary sample 4 is not unitary$"):
+        el_residual_unitary_path(times, us, sigma, h)
+    with pytest.raises(ValueError, match="^u_center is not unitary$"):
+        unitary_chart(us[4], sigma, h)
+
+
+def test_orbit_inputs_name_the_shape_of_the_unitaries():
+    times, us, sigma, h = orbit_setup(2, 9, seed=19)
+    with pytest.raises(ValueError, match=r"^need unitaries \(N, n, n\), got shape \(2, 2\)$"):
+        el_residual_unitary_path(times, us[0], sigma, h)
+    with pytest.raises(ValueError, match=r"^need u_center \(n, n\), got shape \(9, 2, 2\)$"):
+        unitary_chart(us, sigma, h)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_stacked_rows_match_a_chart_per_window(n):
     # the residual at each sample from its own chart and five-sample path,
@@ -573,8 +606,8 @@ def test_stacked_rows_match_a_chart_per_window(n):
 
 
 @pytest.mark.parametrize("n, samples, blocks", [
-    (2, 11, 1), (2, 401, 5),  # 85 windows to a block at n = 2
-    (4, 11, 2), (4, 401, 80),  # 5 windows to a block at n = 4
+    (2, 11, 1), (2, 401, 4),  # 128 windows to a block at n = 2
+    (4, 11, 1), (4, 401, 50),  # 8 windows to a block at n = 4
 ])
 def test_unitary_path_splits_into_bounded_calls(monkeypatch, n, samples, blocks):
     calls = []
@@ -592,8 +625,8 @@ def test_unitary_path_splits_into_bounded_calls(monkeypatch, n, samples, blocks)
     monkeypatch.setattr(verifier, "_unitary_chart", counting)
     times, us, sigma, h = orbit_setup(n, samples, seed=50)
     assert len(el_residual_unitary_path(times, us, sigma, h)) == samples - 4
-    # 3 samples of 2 n^2 bumps for dL/dqdot and 1 for dL/dq in each window
-    assert sum(calls) == 8 * n * n * (samples - 4)
+    # 2 samples of 2 n^2 bumps for dL/dqdot and 1 for dL/dq in each window
+    assert sum(calls) == 6 * n * n * (samples - 4)
     assert len(calls) == 2 * blocks
     assert max(calls) * n * n <= verifier.COORDINATES_PER_CALL
 

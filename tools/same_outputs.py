@@ -15,8 +15,14 @@ decides whether the difference is only rounding: whether the exit codes
 agree, whether every invariant's PASS/FAIL verdict agrees, the largest
 absolute difference between the two trajectories' values, read from the
 files, and how far each invariant's ``max`` in ``report.json`` moved,
-relative to the larger of the two values and in absolute terms.  The
-summary line gives the largest of each over all runs.  The exit status is 1 if any run differs, else 0 (2 if a
+relative to the larger of the two values and in absolute terms.
+
+No CLI kind runs the orbit Lagrangian's check, so each child also runs
+``verifier.el_residual_unitary_path`` on the fixed setups of
+``ORBIT_SETUPS`` below.  Their rows are compared by the sha256 of their
+bytes; where they differ, the largest absolute difference between the
+two trees' rows is printed.  The summary line gives the largest of each
+over all runs.  The exit status is 1 if any run differs, else 0 (2 if a
 tree could not be run).  Of this checkout only ``perfbench/`` is read;
 configs and outputs go to a temporary directory.
 """
@@ -59,6 +65,10 @@ ALPHA_SB2C = (
     ("pole", [[0, -2], [-0.3, 2]], [[-1.8, -1.6], [-1.6, 0.1]], (-2.0, 2.7), 1.0, 0.5,
      "csv"),  # 3: the first step [0, 0.5] jumps Phi's pole r = 2.953
 )
+
+#: (n, samples) of the el_residual_unitary_path runs: the flow u(t) = u0 exp(-iHt) on the
+#: times 0.01 k, with u0, unit-norm H and a full-rank state sigma drawn from a seed of its own.
+ORBIT_SETUPS = tuple((n, samples) for n in (1, 2, 3, 4) for samples in (11, 101, 401))
 
 
 class _Buffer(io.TextIOBase):
@@ -126,6 +136,57 @@ def _run_tree(src: str, out_root: str) -> dict:
         results[run_id] = {"exit": code, "stdout": out.take(), "stderr": err.take(),
                            "report": _report(run_dir / "out"), "trajectory": digest}
     return results
+
+
+def _orbit_setup(n: int, samples: int):
+    """times, unitaries, sigma and H of one ORBIT_SETUPS run, from numpy alone."""
+    rng = np.random.default_rng(1000 * n + samples)
+
+    def gaussian():
+        return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+
+    g = gaussian()
+    h = g + g.conj().T
+    h /= np.linalg.norm(h)
+    w, v = np.linalg.eigh(h)
+    u0, basis = np.linalg.qr(gaussian())[0], np.linalg.qr(gaussian())[0]
+    p = rng.random(n) + 0.1
+    times = np.arange(samples) * 1e-2
+    us = u0 @ (v * np.exp(-1j * np.multiply.outer(times, w))[:, np.newaxis, :]) @ v.conj().T
+    return times, us, (basis * (p / p.sum())) @ basis.conj().T, h
+
+
+def _orbit_rows(out_root: str) -> dict:
+    """sha256 of each ORBIT_SETUPS run's rows, or the error it raised, keyed
+    ``orbit/n<n>-<samples>``; the rows stay in ``out_root/<run id>.npy``."""
+    from isospec_lag.verifier import el_residual_unitary_path
+
+    Path(out_root, "orbit").mkdir(parents=True)
+    results = {}
+    for n, samples in ORBIT_SETUPS:
+        run_id = f"orbit/n{n}-{samples}"
+        try:
+            rows = el_residual_unitary_path(*_orbit_setup(n, samples))
+        except Exception as exc:  # an error is an output like any other
+            results[run_id] = f"{type(exc).__name__}: {exc}"
+            continue
+        np.save(Path(out_root, f"{run_id}.npy"), rows)
+        results[run_id] = hashlib.sha256(np.ascontiguousarray(rows).tobytes()).hexdigest()
+    return results
+
+
+def _largest_row_difference(parent_root: str, change_root: str, run_id: str) -> float | str:
+    """Largest absolute difference between the trees' rows of an orbit run, or
+    why they cannot be compared value by value."""
+    paths = [Path(root, f"{run_id}.npy") for root in (parent_root, change_root)]
+    if not all(p.is_file() for p in paths):
+        return "no rows on " + ("both sides" if not any(p.is_file() for p in paths)
+                                else "one side")
+    a, b = (np.load(p) for p in paths)
+    if a.shape != b.shape:
+        return f"shapes differ: {a.shape} and {b.shape}"
+    with np.errstate(invalid="ignore"):
+        return float(np.max(np.abs(a - b), initial=0.0))
 
 
 def _report(out_dir: Path) -> dict | None:
@@ -218,7 +279,8 @@ def _outputs(src: str, out_root: str) -> dict | None:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if argv[:1] == ["--child"]:
-        print(json.dumps(_run_tree(argv[1], argv[2])), file=sys.__stdout__)
+        outputs = {"cli": _run_tree(argv[1], argv[2]), "orbit": _orbit_rows(argv[2])}
+        print(json.dumps(outputs), file=sys.__stdout__)
         return 0
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent_src")
@@ -229,6 +291,8 @@ def main(argv=None) -> int:
         parent, change = _outputs(args.parent_src, roots[0]), _outputs(args.change_src, roots[1])
         if parent is None or change is None:
             return 2
+        (parent, parent_orbit), (change, change_orbit) = ((d["cli"], d["orbit"])
+                                                          for d in (parent, change))
         runs = sorted(parent.keys() | change.keys())
         differ = [run_id for run_id in runs if parent.get(run_id) != change.get(run_id)]
         exits_differ, verdicts_differ, deltas, drifts = 0, 0, [], {}
@@ -257,11 +321,26 @@ def main(argv=None) -> int:
                   f"PASS/FAIL verdicts {'agree' if same_verdicts else 'DIFFER'}; "
                   f"largest trajectory difference: {delta}; "
                   f"invariant max differences: {_describe(drift)}")
+        orbit_runs = sorted(parent_orbit.keys() | change_orbit.keys())
+        orbit_differ, row_deltas = [], []
+        for run_id in orbit_runs:
+            a, b = parent_orbit.get(run_id), change_orbit.get(run_id)
+            if a == b:
+                continue
+            orbit_differ.append(run_id)
+            delta = _largest_row_difference(*roots, run_id)
+            if isinstance(delta, float):
+                row_deltas.append(delta)
+            print(f"{run_id}: rows differ\n  parent: {a}\n  change: {b}\n"
+                  f"  largest row difference: {delta}")
     print(f"{len(differ)} of {len(runs)} runs differ; of those, exit codes differ in "
           f"{exits_differ}, PASS/FAIL verdicts in {verdicts_differ}; "
           f"largest trajectory difference: {np.max(deltas, initial=0.0)}; "
-          f"largest invariant max differences: {_describe(dict(sorted(drifts.items())))}")
-    return 1 if differ else 0
+          f"largest invariant max differences: {_describe(dict(sorted(drifts.items())))}; "
+          f"{len(orbit_differ)} of {len(orbit_runs)} orbit residual runs differ "
+          f"({sum(':' in v for v in parent_orbit.values())} raised in the parent); "
+          f"largest row difference: {np.max(row_deltas, initial=0.0)}")
+    return 1 if differ or orbit_differ else 0
 
 
 if __name__ == "__main__":
