@@ -303,8 +303,8 @@ def _run_sb2c(config: ScenarioConfig):
     rho0 = setup.a0 @ dagger(setup.a0)
     ys, rs, xs = traj.states.T
     gm = sb2c_matrices(rs, xs, ys)
-    det_drifts = np.abs(np.linalg.det(gm @ rho0 @ dagger(gm))
-                        - np.linalg.det(rho0))
+    with np.errstate(over="ignore", invalid="ignore"):  # a row out of float range reads NaN
+        det_drifts = np.abs(np.linalg.det(gm @ rho0 @ dagger(gm)) - np.linalg.det(rho0))
     return traj, {
         "constraint_residual": np.abs(constraint_residual_values(rs, xs, ys, params)),
         "determinant_conservation": det_drifts,

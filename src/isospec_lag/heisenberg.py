@@ -40,9 +40,7 @@ class OperatorTangent:
 
     def __post_init__(self):
         self.point = as_complex_matrix(self.point, "point")
-        self.velocity = as_complex_matrix(self.velocity, "velocity")
-        if self.point.shape != self.velocity.shape:
-            raise ValueError("point and velocity dimensions differ")
+        self.velocity = as_complex_matrix(self.velocity, "velocity", shape=self.point.shape)
 
 
 def heisenberg_rhs(a, h) -> np.ndarray:
@@ -63,7 +61,7 @@ def evolve_heisenberg_exact(a0, h, t) -> np.ndarray:
         If ``h`` is not Hermitian.
     """
     a0 = as_complex_matrix(a0, "initial")
-    h = require_hermitian(h, name="hamiltonian")
+    h = require_hermitian(h, name="hamiltonian", shape=a0.shape)
     u = hermitian_propagator(h, t)
     return dagger(u) @ a0 @ u
 
@@ -80,9 +78,7 @@ def evolve_heisenberg_rk4(a0, h, t_final: float, step: float) -> Trajectory:
         inputs are invalid.
     """
     h = require_hermitian(h, name="hamiltonian")
-    a0 = as_complex_matrix(a0, "initial")
-    if a0.shape != h.shape:
-        raise ValueError("initial and hamiltonian dimensions differ")
+    a0 = as_complex_matrix(a0, "initial", shape=h.shape)
     return rk4_commutator_trajectory(a0, h, -1, t_final, step, "A")
 
 
@@ -94,9 +90,7 @@ def lagrangian_heisenberg(tangent: OperatorTangent, h) -> float:
     (A, Adot) pairs.
     """
     a = tangent.point
-    h = require_hermitian(h, name="hamiltonian")
-    if h.shape != a.shape:
-        raise ValueError("hamiltonian dimension differs from tangent")
+    h = require_hermitian(h, name="hamiltonian", shape=a.shape)
     return float(lagrangian_heisenberg_values(a, tangent.velocity, h))
 
 
@@ -152,9 +146,7 @@ def cartan_one_form_heisenberg(point, v) -> float:
     Zero whenever both arguments are Hermitian.
     """
     a = as_complex_matrix(point, "point")
-    v = as_complex_matrix(v, "v")
-    if a.shape != v.shape:
-        raise ValueError("dimension mismatch")
+    v = as_complex_matrix(v, "v", shape=a.shape)
     # (i/2)(z - conj(z)) = -Im z with z = Tr(A^dag v); real by construction
     return float(-np.trace(dagger(a) @ v).imag)
 
@@ -166,9 +158,7 @@ def cartan_two_form_heisenberg(v1, v2) -> float:
     Hermitian matrices.
     """
     v1 = as_complex_matrix(v1, "v1")
-    v2 = as_complex_matrix(v2, "v2")
-    if v1.shape != v2.shape:
-        raise ValueError("dimension mismatch")
+    v2 = as_complex_matrix(v2, "v2", shape=v1.shape)
     # i(z - conj(z)) = -2 Im z with z = Tr(v1 v2^dag)
     return float(-2.0 * np.trace(v1 @ dagger(v2)).imag)
 
@@ -182,7 +172,5 @@ def el_residual_heisenberg(tangent: OperatorTangent, h) -> float:
     equation.
     """
     a, ad = tangent.point, tangent.velocity
-    h = require_hermitian(h, name="hamiltonian")
-    if h.shape != a.shape:
-        raise ValueError("hamiltonian dimension differs from tangent")
+    h = require_hermitian(h, name="hamiltonian", shape=a.shape)
     return frobenius_norm(commutator(a, h) - 1j * ad)

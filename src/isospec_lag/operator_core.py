@@ -20,7 +20,7 @@ import numpy as np
 HERMITIAN_TOL = 1e-10
 
 
-def as_complex_matrix(m, name: str = "matrix") -> np.ndarray:
+def as_complex_matrix(m, name: str = "matrix", shape=None) -> np.ndarray:
     """Validate and return ``m`` as a square complex matrix.
 
     Parameters
@@ -29,28 +29,30 @@ def as_complex_matrix(m, name: str = "matrix") -> np.ndarray:
         Square matrix data.
     name : str
         Label used in error messages.
+    shape : tuple of int, optional
+        The (n, n) the caller needs, usually the shape of the matrix that
+        ``m`` pairs with; ``None`` takes any square shape.
 
     Returns
     -------
     numpy.ndarray
-        Complex128 copy of ``m``.
+        ``m`` as complex128: ``m`` itself when it already is one, so the
+        caller must not write into the result.
 
     Raises
     ------
     ValueError
-        If ``m`` is not square 2-D or contains non-finite entries.
+        If ``m`` is not square 2-D, has another shape than ``shape``, or
+        contains non-finite entries.
     """
     arr = np.asarray(m, dtype=complex)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"{name} must be a square matrix, got shape {arr.shape}")
+    if shape is not None and arr.shape != shape:
+        raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
     if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
         raise ValueError(f"{name} contains non-finite entries")
     return arr
-
-
-def _check_same_dim(a: np.ndarray, b: np.ndarray) -> None:
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
 
 
 def dagger(m) -> np.ndarray:
@@ -60,10 +62,9 @@ def dagger(m) -> np.ndarray:
 
 
 def commutator(a, b) -> np.ndarray:
-    """Return ``ab - ba``."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    _check_same_dim(a, b)
+    """Return ``ab - ba`` of two finite square matrices of one shape."""
+    a = as_complex_matrix(a, "a")
+    b = as_complex_matrix(b, "b", shape=a.shape)
     return a @ b - b @ a
 
 
@@ -78,16 +79,17 @@ def hermitian_defect(m) -> float:
     return frobenius_norm(m - dagger(m))
 
 
-def require_hermitian(m, name: str = "matrix") -> np.ndarray:
+def require_hermitian(m, name: str = "matrix", shape=None) -> np.ndarray:
     """Return the Hermitian part ``(m + m^dag) / 2`` of ``m``, raising if
     ``m`` is not Hermitian; an exactly Hermitian ``m`` comes back as given.
+    ``m`` is first checked by ``as_complex_matrix(m, name, shape)``.
 
     Raises
     ------
     ValueError
         If the Hermitian defect exceeds ``HERMITIAN_TOL``.
     """
-    arr = as_complex_matrix(m, name)
+    arr = as_complex_matrix(m, name, shape)
     defect = hermitian_defect(arr)
     if defect > HERMITIAN_TOL:
         raise ValueError(

@@ -62,10 +62,8 @@ class SB2CSetup:
     hamiltonian: np.ndarray
 
     def __post_init__(self):
-        self.a0 = as_complex_matrix(self.a0, "a0")
-        self.hamiltonian = require_hermitian(self.hamiltonian, name="hamiltonian")
-        if self.a0.shape != (2, 2) or self.hamiltonian.shape != (2, 2):
-            raise ValueError("setup matrices must be 2x2")
+        self.a0 = as_complex_matrix(self.a0, "a0", shape=(2, 2))
+        self.hamiltonian = require_hermitian(self.hamiltonian, name="hamiltonian", shape=(2, 2))
 
 
 @dataclass(frozen=True)
@@ -251,9 +249,11 @@ def _reduced_flow(p: SB2CParameters):
     def point(r):
         """(Phi, a + d Phi', ydot, signs) at an accepted r, where signs are
         those of the two denominators whose zeros stop the flow, a + d Phi'
-        and den; a + d Phi' = 0 does not raise here."""
+        and den; like stage, it raises where a + d Phi' rounds to 0."""
         phi, den, top, den1 = terms(r)
         denom = a + d * (top / den1**2)
+        if denom == 0.0:
+            raise SingularityError(f"dynamical denominator a + d Phi'(r) vanishes at r={r}")
         signs = (math.copysign(1.0, denom), math.copysign(1.0, den))
         return phi, denom, (ga * r + gd * phi + da / r) / d, signs
 
@@ -273,8 +273,8 @@ def _reduced_flow(p: SB2CParameters):
 def phi_of_r(r: float, params: SB2CParameters) -> float:
     """Constraint surface ``x = Phi(r)`` of the real symmetric case."""
     _require_simplified(params)
-    if r <= 0:
-        raise ValueError(f"r must be positive, got {r}")
+    if not (r > 0 and math.isfinite(r)):
+        raise ValueError(f"r must be positive and finite, got {r}")
     return _reduced_flow(params)[0](r)[0]
 
 
@@ -285,8 +285,8 @@ def phi_prime(r: float, params: SB2CParameters) -> float:
     it bit for bit, and ``test_phi_prime_matches_finite_difference`` pins
     it against Phi."""
     _require_simplified(params)
-    if r <= 0:
-        raise ValueError(f"r must be positive, got {r}")
+    if not (r > 0 and math.isfinite(r)):
+        raise ValueError(f"r must be positive and finite, got {r}")
     _, _, top, den1 = _reduced_flow(params)[0](r)
     return top / den1**2
 

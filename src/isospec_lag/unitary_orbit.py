@@ -83,9 +83,7 @@ class UnitaryTangent:
 
     def __post_init__(self):
         self.u = as_complex_matrix(self.u, "u")
-        self.udot = as_complex_matrix(self.udot, "udot")
-        if self.u.shape != self.udot.shape:
-            raise ValueError("u and udot dimensions differ")
+        self.udot = as_complex_matrix(self.udot, "udot", shape=self.u.shape)
         n = self.u.shape[0]
         unitary_defect = frobenius_norm(dagger(self.u) @ self.u - np.eye(n))
         if unitary_defect > HERMITIAN_TOL:
@@ -103,9 +101,9 @@ def lagrangian_unitary(ut: UnitaryTangent, sigma, h) -> float:
     The paper's closed form; the verifier's unitary chart evaluates the
     operator Lagrangian at ``(sqrt(sigma) u, sqrt(sigma) udot)`` instead.
     """
-    sigma = require_hermitian(sigma, name="sigma")
-    h = require_hermitian(h, name="hamiltonian")
     u, ud = ut.u, ut.udot
+    sigma = require_hermitian(sigma, name="sigma", shape=u.shape)
+    h = require_hermitian(h, name="hamiltonian", shape=u.shape)
     kinetic = 1j * np.trace(sigma @ ud @ dagger(u))
     potential = np.trace(dagger(u) @ sigma @ u @ h - sigma @ h)
     return float((kinetic - potential).real)
@@ -125,7 +123,7 @@ def evolve_lvn_exact(rho0, h, t) -> np.ndarray:
     eigendecomposition of ``h``.
     """
     rho0 = validate_density(rho0)
-    h = require_hermitian(h, name="hamiltonian")
+    h = require_hermitian(h, name="hamiltonian", shape=rho0.shape)
     u = hermitian_propagator(h, t)
     return u @ rho0 @ dagger(u)
 
@@ -137,9 +135,7 @@ def evolve_lvn_rk4(rho0, h, t_final: float, step: float) -> Trajectory:
     The first row of the trajectory is ``validate_density(rho0)``.
     """
     rho0 = validate_density(rho0)
-    h = require_hermitian(h, name="hamiltonian")
-    if h.shape != rho0.shape:
-        raise ValueError("density matrix and hamiltonian dimensions differ")
+    h = require_hermitian(h, name="hamiltonian", shape=rho0.shape)
     return rk4_commutator_trajectory(rho0, h, 1, t_final, step, "rho")
 
 
@@ -158,9 +154,9 @@ def el_residual_unitary(ut: UnitaryTangent, sigma, h) -> np.ndarray:
     of the group tangent that is ``udot = -i u H + u k`` with k commuting
     with u^dag sigma u.
     """
-    sigma = require_hermitian(sigma, name="sigma")
-    h = require_hermitian(h, name="hamiltonian")
     u, ud = ut.u, ut.udot
+    sigma = require_hermitian(sigma, name="sigma", shape=u.shape)
+    h = require_hermitian(h, name="hamiltonian", shape=u.shape)
     rho = dagger(u) @ sigma @ u
     rho_dot = dagger(u) @ sigma @ ud - dagger(u) @ ud @ dagger(u) @ sigma @ u
     defect = rho_dot + lvn_rhs(rho, h)

@@ -732,6 +732,32 @@ def test_sb2c_field_overflow_at_start_exits_3(tmp_path, capsys, caplog):
         assert (tmp_path / "trajectory.csv").read_text().splitlines() == ["t,y,r,x"]
 
 
+@pytest.mark.parametrize("a0, h, initial, step, t_final, rows, bracket, reason", [
+    # a diagonal A0 gives a = 0, so a + d Phi'(r) = d Phi'(r) = 0 at every r
+    pytest.param([[1, 0], [0, 2]], [[1, 0.5], [0.5, -1]], [-1.0, 2.0], 1e-2, 1.0, 0, None,
+                 "a + d Phi'(r) vanishes at r=2.0", id="diagonal-a0"),
+    pytest.param([[1, 1], [1, 2]], [[1, 0], [0, -1]], [-6.0, 0.16], 2.0, 2.0, 1, [0.0, 2.0],
+                 "the step landed outside r > 0", id="landed-at-negative-r"),
+    # the first stage reaches r ~ 1e198, whose r**4 overflows
+    pytest.param([[1, 1], [1, 2]], [[1, 0], [0, -1]], [1e200, 1.0], 1e-2, 1.0, 1, [0.0, 0.01],
+                 "the field left float range", id="field-out-of-range"),
+])
+def test_sb2c_halting_record(tmp_path, capsys, a0, h, initial, step, t_final, rows, bracket,
+                             reason):
+    cfg = write_config(tmp_path / "cfg.json", "sb2c",
+                       {"initial": [initial], "a0": a0, "hamiltonian": h}, t_final, step)
+    assert run_cli(["sb2c", "--config", cfg, "--out", tmp_path]) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and reason in err
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["singular"] is True
+    assert f"bracket={bracket!r}" in report["warnings"][0]
+    assert len((tmp_path / "trajectory.csv").read_text().splitlines()) == 1 + rows
+    if rows == 0:  # no sample to judge an invariant by
+        assert all(entry["max"] is None and entry["pass"] is False
+                   for entry in report["invariants"].values())
+
+
 def test_verify_at_the_rounding_floor_skips_the_ratio(tmp_path, capsys):
     # A0 = H: the exact flow is stationary, so both residuals are rounding
     cfg = write_config(tmp_path / "cfg.json", "verify",
@@ -850,6 +876,14 @@ def test_non_string_output_path_exits_2(tmp_path, capsys):
                  "tolerances must be an object", id="list-tolerances"),
     pytest.param("heisenberg", json.dumps({**valid_doc("heisenberg"), "output": {"format": "xml"}}),
                  [], "format must be csv or json, got 'xml'", id="xml-format"),
+    pytest.param("heisenberg", json.dumps({**valid_doc("heisenberg"), "output": []}), [],
+                 "output must be an object", id="list-output"),
+    pytest.param("sb2c", json.dumps({**valid_doc("sb2c"), "matrices": {
+        **valid_doc("sb2c")["matrices"], "initial": [[[-1.0, 0.5], [6.0, 0.0]]]}}), [],
+                 "matrix 'initial' must be real", id="imaginary-sb2c-initial"),
+    pytest.param("sb2c", json.dumps({**valid_doc("sb2c"), "matrices": {
+        **valid_doc("sb2c")["matrices"], "a0": pairs(np.eye(3))}}), [],
+                 "a0 must have shape (2, 2), got (3, 3)", id="3x3-a0"),
 ])
 def test_config_error_exits_2_on_one_line_without_outputs(tmp_path, capsys, kind, text, args,
                                                           message):

@@ -98,7 +98,7 @@ def test_scenario_validation():
 
 
 def test_scenario_rejects_dimension_mismatch():
-    with pytest.raises(ValueError, match="initial and hamiltonian dimensions differ"):
+    with pytest.raises(ValueError, match=r"^initial must have shape \(2, 2\), got \(3, 3\)$"):
         evolve_heisenberg_rk4(np.eye(3), SZ, 1.0, 1e-2)
 
 
@@ -244,16 +244,16 @@ THREE = np.eye(3)
 
 
 @pytest.mark.parametrize("call, match", [
-    pytest.param(lambda: OperatorTangent(SX, THREE), "^point and velocity dimensions differ$",
-                 id="tangent"),
+    pytest.param(lambda: OperatorTangent(SX, THREE),
+                 r"^velocity must have shape \(2, 2\), got \(3, 3\)$", id="tangent"),
     pytest.param(lambda: lagrangian_heisenberg(OperatorTangent(THREE, THREE), SZ),
-                 "^hamiltonian dimension differs from tangent$", id="lagrangian"),
-    pytest.param(lambda: cartan_one_form_heisenberg(SX, THREE), "^dimension mismatch$",
-                 id="one-form"),
-    pytest.param(lambda: cartan_two_form_heisenberg(SX, THREE), "^dimension mismatch$",
-                 id="two-form"),
+                 r"^hamiltonian must have shape \(3, 3\), got \(2, 2\)$", id="lagrangian"),
+    pytest.param(lambda: cartan_one_form_heisenberg(SX, THREE),
+                 r"^v must have shape \(2, 2\), got \(3, 3\)$", id="one-form"),
+    pytest.param(lambda: cartan_two_form_heisenberg(SX, THREE),
+                 r"^v2 must have shape \(2, 2\), got \(3, 3\)$", id="two-form"),
     pytest.param(lambda: el_residual_heisenberg(OperatorTangent(THREE, THREE), SZ),
-                 "^hamiltonian dimension differs from tangent$", id="el-residual"),
+                 r"^hamiltonian must have shape \(3, 3\), got \(2, 2\)$", id="el-residual"),
 ])
 def test_operator_forms_reject_a_dimension_mismatch(call, match):
     with pytest.raises(ValueError, match=match):

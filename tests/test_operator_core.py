@@ -4,6 +4,15 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from isospec_lag.heisenberg import (
+    OperatorTangent,
+    cartan_one_form_heisenberg,
+    cartan_two_form_heisenberg,
+    el_residual_heisenberg,
+    evolve_heisenberg_exact,
+    evolve_heisenberg_rk4,
+    lagrangian_heisenberg,
+)
 from isospec_lag.operator_core import (
     as_complex_matrix,
     commutator,
@@ -14,6 +23,14 @@ from isospec_lag.operator_core import (
     hermitian_sqrt,
     require_hermitian,
     unitary_algebra_basis,
+)
+from isospec_lag.sb2c import SB2CSetup
+from isospec_lag.unitary_orbit import (
+    UnitaryTangent,
+    el_residual_unitary,
+    evolve_lvn_exact,
+    evolve_lvn_rk4,
+    lagrangian_unitary,
 )
 
 from conftest import SI, SX, SY, SZ, rand_complex, rand_hermitian
@@ -28,6 +45,53 @@ def test_as_complex_matrix_rejects_bad_shapes():
         as_complex_matrix([[np.inf, 0], [0, 1]])
     with pytest.raises(ValueError):
         as_complex_matrix([[np.nan, 0], [0, 1]])
+
+
+TWO, THREE = np.eye(2), np.eye(3)
+
+
+def at_rest():
+    return UnitaryTangent(TWO, np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize("call, name", [
+    pytest.param(lambda: commutator(TWO, THREE), "b", id="commutator"),
+    pytest.param(lambda: OperatorTangent(TWO, THREE), "velocity", id="operator-tangent"),
+    pytest.param(lambda: evolve_heisenberg_exact(TWO, THREE, 1.0), "hamiltonian",
+                 id="heisenberg-exact"),
+    pytest.param(lambda: evolve_heisenberg_rk4(THREE, TWO, 1.0, 0.1), "initial",
+                 id="heisenberg-rk4"),
+    pytest.param(lambda: lagrangian_heisenberg(OperatorTangent(TWO, TWO), THREE),
+                 "hamiltonian", id="lagrangian-heisenberg"),
+    pytest.param(lambda: cartan_one_form_heisenberg(TWO, THREE), "v", id="one-form"),
+    pytest.param(lambda: cartan_two_form_heisenberg(TWO, THREE), "v2", id="two-form"),
+    pytest.param(lambda: el_residual_heisenberg(OperatorTangent(TWO, TWO), THREE),
+                 "hamiltonian", id="el-residual-heisenberg"),
+    pytest.param(lambda: UnitaryTangent(TWO, np.zeros((3, 3))), "udot", id="unitary-tangent"),
+    pytest.param(lambda: evolve_lvn_exact(TWO / 2, THREE, 1.0), "hamiltonian", id="lvn-exact"),
+    pytest.param(lambda: evolve_lvn_rk4(TWO / 2, THREE, 1.0, 0.1), "hamiltonian",
+                 id="lvn-rk4"),
+    pytest.param(lambda: lagrangian_unitary(at_rest(), THREE / 3, TWO), "sigma",
+                 id="lagrangian-unitary-sigma"),
+    pytest.param(lambda: lagrangian_unitary(at_rest(), TWO / 2, THREE), "hamiltonian",
+                 id="lagrangian-unitary-hamiltonian"),
+    pytest.param(lambda: el_residual_unitary(at_rest(), THREE / 3, TWO), "sigma",
+                 id="el-residual-unitary-sigma"),
+    pytest.param(lambda: el_residual_unitary(at_rest(), TWO / 2, THREE), "hamiltonian",
+                 id="el-residual-unitary-hamiltonian"),
+    pytest.param(lambda: SB2CSetup(THREE, TWO), "a0", id="sb2c-a0"),
+    pytest.param(lambda: SB2CSetup(TWO, THREE), "hamiltonian", id="sb2c-hamiltonian"),
+])
+def test_an_input_of_another_shape_is_named(call, name):
+    # each input is checked against the shape of the one it pairs with before any
+    # product, so no mismatch reaches numpy's matmul
+    with pytest.raises(ValueError, match=rf"^{name} must have shape \(2, 2\), got \(3, 3\)$"):
+        call()
+
+
+def test_commutator_rejects_non_finite_entries():
+    with pytest.raises(ValueError, match="^b contains non-finite entries$"):
+        commutator(SI, [[np.nan, 0], [0, 1]])
 
 
 def test_dagger():

@@ -28,6 +28,7 @@ from isospec_lag.sb2c import (
     scalar_el_residuals,
 )
 from isospec_lag.trajectory import time_grid
+from isospec_lag.verifier import gradients
 
 from conftest import SX, SZ, rand_complex, rand_hermitian, rk4_step
 
@@ -276,14 +277,10 @@ def test_phi_inverse_cube_shape():
 
 def test_phi_domain_errors():
     p = derive_parameters(worked_setup())
-    with pytest.raises(ValueError):
-        phi_of_r(-1.0, p)
-    with pytest.raises(ValueError):
-        phi_of_r(0.0, p)
-    with pytest.raises(ValueError, match="r must be positive"):
-        phi_prime(-1.0, p)
-    with pytest.raises(ValueError, match="r must be positive"):
-        phi_prime(0.0, p)
+    for r in (-1.0, 0.0, math.nan, math.inf, -math.inf):
+        for f in (phi_of_r, phi_prime):
+            with pytest.raises(ValueError, match="^r must be positive and finite, got "):
+                f(r, p)
     rng = np.random.default_rng(10)
     complex_setup = SB2CSetup(rand_complex(rng, 2), rand_hermitian(rng, 2))
     with pytest.raises(ValueError):
@@ -768,6 +765,34 @@ def test_matrix_residuals_project_onto_the_scalar_rows(c, gdot, seed):
     extracted = np.array([row1, row2, row3])
     scale = max(1.0, float(np.linalg.norm(rows)), float(np.linalg.norm(extracted)))
     assert np.linalg.norm(rows - extracted) <= CONSISTENCY_TOL * scale
+
+
+#: Bound of the Euler-Lagrange identity below, relative to max(1, max|rows|).  Its finite
+#: differences of lagrangian_sb2c read up to 1.5e-6 at the corners of coords.
+EL_TOL = 1e-5
+#: Step along qdot of the centred difference that takes d/dt of dL/dqdot.
+EL_TIME_STEP = 1e-4
+
+
+@settings(max_examples=200, deadline=None)
+@given(coords, st.tuples(*[st.floats(min_value=-3.0, max_value=3.0)] * 3),
+       st.integers(min_value=0, max_value=2**32 - 1), st.booleans())
+def test_implicit_system_is_the_euler_lagrange_system_of_the_lagrangian(c, gdot, seed, real):
+    # d/dt dL/dqdot - dL/dq of lagrangian_sb2c by finite differences, in (r, x, y)
+    # order, is twice the rows of A Xdot - Y.  dL/dqdot depends on q alone (L is
+    # linear in qdot), so its d/dt is the centred difference along qdot.
+    setup = rand_setup(np.random.default_rng(seed))
+    if real:
+        setup = SB2CSetup(setup.a0.real, setup.hamiltonian.real)
+
+    def lagrangian(q, v):
+        return np.array([lagrangian_sb2c(SB2CElement(*p), w, setup) for p, w in zip(q, v)])
+
+    q, v, eps = np.array(c), np.array(gdot), EL_TIME_STEP
+    p = gradients(lagrangian, np.stack([q + eps * v, q - eps * v]), np.stack([v, v]), "qdot")
+    el = (p[0] - p[1]) / (2 * eps) - gradients(lagrangian, q, v, "q")
+    rows = 2 * scalar_el_residuals(SB2CElement(*c), gdot, setup)
+    assert np.max(np.abs(el - rows)) <= EL_TOL * max(1.0, np.max(np.abs(rows)))
 
 
 def test_matrix_residuals_vanish_at_rest_at_the_identity():

@@ -222,7 +222,7 @@ def test_evolve_lvn_rk4_stationary():
 
 
 def test_evolve_lvn_rk4_rejects_dimension_mismatch():
-    with pytest.raises(ValueError, match="dimensions differ"):
+    with pytest.raises(ValueError, match=r"^hamiltonian must have shape \(3, 3\), got \(2, 2\)$"):
         evolve_lvn_rk4(np.eye(3) / 3, SZ, t_final=1.0, step=0.05)
 
 

@@ -51,8 +51,10 @@ THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
 #: sb2c runs with a real off-diagonal H, so alpha != 0.  Every benchmark sb2c
 #: config has H = diag(1, -1), which leaves the k0, n2 and d alpha terms of
-#: Phi out of the comparison.  Each row is (id, a0, H, (y, r), t_final, step,
-#: format); the comment gives the exit code and what decides it.
+#: Phi out of the comparison.  The last row's diagonal a0 gives a = 0, the
+#: record of a field singular at its initial state.  Each row is (id, a0, H,
+#: (y, r), t_final, step, format); the comment gives the exit code and what
+#: decides it.
 ALPHA_SB2C = (
     ("regular", [[1, 1], [1, 2]], [[1, 0.5], [0.5, -1]], (-1.0, 6.0), 2.0, 1e-2,
      "csv"),  # 0
@@ -64,6 +66,8 @@ ALPHA_SB2C = (
      2.0, 1e-2, "csv"),  # 1: constraint_residual 1.3e-8 > 1e-8
     ("pole", [[0, -2], [-0.3, 2]], [[-1.8, -1.6], [-1.6, 0.1]], (-2.0, 2.7), 1.0, 0.5,
      "csv"),  # 3: the first step [0, 0.5] jumps Phi's pole r = 2.953
+    ("diagonal-a0", [[1, 0], [0, 2]], [[1, 0.5], [0.5, -1]], (-1.0, 2.0), 1.0, 1e-2,
+     "csv"),  # 3: a = 0, so a + d Phi' = 0 at every r: no rows, bracket None
 )
 
 #: (n, samples) of the el_residual_unitary_path runs: the flow u(t) = u0 exp(-iHt) on the
