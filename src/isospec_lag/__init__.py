@@ -45,7 +45,7 @@ _EXPORTS = {
     """,
     "verifier": """
         VerificationReport chart_coordinates el_residual_path
-        el_residual_unitary_path gradients heisenberg_chart unitary_chart
+        el_residual_unitary_path gradients heisenberg_chart refine unitary_chart
         verify_trajectory
     """,
 }

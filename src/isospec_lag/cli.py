@@ -172,10 +172,8 @@ def load_config(path, kind: str, out_dir=None, fmt=None,
     if kind in ("heisenberg", "lvn", "verify"):
         shape = matrices["hamiltonian"].shape
         if shape[0] != shape[1] or matrices["initial"].shape != shape:
-            raise ConfigError(
-                f"initial {matrices['initial'].shape} and hamiltonian {shape} "
-                f"must be square matrices of the same shape"
-            )
+            raise ConfigError(f"initial {matrices['initial'].shape} and hamiltonian {shape} "
+                              "must be square matrices of the same shape")
 
     times = doc.get("times", {})
     if not isinstance(times, dict) or "t_final" not in times or "step" not in times:
@@ -362,37 +360,27 @@ def _run_bloch(config: ScenarioConfig):
 def _run_verify(config: ScenarioConfig):
     from .heisenberg import flatten_complex, lagrangian_heisenberg_chart
     from .operator_core import dagger, hermitian_propagator, require_hermitian
-    from .verifier import verify_trajectory
+    from .verifier import EXPECTED_RATIO, refine
 
     initial = require_hermitian(config.matrices["initial"], name="initial")
     h = require_hermitian(config.matrices["hamiltonian"], name="hamiltonian")
     times = time_grid(config.t_final, config.step)
-    if len(times) < 9:
-        raise ConfigError("verify needs at least 9 grid samples (t_final/step >= 8)")
     u = hermitian_propagator(h, times)
     states = dagger(u) @ initial @ u
     traj = Trajectory(times=times, states=states, name="A")
 
-    lag, points = lagrangian_heisenberg_chart(h), flatten_complex(states)
-    fine = verify_trajectory(lag, times, points)
-    coarse = verify_trajectory(lag, times[::2], points[::2])
+    fine, coarse, ratio = refine(lagrangian_heisenberg_chart(h), times, flatten_complex(states))
     for label, report in (("fine", fine), ("coarse", coarse)):
         logger.info("%s pass: %d Lagrangian evaluations in %d stacked calls",
                     label, report.lagrangian_evals, report.lagrangian_calls)
     logger.info("el_residual_max worst at sample %d, t=%s",
                 fine.worst_index, format_float(times[fine.worst_index]))
-    warnings = []
-    if fine.max_residual < 1e-12 and coarse.max_residual < 1e-12:
-        ratio_dev = 0.0  # both at the rounding floor; refinement uninformative
-        warnings.append("residuals at rounding floor; convergence ratio not measured")
+    if ratio is None:  # both at the rounding floor; refinement uninformative
+        deviation, warnings = 0.0, ["residuals at rounding floor; convergence ratio not measured"]
     else:
-        ratio = coarse.max_residual / max(fine.max_residual, 1e-300)
-        ratio_dev = abs(ratio - 4.0)
+        deviation, warnings = abs(ratio - EXPECTED_RATIO), []
         logger.info("refinement ratio %.3f", ratio)
-    return traj, {
-        "el_residual_max": fine.max_residual,
-        "convergence_ratio": ratio_dev,
-    }, warnings
+    return traj, {"el_residual_max": fine.max_residual, "convergence_ratio": deviation}, warnings
 
 
 _RUNNERS = {

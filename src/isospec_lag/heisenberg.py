@@ -44,8 +44,9 @@ class OperatorTangent:
 
 
 def heisenberg_rhs(a, h) -> np.ndarray:
-    """Velocity of the Heisenberg flow: ``-i [a, h]``."""
-    return -1j * commutator(a, h)
+    """Velocity of the Heisenberg flow: ``-i [a, h]``, h of a's shape."""
+    a = as_complex_matrix(a, "a")
+    return -1j * commutator(a, as_complex_matrix(h, "hamiltonian", shape=a.shape))
 
 
 def evolve_heisenberg_exact(a0, h, t) -> np.ndarray:

@@ -224,8 +224,8 @@ def _reduced_flow(p: SB2CParameters):
     unchecked parameters, none calling numpy.  terms(r) = (Phi, den, top, den1)
     takes each power of r once: Phi = (n4 r^4 + n2 r^2 + n0) / den and
     Phi' = top / den1**2, where den = r (k2 r^2 - k0) and den1 = k2 r^3 - k0 r,
-    and raises SingularityError where either rounds to 0.  point and stage
-    (d != 0) call it once each.  The field is
+    and raises SingularityError where either rounds to 0.  point calls it once,
+    and stage (d != 0) calls point.  The field is
     ydot = (ga r + gd Phi + da / r) / d, rdot = -gd y / (a + d Phi')."""
     a, d = p.a, p.d
     n4 = p.a * (p.gamma * p.a - p.h1) - p.d * (p.gamma * p.c - p.h3)
@@ -247,9 +247,9 @@ def _reduced_flow(p: SB2CParameters):
         return num / den, den, top, den1
 
     def point(r):
-        """(Phi, a + d Phi', ydot, signs) at an accepted r, where signs are
+        """(Phi, a + d Phi', ydot, signs) at r, where signs are
         those of the two denominators whose zeros stop the flow, a + d Phi'
-        and den; like stage, it raises where a + d Phi' rounds to 0."""
+        and den; it raises where a + d Phi' rounds to 0."""
         phi, den, top, den1 = terms(r)
         denom = a + d * (top / den1**2)
         if denom == 0.0:
@@ -261,11 +261,8 @@ def _reduced_flow(p: SB2CParameters):
         """(ydot, rdot) at an RK4 stage."""
         if not 0 < r < math.inf:
             raise SingularityError(f"an RK4 stage left r > 0: r={r}")
-        phi, _, top, den1 = terms(r)
-        denom = a + d * (top / den1**2)
-        if denom == 0.0:
-            raise SingularityError(f"dynamical denominator a + d Phi'(r) vanishes at r={r}")
-        return (ga * r + gd * phi + da / r) / d, -gd * y / denom
+        _, denom, ydot, _ = point(r)
+        return ydot, -gd * y / denom
 
     return terms, point, stage
 

@@ -57,9 +57,7 @@ def validate_density(rho) -> np.ndarray:
     if w[0] < -HERMITIAN_TOL:
         raise ValueError(f"density matrix has eigenvalue {w[0]:.3e} < 0")
     if w[0] < 0:
-        logger.warning(
-            "clipping density matrix eigenvalue %.3e to zero", w[0]
-        )
+        logger.warning("clipping density matrix eigenvalue %.3e to zero", w[0])
         wc, v = np.linalg.eigh(rho)
         wc = np.clip(wc, 0.0, None)
         rho = (v * wc) @ dagger(v)
@@ -110,8 +108,9 @@ def lagrangian_unitary(ut: UnitaryTangent, sigma, h) -> float:
 
 
 def lvn_rhs(rho, h) -> np.ndarray:
-    """State-space velocity ``i [rho, H]``; traceless."""
-    return 1j * commutator(rho, h)
+    """State-space velocity ``i [rho, H]``, H of rho's shape; traceless."""
+    rho = as_complex_matrix(rho, "rho")
+    return 1j * commutator(rho, as_complex_matrix(h, "hamiltonian", shape=rho.shape))
 
 
 def evolve_lvn_exact(rho0, h, t) -> np.ndarray:

@@ -17,6 +17,10 @@ form built once per chart: the operator chart on its own coordinates
 on the pullback (sqrt(sigma) u, sqrt(sigma) udot) of the orbit Lagrangian,
 its inputs checked by one helper for the chart and the path alike.
 
+refine judges a path by grid refinement: the coarse-to-fine ratio of the largest
+residual on the grid and on every second sample, EXPECTED_RATIO for the O(step^2)
+stencil, from 9 = 2 (5 - 1) + 1 samples up, none below the 1e-12 rounding floor.
+
 Velocity-linear Lagrangians are degenerate; their residuals are
 reported as-is, with no constraint reduction.
 """
@@ -38,6 +42,8 @@ GRADIENT_STEP = 1e-5
 #: el_residual_path: on verify-fd, 9% and 25% faster than half and twice as many.
 COORDINATES_PER_CALL = 8192
 UNIFORM_SPACING_RTOL = 1e-12
+#: Coarse-to-fine ratio of the largest residual of refine, the grid step doubled: 2^2.
+EXPECTED_RATIO = 4.0
 
 
 def _uniform_spacing(times, samples: int) -> float:
@@ -121,6 +127,9 @@ def el_residual_path(lagrangian: Callable, times, points) -> np.ndarray:
 
 @dataclass(frozen=True)
 class VerificationReport:
+    """A path's largest interior residual norm max_residual, at path sample worst_index (not the
+    residual row), and the lagrangian_evals (2 dim a gradient) and lagrangian_calls it took."""
+
     max_residual: float
     worst_index: int
     lagrangian_evals: int
@@ -128,12 +137,7 @@ class VerificationReport:
 
 
 def verify_trajectory(lagrangian: Callable, times, points) -> VerificationReport:
-    """The largest interior residual norm, where it occurs and what it cost.
-
-    worst_index refers to the original path sample, not the interior
-    residual row.  The counts are those of the calls el_residual_path made:
-    2 dim evaluations for each of its N-2 + N-4 gradients in all.
-    """
+    """The VerificationReport of the path times (N,), points (N, dim)."""
     calls = []
 
     def counted(q, qdot):
@@ -144,6 +148,17 @@ def verify_trajectory(lagrangian: Callable, times, points) -> VerificationReport
     worst = int(np.argmax(norms))
     return VerificationReport(max_residual=float(norms[worst]), worst_index=worst + 2,
                               lagrangian_evals=sum(calls), lagrangian_calls=len(calls))
+
+
+def refine(lagrangian: Callable, times, points):
+    """(fine, coarse, ratio): verify_trajectory on the path and on every second sample,
+    and coarse over fine max_residual, None at the floor; below 9 samples, ValueError."""
+    if len(times) < 9:
+        raise ValueError("verify needs at least 9 grid samples (t_final/step >= 8)")
+    fine, coarse = (verify_trajectory(lagrangian, times[::s], points[::s]) for s in (1, 2))
+    if fine.max_residual < 1e-12 and coarse.max_residual < 1e-12:
+        return fine, coarse, None
+    return fine, coarse, coarse.max_residual / max(fine.max_residual, 1e-300)
 
 
 # ---------------------------------------------------------------------------

@@ -868,6 +868,9 @@ def test_non_string_output_path_exits_2(tmp_path, capsys):
     pytest.param("verify", json.dumps({**valid_doc("verify"),
                                        "times": {"t_final": 0.05, "step": 0.01}}), [],
                  "verify needs at least 9 grid samples", id="six-sample-verify"),
+    pytest.param("verify", json.dumps({**valid_doc("verify"),
+                                       "times": {"t_final": 0.07, "step": 0.01}}), [],
+                 "verify needs at least 9 grid samples", id="eight-sample-verify"),
     pytest.param("heisenberg", json.dumps({**valid_doc("heisenberg"), "matrices": {
         **valid_doc("heisenberg")["matrices"], "initial": [[0, 1], [1, 0]]}}), [],
                  "matrix 'initial' must be a nested array of [re, im] pairs, got shape (2, 2)",

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isospec_lag.heisenberg import OperatorTangent, lagrangian_heisenberg
+from isospec_lag.heisenberg import OperatorTangent, heisenberg_rhs, lagrangian_heisenberg
 from isospec_lag.operator_core import (
     commutator,
     dagger,
@@ -135,6 +135,12 @@ def test_lvn_rhs():
         out = lvn_rhs(rand_density(rng, 3), rand_hermitian(rng, 3))
         assert abs(np.trace(out)) <= 1e-12
         assert frobenius_norm(out - dagger(out)) <= 1e-12
+
+
+@pytest.mark.parametrize("rhs", [heisenberg_rhs, lvn_rhs])
+def test_rhs_names_a_hamiltonian_of_another_shape(rhs):
+    with pytest.raises(ValueError, match=r"^hamiltonian must have shape \(2, 2\), got \(3, 3\)$"):
+        rhs(np.eye(2) / 2, np.eye(3))
 
 
 def test_evolve_lvn_exact_examples():

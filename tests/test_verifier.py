@@ -22,6 +22,7 @@ from isospec_lag.verifier import (
     flatten_complex,
     gradients,
     heisenberg_chart,
+    refine,
     unitary_chart,
     verify_trajectory,
 )
@@ -191,6 +192,30 @@ def test_residual_shrinks_quadratically_with_grid():
     fine = verify_trajectory(harmonic, *cosine_path(1e-3)).max_residual
     ratio = coarse / fine
     assert 3.0 <= ratio <= 5.0
+
+
+def test_refine_ratio_on_a_harmonic_cosine():
+    times, points = cosine_path(1e-3, n=41)
+    fine, coarse, ratio = refine(harmonic, times, points)
+    assert fine == verify_trajectory(harmonic, times, points)
+    assert coarse == verify_trajectory(harmonic, times[::2], points[::2])
+    assert ratio == coarse.max_residual / fine.max_residual
+    assert 3.0 <= ratio <= 5.0
+
+
+def test_refine_measures_no_ratio_on_a_stationary_path():
+    fine, coarse, ratio = refine(harmonic, np.arange(9) * 0.1, np.zeros((9, 2)))
+    assert ratio is None
+    assert fine.max_residual < 1e-12 and coarse.max_residual < 1e-12
+
+
+def test_refine_needs_nine_samples():
+    with pytest.raises(ValueError, match="^verify needs at least 9 grid samples"):
+        refine(harmonic, *cosine_path(1e-2, n=8))
+    fine, coarse, ratio = refine(harmonic, *cosine_path(1e-2, n=9))
+    # the coarse pass keeps 5 samples, the stencil's one interior row
+    assert coarse.worst_index == 2 and 2 <= fine.worst_index <= 6
+    assert ratio is not None
 
 
 def test_verification_report_is_deterministic():
