@@ -220,18 +220,21 @@ def _require_reducible(p: SB2CParameters) -> None:
 
 
 def _reduced_flow(p: SB2CParameters):
-    """Closures (terms, point, stage) over coefficients computed once from
-    unchecked parameters, none calling numpy.  terms(r) = (Phi, den, top, den1)
+    """Closures (terms, field) over coefficients computed once from
+    unchecked parameters, none calling numpy.  terms(r) = (Phi, Phi', den)
     takes each power of r once: Phi = (n4 r^4 + n2 r^2 + n0) / den and
     Phi' = top / den1**2, where den = r (k2 r^2 - k0) and den1 = k2 r^3 - k0 r,
-    and raises SingularityError where either rounds to 0.  point calls it once,
-    and stage (d != 0) calls point.  The field is
+    and raises SingularityError where either rounds to 0.  field(y, r) (d != 0)
+    checks 0 < r < inf, calls terms once and raises where a + d Phi' rounds
+    to 0; it returns (ydot, rdot, Phi, a + d Phi', den), the last two being
+    the denominators whose sign changes stop the flow.  The field is
     ydot = (ga r + gd Phi + da / r) / d, rdot = -gd y / (a + d Phi')."""
     a, d = p.a, p.d
     n4 = p.a * (p.gamma * p.a - p.h1) - p.d * (p.gamma * p.c - p.h3)
     n2, n0 = p.a * p.d * p.alpha, (p.delta * p.d - p.h4) * p.d
     k2, k0 = p.h4 * p.a - p.d * p.h1, p.d**2 * p.alpha
     ga, gd, da = p.gamma * p.a - p.h1, p.gamma * p.d - p.h4, p.d * p.alpha
+    n4x4, n2x2, k2x3 = 4 * n4, 2 * n2, 3 * k2  # bound once: 4 * n4 * r3 is (4 * n4) * r3
 
     def terms(r):
         r2 = r**2
@@ -243,28 +246,19 @@ def _reduced_flow(p: SB2CParameters):
         den1 = k2 * r3 - k0 * r
         if den1 == 0.0:
             raise SingularityError(f"constraint denominator vanishes at r={r}")
-        top = (4 * n4 * r3 + 2 * n2 * r) * den1 - num * (3 * k2 * r2 - k0)
-        return num / den, den, top, den1
+        top = (n4x4 * r3 + n2x2 * r) * den1 - num * (k2x3 * r2 - k0)
+        return num / den, top / den1**2, den
 
-    def point(r):
-        """(Phi, a + d Phi', ydot, signs) at r, where signs are
-        those of the two denominators whose zeros stop the flow, a + d Phi'
-        and den; it raises where a + d Phi' rounds to 0."""
-        phi, den, top, den1 = terms(r)
-        denom = a + d * (top / den1**2)
-        if denom == 0.0:
-            raise SingularityError(f"dynamical denominator a + d Phi'(r) vanishes at r={r}")
-        signs = (math.copysign(1.0, denom), math.copysign(1.0, den))
-        return phi, denom, (ga * r + gd * phi + da / r) / d, signs
-
-    def stage(y, r):
-        """(ydot, rdot) at an RK4 stage."""
+    def field(y, r):
         if not 0 < r < math.inf:
             raise SingularityError(f"an RK4 stage left r > 0: r={r}")
-        _, denom, ydot, _ = point(r)
-        return ydot, -gd * y / denom
+        phi, phi1, den = terms(r)
+        denom = a + d * phi1
+        if denom == 0.0:
+            raise SingularityError(f"dynamical denominator a + d Phi'(r) vanishes at r={r}")
+        return (ga * r + gd * phi + da / r) / d, -gd * y / denom, phi, denom, den
 
-    return terms, point, stage
+    return terms, field
 
 
 def phi_of_r(r: float, params: SB2CParameters) -> float:
@@ -284,8 +278,7 @@ def phi_prime(r: float, params: SB2CParameters) -> float:
     _require_simplified(params)
     if not (r > 0 and math.isfinite(r)):
         raise ValueError(f"r must be positive and finite, got {r}")
-    _, _, top, den1 = _reduced_flow(params)[0](r)
-    return top / den1**2
+    return _reduced_flow(params)[0](r)[1]
 
 
 def reduced_rhs(state: ReducedState, params: SB2CParameters):
@@ -304,7 +297,7 @@ def reduced_rhs(state: ReducedState, params: SB2CParameters):
         If d = 0 or the parameters are not in the real symmetric case.
     """
     _require_reducible(params)
-    return _reduced_flow(params)[2](state.y, state.r)
+    return _reduced_flow(params)[1](state.y, state.r)[:2]
 
 
 def integrate_reduced(initial: ReducedState, params: SB2CParameters,
@@ -314,9 +307,11 @@ def integrate_reduced(initial: ReducedState, params: SB2CParameters,
 
     Each classic RK4 step is written out on the float pair (y, r), each
     sum per component as the step acts on a float64 pair: k1 is the
-    point evaluation of the point it starts from, k2 to k4 are three
-    stage calls, and one point evaluation of the landing point gives the
-    row's x, the sign guard and the next step's k1.
+    (ydot, rdot) of the field evaluation that accepted the point the step
+    starts from, k2 to k4 are three field evaluations, and one more at
+    the landing point gives the row's x, the signs of the two
+    denominators, compared with those at the initial state, and the next
+    step's k1.
 
     The first step that fails halts the run, and the partial trajectory
     is returned with a singularity record in ``meta``: its ``time`` is
@@ -334,37 +329,37 @@ def integrate_reduced(initial: ReducedState, params: SB2CParameters,
     """
     grid = time_grid(t_final, step).tolist()
     _require_reducible(params)
-    _, point, stage = _reduced_flow(params)
-    gd = params.gamma * params.d - params.h4  # rdot = -gd y / (a + d Phi')
+    field = _reduced_flow(params)[1]
     y, r = initial.y, initial.r
     meta: dict = {}
     try:
-        here = point(r)
-        signs0 = here[3]
-        rows = [(y, r, here[0])]
+        k1y, k1r, x, denom, den = field(y, r)
+        signs0 = (math.copysign(1.0, denom), math.copysign(1.0, den))
+        rows = [(y, r, x)]
     except (SingularityError, ArithmeticError) as exc:
         rows, grid = [], grid[:1]
         reason = f"singular or overflowing field at r={r}: {exc}"
         meta["singularity"] = {"time": 0.0, "bracket": None, "reason": reason}
 
+    last = len(grid) - 2  # the last step ends exactly on t_final
     for k, t in enumerate(grid[:-1]):
-        dt = step if k < len(grid) - 2 else grid[-1] - t
+        dt = step if k < last else grid[-1] - t
         reason = None
         try:
-            k1y, k1r = here[2], -gd * y / here[1]
             h = dt / 2
-            k2y, k2r = stage(y + h * k1y, r + h * k1r)
-            k3y, k3r = stage(y + h * k2y, r + h * k2r)
-            k4y, k4r = stage(y + dt * k3y, r + dt * k3r)
+            k2y, k2r, _, _, _ = field(y + h * k1y, r + h * k1r)
+            k3y, k3r, _, _, _ = field(y + h * k2y, r + h * k2r)
+            k4y, k4r, _, _, _ = field(y + dt * k3y, r + dt * k3r)
             h = dt / 6
             y1, r1 = y + h * (k1y + 2 * k2y + 2 * k3y + k4y), r + h * (k1r + 2 * k2r + 2 * k3r + k4r)
             if not (math.isfinite(y1) and 0 < r1 < math.inf):
                 reason = f"the step landed outside r > 0 or on a non-finite point: y={y1}, r={r1}"
             else:
-                there = point(r1)
-                if there[3] != signs0:
+                k1y, k1r, x, denom, den = field(y1, r1)
+                signs = (math.copysign(1.0, denom), math.copysign(1.0, den))
+                if signs != signs0:
                     names = ("a + d Phi'(r)", "Phi's denominator r (k2 r^2 - k0)")
-                    reason = " and ".join(n for n, s, s0 in zip(names, there[3], signs0) if s != s0)
+                    reason = " and ".join(n for n, s, s0 in zip(names, signs, signs0) if s != s0)
                     reason += f" changed sign from r={r} to r={r1}"
         except SingularityError as exc:
             reason = str(exc)
@@ -373,8 +368,8 @@ def integrate_reduced(initial: ReducedState, params: SB2CParameters,
         if reason is not None:
             meta["singularity"] = {"time": t, "bracket": [t, grid[k + 1]], "reason": reason}
             break
-        y, r, here = y1, r1, there
-        rows.append((y, r, here[0]))
+        y, r = y1, r1
+        rows.append((y, r, x))
 
     return Trajectory(
         times=np.array(grid[:len(rows)]),

@@ -300,6 +300,20 @@ def test_phi_degenerate_denominator_raises():
         reduced_rhs(ReducedState(y=0.0, r=1.0), p)
 
 
+def test_phi_and_phi_prime_stay_defined_where_only_the_field_is_singular():
+    # a diagonal A0 gives a = 0 and a zero numerator, so Phi = 0 and
+    # a + d Phi' = 0 at every r: the surface and its slope are still defined,
+    # signs of zero included, and only the reduced field raises
+    p = derive_parameters(SB2CSetup(np.array([[1, 0], [0, 2]], dtype=complex),
+                                    np.array([[1, 0.5], [0.5, -1]], dtype=complex)))
+    assert p.a == 0.0
+    phi, slope = phi_of_r(2.0, p), phi_prime(2.0, p)
+    assert (phi, math.copysign(1.0, phi)) == (0.0, -1.0)
+    assert (slope, math.copysign(1.0, slope)) == (0.0, 1.0)
+    with pytest.raises(SingularityError, match=r"a \+ d Phi'\(r\) vanishes at r=2\.0"):
+        reduced_rhs(ReducedState(y=-1.0, r=2.0), p)
+
+
 def test_reduced_rhs_worked_closed_form():
     p = derive_parameters(worked_setup())
     rng = np.random.default_rng(11)

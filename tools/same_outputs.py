@@ -49,10 +49,12 @@ FIELDS = ("exit", "stdout", "stderr", "report", "trajectory")
 VERDICT = re.compile(r"(\S+) max=\S+ tol=\S+ (PASS|FAIL)")
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
-#: sb2c runs with a real off-diagonal H, so alpha != 0.  Every benchmark sb2c
-#: config has H = diag(1, -1), which leaves the k0, n2 and d alpha terms of
-#: Phi out of the comparison.  The last row's diagonal a0 gives a = 0, the
-#: record of a field singular at its initial state.  Each row is (id, a0, H,
+#: sb2c runs of its own.  The first six have a real off-diagonal H, so
+#: alpha != 0: every benchmark sb2c config has H = diag(1, -1), which leaves
+#: the k0, n2 and d alpha terms of Phi out of the comparison.  The sixth
+#: row's diagonal a0 gives a = 0, the record of a field singular at its
+#: initial state.  The last three take the worked setup to three halting
+#: reasons that the rows above do not reach.  Each row is (id, a0, H,
 #: (y, r), t_final, step, format); the comment gives the exit code and what
 #: decides it.
 ALPHA_SB2C = (
@@ -68,6 +70,12 @@ ALPHA_SB2C = (
      "csv"),  # 3: the first step [0, 0.5] jumps Phi's pole r = 2.953
     ("diagonal-a0", [[1, 0], [0, 2]], [[1, 0.5], [0.5, -1]], (-1.0, 2.0), 1.0, 1e-2,
      "csv"),  # 3: a = 0, so a + d Phi' = 0 at every r: no rows, bracket None
+    ("stage-through-zero", [[1, 1], [1, 2]], [[1, 0], [0, -1]], (-3.0, 0.5), 5.0, 1e-3,
+     "csv"),  # 3: the third RK4 stage of the step after t = 1.065 leaves r > 0; 1,066 rows
+    ("landed-at-negative-r", [[1, 1], [1, 2]], [[1, 0], [0, -1]], (-6.0, 0.16), 2.0, 2.0,
+     "csv"),  # 3: the one step [0, 2] lands on r <= 0
+    ("field-out-of-range", [[1, 1], [1, 2]], [[1, 0], [0, -1]], (1e200, 1.0), 1.0, 1e-2,
+     "csv"),  # 3: the first stage reaches r ~ 1e198, whose r**4 overflows
 )
 
 #: (n, samples) of the el_residual_unitary_path runs: the flow u(t) = u0 exp(-iHt) on the
