@@ -111,9 +111,11 @@ def lagrangian_heisenberg_chart(h: np.ndarray):
     A -> [A, H] on row-major vec A, built once, here; J v = [Im v, -Re v] is
     -i Adot.  ``h`` is checked square and finite (as_complex_matrix) once, here,
     but not Hermitian: an anti-Hermitian part adds only imaginary parts to the
-    traces.  The widths of q and v are checked once per stacked call.
-    Each row's M q is its own vector-matrix product, so a stacked evaluation
-    rounds exactly like the per-point one.
+    traces.  The widths of q and v are checked once per stacked call.  q and v
+    broadcast against each other, and the values have the broadcast shape
+    without the last axis; M q is taken once per row of q, its own
+    vector-matrix product, so a stacked evaluation rounds exactly like the
+    per-point one.
     """
     h = as_complex_matrix(h, "hamiltonian")
     n, half = len(h), h.size
@@ -126,8 +128,7 @@ def lagrangian_heisenberg_chart(h: np.ndarray):
                              f"points of width {q.shape[-1]} and velocities of width {v.shape[-1]}")
         # row by row, not one (stack, 2n^2) GEMM, whose rounding depends on the stack
         y = np.matmul(q[..., np.newaxis, :], form_t)[..., 0, :]
-        y[..., :half] += v[..., half:]
-        y[..., half:] -= v[..., :half]
+        y = y + np.concatenate([v[..., half:], -v[..., :half]], axis=-1)  # M q + J v
         return -np.einsum("...i,...i->...", q, y)
 
     return evaluate

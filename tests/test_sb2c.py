@@ -799,8 +799,8 @@ def test_implicit_system_is_the_euler_lagrange_system_of_the_lagrangian(c, gdot,
     if real:
         setup = SB2CSetup(setup.a0.real, setup.hamiltonian.real)
 
-    def lagrangian(q, v):
-        return np.array([lagrangian_sb2c(SB2CElement(*p), w, setup) for p, w in zip(q, v)])
+    lagrangian = np.vectorize(lambda p, w: lagrangian_sb2c(SB2CElement(*p), w, setup),
+                              signature="(d),(d)->()")
 
     q, v, eps = np.array(c), np.array(gdot), EL_TIME_STEP
     p = gradients(lagrangian, np.stack([q + eps * v, q - eps * v]), np.stack([v, v]), "qdot")

@@ -96,6 +96,57 @@ def test_gradients_name_a_shape_without_coordinates(shape, text):
         gradients(free, np.zeros(shape), np.zeros(shape), "qdot")
 
 
+def repeated_gradients(lagrangian, q, qdot, wrt):
+    """gradients from one call on explicit (m 2 dim, dim) stacks of both arguments,
+    the fixed one repeated for each of its point's 2 dim bumps."""
+    h, (m, dim) = verifier.GRADIENT_STEP, q.shape
+    bumps = h * np.concatenate([np.eye(dim), -np.eye(dim)])
+
+    def bumped(x):
+        return (x[:, np.newaxis] + bumps).reshape(-1, dim)
+
+    def repeated(x):
+        return np.repeat(x, 2 * dim, axis=0)
+
+    if wrt == "q":
+        values = lagrangian(bumped(q), repeated(qdot))
+    else:
+        values = lagrangian(repeated(q), bumped(qdot))
+    values = values.reshape(m, 2, dim)
+    return (values[:, 0] - values[:, 1]) / (2 * h)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 4), points=st.integers(1, 300), wrt=st.sampled_from(["q", "qdot"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_broadcast_gradients_equal_explicitly_repeated_stacks(n, points, wrt, seed):
+    # the chart sees the fixed argument once per point, (m, 1, dim), and must
+    # round each bumped row exactly as it does on the repeated stack
+    rng = np.random.default_rng(seed)
+    chart = heisenberg_chart(rand_hermitian(rng, n))
+    q, qdot = rng.standard_normal((2, points, 2 * n * n))
+    np.testing.assert_array_equal(gradients(chart, q, qdot, wrt),
+                                  repeated_gradients(chart, q, qdot, wrt))
+
+
+@pytest.mark.parametrize("wrt", ["q", "qdot"])
+def test_gradients_broadcast_a_lagrangian_of_one_argument(wrt):
+    shapes = []
+
+    def potential(q, qdot):  # reads q alone
+        shapes.append(np.shape(q)[:-1])
+        return np.sum(np.sin(q), axis=-1)
+
+    q, qdot = np.random.default_rng(25).standard_normal((2, 5, 3))
+    got = gradients(potential, q, qdot, wrt)
+    if wrt == "q":
+        assert shapes == [(5, 6)]
+        np.testing.assert_allclose(got, np.cos(q), rtol=0, atol=1e-9)
+    else:  # one value per point, broadcast over the bumps of qdot
+        assert shapes == [(5, 1)]
+        np.testing.assert_array_equal(got, np.zeros((5, 3)))
+
+
 def test_gradient_of_kinetic_term():
     qdot = np.array([1.5, -0.25])
     got = gradients(free, np.zeros(2), qdot, wrt="qdot")
@@ -272,8 +323,10 @@ def scalar_heisenberg_chart(h):
     def matrix(x):  # inverse of flatten_complex on one point
         return (x[:n * n] + 1j * x[n * n:]).reshape(n, n)
 
-    return lambda q, qdot: np.array(
-        [lagrangian_heisenberg(OperatorTangent(matrix(x), matrix(y)), h) for x, y in zip(q, qdot)])
+    def value(x, y):
+        return lagrangian_heisenberg(OperatorTangent(matrix(x), matrix(y)), h)
+
+    return np.vectorize(value, signature="(d),(d)->()")
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -309,6 +362,11 @@ def test_strided_points_give_the_rows_of_a_contiguous_copy(n):
                                                                              copy)
 
 
+def evaluated_rows(q, qdot):
+    """The rows a call evaluates: its broadcast shape without the last axis."""
+    return int(np.prod(np.broadcast_shapes(np.shape(q), np.shape(qdot))[:-1]))
+
+
 def counted_verification(n, samples):
     """verify_trajectory on an n x n Heisenberg path, with each call's size."""
     h = np.diag(np.arange(n) - 0.5).astype(complex)
@@ -319,7 +377,7 @@ def counted_verification(n, samples):
     calls = []
 
     def evaluate(qs, qdots):
-        calls.append(len(qs))
+        calls.append(evaluated_rows(qs, qdots))
         return chart(qs, qdots)
 
     report = verify_trajectory(evaluate, times, points)
@@ -500,6 +558,11 @@ def test_unitary_chart_evaluates_stacks(n):
     assert stacked.shape == (40,)
     per_point = [chart(q, v) for q, v in zip(qs, qdots)]
     np.testing.assert_allclose(stacked, per_point, rtol=0, atol=1e-13)
+    # points and velocities broadcast: each point against the first 5 velocities
+    grid = chart(qs[:, np.newaxis], qdots[:5])
+    assert grid.shape == (40, 5)
+    np.testing.assert_allclose(grid, [[chart(q, v) for v in qdots[:5]] for q in qs],
+                               rtol=0, atol=1e-13)
 
 
 def test_unitary_path_needs_five_samples():
@@ -642,7 +705,7 @@ def test_unitary_path_splits_into_bounded_calls(monkeypatch, n, samples, blocks)
         lag = chart(*args)
 
         def evaluate(q, qdot):
-            calls.append(len(q))
+            calls.append(evaluated_rows(q, qdot))
             return lag(q, qdot)
 
         return evaluate
