@@ -111,11 +111,11 @@ def lagrangian_heisenberg_chart(h: np.ndarray):
     A -> [A, H] on row-major vec A, built once, here; J v = [Im v, -Re v] is
     -i Adot.  ``h`` is checked square and finite (as_complex_matrix) once, here,
     but not Hermitian: an anti-Hermitian part adds only imaginary parts to the
-    traces.  The widths of q and v are checked once per stacked call.  q and v
-    broadcast against each other, and the values have the broadcast shape
-    without the last axis; M q is taken once per row of q, its own
-    vector-matrix product, so a stacked evaluation rounds exactly like the
-    per-point one.
+    traces.  q and v, arrays or sequences, are converted to float and their
+    widths checked once per stacked call.  q and v broadcast against each
+    other, and the values have the broadcast shape without the last axis; M q
+    is taken once per row of q, its own vector-matrix product, so a stacked
+    evaluation rounds exactly like the per-point one.
     """
     h = as_complex_matrix(h, "hamiltonian")
     n, half = len(h), h.size
@@ -123,6 +123,7 @@ def lagrangian_heisenberg_chart(h: np.ndarray):
     form_t = np.block([[c.real, -c.imag], [c.imag, c.real]]).T.copy()  # M^T, C-ordered
 
     def evaluate(q, v):
+        q, v = np.asarray(q, dtype=float), np.asarray(v, dtype=float)
         if q.shape[-1] != 2 * half or v.shape[-1] != 2 * half:
             raise ValueError(f"the chart of a {n}x{n} hamiltonian has width {2 * half}, got "
                              f"points of width {q.shape[-1]} and velocities of width {v.shape[-1]}")

@@ -28,6 +28,7 @@ reported as-is, with no constraint reduction.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -41,8 +42,9 @@ from .operator_core import (HERMITIAN_TOL, dagger, hermitian_sqrt, require_hermi
 #: Bump size h of every centered difference in gradients.
 GRADIENT_STEP = 1e-5
 #: Most coordinates (evaluations times dim) in one Lagrangian call of
-#: el_residual_path: on verify-fd, 20% faster than half as many; twice as many
-#: won 15 of 20 pairs, by 1-9% in the median, short of 9 in 10.
+#: el_residual_path: on verify-fd, 11% faster than half as many; twice as many
+#: won 24 of 30 pairs at one seed and 19 of 20 at another, by 4-11% in the
+#: median, short of 9 in 10 at the first.
 COORDINATES_PER_CALL = 8192
 UNIFORM_SPACING_RTOL = 1e-12
 #: Coarse-to-fine ratio of the largest residual of refine, the grid step doubled: 2^2.
@@ -68,6 +70,14 @@ def _uniform_spacing(times, samples: int) -> float:
     return float(gaps[0])
 
 
+@functools.cache
+def _bumps(dim: int) -> np.ndarray:
+    """The read-only (2 dim, dim) bumps +h e_i, then -h e_i, of gradients, built once a width."""
+    bumps = GRADIENT_STEP * np.concatenate([np.eye(dim), -np.eye(dim)])
+    bumps.flags.writeable = False
+    return bumps
+
+
 def gradients(lagrangian: Callable, q, qdot, wrt: str) -> np.ndarray:
     """Centered-difference dL/dq (wrt="q") or dL/dqdot (wrt="qdot") at
     (q, qdot), error O(h^2) with h = GRADIENT_STEP.
@@ -76,8 +86,10 @@ def gradients(lagrangian: Callable, q, qdot, wrt: str) -> np.ndarray:
     gradient.  The 2 dim bumped points (q +- h e_i with qdot fixed, or qdot
     +- h e_i with q fixed) at every point are stacked and evaluated in one call,
     the bumped argument as (m, 2 dim, dim) and the fixed one as (m, 1, dim): a
-    chart does its work on the fixed argument once per point.  The values are
-    broadcast to (m, 2 dim), so a Lagrangian that reads one argument may return (m, 1).
+    chart does its work on the fixed argument once per point.  Values of shape
+    (m, 2 dim) are taken as they are; a narrower reply is broadcast to it, so a
+    Lagrangian that reads one argument may return (m, 1), and one that does not
+    broadcast raises a ValueError naming both shapes.
     """
     h, shape = GRADIENT_STEP, np.shape(q)
     if np.shape(qdot) != shape:
@@ -87,14 +99,20 @@ def gradients(lagrangian: Callable, q, qdot, wrt: str) -> np.ndarray:
     if shape[-1:] in ((), (0,)):
         raise ValueError(f"need q and qdot of shape (..., dim) with dim >= 1, got {shape}")
     dim = shape[-1]
-    bumps = h * np.concatenate([np.eye(dim), -np.eye(dim)])  # (2 dim, dim): +h e_i, -h e_i
     q, qdot = (np.asarray(x, dtype=float).reshape(-1, 1, dim) for x in (q, qdot))
     if wrt == "q":
-        q = q + bumps
+        q = q + _bumps(dim)
     else:
-        qdot = qdot + bumps
-    values = np.broadcast_to(np.asarray(lagrangian(q, qdot), dtype=float),
-                             (len(q), 2 * dim)).reshape(len(q), 2, dim)
+        qdot = qdot + _bumps(dim)
+    values = np.asarray(lagrangian(q, qdot), dtype=float)
+    full = (len(q), 2 * dim)
+    if values.shape != full:
+        try:
+            values = np.broadcast_to(values, full)
+        except ValueError:
+            raise ValueError(f"Lagrangian returned values of shape {values.shape}, "
+                             f"need {full} or {(len(q), 1)}") from None
+    values = values.reshape(len(q), 2, dim)
     if not np.isfinite(values).all():
         i, sign, _ = np.argwhere(~np.isfinite(values))[0]
         raise ValueError(f"Lagrangian is not finite (dL/d{wrt} {'+-'[sign]}) near q={q[i, 0]}")
@@ -145,8 +163,8 @@ def verify_trajectory(lagrangian: Callable, times, points) -> VerificationReport
     """The VerificationReport of the path times (N,), points (N, dim)."""
     calls = []
 
-    def counted(q, qdot):  # evaluated rows: the broadcast shape without the last axis
-        calls.append(math.prod(np.broadcast_shapes(np.shape(q), np.shape(qdot))[:-1]))
+    def counted(q, qdot):  # evaluated rows: gradients passes (m, 2 dim, dim) and (m, 1, dim)
+        calls.append(math.prod(map(max, q.shape[:-1], qdot.shape[:-1])))
         return lagrangian(q, qdot)
 
     norms = np.linalg.norm(el_residual_path(counted, times, points), axis=1)

@@ -147,6 +147,40 @@ def test_gradients_broadcast_a_lagrangian_of_one_argument(wrt):
         np.testing.assert_array_equal(got, np.zeros((5, 3)))
 
 
+@pytest.mark.parametrize("wrt", ["q", "qdot"])
+def test_gradients_name_values_that_do_not_broadcast(wrt):
+    # one value per point, as a Lagrangian of the one-shape contract sizes it by len(q)
+    with pytest.raises(ValueError, match=r"^Lagrangian returned values of shape \(3,\), "
+                                         r"need \(3, 4\) or \(3, 1\)$"):
+        gradients(lambda q, v: np.zeros(len(q)), np.zeros((3, 2)), np.zeros((3, 2)), wrt)
+
+
+@pytest.mark.parametrize("dim", [1, 3, 8])
+def test_bumps_are_built_once_read_only_with_the_same_bits(dim):
+    bumps = verifier._bumps(dim)
+    expected = verifier.GRADIENT_STEP * np.concatenate([np.eye(dim), -np.eye(dim)])
+    assert verifier._bumps(dim) is bumps
+    assert not bumps.flags.writeable
+    np.testing.assert_array_equal(bumps, expected)
+    np.testing.assert_array_equal(np.signbit(bumps), np.signbit(expected))  # -0.0 kept
+    with pytest.raises(ValueError, match="read-only"):
+        bumps[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("wrt", ["q", "qdot"])
+def test_a_lagrangian_that_writes_its_arguments_leaves_the_next_gradient_alone(wrt):
+    def scribbler(q, qdot):  # harmonic, then overwrites both arguments in place
+        values = harmonic(q, qdot)
+        q[...] = 7.0
+        qdot[...] = -3.0
+        return values
+
+    q, qdot = np.random.default_rng(26).standard_normal((2, 4, 3))
+    expected = gradients(harmonic, q, qdot, wrt)
+    gradients(scribbler, q.copy(), qdot.copy(), wrt)
+    np.testing.assert_array_equal(gradients(harmonic, q, qdot, wrt), expected)
+
+
 def test_gradient_of_kinetic_term():
     qdot = np.array([1.5, -0.25])
     got = gradients(free, np.zeros(2), qdot, wrt="qdot")
@@ -207,6 +241,16 @@ def test_heisenberg_chart_rejects_points_of_another_width():
         el_residual_path(heisenberg_chart(SZ), times, points)
     with pytest.raises(ValueError, match=message.format(8, 2)):
         heisenberg_chart(SZ)(np.zeros((3, 8)), np.zeros((3, 2)))
+    with pytest.raises(ValueError, match=message.format(8, 6)):
+        heisenberg_chart(SZ)([0.0] * 8, [0.0] * 6)
+
+
+def test_heisenberg_chart_takes_sequences():
+    chart = heisenberg_chart(np.diag([1.0, -1.0]))
+    q, v = np.random.default_rng(27).standard_normal((2, 3, 8))
+    assert chart([0.0] * 8, [0.0] * 8) == 0.0
+    np.testing.assert_array_equal(chart(q.tolist(), v.tolist()), chart(q, v))
+    np.testing.assert_array_equal(chart(q[0].tolist(), tuple(v[0])), chart(q[0], v[0]))
 
 
 def test_free_particle_line_is_extremal():
