@@ -79,6 +79,8 @@ class BlochVector:
     x3: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.x1, self.x2, self.x3))):
+            raise ValueError(f"Bloch vector {(self.x1, self.x2, self.x3)} is not finite")
         if self.norm > 1 + BALL_TOL:
             raise ValueError(f"Bloch vector has norm {self.norm} > 1")
 

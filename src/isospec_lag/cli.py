@@ -169,11 +169,6 @@ def load_config(path, kind: str, out_dir=None, fmt=None,
     for required in REQUIRED_MATRICES[kind]:
         if required not in matrices:
             raise ConfigError(f"kind {kind!r} requires matrix {required!r}")
-    if kind in ("heisenberg", "lvn", "verify"):
-        shape = matrices["hamiltonian"].shape
-        if shape[0] != shape[1] or matrices["initial"].shape != shape:
-            raise ConfigError(f"initial {matrices['initial'].shape} and hamiltonian {shape} "
-                              "must be square matrices of the same shape")
 
     times = doc.get("times", {})
     if not isinstance(times, dict) or "t_final" not in times or "step" not in times:
@@ -242,9 +237,9 @@ def _trace(states) -> np.ndarray:
 def _run_heisenberg(config: ScenarioConfig):
     from .operator_core import dagger, frobenius_norm, hermitian_propagator, require_hermitian
 
-    # load_config has matched the shapes; RK4 and the reference share one H
+    # RK4 and the reference share one H
     initial = require_hermitian(config.matrices["initial"], name="initial")
-    h = require_hermitian(config.matrices["hamiltonian"], name="hamiltonian")
+    h = require_hermitian(config.matrices["hamiltonian"], name="hamiltonian", shape=initial.shape)
     traj = rk4_commutator_trajectory(initial, h, -1, config.t_final, config.step, "A")
     u = hermitian_propagator(h, config.t_final)
     exact_end = dagger(u) @ initial @ u
@@ -265,9 +260,9 @@ def _run_lvn(config: ScenarioConfig):
     from .operator_core import dagger, frobenius_norm, hermitian_propagator, require_hermitian
     from .unitary_orbit import validate_density
 
-    # load_config has matched the shapes; RK4 and the reference share one H
+    # RK4 and the reference share one H
     rho0 = validate_density(config.matrices["initial"])
-    h = require_hermitian(config.matrices["hamiltonian"], name="hamiltonian")
+    h = require_hermitian(config.matrices["hamiltonian"], name="hamiltonian", shape=rho0.shape)
     traj = rk4_commutator_trajectory(rho0, h, 1, config.t_final, config.step, "rho")
     # the first row is rho0, the reference of every drift
     states = traj.states
@@ -363,7 +358,7 @@ def _run_verify(config: ScenarioConfig):
     from .verifier import EXPECTED_RATIO, refine
 
     initial = require_hermitian(config.matrices["initial"], name="initial")
-    h = require_hermitian(config.matrices["hamiltonian"], name="hamiltonian")
+    h = require_hermitian(config.matrices["hamiltonian"], name="hamiltonian", shape=initial.shape)
     times = time_grid(config.t_final, config.step)
     u = hermitian_propagator(h, times)
     states = dagger(u) @ initial @ u

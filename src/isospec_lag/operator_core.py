@@ -111,19 +111,20 @@ def hermitian_propagator(h: np.ndarray, t) -> np.ndarray:
     return (v * phases[..., np.newaxis, :]) @ dagger(v)
 
 
-def hermitian_sqrt(m, name: str = "matrix") -> np.ndarray:
+def hermitian_sqrt(m, name: str = "matrix", shape=None) -> np.ndarray:
     """Hermitian PSD square root ``S`` with ``S @ S = m``.
 
     Eigenvalues in ``[-HERMITIAN_TOL, 0)`` are clipped to zero; anything
-    more negative raises.  ``name`` labels ``m`` in error messages.
+    more negative raises.  ``m`` is first checked by
+    ``require_hermitian(m, name=name, shape=shape)``.
 
     Raises
     ------
     ValueError
-        If ``m`` is not Hermitian or has an eigenvalue below
-        ``-HERMITIAN_TOL``.
+        If ``m`` is not Hermitian, has another shape than ``shape``, or
+        has an eigenvalue below ``-HERMITIAN_TOL``.
     """
-    w, v = np.linalg.eigh(require_hermitian(m, name=name))
+    w, v = np.linalg.eigh(require_hermitian(m, name=name, shape=shape))
     if np.min(w) < -HERMITIAN_TOL:
         raise ValueError(
             f"{name} is not positive semidefinite: min eigenvalue {np.min(w):.3e}"

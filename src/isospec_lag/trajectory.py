@@ -115,8 +115,11 @@ class Trajectory:
         self.states = np.asarray(self.states)
         if len(self.times) != len(self.states):
             raise ValueError("times and states lengths differ")
-        if not all(isinstance(c, str) for c in self.column_names or ()):
+        names = self.column_names
+        if not all(isinstance(c, str) for c in names or ()):
             raise TypeError("column names must be strings")
+        if names is not None and self.states.shape[1:] != (len(names),):
+            raise ValueError(f"{len(names)} column names for states of shape {self.states.shape}")
 
     @property
     def n_samples(self) -> int:

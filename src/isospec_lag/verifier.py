@@ -85,11 +85,11 @@ def gradients(lagrangian: Callable, q, qdot, wrt: str) -> np.ndarray:
     q and qdot are one point (dim,) or a stack (m, dim), alike, as is the
     gradient.  The 2 dim bumped points (q +- h e_i with qdot fixed, or qdot
     +- h e_i with q fixed) at every point are stacked and evaluated in one call,
-    the bumped argument as (m, 2 dim, dim) and the fixed one as (m, 1, dim): a
-    chart does its work on the fixed argument once per point.  Values of shape
-    (m, 2 dim) are taken as they are; a narrower reply is broadcast to it, so a
-    Lagrangian that reads one argument may return (m, 1), and one that does not
-    broadcast raises a ValueError naming both shapes.
+    the bumped argument as (m, 2 dim, dim) and a copy of the fixed one, never the
+    caller's memory, as (m, 1, dim): a chart does its work on the fixed argument once
+    per point.  Values of shape (m, 2 dim) are taken as they are; a narrower reply is
+    broadcast to it, so a Lagrangian that reads one argument may return (m, 1), and
+    one that does not broadcast raises a ValueError naming both shapes.
     """
     h, shape = GRADIENT_STEP, np.shape(q)
     if np.shape(qdot) != shape:
@@ -101,9 +101,9 @@ def gradients(lagrangian: Callable, q, qdot, wrt: str) -> np.ndarray:
     dim = shape[-1]
     q, qdot = (np.asarray(x, dtype=float).reshape(-1, 1, dim) for x in (q, qdot))
     if wrt == "q":
-        q = q + _bumps(dim)
+        q, qdot = q + _bumps(dim), qdot.copy()
     else:
-        qdot = qdot + _bumps(dim)
+        q, qdot = q.copy(), qdot + _bumps(dim)
     values = np.asarray(lagrangian(q, qdot), dtype=float)
     full = (len(q), 2 * dim)
     if values.shape != full:
@@ -228,7 +228,7 @@ def unitary_chart(u_center, sigma, hamiltonian) -> Callable:
 def _orbit_inputs(name, unitaries, sigma, hamiltonian):
     """The unitaries "u_center" (n, n) or "unitaries" (N, n, n), each within HERMITIAN_TOL of
     unitary (NaN and inf fail; the first bad "unitary sample k" is named), sqrt(sigma),
-    lagrangian_heisenberg_chart(H) for sigma and H n x n, and the u(n) basis, all checked."""
+    lagrangian_heisenberg_chart(H) (sigma and H n x n by the one shape rule) and the u(n) basis."""
     us, path = np.asarray(unitaries, dtype=complex), name == "unitaries"
     if us.ndim != 2 + path or us.shape[-1] != us.shape[-2]:
         raise ValueError(f"need {name} ({'N, ' * path}n, n), got shape {us.shape}")
@@ -238,10 +238,8 @@ def _orbit_inputs(name, unitaries, sigma, hamiltonian):
     bad = np.flatnonzero(~(defects <= HERMITIAN_TOL))
     if bad.size:
         raise ValueError(f"{f'unitary sample {bad[0]}' if path else name} is not unitary")
-    root, h = hermitian_sqrt(sigma, name="sigma"), require_hermitian(hamiltonian, name="hamiltonian")
-    for label, m in (("sigma", root), ("hamiltonian", h)):
-        if m.shape != (n, n):
-            raise ValueError(f"{label} is {m.shape[0]}x{m.shape[1]} but the unitaries are {n}x{n}")
+    root = hermitian_sqrt(sigma, name="sigma", shape=(n, n))
+    h = require_hermitian(hamiltonian, name="hamiltonian", shape=(n, n))
     return us, root, lagrangian_heisenberg_chart(h), unitary_algebra_basis(n)
 
 

@@ -45,6 +45,16 @@ def test_bloch_vector_validation():
     assert BlochVector(0.3, 0.0, -0.4).norm == pytest.approx(0.5)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("axis", [0, 1, 2])
+def test_bloch_vector_rejects_non_finite_components(axis, value):
+    # a NaN norm compares False with 1, so the ball check alone let NaN through
+    coords = [0.1, -0.2, 0.3]
+    coords[axis] = value
+    with pytest.raises(ValueError, match=r"^Bloch vector \(.*\) is not finite$"):
+        BlochVector(*coords)
+
+
 def test_density_round_trip():
     np.testing.assert_allclose(density_from_bloch(ORIGIN), SI / 2)
     np.testing.assert_allclose(density_from_bloch(P), np.diag([1.0, 0.0]))

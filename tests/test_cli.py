@@ -291,10 +291,12 @@ def test_initial_hamiltonian_shape_mismatch_exits_2(tmp_path, capsys, kind):
         {"initial": np.eye(3) / 3, "hamiltonian": [[1, 0], [0, -1]]},
         0.08, 0.01,
     )
+    # each runner checks H against the initial state's shape, before any output
     assert run_cli([kind, "--config", cfg, "--out", tmp_path]) == 2
     err = capsys.readouterr().err
-    assert "same shape" in err
-    assert "Traceback" not in err
+    assert err == "config error: hamiltonian must have shape (3, 3), got (2, 2)\n"
+    assert not (tmp_path / "report.json").exists()
+    assert not list(tmp_path.glob("trajectory.*"))
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])

@@ -32,6 +32,7 @@ from isospec_lag.unitary_orbit import (
     evolve_lvn_rk4,
     lagrangian_unitary,
 )
+from isospec_lag.verifier import el_residual_unitary_path, unitary_chart
 
 from conftest import SI, SX, SY, SZ, rand_complex, rand_hermitian
 
@@ -52,6 +53,11 @@ TWO, THREE = np.eye(2), np.eye(3)
 
 def at_rest():
     return UnitaryTangent(TWO, np.zeros((2, 2)))
+
+
+def still_path():
+    """times and the 2 x 2 unitaries of a path at rest on them, seven samples."""
+    return np.arange(7) * 1e-2, np.broadcast_to(TWO, (7, 2, 2))
 
 
 @pytest.mark.parametrize("call, name", [
@@ -81,6 +87,13 @@ def at_rest():
                  id="el-residual-unitary-hamiltonian"),
     pytest.param(lambda: SB2CSetup(THREE, TWO), "a0", id="sb2c-a0"),
     pytest.param(lambda: SB2CSetup(TWO, THREE), "hamiltonian", id="sb2c-hamiltonian"),
+    pytest.param(lambda: el_residual_unitary_path(*still_path(), THREE / 3, TWO), "sigma",
+                 id="orbit-path-sigma"),
+    pytest.param(lambda: el_residual_unitary_path(*still_path(), TWO / 2, THREE), "hamiltonian",
+                 id="orbit-path-hamiltonian"),
+    pytest.param(lambda: unitary_chart(TWO, THREE / 3, TWO), "sigma", id="orbit-chart-sigma"),
+    pytest.param(lambda: unitary_chart(TWO, TWO / 2, THREE), "hamiltonian",
+                 id="orbit-chart-hamiltonian"),
 ])
 def test_an_input_of_another_shape_is_named(call, name):
     # each input is checked against the shape of the one it pairs with before any

@@ -79,6 +79,18 @@ def test_column_names_must_be_strings():
         Trajectory(np.array([0.0]), np.zeros((1, 2)), column_names=("y", 1))
 
 
+@pytest.mark.parametrize("shape, names", [
+    pytest.param((3, 2), ("a",), id="fewer"),
+    pytest.param((3, 2), ("a", "b", "c"), id="more"),
+    pytest.param((3, 2, 2), ("a", "b"), id="matrices"),
+])
+def test_column_names_must_match_the_columns(shape, names):
+    # write_csv would write a header of another width, write_json drop a column
+    want = f"^{len(names)} column names for states of shape {re.escape(str(shape))}$"
+    with pytest.raises(ValueError, match=want):
+        Trajectory(np.arange(3.0), np.zeros(shape), column_names=names)
+
+
 def test_final_state_and_counts():
     traj = matrix_traj()
     assert traj.n_samples == 3

@@ -181,6 +181,28 @@ def test_a_lagrangian_that_writes_its_arguments_leaves_the_next_gradient_alone(w
     np.testing.assert_array_equal(gradients(harmonic, q, qdot, wrt), expected)
 
 
+def overwrite_both(q, qdot):
+    """A Lagrangian that writes 9.0 into both of its arguments and returns zeros."""
+    q[...] = qdot[...] = 9.0
+    return np.zeros((len(q), 1))
+
+
+@pytest.mark.parametrize("wrt", ["q", "qdot"])
+def test_gradients_leave_the_callers_arrays_alone(wrt):
+    # the argument held fixed is a copy, as the bumped one is a fresh array
+    q, qdot = np.zeros((3, 2)), np.ones((3, 2))
+    gradients(overwrite_both, q, qdot, wrt)
+    np.testing.assert_array_equal(q, np.zeros((3, 2)))
+    np.testing.assert_array_equal(qdot, np.ones((3, 2)))
+
+
+def test_el_residual_path_leaves_the_callers_points_alone():
+    points = np.random.default_rng(27).standard_normal((9, 2))
+    before = points.copy()
+    el_residual_path(overwrite_both, np.arange(9.0), points)
+    assert points.tobytes() == before.tobytes()
+
+
 def test_gradient_of_kinetic_term():
     qdot = np.array([1.5, -0.25])
     got = gradients(free, np.zeros(2), qdot, wrt="qdot")
@@ -687,21 +709,6 @@ def orbit_setup(n, samples, seed):
     times = np.arange(samples) * 1e-2
     us = rand_unitary(rng, n) @ hermitian_propagator(h, times)
     return times, us, rand_density(rng, n), h
-
-
-@pytest.mark.parametrize("check", [
-    pytest.param(lambda times, us, sigma, h: el_residual_unitary_path(times, us, sigma, h),
-                 id="path"),
-    pytest.param(lambda times, us, sigma, h: unitary_chart(us[2], sigma, h), id="chart"),
-])
-@pytest.mark.parametrize("bad", ["sigma", "hamiltonian"])
-def test_orbit_inputs_must_have_the_unitaries_shape(check, bad):
-    # a valid 3 x 3 state or Hamiltonian beside 2 x 2 unitaries
-    times, us, sigma, h = orbit_setup(2, 7, seed=18)
-    args = {"sigma": sigma, "hamiltonian": h}
-    args[bad] = np.diag([0.5, 0.3, 0.2]) if bad == "sigma" else np.diag([1.0, 0.0, -1.0])
-    with pytest.raises(ValueError, match=f"^{bad} is 3x3 but the unitaries are 2x2$"):
-        check(times, us, args["sigma"], args["hamiltonian"])
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, 1e200])
