@@ -112,9 +112,15 @@ def sb2c_to_matrix(g: SB2CElement) -> np.ndarray:
 
 
 def derive_parameters(setup: SB2CSetup) -> SB2CParameters:
-    """Extract the scalar coefficients from rho0, H and A0 H A0^dag."""
-    rho0 = setup.a0 @ dagger(setup.a0)
-    h0 = setup.a0 @ setup.hamiltonian @ dagger(setup.a0)
+    """Extract the scalar coefficients from rho0, H and A0 H A0^dag.
+
+    Raises ValueError where rho0 or A0 H A0^dag leaves float range."""
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        rho0 = setup.a0 @ dagger(setup.a0)
+        h0 = setup.a0 @ setup.hamiltonian @ dagger(setup.a0)
+    if not (np.isfinite(rho0).all() and np.isfinite(h0).all()):
+        raise ValueError("sb2c parameters beyond float range: "
+                         "rho0 = A0 A0^dag or A0 H A0^dag is not finite")
     h = setup.hamiltonian
     return SB2CParameters(
         a=float(rho0[0, 1].real), b=float(rho0[0, 1].imag),
@@ -221,33 +227,38 @@ def _require_reducible(p: SB2CParameters) -> None:
 
 def _reduced_flow(p: SB2CParameters):
     """Closures (terms, field) over coefficients computed once from
-    unchecked parameters, none calling numpy.  terms(r) = (Phi, Phi', den)
-    takes each power of r once: Phi = (n4 r^4 + n2 r^2 + n0) / den and
-    Phi' = top / den1**2, where den = r (k2 r^2 - k0) and den1 = k2 r^3 - k0 r,
-    and raises SingularityError where either rounds to 0.  field(y, r) (d != 0)
-    checks 0 < r < inf, calls terms once and raises where a + d Phi' rounds
-    to 0; it returns (ydot, rdot, Phi, a + d Phi', den), the last two being
-    the denominators whose sign changes stop the flow.  The field is
+    unchecked parameters, none calling numpy; ValueError if a coefficient
+    is not finite.  terms(r) = (Phi, Phi', den) takes every power of r as
+    a product, over the one denominator den = r (k2 r^2 - k0):
+    Phi = (n4 r^4 + n2 r^2 + n0) / den and Phi' = top / den^2.  It raises
+    SingularityError where den rounds to 0 and OverflowError where Phi or
+    Phi' is not finite.  field(y, r) (d != 0) checks 0 < r < inf, calls
+    terms once and raises where a + d Phi' rounds to 0; it returns
+    (ydot, rdot, Phi, a + d Phi', den), the last two being the
+    denominators whose sign changes stop the flow.  The field is
     ydot = (ga r + gd Phi + da / r) / d, rdot = -gd y / (a + d Phi')."""
     a, d = p.a, p.d
     n4 = p.a * (p.gamma * p.a - p.h1) - p.d * (p.gamma * p.c - p.h3)
     n2, n0 = p.a * p.d * p.alpha, (p.delta * p.d - p.h4) * p.d
-    k2, k0 = p.h4 * p.a - p.d * p.h1, p.d**2 * p.alpha
+    k2, k0 = p.h4 * p.a - p.d * p.h1, p.d * p.d * p.alpha
     ga, gd, da = p.gamma * p.a - p.h1, p.gamma * p.d - p.h4, p.d * p.alpha
-    n4x4, n2x2, k2x3 = 4 * n4, 2 * n2, 3 * k2  # bound once: 4 * n4 * r3 is (4 * n4) * r3
+    n4x4, n2x2, k2x3 = 4 * n4, 2 * n2, 3 * k2  # bound once: 4 * n4 * r2 is (4 * n4) * r2
+    if not all(map(math.isfinite, (a, d, n4, n2, n0, k2, k0, ga, gd, da, n4x4, n2x2, k2x3))):
+        raise ValueError("sb2c parameters beyond float range: a coefficient of "
+                         "Phi or of the reduced field is not finite")
+    isfinite = math.isfinite
 
     def terms(r):
-        r2 = r**2
+        r2 = r * r
         den = r * (k2 * r2 - k0)
         if den == 0.0:
             raise SingularityError(f"constraint denominator vanishes at r={r}")
-        num = n4 * r**4 + n2 * r2 + n0
-        r3 = r**3
-        den1 = k2 * r3 - k0 * r
-        if den1 == 0.0:
-            raise SingularityError(f"constraint denominator vanishes at r={r}")
-        top = (n4x4 * r3 + n2x2 * r) * den1 - num * (k2x3 * r2 - k0)
-        return num / den, top / den1**2, den
+        num = n4 * (r2 * r2) + n2 * r2 + n0
+        top = (n4x4 * r2 + n2x2) * r * den - num * (k2x3 * r2 - k0)
+        phi, phi1 = num / den, top / (den * den)
+        if not (isfinite(phi) and isfinite(phi1)):
+            raise OverflowError(f"Phi or Phi' is not finite at r={r}")
+        return phi, phi1, den
 
     def field(y, r):
         if not 0 < r < math.inf:
@@ -293,8 +304,11 @@ def reduced_rhs(state: ReducedState, params: SB2CParameters):
     SingularityError
         If ``a + d Phi'(r)`` vanishes (the velocity of r is undetermined
         there) or the constraint denominator vanishes.
+    ArithmeticError
+        If Phi(r) or Phi'(r) is not finite.
     ValueError
-        If d = 0 or the parameters are not in the real symmetric case.
+        If d = 0, the parameters are not in the real symmetric case or a
+        coefficient of the field is not finite.
     """
     _require_reducible(params)
     return _reduced_flow(params)[1](state.y, state.r)[:2]
@@ -324,8 +338,8 @@ def integrate_reduced(initial: ReducedState, params: SB2CParameters,
     step: a finer step moves the time.  A field that is singular or out
     of float range at the initial state gives no rows and the record
     ``{"time": 0.0, "bracket": None, ...}``.  Raises ValueError for
-    invalid grid inputs, d = 0 or parameters outside the real symmetric
-    case.
+    invalid grid inputs, d = 0, parameters outside the real symmetric
+    case or a coefficient of the field that is not finite.
     """
     grid = time_grid(t_final, step).tolist()
     _require_reducible(params)
@@ -335,7 +349,7 @@ def integrate_reduced(initial: ReducedState, params: SB2CParameters,
     try:
         k1y, k1r, x, denom, den = field(y, r)
         signs0 = (math.copysign(1.0, denom), math.copysign(1.0, den))
-        rows = [(y, r, x)]
+        rows = [y, r, x]
     except (SingularityError, ArithmeticError) as exc:
         rows, grid = [], grid[:1]
         reason = f"singular or overflowing field at r={r}: {exc}"
@@ -369,11 +383,12 @@ def integrate_reduced(initial: ReducedState, params: SB2CParameters,
             meta["singularity"] = {"time": t, "bracket": [t, grid[k + 1]], "reason": reason}
             break
         y, r = y1, r1
-        rows.append((y, r, x))
+        rows += (y, r, x)
 
+    states = np.array(rows, dtype=float).reshape(-1, 3)
     return Trajectory(
-        times=np.array(grid[:len(rows)]),
-        states=np.array(rows, dtype=float).reshape(len(rows), 3),
+        times=np.array(grid[:len(states)]),
+        states=states,
         name="q", column_names=("y", "r", "x"), meta=meta,
     )
 

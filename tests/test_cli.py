@@ -638,6 +638,22 @@ def test_bloch_flow_beyond_float_range_exits_2(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("a0, message", [
+    # rho0's d = 1e300 is finite, but d^2 in Phi's k0 is not
+    pytest.param([[1, 1], [1e150, 2]], "a coefficient of Phi or of the reduced field",
+                 id="field-coefficients"),
+    pytest.param([[1, 1], [1e200, 2]], "rho0 = A0 A0^dag or A0 H A0^dag", id="rho0"),
+])
+def test_sb2c_parameters_beyond_float_range_exit_2(tmp_path, capsys, a0, message):
+    cfg = write_config(tmp_path / "cfg.json", "sb2c",
+                       {"initial": [[-1.0, 6.0]], "a0": a0, "hamiltonian": [[1, 0], [0, -1]]},
+                       1.0, 1e-2)
+    assert run_cli(["sb2c", "--config", cfg, "--out", tmp_path / "out"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: sb2c parameters beyond float range: {message} is not finite\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_bloch_at_the_south_pole_exits_0(tmp_path, capsys):
     # the diagonal flow fixes the south pole and shrinks its state's trace to
     # e^-40; the centre of the ball, whose Bloch vector has norm 0 at t = 0,
@@ -740,7 +756,7 @@ def test_sb2c_field_overflow_at_start_exits_3(tmp_path, capsys, caplog):
                  "a + d Phi'(r) vanishes at r=2.0", id="diagonal-a0"),
     pytest.param([[1, 1], [1, 2]], [[1, 0], [0, -1]], [-6.0, 0.16], 2.0, 2.0, 1, [0.0, 2.0],
                  "the step landed outside r > 0", id="landed-at-negative-r"),
-    # the first stage reaches r ~ 1e198, whose r**4 overflows
+    # the first stage reaches r ~ 1e198, where r^2 and so Phi leave float range
     pytest.param([[1, 1], [1, 2]], [[1, 0], [0, -1]], [1e200, 1.0], 1e-2, 1.0, 1, [0.0, 0.01],
                  "the field left float range", id="field-out-of-range"),
 ])
@@ -749,10 +765,13 @@ def test_sb2c_halting_record(tmp_path, capsys, a0, h, initial, step, t_final, ro
     cfg = write_config(tmp_path / "cfg.json", "sb2c",
                        {"initial": [initial], "a0": a0, "hamiltonian": h}, t_final, step)
     assert run_cli(["sb2c", "--config", cfg, "--out", tmp_path]) == 3
-    err = capsys.readouterr().err
-    assert "Traceback" not in err and reason in err
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err and reason in captured.err
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["singular"] is True
+    if initial[0] == 1e200:  # the row's group matrix is out of float range
+        assert np.isnan(parse_lines(captured.out)["determinant_conservation"][0])
+        assert report["invariants"]["determinant_conservation"]["max"] is None
     assert f"bracket={bracket!r}" in report["warnings"][0]
     assert len((tmp_path / "trajectory.csv").read_text().splitlines()) == 1 + rows
     if rows == 0:  # no sample to judge an invariant by

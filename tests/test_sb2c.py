@@ -514,33 +514,63 @@ def pair_oracle(p):
     """(Phi, Phi', field, signs) of the reduced dynamics on a float64 (y, r)
     pair, written out from the parameters term for term and without
     sb2c._reduced_flow, so a fault in one of its coefficients shows in the
-    last bit: Phi(r) = (n4 r^4 + n2 r^2 + n0) / (r (k2 r^2 - k0)),
+    last bit: Phi(r) = (n4 r^4 + n2 r^2 + n0) / den with every power of r a
+    product, den = r (k2 r^2 - k0) and Phi' over den^2,
     ydot = ((gamma a - h1) r + (gamma d - h4) Phi + d alpha / r) / d and
-    rdot = -(gamma d - h4) y / (a + d Phi'(r)); signs(r) are those of
-    a + d Phi'(r) and of Phi's denominator, whose changes stop the flow."""
+    rdot = -(gamma d - h4) y / (a + d Phi'(r)); the field raises
+    OverflowError where Phi or Phi' is not finite, and signs(r) are those of
+    a + d Phi'(r) and of den, whose changes stop the flow."""
+    n4 = p.a * (p.gamma * p.a - p.h1) - p.d * (p.gamma * p.c - p.h3)
+    n2, n0 = p.a * p.d * p.alpha, (p.delta * p.d - p.h4) * p.d
+    k2, k0 = p.h4 * p.a - p.d * p.h1, p.d * p.d * p.alpha
+
+    def num_den(r):
+        r2 = r * r
+        return n4 * (r2 * r2) + n2 * r2 + n0, r * (k2 * r2 - k0)
+
+    def phi(r):
+        num, den = num_den(r)
+        return num / den
+
+    def phi_prime(r):
+        (num, den), r2 = num_den(r), r * r
+        dnum_over_r, dden = 4 * n4 * r2 + 2 * n2, 3 * k2 * r2 - k0
+        return (dnum_over_r * r * den - num * dden) / (den * den)
+
+    def field(s):
+        y, r = s.tolist()
+        x, slope = phi(r), phi_prime(r)
+        if not (math.isfinite(x) and math.isfinite(slope)):
+            raise OverflowError(f"Phi or Phi' is not finite at r={r}")
+        ydot = ((p.gamma * p.a - p.h1) * r + (p.gamma * p.d - p.h4) * x
+                + p.d * p.alpha / r) / p.d
+        return np.array([ydot, -(p.gamma * p.d - p.h4) * y / (p.a + p.d * slope)])
+
+    def signs(r):
+        return (math.copysign(1.0, p.a + p.d * phi_prime(r)),
+                math.copysign(1.0, num_den(r)[1]))
+
+    return phi, phi_prime, field, signs
+
+
+def power_forms(p):
+    """(Phi, Phi', scale, scale') with every power of r taken by ``**`` and
+    Phi' over (k2 r^3 - k0 r)**2, the expanded form of Phi's denominator;
+    the scales are the sizes of the terms each form sums, (|n4 r^4| +
+    |n2 r^2| + |n0|) / |den| and (|num' den| + |num den'|) / den^2, against
+    which rounding in either form is measured."""
     n4 = p.a * (p.gamma * p.a - p.h1) - p.d * (p.gamma * p.c - p.h3)
     n2, n0 = p.a * p.d * p.alpha, (p.delta * p.d - p.h4) * p.d
     k2, k0 = p.h4 * p.a - p.d * p.h1, p.d**2 * p.alpha
 
-    def phi(r):
-        return (n4 * r**4 + n2 * r**2 + n0) / (r * (k2 * r**2 - k0))
-
-    def phi_prime(r):
+    def forms(r):
         num, den = n4 * r**4 + n2 * r**2 + n0, k2 * r**3 - k0 * r
         dnum, dden = 4 * n4 * r**3 + 2 * n2 * r, 3 * k2 * r**2 - k0
-        return (dnum * den - num * dden) / den**2
+        return (num / den, (dnum * den - num * dden) / den**2,
+                (abs(n4 * r**4) + abs(n2 * r**2) + abs(n0)) / abs(den),
+                (abs(dnum * den) + abs(num * dden)) / den**2)
 
-    def field(s):
-        y, r = s.tolist()
-        ydot = ((p.gamma * p.a - p.h1) * r + (p.gamma * p.d - p.h4) * phi(r)
-                + p.d * p.alpha / r) / p.d
-        return np.array([ydot, -(p.gamma * p.d - p.h4) * y / (p.a + p.d * phi_prime(r))])
-
-    def signs(r):
-        return (math.copysign(1.0, p.a + p.d * phi_prime(r)),
-                math.copysign(1.0, r * (k2 * r**2 - k0)))
-
-    return phi, phi_prime, field, signs
+    return forms
 
 
 def oracle_step(p, state, dt, signs0):
@@ -664,11 +694,11 @@ def test_integrate_reduced_equals_the_numpy_pair_oracle_with_its_halt(y, r):
 
 def test_integrate_reduced_field_overflow_at_start_is_singular():
     # the field is not finite at either start: r^4 leaves float range in
-    # Phi'(r) at r = 1e80, and Phi' divides by a den^2 that underflows to 0
+    # Phi(r) at r = 1e80, and Phi' divides by a den^2 that underflows to 0
     # at r = 1e-55
     p = derive_parameters(worked_setup())
     reasons = {
-        1e80: "singular or overflowing field at r=1e+80: (34, 'Numerical result out of range')",
+        1e80: "singular or overflowing field at r=1e+80: Phi or Phi' is not finite at r=1e+80",
         1e-55: "singular or overflowing field at r=1e-55: float division by zero",
     }
     for r, reason in reasons.items():
@@ -678,18 +708,14 @@ def test_integrate_reduced_field_overflow_at_start_is_singular():
         assert record == {"time": 0.0, "bracket": None, "reason": reason}
 
 
-@pytest.mark.parametrize("form", ["factored", "expanded"])
-def test_denominator_rounding_to_zero_in_either_form_is_singular(form):
-    # Phi's denominator is r (k2 r^2 - k0) and, in Phi', k2 r^3 - k0 r.  With
-    # k2 = 1, k0 is chosen so that one form rounds to exactly 0 at r and the
-    # other does not; phi_of_r, phi_prime and the flow all treat r as singular
+def test_denominator_rounding_to_zero_is_singular():
+    # Phi's denominator is r (k2 r^2 - k0).  With k2 = 1, k0 = r^2 makes it
+    # round to exactly 0 at r (one where r^3 and r^2 r differ, so the
+    # expanded k2 r^3 - k0 r would not); phi_of_r, phi_prime and the flow
+    # all treat r as singular
     rs = np.linspace(0.5, 5.0, 1001).tolist()
-    if form == "factored":
-        r = next(r for r in rs if r**3 != r**2 * r)
-        k0 = r**2
-    else:
-        r = next(r for r in rs if r**3 / r != r**2 and r**3 - r**3 / r * r == 0)
-        k0 = r**3 / r
+    r = next(r for r in rs if r**3 != r**2 * r)
+    k0 = r**2
     p = SB2CParameters(
         a=1.0, b=0.0, c=1.0, d=1.0,
         alpha=k0, beta=0.0, gamma=1.0, delta=0.5,
@@ -703,6 +729,40 @@ def test_denominator_rounding_to_zero_in_either_form_is_singular(form):
     assert traj.states.shape == (0, 3)
     assert traj.meta["singularity"]["reason"] == (
         f"singular or overflowing field at r={r}: {message}")
+
+
+@pytest.mark.parametrize("setup", [worked_setup, tilted_setup, offdiag_setup])
+def test_phi_and_phi_prime_are_the_power_forms_up_to_rounding(setup):
+    # the product forms over one denominator round differently from the
+    # power forms, by a few eps of the terms summed; a wrong coefficient
+    # is off by O(1)
+    p = derive_parameters(setup())
+    forms = power_forms(p)
+    eps = np.finfo(float).eps
+    rs = np.concatenate([np.linspace(0.05, 20.0, 2000), np.geomspace(1e-6, 1e40, 2000)])
+    for r in rs.tolist():
+        phi, slope, scale, slope_scale = forms(r)
+        assert abs(phi_of_r(r, p) - phi) <= 8 * eps * scale, r
+        assert abs(phi_prime(r, p) - slope) <= 8 * eps * slope_scale, r
+
+
+@pytest.mark.parametrize("setup", [worked_setup, tilted_setup, offdiag_setup])
+def test_phi_phi_prime_and_the_field_raise_rather_than_leave_float_range(setup):
+    # far from r ~ 1, r^4 or 1 / den^2 leaves float range: each call either
+    # returns finite values or raises ArithmeticError
+    p = derive_parameters(setup())
+    rs = np.concatenate([np.geomspace(1e40, 1e110, 7500), np.geomspace(1e-80, 1e-40, 7500)])
+    raised = 0
+    for r in rs.tolist():
+        for call in (lambda: (phi_of_r(r, p),), lambda: (phi_prime(r, p),),
+                     lambda: reduced_rhs(ReducedState(y=-1.0, r=r), p)):
+            try:
+                values = call()
+            except ArithmeticError:
+                raised += 1
+                continue
+            assert all(math.isfinite(v) for v in values), (r, values)
+    assert raised > 0
 
 
 def test_flow_map_is_nonlinear():

@@ -65,7 +65,7 @@ ALPHA_SB2C = (
     ("halt", [[1, 1], [1, 2]], [[1, 0.5], [0.5, -1]], (1.0, 4.0), 2.0, 1e-2,
      "csv"),  # 3: the step [0.55, 0.56] lands past a root of a + d Phi'
     ("fail", [[-1.7, -1.9], [-1.1, -1.5]], [[1.2, -1.0], [-1.0, -1.9]], (-2.0, 6.0),
-     2.0, 1e-2, "csv"),  # 1: constraint_residual 1.3e-8 > 1e-8
+     2.0, 1e-2, "csv"),  # 1: constraint_residual 1.7e-8 > 1e-8
     ("pole", [[0, -2], [-0.3, 2]], [[-1.8, -1.6], [-1.6, 0.1]], (-2.0, 2.7), 1.0, 0.5,
      "csv"),  # 3: the first step [0, 0.5] jumps Phi's pole r = 2.953
     ("diagonal-a0", [[1, 0], [0, 2]], [[1, 0.5], [0.5, -1]], (-1.0, 2.0), 1.0, 1e-2,
@@ -75,7 +75,7 @@ ALPHA_SB2C = (
     ("landed-at-negative-r", [[1, 1], [1, 2]], [[1, 0], [0, -1]], (-6.0, 0.16), 2.0, 2.0,
      "csv"),  # 3: the one step [0, 2] lands on r <= 0
     ("field-out-of-range", [[1, 1], [1, 2]], [[1, 0], [0, -1]], (1e200, 1.0), 1.0, 1e-2,
-     "csv"),  # 3: the first stage reaches r ~ 1e198, whose r**4 overflows
+     "csv"),  # 3: the first stage reaches r ~ 1e198, where r^2 and so Phi leave float range
 )
 
 #: (n, samples) of the el_residual_unitary_path runs: the flow u(t) = u0 exp(-iHt) on the
