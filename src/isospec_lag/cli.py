@@ -132,6 +132,8 @@ def _complex_matrix(node, name: str) -> np.ndarray:
             f"matrix {name!r} must be a nested array of [re, im] pairs, "
             f"got shape {arr.shape}"
         )
+    if any(isinstance(x, bool) for row in node for pair in row for x in pair):
+        raise ConfigError(f"matrix {name!r} has a true or false entry, not a number")
     if not np.all(np.isfinite(arr)):
         raise ConfigError(f"matrix {name!r} has non-finite entries")
     return arr[..., 0] + 1j * arr[..., 1]

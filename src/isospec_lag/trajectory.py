@@ -15,13 +15,11 @@ column-major into ``<name>_re_<row>_<col>`` / ``<name>_im_<row>_<col>``
 columns; real coordinate stacks use their explicit column names.
 
 Every float is written as its shortest round-trip ``repr``, so repeated
-runs produce byte-identical files.  :func:`write_csv` writes the ``repr``
-tokens themselves, ``nan``, ``inf`` and ``-inf`` included, one line per
-row; :func:`write_json` writes the bytes of ``json.dump(doc,
-sort_keys=True)`` plus a newline, json's default layout on one line,
-``NaN``, ``Infinity`` and ``-Infinity`` included.  Both stream to the
-file a block of rows or a column at a time, never holding the whole
-document as one string.
+runs produce byte-identical files.  :func:`write_csv` writes one line per
+row, each float through ``%r`` (``nan``, ``inf`` and ``-inf`` included);
+:func:`write_json` writes the bytes of ``json.dump(doc, sort_keys=True)``
+and a newline, one line with ``NaN``, ``Infinity`` and ``-Infinity``.
+Both stream a block of rows or a column at a time to the file.
 
 A table of at least ``PARALLEL_MIN_FLOATS`` floats (``t`` included) in
 two or more of those pieces is written by two processes when
@@ -192,14 +190,14 @@ def rk4_commutator_trajectory(y0: np.ndarray, h: np.ndarray, sign: int,
     return Trajectory(times, states, name=name)
 
 
-#: Rows per ``repr`` pass of write_csv, so a block's text stays under a few hundred KiB.
+#: Rows per ``%`` format of write_csv, so a block's text stays under a few hundred KiB.
 CSV_BLOCK_ROWS = 256
 
 #: A table of at least this many floats, ``t`` included, is rendered in
-#: two halves at once when a second CPU is usable.  In a fresh CLI process
-#: on two CPUs the split lost 2-3 ms per write at 9,009 floats and won in
-#: the median at 18,009, but only from 32,769 on did it win in three
-#: quarters of the runs for both csv and json.
+#: two halves at once when a second CPU is usable.  On two free CPUs a fresh
+#: CLI process's split won in three quarters of its csv and json writes from
+#: 32,769 floats on (``repr`` of lists); with ``%r``, on two CPUs that ran two
+#: processes no faster than one, the csv split lost 4-6 ms at 18,009 to 45,009.
 PARALLEL_MIN_FLOATS = 2 ** 15
 
 
@@ -280,14 +278,14 @@ def _write_table(path, fmt: str, head: str, pieces: list, shape: tuple) -> None:
 
 
 def _csv_block(rows: np.ndarray) -> str:
-    """CSV lines of a block of rows, from one ``repr`` of a list of lists of
-    floats: a float's ``repr`` holds neither ``", "`` nor ``"]"``."""
-    return repr(rows.tolist())[2:-2].replace(", ", ",").replace("],[", "\n") + "\n"
+    """CSV lines of a block of rows, one ``%r`` (a float's ``repr``) per float."""
+    line = ",".join(["%r"] * rows.shape[1]) + "\n"
+    return (line * len(rows)) % tuple(rows.ravel().tolist())
 
 
 def write_csv(traj: Trajectory, path) -> None:
     """Write a trajectory as CSV with a leading ``t`` column, a block of
-    ``CSV_BLOCK_ROWS`` rows per ``repr`` pass."""
+    ``CSV_BLOCK_ROWS`` rows per ``%`` format."""
     rows = np.column_stack([traj.times, traj.table()])
     pieces = [functools.partial(_csv_block, rows[start:start + CSV_BLOCK_ROWS])
               for start in range(0, len(rows), CSV_BLOCK_ROWS)]

@@ -861,6 +861,9 @@ def run_doc(doc, kind, out):
                  id="nan-bloch-row"),
     pytest.param("sb2c", ("matrices", "initial"), [[[-1.0, float("inf")], [6.0, 0]]],
                  id="inf-sb2c-row"),
+    pytest.param("heisenberg", ("matrices", "initial"), [[[True, 0], [1, False]], [[1, 0], [0, 0]]],
+                 id="bool-heisenberg-initial"),
+    pytest.param("sb2c", ("matrices", "initial"), [[[-1.0, 0], [True, 0]]], id="bool-sb2c-row"),
 ])
 def test_malformed_value_exits_2(tmp_path, kind, path, value):
     doc = valid_doc(kind)
@@ -868,6 +871,7 @@ def test_malformed_value_exits_2(tmp_path, kind, path, value):
     code, err = run_doc(doc, kind, tmp_path)
     assert code == 2
     assert "config error" in err
+    assert not (tmp_path / "run").exists()
 
 
 def test_non_string_output_path_exits_2(tmp_path, capsys):

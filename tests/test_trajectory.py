@@ -173,7 +173,8 @@ SPLITS = (None, "fork", "no fork", "one cpu")
 
 @settings(max_examples=60, deadline=None)
 @given(
-    layout=st.sampled_from([1, 2, 3, 4, SB2C_COLUMNS, BLOCH_COLUMNS, ("b", "a\u00e9\"", "b")]),
+    layout=st.sampled_from([1, 2, 3, 4, ("y",), SB2C_COLUMNS, BLOCH_COLUMNS,
+                            ("b", "a\u00e9\"", "b")]),
     rows=st.sampled_from([0, 1, 2, 7, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS,
                           CSV_BLOCK_ROWS + 1, 2 * CSV_BLOCK_ROWS + 1]),
     seed=st.integers(0, 2**32 - 1),
@@ -190,6 +191,12 @@ SPLITS = (None, "fork", "no fork", "one cpu")
 @example(layout=2, rows=2, seed=5, specials=[math.inf, -math.inf, 5e-324], split="fork")
 @example(layout=BLOCH_COLUMNS, rows=2 * CSV_BLOCK_ROWS + 1, seed=6,
          specials=[math.nan, math.inf, -math.inf, -0.0, -2.5e-310], split="fork")
+# the narrowest row template, t and one column
+@example(layout=("y",), rows=CSV_BLOCK_ROWS + 1, seed=9,
+         specials=[math.nan, math.inf, -math.inf, -0.0, 5e-324], split=None)
+# each process renders one full block
+@example(layout=SB2C_COLUMNS, rows=2 * CSV_BLOCK_ROWS, seed=10,
+         specials=[math.nan, -0.0, -2.5e-310], split="fork")
 @example(layout=3, rows=CSV_BLOCK_ROWS + 1, seed=7, specials=[], split="no fork")
 @example(layout=3, rows=CSV_BLOCK_ROWS + 1, seed=8, specials=[], split="one cpu")
 def test_writers_match_their_references_byte_for_byte(layout, rows, seed, specials, split):
