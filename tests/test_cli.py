@@ -1,6 +1,8 @@
 import contextlib
+import gc
 import io
 import json
+import logging
 import os
 import re
 import subprocess
@@ -722,6 +724,85 @@ def test_a_split_cli_run_prints_each_line_once(tmp_path, fmt):
     assert "Traceback" not in proc.stderr
     mode = "split" if trajectory._can_split() else "serial"
     assert f": 5001 x 9, 45009 floats, {mode}, " in proc.stderr
+
+
+def _console_script():
+    """The program of the ``isospec-lag`` console script, as ``-c`` arguments:
+    what the wrapper that pip generates from pyproject.toml runs."""
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    module, func = re.search(r'^isospec-lag = "([\w.]+):(\w+)"$', text, re.M).groups()
+    return ["-c", f"import sys; from {module} import {func}; sys.exit({func}())"]
+
+
+ENTRY_POINTS = {"python -m": ["-m", "isospec_lag.cli"], "console script": _console_script()}
+HEISENBERG_PAIR = {"initial": [[0, 1], [1, 0]], "hamiltonian": [[1, 0], [0, -1]]}
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+@pytest.mark.parametrize("kind, matrices, t_final, step, args, code", [
+    ("heisenberg", HEISENBERG_PAIR, 0.05, 1e-2, [], 0),
+    ("heisenberg", HEISENBERG_PAIR, 0.05, 1e-2, ["--tolerance", "rk4_exact_endpoint=0"], 1),
+    ("heisenberg", {"initial": [[0, 1], [1, 0]]}, 0.05, 1e-2, [], 2),
+    ("sb2c", {"initial": [[-3.0, 1.0]], "a0": [[1, 1], [1, 2]],
+              "hamiltonian": [[1, 0], [0, -1]]}, 2.0, 1e-3, [], 3),
+], ids=["exit0", "exit1", "exit2", "exit3"])
+def test_a_cli_process_keeps_the_exit_contract(tmp_path, entry, kind, matrices, t_final,
+                                               step, args, code):
+    """A command-line process, which freezes the collector once main has
+    returned, exits with main's code, prints each invariant line once, says
+    why on stderr for codes 2 and 3, prints no traceback, and writes
+    report.json unless the config is rejected."""
+    cfg = write_config(tmp_path / "cfg.json", kind, matrices, t_final, step)
+    proc = subprocess.run(
+        [sys.executable, *ENTRY_POINTS[entry], kind, "--config", str(cfg),
+         "--out", str(tmp_path / "out"), *args],
+        capture_output=True, text=True, env=src_env(), timeout=120)
+    assert proc.returncode == code, proc.stderr
+    names = [m["name"] if (m := LINE.match(line)) else line for line in proc.stdout.splitlines()]
+    assert names == ([] if code == 2 else list(cli.DEFAULT_TOLERANCES[kind]))
+    assert "Traceback" not in proc.stderr
+    assert ("config error: " in proc.stderr) == (code == 2)
+    assert ("warning: singularity near t=" in proc.stderr) == (code == 3)
+    assert (tmp_path / "out" / "report.json").is_file() == (code != 2)
+
+
+def test_main_leaves_the_collector_alone(tmp_path):
+    """Only the script entry freezes the collector: main, which tests,
+    tools and the benchmark worker call in-process, does not."""
+    before = gc.isenabled(), gc.get_freeze_count()
+    assert run_cli(["heisenberg", "--config", heisenberg_config(tmp_path, t_final=0.05),
+                    "--out", tmp_path]) == 0
+    assert (gc.isenabled(), gc.get_freeze_count()) == before
+
+
+def test_python_m_logs_as_isospec_lag_cli(tmp_path):
+    """Under ``python -m`` the module runs as __main__, but its records
+    still come from the isospec_lag.cli logger."""
+    cfg = write_config(tmp_path / "cfg.json", "verify", HEISENBERG_PAIR, 0.1, 1e-2)
+    proc = subprocess.run(
+        [sys.executable, *ENTRY_POINTS["python -m"], "verify", "--config", str(cfg),
+         "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env={**src_env(), "ISOSPEC_LOG": "info"}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    info = [line for line in proc.stderr.splitlines() if line.startswith("INFO ")]
+    assert len(info) == 4
+    assert all(line.startswith("INFO isospec_lag.cli: ") for line in info), info
+
+
+def test_isospec_log_applies_on_every_call(tmp_path, monkeypatch, caplog):
+    """Each call of main reads ISOSPEC_LOG again, so a process that calls
+    it twice logs at the second call's level."""
+    cfg = write_config(tmp_path / "cfg.json", "verify", HEISENBERG_PAIR, 0.1, 1e-2)
+    root = logging.getLogger()
+    level = root.level
+    try:
+        for value, logged in (("warn", False), ("info", True)):
+            monkeypatch.setenv("ISOSPEC_LOG", value)
+            caplog.clear()
+            assert run_cli(["verify", "--config", cfg, "--out", tmp_path / value]) == 0
+            assert ("worst at sample" in caplog.text) == logged
+    finally:
+        root.setLevel(level)
 
 
 def test_sb2c_field_overflow_at_start_exits_3(tmp_path, capsys, caplog):
