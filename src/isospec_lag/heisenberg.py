@@ -90,9 +90,9 @@ def lagrangian_heisenberg(tangent: OperatorTangent, h) -> float:
     ``-Tr(A H A^dag - A^dag H A)``.  Vanishes identically on Hermitian
     (A, Adot) pairs.
     """
-    a = tangent.point
+    a, ad = tangent.point, tangent.velocity
     h = require_hermitian(h, name="hamiltonian", shape=a.shape)
-    return float(lagrangian_heisenberg_values(a, tangent.velocity, h))
+    return float(lagrangian_heisenberg_chart(h)(flatten_complex(a), flatten_complex(ad)))
 
 
 def flatten_complex(a: np.ndarray) -> np.ndarray:
@@ -133,14 +133,6 @@ def lagrangian_heisenberg_chart(h: np.ndarray):
         return -np.einsum("...i,...i->...", q, y)
 
     return evaluate
-
-
-def lagrangian_heisenberg_values(a: np.ndarray, ad: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Operator-space Lagrangian over stacks: lagrangian_heisenberg_chart(h) at
-    flatten_complex of ``a`` and ``ad``, complex arrays of shape ``(..., n, n)``;
-    the result has shape ``(...)``.  ``h`` must already be Hermitian ``(n, n)``:
-    the chart checks only its shape and finiteness."""
-    return lagrangian_heisenberg_chart(h)(flatten_complex(a), flatten_complex(ad))
 
 
 def cartan_one_form_heisenberg(point, v) -> float:

@@ -73,12 +73,6 @@ def frobenius_norm(m) -> float:
     return float(np.linalg.norm(np.asarray(m)))
 
 
-def hermitian_defect(m) -> float:
-    """Frobenius distance ``||M - M^dag||_F`` from the Hermitian cone."""
-    m = np.asarray(m, dtype=complex)
-    return frobenius_norm(m - dagger(m))
-
-
 def require_hermitian(m, name: str = "matrix", shape=None) -> np.ndarray:
     """Return the Hermitian part ``(m + m^dag) / 2`` of ``m``, raising if
     ``m`` is not Hermitian; an exactly Hermitian ``m`` comes back as given.
@@ -87,11 +81,13 @@ def require_hermitian(m, name: str = "matrix", shape=None) -> np.ndarray:
     Raises
     ------
     ValueError
-        If the Hermitian defect exceeds ``HERMITIAN_TOL``.
+        If the Hermitian defect ``||m - m^dag||_F`` exceeds ``HERMITIAN_TOL``,
+        or overflows.
     """
     arr = as_complex_matrix(m, name, shape)
-    defect = hermitian_defect(arr)
-    if defect > HERMITIAN_TOL:
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing defect fails below
+        defect = frobenius_norm(arr - dagger(arr))
+    if not defect <= HERMITIAN_TOL:
         raise ValueError(
             f"{name} is not Hermitian: defect {defect:.3e} > tolerance {HERMITIAN_TOL:.3e}"
         )

@@ -83,12 +83,13 @@ class UnitaryTangent:
         self.u = as_complex_matrix(self.u, "u")
         self.udot = as_complex_matrix(self.udot, "udot", shape=self.u.shape)
         n = self.u.shape[0]
-        unitary_defect = frobenius_norm(dagger(self.u) @ self.u - np.eye(n))
-        if unitary_defect > HERMITIAN_TOL:
+        with np.errstate(over="ignore", invalid="ignore"):  # overflowing defects fail below
+            unitary_defect = frobenius_norm(dagger(self.u) @ self.u - np.eye(n))
+            normal = self.u @ dagger(self.udot) + self.udot @ dagger(self.u)
+            tangency = frobenius_norm(normal)
+        if not unitary_defect <= HERMITIAN_TOL:
             raise ValueError(f"u is not unitary: defect {unitary_defect:.3e}")
-        normal = self.u @ dagger(self.udot) + self.udot @ dagger(self.u)
-        tangency = frobenius_norm(normal)
-        if tangency > HERMITIAN_TOL:
+        if not tangency <= HERMITIAN_TOL:
             raise ValueError(f"udot is not tangent: defect {tangency:.3e}")
         self.udot = self.udot - normal @ self.u / 2
 

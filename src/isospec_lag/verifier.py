@@ -82,14 +82,15 @@ def gradients(lagrangian: Callable, q, qdot, wrt: str) -> np.ndarray:
     """Centered-difference dL/dq (wrt="q") or dL/dqdot (wrt="qdot") at
     (q, qdot), error O(h^2) with h = GRADIENT_STEP.
 
-    q and qdot are one point (dim,) or a stack (m, dim), alike, as is the
-    gradient.  The 2 dim bumped points (q +- h e_i with qdot fixed, or qdot
-    +- h e_i with q fixed) at every point are stacked and evaluated in one call,
-    the bumped argument as (m, 2 dim, dim) and a copy of the fixed one, never the
-    caller's memory, as (m, 1, dim): a chart does its work on the fixed argument once
-    per point.  Values of shape (m, 2 dim) are taken as they are; a narrower reply is
-    broadcast to it, so a Lagrangian that reads one argument may return (m, 1), and
-    one that does not broadcast raises a ValueError naming both shapes.
+    q and qdot are one point (dim,) or a stack (..., dim), alike, as is the
+    gradient; a point is a stack of one.  The 2 dim bumped points (q +- h e_i with
+    qdot fixed, or qdot +- h e_i with q fixed) at every point are stacked and
+    evaluated in one call, the caller's leading axes kept: the bumped argument as
+    (..., 2 dim, dim) and a copy of the fixed one, never the caller's memory, as
+    (..., 1, dim), so a chart does its work on the fixed argument once per point.
+    Values of shape (..., 2 dim) are taken as they are; a narrower reply is broadcast
+    to it, so a Lagrangian that reads one argument may return (..., 1), and one that
+    does not broadcast raises a ValueError naming both shapes.
     """
     h, shape = GRADIENT_STEP, np.shape(q)
     if np.shape(qdot) != shape:
@@ -98,25 +99,26 @@ def gradients(lagrangian: Callable, q, qdot, wrt: str) -> np.ndarray:
         raise ValueError(f"unknown gradient {wrt!r}")
     if shape[-1:] in ((), (0,)):
         raise ValueError(f"need q and qdot of shape (..., dim) with dim >= 1, got {shape}")
-    dim = shape[-1]
-    q, qdot = (np.asarray(x, dtype=float).reshape(-1, 1, dim) for x in (q, qdot))
+    lead, dim = shape[:-1] or (1,), shape[-1]
+    q, qdot = (np.asarray(x, dtype=float).reshape(lead + (1, dim)) for x in (q, qdot))
     if wrt == "q":
         q, qdot = q + _bumps(dim), qdot.copy()
     else:
         q, qdot = q.copy(), qdot + _bumps(dim)
     values = np.asarray(lagrangian(q, qdot), dtype=float)
-    full = (len(q), 2 * dim)
+    full = lead + (2 * dim,)
     if values.shape != full:
         try:
             values = np.broadcast_to(values, full)
         except ValueError:
             raise ValueError(f"Lagrangian returned values of shape {values.shape}, "
-                             f"need {full} or {(len(q), 1)}") from None
-    values = values.reshape(len(q), 2, dim)
+                             f"need {full} or {lead + (1,)}") from None
+    values = values.reshape(lead + (2, dim))
     if not np.isfinite(values).all():
-        i, sign, _ = np.argwhere(~np.isfinite(values))[0]
-        raise ValueError(f"Lagrangian is not finite (dL/d{wrt} {'+-'[sign]}) near q={q[i, 0]}")
-    return ((values[:, 0] - values[:, 1]) / (2 * h)).reshape(shape)
+        *i, sign, _ = np.argwhere(~np.isfinite(values))[0]
+        raise ValueError(f"Lagrangian is not finite (dL/d{wrt} {'+-'[sign]}) "
+                         f"near q={q[(*i, 0)]}")
+    return ((values[..., 0, :] - values[..., 1, :]) / (2 * h)).reshape(shape)
 
 
 def el_residual_path(lagrangian: Callable, times, points) -> np.ndarray:
@@ -246,18 +248,17 @@ def _orbit_inputs(name, unitaries, sigma, hamiltonian):
 def _unitary_chart(u_centers, root, lagrangian, basis) -> Callable:
     """unitary_chart around each unchecked unitary of u_centers, (n, n) or (k, n, n), with
     root = sqrt(sigma), lagrangian_heisenberg_chart of the checked hamiltonian and the
-    basis stack.  q and qdot broadcast against each other; around k centres they have one
-    number of axes, the leading one split evenly among the centres, in order, and any
-    broadcast axis after it is kept: the inverse and sqrt(sigma) u go once per row of q."""
+    basis stack.  q and qdot broadcast against each other; around k centres their leading
+    axis is the centres' axis, in order: the centres are given one axis of length 1 for
+    each further axis of q, so they broadcast against it.  The inverse and sqrt(sigma) u
+    go once per row of q."""
     n = u_centers.shape[-1]
     root_centers = root @ u_centers
 
     def evaluate(q, qdot):
         x, e = (np.tensordot(v, basis, 1) for v in (q, qdot))  # (..., n, n)
-        centers = root_centers
-        if centers.ndim == 3:  # (rows, 1, ..., n, n): each centre over its share of rows
-            centers = np.repeat(centers, len(x) // len(centers), axis=0).reshape(
-                x.shape[:1] + (1,) * (x.ndim - 3) + (n, n))
+        centers = root_centers.reshape(
+            root_centers.shape[:-2] + (1,) * (x.ndim - root_centers.ndim) + (n, n))
         y_inv = np.linalg.inv(np.eye(n) - x / 2)
         root_y_inv = centers @ y_inv  # sqrt(sigma) u = 2 root_y_inv - centers
         return lagrangian(flatten_complex(2 * root_y_inv - centers),

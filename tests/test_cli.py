@@ -286,6 +286,20 @@ def test_non_hermitian_hamiltonian_exits_2(tmp_path, capsys):
     assert run_cli(["heisenberg", "--config", cfg, "--out", tmp_path]) == 2
 
 
+@pytest.mark.parametrize("kind, name", [("heisenberg", "initial"), ("lvn", "density matrix"),
+                                        ("verify", "initial")])
+def test_an_overflowing_hermitian_defect_is_one_config_error(tmp_path, capsys, kind, name):
+    # ||A - A^dag|| overflows: a config error, with no numpy warning (the suite
+    # makes RuntimeWarning an error) and no output
+    cfg = write_config(tmp_path / "cfg.json", kind,
+                       {"initial": [[0, 1e200], [-1e200, 0]], "hamiltonian": [[1, 0], [0, -1]]},
+                       0.1, 0.01)
+    assert run_cli([kind, "--config", cfg, "--out", tmp_path / "out"]) == 2
+    assert capsys.readouterr().err == (f"config error: {name} is not Hermitian: "
+                                       "defect inf > tolerance 1.000e-10\n")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("kind", ["heisenberg", "lvn", "verify"])
 def test_initial_hamiltonian_shape_mismatch_exits_2(tmp_path, capsys, kind):
     cfg = write_config(

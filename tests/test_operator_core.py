@@ -18,7 +18,6 @@ from isospec_lag.operator_core import (
     commutator,
     dagger,
     frobenius_norm,
-    hermitian_defect,
     hermitian_propagator,
     hermitian_sqrt,
     require_hermitian,
@@ -142,7 +141,7 @@ def test_commutator_traceless():
 
 def test_hermitian_predicates():
     np.testing.assert_array_equal(require_hermitian(SX), SX)
-    assert hermitian_defect(SY) == 0.0
+    assert frobenius_norm(SY - dagger(SY)) == 0.0
     with pytest.raises(ValueError):
         require_hermitian(np.array([[0, 1], [0, 0]]))
     # defect just below / above the fixed tolerance HERMITIAN_TOL = 1e-10
@@ -151,11 +150,26 @@ def test_hermitian_predicates():
         require_hermitian(SX + np.array([[0, 7.1e-11], [0, 0]]))
 
 
+@pytest.mark.parametrize("call, match", [
+    pytest.param(lambda: require_hermitian([[0, 1e200], [-1e200, 0]]),
+                 "^matrix is not Hermitian: defect inf", id="hermitian"),
+    pytest.param(lambda: UnitaryTangent(np.diag([1e200, 1]), np.zeros((2, 2))),
+                 "^u is not unitary", id="unitary"),
+    pytest.param(lambda: UnitaryTangent(TWO, [[1e200, 0], [0, 0]]), "^udot is not tangent",
+                 id="tangent"),
+])
+def test_an_overflowing_defect_fails_its_check_without_a_warning(call, match):
+    # the suite turns RuntimeWarning into an error, so an overflow warning fails here
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
 def test_require_hermitian_returns_the_hermitian_part():
     near = SX + np.array([[0, 7e-11j], [0, 0]])
     np.testing.assert_array_equal(require_hermitian(near), SX + np.array([[0, 3.5e-11j],
                                                                           [-3.5e-11j, 0]]))
-    assert hermitian_defect(require_hermitian(near)) == 0.0
+    hermitian = require_hermitian(near)
+    assert frobenius_norm(hermitian - dagger(hermitian)) == 0.0
     # an exactly Hermitian matrix comes back as given, signed zeros included
     exact = np.array([[complex(1, -0.0), 2 + 1j], [2 - 1j, complex(-1, -0.0)]])
     assert require_hermitian(exact).tobytes() == exact.tobytes()
@@ -177,7 +191,7 @@ def test_hermitian_sqrt_reconstruction():
             a = rand_complex(rng, n)
             m = a @ dagger(a)
             s = hermitian_sqrt(m)
-            assert hermitian_defect(s) <= 1e-10
+            assert frobenius_norm(s - dagger(s)) <= 1e-10
             np.testing.assert_allclose(s @ s, m, atol=1e-9)
 
 

@@ -21,11 +21,11 @@ EXPORTS = {
         OperatorTangent cartan_one_form_heisenberg cartan_two_form_heisenberg
         el_residual_heisenberg evolve_heisenberg_exact evolve_heisenberg_rk4
         flatten_complex heisenberg_rhs lagrangian_heisenberg
-        lagrangian_heisenberg_chart lagrangian_heisenberg_values
+        lagrangian_heisenberg_chart
     """,
     operator_core: """
         HERMITIAN_TOL as_complex_matrix commutator dagger frobenius_norm
-        hermitian_defect hermitian_propagator hermitian_sqrt
+        hermitian_propagator hermitian_sqrt
         require_hermitian unitary_algebra_basis
     """,
     sb2c: """

@@ -11,7 +11,7 @@ from isospec_lag.heisenberg import (
     evolve_heisenberg_exact,
     heisenberg_rhs,
     lagrangian_heisenberg,
-    lagrangian_heisenberg_values,
+    lagrangian_heisenberg_chart,
 )
 from isospec_lag.operator_core import hermitian_propagator, unitary_algebra_basis
 from isospec_lag.unitary_orbit import UnitaryTangent, el_residual_unitary, lagrangian_unitary
@@ -127,6 +127,34 @@ def test_broadcast_gradients_equal_explicitly_repeated_stacks(n, points, wrt, se
     q, qdot = rng.standard_normal((2, points, 2 * n * n))
     np.testing.assert_array_equal(gradients(chart, q, qdot, wrt),
                                   repeated_gradients(chart, q, qdot, wrt))
+
+
+@pytest.mark.parametrize("wrt", ["q", "qdot"])
+@pytest.mark.parametrize("lead", [(), (5,), (4, 2)], ids=["point", "stack", "pairs"])
+def test_gradients_keep_the_callers_leading_axes(lead, wrt):
+    # a point is a stack of one; (k, 2, dim) reaches the Lagrangian as (k, 2, 2 dim, dim)
+    # bumped and (k, 2, 1, dim) fixed, and each row rounds as in its own call
+    dim, shapes = 3, []
+
+    def recording(q, qdot):
+        shapes.append((q.shape, qdot.shape))
+        return bumpy_lagrangian(q, qdot)
+
+    q, qdot = np.random.default_rng(28).standard_normal((2,) + lead + (dim,))
+    got = gradients(recording, q, qdot, wrt)
+    bumped, fixed = (lead or (1,)) + (2 * dim, dim), (lead or (1,)) + (1, dim)
+    assert shapes == [(bumped, fixed) if wrt == "q" else (fixed, bumped)]
+    assert got.shape == q.shape
+    rows = [gradients(bumpy_lagrangian, x, v, wrt)
+            for x, v in zip(q.reshape(-1, dim), qdot.reshape(-1, dim))]
+    np.testing.assert_array_equal(got.reshape(-1, dim), rows)
+
+
+def test_a_non_finite_value_names_its_point_in_a_stack_of_pairs():
+    q, qdot = np.arange(12.0).reshape(2, 3, 2), np.zeros((2, 3, 2))
+    qdot[1, 2, 0] = 1.0  # only this point's first velocity, bumped up, reads NaN
+    with pytest.raises(ValueError, match=r"not finite \(dL/dqdot \+\) near q=\[10\. 11\.\]$"):
+        gradients(nan_at_one_bump, q, qdot, "qdot")
 
 
 @pytest.mark.parametrize("wrt", ["q", "qdot"])
@@ -524,8 +552,9 @@ def test_stacked_kernel_reads_the_hermitian_part_of_h():
     for n in (2, 3, 4):
         a, ad = (rng.standard_normal((2, 64, n, n)) + 1j * rng.standard_normal((2, 64, n, n)))
         h = rand_complex(rng, n)
-        want = lagrangian_heisenberg_values(a, ad, (h + h.conj().T) / 2)
-        np.testing.assert_allclose(lagrangian_heisenberg_values(a, ad, h), want,
+        q, v = flatten_complex(a), flatten_complex(ad)
+        want = lagrangian_heisenberg_chart((h + h.conj().T) / 2)(q, v)
+        np.testing.assert_allclose(lagrangian_heisenberg_chart(h)(q, v), want,
                                    rtol=1e-12, atol=1e-12 * np.max(np.abs(want)))
 
 
