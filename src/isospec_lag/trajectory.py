@@ -194,11 +194,12 @@ def rk4_commutator_trajectory(y0: np.ndarray, h: np.ndarray, sign: int,
 CSV_BLOCK_ROWS = 256
 
 #: A table of at least this many floats, ``t`` included, is rendered in
-#: two halves at once when a second CPU is usable.  On two free CPUs a fresh
-#: CLI process's split won in three quarters of its csv and json writes from
-#: 32,769 floats on (``repr`` of lists); with ``%r``, on two CPUs that ran two
-#: processes no faster than one, the csv split lost 4-6 ms at 18,009 to 45,009.
-PARALLEL_MIN_FLOATS = 2 ** 15
+#: two halves at once when a second CPU is usable.  In a warm process on a
+#: 2-CPU host, split minus serial write_csv time, median of 40 alternating
+#: pairs (split ahead in): 9,009 floats -0.3 to +0.6 ms (15-21 of 40), 12,004
+#: -0.9 to -1.2 ms (27), 16,384 -2.1 to -2.6 ms (30-31), 20,004 -3.4 to
+#: -4.7 ms (34-37) and 32,772 -6 to -13 ms (38-39), over two runs.
+PARALLEL_MIN_FLOATS = 2 ** 14
 
 
 def _can_split() -> bool:

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -116,8 +117,8 @@ def gradients(lagrangian: Callable, q, qdot, wrt: str) -> np.ndarray:
     values = values.reshape(lead + (2, dim))
     if not np.isfinite(values).all():
         *i, sign, _ = np.argwhere(~np.isfinite(values))[0]
-        raise ValueError(f"Lagrangian is not finite (dL/d{wrt} {'+-'[sign]}) "
-                         f"near q={q[(*i, 0)]}")
+        near = np.array2string(q[(*i, 0)], max_line_width=sys.maxsize)  # one line, at any dim
+        raise ValueError(f"Lagrangian is not finite (dL/d{wrt} {'+-'[sign]}) near q={near}")
     return ((values[..., 0, :] - values[..., 1, :]) / (2 * h)).reshape(shape)
 
 

@@ -300,6 +300,17 @@ def test_an_overflowing_hermitian_defect_is_one_config_error(tmp_path, capsys, k
     assert not (tmp_path / "out").exists()
 
 
+def test_a_non_finite_lagrangian_is_a_one_line_config_error(tmp_path, capsys):
+    # the message names a point of dim 8, wider than numpy's 75-character lines
+    cfg = write_config(tmp_path / "cfg.json", "verify",
+                       {"initial": [[0.5, 1e200], [1e200, 0.5]], "hamiltonian": [[1, 0], [0, -1]]},
+                       1.0, 0.01)
+    assert run_cli(["verify", "--config", cfg, "--out", tmp_path / "out"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: Lagrangian is not finite (dL/dqdot +) near q=[")
+    assert err.count("\n") == 1 and err.endswith("]\n")
+
+
 @pytest.mark.parametrize("kind", ["heisenberg", "lvn", "verify"])
 def test_initial_hamiltonian_shape_mismatch_exits_2(tmp_path, capsys, kind):
     cfg = write_config(

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from isospec_lag import sb2c
 from isospec_lag.heisenberg import OperatorTangent, lagrangian_heisenberg
 from isospec_lag.operator_core import dagger, frobenius_norm
 from isospec_lag.sb2c import (
@@ -763,6 +764,52 @@ def test_phi_phi_prime_and_the_field_raise_rather_than_leave_float_range(setup):
                 continue
             assert all(math.isfinite(v) for v in values), (r, values)
     assert raised > 0
+
+
+def alpha_setup():
+    """A0 = [[-1.7, -1.9], [-1.1, -1.5]] and H = [[1.2, -1], [-1, -1.9]]: alpha = -1."""
+    return SB2CSetup(np.array([[-1.7, -1.9], [-1.1, -1.5]]),
+                     np.array([[1.2, -1.0], [-1.0, -1.9]]))
+
+
+#: Where the field is singular: the pole r* of Phi in alpha_setup, and the
+#: roots of a + d Phi' in worked_setup (the first) and alpha_setup, to 1e-15
+SINGULAR_RADII = (2.9428309563827115, 2.5271637095851167, 1.340941730484837, 5.030224449627363)
+
+radii = st.one_of(
+    st.sampled_from(SINGULAR_RADII).flatmap(lambda x: st.one_of(
+        st.floats(x * (1 - 1e-6), x * (1 + 1e-6)),
+        st.integers(-64, 64).map(lambda k: x + k * math.ulp(x)))),
+    st.floats(1e-3, 1e3),
+    st.floats(1e-80, 1e-40),  # 1 / den^2 overflows or den^2 underflows to 0
+    st.floats(1e40, 1e110),  # r^4 leaves float range
+)
+
+
+@pytest.mark.parametrize("setup", [worked_setup, alpha_setup])
+@settings(max_examples=300, deadline=None)
+@given(y=st.floats(-3.0, 3.0), r=radii)
+@example(y=-1.0, r=1e80)
+@example(y=-1.0, r=1e-55)
+@example(y=-1.0, r=2.5271637095851167)
+def test_the_field_computes_phi_and_its_denominators_as_terms_does(setup, y, r):
+    # field writes terms' lines out rather than calling it: both must give the
+    # same bits, and raise the same error with the same message
+    p = derive_parameters(setup())
+    terms, field = sb2c._reduced_flow(p)
+    try:
+        phi, phi1, den = terms(r)
+    except (SingularityError, ArithmeticError) as exc:
+        with pytest.raises(type(exc)) as raised:
+            field(y, r)
+        assert type(raised.value) is type(exc) and str(raised.value) == str(exc)
+        return
+    denom = p.a + p.d * phi1
+    if denom == 0.0:
+        with pytest.raises(SingularityError, match=r"a \+ d Phi'\(r\) vanishes"):
+            field(y, r)
+    else:
+        assert [v.hex() for v in field(y, r)[2:]] == [v.hex() for v in (phi, denom, den)]
 
 
 def test_flow_map_is_nonlinear():

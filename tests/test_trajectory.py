@@ -197,6 +197,8 @@ SPLITS = (None, "fork", "no fork", "one cpu")
 # each process renders one full block
 @example(layout=SB2C_COLUMNS, rows=2 * CSV_BLOCK_ROWS, seed=10,
          specials=[math.nan, -0.0, -2.5e-310], split="fork")
+# 16,929 floats: split unforced where a second CPU is usable
+@example(layout=4, rows=2 * CSV_BLOCK_ROWS + 1, seed=11, specials=[math.nan, -0.0], split=None)
 @example(layout=3, rows=CSV_BLOCK_ROWS + 1, seed=7, specials=[], split="no fork")
 @example(layout=3, rows=CSV_BLOCK_ROWS + 1, seed=8, specials=[], split="one cpu")
 def test_writers_match_their_references_byte_for_byte(layout, rows, seed, specials, split):
@@ -216,8 +218,12 @@ def test_writers_match_their_references_byte_for_byte(layout, rows, seed, specia
         for x in specials:
             target = values if rng.integers(4) else traj.times
             target[rng.integers(len(target))] = x
-    # a table in two or more pieces is split when forced to and able to
+    # a table in two or more pieces is split when able to and forced to, or
+    # unforced from PARALLEL_MIN_FLOATS floats on (513 rows at n = 4)
     pieces = {write_csv: -(-rows // CSV_BLOCK_ROWS), write_json: len(set(traj.headers())) + 1}
+    widths = {write_csv: traj.table().shape[1] + 1, write_json: pieces[write_json]}
+    large = {write: rows * width >= trajectory.PARALLEL_MIN_FLOATS and trajectory._can_split()
+             for write, width in widths.items()}
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
         forks = count_forks(mp)
         if split is not None:
@@ -232,7 +238,8 @@ def test_writers_match_their_references_byte_for_byte(layout, rows, seed, specia
             write(traj, new)
             reference(traj, ref)
             assert new.read_bytes() == ref.read_bytes(), write.__name__
-            assert len(forks) == (split == "fork" and pieces[write] > 1), write.__name__
+            splits = split == "fork" or (split is None and large[write])
+            assert len(forks) == (splits and pieces[write] > 1), write.__name__
     assert_no_child_left()
 
 
@@ -337,6 +344,31 @@ def test_each_write_logs_its_shape_and_path(tmp_path, monkeypatch, caplog):
                         lines[0])
     assert re.fullmatch(r"wrote json .*split\.json: 513 x 9, 4617 floats, split, \d+\.\d{4} s",
                         lines[1])
+
+
+@pytest.mark.parametrize("write, reference", [(write_csv, reference_csv),
+                                              (write_json, reference_json)])
+@pytest.mark.parametrize("rows, layout, floats, splits", [
+    (5001, SB2C_COLUMNS, 20_004, True),  # an sb2c run of t = 5, step 1e-3
+    (1001, 2, 9_009, False),  # a heisenberg run of t = 1, step 1e-3 at n = 2
+])
+def test_the_split_threshold_lies_between_the_cli_tables(tmp_path, caplog, write, reference,
+                                                         rows, layout, floats, splits):
+    caplog.set_level(logging.DEBUG, logger="isospec_lag.trajectory")
+    rng = np.random.default_rng(rows)
+    times = np.arange(rows) * 1e-3
+    if isinstance(layout, int):
+        traj = Trajectory(times, rng.standard_normal((rows, layout, layout)) + 0j)
+    else:
+        traj = Trajectory(times, rng.standard_normal((rows, len(layout))), name="q",
+                          column_names=layout)
+    write(traj, tmp_path / "new")
+    reference(traj, tmp_path / "ref")
+    assert (tmp_path / "new").read_bytes() == (tmp_path / "ref").read_bytes()
+    mode = "split" if splits and trajectory._can_split() else "serial"
+    [line] = [r.getMessage() for r in caplog.records]
+    assert f", {floats} floats, {mode}, " in line
+    assert_no_child_left()
 
 
 @settings(max_examples=200, deadline=None)
