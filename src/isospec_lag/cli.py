@@ -41,8 +41,8 @@ import numpy as np
 
 # Each runner imports the modules of its own kind, so one process loads
 # only what its scenario runs.
-from .trajectory import (Trajectory, format_float, rk4_commutator_trajectory, time_grid,
-                         write_csv, write_json)
+from .trajectory import (Trajectory, exact_commutator_flow, format_float,
+                         rk4_commutator_trajectory, time_grid, write_csv, write_json)
 
 # Named, not __name__: under python -m this module runs as __main__.
 logger = logging.getLogger("isospec_lag.cli")
@@ -239,14 +239,12 @@ def _trace(states) -> np.ndarray:
 
 
 def _run_heisenberg(config: ScenarioConfig):
-    from .operator_core import dagger, frobenius_norm, hermitian_propagator, require_hermitian
+    from .operator_core import frobenius_norm, require_hermitian
 
     # RK4 and the reference share one H
     initial = require_hermitian(config.matrices["initial"], name="initial")
     h = require_hermitian(config.matrices["hamiltonian"], name="hamiltonian", shape=initial.shape)
     traj = rk4_commutator_trajectory(initial, h, -1, config.t_final, config.step, "A")
-    u = hermitian_propagator(h, config.t_final)
-    exact_end = dagger(u) @ initial @ u
     # the first row is the initial state, the reference of every drift
     states = traj.states
     spectra = np.linalg.eigvalsh(states)
@@ -256,12 +254,13 @@ def _run_heisenberg(config: ScenarioConfig):
         "spectrum_drift": np.max(np.abs(spectra - spectra[0]), axis=-1),
         "trace_drift": np.abs(traces - traces[0]),
         "frobenius_drift": np.abs(norms - norms[0]),
-        "rk4_exact_endpoint": frobenius_norm(traj.final_state - exact_end),
+        "rk4_exact_endpoint": frobenius_norm(
+            traj.final_state - exact_commutator_flow(initial, h, -1, config.t_final)),
     }, []
 
 
 def _run_lvn(config: ScenarioConfig):
-    from .operator_core import dagger, frobenius_norm, hermitian_propagator, require_hermitian
+    from .operator_core import frobenius_norm, require_hermitian
     from .unitary_orbit import validate_density
 
     # RK4 and the reference share one H
@@ -270,8 +269,6 @@ def _run_lvn(config: ScenarioConfig):
     traj = rk4_commutator_trajectory(rho0, h, 1, config.t_final, config.step, "rho")
     # the first row is rho0, the reference of every drift
     states = traj.states
-    u = hermitian_propagator(h, config.t_final)
-    exact_end = u @ rho0 @ dagger(u)
     spectra = np.linalg.eigvalsh(states)
     purity = _trace(states @ states).real
     weights = np.clip(spectra, 0.0, None)
@@ -283,7 +280,8 @@ def _run_lvn(config: ScenarioConfig):
         "purity_drift": np.abs(purity - purity[0]),
         "entropy_drift": np.abs(entropy - entropy[0]),
         "trace_drift": np.abs(_trace(states) - 1.0),
-        "rk4_exact_endpoint": frobenius_norm(traj.final_state - exact_end),
+        "rk4_exact_endpoint": frobenius_norm(
+            traj.final_state - exact_commutator_flow(rho0, h, 1, config.t_final)),
     }, []
 
 
@@ -368,14 +366,13 @@ def _run_bloch(config: ScenarioConfig):
 
 def _run_verify(config: ScenarioConfig):
     from .heisenberg import flatten_complex, lagrangian_heisenberg_chart
-    from .operator_core import dagger, hermitian_propagator, require_hermitian
+    from .operator_core import require_hermitian
     from .verifier import EXPECTED_RATIO, refine
 
     initial = require_hermitian(config.matrices["initial"], name="initial")
     h = require_hermitian(config.matrices["hamiltonian"], name="hamiltonian", shape=initial.shape)
     times = time_grid(config.t_final, config.step)
-    u = hermitian_propagator(h, times)
-    states = dagger(u) @ initial @ u
+    states = exact_commutator_flow(initial, h, -1, times)
     traj = Trajectory(times=times, states=states, name="A")
 
     fine, coarse, ratio = refine(lagrangian_heisenberg_chart(h), times, flatten_complex(states))

@@ -25,10 +25,9 @@ from .operator_core import (
     commutator,
     dagger,
     frobenius_norm,
-    hermitian_propagator,
     require_hermitian,
 )
-from .trajectory import Trajectory, rk4_commutator_trajectory
+from .trajectory import Trajectory, exact_commutator_flow, rk4_commutator_trajectory
 
 
 @dataclass(eq=False)
@@ -59,12 +58,13 @@ def evolve_heisenberg_exact(a0, h, t) -> np.ndarray:
     Raises
     ------
     ValueError
-        If ``h`` is not Hermitian.
+        If ``h`` is not Hermitian, or a time is not finite.
     """
     a0 = as_complex_matrix(a0, "initial")
     h = require_hermitian(h, name="hamiltonian", shape=a0.shape)
-    u = hermitian_propagator(h, t)
-    return dagger(u) @ a0 @ u
+    if not np.all(np.isfinite(t)):
+        raise ValueError(f"t must be finite, got {t}")
+    return exact_commutator_flow(a0, h, -1, t)
 
 
 def evolve_heisenberg_rk4(a0, h, t_final: float, step: float) -> Trajectory:

@@ -94,19 +94,6 @@ def require_hermitian(m, name: str = "matrix", shape=None) -> np.ndarray:
     return arr / 2 + dagger(arr) / 2 if defect else arr  # halves: no sum overflows
 
 
-def hermitian_propagator(h: np.ndarray, t) -> np.ndarray:
-    """Propagator ``exp(-i t h) = V exp(-i t w) V^dag`` from ``eigh(h)``.
-
-    ``h`` must already be a validated Hermitian complex matrix; nothing
-    is checked here.  ``t`` is one time or an array of times: the result
-    has shape ``np.shape(t) + h.shape``, one unitary per time, all from
-    the one eigendecomposition.
-    """
-    w, v = np.linalg.eigh(h)
-    phases = np.exp(-1j * np.multiply.outer(t, w))
-    return (v * phases[..., np.newaxis, :]) @ dagger(v)
-
-
 def hermitian_sqrt(m, name: str = "matrix", shape=None) -> np.ndarray:
     """Hermitian PSD square root ``S`` with ``S @ S = m``.
 

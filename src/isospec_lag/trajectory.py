@@ -5,7 +5,8 @@ Every flow in the package is sampled on :func:`time_grid`.
 Runge-Kutta samples of a commutator flow with constant H (heisenberg,
 lvn) on the whole grid, in closed form in H's eigenbasis; it matches a
 step-by-step loop within 1e-12 on unit-norm inputs rather than byte for
-byte.  sb2c writes its RK4 step out on the float pair (y, r) in
+byte; :func:`exact_commutator_flow` is the exact flow from the same
+eigenbasis.  sb2c writes its RK4 step out on the float pair (y, r) in
 ``sb2c.integrate_reduced``.
 
 A :class:`Trajectory` stores either a stack of complex matrices
@@ -149,6 +150,23 @@ class Trajectory:
         return self.states.astype(float)
 
 
+def _eigenbasis(y0: np.ndarray, h: np.ndarray):
+    """``w, V, V^dag, V^dag y0 V`` with ``h = V diag(w) V^dag`` from one ``eigh``."""
+    w, v = np.linalg.eigh(h)
+    v_dag = dagger(v)
+    return w, v, v_dag, v_dag @ y0 @ v
+
+
+def exact_commutator_flow(y0: np.ndarray, h: np.ndarray, sign: int, t) -> np.ndarray:
+    """Exact ``dy/dt = sign * i [y, h]`` at the finite time or times ``t``, shape
+    ``np.shape(t) + y0.shape``, inputs as for rk4_commutator_trajectory: entry (i, j) of
+    ``V^dag y0 V`` turns by ``exp(-sign i t w_i) exp(sign i t w_j)``, one phase per
+    eigenvalue, so the flow is finite wherever ``exp(-i t h)`` is."""
+    w, v, v_dag, y0_eig = _eigenbasis(y0, h)
+    left = np.exp(-sign * 1j * np.multiply.outer(t, w))
+    return v @ (left[..., :, np.newaxis] * y0_eig * left.conj()[..., np.newaxis, :]) @ v_dag
+
+
 def rk4_commutator_trajectory(y0: np.ndarray, h: np.ndarray, sign: int,
                               t_final: float, step: float, name: str) -> Trajectory:
     """RK4 samples of ``dy/dt = sign * i [y, h]`` on ``time_grid(t_final, step)``.
@@ -166,9 +184,7 @@ def rk4_commutator_trajectory(y0: np.ndarray, h: np.ndarray, sign: int,
     ``y0`` itself.
     """
     times = time_grid(t_final, step)
-    w, v = np.linalg.eigh(h)
-    v_dag = dagger(v)
-    y0_eig = v_dag @ y0 @ v
+    w, v, v_dag, y0_eig = _eigenbasis(y0, h)
     # an entry that is exactly zero stays zero, as in the step loop, even
     # where a step beyond RK4's stability bound overflows the running product
     scale = np.where(y0_eig == 0, 0, sign * 1j * (w - w[:, None]))

@@ -33,11 +33,10 @@ from .operator_core import (
     commutator,
     dagger,
     frobenius_norm,
-    hermitian_propagator,
     require_hermitian,
     unitary_algebra_basis,
 )
-from .trajectory import Trajectory, rk4_commutator_trajectory
+from .trajectory import Trajectory, exact_commutator_flow, rk4_commutator_trajectory
 
 logger = logging.getLogger(__name__)
 
@@ -120,12 +119,13 @@ def evolve_lvn_exact(rho0, h, t) -> np.ndarray:
     Spectrum-preserving; its time derivative at t = 0 is ``lvn_rhs``.
     ``t`` is one time or an array of times; an array gives the stack of
     states at those times, shape ``np.shape(t) + rho0.shape``, from one
-    eigendecomposition of ``h``.
+    eigendecomposition of ``h``.  A non-finite time raises ValueError.
     """
     rho0 = validate_density(rho0)
     h = require_hermitian(h, name="hamiltonian", shape=rho0.shape)
-    u = hermitian_propagator(h, t)
-    return u @ rho0 @ dagger(u)
+    if not np.all(np.isfinite(t)):
+        raise ValueError(f"t must be finite, got {t}")
+    return exact_commutator_flow(rho0, h, 1, t)
 
 
 def evolve_lvn_rk4(rho0, h, t_final: float, step: float) -> Trajectory:

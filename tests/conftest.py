@@ -43,6 +43,31 @@ def rand_density(rng, n):
     return rho / np.trace(rho).real
 
 
+#: Spectra of rand_density_and_stabilizer: n distinct eigenvalues, one
+#: eigenvalue and another repeated n - 1 times, or the pure state.
+SPECTRA = ("distinct", "repeated", "pure")
+
+
+def rand_density_and_stabilizer(rng, n, spectrum):
+    """A density sigma = W diag(lam) W^dag with W a random unitary, and a Hermitian D
+    that commutes with it: W d W^dag, with d diagonal for a "distinct" spectrum and a
+    U(1) x U(n-1) block for a "repeated" or "pure" one, which repeat every eigenvalue
+    but the first."""
+    w = rand_unitary(rng, n)
+    d = np.zeros((n, n), dtype=complex)
+    if spectrum == "distinct":
+        lam = rng.uniform(0.1, 1.0, n)
+        d[np.diag_indices(n)] = rng.standard_normal(n)
+    else:
+        lam = np.zeros(n)
+        lam[0] = 1.0
+        if spectrum == "repeated":
+            lam[1:] = rng.uniform(0.05, 0.5)
+        d[0, 0] = rng.standard_normal()
+        d[1:, 1:] = rand_hermitian(rng, n - 1)
+    return (w * (lam / lam.sum())) @ w.conj().T, w @ d @ w.conj().T
+
+
 def uniform_ball_sample(rng):
     """Uniform point of the open Bloch ball, by rejection from the cube."""
     while True:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -45,6 +47,24 @@ def test_exact_flow_examples():
     )
     rho = np.diag([0.2, 0.8]).astype(complex)
     np.testing.assert_allclose(evolve_heisenberg_exact(rho, SZ, 2.7), rho, atol=1e-12)
+
+
+@pytest.mark.parametrize("t", [np.inf, -np.inf, np.nan, [0.0, np.nan, 1.0]],
+                         ids=["inf", "-inf", "nan", "array"])
+def test_exact_flow_rejects_a_non_finite_time(t):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^t must be finite, got "):
+            evolve_heisenberg_exact(SX, SZ, t)
+
+
+def test_exact_flow_is_finite_wherever_the_propagator_is():
+    # one phase per eigenvalue: t (w_j - w_i) = 2e308 would overflow
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        state = evolve_heisenberg_exact(SX, SZ, 1e308)
+    phase = np.exp(1j * 1e308) ** 2  # U^dag SX U with U = exp(-i t SZ)
+    np.testing.assert_allclose(state, [[0, phase], [np.conj(phase), 0]], rtol=0, atol=1e-15)
 
 
 def test_exact_flow_rejects_non_hermitian_h():

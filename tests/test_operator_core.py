@@ -18,12 +18,12 @@ from isospec_lag.operator_core import (
     commutator,
     dagger,
     frobenius_norm,
-    hermitian_propagator,
     hermitian_sqrt,
     require_hermitian,
     unitary_algebra_basis,
 )
 from isospec_lag.sb2c import SB2CSetup
+from isospec_lag.trajectory import exact_commutator_flow
 from isospec_lag.unitary_orbit import (
     UnitaryTangent,
     el_residual_unitary,
@@ -245,19 +245,19 @@ def test_unitary_algebra_basis_rejects_n0():
 @given(
     st.integers(min_value=0, max_value=2**32 - 1),
     st.integers(min_value=1, max_value=4),
+    st.sampled_from([-1, 1]),
     st.floats(min_value=-10.0, max_value=10.0),
 )
-def test_hermitian_propagator_matches_expm_and_is_unitary(seed, n, t):
-    h = rand_hermitian(np.random.default_rng(seed), n)
-    u = hermitian_propagator(h, t)
-    assert frobenius_norm(u - scipy.linalg.expm(-1j * t * h)) <= 1e-12
-    assert frobenius_norm(dagger(u) @ u - np.eye(n)) <= 1e-13
-
-
-def test_hermitian_propagator_stacks_over_times():
-    h = rand_hermitian(np.random.default_rng(7), 3)
-    times = np.linspace(-2.0, 3.0, 11)
-    stacked = hermitian_propagator(h, times)
-    assert stacked.shape == (11, 3, 3)
-    for t, u in zip(times, stacked):
-        np.testing.assert_array_equal(u, hermitian_propagator(h, t))
+def test_exact_commutator_flow_matches_expm_and_stacks_over_times(seed, n, sign, t):
+    # sign -1 is U^dag y0 U and +1 is U y0 U^dag, with U = expm(-i t h)
+    rng = np.random.default_rng(seed)
+    y0, h = rand_complex(rng, n), rand_hermitian(rng, n)
+    u = scipy.linalg.expm(-1j * t * h)
+    expected = dagger(u) @ y0 @ u if sign == -1 else u @ y0 @ dagger(u)
+    state = exact_commutator_flow(y0, h, sign, t)
+    assert frobenius_norm(state - expected) <= 1e-12 * frobenius_norm(y0)
+    times = np.array([t, 0.0, -2.0, 3.0, t / 3])
+    stacked = exact_commutator_flow(y0, h, sign, times)
+    assert stacked.shape == (5, n, n)
+    for s, row in zip(times, stacked):
+        np.testing.assert_array_equal(row, exact_commutator_flow(y0, h, sign, s))

@@ -25,8 +25,7 @@ EXPORTS = {
     """,
     operator_core: """
         HERMITIAN_TOL as_complex_matrix commutator dagger frobenius_norm
-        hermitian_propagator hermitian_sqrt
-        require_hermitian unitary_algebra_basis
+        hermitian_sqrt require_hermitian unitary_algebra_basis
     """,
     sb2c: """
         ReducedState SB2CElement SB2CParameters SB2CSetup SingularityError

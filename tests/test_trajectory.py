@@ -348,6 +348,26 @@ def test_each_write_logs_its_shape_and_path(tmp_path, monkeypatch, caplog):
 
 @pytest.mark.parametrize("write, reference", [(write_csv, reference_csv),
                                               (write_json, reference_json)])
+@pytest.mark.parametrize("cpus, mode", [(None, "serial"), (1, "serial"), (2, "split")])
+def test_without_an_affinity_list_the_cpu_count_decides(tmp_path, monkeypatch, caplog, write,
+                                                        reference, cpus, mode):
+    # hosts such as macOS have no os.sched_getaffinity; os.cpu_count may be None
+    caplog.set_level(logging.DEBUG, logger="isospec_lag.trajectory")
+    monkeypatch.setattr(trajectory, "PARALLEL_MIN_FLOATS", 0)
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    forks = count_forks(monkeypatch)
+    write(split_traj(), tmp_path / "new")
+    reference(split_traj(), tmp_path / "ref")
+    assert (tmp_path / "new").read_bytes() == (tmp_path / "ref").read_bytes()
+    [line] = [r.getMessage() for r in caplog.records]
+    assert f" floats, {mode}, " in line
+    assert len(forks) == (mode == "split")
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("write, reference", [(write_csv, reference_csv),
+                                              (write_json, reference_json)])
 @pytest.mark.parametrize("rows, layout, floats, splits", [
     (5001, SB2C_COLUMNS, 20_004, True),  # an sb2c run of t = 5, step 1e-3
     (1001, 2, 9_009, False),  # a heisenberg run of t = 1, step 1e-3 at n = 2

@@ -1,7 +1,9 @@
 import logging
+import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,11 +26,13 @@ from isospec_lag.unitary_orbit import (
 
 from conftest import (
     SI,
+    SPECTRA,
     SX,
     SY,
     SZ,
     rand_antihermitian,
     rand_density,
+    rand_density_and_stabilizer,
     rand_hermitian,
     rand_unitary,
 )
@@ -154,6 +158,15 @@ def test_evolve_lvn_exact_examples():
     np.testing.assert_allclose(evolve_lvn_exact(stationary, SZ, 2.2), stationary, atol=1e-12)
 
 
+@pytest.mark.parametrize("t", [np.inf, -np.inf, np.nan, [0.0, np.nan, 1.0]],
+                         ids=["inf", "-inf", "nan", "array"])
+def test_evolve_lvn_exact_rejects_a_non_finite_time(t):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^t must be finite, got "):
+            evolve_lvn_exact(0.5 * (SI + SX), SZ, t)
+
+
 def test_evolve_lvn_exact_derivative_matches_rhs():
     rng = np.random.default_rng(8)
     rho0 = rand_density(rng, 3)
@@ -273,6 +286,22 @@ def test_el_residual_isotropy_directions_also_vanish():
         assert frobenius_norm(commutator(k, dagger(u) @ sigma @ u)) <= 1e-12
         ut = UnitaryTangent(u, -1j * u @ h + u @ k)
         assert np.max(np.abs(el_residual_unitary(ut, sigma, h))) <= 1e-10
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(2, 4), seed=st.integers(0, 2**32 - 1), spectrum=st.sampled_from(SPECTRA))
+def test_el_residual_is_gauge_invariant(n, seed, spectrum):
+    # s = exp(i phi D) with [D, sigma] = 0 leaves rho = u^dag sigma u where it
+    # is: the tangent (u, udot) moves to (s u, s udot + sdot u), sdot = i phidot D s
+    rng = np.random.default_rng(seed)
+    sigma, d = rand_density_and_stabilizer(rng, n, spectrum)
+    h = rand_hermitian(rng, n)
+    ut = rand_tangent(rng, n)
+    phi, phidot = rng.uniform(-3.0, 3.0, 2)
+    s = scipy.linalg.expm(1j * phi * d)
+    moved = UnitaryTangent(s @ ut.u, s @ ut.udot + 1j * phidot * d @ s @ ut.u)
+    np.testing.assert_allclose(el_residual_unitary(moved, sigma, h),
+                               el_residual_unitary(ut, sigma, h), rtol=0, atol=1e-13)
 
 
 def test_el_residual_detects_off_shell_motion():

@@ -13,7 +13,8 @@ from isospec_lag.heisenberg import (
     lagrangian_heisenberg,
     lagrangian_heisenberg_chart,
 )
-from isospec_lag.operator_core import hermitian_propagator, unitary_algebra_basis
+from isospec_lag.operator_core import unitary_algebra_basis
+from isospec_lag.trajectory import time_grid
 from isospec_lag.unitary_orbit import UnitaryTangent, el_residual_unitary, lagrangian_unitary
 from isospec_lag.verifier import (
     chart_coordinates,
@@ -28,12 +29,14 @@ from isospec_lag.verifier import (
 )
 
 from conftest import (
+    SPECTRA,
     SX,
     SZ,
     hermitian_check_names,
     rand_antihermitian,
     rand_complex,
     rand_density,
+    rand_density_and_stabilizer,
     rand_hermitian,
     rand_unitary,
 )
@@ -410,6 +413,29 @@ def test_flat_chart_residual_matches_analytic_factor_two():
         assert abs(np.linalg.norm(row) - 2 * analytic) <= 1e-3
 
 
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 4), seed=st.integers(0, 2**32 - 1), log_scale=st.floats(-1.0, 2.0),
+       h_norm=st.floats(0.1, 10.0), dt=st.floats(1e-3, 3e-2), samples=st.integers(9, 60))
+def test_flat_chart_rows_are_the_analytic_residual_at_the_stencil_velocity(
+        n, seed, log_scale, h_norm, dt, samples):
+    # L is quadratic, so the +-h differences are exact but for rounding: on any
+    # path, row k is 2 flatten([A_k, H] - i V_k), V_k the centred velocity
+    rng = np.random.default_rng(seed)
+    coefficients = 10.0**log_scale * np.array([rand_complex(rng, n) for _ in range(4)])
+    h = rand_hermitian(rng, n)
+    h *= h_norm / np.linalg.norm(h, 2)
+    times = np.arange(samples) * dt
+    path = sum(np.multiply.outer(times**k, c) for k, c in enumerate(coefficients))
+    q = flatten_complex(path)
+    rows = el_residual_path(heisenberg_chart(h), times, q)
+    a, v = path[2:-2], (path[3:-1] - path[1:-3]) / (2 * dt)
+    expected = 2 * flatten_complex(a @ h - h @ a - 1j * v)
+    q_max, v_max = np.max(np.abs(q)), np.max(np.abs(q[2:] - q[:-2])) / (2 * dt)
+    rounding = (np.finfo(float).eps * q.shape[1] * (q_max**2 * h_norm + q_max * v_max)
+                / (verifier.GRADIENT_STEP * dt))
+    np.testing.assert_allclose(rows, expected, rtol=0, atol=rounding)
+
+
 def scalar_heisenberg_chart(h):
     """The Heisenberg chart through lagrangian_heisenberg, one point at a time."""
     n = h.shape[0]
@@ -736,8 +762,38 @@ def orbit_setup(n, samples, seed):
     h = rand_hermitian(rng, n)
     h /= np.linalg.norm(h)
     times = np.arange(samples) * 1e-2
-    us = rand_unitary(rng, n) @ hermitian_propagator(h, times)
+    us = rand_unitary(rng, n) @ np.array([scipy.linalg.expm(-1j * t * h) for t in times])
     return times, us, rand_density(rng, n), h
+
+
+def orbit_ratio(times, us, sigma, h):
+    """Coarse over fine largest row norm of el_residual_unitary_path: 4 where the
+    path is an extremal, sampled finely enough, and about 1 where it is not."""
+    fine, coarse = (np.max(np.linalg.norm(el_residual_unitary_path(times[::s], us[::s], sigma, h),
+                                          axis=1)) for s in (1, 2))
+    return coarse / fine
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(2, 4), seed=st.integers(0, 2**32 - 1), spectrum=st.sampled_from(SPECTRA))
+def test_the_orbit_lagrangian_has_the_stabilizer_of_sigma_as_gauge(n, seed, spectrum):
+    # s(t) = exp(i phi(t) D) with [D, sigma] = 0 leaves rho = u^dag sigma u
+    # unchanged and moves L by the total derivative -phi' Tr(sigma D): s(t) u(t)
+    # is an extremal whenever u(t) is.  A generator that does not commute with
+    # sigma moves rho, and its path is no extremal.
+    rng = np.random.default_rng(seed)
+    sigma, d = rand_density_and_stabilizer(rng, n, spectrum)
+    h = rand_hermitian(rng, n)
+    h /= np.linalg.norm(h)
+    times = time_grid(0.4, 1e-2)
+    phi = 3 * np.sin(2 * times) + times**2
+    flow = rand_unitary(rng, n) @ np.array([scipy.linalg.expm(-1j * t * h) for t in times])
+
+    def gauged(generator):
+        return np.array([scipy.linalg.expm(1j * p * generator) for p in phi]) @ flow
+
+    assert 3.5 <= orbit_ratio(times, gauged(d), sigma, h) <= 4.5
+    assert 0.9 <= orbit_ratio(times, gauged(rand_hermitian(rng, n)), sigma, h) <= 1.1
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, 1e200])
