@@ -27,6 +27,7 @@ diagnostic verbosity on stderr.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import gc
 import json
 import logging
@@ -42,7 +43,8 @@ import numpy as np
 # Each runner imports the modules of its own kind, so one process loads
 # only what its scenario runs.
 from .trajectory import (Trajectory, exact_commutator_flow, format_float,
-                         rk4_commutator_trajectory, time_grid, write_csv, write_json)
+                         rk4_commutator_trajectory, splits, stream_csv, time_grid, write_csv,
+                         write_json)
 
 # Named, not __name__: under python -m this module runs as __main__.
 logger = logging.getLogger("isospec_lag.cli")
@@ -104,6 +106,10 @@ class ScenarioConfig:
     tolerances: dict
     out_dir: Path
     fmt: str
+
+    @property
+    def trajectory_path(self) -> Path:
+        return self.out_dir / f"trajectory.{self.fmt}"
 
 
 @dataclass(frozen=True)
@@ -256,7 +262,7 @@ def _run_heisenberg(config: ScenarioConfig):
         "frobenius_drift": np.abs(norms - norms[0]),
         "rk4_exact_endpoint": frobenius_norm(
             traj.final_state - exact_commutator_flow(initial, h, -1, config.t_final)),
-    }, []
+    }, [], False
 
 
 def _run_lvn(config: ScenarioConfig):
@@ -282,7 +288,7 @@ def _run_lvn(config: ScenarioConfig):
         "trace_drift": np.abs(_trace(states) - 1.0),
         "rk4_exact_endpoint": frobenius_norm(
             traj.final_state - exact_commutator_flow(rho0, h, 1, config.t_final)),
-    }, []
+    }, [], False
 
 
 def _mul2(a, b):
@@ -304,16 +310,32 @@ def _run_sb2c(config: ScenarioConfig):
     setup = SB2CSetup(a0=config.matrices["a0"], hamiltonian=config.matrices["hamiltonian"])
     params = derive_parameters(setup)
     initial = ReducedState(y=float(row[0]), r=float(row[1]))
-    traj = integrate_reduced(initial, params, config.t_final, config.step)
-    rho0 = setup.a0 @ dagger(setup.a0)
-    ys, rs, xs = traj.states.T
-    gm = sb2c_matrices(rs, xs, ys)
-    with np.errstate(over="ignore", invalid="ignore"):  # a row out of float range reads NaN
-        det_drifts = np.abs(_det2(_mul2(_mul2(gm, rho0), dagger(gm))) - _det2(rho0))
+    columns, streamed = ("y", "r", "x"), False  # integrate_reduced's columns
+
+    # a CSV table that splits is rendered by a child while the run steps,
+    # and its last rows while the invariants are computed
+    with contextlib.ExitStack() as outputs:
+        def stream(times):
+            # every config check is made and no step taken yet, so a config
+            # error still leaves no output directory
+            nonlocal streamed
+            streamed = config.fmt == "csv" and splits(len(times) * (len(columns) + 1))
+            if not streamed:
+                return None
+            config.out_dir.mkdir(parents=True, exist_ok=True)
+            return outputs.enter_context(stream_csv(config.trajectory_path, times, columns))
+
+        traj = integrate_reduced(initial, params, config.t_final, config.step, stream)
+        rho0 = setup.a0 @ dagger(setup.a0)
+        ys, rs, xs = traj.states.T
+        gm = sb2c_matrices(rs, xs, ys)
+        with np.errstate(over="ignore", invalid="ignore"):  # a row out of float range reads NaN
+            det_drifts = np.abs(_det2(_mul2(_mul2(gm, rho0), dagger(gm))) - _det2(rho0))
+        residuals = np.abs(constraint_residual_values(rs, xs, ys, params))
     return traj, {
-        "constraint_residual": np.abs(constraint_residual_values(rs, xs, ys, params)),
+        "constraint_residual": residuals,
         "determinant_conservation": det_drifts,
-    }, []
+    }, [], streamed
 
 
 def _three_flows(t, points):
@@ -361,7 +383,7 @@ def _run_bloch(config: ScenarioConfig):
         "wedge_closed_form": wedge_err,
         "flow_field_consistency": flow_err,
         "fixed_point_p": p_err,
-    }, []
+    }, [], False
 
 
 def _run_verify(config: ScenarioConfig):
@@ -386,7 +408,8 @@ def _run_verify(config: ScenarioConfig):
     else:
         deviation, warnings = abs(ratio - EXPECTED_RATIO), []
         logger.info("refinement ratio %.3f", ratio)
-    return traj, {"el_residual_max": fine.max_residual, "convergence_ratio": deviation}, warnings
+    measured = {"el_residual_max": fine.max_residual, "convergence_ratio": deviation}
+    return traj, measured, warnings, False
 
 
 _RUNNERS = {
@@ -406,16 +429,21 @@ def run(config: ScenarioConfig):
     """Execute one scenario, judge its invariants, write trajectory and
     report; return the invariant results, the warnings and the singular flag.
 
-    The library raises ValueError for inputs outside its domain (a
-    non-Hermitian matrix, a bad grid, a flow or a Lagrangian beyond float
-    range), so a runner's ValueError is a ConfigError, as is an OSError
-    from writing the outputs (the output path names a file, say).
+    A runner returns the trajectory, its measurements, its warnings and
+    whether it has written the trajectory file itself (sb2c streams a
+    large CSV table while it steps).  The library raises ValueError for
+    inputs outside its domain (a non-Hermitian matrix, a bad grid, a flow
+    or a Lagrangian beyond float range), so a runner's ValueError is a
+    ConfigError, as is an OSError from writing the outputs (the output
+    path names a file, say), streamed or not.
     """
     start = time.perf_counter()
     try:
-        traj, measured, warnings = _RUNNERS[config.kind](config)
+        traj, measured, warnings, written = _RUNNERS[config.kind](config)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    except OSError as exc:
+        raise _unwritable(config, exc) from exc
     invariants = _judge(measured, traj.times, config.tolerances)
     record = traj.meta.get("singularity")
     singular = record is not None
@@ -424,12 +452,12 @@ def run(config: ScenarioConfig):
                         f"bracket={record['bracket']!r}: {record['reason']}")
     try:
         config.out_dir.mkdir(parents=True, exist_ok=True)
-        traj_path = config.out_dir / f"trajectory.{config.fmt}"
-        (write_csv if config.fmt == "csv" else write_json)(traj, traj_path)
+        if not written:
+            (write_csv if config.fmt == "csv" else write_json)(traj, config.trajectory_path)
         doc = {
             "kind": config.kind,
             "wall_time_s": time.perf_counter() - start,
-            "trajectory": str(traj_path),
+            "trajectory": str(config.trajectory_path),
             "invariants": {
                 r.name: {"max": _json_safe(r.max_deviation), "tol": r.tolerance,
                          "pass": r.passed}
@@ -442,8 +470,12 @@ def run(config: ScenarioConfig):
             json.dump(doc, fh, indent=1, sort_keys=True)
             fh.write("\n")
     except OSError as exc:
-        raise ConfigError(f"cannot write outputs to {config.out_dir}: {exc}") from exc
+        raise _unwritable(config, exc) from exc
     return invariants, warnings, singular
+
+
+def _unwritable(config: ScenarioConfig, exc: OSError) -> ConfigError:
+    return ConfigError(f"cannot write outputs to {config.out_dir}: {exc}")
 
 
 def _configure_logging() -> None:

@@ -27,7 +27,8 @@ from .operator_core import (
     frobenius_norm,
     require_hermitian,
 )
-from .trajectory import Trajectory, exact_commutator_flow, rk4_commutator_trajectory
+from .trajectory import (Trajectory, exact_commutator_flow, require_finite_phases,
+                         rk4_commutator_trajectory)
 
 
 @dataclass(eq=False)
@@ -58,12 +59,12 @@ def evolve_heisenberg_exact(a0, h, t) -> np.ndarray:
     Raises
     ------
     ValueError
-        If ``h`` is not Hermitian, or a time is not finite.
+        If ``h`` is not Hermitian, or a time or its phase ``t * w`` at an
+        eigenvalue ``w`` of ``h`` is not finite.
     """
     a0 = as_complex_matrix(a0, "initial")
     h = require_hermitian(h, name="hamiltonian", shape=a0.shape)
-    if not np.all(np.isfinite(t)):
-        raise ValueError(f"t must be finite, got {t}")
+    require_finite_phases(t, h)
     return exact_commutator_flow(a0, h, -1, t)
 
 

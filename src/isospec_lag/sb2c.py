@@ -32,7 +32,7 @@ from .operator_core import (
     dagger,
     require_hermitian,
 )
-from .trajectory import Trajectory, time_grid
+from .trajectory import CSV_BLOCK_ROWS, Trajectory, time_grid
 
 
 class SingularityError(RuntimeError):
@@ -328,7 +328,7 @@ def reduced_rhs(state: ReducedState, params: SB2CParameters):
 
 
 def integrate_reduced(initial: ReducedState, params: SB2CParameters,
-                      t_final: float, step: float) -> Trajectory:
+                      t_final: float, step: float, stream=None) -> Trajectory:
     """RK4 trajectory of (y, r) on ``time_grid(t_final, step)``, with
     x = Phi(r) emitted alongside.
 
@@ -353,10 +353,20 @@ def integrate_reduced(initial: ReducedState, params: SB2CParameters,
     ``{"time": 0.0, "bracket": None, ...}``.  Raises ValueError for
     invalid grid inputs, d = 0, parameters outside the real symmetric
     case or a coefficient of the field that is not finite.
+
+    ``stream``, if given, is called once, after those checks and before
+    the first field evaluation, with the list of grid times.  A function
+    it returns is handed the rows as they are made, flat (y, r, x) floats:
+    each completed block of ``CSV_BLOCK_ROWS`` rows, then, last, the rest,
+    fewer rows or none.  The CLI renders them into trajectory.csv on a
+    second CPU (``trajectory.stream_csv``) while this loop runs.
     """
     grid = time_grid(t_final, step).tolist()
     _require_reducible(params)
     field = _reduced_flow(params)[1]
+    send = stream(grid) if stream is not None else None
+    block = 3 * CSV_BLOCK_ROWS  # floats in a block of rows
+    sent_at = CSV_BLOCK_ROWS - 2 if send is not None else -1  # the step that completes one
     isfinite, copysign, inf = math.isfinite, math.copysign, math.inf
     y, r = initial.y, initial.r
     meta: dict = {}
@@ -398,7 +408,12 @@ def integrate_reduced(initial: ReducedState, params: SB2CParameters,
             break
         y, r = y1, r1
         rows += (y, r, x)
+        if k == sent_at:
+            send(rows[-block:])
+            sent_at += CSV_BLOCK_ROWS
 
+    if send is not None:
+        send(rows[len(rows) - len(rows) % block:])
     states = np.array(rows, dtype=float).reshape(-1, 3)
     return Trajectory(
         times=np.array(grid[:len(states)]),

@@ -22,23 +22,30 @@ row, each float through ``%r`` (``nan``, ``inf`` and ``-inf`` included);
 and a newline, one line with ``NaN``, ``Infinity`` and ``-Infinity``.
 Both stream a block of rows or a column at a time to the file.
 
-A table of at least ``PARALLEL_MIN_FLOATS`` floats (``t`` included) in
-two or more of those pieces is written by two processes when
-``os.fork`` exists, a second CPU is usable and SIGCHLD is not ignored
-(so the child's exit status can be collected): a forked child renders
-the second half of the pieces into an anonymous temporary file beside
-the output, while the caller renders the first half into the output
-and then appends the child's bytes.  The bytes are the same either way.
+A table of at least ``PARALLEL_MIN_FLOATS`` floats (``t`` included) is
+written by two processes when ``os.fork`` exists, a second CPU is usable
+and SIGCHLD is not ignored (so the child's exit status can be
+collected): :func:`splits`.  One routine forks the child, which renders
+into an anonymous temporary file beside the output, and then appends
+its bytes.  For a finished table in two or more pieces the child
+renders the second half of the pieces, which it inherits at the fork,
+while the caller renders the first half into the output.  For a table
+whose rows are still being computed, :func:`stream_csv` (sb2c's CSV in
+the CLI) passes the child each block of rows through a pipe, so the
+rows are rendered while the caller's loop runs.  The bytes are the same
+either way.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 import logging
 import math
 import os
 import shutil
+import struct
 import tempfile
 import time
 import warnings
@@ -167,6 +174,18 @@ def exact_commutator_flow(y0: np.ndarray, h: np.ndarray, sign: int, t) -> np.nda
     return v @ (left[..., :, np.newaxis] * y0_eig * left.conj()[..., np.newaxis, :]) @ v_dag
 
 
+def require_finite_phases(t, h: np.ndarray) -> None:
+    """ValueError unless each time ``t`` and its phase ``t * w`` at each
+    eigenvalue ``w`` of the Hermitian ``h`` are finite, as
+    :func:`exact_commutator_flow` needs."""
+    if not np.all(np.isfinite(t)):
+        raise ValueError(f"t must be finite, got {t}")
+    with np.errstate(over="ignore"):
+        phases = np.multiply.outer(t, np.linalg.eigvalsh(h))
+    if not np.all(np.isfinite(phases)):
+        raise ValueError(f"t times an eigenvalue of h must be finite, got t={t}")
+
+
 def rk4_commutator_trajectory(y0: np.ndarray, h: np.ndarray, sign: int,
                               t_final: float, step: float, name: str) -> Trajectory:
     """RK4 samples of ``dy/dt = sign * i [y, h]`` on ``time_grid(t_final, step)``.
@@ -231,67 +250,85 @@ def _can_split() -> bool:
     return (os.cpu_count() or 1) > 1
 
 
-def _write_second_half_in_a_child(fh, pieces, directory) -> None:
-    """Write ``pieces`` to ``fh``, the second half rendered by a forked child.
+def splits(n_floats: int) -> bool:
+    """Whether a table of ``n_floats`` floats, ``t`` included, is rendered
+    by two processes: it has at least ``PARALLEL_MIN_FLOATS`` and
+    :func:`_can_split` holds."""
+    return n_floats >= PARALLEL_MIN_FLOATS and _can_split()
 
-    The child renders its half into an anonymous temporary file beside
-    the output while this process renders the first half into ``fh``; the
-    child's bytes are then appended in bounded chunks.  The child leaves
-    only through ``os._exit``, so it never returns into the caller or
-    flushes a buffer it inherited (``fh``, stdout, stderr).
-    """
-    half = len(pieces) // 2
-    with tempfile.TemporaryFile(dir=directory) as tmp:
-        with warnings.catch_warnings():
-            # Python 3.12+ warns that a fork from a multi-threaded process
-            # (numpy's BLAS pool) may deadlock in the child.  The child takes
-            # no lock another thread could hold: it formats floats, writes
-            # one file and calls os._exit.
-            warnings.filterwarnings("ignore", r"This process .* is multi-threaded, use of fork\(\)",
-                                    DeprecationWarning)
-            pid = os.fork()
-        if pid == 0:
-            status = 1
+
+@contextlib.contextmanager
+def _render_in_a_child(fh, render):
+    """Append to ``fh`` the text a forked child renders while this process
+    goes on.  The child writes what ``render(pipe)`` yields into an
+    anonymous temporary file beside the output: text from what it
+    inherited at the fork, then from the bytes this process writes to the
+    yielded unbuffered pipe end, which ``pipe`` reads until that end is
+    closed (on leaving the block at the latest).  On leaving, this process
+    reaps the child and, if both succeeded, appends its bytes.  The child
+    leaves only through ``os._exit``, so it never returns into the caller
+    or flushes a buffer it inherited (``fh``, stdout, stderr)."""
+    with tempfile.TemporaryFile(dir=os.path.dirname(os.path.abspath(fh.name))) as tmp:
+        read_end, write_end = os.pipe()
+        with open(read_end, "rb") as pipe, open(write_end, "wb", buffering=0) as sink:
+            with warnings.catch_warnings():
+                # Python 3.12+ warns that a fork from a multi-threaded process
+                # (numpy's BLAS pool) may deadlock in the child.  The child
+                # takes no lock another thread could hold: it formats
+                # floats, reads a pipe, writes one file and calls os._exit.
+                warnings.filterwarnings("ignore", r"This process .* is multi-threaded, "
+                                        r"use of fork\(\)", DeprecationWarning)
+                pid = os.fork()
+            if pid == 0:
+                status = 1
+                try:
+                    sink.close()  # else the pipe would never end
+                    for text in render(pipe):
+                        tmp.write(text.encode(fh.encoding))
+                    tmp.flush()
+                    status = 0
+                finally:
+                    os._exit(status)
+            pipe.close()  # a child that fails then breaks the pipe, not blocks it
             try:
-                for piece in pieces[half:]:
-                    tmp.write(piece().encode(fh.encoding))
-                tmp.flush()
-                status = 0
+                yield sink
             finally:
-                os._exit(status)
-        try:
-            for piece in pieces[:half]:
-                fh.write(piece())
-        finally:
-            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                sink.close()
+                status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
         if status:
-            raise OSError(f"the process rendering the second half of the table "
-                          f"exited with status {status}")
+            raise OSError(f"the second process writing the table exited with status {status}")
         fh.flush()
         tmp.seek(0)
         shutil.copyfileobj(tmp, fh.buffer)
 
 
+def _log_write(fmt: str, path, shape: tuple, mode: str, start: float) -> None:
+    logger.debug("wrote %s %s: %d x %d, %d floats, %s, %.4f s", fmt, path, *shape,
+                 shape[0] * shape[1], mode, time.perf_counter() - start)
+
+
 def _write_table(path, fmt: str, head: str, pieces: list, shape: tuple) -> None:
     """Write ``head`` and then each piece's text (``pieces`` are callables) to ``path``.
 
-    ``shape`` is (rows, columns) of the table, ``t`` included; a table of
-    ``PARALLEL_MIN_FLOATS`` floats or more, in two or more pieces, is
-    split across two processes when :func:`_can_split`.  The bytes are
+    ``shape`` is (rows, columns) of the table, ``t`` included; a table in
+    two or more pieces that :func:`splits` is written by two processes,
+    the second half of the pieces rendered by the child.  The bytes are
     the same either way.
     """
     start = time.perf_counter()
-    n_floats = shape[0] * shape[1]
-    split = len(pieces) > 1 and n_floats >= PARALLEL_MIN_FLOATS and _can_split()
+    split = len(pieces) > 1 and splits(shape[0] * shape[1])
+    half = len(pieces) // 2 if split else len(pieces)
     with open(path, "w") as fh:
         fh.write(head)
-        if split:
-            _write_second_half_in_a_child(fh, pieces, os.path.dirname(os.path.abspath(path)))
-        else:
-            for piece in pieces:
+        with (_render_in_a_child(fh, lambda pipe: (piece() for piece in pieces[half:]))
+              if split else contextlib.nullcontext()):
+            for piece in pieces[:half]:
                 fh.write(piece())
-    logger.debug("wrote %s %s: %d x %d, %d floats, %s, %.4f s", fmt, path, *shape, n_floats,
-                 "split" if split else "serial", time.perf_counter() - start)
+    _log_write(fmt, path, shape, "split" if split else "serial", start)
+
+
+def _csv_header(headers) -> str:
+    return ",".join(["t", *headers]) + "\n"
 
 
 def _csv_block(rows: np.ndarray) -> str:
@@ -306,7 +343,48 @@ def write_csv(traj: Trajectory, path) -> None:
     rows = np.column_stack([traj.times, traj.table()])
     pieces = [functools.partial(_csv_block, rows[start:start + CSV_BLOCK_ROWS])
               for start in range(0, len(rows), CSV_BLOCK_ROWS)]
-    _write_table(path, "csv", ",".join(["t"] + traj.headers()) + "\n", pieces, rows.shape)
+    _write_table(path, "csv", _csv_header(traj.headers()), pieces, rows.shape)
+
+
+@contextlib.contextmanager
+def stream_csv(path, times, headers):
+    """Write to ``path`` the CSV of a table whose ``times`` are known before
+    its rows, which the caller computes while the file is open.
+
+    Yields a function taking each next block of rows as flat floats in
+    ``headers`` order (``t`` left out): ``CSV_BLOCK_ROWS`` rows, and last
+    fewer or none.  A forked child renders the blocks as they come, so on
+    leaving the file holds what :func:`write_csv` writes for the rows
+    sent.  Open one only where :func:`splits` holds; a child that fails
+    raises OSError on leaving.
+    """
+    start = time.perf_counter()
+    width = len(headers)
+    rows = 0
+
+    def render(pipe):  # in the child, CSV_BLOCK_ROWS rows per % format
+        done = 0
+        while data := pipe.read(8 * width * CSV_BLOCK_ROWS):
+            block = np.frombuffer(data).reshape(-1, width)
+            yield _csv_block(np.column_stack([times[done:done + len(block)], block]))
+            done += len(block)
+
+    def send(values):
+        nonlocal rows
+        rows += len(values) // width
+        data = memoryview(struct.pack(f"{len(values)}d", *values))
+        # a child that has failed breaks the pipe; its exit status reports it
+        with contextlib.suppress(BrokenPipeError):
+            while data:
+                data = data[sink.write(data):]
+        if len(values) < width * CSV_BLOCK_ROWS:
+            sink.close()
+
+    with open(path, "w") as fh:
+        fh.write(_csv_header(headers))
+        with _render_in_a_child(fh, render) as sink:
+            yield send
+    _log_write("csv", path, (rows, width + 1), "streamed", start)
 
 
 def _json_member(name: str, values: np.ndarray, lead: str, tail: str = "") -> str:

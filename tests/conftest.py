@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import isospec_lag
 from isospec_lag import operator_core, trajectory
@@ -119,6 +120,24 @@ def force_split(mp):
     """Split every write of two or more pieces, on any host with ``os.fork``."""
     mp.setattr(trajectory, "PARALLEL_MIN_FLOATS", 0)
     mp.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
+def count_forks(mp):
+    """Make ``os.fork`` record in the returned list each fork this process makes."""
+    forks, fork = [], os.fork
+
+    def counting():
+        pid = fork()
+        forks.append(pid)
+        return pid
+
+    mp.setattr(os, "fork", counting)
+    return forks
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def fail_in(process, function):

@@ -1,10 +1,12 @@
 import contextlib
 import gc
 import io
+import itertools
 import json
 import logging
 import os
 import re
+import signal
 import subprocess
 import sys
 import tempfile
@@ -16,10 +18,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isospec_lag import bloch, cli, trajectory, unitary_orbit
+from isospec_lag import bloch, cli, sb2c, trajectory, unitary_orbit
 from isospec_lag.heisenberg import evolve_heisenberg_exact
+from isospec_lag.sb2c import ReducedState, SB2CSetup, derive_parameters, integrate_reduced
 
-from conftest import fail_in, force_split, hermitian_check_names, src_env
+from conftest import (assert_no_child_left, count_forks, fail_in, force_split,
+                      hermitian_check_names, src_env)
 
 LINE = re.compile(
     r"^(?P<name>\w+) max=(?P<max>[^ ]+) tol=(?P<tol>[^ ]+) (?P<status>PASS|FAIL)$"
@@ -671,7 +675,9 @@ def test_bloch_flow_beyond_float_range_exits_2(tmp_path, capsys):
                  id="field-coefficients"),
     pytest.param([[1, 1], [1e200, 2]], "rho0 = A0 A0^dag or A0 H A0^dag", id="rho0"),
 ])
-def test_sb2c_parameters_beyond_float_range_exit_2(tmp_path, capsys, a0, message):
+def test_sb2c_parameters_beyond_float_range_exit_2(tmp_path, capsys, monkeypatch, a0, message):
+    force_split(monkeypatch)  # a table of any size would be streamed
+    forks = count_forks(monkeypatch)
     cfg = write_config(tmp_path / "cfg.json", "sb2c",
                        {"initial": [[-1.0, 6.0]], "a0": a0, "hamiltonian": [[1, 0], [0, -1]]},
                        1.0, 1e-2)
@@ -679,6 +685,7 @@ def test_sb2c_parameters_beyond_float_range_exit_2(tmp_path, capsys, a0, message
     err = capsys.readouterr().err
     assert err == f"config error: sb2c parameters beyond float range: {message} is not finite\n"
     assert not (tmp_path / "out").exists()
+    assert forks == []
 
 
 def test_bloch_at_the_south_pole_exits_0(tmp_path, capsys):
@@ -693,14 +700,19 @@ def test_bloch_at_the_south_pole_exits_0(tmp_path, capsys):
         assert captured.err == ""
 
 
-@pytest.mark.parametrize("via, under", [("--out", False), ("output.path", True)],
-                         ids=["out-names-a-file", "output-path-under-a-file"])
-def test_unwritable_output_path_exits_2(tmp_path, capsys, via, under):
+@pytest.mark.parametrize("via, under, kind", [("--out", False, "heisenberg"),
+                                              ("output.path", True, "heisenberg"),
+                                              ("--out", False, "sb2c")],
+                         ids=["out-names-a-file", "output-path-under-a-file",
+                              "sb2c-out-names-a-file"])
+def test_unwritable_output_path_exits_2(tmp_path, capsys, monkeypatch, via, under, kind):
     blocker = tmp_path / "blocker"
     blocker.write_text("a regular file\n")
     out = blocker / "out" if under else blocker
-    cfg = heisenberg_config(tmp_path)
-    args = ["heisenberg", "--config", cfg]
+    if kind == "sb2c":  # its table would be streamed while the run steps
+        force_split(monkeypatch)
+    cfg = heisenberg_config(tmp_path) if kind == "heisenberg" else worked_sb2c_config(tmp_path)
+    args = [kind, "--config", cfg]
     if via == "--out":
         args += ["--out", out]
     else:
@@ -715,40 +727,143 @@ def test_unwritable_output_path_exits_2(tmp_path, capsys, via, under):
 
 
 def test_a_failing_split_write_exits_2(tmp_path, capsys, monkeypatch):
+    # a finished heisenberg table's second half, and an sb2c table whose
+    # child fails at its first block while the run goes on stepping
     force_split(monkeypatch)
     monkeypatch.setattr(trajectory, "_csv_block", fail_in("child", trajectory._csv_block))
-    cfg = heisenberg_config(tmp_path)
-    assert run_cli(["heisenberg", "--config", cfg, "--out", tmp_path / "out"]) == 2
-    err = capsys.readouterr().err
-    assert f"config error: cannot write outputs to {tmp_path / 'out'}: " in err
-    assert "exited with status 1" in err
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+    for kind, cfg in (("heisenberg", heisenberg_config(tmp_path)),
+                      ("sb2c", worked_sb2c_config(tmp_path))):
+        out = tmp_path / kind
+        assert run_cli([kind, "--config", cfg, "--out", out]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"config error: cannot write outputs to {out}: ")
+        assert line.endswith("exited with status 1")
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
-@pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_a_split_cli_run_prints_each_line_once(tmp_path, fmt):
-    """A command-line run whose table is split (5,001 rows x 9 floats): the
-    forked child leaves without flushing what the parent has buffered, so
-    stdout holds the marker printed before the run and each invariant
-    line exactly once, and stderr holds no traceback."""
-    cfg = heisenberg_config(tmp_path, t_final=5.0)
+WORKED_SB2C = {"a0": [[1, 1], [1, 2]], "hamiltonian": [[1, 0], [0, -1]]}
+
+
+def worked_sb2c_config(tmp_path, initial=(-2.0, 6.0), t_final=5.0):
+    """The worked sb2c setup, stepped at 1e-3: from (y, r) = (-2, 6) to
+    t = 5 it exits 0 with 5,001 rows, 20,004 floats, which stream."""
+    return write_config(tmp_path / "sb2c.json", "sb2c",
+                        {"initial": [list(initial)], **WORKED_SB2C}, t_final, 1e-3)
+
+
+@pytest.mark.parametrize("initial, t_final, code, rows", [
+    ((-2.0, 6.0), 5.0, 0, 5001),
+    ((-3.0, 1.0), 2.0, 3, 1483),  # halts near t = 1.48: its last block has 203 rows
+    ((-2.0, 6.0), 0.511, 0, 2 * trajectory.CSV_BLOCK_ROWS),
+    ((-1.0, 1e80), 1.0, 3, 0),  # Phi is not finite at the start: the header only
+], ids=["full", "halting", "two-blocks", "singular-at-start"])
+def test_a_streamed_sb2c_table_is_write_csv_of_the_run(tmp_path, monkeypatch, caplog, initial,
+                                                        t_final, code, rows):
+    """sb2c's CSV is rendered by one forked child while integrate_reduced
+    steps, and it is what write_csv writes for the returned trajectory."""
+    params = derive_parameters(SB2CSetup(**WORKED_SB2C))
+    traj = integrate_reduced(ReducedState(*initial), params, t_final, 1e-3)
+    assert traj.n_samples == rows
+    trajectory.write_csv(traj, tmp_path / "reference.csv")
+    force_split(monkeypatch)
+    forks = count_forks(monkeypatch)
+    caplog.set_level(logging.DEBUG, logger="isospec_lag.trajectory")
+    cfg = worked_sb2c_config(tmp_path, initial, t_final)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run_cli(["sb2c", "--config", cfg, "--out", tmp_path / "out"]) == code
+    assert ((tmp_path / "out" / "trajectory.csv").read_bytes()
+            == (tmp_path / "reference.csv").read_bytes())
+    assert len(forks) == 1
+    [line] = [r.getMessage() for r in caplog.records if r.name == "isospec_lag.trajectory"]
+    assert re.fullmatch(rf"wrote csv .*trajectory\.csv: {rows} x 4, {4 * rows} floats, "
+                        r"streamed, \d+\.\d{4} s", line)
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("host", ["cli-mix grid", "one cpu", "no fork", "sigchld ignored"])
+def test_an_sb2c_table_that_cannot_split_is_written_after_the_run(tmp_path, monkeypatch, caplog,
+                                                                   host):
+    """No fork, and today's one-process write_csv once the run ends: for a
+    grid below PARALLEL_MIN_FLOATS (cli-mix's 1,001 rows, 4,004 floats)
+    and wherever the table cannot split."""
+    t_final = 1.0 if host == "cli-mix grid" else 5.0
+    rows = round(t_final / 1e-3) + 1
+    params = derive_parameters(SB2CSetup(**WORKED_SB2C))
+    trajectory.write_csv(integrate_reduced(ReducedState(-2.0, 6.0), params, t_final, 1e-3),
+                         tmp_path / "reference.csv")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0} if host == "one cpu" else {0, 1},
+                        raising=False)
+    forks = count_forks(monkeypatch)
+    if host == "no fork":
+        monkeypatch.delattr(os, "fork")
+    caplog.set_level(logging.DEBUG, logger="isospec_lag.trajectory")
+    cfg = worked_sb2c_config(tmp_path, t_final=t_final)
+    previous = signal.signal(signal.SIGCHLD,
+                             signal.SIG_IGN if host == "sigchld ignored" else signal.SIG_DFL)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert run_cli(["sb2c", "--config", cfg, "--out", tmp_path / "out"]) == 0
+    finally:
+        signal.signal(signal.SIGCHLD, previous)
+    assert ((tmp_path / "out" / "trajectory.csv").read_bytes()
+            == (tmp_path / "reference.csv").read_bytes())
+    assert forks == []
+    [line] = [r.getMessage() for r in caplog.records if r.name == "isospec_lag.trajectory"]
+    assert f": {rows} x 4, {4 * rows} floats, serial, " in line
+
+
+def test_a_failing_sb2c_run_still_reaps_its_streaming_child(tmp_path, monkeypatch):
+    # the field raises at its 2,000th call, about step 500, after the first block is sent
+    flow = sb2c._reduced_flow
+
+    def failing_flow(params):
+        terms, field = flow(params)
+        calls = itertools.count(1)
+
+        def failing(y, r):
+            if next(calls) == 2000:
+                raise RuntimeError("planted failure in the loop")
+            return field(y, r)
+
+        return terms, failing
+
+    monkeypatch.setattr(sb2c, "_reduced_flow", failing_flow)
+    force_split(monkeypatch)
+    forks = count_forks(monkeypatch)
+    with pytest.raises(RuntimeError, match="planted failure in the loop"):
+        run_cli(["sb2c", "--config", worked_sb2c_config(tmp_path), "--out", tmp_path / "out"])
+    assert len(forks) == 1
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("kind, fmt", [("heisenberg", "csv"), ("heisenberg", "json"),
+                                       ("sb2c", "csv")], ids=["csv", "json", "sb2c-csv"])
+def test_a_split_cli_run_prints_each_line_once(tmp_path, kind, fmt):
+    """A command-line run whose table is split (5,001 rows x 9 floats) or
+    streamed while the run steps (sb2c, 5,001 rows x 4): the forked child
+    leaves without flushing what the parent has buffered, so stdout holds
+    the marker printed before the run and each invariant line exactly
+    once, and stderr holds no traceback."""
+    cfg = heisenberg_config(tmp_path, t_final=5.0) if kind == "heisenberg" else (
+        worked_sb2c_config(tmp_path))
     script = ("import sys; from isospec_lag import cli; print('started'); "
               "sys.exit(cli.main(sys.argv[1:]))")
     # stdout is a pipe, so the marker stays in its buffer through the fork
     env = {k: v for k, v in src_env().items() if k != "PYTHONUNBUFFERED"}
     proc = subprocess.run(
-        [sys.executable, "-c", script, "heisenberg", "--config", str(cfg),
+        [sys.executable, "-c", script, kind, "--config", str(cfg),
          "--out", str(tmp_path / "out"), "--format", fmt],
         capture_output=True, text=True, env={**env, "ISOSPEC_LOG": "debug"}, timeout=120)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert lines[0] == "started"
-    assert [LINE.match(line)["name"] for line in lines[1:]] == list(
-        cli.DEFAULT_TOLERANCES["heisenberg"])
+    assert [LINE.match(line)["name"] for line in lines[1:]] == list(cli.DEFAULT_TOLERANCES[kind])
     assert "Traceback" not in proc.stderr
-    mode = "split" if trajectory._can_split() else "serial"
-    assert f": 5001 x 9, 45009 floats, {mode}, " in proc.stderr
+    mode = ("split" if kind == "heisenberg" else "streamed") if trajectory._can_split() else (
+        "serial")
+    floats = {"heisenberg": "5001 x 9, 45009", "sb2c": "5001 x 4, 20004"}[kind]
+    assert f": {floats} floats, {mode}, " in proc.stderr
 
 
 def _console_script():
@@ -1018,9 +1133,15 @@ def test_non_string_output_path_exits_2(tmp_path, capsys):
     pytest.param("sb2c", json.dumps({**valid_doc("sb2c"), "matrices": {
         **valid_doc("sb2c")["matrices"], "a0": pairs(np.eye(3))}}), [],
                  "a0 must have shape (2, 2), got (3, 3)", id="3x3-a0"),
+    # rho0's second row is zero, so d = 0
+    pytest.param("sb2c", json.dumps({**valid_doc("sb2c"), "matrices": {
+        **valid_doc("sb2c")["matrices"], "a0": pairs([[1, 1], [0, 0]])}}), [],
+                 "reduced dynamics requires d != 0", id="sb2c-d-zero"),
 ])
-def test_config_error_exits_2_on_one_line_without_outputs(tmp_path, capsys, kind, text, args,
-                                                          message):
+def test_config_error_exits_2_on_one_line_without_outputs(tmp_path, capsys, monkeypatch, kind,
+                                                          text, args, message):
+    force_split(monkeypatch)  # a table of any size would be split or streamed
+    forks = count_forks(monkeypatch)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(text)
     out = tmp_path / "out"
@@ -1028,6 +1149,7 @@ def test_config_error_exits_2_on_one_line_without_outputs(tmp_path, capsys, kind
     (line,) = capsys.readouterr().err.splitlines()
     assert line.startswith("config error: ") and message in line
     assert not out.exists()
+    assert forks == []
 
 
 def test_load_config_rejects_an_unknown_kind(tmp_path):

@@ -58,6 +58,15 @@ def test_exact_flow_rejects_a_non_finite_time(t):
             evolve_heisenberg_exact(SX, SZ, t)
 
 
+@pytest.mark.parametrize("t", [1e308, -1e308, [0.0, 1e308, 1.0]], ids=["t", "-t", "array"])
+def test_exact_flow_rejects_a_time_whose_phase_overflows(t):
+    # t * 10 overflows: the flow would warn and then return NaN
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^t times an eigenvalue of h must be finite, got "):
+            evolve_heisenberg_exact(SX, np.diag([10.0, -10.0]), t)
+
+
 def test_exact_flow_is_finite_wherever_the_propagator_is():
     # one phase per eigenvalue: t (w_j - w_i) = 2e308 would overflow
     with warnings.catch_warnings():

@@ -21,12 +21,14 @@ from isospec_lag.trajectory import (
     Trajectory,
     format_float,
     rk4_commutator_trajectory,
+    stream_csv,
     time_grid,
     write_csv,
     write_json,
 )
 
-from conftest import fail_in, force_split, rand_complex, rand_hermitian, rand_unitary, rk4_step
+from conftest import (assert_no_child_left, count_forks, fail_in, force_split, rand_complex,
+                      rand_hermitian, rand_unitary, rk4_step)
 
 
 def matrix_traj():
@@ -151,6 +153,19 @@ def reference_csv(traj, path):
         fh.write("\n".join(lines) + "\n")
 
 
+def stream_rows(traj, path):
+    """Write traj's CSV as sb2c's CLI run does: where the table splits, its
+    rows go to stream_csv in blocks of CSV_BLOCK_ROWS rows and then the
+    rest, possibly none; else write_csv writes it."""
+    table = traj.table()
+    if not trajectory.splits(traj.n_samples * (table.shape[1] + 1)):
+        return write_csv(traj, path)
+    flat, block = table.ravel().tolist(), CSV_BLOCK_ROWS * table.shape[1]
+    with stream_csv(path, traj.times.tolist(), traj.headers()) as send:
+        for start in range(0, len(flat) + 1, block):
+            send(flat[start:start + block])
+
+
 def reference_json(traj, path):
     """The json.dump writer that write_json must match byte for byte."""
     columns = dict(zip(traj.headers(), traj.table().T.tolist()))
@@ -219,9 +234,12 @@ def test_writers_match_their_references_byte_for_byte(layout, rows, seed, specia
             target = values if rng.integers(4) else traj.times
             target[rng.integers(len(target))] = x
     # a table in two or more pieces is split when able to and forced to, or
-    # unforced from PARALLEL_MIN_FLOATS floats on (513 rows at n = 4)
-    pieces = {write_csv: -(-rows // CSV_BLOCK_ROWS), write_json: len(set(traj.headers())) + 1}
-    widths = {write_csv: traj.table().shape[1] + 1, write_json: pieces[write_json]}
+    # unforced from PARALLEL_MIN_FLOATS floats on (513 rows at n = 4); a
+    # stream forks whatever its number of rows
+    pieces = {write_csv: -(-rows // CSV_BLOCK_ROWS), write_json: len(set(traj.headers())) + 1,
+              stream_rows: 2}
+    widths = {write_csv: traj.table().shape[1] + 1, write_json: pieces[write_json],
+              stream_rows: traj.table().shape[1] + 1}
     large = {write: rows * width >= trajectory.PARALLEL_MIN_FLOATS and trajectory._can_split()
              for write, width in widths.items()}
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
@@ -233,7 +251,8 @@ def test_writers_match_their_references_byte_for_byte(layout, rows, seed, specia
         if split == "one cpu":
             mp.setattr(os, "sched_getaffinity", lambda pid: {0})
         new, ref = Path(tmp) / "new", Path(tmp) / "ref"
-        for write, reference in ((write_csv, reference_csv), (write_json, reference_json)):
+        for write, reference in ((write_csv, reference_csv), (write_json, reference_json),
+                                 (stream_rows, reference_csv)):
             forks.clear()
             write(traj, new)
             reference(traj, ref)
@@ -243,30 +262,13 @@ def test_writers_match_their_references_byte_for_byte(layout, rows, seed, specia
     assert_no_child_left()
 
 
-def count_forks(mp):
-    """Make ``os.fork`` record in the returned list each fork this process makes."""
-    forks, fork = [], os.fork
-
-    def counting():
-        pid = fork()
-        forks.append(pid)
-        return pid
-
-    mp.setattr(os, "fork", counting)
-    return forks
-
-
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 def split_traj(rows=2 * CSV_BLOCK_ROWS + 1):
     rng = np.random.default_rng(rows)
     return Trajectory(np.arange(rows) * 1e-3, rng.standard_normal((rows, 2, 2)) + 0j)
 
 
-@pytest.mark.parametrize("write, renderer", [(write_csv, "_csv_block"), (write_json, "_json_member")])
+@pytest.mark.parametrize("write, renderer", [(write_csv, "_csv_block"), (write_json, "_json_member"),
+                                             (stream_rows, "_csv_block")])
 def test_a_failing_child_raises_oserror_and_is_reaped(tmp_path, monkeypatch, write, renderer):
     force_split(monkeypatch)
     monkeypatch.setattr(trajectory, renderer, fail_in("child", getattr(trajectory, renderer)))
@@ -311,7 +313,7 @@ def test_a_process_that_ignores_sigchld_writes_serially(tmp_path, monkeypatch, w
     assert forks == []
 
 
-@pytest.mark.parametrize("write", [write_csv, write_json])
+@pytest.mark.parametrize("write", [write_csv, write_json, stream_rows])
 def test_a_split_write_lets_no_warning_escape(tmp_path, monkeypatch, write):
     # Python 3.12+ warns on a fork from a multi-threaded process; the
     # writer ignores exactly that warning, and nothing else escapes
@@ -338,12 +340,15 @@ def test_each_write_logs_its_shape_and_path(tmp_path, monkeypatch, caplog):
     write_csv(traj, tmp_path / "serial.csv")
     force_split(monkeypatch)
     write_json(traj, tmp_path / "split.json")
+    stream_rows(traj, tmp_path / "streamed.csv")
     lines = [r.getMessage() for r in caplog.records]
-    assert len(lines) == 2
+    assert len(lines) == 3
     assert re.fullmatch(r"wrote csv .*serial\.csv: 513 x 9, 4617 floats, serial, \d+\.\d{4} s",
                         lines[0])
     assert re.fullmatch(r"wrote json .*split\.json: 513 x 9, 4617 floats, split, \d+\.\d{4} s",
                         lines[1])
+    assert re.fullmatch(r"wrote csv .*streamed\.csv: 513 x 9, 4617 floats, streamed, "
+                        r"\d+\.\d{4} s", lines[2])
 
 
 @pytest.mark.parametrize("write, reference", [(write_csv, reference_csv),

@@ -167,6 +167,15 @@ def test_evolve_lvn_exact_rejects_a_non_finite_time(t):
             evolve_lvn_exact(0.5 * (SI + SX), SZ, t)
 
 
+@pytest.mark.parametrize("t", [1e308, -1e308, [0.0, 1e308, 1.0]], ids=["t", "-t", "array"])
+def test_evolve_lvn_exact_rejects_a_time_whose_phase_overflows(t):
+    # t * 10 overflows: the flow would warn and then return NaN
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^t times an eigenvalue of h must be finite, got "):
+            evolve_lvn_exact(0.5 * SI, np.diag([10.0, -10.0]), t)
+
+
 def test_evolve_lvn_exact_derivative_matches_rhs():
     rng = np.random.default_rng(8)
     rho0 = rand_density(rng, 3)
