@@ -244,51 +244,48 @@ def _trace(states) -> np.ndarray:
     return np.trace(states, axis1=-2, axis2=-1)
 
 
-def _run_heisenberg(config: ScenarioConfig):
+def _run_commutator(config: ScenarioConfig, stream, validate, sign: int, name: str, drifts):
+    """heisenberg (sign -1) and lvn (sign +1): RK4 on dy/dt = sign i [y, H], its
+    spectrum drift, the kind's ``drifts(states, spectra)``, then the exact endpoint."""
     from .operator_core import frobenius_norm, require_hermitian
 
     # RK4 and the reference share one H
-    initial = require_hermitian(config.matrices["initial"], name="initial")
-    h = require_hermitian(config.matrices["hamiltonian"], name="hamiltonian", shape=initial.shape)
-    traj = rk4_commutator_trajectory(initial, h, -1, config.t_final, config.step, "A")
-    # the first row is the initial state, the reference of every drift
-    states = traj.states
-    spectra = np.linalg.eigvalsh(states)
+    y0 = validate(config.matrices["initial"])
+    h = require_hermitian(config.matrices["hamiltonian"], name="hamiltonian", shape=y0.shape)
+    traj = rk4_commutator_trajectory(y0, h, sign, config.t_final, config.step, name)
+    # the first row is y0, the reference of every drift
+    spectra = np.linalg.eigvalsh(traj.states)
+    return traj, {"spectrum_drift": np.max(np.abs(spectra - spectra[0]), axis=-1),
+                  **drifts(traj.states, spectra),
+                  "rk4_exact_endpoint": frobenius_norm(
+                      traj.final_state - exact_commutator_flow(y0, h, sign, config.t_final))}, []
+
+
+def _operator(m):
+    from .operator_core import require_hermitian
+    return require_hermitian(m, name="initial")
+
+
+def _operator_drifts(states, spectra):
     traces = _trace(states)
     norms = np.linalg.norm(states, axis=(-2, -1))
-    return traj, {
-        "spectrum_drift": np.max(np.abs(spectra - spectra[0]), axis=-1),
-        "trace_drift": np.abs(traces - traces[0]),
-        "frobenius_drift": np.abs(norms - norms[0]),
-        "rk4_exact_endpoint": frobenius_norm(
-            traj.final_state - exact_commutator_flow(initial, h, -1, config.t_final)),
-    }, [], False
+    return {"trace_drift": np.abs(traces - traces[0]), "frobenius_drift": np.abs(norms - norms[0])}
 
 
-def _run_lvn(config: ScenarioConfig):
-    from .operator_core import frobenius_norm, require_hermitian
+def _density(m):
     from .unitary_orbit import validate_density
+    return validate_density(m)
 
-    # RK4 and the reference share one H
-    rho0 = validate_density(config.matrices["initial"])
-    h = require_hermitian(config.matrices["hamiltonian"], name="hamiltonian", shape=rho0.shape)
-    traj = rk4_commutator_trajectory(rho0, h, 1, config.t_final, config.step, "rho")
-    # the first row is rho0, the reference of every drift
-    states = traj.states
-    spectra = np.linalg.eigvalsh(states)
+
+def _density_drifts(states, spectra):
     purity = _trace(states @ states).real
     weights = np.clip(spectra, 0.0, None)
     kept = weights > 1e-14
     entropy = -np.sum(np.where(kept, weights * np.log(np.where(kept, weights, 1.0)), 0.0),
                       axis=-1)
-    return traj, {
-        "spectrum_drift": np.max(np.abs(spectra - spectra[0]), axis=-1),
-        "purity_drift": np.abs(purity - purity[0]),
-        "entropy_drift": np.abs(entropy - entropy[0]),
-        "trace_drift": np.abs(_trace(states) - 1.0),
-        "rk4_exact_endpoint": frobenius_norm(
-            traj.final_state - exact_commutator_flow(rho0, h, 1, config.t_final)),
-    }, [], False
+    return {"purity_drift": np.abs(purity - purity[0]),
+            "entropy_drift": np.abs(entropy - entropy[0]),
+            "trace_drift": np.abs(_trace(states) - 1.0)}
 
 
 def _mul2(a, b):
@@ -301,7 +298,7 @@ def _det2(m):
     return m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
 
 
-def _run_sb2c(config: ScenarioConfig):
+def _run_sb2c(config: ScenarioConfig, stream):
     from .operator_core import dagger
     from .sb2c import (ReducedState, SB2CSetup, constraint_residual_values,
                        derive_parameters, integrate_reduced, sb2c_matrices)
@@ -310,32 +307,18 @@ def _run_sb2c(config: ScenarioConfig):
     setup = SB2CSetup(a0=config.matrices["a0"], hamiltonian=config.matrices["hamiltonian"])
     params = derive_parameters(setup)
     initial = ReducedState(y=float(row[0]), r=float(row[1]))
-    columns, streamed = ("y", "r", "x"), False  # integrate_reduced's columns
-
-    # a CSV table that splits is rendered by a child while the run steps,
-    # and its last rows while the invariants are computed
-    with contextlib.ExitStack() as outputs:
-        def stream(times):
-            # every config check is made and no step taken yet, so a config
-            # error still leaves no output directory
-            nonlocal streamed
-            streamed = config.fmt == "csv" and splits(len(times) * (len(columns) + 1))
-            if not streamed:
-                return None
-            config.out_dir.mkdir(parents=True, exist_ok=True)
-            return outputs.enter_context(stream_csv(config.trajectory_path, times, columns))
-
-        traj = integrate_reduced(initial, params, config.t_final, config.step, stream)
-        rho0 = setup.a0 @ dagger(setup.a0)
-        ys, rs, xs = traj.states.T
-        gm = sb2c_matrices(rs, xs, ys)
-        with np.errstate(over="ignore", invalid="ignore"):  # a row out of float range reads NaN
-            det_drifts = np.abs(_det2(_mul2(_mul2(gm, rho0), dagger(gm))) - _det2(rho0))
-        residuals = np.abs(constraint_residual_values(rs, xs, ys, params))
+    traj = integrate_reduced(initial, params, config.t_final, config.step,
+                             lambda times: stream(times, ("y", "r", "x")))  # its columns
+    rho0 = setup.a0 @ dagger(setup.a0)
+    ys, rs, xs = traj.states.T
+    gm = sb2c_matrices(rs, xs, ys)
+    with np.errstate(over="ignore", invalid="ignore"):  # a row out of float range reads NaN
+        det_drifts = np.abs(_det2(_mul2(_mul2(gm, rho0), dagger(gm))) - _det2(rho0))
+    residuals = np.abs(constraint_residual_values(rs, xs, ys, params))
     return traj, {
         "constraint_residual": residuals,
         "determinant_conservation": det_drifts,
-    }, [], streamed
+    }, []
 
 
 def _three_flows(t, points):
@@ -346,7 +329,7 @@ def _three_flows(t, points):
     return np.stack(conjugated), np.stack(coords)
 
 
-def _run_bloch(config: ScenarioConfig):
+def _run_bloch(config: ScenarioConfig, stream):
     from .bloch import (FD_STEP, BlochVector, conjugate_flow, density_from_bloch,
                         generator_frame, wedge_closed_form_values)
 
@@ -383,10 +366,10 @@ def _run_bloch(config: ScenarioConfig):
         "wedge_closed_form": wedge_err,
         "flow_field_consistency": flow_err,
         "fixed_point_p": p_err,
-    }, [], False
+    }, []
 
 
-def _run_verify(config: ScenarioConfig):
+def _run_verify(config: ScenarioConfig, stream):
     from .heisenberg import flatten_complex, lagrangian_heisenberg_chart
     from .operator_core import require_hermitian
     from .verifier import EXPECTED_RATIO, refine
@@ -409,12 +392,12 @@ def _run_verify(config: ScenarioConfig):
         deviation, warnings = abs(ratio - EXPECTED_RATIO), []
         logger.info("refinement ratio %.3f", ratio)
     measured = {"el_residual_max": fine.max_residual, "convergence_ratio": deviation}
-    return traj, measured, warnings, False
+    return traj, measured, warnings
 
 
 _RUNNERS = {
-    "heisenberg": _run_heisenberg,
-    "lvn": _run_lvn,
+    "heisenberg": lambda c, s: _run_commutator(c, s, _operator, -1, "A", _operator_drifts),
+    "lvn": lambda c, s: _run_commutator(c, s, _density, 1, "rho", _density_drifts),
     "sb2c": _run_sb2c,
     "bloch": _run_bloch,
     "verify": _run_verify,
@@ -429,17 +412,29 @@ def run(config: ScenarioConfig):
     """Execute one scenario, judge its invariants, write trajectory and
     report; return the invariant results, the warnings and the singular flag.
 
-    A runner returns the trajectory, its measurements, its warnings and
-    whether it has written the trajectory file itself (sb2c streams a
-    large CSV table while it steps).  The library raises ValueError for
+    ``runner(config, stream)`` returns the trajectory, its measurements
+    and its warnings; run writes every file.  sb2c calls
+    ``stream(times, headers)`` after its config checks, so a config error
+    leaves no output directory: a CSV table that splits is then streamed
+    to a second process while the runner steps and measures (else None),
+    and is otherwise written after the runner.  The library raises ValueError for
     inputs outside its domain (a non-Hermitian matrix, a bad grid, a flow
     or a Lagrangian beyond float range), so a runner's ValueError is a
     ConfigError, as is an OSError from writing the outputs (the output
     path names a file, say), streamed or not.
     """
-    start = time.perf_counter()
+    start, streamed = time.perf_counter(), False
     try:
-        traj, measured, warnings, written = _RUNNERS[config.kind](config)
+        with contextlib.ExitStack() as outputs:
+            def stream(times, headers):
+                nonlocal streamed
+                streamed = config.fmt == "csv" and splits(len(times) * (len(headers) + 1))
+                if not streamed:
+                    return None
+                config.out_dir.mkdir(parents=True, exist_ok=True)
+                return outputs.enter_context(stream_csv(config.trajectory_path, times, headers))
+
+            traj, measured, warnings = _RUNNERS[config.kind](config, stream)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     except OSError as exc:
@@ -452,7 +447,7 @@ def run(config: ScenarioConfig):
                         f"bracket={record['bracket']!r}: {record['reason']}")
     try:
         config.out_dir.mkdir(parents=True, exist_ok=True)
-        if not written:
+        if not streamed:
             (write_csv if config.fmt == "csv" else write_json)(traj, config.trajectory_path)
         doc = {
             "kind": config.kind,

@@ -69,6 +69,22 @@ def rand_density_and_stabilizer(rng, n, spectrum):
     return (w * (lam / lam.sum())) @ w.conj().T, w @ d @ w.conj().T
 
 
+def euler_lagrange_system(lagrangian, point, h=1e-5):
+    """(Omega, f) of a chart Lagrangian that is linear in the velocity, at q = point.
+
+    With theta_k(q) = L(q, e_k) - L(q, 0), J[k, j] = d theta_k / d q_j and
+    f = dL/dq(q, 0), both by centred differences of step h, and
+    Omega = J - J^T, the Euler-Lagrange equations at point read Omega qdot = f.
+    """
+    dim = len(point)
+    eye = np.eye(dim)
+    bumped = point + h * np.concatenate([eye, -eye])[:, np.newaxis, :]  # q +- h e_j
+    values = lagrangian(bumped, np.concatenate([np.zeros((1, dim)), eye]))  # qdot = 0, e_k
+    theta = values[:, 1:] - values[:, :1]
+    jac = ((theta[:dim] - theta[dim:]) / (2 * h)).T
+    return jac - jac.T, (values[:dim, 0] - values[dim:, 0]) / (2 * h)
+
+
 def uniform_ball_sample(rng):
     """Uniform point of the open Bloch ball, by rejection from the cube."""
     while True:

@@ -522,3 +522,20 @@ def test_rk4_commutator_trajectory_keeps_a_commuting_state_beyond_the_stability_
     traj = rk4_commutator_trajectory(y0, h, sign, 3000.0, 1.5, "A")
     np.testing.assert_array_equal(traj.states, rk4_loop(y0, h, sign, times, 1.5))
     np.testing.assert_array_equal(traj.states, np.broadcast_to(y0, traj.states.shape))
+
+
+@pytest.mark.parametrize("sign", [-1, 1])
+@pytest.mark.parametrize("scale", [1e-7, 1.0, 1e7])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_rk4_commutator_trajectory_keeps_the_trace_by_construction(n, scale, sign):
+    # in H's eigenbasis the field's diagonal is zero, so every RK4 factor there
+    # is exactly 1 and the trace moves only by the rotation's rounding, whatever
+    # the step count and the scale of A0
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        a0 = scale * rand_hermitian(rng, n)
+        h = rand_hermitian(rng, n)
+        h /= np.linalg.norm(h)
+        states = rk4_commutator_trajectory(a0, h, sign, 5.0, 1e-3, "A").states
+        traces = np.trace(states, axis1=1, axis2=2)
+        assert np.max(np.abs(traces - np.trace(a0))) <= 1e-14 * np.linalg.norm(a0)

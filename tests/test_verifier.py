@@ -13,7 +13,7 @@ from isospec_lag.heisenberg import (
     lagrangian_heisenberg,
     lagrangian_heisenberg_chart,
 )
-from isospec_lag.operator_core import unitary_algebra_basis
+from isospec_lag.operator_core import commutator, unitary_algebra_basis
 from isospec_lag.trajectory import time_grid
 from isospec_lag.unitary_orbit import UnitaryTangent, el_residual_unitary, lagrangian_unitary
 from isospec_lag.verifier import (
@@ -32,6 +32,7 @@ from conftest import (
     SPECTRA,
     SX,
     SZ,
+    euler_lagrange_system,
     hermitian_check_names,
     rand_antihermitian,
     rand_complex,
@@ -794,6 +795,55 @@ def test_the_orbit_lagrangian_has_the_stabilizer_of_sigma_as_gauge(n, seed, spec
 
     assert 3.5 <= orbit_ratio(times, gauged(d), sigma, h) <= 4.5
     assert 0.9 <= orbit_ratio(times, gauged(rand_hermitian(rng, n)), sigma, h) <= 1.1
+
+
+def significant_rank(omega) -> int:
+    """Singular values of omega above 1e-6 of the largest."""
+    singular = np.linalg.svd(omega, compute_uv=False)
+    return int(np.sum(singular > 1e-6 * singular[0]))
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(2, 4), seed=st.integers(0, 2**32 - 1), spectrum=st.sampled_from(SPECTRA))
+def test_the_orbit_lagrangian_determines_the_flow_up_to_the_stabilizer(n, seed, spectrum):
+    # the chart Lagrangian is linear in qdot, so its Euler-Lagrange system at u0
+    # is Omega qdot = dL/dq: Omega's kernel is the stabilizer of rho = u0^dag
+    # sigma u0, of dimension sum m_k^2 over the multiplicities of sigma's
+    # spectrum, and every solution moves rho at -i [rho, H], not at lvn's +i
+    rng = np.random.default_rng(seed)
+    sigma, d = rand_density_and_stabilizer(rng, n, spectrum)
+    u0 = rand_unitary(rng, n)
+    h = rand_hermitian(rng, n)
+    h /= np.linalg.norm(h)
+    omega, force = euler_lagrange_system(unitary_chart(u0, sigma, h), np.zeros(n * n))
+    multiplicities = [1] * n if spectrum == "distinct" else [1, n - 1]
+    assert significant_rank(omega) == n * n - sum(m * m for m in multiplicities)
+    largest = np.linalg.norm(omega, 2)
+
+    basis = unitary_algebra_basis(n)
+    gauge = np.einsum("jab,ab->j", basis.conj(), 1j * u0.conj().T @ d @ u0).real
+    assert np.linalg.norm(omega @ gauge) <= 1e-6 * largest * np.linalg.norm(gauge)
+
+    qdot = np.linalg.lstsq(omega, force, rcond=1e-6)[0]
+    rho = u0.conj().T @ sigma @ u0
+    rho_dot = commutator(rho, np.tensordot(qdot, basis, 1))
+    flow = -1j * commutator(rho, h)
+    assert np.linalg.norm(rho_dot - flow) <= 1e-6 * np.linalg.norm(flow)
+    assert np.linalg.norm(rho_dot + flow) >= np.linalg.norm(flow)
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(2, 4), seed=st.integers(0, 2**32 - 1))
+def test_the_operator_lagrangian_determines_the_heisenberg_flow(n, seed):
+    # on the operator chart Omega has full rank: one velocity, -i [A, H]
+    rng = np.random.default_rng(seed)
+    a = rand_hermitian(rng, n)
+    h = rand_hermitian(rng, n)
+    h /= np.linalg.norm(h)
+    omega, force = euler_lagrange_system(heisenberg_chart(h), flatten_complex(a))
+    assert significant_rank(omega) == 2 * n * n
+    want = flatten_complex(heisenberg_rhs(a, h))
+    assert np.linalg.norm(np.linalg.solve(omega, force) - want) <= 1e-6 * np.linalg.norm(want)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, 1e200])

@@ -7,15 +7,20 @@ Each SRC is a directory holding the ``isospec_lag`` package, such as the
 package from it and runs the warm-up and the cycle of every workload in
 ``perfbench/workloads.py`` at seeds 11, 12 and 13, then the sb2c runs of
 ``ALPHA_SB2C`` below, through ``isospec_lag.cli.main``, one scenario
-after another, with ``ISOSPEC_LOG=info``.  Every run whose exit code,
-stdout, stderr (the INFO log included), ``report.json`` (without
-``wall_time_s``, with ``trajectory`` relative to the output directory)
-or trajectory bytes differ between the trees is printed, with what
+after another, with ``ISOSPEC_LOG=debug``.  Every run whose exit code,
+stdout, stderr, ``report.json`` (without ``wall_time_s``, with
+``trajectory`` relative to the output directory) or trajectory bytes
+differ between the trees is printed, with what
 decides whether the difference is only rounding: whether the exit codes
 agree, whether every invariant's PASS/FAIL verdict agrees, the largest
 absolute difference between the two trajectories' values, read from the
 files, and how far each invariant's ``max`` in ``report.json`` moved,
-relative to the larger of the two values and in absolute terms.
+relative to the larger of the two values and in absolute terms.  stderr
+holds the INFO log and each trajectory write's DEBUG line, which names
+its shape and write mode (``serial``, ``split`` or ``streamed``); in it
+the tree's output root reads ``<out>`` and a write's trailing wall
+seconds ``<s>``, so a run differs there only where its log, a table's
+shape or its write mode does.
 
 No CLI kind runs the orbit Lagrangian's check, so each child also runs
 ``verifier.el_residual_unitary_path`` on the fixed setups of
@@ -47,6 +52,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (11, 12, 13)
 FIELDS = ("exit", "stdout", "stderr", "report", "trajectory")
 VERDICT = re.compile(r"(\S+) max=\S+ tol=\S+ (PASS|FAIL)")
+WRITE_SECONDS = re.compile(r"^(.* wrote .*), \d+\.\d+ s$", re.M)
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
 #: sb2c runs of its own.  The first six have a real off-diagonal H, so
@@ -145,7 +151,8 @@ def _run_tree(src: str, out_root: str) -> dict:
             traceback.print_exc()
         traj = _trajectory_file(out_root, run_id)
         digest = hashlib.sha256(traj.read_bytes()).hexdigest() if traj else None
-        results[run_id] = {"exit": code, "stdout": out.take(), "stderr": err.take(),
+        stderr = WRITE_SECONDS.sub(r"\1, <s> s", err.take().replace(out_root, "<out>"))
+        results[run_id] = {"exit": code, "stdout": out.take(), "stderr": stderr,
                            "report": _report(run_dir / "out"), "trajectory": digest}
     return results
 
@@ -279,7 +286,7 @@ def _verdicts(stdout: str) -> list:
 
 def _outputs(src: str, out_root: str) -> dict | None:
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
-    env.update({var: "1" for var in THREAD_VARS}, ISOSPEC_LOG="info")
+    env.update({var: "1" for var in THREAD_VARS}, ISOSPEC_LOG="debug")
     proc = subprocess.run([sys.executable, __file__, "--child", src, out_root], env=env,
                           capture_output=True, text=True)
     if proc.returncode != 0:
