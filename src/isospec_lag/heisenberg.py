@@ -27,8 +27,7 @@ from .operator_core import (
     frobenius_norm,
     require_hermitian,
 )
-from .trajectory import (Trajectory, exact_commutator_flow, require_finite_phases,
-                         rk4_commutator_trajectory)
+from .trajectory import Trajectory, exact_commutator_flow, rk4_commutator_trajectory
 
 
 @dataclass(eq=False)
@@ -54,17 +53,16 @@ def evolve_heisenberg_exact(a0, h, t) -> np.ndarray:
 
     ``t`` is one time or an array of times; an array gives the stack of
     states at those times, shape ``np.shape(t) + a0.shape``, from one
-    eigendecomposition of ``h``.
+    eigendecomposition of ``h``, which also gives the phases it checks.
 
     Raises
     ------
     ValueError
-        If ``h`` is not Hermitian, or a time or its phase ``t * w`` at an
-        eigenvalue ``w`` of ``h`` is not finite.
+        If ``h`` is not Hermitian, or (exact_commutator_flow's check) a time
+        or its phase ``t * w`` at an eigenvalue ``w`` of ``h`` is not finite.
     """
     a0 = as_complex_matrix(a0, "initial")
     h = require_hermitian(h, name="hamiltonian", shape=a0.shape)
-    require_finite_phases(t, h)
     return exact_commutator_flow(a0, h, -1, t)
 
 
@@ -79,8 +77,8 @@ def evolve_heisenberg_rk4(a0, h, t_final: float, step: float) -> Trajectory:
         If ``h`` is not Hermitian, the dimensions differ, or the grid
         inputs are invalid.
     """
-    h = require_hermitian(h, name="hamiltonian")
-    a0 = as_complex_matrix(a0, "initial", shape=h.shape)
+    a0 = as_complex_matrix(a0, "initial")
+    h = require_hermitian(h, name="hamiltonian", shape=a0.shape)
     return rk4_commutator_trajectory(a0, h, -1, t_final, step, "A")
 
 

@@ -165,25 +165,22 @@ def _eigenbasis(y0: np.ndarray, h: np.ndarray):
 
 
 def exact_commutator_flow(y0: np.ndarray, h: np.ndarray, sign: int, t) -> np.ndarray:
-    """Exact ``dy/dt = sign * i [y, h]`` at the finite time or times ``t``, shape
+    """Exact ``dy/dt = sign * i [y, h]`` at the time or times ``t``, shape
     ``np.shape(t) + y0.shape``, inputs as for rk4_commutator_trajectory: entry (i, j) of
-    ``V^dag y0 V`` turns by ``exp(-sign i t w_i) exp(sign i t w_j)``, one phase per
-    eigenvalue, so the flow is finite wherever ``exp(-i t h)`` is."""
-    w, v, v_dag, y0_eig = _eigenbasis(y0, h)
-    left = np.exp(-sign * 1j * np.multiply.outer(t, w))
-    return v @ (left[..., :, np.newaxis] * y0_eig * left.conj()[..., np.newaxis, :]) @ v_dag
-
-
-def require_finite_phases(t, h: np.ndarray) -> None:
-    """ValueError unless each time ``t`` and its phase ``t * w`` at each
-    eigenvalue ``w`` of the Hermitian ``h`` are finite, as
-    :func:`exact_commutator_flow` needs."""
+    ``V^dag y0 V`` turns by ``exp(-sign i t w_i) exp(sign i t w_j)``, one phase ``t * w``
+    per eigenvalue, so the flow is finite wherever ``exp(-i t h)`` is.  ValueError unless
+    each time and each phase is finite, naming the first time whose phase is not."""
     if not np.all(np.isfinite(t)):
         raise ValueError(f"t must be finite, got {t}")
+    w, v, v_dag, y0_eig = _eigenbasis(y0, h)
     with np.errstate(over="ignore"):
-        phases = np.multiply.outer(t, np.linalg.eigvalsh(h))
-    if not np.all(np.isfinite(phases)):
-        raise ValueError(f"t times an eigenvalue of h must be finite, got t={t}")
+        phases = np.multiply.outer(t, w)
+    finite = np.isfinite(phases).all(axis=-1)
+    if not finite.all():
+        first = np.ravel(t)[np.argmin(finite)]
+        raise ValueError(f"t times an eigenvalue of h must be finite, got t={first}")
+    left = np.exp(-sign * 1j * phases)
+    return v @ (left[..., :, np.newaxis] * y0_eig * left.conj()[..., np.newaxis, :]) @ v_dag
 
 
 def rk4_commutator_trajectory(y0: np.ndarray, h: np.ndarray, sign: int,

@@ -36,8 +36,7 @@ from .operator_core import (
     require_hermitian,
     unitary_algebra_basis,
 )
-from .trajectory import (Trajectory, exact_commutator_flow, require_finite_phases,
-                         rk4_commutator_trajectory)
+from .trajectory import Trajectory, exact_commutator_flow, rk4_commutator_trajectory
 
 logger = logging.getLogger(__name__)
 
@@ -120,12 +119,11 @@ def evolve_lvn_exact(rho0, h, t) -> np.ndarray:
     Spectrum-preserving; its time derivative at t = 0 is ``lvn_rhs``.
     ``t`` is one time or an array of times; an array gives the stack of
     states at those times, shape ``np.shape(t) + rho0.shape``, from one
-    eigendecomposition of ``h``.  A time, or its phase ``t * w`` at an
-    eigenvalue ``w`` of ``h``, that is not finite raises ValueError.
+    eigendecomposition of ``h``.  A time, or its phase ``t * w`` at an eigenvalue
+    ``w`` of it, that is not finite raises exact_commutator_flow's ValueError.
     """
     rho0 = validate_density(rho0)
     h = require_hermitian(h, name="hamiltonian", shape=rho0.shape)
-    require_finite_phases(t, h)
     return exact_commutator_flow(rho0, h, 1, t)
 
 

@@ -304,6 +304,22 @@ def test_an_overflowing_hermitian_defect_is_one_config_error(tmp_path, capsys, k
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("kind, initial", [("heisenberg", [[0, 1], [1, 0]]),
+                                           ("lvn", np.eye(2) / 2),
+                                           ("verify", [[0, 1], [1, 0]])],
+                         ids=["heisenberg", "lvn", "verify"])
+def test_an_overflowing_phase_is_one_config_error(tmp_path, capsys, kind, initial):
+    # t_final * 1e10 overflows: the exact flow rejects its phases before any
+    # output, with no numpy warning (the suite makes RuntimeWarning an error)
+    cfg = write_config(tmp_path / "cfg.json", kind,
+                       {"initial": initial, "hamiltonian": 1e10 * np.eye(2)}, 1e300, 1e299)
+    assert run_cli([kind, "--config", cfg, "--out", tmp_path / "out"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: t times an eigenvalue of h must be finite, got t=")
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_a_non_finite_lagrangian_is_a_one_line_config_error(tmp_path, capsys):
     # the message names a point of dim 8, wider than numpy's 75-character lines
     cfg = write_config(tmp_path / "cfg.json", "verify",

@@ -126,7 +126,7 @@ def test_scenario_validation():
 
 
 def test_scenario_rejects_dimension_mismatch():
-    with pytest.raises(ValueError, match=r"^initial must have shape \(2, 2\), got \(3, 3\)$"):
+    with pytest.raises(ValueError, match=r"^hamiltonian must have shape \(3, 3\), got \(2, 2\)$"):
         evolve_heisenberg_rk4(np.eye(3), SZ, 1.0, 1e-2)
 
 

@@ -64,7 +64,7 @@ def still_path():
     pytest.param(lambda: OperatorTangent(TWO, THREE), "velocity", id="operator-tangent"),
     pytest.param(lambda: evolve_heisenberg_exact(TWO, THREE, 1.0), "hamiltonian",
                  id="heisenberg-exact"),
-    pytest.param(lambda: evolve_heisenberg_rk4(THREE, TWO, 1.0, 0.1), "initial",
+    pytest.param(lambda: evolve_heisenberg_rk4(TWO, THREE, 1.0, 0.1), "hamiltonian",
                  id="heisenberg-rk4"),
     pytest.param(lambda: lagrangian_heisenberg(OperatorTangent(TWO, TWO), THREE),
                  "hamiltonian", id="lagrangian-heisenberg"),

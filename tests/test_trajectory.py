@@ -15,10 +15,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from isospec_lag import trajectory
+from isospec_lag.heisenberg import evolve_heisenberg_exact
 from isospec_lag.trajectory import (
     CSV_BLOCK_ROWS,
     GRID_SNAP,
     Trajectory,
+    exact_commutator_flow,
     format_float,
     rk4_commutator_trajectory,
     stream_csv,
@@ -27,8 +29,10 @@ from isospec_lag.trajectory import (
     write_json,
 )
 
+from isospec_lag.unitary_orbit import evolve_lvn_exact
+
 from conftest import (assert_no_child_left, count_forks, fail_in, force_split, rand_complex,
-                      rand_hermitian, rand_unitary, rk4_step)
+                      rand_density, rand_hermitian, rand_unitary, rk4_step)
 
 
 def matrix_traj():
@@ -539,3 +543,48 @@ def test_rk4_commutator_trajectory_keeps_the_trace_by_construction(n, scale, sig
         states = rk4_commutator_trajectory(a0, h, sign, 5.0, 1e-3, "A").states
         traces = np.trace(states, axis1=1, axis2=2)
         assert np.max(np.abs(traces - np.trace(a0))) <= 1e-14 * np.linalg.norm(a0)
+
+
+@pytest.mark.parametrize("sign", [-1, 1])
+def test_the_exact_flow_checks_its_own_times_and_phases(sign):
+    # the kernel itself rejects what would make it warn and return NaN
+    y0 = np.array([[0, 1], [1, 0]], dtype=complex)
+    h = np.diag([10.0, -10.0]).astype(complex)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for t in (math.nan, math.inf, [0.0, math.nan, 1.0], [0.0, -math.inf]):
+            with pytest.raises(ValueError, match=r"^t must be finite, got "):
+                exact_commutator_flow(y0, h, sign, t)
+        # t * 10 overflows, t itself does not
+        for t in (1e308, -1e308, [0.0, 1e308, 1.0]):
+            with pytest.raises(ValueError,
+                               match=r"^t times an eigenvalue of h must be finite, got ") as info:
+                exact_commutator_flow(y0, h, sign, t)
+        assert str(info.value) == "t times an eigenvalue of h must be finite, got t=1e+308"
+
+
+@pytest.mark.parametrize("kind", ["heisenberg", "lvn"])
+def test_an_exact_call_decomposes_h_once(monkeypatch, kind):
+    # the phase check uses the flow's own eigenvalues: one eigh of H and no
+    # eigvalsh of it; lvn's validate_density keeps its eigvalsh of rho0
+    rng = np.random.default_rng(5)
+    y0 = rand_density(rng, 3) if kind == "lvn" else rand_hermitian(rng, 3)
+    h = rand_hermitian(rng, 3)
+    calls = {"eigh": [], "eigvalsh": []}
+
+    def counting(name):
+        original = getattr(np.linalg, name)
+
+        def call(a, *args, **kwargs):
+            calls[name].append(np.array(a))
+            return original(a, *args, **kwargs)
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(np.linalg, name, counting(name))
+    evolve = evolve_lvn_exact if kind == "lvn" else evolve_heisenberg_exact
+    evolve(y0, h, np.linspace(0.0, 1.0, 11))
+    assert len(calls["eigh"]) == 1
+    np.testing.assert_array_equal(calls["eigh"][0], h)
+    assert not any(np.array_equal(a, h) for a in calls["eigvalsh"])
+    assert len(calls["eigvalsh"]) == (kind == "lvn")
