@@ -40,8 +40,10 @@ from pathlib import Path
 
 import numpy as np
 
-# Each runner imports the modules of its own kind, so one process loads
+# trajectory loads operator_core for every kind, so it is bound here once;
+# each runner imports the modules of its own kind, so one process loads
 # only what its scenario runs.
+from .operator_core import dagger, frobenius_norm, require_hermitian
 from .trajectory import (Trajectory, exact_commutator_flow, format_float,
                          rk4_commutator_trajectory, splits, stream_csv, time_grid, write_csv,
                          write_json)
@@ -247,8 +249,6 @@ def _trace(states) -> np.ndarray:
 def _run_commutator(config: ScenarioConfig, stream, validate, sign: int, name: str, drifts):
     """heisenberg (sign -1) and lvn (sign +1): RK4 on dy/dt = sign i [y, H], its
     spectrum drift, the kind's ``drifts(states, spectra)``, then the exact endpoint."""
-    from .operator_core import frobenius_norm, require_hermitian
-
     # RK4 and the reference share one H
     y0 = validate(config.matrices["initial"])
     h = require_hermitian(config.matrices["hamiltonian"], name="hamiltonian", shape=y0.shape)
@@ -262,7 +262,6 @@ def _run_commutator(config: ScenarioConfig, stream, validate, sign: int, name: s
 
 
 def _operator(m):
-    from .operator_core import require_hermitian
     return require_hermitian(m, name="initial")
 
 
@@ -299,7 +298,6 @@ def _det2(m):
 
 
 def _run_sb2c(config: ScenarioConfig, stream):
-    from .operator_core import dagger
     from .sb2c import (ReducedState, SB2CSetup, constraint_residual_values,
                        derive_parameters, integrate_reduced, sb2c_matrices)
 
@@ -307,8 +305,7 @@ def _run_sb2c(config: ScenarioConfig, stream):
     setup = SB2CSetup(a0=config.matrices["a0"], hamiltonian=config.matrices["hamiltonian"])
     params = derive_parameters(setup)
     initial = ReducedState(y=float(row[0]), r=float(row[1]))
-    traj = integrate_reduced(initial, params, config.t_final, config.step,
-                             lambda times: stream(times, ("y", "r", "x")))  # its columns
+    traj = integrate_reduced(initial, params, config.t_final, config.step, stream)
     rho0 = setup.a0 @ dagger(setup.a0)
     ys, rs, xs = traj.states.T
     gm = sb2c_matrices(rs, xs, ys)
@@ -337,8 +334,7 @@ def _run_bloch(config: ScenarioConfig, stream):
     times = time_grid(config.t_final, config.step)
     conjugated, flowed = _three_flows(times, x0.as_array())
     columns = tuple(f"f{k}_x{i}" for k in (1, 2, 3) for i in (1, 2, 3))
-    traj = Trajectory(times=times, states=np.concatenate(flowed, axis=-1), name="x",
-                      column_names=columns)
+    traj = Trajectory(times=times, states=np.concatenate(flowed, axis=-1), column_names=columns)
 
     # deviations of shape (3, N): flows by samples
     ball_excess = np.maximum(0.0, np.linalg.norm(flowed, axis=-1) - 1.0)
@@ -371,10 +367,9 @@ def _run_bloch(config: ScenarioConfig, stream):
 
 def _run_verify(config: ScenarioConfig, stream):
     from .heisenberg import flatten_complex, lagrangian_heisenberg_chart
-    from .operator_core import require_hermitian
     from .verifier import EXPECTED_RATIO, refine
 
-    initial = require_hermitian(config.matrices["initial"], name="initial")
+    initial = _operator(config.matrices["initial"])
     h = require_hermitian(config.matrices["hamiltonian"], name="hamiltonian", shape=initial.shape)
     times = time_grid(config.t_final, config.step)
     states = exact_commutator_flow(initial, h, -1, times)
@@ -384,8 +379,6 @@ def _run_verify(config: ScenarioConfig, stream):
     for label, report in (("fine", fine), ("coarse", coarse)):
         logger.info("%s pass: %d Lagrangian evaluations in %d stacked calls",
                     label, report.lagrangian_evals, report.lagrangian_calls)
-    logger.info("el_residual_max worst at sample %d, t=%s",
-                fine.worst_index, format_float(times[fine.worst_index]))
     if ratio is None:  # both at the rounding floor; refinement uninformative
         deviation, warnings = 0.0, ["residuals at rounding floor; convergence ratio not measured"]
     else:
@@ -413,7 +406,7 @@ def run(config: ScenarioConfig):
     report; return the invariant results, the warnings and the singular flag.
 
     ``runner(config, stream)`` returns the trajectory, its measurements
-    and its warnings; run writes every file.  sb2c calls
+    and its warnings; run writes every file.  sb2c's integrator calls
     ``stream(times, headers)`` after its config checks, so a config error
     leaves no output directory: a CSV table that splits is then streamed
     to a second process while the runner steps and measures (else None),

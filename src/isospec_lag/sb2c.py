@@ -355,16 +355,18 @@ def integrate_reduced(initial: ReducedState, params: SB2CParameters,
     case or a coefficient of the field that is not finite.
 
     ``stream``, if given, is called once, after those checks and before
-    the first field evaluation, with the list of grid times.  A function
+    the first field evaluation, as ``stream(times, headers)``: the list of
+    grid times and the trajectory's column names.  A function
     it returns is handed the rows as they are made, flat (y, r, x) floats:
     each completed block of ``CSV_BLOCK_ROWS`` rows, then, last, the rest,
     fewer rows or none.  The CLI renders them into trajectory.csv on a
     second CPU (``trajectory.stream_csv``) while this loop runs.
     """
     grid = time_grid(t_final, step).tolist()
+    columns = ("y", "r", "x")
     _require_reducible(params)
     field = _reduced_flow(params)[1]
-    send = stream(grid) if stream is not None else None
+    send = stream(grid, columns) if stream is not None else None
     block = 3 * CSV_BLOCK_ROWS  # floats in a block of rows
     sent_at = CSV_BLOCK_ROWS - 2 if send is not None else -1  # the step that completes one
     isfinite, copysign, inf = math.isfinite, math.copysign, math.inf
@@ -415,11 +417,8 @@ def integrate_reduced(initial: ReducedState, params: SB2CParameters,
     if send is not None:
         send(rows[len(rows) - len(rows) % block:])
     states = np.array(rows, dtype=float).reshape(-1, 3)
-    return Trajectory(
-        times=np.array(grid[:len(states)]),
-        states=states,
-        name="q", column_names=("y", "r", "x"), meta=meta,
-    )
+    return Trajectory(times=np.array(grid[:len(states)]), states=states,
+                      column_names=columns, meta=meta)
 
 
 def scalar_el_residuals(g: SB2CElement, gdot, setup: SB2CSetup) -> np.ndarray:

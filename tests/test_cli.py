@@ -389,7 +389,7 @@ def test_zero_tolerance_is_valid(tmp_path, capsys):
     assert "rk4_exact_endpoint max=" in capsys.readouterr().out
 
 
-def test_verify_logs_evaluation_counts_and_worst_sample(tmp_path, caplog):
+def test_verify_logs_evaluation_counts_and_no_worst_sample(tmp_path, caplog):
     cfg = write_config(
         tmp_path / "cfg.json", "verify",
         {"initial": [[0, 1], [1, 0]], "hamiltonian": [[1, 0], [0, -1]]},
@@ -401,7 +401,8 @@ def test_verify_logs_evaluation_counts_and_worst_sample(tmp_path, caplog):
     # dL/dqdot and one for dL/dq: N = 17 on the fine grid, 9 on the coarse one
     assert "fine pass: 448 Lagrangian evaluations in 2 stacked calls" in caplog.text
     assert "coarse pass: 192 Lagrangian evaluations in 2 stacked calls" in caplog.text
-    assert re.search(r"el_residual_max worst at sample \d+, t=", caplog.text)
+    # the exact flow's interior residual norms tie up to rounding: no worst sample
+    assert "worst at sample" not in caplog.text
 
 
 def test_bad_step_exits_2(tmp_path, capsys):
@@ -941,7 +942,7 @@ def test_python_m_logs_as_isospec_lag_cli(tmp_path):
         capture_output=True, text=True, env={**src_env(), "ISOSPEC_LOG": "info"}, timeout=120)
     assert proc.returncode == 0, proc.stderr
     info = [line for line in proc.stderr.splitlines() if line.startswith("INFO ")]
-    assert len(info) == 4
+    assert len(info) == 3  # fine pass, coarse pass, ratio
     assert all(line.startswith("INFO isospec_lag.cli: ") for line in info), info
 
 
@@ -956,7 +957,7 @@ def test_isospec_log_applies_on_every_call(tmp_path, monkeypatch, caplog):
             monkeypatch.setenv("ISOSPEC_LOG", value)
             caplog.clear()
             assert run_cli(["verify", "--config", cfg, "--out", tmp_path / value]) == 0
-            assert ("worst at sample" in caplog.text) == logged
+            assert ("fine pass:" in caplog.text) == logged
     finally:
         root.setLevel(level)
 

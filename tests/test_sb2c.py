@@ -28,7 +28,7 @@ from isospec_lag.sb2c import (
     sb2c_to_matrix,
     scalar_el_residuals,
 )
-from isospec_lag.trajectory import time_grid
+from isospec_lag.trajectory import CSV_BLOCK_ROWS, time_grid
 from isospec_lag.verifier import gradients
 
 from conftest import SX, SZ, rand_complex, rand_hermitian, rk4_step
@@ -509,6 +509,33 @@ def test_integrate_reduced_stage_through_zero_radius_is_singular():
     assert record["reason"].startswith("a + d Phi'(r) changed sign from r=")
     assert traj.n_samples == 1264
     assert np.all(traj.states[:, 1] > 0)
+
+
+@pytest.mark.parametrize("initial, t_final, rows", [
+    ((-2.0, 6.0), 1.0, 1001),
+    ((-3.0, 1.0), 2.0, 1483),  # halts near t = 1.48
+], ids=["full", "halting"])
+def test_integrate_reduced_hands_its_grid_and_columns_to_the_stream(initial, t_final, rows):
+    """integrate_reduced calls ``stream(times, headers)``, the shape the CLI's
+    run hands every runner, once, then sends its rows in whole blocks and,
+    last, the rest."""
+    calls, sent = [], []
+
+    def stream(times, headers):
+        calls.append((list(times), headers))
+        return sent.append
+
+    p = derive_parameters(worked_setup())
+    traj = integrate_reduced(ReducedState(*initial), p, t_final, 1e-3, stream)
+    grid = time_grid(t_final, 1e-3).tolist()
+    assert traj.n_samples == rows
+    assert ("singularity" in traj.meta) == (rows < len(grid))
+    assert calls == [(grid, ("y", "r", "x"))]
+    *blocks, last = [len(floats) // 3 for floats in sent]
+    assert blocks == [CSV_BLOCK_ROWS] * len(blocks)
+    assert last < CSV_BLOCK_ROWS
+    streamed = np.array([x for floats in sent for x in floats], dtype=float).reshape(-1, 3)
+    assert streamed.tobytes() == traj.states.tobytes()
 
 
 def pair_oracle(p):

@@ -14,7 +14,7 @@ from isospec_lag.heisenberg import (
     lagrangian_heisenberg_chart,
 )
 from isospec_lag.operator_core import commutator, unitary_algebra_basis
-from isospec_lag.trajectory import time_grid
+from isospec_lag.trajectory import exact_commutator_flow, time_grid
 from isospec_lag.unitary_orbit import UnitaryTangent, el_residual_unitary, lagrangian_unitary
 from isospec_lag.verifier import (
     chart_coordinates,
@@ -412,6 +412,34 @@ def test_flat_chart_residual_matches_analytic_factor_two():
         tangent = OperatorTangent(a, heisenberg_rhs(a, h_wrong))
         analytic = el_residual_heisenberg(tangent, SZ)
         assert abs(np.linalg.norm(row) - 2 * analytic) <= 1e-3
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_exact_flow_residual_norms_tie_across_interior_samples(n):
+    """The exact flow A(t) = U(t)^dagger A0 U(t) is a conjugation, which keeps
+    each interior residual's norm: with A0 and H of unit spectral norm, as
+    the benchmark's verify configs draw them, the 97 norms on 101 samples
+    agree to 1e-3, so which sample is worst is a matter of rounding.  A
+    1e-6 move of one sample's first coordinate breaks the tie."""
+
+    def unit_hermitian(rng):
+        h = rand_hermitian(rng, n)
+        return h / np.linalg.norm(h, 2)
+
+    def spread(points):
+        norms = np.linalg.norm(el_residual_path(chart, times, points), axis=1)
+        return norms.max() / norms.min() - 1
+
+    times = time_grid(1, 1e-2)
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        a0, h = unit_hermitian(rng), unit_hermitian(rng)
+        chart = lagrangian_heisenberg_chart(h)
+        points = flatten_complex(exact_commutator_flow(a0, h, -1, times))
+        assert len(el_residual_path(chart, times, points)) == 97
+        assert spread(points) <= 1e-3, seed
+        points[50, 0] += 1e-6
+        assert spread(points) > 1e-3, seed
 
 
 @settings(max_examples=100, deadline=None)
