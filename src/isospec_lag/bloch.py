@@ -18,7 +18,7 @@ from enum import Enum
 
 import numpy as np
 
-from .operator_core import dagger
+from .operator_core import dagger, mul2
 
 BALL_TOL = 1e-10
 CLASSIFY_TOL = 1e-9
@@ -111,11 +111,6 @@ def _densities(points) -> np.ndarray:
     return 0.5 * (np.eye(2) + np.einsum("...k,kij->...ij", points, _PAULIS))
 
 
-def _bloch_coordinates(rho: np.ndarray) -> np.ndarray:
-    """Components ``Tr(rho sigma_k)`` of states of shape (..., 2, 2)."""
-    return np.einsum("...ij,kji->...k", rho, _PAULIS).real
-
-
 def density_from_bloch(x: BlochVector) -> np.ndarray:
     return _densities(x.as_array())
 
@@ -169,22 +164,26 @@ def classify_orbit(x: BlochVector) -> OrbitClass:
 
 
 def conjugate_flow(k: int, t, points) -> tuple[np.ndarray, np.ndarray]:
-    """Flow of the k-th subgroup: ``m = g sigma g^dag`` and the Bloch
-    coordinates of ``m / Tr m``, with ``g = flow_exponential(k, t)``.
+    """Flow of the k-th subgroup: ``m = g sigma g^dag``, formed by ``mul2``,
+    and the Bloch coordinates of ``m / Tr m``, read off m's entries as
+    ``(Re m01 + Re m10, Im m10 - Im m01, m00 - m11) / (m00 + m11)``.
 
-    Times ``t`` broadcast against ``points`` of shape (..., 3), whose
-    states are ``sigma``; the points are not checked against the ball.
-    Raises ValueError as ``flow_exponential`` does, or for a trace that
-    is not positive and finite.  At a point of the ball ``m`` is PSD and
-    nonzero, since g is invertible, but its trace can be tiny: ``e^-t``
-    at the south pole under the diagonal flow.
+    ``g = flow_exponential(k, t)``; times ``t`` broadcast against ``points``
+    of shape (..., 3), whose states are ``sigma``, not checked against the
+    ball.  Raises ValueError as ``flow_exponential`` does, or for a trace
+    that is not positive and finite (m out of float range, say).  At a point
+    of the ball ``m`` is PSD and nonzero, since g is invertible, but its
+    trace can be tiny: ``e^-t`` at the south pole under the diagonal flow.
     """
     g = flow_exponential(k, t)
-    m = g @ _densities(points) @ dagger(g)
-    tr = np.trace(m, axis1=-2, axis2=-1).real
+    with np.errstate(over="ignore", invalid="ignore"):  # out of float range fails below
+        m = mul2(mul2(g, _densities(points)), dagger(g))
+    m00, m11, m01, m10 = m[..., 0, 0].real, m[..., 1, 1].real, m[..., 0, 1], m[..., 1, 0]
+    tr = m00 + m11
     if not np.all((tr > 0) & np.isfinite(tr)):
         raise ValueError("conjugated state has no positive finite trace")
-    coords = _bloch_coordinates(m / tr[..., np.newaxis, np.newaxis])
+    coords = (np.stack([m01.real + m10.real, m10.imag - m01.imag, m00 - m11], axis=-1)
+              / tr[..., np.newaxis])
     # clamp rounding overshoot at the sphere
     nrm = np.linalg.norm(coords, axis=-1, keepdims=True)
     clamp = (1 < nrm) & (nrm <= 1 + BALL_TOL)

@@ -43,7 +43,7 @@ import numpy as np
 # trajectory loads operator_core for every kind, so it is bound here once;
 # each runner imports the modules of its own kind, so one process loads
 # only what its scenario runs.
-from .operator_core import dagger, frobenius_norm, require_hermitian
+from .operator_core import dagger, det2, frobenius_norm, mul2, require_hermitian
 from .trajectory import (Trajectory, exact_commutator_flow, format_float,
                          rk4_commutator_trajectory, splits, stream_csv, time_grid, write_csv,
                          write_json)
@@ -287,16 +287,6 @@ def _density_drifts(states, spectra):
             "trace_drift": np.abs(_trace(states) - 1.0)}
 
 
-def _mul2(a, b):
-    """Stacked 2x2 matrix products, written out elementwise."""
-    return a[..., :, :1] * b[..., :1, :] + a[..., :, 1:] * b[..., 1:, :]
-
-
-def _det2(m):
-    """Stacked 2x2 determinants, written out elementwise."""
-    return m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
-
-
 def _run_sb2c(config: ScenarioConfig, stream):
     from .sb2c import (ReducedState, SB2CSetup, constraint_residual_values,
                        derive_parameters, integrate_reduced, sb2c_matrices)
@@ -310,7 +300,7 @@ def _run_sb2c(config: ScenarioConfig, stream):
     ys, rs, xs = traj.states.T
     gm = sb2c_matrices(rs, xs, ys)
     with np.errstate(over="ignore", invalid="ignore"):  # a row out of float range reads NaN
-        det_drifts = np.abs(_det2(_mul2(_mul2(gm, rho0), dagger(gm))) - _det2(rho0))
+        det_drifts = np.abs(det2(mul2(mul2(gm, rho0), dagger(gm))) - det2(rho0))
     residuals = np.abs(constraint_residual_values(rs, xs, ys, params))
     return traj, {
         "constraint_residual": residuals,
@@ -338,7 +328,7 @@ def _run_bloch(config: ScenarioConfig, stream):
 
     # deviations of shape (3, N): flows by samples
     ball_excess = np.maximum(0.0, np.linalg.norm(flowed, axis=-1) - 1.0)
-    det_drift = np.abs(np.linalg.det(conjugated) - np.linalg.det(density_from_bloch(x0)))
+    det_drift = np.abs(det2(conjugated) - det2(density_from_bloch(x0)))
 
     # the frame's determinant against its closed form, at every row written
     wedge_err = np.max(np.abs(np.linalg.det(generator_frame(flowed))

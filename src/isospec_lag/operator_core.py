@@ -61,6 +61,16 @@ def dagger(m) -> np.ndarray:
     return np.asarray(m, dtype=complex).conj().swapaxes(-1, -2)
 
 
+def mul2(a, b) -> np.ndarray:
+    """``a @ b`` of stacked 2x2 matrices, written out elementwise."""
+    return a[..., :, :1] * b[..., :1, :] + a[..., :, 1:] * b[..., 1:, :]
+
+
+def det2(m) -> np.ndarray:
+    """Determinants of stacked 2x2 matrices, written out elementwise."""
+    return m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
+
+
 def commutator(a, b) -> np.ndarray:
     """Return ``ab - ba`` of two finite square matrices of one shape."""
     a = as_complex_matrix(a, "a")

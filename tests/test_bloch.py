@@ -25,6 +25,7 @@ from isospec_lag.bloch import (
     y_field,
 )
 from isospec_lag.operator_core import dagger
+from isospec_lag.trajectory import time_grid
 
 from conftest import SI, SX, SY, SZ, uniform_ball_sample
 
@@ -257,23 +258,40 @@ def test_flow_exponential_stays_in_float_range():
             flow_exponential(3, [0.0, t])
 
 
+def ball_points(rng, count):
+    return np.array([uniform_ball_sample(rng).as_array() for _ in range(count)])
+
+
 def test_conjugate_flow_matches_per_point_reference():
-    # reference: scipy expm of the generator, one time and one point at a time;
-    # the last point is the centre of the ball, whose norm is 0 at t = 0
+    # reference: scipy expm of the generator at each time, numpy's products and
+    # traces; times against points, the last of them the centre of the ball,
+    # whose norm is 0 at t = 0, then the bloch runner's two shapes: its rate
+    # check's two times against 127 rows, and its 5,001-time grid against one point
     rng = np.random.default_rng(14)
-    points = np.array([uniform_ball_sample(rng).as_array() for _ in range(5)] + [[0.0] * 3])
-    times = np.array([-2.0, -0.3, 0.0, 0.7, 4.0])
+    cases = [
+        (np.array([[-2.0], [-0.3], [0.0], [0.7], [4.0]]),
+         np.vstack([ball_points(rng, 5), np.zeros(3)])),
+        (np.array([[FD_STEP], [-FD_STEP]]), ball_points(rng, 127)),
+        (time_grid(5.0, 1e-3), ball_points(rng, 1)[0]),
+    ]
+    for times, points in cases:
+        sigma = 0.5 * (SI + np.tensordot(points, [SX, SY, SZ], axes=1))
+        shape = np.broadcast_shapes(times.shape, points.shape[:-1])
+        for k in (1, 2, 3):
+            m, coords = conjugate_flow(k, times, points)
+            assert m.shape == shape + (2, 2) and coords.shape == shape + (3,)
+            g = scipy.linalg.expm(np.multiply.outer(times, flow_generator(k)))
+            want = g @ sigma @ dagger(g)
+            np.testing.assert_allclose(m, want, rtol=1e-13, atol=1e-15)
+            rho = want / np.trace(want, axis1=-2, axis2=-1).real[..., np.newaxis, np.newaxis]
+            comps = np.stack([np.trace(rho @ s, axis1=-2, axis2=-1).real for s in (SX, SY, SZ)],
+                             axis=-1)
+            np.testing.assert_allclose(coords, comps, atol=1e-13)
+    times, points = cases[0]
     for k in (1, 2, 3):
-        m, coords = conjugate_flow(k, times[:, np.newaxis], points)
-        assert m.shape == (5, 6, 2, 2) and coords.shape == (5, 6, 3)
-        for i, t in enumerate(times):
-            g = scipy.linalg.expm(t * flow_generator(k))
+        coords = conjugate_flow(k, times, points)[1]
+        for i, t in enumerate(times[:, 0]):
             for j, x in enumerate(points):
-                want = g @ density_from_bloch(BlochVector(*x)) @ dagger(g)
-                np.testing.assert_allclose(m[i, j], want, rtol=1e-13, atol=1e-15)
-                rho = want / np.trace(want).real
-                comps = [np.trace(rho @ s).real for s in (SX, SY, SZ)]
-                np.testing.assert_allclose(coords[i, j], comps, atol=1e-13)
                 np.testing.assert_array_equal(
                     sb2c_flow_on_state(k, t, BlochVector(*x)).as_array(), coords[i, j])
 
@@ -292,6 +310,10 @@ def test_conjugate_flow_rejects_a_state_without_positive_trace():
     # trace 2 e^-t - e^t under the diagonal flow is negative at t = 1
     with pytest.raises(ValueError, match="^conjugated state has no positive finite trace$"):
         conjugate_flow(3, 1.0, [0.0, 0.0, -3.0])
+    # within the ball's tolerance of P, e^t (1 + 5e-11) leaves float range at
+    # FLOW_T_MAX: the product overflows without a warning, and the trace check raises
+    with pytest.raises(ValueError, match="^conjugated state has no positive finite trace$"):
+        conjugate_flow(3, FLOW_T_MAX, [0.0, 0.0, 1 + 1e-10])
 
 
 def test_stacked_frame_matches_per_point_fields():

@@ -4,6 +4,7 @@ import io
 import itertools
 import json
 import logging
+import math
 import os
 import re
 import signal
@@ -23,7 +24,7 @@ from isospec_lag.heisenberg import evolve_heisenberg_exact
 from isospec_lag.sb2c import ReducedState, SB2CSetup, derive_parameters, integrate_reduced
 
 from conftest import (assert_no_child_left, count_forks, fail_in, force_split,
-                      hermitian_check_names, src_env)
+                      hermitian_check_names, rand_hermitian, src_env)
 
 LINE = re.compile(
     r"^(?P<name>\w+) max=(?P<max>[^ ]+) tol=(?P<tol>[^ ]+) (?P<status>PASS|FAIL)$"
@@ -717,6 +718,31 @@ def test_bloch_at_the_south_pole_exits_0(tmp_path, capsys):
         assert captured.err == ""
 
 
+@pytest.mark.parametrize("point", [[0, 0, 1], [0, 0, -1], [0.6, 0, 0.8]],
+                         ids=["north-pole", "south-pole", "sphere"])
+def test_bloch_at_the_largest_flow_time_exits_0(tmp_path, capsys, point):
+    # at t = FLOW_T_MAX the diagonal flow scales an entry of g sigma g^dag by
+    # e^t, to the top of float range, and another by e^-t, to a subnormal
+    cfg = write_config(tmp_path / "cfg.json", "bloch", {"initial": [point]},
+                       bloch.FLOW_T_MAX, bloch.FLOW_T_MAX / 2)
+    assert run_cli(["bloch", "--config", cfg, "--out", tmp_path / "out"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert all(math.isfinite(inv["max"]) for inv in report["invariants"].values())
+
+
+def test_bloch_state_beyond_float_range_exits_2(tmp_path, capsys):
+    # within the ball's tolerance of P, e^t (1 + 5e-11) overflows at FLOW_T_MAX:
+    # the trace check's config error, and no numpy warning
+    cfg = write_config(tmp_path / "cfg.json", "bloch", {"initial": [[0, 0, 1 + 1e-10]]},
+                       bloch.FLOW_T_MAX, bloch.FLOW_T_MAX / 2)
+    assert run_cli(["bloch", "--config", cfg, "--out", tmp_path / "out"]) == 2
+    assert capsys.readouterr().err == (
+        "config error: conjugated state has no positive finite trace\n")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("via, under, kind", [("--out", False, "heisenberg"),
                                               ("output.path", True, "heisenberg"),
                                               ("--out", False, "sb2c")],
@@ -1374,3 +1400,36 @@ def test_one_stacked_eigvalsh_per_run(tmp_path, monkeypatch, kind, calls):
     assert run_cli([kind, "--config", cfg, "--out", tmp_path]) == 0
     assert len(counted) == calls
     assert (11, 2, 2) in counted
+
+
+HEISENBERG_DRIFTS = ("spectrum_drift", "trace_drift", "frobenius_drift", "rk4_exact_endpoint")
+
+
+def heisenberg_maxima(tmp_path, a0, h):
+    """report.json maxima of a heisenberg run from a0 under h, t 1, step 1e-3."""
+    cfg = write_config(tmp_path / "cfg.json", "heisenberg", {"initial": a0, "hamiltonian": h},
+                       1.0, 1e-3)
+    assert run_cli(["heisenberg", "--config", cfg, "--out", tmp_path / "out"]) in (0, 1)
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    return {name: report["invariants"][name]["max"] for name in HEISENBERG_DRIFTS}
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_heisenberg_drifts_scale_with_the_initial_operator(tmp_path, capsys, n):
+    # each drift is linear in A0.  A power-of-two factor is exact in every RK4
+    # step, eigvalsh and norm, so it scales each maximum exactly; with H x 30,
+    # where RK4's error and not rounding sets them, 1e6 scales the spectrum,
+    # Frobenius and endpoint maxima to rounding (the trace drift is rounding alone)
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        a0, h = rand_hermitian(rng, n), rand_hermitian(rng, n)
+        for norm in (1.0, 30.0):
+            h_scaled = h * (norm / np.linalg.norm(h, 2))
+            base = heisenberg_maxima(tmp_path, a0, h_scaled)
+            for s in (2.0**20, 2.0**-20):
+                assert heisenberg_maxima(tmp_path, s * a0, h_scaled) == {
+                    name: s * value for name, value in base.items()}, (seed, norm, s)
+            if norm == 30.0:
+                scaled = heisenberg_maxima(tmp_path, 1e6 * a0, h_scaled)
+                for name in ("spectrum_drift", "frobenius_drift", "rk4_exact_endpoint"):
+                    assert scaled[name] == pytest.approx(1e6 * base[name], rel=1e-5), (seed, name)

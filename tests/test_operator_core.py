@@ -17,8 +17,10 @@ from isospec_lag.operator_core import (
     as_complex_matrix,
     commutator,
     dagger,
+    det2,
     frobenius_norm,
     hermitian_sqrt,
+    mul2,
     require_hermitian,
     unitary_algebra_basis,
 )
@@ -114,6 +116,16 @@ def test_dagger():
     for n in (2, 3, 5):
         a = rand_complex(rng, n)
         np.testing.assert_allclose(dagger(dagger(a)), a)
+
+
+@pytest.mark.parametrize("a_shape, b_shape", [((2, 2), (2, 2)), ((7, 2, 2), (7, 2, 2)),
+                                              ((4, 1, 2, 2), (3, 2, 2))])
+def test_written_out_2x2_product_and_determinant_match_numpy(a_shape, b_shape):
+    rng = np.random.default_rng(17)
+    a, b = (rng.standard_normal(s) + 1j * rng.standard_normal(s) for s in (a_shape, b_shape))
+    np.testing.assert_allclose(mul2(a, b), np.matmul(a, b), rtol=1e-13)
+    for m in (a, b):
+        np.testing.assert_allclose(det2(m), np.linalg.det(m), rtol=1e-13)
 
 
 def test_commutator_pauli():

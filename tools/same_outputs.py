@@ -26,10 +26,12 @@ No CLI kind runs the orbit Lagrangian's check, so each child also runs
 ``verifier.el_residual_unitary_path`` on the fixed setups of
 ``ORBIT_SETUPS`` below.  Their rows are compared by the sha256 of their
 bytes; where they differ, the largest absolute difference between the
-two trees' rows is printed.  The summary line gives the largest of each
-over all runs.  The exit status is 1 if any run differs, else 0 (2 if a
-tree could not be run).  Of this checkout only ``perfbench/`` is read;
-configs and outputs go to a temporary directory.
+two trees' rows is printed.  The summary line counts the differing CLI
+runs of each kind, as in ``9 of 114 runs differ (bloch 9)``, and gives
+the largest of each difference over all runs.  The exit status is 1 if
+any run differs, else 0 (2 if a tree could not be run).  Of this
+checkout only ``perfbench/`` is read; configs and outputs go to a
+temporary directory.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ import subprocess
 import sys
 import tempfile
 import traceback
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -152,8 +155,9 @@ def _run_tree(src: str, out_root: str) -> dict:
         traj = _trajectory_file(out_root, run_id)
         digest = hashlib.sha256(traj.read_bytes()).hexdigest() if traj else None
         stderr = WRITE_SECONDS.sub(r"\1, <s> s", err.take().replace(out_root, "<out>"))
-        results[run_id] = {"exit": code, "stdout": out.take(), "stderr": stderr,
-                           "report": _report(run_dir / "out"), "trajectory": digest}
+        results[run_id] = {"kind": sc.kind, "exit": code, "stdout": out.take(),
+                           "stderr": stderr, "report": _report(run_dir / "out"),
+                           "trajectory": digest}
     return results
 
 
@@ -314,6 +318,7 @@ def main(argv=None) -> int:
                                                           for d in (parent, change))
         runs = sorted(parent.keys() | change.keys())
         differ = [run_id for run_id in runs if parent.get(run_id) != change.get(run_id)]
+        kinds = Counter((parent.get(run_id) or change[run_id])["kind"] for run_id in differ)
         exits_differ, verdicts_differ, deltas, drifts = 0, 0, [], {}
         for run_id in differ:
             a, b = parent.get(run_id), change.get(run_id)
@@ -352,7 +357,9 @@ def main(argv=None) -> int:
                 row_deltas.append(delta)
             print(f"{run_id}: rows differ\n  parent: {a}\n  change: {b}\n"
                   f"  largest row difference: {delta}")
-    print(f"{len(differ)} of {len(runs)} runs differ; of those, exit codes differ in "
+    by_kind = ", ".join(f"{kind} {count}" for kind, count in sorted(kinds.items()))
+    print(f"{len(differ)} of {len(runs)} runs differ{f' ({by_kind})' if by_kind else ''}; "
+          f"of those, exit codes differ in "
           f"{exits_differ}, PASS/FAIL verdicts in {verdicts_differ}; "
           f"largest trajectory difference: {np.max(deltas, initial=0.0)}; "
           f"largest invariant max differences: {_describe(dict(sorted(drifts.items())))}; "
