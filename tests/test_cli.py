@@ -176,7 +176,9 @@ def test_json_trajectory_format(tmp_path):
     assert text == json.dumps(doc, sort_keys=True) + "\n"
     assert set(doc) == {"t", "columns"}
     header, *rows = (tmp_path / "csv" / "trajectory.csv").read_text().splitlines()
-    columns = list(zip(*([float(v) for v in row.split(",")] for row in rows)))
+    fields = [row.split(",") for row in rows]
+    assert all(v == repr(float(v)) for row in fields for v in row)  # each float's repr
+    columns = list(zip(*([float(v) for v in row] for row in fields)))
     headers = header.split(",")
     assert len(rows) == 5001 and headers[0] == "t" and "A_re_0_1" in headers
     assert sorted(doc["columns"]) == sorted(headers[1:])
@@ -195,14 +197,25 @@ def outputs(cfg, kind, out):
     return code, stdout.getvalue(), (out / "trajectory.csv").read_bytes(), report
 
 
-def test_repeated_runs_are_byte_identical(tmp_path):
-    cfg = write_config(
-        tmp_path / "cfg.json", "bloch",
-        {"initial": [[0.0, 0.0, 0.5]]},
-        1.0, 0.25,
-    )
-    first = outputs(cfg, "bloch", tmp_path / "out")
-    assert first == outputs(cfg, "bloch", tmp_path / "out")
+def test_repeated_runs_are_byte_identical(tmp_path, monkeypatch):
+    # a run is a function of its config: run again into the same directory,
+    # each kind writes the same bytes and report.  With two CPUs listed, the
+    # 5,001-row heisenberg table is split and the sb2c one streamed while the
+    # run steps
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    runs = [
+        ("heisenberg", HEISENBERG_PAIR, 5.0, 1e-3),
+        ("lvn", LVN_MATRICES, 1.0, 1e-3),
+        ("sb2c", {"initial": [[-1.0, 6.0]], **WORKED_SB2C}, 5.0, 1e-3),
+        ("bloch", {"initial": [[0.0, 0.0, 0.5]]}, 1.0, 0.25),
+        ("bloch", {"initial": [[0.1, -0.2, 0.3]]}, 1.0, 0.01),
+        ("verify", HEISENBERG_PAIR, 0.1, 0.01),
+    ]
+    for k, (kind, matrices, t_final, step) in enumerate(runs):
+        cfg = write_config(tmp_path / f"{k}.json", kind, matrices, t_final, step)
+        first = outputs(cfg, kind, tmp_path / f"out{k}")
+        assert first[0] == 0, kind
+        assert first == outputs(cfg, kind, tmp_path / f"out{k}"), kind
 
 
 def test_a_legacy_seed_key_changes_nothing(tmp_path):
@@ -390,20 +403,37 @@ def test_zero_tolerance_is_valid(tmp_path, capsys):
     assert "rk4_exact_endpoint max=" in capsys.readouterr().out
 
 
+#: A 4x4 verify config: (matrices, t_final, step), 21 grid samples at dim 32.
+VERIFY_4X4 = (
+    {"initial": [[1, 0.5 + 0.5j, 0, 0.2], [0.5 - 0.5j, -1, 0.3, 0],
+                 [0, 0.3, 0.5, -0.4j], [0.2, 0, 0.4j, -0.5]],
+     "hamiltonian": [[0.6, 0.1 + 0.2j, 0, 0], [0.1 - 0.2j, -0.3, 0.2, 0],
+                     [0, 0.2, 0.1, 0.1 + 0.1j], [0, 0, 0.1 - 0.1j, -0.4]]},
+    0.2, 0.01,
+)
+
+
 def test_verify_logs_evaluation_counts_and_no_worst_sample(tmp_path, caplog):
-    cfg = write_config(
-        tmp_path / "cfg.json", "verify",
-        {"initial": [[0, 1], [1, 0]], "hamiltonian": [[1, 0], [0, -1]]},
-        0.016, 1e-3,
-    )
-    with caplog.at_level("INFO", logger="isospec_lag.cli"):
-        run_cli(["verify", "--config", cfg, "--out", tmp_path])
-    # N samples at dim 8 take 2*8*(2*(N-4) + 2) evaluations, in one call for
-    # dL/dqdot and one for dL/dq: N = 17 on the fine grid, 9 on the coarse one
-    assert "fine pass: 448 Lagrangian evaluations in 2 stacked calls" in caplog.text
-    assert "coarse pass: 192 Lagrangian evaluations in 2 stacked calls" in caplog.text
-    # the exact flow's interior residual norms tie up to rounding: no worst sample
-    assert "worst at sample" not in caplog.text
+    # N samples at dim D take 2*D*(2*(N-4) + 2) evaluations.  At dim 8 the
+    # fine (N = 17) and coarse (N = 9) passes take one call for dL/dqdot and
+    # one for dL/dq.  At dim 32 a call holds the points of at most 4 samples:
+    # the fine pass's 19 + 17 gradient points take 5 + 5 calls, the coarse
+    # pass's 9 + 7 take 3 + 2
+    cases = [
+        ((HEISENBERG_PAIR, 0.016, 1e-3), 448, 2, 192, 2),
+        (VERIFY_4X4, 2304, 10, 1024, 5),
+    ]
+    for (matrices, t_final, step), fine, fine_calls, coarse, coarse_calls in cases:
+        cfg = write_config(tmp_path / "cfg.json", "verify", matrices, t_final, step)
+        caplog.clear()
+        with caplog.at_level("INFO", logger="isospec_lag.cli"):
+            assert run_cli(["verify", "--config", cfg, "--out", tmp_path / str(fine)]) == 0
+        assert (f"fine pass: {fine} Lagrangian evaluations in {fine_calls} stacked calls"
+                in caplog.text)
+        assert (f"coarse pass: {coarse} Lagrangian evaluations in {coarse_calls} stacked calls"
+                in caplog.text)
+        # the exact flow's interior residual norms tie up to rounding: no worst sample
+        assert "worst at sample" not in caplog.text
 
 
 def test_bad_step_exits_2(tmp_path, capsys):
@@ -887,26 +917,38 @@ def test_a_split_cli_run_prints_each_line_once(tmp_path, kind, fmt):
     streamed while the run steps (sb2c, 5,001 rows x 4): the forked child
     leaves without flushing what the parent has buffered, so stdout holds
     the marker printed before the run and each invariant line exactly
-    once, and stderr holds no traceback."""
+    once, and stderr holds no traceback.  Run again pinned to one CPU,
+    where one process writes the table, it gives the same exit code,
+    stdout and trajectory bytes.  Only the test's own child is pinned."""
     cfg = heisenberg_config(tmp_path, t_final=5.0) if kind == "heisenberg" else (
         worked_sb2c_config(tmp_path))
     script = ("import sys; from isospec_lag import cli; print('started'); "
               "sys.exit(cli.main(sys.argv[1:]))")
     # stdout is a pipe, so the marker stays in its buffer through the fork
     env = {k: v for k, v in src_env().items() if k != "PYTHONUNBUFFERED"}
-    proc = subprocess.run(
-        [sys.executable, "-c", script, kind, "--config", str(cfg),
-         "--out", str(tmp_path / "out"), "--format", fmt],
-        capture_output=True, text=True, env={**env, "ISOSPEC_LOG": "debug"}, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    lines = proc.stdout.splitlines()
-    assert lines[0] == "started"
-    assert [LINE.match(line)["name"] for line in lines[1:]] == list(cli.DEFAULT_TOLERANCES[kind])
-    assert "Traceback" not in proc.stderr
-    mode = ("split" if kind == "heisenberg" else "streamed") if trajectory._can_split() else (
+    split = ("split" if kind == "heisenberg" else "streamed") if trajectory._can_split() else (
         "serial")
-    floats = {"heisenberg": "5001 x 9, 45009", "sb2c": "5001 x 4, 20004"}[kind]
-    assert f": {floats} floats, {mode}, " in proc.stderr
+    runs = [("unpinned", split, None)]
+    if hasattr(os, "sched_setaffinity"):
+        cpu = min(os.sched_getaffinity(0))
+        runs.append(("pinned", "serial", lambda: os.sched_setaffinity(0, {cpu})))
+    results = []
+    for run, mode, pin in runs:
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-c", script, kind, "--config",
+             str(cfg), "--out", str(tmp_path / run), "--format", fmt],
+            capture_output=True, text=True, env={**env, "ISOSPEC_LOG": "debug"},
+            preexec_fn=pin, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert lines[0] == "started"
+        assert ([LINE.match(line)["name"] for line in lines[1:]]
+                == list(cli.DEFAULT_TOLERANCES[kind]))
+        assert "Traceback" not in proc.stderr
+        floats = {"heisenberg": "5001 x 9, 45009", "sb2c": "5001 x 4, 20004"}[kind]
+        assert f": {floats} floats, {mode}, " in proc.stderr
+        results.append((proc.stdout, (tmp_path / run / f"trajectory.{fmt}").read_bytes()))
+    assert all(result == results[0] for result in results)
 
 
 def _console_script():
@@ -921,32 +963,92 @@ ENTRY_POINTS = {"python -m": ["-m", "isospec_lag.cli"], "console script": _conso
 HEISENBERG_PAIR = {"initial": [[0, 1], [1, 0]], "hamiltonian": [[1, 0], [0, -1]]}
 
 
+#: One config per exit code: (kind, matrices, t_final, step, extra arguments, exit code).
+EXIT_CONTRACT = {
+    "exit0": ("heisenberg", HEISENBERG_PAIR, 0.05, 1e-2, [], 0),
+    "exit1": ("heisenberg", HEISENBERG_PAIR, 0.05, 1e-2,
+              ["--tolerance", "rk4_exact_endpoint=0"], 1),
+    "exit2": ("heisenberg", {"initial": [[0, 1], [1, 0]]}, 0.05, 1e-2, [], 2),
+    "exit3": ("sb2c", {"initial": [[-3.0, 1.0]], **WORKED_SB2C}, 2.0, 1e-3, [], 3),
+}
+
+
+@pytest.fixture(scope="module")
+def cli_process(tmp_path_factory):
+    """``cli_process(entry, case)`` runs an EXIT_CONTRACT case through an
+    entry point in a fresh process, once per module, and returns the
+    completed process and its output directory.  Each process runs in a
+    directory of its own on relative paths, so the outputs of the two
+    entry points compare byte for byte."""
+    done = {}
+
+    def run(entry, case):
+        if (entry, case) not in done:
+            kind, matrices, t_final, step, args, _ = EXIT_CONTRACT[case]
+            cwd = tmp_path_factory.mktemp(case)
+            write_config(cwd / "cfg.json", kind, matrices, t_final, step)
+            done[entry, case] = subprocess.run(
+                [sys.executable, *ENTRY_POINTS[entry], kind, "--config", "cfg.json",
+                 "--out", "out", *args],
+                cwd=cwd, capture_output=True, text=True, env=src_env(), timeout=120), cwd / "out"
+        return done[entry, case]
+
+    return run
+
+
 @pytest.mark.parametrize("entry", ENTRY_POINTS)
-@pytest.mark.parametrize("kind, matrices, t_final, step, args, code", [
-    ("heisenberg", HEISENBERG_PAIR, 0.05, 1e-2, [], 0),
-    ("heisenberg", HEISENBERG_PAIR, 0.05, 1e-2, ["--tolerance", "rk4_exact_endpoint=0"], 1),
-    ("heisenberg", {"initial": [[0, 1], [1, 0]]}, 0.05, 1e-2, [], 2),
-    ("sb2c", {"initial": [[-3.0, 1.0]], "a0": [[1, 1], [1, 2]],
-              "hamiltonian": [[1, 0], [0, -1]]}, 2.0, 1e-3, [], 3),
-], ids=["exit0", "exit1", "exit2", "exit3"])
-def test_a_cli_process_keeps_the_exit_contract(tmp_path, entry, kind, matrices, t_final,
-                                               step, args, code):
+@pytest.mark.parametrize("case", EXIT_CONTRACT)
+def test_a_cli_process_keeps_the_exit_contract(cli_process, entry, case):
     """A command-line process, which freezes the collector once main has
     returned, exits with main's code, prints each invariant line once, says
     why on stderr for codes 2 and 3, prints no traceback, and writes
     report.json unless the config is rejected."""
-    cfg = write_config(tmp_path / "cfg.json", kind, matrices, t_final, step)
-    proc = subprocess.run(
-        [sys.executable, *ENTRY_POINTS[entry], kind, "--config", str(cfg),
-         "--out", str(tmp_path / "out"), *args],
-        capture_output=True, text=True, env=src_env(), timeout=120)
+    kind, code = EXIT_CONTRACT[case][0], EXIT_CONTRACT[case][-1]
+    proc, out = cli_process(entry, case)
     assert proc.returncode == code, proc.stderr
     names = [m["name"] if (m := LINE.match(line)) else line for line in proc.stdout.splitlines()]
     assert names == ([] if code == 2 else list(cli.DEFAULT_TOLERANCES[kind]))
     assert "Traceback" not in proc.stderr
     assert ("config error: " in proc.stderr) == (code == 2)
     assert ("warning: singularity near t=" in proc.stderr) == (code == 3)
-    assert (tmp_path / "out" / "report.json").is_file() == (code != 2)
+    assert (out / "report.json").is_file() == (code != 2)
+
+
+@pytest.mark.parametrize("case", EXIT_CONTRACT)
+def test_both_entry_points_take_one_exit_path(cli_process, case):
+    """The console script and ``python -m`` give the same exit code, stdout,
+    stderr and trajectory bytes, for each exit code."""
+    (script, script_out), (module, module_out) = (cli_process(entry, case)
+                                                  for entry in ("console script", "python -m"))
+    assert (script.returncode, script.stdout, script.stderr) == (
+        module.returncode, module.stdout, module.stderr)
+    trajectories = [sorted((p.name, p.read_bytes()) for p in out.glob("trajectory.*"))
+                    for out in (script_out, module_out)]
+    assert trajectories[0] == trajectories[1]
+    assert trajectories[0] or EXIT_CONTRACT[case][-1] == 2
+
+
+def test_a_4x4_verify_passes_alike_with_unpinned_blas_threads(tmp_path):
+    """With the BLAS thread counts left to the library, two processes that
+    run a 4x4 verify into one directory both pass, and write the same
+    report.json but for wall_time_s."""
+    matrices, t_final, step = VERIFY_4X4
+    cfg = write_config(tmp_path / "cfg.json", "verify", matrices, t_final, step)
+    env = {k: v for k, v in src_env().items()
+           if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+    reports = []
+    for _ in range(2):
+        proc = subprocess.run(
+            [sys.executable, *ENTRY_POINTS["console script"], "verify", "--config", str(cfg),
+             "--out", str(tmp_path / "out")],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        del report["wall_time_s"]
+        assert sorted(report["invariants"]) == ["convergence_ratio", "el_residual_max"]
+        assert all(entry["pass"] for entry in report["invariants"].values())
+        reports.append(report)
+    assert reports[0] == reports[1]
 
 
 def test_main_leaves_the_collector_alone(tmp_path):
@@ -1012,6 +1114,7 @@ def test_sb2c_field_overflow_at_start_exits_3(tmp_path, capsys, caplog):
             assert entry["max"] is None
             assert entry["pass"] is False
         assert (tmp_path / "trajectory.csv").read_text().splitlines() == ["t,y,r,x"]
+        assert f"singular or overflowing field at r={r!r}: " in report["warnings"][0]
 
 
 @pytest.mark.parametrize("a0, h, initial, step, t_final, rows, bracket, reason", [
@@ -1023,6 +1126,10 @@ def test_sb2c_field_overflow_at_start_exits_3(tmp_path, capsys, caplog):
     # the first stage reaches r ~ 1e198, where r^2 and so Phi leave float range
     pytest.param([[1, 1], [1, 2]], [[1, 0], [0, -1]], [1e200, 1.0], 1e-2, 1.0, 1, [0.0, 0.01],
                  "the field left float range", id="field-out-of-range"),
+    # the worked setup from (-3, 1) halts near t = 1.48, where the landing
+    # point's a + d Phi'(r) has the other sign
+    pytest.param([[1, 1], [1, 2]], [[1, 0], [0, -1]], [-3.0, 1.0], 1e-3, 2.0, 1483,
+                 [1.482, 1.483], "a + d Phi'(r) changed sign from r=", id="sign-change"),
 ])
 def test_sb2c_halting_record(tmp_path, capsys, a0, h, initial, step, t_final, rows, bracket,
                              reason):
@@ -1037,6 +1144,7 @@ def test_sb2c_halting_record(tmp_path, capsys, a0, h, initial, step, t_final, ro
         assert np.isnan(parse_lines(captured.out)["determinant_conservation"][0])
         assert report["invariants"]["determinant_conservation"]["max"] is None
     assert f"bracket={bracket!r}" in report["warnings"][0]
+    assert reason in report["warnings"][0]
     assert len((tmp_path / "trajectory.csv").read_text().splitlines()) == 1 + rows
     if rows == 0:  # no sample to judge an invariant by
         assert all(entry["max"] is None and entry["pass"] is False
