@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import gc
 import json
 import logging
@@ -357,7 +358,7 @@ def _run_bloch(config: ScenarioConfig, stream):
 
 def _run_verify(config: ScenarioConfig, stream):
     from .heisenberg import flatten_complex, lagrangian_heisenberg_chart
-    from .verifier import EXPECTED_RATIO, refine
+    from .verifier import EXPECTED_RATIO, refine, verify_trajectory
 
     initial = _operator(config.matrices["initial"])
     h = require_hermitian(config.matrices["hamiltonian"], name="hamiltonian", shape=initial.shape)
@@ -365,7 +366,8 @@ def _run_verify(config: ScenarioConfig, stream):
     states = exact_commutator_flow(initial, h, -1, times)
     traj = Trajectory(times=times, states=states, name="A")
 
-    fine, coarse, ratio = refine(lagrangian_heisenberg_chart(h), times, flatten_complex(states))
+    check = functools.partial(verify_trajectory, lagrangian_heisenberg_chart(h))
+    fine, coarse, ratio = refine(check, times, flatten_complex(states))
     for label, report in (("fine", fine), ("coarse", coarse)):
         logger.info("%s pass: %d Lagrangian evaluations in %d stacked calls",
                     label, report.lagrangian_evals, report.lagrangian_calls)

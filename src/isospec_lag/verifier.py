@@ -18,9 +18,9 @@ form built once per chart: the operator chart on its own coordinates
 on the pullback (sqrt(sigma) u, sqrt(sigma) udot) of the orbit Lagrangian,
 its inputs checked by one helper for the chart and the path alike.
 
-refine judges a path by grid refinement: the coarse-to-fine ratio of the largest
-residual on the grid and on every second sample, EXPECTED_RATIO for the O(step^2)
-stencil, from 9 = 2 (5 - 1) + 1 samples up, none below the 1e-12 rounding floor.
+refine judges a check (verify_trajectory, verify_unitary_path) by the coarse-to-fine ratio
+of the largest residual on the grid and on every second sample: EXPECTED_RATIO for the
+O(step^2) stencil, from 9 = 2 (5 - 1) + 1 samples up, none below the 1e-12 rounding floor.
 
 Velocity-linear Lagrangians are degenerate; their residuals are
 reported as-is, with no constraint reduction.
@@ -162,26 +162,32 @@ class VerificationReport:
     lagrangian_calls: int
 
 
-def verify_trajectory(lagrangian: Callable, times, points) -> VerificationReport:
-    """The VerificationReport of the path times (N,), points (N, dim)."""
+def _report(rows_of: Callable, lagrangian: Callable) -> VerificationReport:
+    """The VerificationReport of the residual rows rows_of(counted), row i at sample i + 2."""
     calls = []
 
     def counted(q, qdot):  # evaluated rows: gradients passes (m, 2 dim, dim) and (m, 1, dim)
         calls.append(math.prod(map(max, q.shape[:-1], qdot.shape[:-1])))
         return lagrangian(q, qdot)
 
-    norms = np.linalg.norm(el_residual_path(counted, times, points), axis=1)
+    norms = np.linalg.norm(rows_of(counted), axis=1)
     worst = int(np.argmax(norms))
     return VerificationReport(max_residual=float(norms[worst]), worst_index=worst + 2,
                               lagrangian_evals=sum(calls), lagrangian_calls=len(calls))
 
 
-def refine(lagrangian: Callable, times, points):
-    """(fine, coarse, ratio): verify_trajectory on the path and on every second sample,
-    and coarse over fine max_residual, None at the floor; below 9 samples, ValueError."""
+def verify_trajectory(lagrangian: Callable, times, points) -> VerificationReport:
+    """The VerificationReport of the path times (N,), points (N, dim)."""
+    return _report(lambda counted: el_residual_path(counted, times, points), lagrangian)
+
+
+def refine(check: Callable, times, samples):
+    """(fine, coarse, ratio): check(times, samples) on the path and on every second sample
+    (worst_index counts coarse samples), coarse over fine max_residual, None where both lie
+    below 1e-12, an absolute floor only stationary paths reach; under 9 samples, ValueError."""
     if len(times) < 9:
         raise ValueError("verify needs at least 9 grid samples (t_final/step >= 8)")
-    fine, coarse = (verify_trajectory(lagrangian, times[::s], points[::s]) for s in (1, 2))
+    fine, coarse = (check(times[::s], samples[::s]) for s in (1, 2))
     if fine.max_residual < 1e-12 and coarse.max_residual < 1e-12:
         return fine, coarse, None
     return fine, coarse, coarse.max_residual / max(fine.max_residual, 1e-300)
@@ -286,7 +292,19 @@ def el_residual_unitary_path(times, unitaries, sigma, hamiltonian) -> np.ndarray
     here agree with el_residual_unitary, the residual of that equation,
     up to the O(grid^2) discretization error.
     """
+    return _orbit_rows(times, *_orbit_inputs("unitaries", unitaries, sigma, hamiltonian))
+
+
+def verify_unitary_path(times, unitaries, sigma, hamiltonian) -> VerificationReport:
+    """The VerificationReport of el_residual_unitary_path's rows: 6 n^2 evaluations of
+    lagrangian_heisenberg_chart a window.  Rows carry ~eps |L| / (GRADIENT_STEP dt) rounding,
+    1.7e-9 to 3.5e-9 at dt = 1e-2; refine's ratio means something only on rows well above it."""
     us, root, lagrangian, basis = _orbit_inputs("unitaries", unitaries, sigma, hamiltonian)
+    return _report(lambda counted: _orbit_rows(times, us, root, counted, basis), lagrangian)
+
+
+def _orbit_rows(times, us, root, lagrangian, basis) -> np.ndarray:
+    """el_residual_unitary_path's rows from the checked inputs that _orbit_inputs returns."""
     dt = _uniform_spacing(times, len(us))
     block = max(1, COORDINATES_PER_CALL // (4 * len(basis) ** 2))  # 2 x 2 dim bumps per window
     rows = []

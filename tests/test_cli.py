@@ -646,25 +646,31 @@ SMALL_RUNS = [
 
 
 def test_no_kind_imports_scipy(tmp_path):
-    """All five kinds and the unitary chart run in one fresh process with
-    scipy blocked, and no scipy module is loaded."""
+    """All five kinds, the unitary chart and refine over the orbit check run in
+    one fresh process with scipy blocked, and no scipy module is loaded."""
     runs = []
     for kind, matrices, t_final, step in SMALL_RUNS:
         cfg = write_config(tmp_path / f"{kind}.json", kind, matrices, t_final, step)
         runs.append([kind, "--config", str(cfg), "--out", str(tmp_path / kind)])
     script = (
-        "import sys\n"
+        "import functools, math, sys\n"
         "sys.modules['scipy'] = None\n"  # any scipy import now raises ImportError
         "import numpy as np\n"
         "from isospec_lag import cli\n"
-        "from isospec_lag.verifier import el_residual_unitary_path\n"
+        "from isospec_lag.verifier import el_residual_unitary_path, refine, verify_unitary_path\n"
         f"codes = [cli.main(argv) for argv in {runs!r}]\n"
         "h = np.array([[0.3, 0.2 - 0.1j], [0.2 + 0.1j, -0.5]])\n"
+        "sigma = np.diag([0.7, 0.3])\n"
+        "w, v = np.linalg.eigh(h)\n"
+        "def flow(times):\n"  # exp(-iHt) at each time
+        "    return (v * np.exp(-1j * np.multiply.outer(times, w))[:, None, :]) @ v.conj().T\n"
         "times = np.arange(7) * 1e-3\n"
-        "w, v = np.linalg.eigh(h)\n"  # exp(-iHt) at each time
-        "us = (v * np.exp(-1j * np.multiply.outer(times, w))[:, None, :]) @ v.conj().T\n"
-        "rows = el_residual_unitary_path(times, us, np.diag([0.7, 0.3]), h)\n"
-        "print(codes, rows.shape, float(np.max(np.abs(rows))) <= 1e-4)\n"
+        "rows = el_residual_unitary_path(times, flow(times), sigma, h)\n"
+        "times = np.arange(9) * 1e-2\n"
+        "check = functools.partial(verify_unitary_path, sigma=sigma, hamiltonian=h)\n"
+        "fine = refine(check, times, flow(times))[0]\n"
+        "print(codes, rows.shape, float(np.max(np.abs(rows))) <= 1e-4,\n"
+        "      math.isfinite(fine.max_residual))\n"
         "print(sorted(m for m, mod in sys.modules.items()\n"
         "             if mod is not None and m.split('.')[0] == 'scipy'))\n"
     )
@@ -672,7 +678,7 @@ def test_no_kind_imports_scipy(tmp_path):
                           text=True, env=src_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
     codes, scipy_modules = proc.stdout.splitlines()[-2:]
-    assert codes == "[0, 0, 0, 0, 0] (3, 4) True"
+    assert codes == "[0, 0, 0, 0, 0] (3, 4) True True"
     assert scipy_modules == "[]"
 
 

@@ -1,3 +1,6 @@
+import functools
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -26,6 +29,7 @@ from isospec_lag.verifier import (
     refine,
     unitary_chart,
     verify_trajectory,
+    verify_unitary_path,
 )
 
 from conftest import (
@@ -345,7 +349,7 @@ def test_residual_shrinks_quadratically_with_grid():
 
 def test_refine_ratio_on_a_harmonic_cosine():
     times, points = cosine_path(1e-3, n=41)
-    fine, coarse, ratio = refine(harmonic, times, points)
+    fine, coarse, ratio = refine(functools.partial(verify_trajectory, harmonic), times, points)
     assert fine == verify_trajectory(harmonic, times, points)
     assert coarse == verify_trajectory(harmonic, times[::2], points[::2])
     assert ratio == coarse.max_residual / fine.max_residual
@@ -353,15 +357,17 @@ def test_refine_ratio_on_a_harmonic_cosine():
 
 
 def test_refine_measures_no_ratio_on_a_stationary_path():
-    fine, coarse, ratio = refine(harmonic, np.arange(9) * 0.1, np.zeros((9, 2)))
+    check = functools.partial(verify_trajectory, harmonic)
+    fine, coarse, ratio = refine(check, np.arange(9) * 0.1, np.zeros((9, 2)))
     assert ratio is None
     assert fine.max_residual < 1e-12 and coarse.max_residual < 1e-12
 
 
 def test_refine_needs_nine_samples():
+    check = functools.partial(verify_trajectory, harmonic)
     with pytest.raises(ValueError, match="^verify needs at least 9 grid samples"):
-        refine(harmonic, *cosine_path(1e-2, n=8))
-    fine, coarse, ratio = refine(harmonic, *cosine_path(1e-2, n=9))
+        refine(check, *cosine_path(1e-2, n=8))
+    fine, coarse, ratio = refine(check, *cosine_path(1e-2, n=9))
     # the coarse pass keeps 5 samples, the stencil's one interior row
     assert coarse.worst_index == 2 and 2 <= fine.worst_index <= 6
     assert ratio is not None
@@ -795,19 +801,6 @@ def orbit_setup(n, samples, seed):
     return times, us, rand_density(rng, n), h
 
 
-def largest_rows(times, us, sigma, h):
-    """Largest row norm of el_residual_unitary_path on the grid and on every second sample."""
-    return [np.max(np.linalg.norm(el_residual_unitary_path(times[::s], us[::s], sigma, h), axis=1))
-            for s in (1, 2)]
-
-
-def orbit_ratio(times, us, sigma, h):
-    """Coarse over fine largest row norm of el_residual_unitary_path: 4 where the
-    path is an extremal, sampled finely enough, and about 1 where it is not."""
-    fine, coarse = largest_rows(times, us, sigma, h)
-    return coarse / fine
-
-
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_an_orbit_extremal_refines_at_ratio_four(n):
     # u(t) = u0 exp(-iHt) is an extremal for every sigma, so halving the grid
@@ -819,10 +812,13 @@ def test_an_orbit_extremal_refines_at_ratio_four(n):
         times, us, _, h = orbit_setup(n, 101, seed=60 + seed)
         weights = np.random.default_rng(seed).random(n) + 0.1
         sigma = np.diag(weights / weights.sum())
-        fine, coarse = largest_rows(times, us, sigma, h)
+        fine, _, ratio = refine(functools.partial(verify_unitary_path, sigma=sigma, hamiltonian=h),
+                                times, us)
         still = us[0] * np.exp(-1j * times)[:, np.newaxis, np.newaxis]
-        noise_fine, noise_coarse = largest_rows(times, still, sigma, np.eye(n))
-        assert abs(coarse / fine - 4) <= 0.05 + (noise_coarse + 4 * noise_fine) / fine, seed
+        noise_fine, noise_coarse, _ = refine(functools.partial(
+            verify_unitary_path, sigma=sigma, hamiltonian=np.eye(n)), times, still)
+        slack = (noise_coarse.max_residual + 4 * noise_fine.max_residual) / fine.max_residual
+        assert abs(ratio - 4) <= 0.05 + slack, seed
 
 
 @settings(max_examples=30, deadline=None)
@@ -843,8 +839,9 @@ def test_the_orbit_lagrangian_has_the_stabilizer_of_sigma_as_gauge(n, seed, spec
     def gauged(generator):
         return np.array([scipy.linalg.expm(1j * p * generator) for p in phi]) @ flow
 
-    assert 3.5 <= orbit_ratio(times, gauged(d), sigma, h) <= 4.5
-    assert 0.9 <= orbit_ratio(times, gauged(rand_hermitian(rng, n)), sigma, h) <= 1.1
+    check = functools.partial(verify_unitary_path, sigma=sigma, hamiltonian=h)
+    assert 3.5 <= refine(check, times, gauged(d))[2] <= 4.5
+    assert 0.9 <= refine(check, times, gauged(rand_hermitian(rng, n)))[2] <= 1.1
 
 
 def significant_rank(omega) -> int:
@@ -898,20 +895,23 @@ def test_the_operator_lagrangian_determines_the_heisenberg_flow(n, seed):
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, 1e200])
 def test_orbit_inputs_name_the_first_bad_unitary(value):
-    # one check serves both entry points: NaN, inf and overflow fail it as a
+    # one check serves three entry points: NaN, inf and overflow fail it as a
     # large defect does, with no floating-point warning
     times, us, sigma, h = orbit_setup(2, 9, seed=19)
     us[[4, 6], 0, 1] = value
-    with pytest.raises(ValueError, match="^unitary sample 4 is not unitary$"):
-        el_residual_unitary_path(times, us, sigma, h)
+    for path_check in (el_residual_unitary_path, verify_unitary_path):
+        with pytest.raises(ValueError, match="^unitary sample 4 is not unitary$"):
+            path_check(times, us, sigma, h)
     with pytest.raises(ValueError, match="^u_center is not unitary$"):
         unitary_chart(us[4], sigma, h)
 
 
 def test_orbit_inputs_name_the_shape_of_the_unitaries():
     times, us, sigma, h = orbit_setup(2, 9, seed=19)
-    with pytest.raises(ValueError, match=r"^need unitaries \(N, n, n\), got shape \(2, 2\)$"):
-        el_residual_unitary_path(times, us[0], sigma, h)
+    for path_check in (el_residual_unitary_path, verify_unitary_path):
+        with pytest.raises(ValueError,
+                           match=r"^need unitaries \(N, n, n\), got shape \(2, 2\)$"):
+            path_check(times, us[0], sigma, h)
     with pytest.raises(ValueError, match=r"^need u_center \(n, n\), got shape \(9, 2, 2\)$"):
         unitary_chart(us, sigma, h)
 
@@ -953,6 +953,33 @@ def test_unitary_path_splits_into_bounded_calls(monkeypatch, n, samples, blocks)
     assert sum(calls) == 6 * n * n * (samples - 4)
     assert len(calls) == 2 * blocks
     assert max(calls) * n * n <= verifier.COORDINATES_PER_CALL
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_the_orbit_check_reports_its_rows_and_evaluations(monkeypatch, n):
+    # 2328 / 5238 / 9312 evaluations in 2 / 8 / 26 calls at n = 2 / 3 / 4
+    times, us, sigma, h = orbit_setup(n, 101, seed=60)
+    norms = np.linalg.norm(el_residual_unitary_path(times, us, sigma, h), axis=1)
+    calls = []
+    chart = verifier.lagrangian_heisenberg_chart
+
+    def counting(hamiltonian):
+        lag = chart(hamiltonian)
+
+        def evaluate(q, qdot):
+            calls.append(evaluated_rows(q, qdot))
+            return lag(q, qdot)
+
+        return evaluate
+
+    monkeypatch.setattr(verifier, "lagrangian_heisenberg_chart", counting)
+    report = verify_unitary_path(times, us, sigma, h)
+    windows = len(times) - 4
+    assert report.lagrangian_evals == sum(calls) == 6 * n * n * windows
+    assert report.lagrangian_calls == len(calls) == 2 * math.ceil(
+        windows / max(1, 8192 // (4 * n**4)))
+    assert report.max_residual == np.max(norms)
+    assert report.worst_index == np.argmax(norms) + 2
 
 
 def test_unitary_chart_vanishes_on_orbit_solution():
