@@ -52,50 +52,6 @@ from .trajectory import (Trajectory, exact_commutator_flow, format_float,
 # Named, not __name__: under python -m this module runs as __main__.
 logger = logging.getLogger("isospec_lag.cli")
 
-KINDS = ("heisenberg", "lvn", "sb2c", "bloch", "verify")
-
-REQUIRED_MATRICES = {
-    "heisenberg": ("initial", "hamiltonian"),
-    "lvn": ("initial", "hamiltonian"),
-    "sb2c": ("initial", "a0", "hamiltonian"),
-    "bloch": ("initial",),
-    "verify": ("initial", "hamiltonian"),
-}
-
-DEFAULT_TOLERANCES = {
-    "heisenberg": {
-        "spectrum_drift": 1e-10,
-        "trace_drift": 1e-10,
-        "frobenius_drift": 1e-10,
-        "rk4_exact_endpoint": 1e-8,
-    },
-    "lvn": {
-        "spectrum_drift": 1e-10,
-        "purity_drift": 1e-8,
-        "entropy_drift": 1e-8,
-        "trace_drift": 1e-10,
-        "rk4_exact_endpoint": 1e-8,
-    },
-    "sb2c": {
-        "constraint_residual": 1e-8,
-        "determinant_conservation": 1e-9,
-    },
-    "bloch": {
-        "ball_invariance": 1e-9,
-        "det_conservation": 1e-10,
-        "wedge_closed_form": 1e-9,
-        "flow_field_consistency": 1e-6,
-        "fixed_point_p": 1e-9,
-    },
-    # convergence_ratio passes when the refinement ratio lies in
-    # [4 - tol, 4 + tol]; the reported deviation is |ratio - 4|.
-    "verify": {
-        "el_residual_max": 1e-3,
-        "convergence_ratio": 1.0,
-    },
-}
-
-
 class ConfigError(ValueError):
     """Scenario configuration is malformed or inconsistent."""
 
@@ -161,8 +117,9 @@ def _real_row(m: np.ndarray, name: str, width: int) -> np.ndarray:
 def load_config(path, kind: str, out_dir=None, fmt=None,
                 tolerance_overrides=()) -> ScenarioConfig:
     """Parse and validate a scenario file, applying command-line overrides."""
-    if kind not in KINDS:
+    if kind not in SCENARIO_KINDS:
         raise ConfigError(f"unknown kind {kind!r}")
+    _, required_matrices, default_tolerances = SCENARIO_KINDS[kind]
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -179,7 +136,7 @@ def load_config(path, kind: str, out_dir=None, fmt=None,
     if not isinstance(raw_matrices, dict):
         raise ConfigError("matrices must be an object of named arrays")
     matrices = {k: _complex_matrix(v, k) for k, v in raw_matrices.items()}
-    for required in REQUIRED_MATRICES[kind]:
+    for required in required_matrices:
         if required not in matrices:
             raise ConfigError(f"kind {kind!r} requires matrix {required!r}")
 
@@ -189,7 +146,7 @@ def load_config(path, kind: str, out_dir=None, fmt=None,
     t_final = _number(times["t_final"], "t_final")
     step = _number(times["step"], "step")
 
-    tolerances = dict(DEFAULT_TOLERANCES[kind])
+    tolerances = dict(default_tolerances)
     declared = doc.get("tolerances", {})
     if not isinstance(declared, dict):
         raise ConfigError("tolerances must be an object")
@@ -380,12 +337,41 @@ def _run_verify(config: ScenarioConfig, stream):
     return traj, measured, warnings
 
 
-_RUNNERS = {
-    "heisenberg": lambda c, s: _run_commutator(c, s, _operator, -1, "A", _operator_drifts),
-    "lvn": lambda c, s: _run_commutator(c, s, _density, 1, "rho", _density_drifts),
-    "sb2c": _run_sb2c,
-    "bloch": _run_bloch,
-    "verify": _run_verify,
+# Each kind's runner, its required config matrices and its default
+# tolerances, whose order is the printed and reported invariant order.
+SCENARIO_KINDS = {
+    "heisenberg": (
+        functools.partial(_run_commutator, validate=_operator, sign=-1, name="A",
+                          drifts=_operator_drifts),
+        ("initial", "hamiltonian"),
+        {"spectrum_drift": 1e-10, "trace_drift": 1e-10, "frobenius_drift": 1e-10,
+         "rk4_exact_endpoint": 1e-8},
+    ),
+    "lvn": (
+        functools.partial(_run_commutator, validate=_density, sign=1, name="rho",
+                          drifts=_density_drifts),
+        ("initial", "hamiltonian"),
+        {"spectrum_drift": 1e-10, "purity_drift": 1e-8, "entropy_drift": 1e-8,
+         "trace_drift": 1e-10, "rk4_exact_endpoint": 1e-8},
+    ),
+    "sb2c": (
+        _run_sb2c,
+        ("initial", "a0", "hamiltonian"),
+        {"constraint_residual": 1e-8, "determinant_conservation": 1e-9},
+    ),
+    "bloch": (
+        _run_bloch,
+        ("initial",),
+        {"ball_invariance": 1e-9, "det_conservation": 1e-10, "wedge_closed_form": 1e-9,
+         "flow_field_consistency": 1e-6, "fixed_point_p": 1e-9},
+    ),
+    # convergence_ratio passes when the refinement ratio lies in
+    # [4 - tol, 4 + tol]; the reported deviation is |ratio - 4|.
+    "verify": (
+        _run_verify,
+        ("initial", "hamiltonian"),
+        {"el_residual_max": 1e-3, "convergence_ratio": 1.0},
+    ),
 }
 
 
@@ -397,10 +383,10 @@ def run(config: ScenarioConfig):
     """Execute one scenario, judge its invariants, write trajectory and
     report; return the invariant results, the warnings and the singular flag.
 
-    ``runner(config, stream)`` returns the trajectory, its measurements
-    and its warnings; run writes every file.  sb2c's integrator calls
-    ``stream(times, headers)`` after its config checks, so a config error
-    leaves no output directory: a CSV table that splits is then streamed
+    The kind's runner in ``SCENARIO_KINDS``, ``runner(config, stream)``,
+    returns the trajectory, its measurements and its warnings; run writes
+    every file.  sb2c's integrator calls ``stream(times, headers)`` after
+    its config checks, so a config error leaves no output directory: a CSV table that splits is then streamed
     to a second process while the runner steps and measures (else None),
     and is otherwise written after the runner.  The library raises ValueError for
     inputs outside its domain (a non-Hermitian matrix, a bad grid, a flow
@@ -419,7 +405,7 @@ def run(config: ScenarioConfig):
                 config.out_dir.mkdir(parents=True, exist_ok=True)
                 return outputs.enter_context(stream_csv(config.trajectory_path, times, headers))
 
-            traj, measured, warnings = _RUNNERS[config.kind](config, stream)
+            traj, measured, warnings = SCENARIO_KINDS[config.kind][0](config, stream)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     except OSError as exc:
@@ -493,7 +479,7 @@ def main(argv=None) -> int:
         prog="isospec-lag",
         description="Quantum-evolution Lagrangian simulations and checks.",
     )
-    parser.add_argument("kind", choices=KINDS, help="scenario family to run")
+    parser.add_argument("kind", choices=SCENARIO_KINDS, help="scenario family to run")
     parser.add_argument("--config", required=True, help="JSON scenario file")
     parser.add_argument("--out", help="output directory (default: config output.path)")
     parser.add_argument("--format", choices=("csv", "json"), dest="fmt",

@@ -632,6 +632,31 @@ def test_verify_states_are_the_exact_flow(tmp_path):
         assert np.linalg.norm(state - evolve_heisenberg_exact(a0, h, t)) <= 1e-13
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("a_scale, h_scale", [(1, 1), (10, 1), (1, 3)],
+                         ids=["unit", "a0x10", "hx3"])
+def test_verify_residual_is_its_closed_form(tmp_path, capsys, n, a_scale, h_scale):
+    """On the exact flow, el_residual_max is step^2/3 ||ad_H^3 A0||_F, with
+    ad_H X = X H - H X, for unit-norm A0 and H and each scaled; the
+    refinement ratio is then 4."""
+    rng = np.random.default_rng(n)
+    a0, h = (rand_hermitian(rng, n) for _ in range(2))
+    a0 *= a_scale / np.linalg.norm(a0)
+    h *= h_scale / np.linalg.norm(h)
+    step = 1e-2
+    cfg = write_config(tmp_path / "cfg.json", "verify",
+                       {"initial": a0, "hamiltonian": h}, 1.0, step)
+    assert run_cli(["verify", "--config", cfg, "--out", tmp_path]) in (0, 1)
+    capsys.readouterr()
+    invariants = json.loads((tmp_path / "report.json").read_text())["invariants"]
+    ad = a0
+    for _ in range(3):
+        ad = ad @ h - h @ ad
+    predicted = step**2 / 3 * np.linalg.norm(ad)
+    assert invariants["el_residual_max"]["max"] == pytest.approx(predicted, rel=1e-3)
+    assert invariants["convergence_ratio"]["max"] <= 5e-3
+
+
 #: One short passing run of each kind: (kind, matrices, t_final, step).
 SMALL_RUNS = [
     ("heisenberg", {"initial": [[0, 1], [1, 0]], "hamiltonian": [[1, 0], [0, -1]]},
@@ -949,7 +974,7 @@ def test_a_split_cli_run_prints_each_line_once(tmp_path, kind, fmt):
         lines = proc.stdout.splitlines()
         assert lines[0] == "started"
         assert ([LINE.match(line)["name"] for line in lines[1:]]
-                == list(cli.DEFAULT_TOLERANCES[kind]))
+                == list(cli.SCENARIO_KINDS[kind][2]))
         assert "Traceback" not in proc.stderr
         floats = {"heisenberg": "5001 x 9, 45009", "sb2c": "5001 x 4, 20004"}[kind]
         assert f": {floats} floats, {mode}, " in proc.stderr
@@ -1013,7 +1038,7 @@ def test_a_cli_process_keeps_the_exit_contract(cli_process, entry, case):
     proc, out = cli_process(entry, case)
     assert proc.returncode == code, proc.stderr
     names = [m["name"] if (m := LINE.match(line)) else line for line in proc.stdout.splitlines()]
-    assert names == ([] if code == 2 else list(cli.DEFAULT_TOLERANCES[kind]))
+    assert names == ([] if code == 2 else list(cli.SCENARIO_KINDS[kind][2]))
     assert "Traceback" not in proc.stderr
     assert ("config error: " in proc.stderr) == (code == 2)
     assert ("warning: singularity near t=" in proc.stderr) == (code == 3)
@@ -1115,7 +1140,7 @@ def test_sb2c_field_overflow_at_start_exits_3(tmp_path, capsys, caplog):
         assert "worst at sample" not in caplog.text
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["singular"] is True
-        assert set(report["invariants"]) == set(cli.DEFAULT_TOLERANCES["sb2c"])
+        assert set(report["invariants"]) == set(cli.SCENARIO_KINDS["sb2c"][2])
         for entry in report["invariants"].values():
             assert entry["max"] is None
             assert entry["pass"] is False
@@ -1216,7 +1241,7 @@ def valid_doc(kind):
         "times": {"t_final": t_final, "step": step},
         "output": {"format": "csv"},
         "seed": 1,
-        "tolerances": {next(iter(cli.DEFAULT_TOLERANCES[kind])): 1.0},
+        "tolerances": {next(iter(cli.SCENARIO_KINDS[kind][2])): 1.0},
     }
 
 
@@ -1349,10 +1374,10 @@ def mutated_configs(draw):
     range on its way to a failed invariant.  A mutated "seed" is neither:
     the loader ignores that key, so the run exits as the valid config does.
     """
-    kind = draw(st.sampled_from(cli.KINDS))
+    kind = draw(st.sampled_from(list(cli.SCENARIO_KINDS)))
     doc = valid_doc(kind)
     required = [("matrices",), ("times",), ("times", "t_final"), ("times", "step")]
-    required += [("matrices", name) for name in cli.REQUIRED_MATRICES[kind]]
+    required += [("matrices", name) for name in cli.SCENARIO_KINDS[kind][1]]
     mutation = draw(st.sampled_from(["drop", "type", "non_finite", "extreme", "shape"]))
     if mutation == "drop":
         path = draw(st.sampled_from(required + [("kind",), ("output",), ("seed",),
@@ -1436,9 +1461,9 @@ def test_grid_invariants_log_their_worst_sample(tmp_path, caplog, kind, matrices
         assert float(t) == times[int(index)]
 
 
-@pytest.mark.parametrize("kind", cli.KINDS)
+@pytest.mark.parametrize("kind", list(cli.SCENARIO_KINDS))
 def test_invariants_print_in_the_tolerance_table_order(tmp_path, capsys, kind):
-    names = list(cli.DEFAULT_TOLERANCES[kind])
+    names = list(cli.SCENARIO_KINDS[kind][2])
     doc = valid_doc(kind)
     # the config file overrides the last tolerance, the command line the first
     doc["tolerances"] = {names[-1]: 2.0}

@@ -1,9 +1,11 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from numpy.polynomial import Polynomial
 
 from isospec_lag import sb2c
 from isospec_lag.heisenberg import OperatorTangent, lagrangian_heisenberg
@@ -837,6 +839,49 @@ def test_the_field_computes_phi_and_its_denominators_as_terms_does(setup, y, r):
             field(y, r)
     else:
         assert [v.hex() for v in field(y, r)[2:]] == [v.hex() for v in (phi, denom, den)]
+
+
+def singular_radii(p):
+    """The positive real roots of Phi's denominator r (k2 r^2 - k0) and of
+    (a + d Phi') den^2, by numpy.polynomial, keyed by the name a halting
+    run's reason gives each."""
+    n4 = p.a * (p.gamma * p.a - p.h1) - p.d * (p.gamma * p.c - p.h3)
+    num = Polynomial([(p.delta * p.d - p.h4) * p.d, 0, p.a * p.d * p.alpha, 0, n4])
+    den = Polynomial([0, -p.d * p.d * p.alpha, 0, p.h4 * p.a - p.d * p.h1])
+    dynamical = p.a * den**2 + p.d * (num.deriv() * den - num * den.deriv())
+    return {name: [z.real for z in poly.roots() if abs(z.imag) < 1e-9 and z.real > 0]
+            for name, poly in (("a + d Phi'(r)", dynamical),
+                               ("Phi's denominator r (k2 r^2 - k0)", den))}
+
+
+def test_the_closed_form_singular_radii_are_the_pinned_ones():
+    worked, alpha = (singular_radii(derive_parameters(s())) for s in (worked_setup, alpha_setup))
+    assert worked["a + d Phi'(r)"] == pytest.approx([2.94283], abs=1e-5)
+    assert worked["Phi's denominator r (k2 r^2 - k0)"] == []
+    assert sorted(worked["a + d Phi'(r)"] + alpha["Phi's denominator r (k2 r^2 - k0)"]
+                  + alpha["a + d Phi'(r)"]) == pytest.approx(sorted(SINGULAR_RADII), rel=1e-12)
+
+
+@pytest.mark.parametrize("setup", [worked_setup, alpha_setup])
+@settings(max_examples=150, deadline=None)
+@given(y=st.floats(-3.0, 3.0), r=st.floats(0.3, 9.0))
+def test_a_sign_change_halt_crosses_a_closed_form_singular_radius(setup, y, r):
+    # a run halts on a sign change exactly where a root of the named
+    # denominator lies between its last row and the landing point, and no
+    # root lies between two consecutive rows of any run
+    p = derive_parameters(setup())
+    radii = singular_radii(p)
+    traj = integrate_reduced(ReducedState(y=y, r=r), p, t_final=2.0, step=1e-3)
+    rows = traj.states[:, 1]
+    lo, hi = np.minimum(rows[:-1], rows[1:]), np.maximum(rows[:-1], rows[1:])
+    for root in sum(radii.values(), []):
+        assert not np.any((lo < root) & (root < hi)), root
+    reason = traj.meta.get("singularity", {}).get("reason", "")
+    crossed = re.fullmatch(r"(.*) changed sign from r=(\S+) to r=(\S+)", reason)
+    if crossed:
+        r0, r1 = sorted(map(float, crossed.groups()[1:]))
+        for name in crossed[1].split(" and "):
+            assert any(r0 < root < r1 for root in radii[name]), (name, r0, r1)
 
 
 def test_flow_map_is_nonlinear():
