@@ -13,8 +13,8 @@ preserve the determinant of the unnormalized conjugated matrix.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -72,17 +72,15 @@ def flow_exponential(index: int, t) -> np.ndarray:
     return np.eye(2) + np.multiply.outer(t, generator)
 
 
-@dataclass(frozen=True)
-class BlochVector:
-    x1: float
-    x2: float
-    x3: float
+class BlochVector(NamedTuple("BlochVector", [("x1", float), ("x2", float), ("x3", float)])):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not all(map(math.isfinite, (self.x1, self.x2, self.x3))):
-            raise ValueError(f"Bloch vector {(self.x1, self.x2, self.x3)} is not finite")
-        if self.norm > 1 + BALL_TOL:
-            raise ValueError(f"Bloch vector has norm {self.norm} > 1")
+    def __new__(cls, x1: float, x2: float, x3: float):
+        if not all(map(math.isfinite, (x1, x2, x3))):
+            raise ValueError(f"Bloch vector {(x1, x2, x3)} is not finite")
+        if (norm := math.hypot(x1, x2, x3)) > 1 + BALL_TOL:
+            raise ValueError(f"Bloch vector has norm {norm} > 1")
+        return super().__new__(cls, x1, x2, x3)
 
     @property
     def norm(self) -> float:
@@ -98,8 +96,7 @@ class OrbitTag(Enum):
     BULK = "BULK"
 
 
-@dataclass(frozen=True)
-class OrbitClass:
+class OrbitClass(NamedTuple):
     """Orbit type of a point plus its classification margin."""
 
     tag: OrbitTag

@@ -26,18 +26,22 @@ diagnostic verbosity on stderr.
 
 from __future__ import annotations
 
+import gc
+
+if __name__ == "__main__":  # python -m: a one-scenario process collects no cycles (see script)
+    gc.disable()
+
 import argparse
 import contextlib
 import functools
-import gc
 import json
 import logging
 import math
 import os
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -56,23 +60,18 @@ class ConfigError(ValueError):
     """Scenario configuration is malformed or inconsistent."""
 
 
-@dataclass
 class ScenarioConfig:
-    kind: str
-    matrices: dict
-    t_final: float
-    step: float
-    tolerances: dict
-    out_dir: Path
-    fmt: str
+    def __init__(self, kind: str, matrices: dict, t_final: float, step: float,
+                 tolerances: dict, out_dir: Path, fmt: str):
+        self.kind, self.matrices, self.t_final, self.step = kind, matrices, t_final, step
+        self.tolerances, self.out_dir, self.fmt = tolerances, out_dir, fmt
 
     @property
     def trajectory_path(self) -> Path:
         return self.out_dir / f"trajectory.{self.fmt}"
 
 
-@dataclass(frozen=True)
-class InvariantResult:
+class InvariantResult(NamedTuple):
     name: str
     max_deviation: float
     tolerance: float
@@ -513,12 +512,18 @@ def script() -> None:
     """Entry of the ``isospec-lag`` console script and of ``python -m
     isospec_lag.cli``: run main, then exit with its code.
 
-    Before exiting, every object the collector tracks (~22k, nearly all
-    numpy's and the stdlib's) is frozen into its permanent generation,
-    which the interpreter's exit-time collections skip.  atexit handlers,
-    the flush of the std streams and module teardown still run.  main
-    itself leaves the collector alone: tests and tools call it in-process.
+    A process that runs one scenario keeps its objects until it exits, so
+    the cyclic collector is off: from the module's first line under
+    ``python -m``, from this call on under the console script (numpy's
+    import alone would run ~30 collections).  Before exiting, every object
+    the collector tracks (22k-33k, nearly all numpy's and the stdlib's) is
+    frozen into its permanent generation, which the interpreter's
+    exit-time collections, run whether or not the collector is enabled,
+    skip.  atexit handlers, the flush of the std streams and module
+    teardown still run.  main itself leaves the collector alone: tests and
+    tools call it in-process.
     """
+    gc.disable()
     try:
         code = main()
     finally:

@@ -16,8 +16,6 @@ Units take hbar = 1 throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .operator_core import (
@@ -30,16 +28,12 @@ from .operator_core import (
 from .trajectory import Trajectory, exact_commutator_flow, rk4_commutator_trajectory
 
 
-@dataclass(eq=False)
 class OperatorTangent:
     """A point ``A`` of operator space together with a velocity ``Adot``."""
 
-    point: np.ndarray
-    velocity: np.ndarray
-
-    def __post_init__(self):
-        self.point = as_complex_matrix(self.point, "point")
-        self.velocity = as_complex_matrix(self.velocity, "velocity", shape=self.point.shape)
+    def __init__(self, point: np.ndarray, velocity: np.ndarray):
+        self.point = as_complex_matrix(point, "point")
+        self.velocity = as_complex_matrix(velocity, "velocity", shape=self.point.shape)
 
 
 def heisenberg_rhs(a, h) -> np.ndarray:

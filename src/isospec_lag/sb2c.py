@@ -22,7 +22,7 @@ solves to x = Phi(r) and the dynamics reduces to two nonlinear ODEs in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,35 +39,28 @@ class SingularityError(RuntimeError):
     """A denominator of the reduced dynamics vanished."""
 
 
-@dataclass(frozen=True)
-class SB2CElement:
+class SB2CElement(NamedTuple("SB2CElement", [("r", float), ("x", float), ("y", float)])):
     """Group coordinates (r, x, y) with r > 0."""
 
-    r: float
-    x: float
-    y: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (self.r > 0 and math.isfinite(self.r)):
-            raise ValueError(f"r must be positive and finite, got {self.r}")
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
+    def __new__(cls, r: float, x: float, y: float):
+        if not (r > 0 and math.isfinite(r)):
+            raise ValueError(f"r must be positive and finite, got {r}")
+        if not (math.isfinite(x) and math.isfinite(y)):
             raise ValueError("coordinates must be finite")
+        return super().__new__(cls, r, x, y)
 
 
-@dataclass(eq=False)
 class SB2CSetup:
     """Reference operator A0 and Hamiltonian H, both 2x2."""
 
-    a0: np.ndarray
-    hamiltonian: np.ndarray
-
-    def __post_init__(self):
-        self.a0 = as_complex_matrix(self.a0, "a0", shape=(2, 2))
-        self.hamiltonian = require_hermitian(self.hamiltonian, name="hamiltonian", shape=(2, 2))
+    def __init__(self, a0: np.ndarray, hamiltonian: np.ndarray):
+        self.a0 = as_complex_matrix(a0, "a0", shape=(2, 2))
+        self.hamiltonian = require_hermitian(hamiltonian, name="hamiltonian", shape=(2, 2))
 
 
-@dataclass(frozen=True)
-class SB2CParameters:
+class SB2CParameters(NamedTuple):
     """Scalar coefficients entering the coordinate equations of motion."""
 
     a: float
@@ -84,19 +77,18 @@ class SB2CParameters:
     h4: float
 
 
-@dataclass(frozen=True)
-class ReducedState:
+class ReducedState(NamedTuple("ReducedState", [("y", float), ("r", float)])):
     """State (y, r) of the reduced dynamics on the constraint surface;
     integrate_reduced starts from one at t = 0."""
 
-    y: float
-    r: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (self.r > 0 and math.isfinite(self.r)):
-            raise ValueError(f"r must be positive and finite, got {self.r}")
-        if not math.isfinite(self.y):
-            raise ValueError(f"y must be finite, got {self.y}")
+    def __new__(cls, y: float, r: float):
+        if not (r > 0 and math.isfinite(r)):
+            raise ValueError(f"r must be positive and finite, got {r}")
+        if not math.isfinite(y):
+            raise ValueError(f"y must be finite, got {y}")
+        return super().__new__(cls, y, r)
 
 
 def sb2c_matrices(r, x, y) -> np.ndarray:

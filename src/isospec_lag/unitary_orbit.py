@@ -23,7 +23,6 @@ and Runge-Kutta state evolutions.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,7 +64,6 @@ def validate_density(rho) -> np.ndarray:
     return rho
 
 
-@dataclass(eq=False)
 class UnitaryTangent:
     """A unitary ``u`` with a tangent vector ``udot``.
 
@@ -75,12 +73,9 @@ class UnitaryTangent:
     part ``udot - (u udot^dag + udot u^dag) u / 2``.
     """
 
-    u: np.ndarray
-    udot: np.ndarray
-
-    def __post_init__(self):
-        self.u = as_complex_matrix(self.u, "u")
-        self.udot = as_complex_matrix(self.udot, "udot", shape=self.u.shape)
+    def __init__(self, u: np.ndarray, udot: np.ndarray):
+        self.u = as_complex_matrix(u, "u")
+        self.udot = as_complex_matrix(udot, "udot", shape=self.u.shape)
         n = self.u.shape[0]
         with np.errstate(over="ignore", invalid="ignore"):  # overflowing defects fail below
             unitary_defect = frobenius_norm(dagger(self.u) @ self.u - np.eye(n))

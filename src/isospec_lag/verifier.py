@@ -31,8 +31,7 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -151,8 +150,7 @@ def el_residual_path(lagrangian: Callable, times, points) -> np.ndarray:
     return (momenta[2:] - momenta[:-2]) / (2 * dt) - forces
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """A path's largest interior residual norm max_residual, at path sample worst_index (not the
     residual row), and the lagrangian_evals (2 dim a gradient) and lagrangian_calls it took."""
 

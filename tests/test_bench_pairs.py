@@ -1,5 +1,7 @@
 import importlib.util
 import json
+import os
+import re
 from pathlib import Path
 
 import pytest
@@ -36,12 +38,40 @@ def test_the_summary_of_canned_result_lines():
     pairs[1][1]["failed"] = 1
     assert bench_pairs.summarize(pairs, METRICS) == [
         "scenarios_per_s (1/s, higher is better): parent 87 [85.5-88.5], "
-        "change 88.5 [88-89.5], change ahead in 2 of 4",
+        "change 88.5 [88-89.5], change ahead in 2 of 4; gain not shown; within the 20% bound",
         "scenario_p50_s (s, lower is better): parent 0.0105 [0.01-0.01125], "
-        "change 0.0105 [0.00975-0.01125], change ahead in 2 of 4",
+        "change 0.0105 [0.00975-0.01125], change ahead in 2 of 4; gain not shown; "
+        "within the 25% bound",
         "parent: 0 of 40 scenarios failed",
         "change: 1 of 40 scenarios failed",
     ]
+
+
+#: Ten parent p50 values: median 10.45 s, quartiles 10.225-10.675 s.
+PARENT_P50 = [10 + 0.1 * k for k in range(10)]
+
+
+@pytest.mark.parametrize("shift, verdicts", [
+    # ahead in 10 of 10, the median 0.5 s better against a spread of 0.45 s
+    ([-0.5] * 10, "change ahead in 10 of 10; gain shown; within the 25% bound"),
+    # ahead in 9 of 10 is enough, in 8 of 10 is not
+    ([-0.5] * 9 + [0.5], "change ahead in 9 of 10; gain shown; within the 25% bound"),
+    ([-0.5] * 8 + [0.5] * 2, "change ahead in 8 of 10; gain not shown; within the 25% bound"),
+    # ahead everywhere, but by less than the parent's spread
+    ([-0.4] * 10, "change ahead in 10 of 10; gain not shown; within the 25% bound"),
+    # worse by 2.6 s, inside 25% of 10.45 s, then by 2.7 s, beyond it
+    ([2.6] * 10, "change ahead in 0 of 10; gain not shown; within the 25% bound"),
+    ([2.7] * 10, "change ahead in 0 of 10; gain not shown; worse by more than the 25% bound"),
+])
+def test_the_verdicts_of_ten_pairs(shift, verdicts):
+    """A gain is shown when the change reads better in 9 of 10 pairs or more
+    and its median by more than the parent's quartile spread; a median
+    worse than the parent's by more than the bound is named."""
+    pairs = [tuple(bench_pairs.last_result(stdout(result_line(1.0, value)))
+                   for value in (p, p + d)) for p, d in zip(PARENT_P50, shift)]
+    [line, _, _] = bench_pairs.summarize(pairs, METRICS[1:])
+    assert line.startswith("scenario_p50_s (s, lower is better): parent 10.45 [10.22-10.67], ")
+    assert line.endswith(verdicts), line
 
 
 @pytest.mark.parametrize("text", ["", "metric x = 1 s\n", "{\"correct\": true}\n"])
@@ -89,3 +119,10 @@ def test_the_probe_names_its_verdict():
     line = bench_pairs.probe()
     assert line.startswith("probe: two busy processes ")
     assert " in parallel (one alone " in line
+    verdict = r"(ran|did not run)"
+    pinned = (rf" and {verdict} pinned to CPUs \d+ and \d+", r", two pinned \d+\.\d\d s")
+    if not (hasattr(os, "sched_setaffinity") and len(os.sched_getaffinity(0)) > 1):
+        pinned = ("", "")
+    assert re.fullmatch(rf"probe: two busy processes {verdict} unpinned{pinned[0]} in parallel "
+                        rf"\(one alone \d+\.\d\d s, two unpinned \d+\.\d\d s{pinned[1]}\)",
+                        line), line

@@ -1091,6 +1091,66 @@ def test_main_leaves_the_collector_alone(tmp_path):
     assert (gc.isenabled(), gc.get_freeze_count()) == before
 
 
+#: Each entry point as a statement, and the cli.py code from whose start no
+#: cyclic collection may run: ``python -m`` as the interpreter runs it, from
+#: the module's first line, and the console script's program, from script().
+COLLECTOR_ENTRIES = {
+    "python -m": ("import runpy; runpy.run_module('isospec_lag.cli', run_name='__main__', "
+                  "alter_sys=True)", "<module>"),
+    "console script": (ENTRY_POINTS["console script"][1], "script"),
+}
+#: Runs an entry point, noting each collection that starts inside the
+#: watched code, and prints the exit code, whether the collector is enabled,
+#: whether objects are frozen, the noted generations and whether
+#: dataclasses was imported.
+COLLECTOR_PROBE = """\
+import gc, os, sys
+late = []
+
+def watch(phase, info):
+    frame = sys._getframe(1)
+    while phase == "start" and frame is not None:
+        code = frame.f_code
+        if (code.co_name == {watched!r}
+                and code.co_filename.endswith(os.path.join("isospec_lag", "cli.py"))):
+            late.append(info["generation"])
+        frame = frame.f_back
+
+gc.callbacks.append(watch)
+try:
+    {statement}
+except SystemExit as exc:
+    print(exc.code, gc.isenabled(), gc.get_freeze_count() > 0, late, "dataclasses" in sys.modules)
+"""
+
+
+#: One passing config per kind, on cli-mix's grids: (matrices, t_final, step).
+KIND_RUNS = {
+    "heisenberg": (HEISENBERG_PAIR, 1.0, 1e-3),
+    "lvn": (LVN_MATRICES, 1.0, 1e-3),
+    "sb2c": ({"initial": [[-1.0, 6.0]], **WORKED_SB2C}, 1.0, 1e-3),
+    "bloch": ({"initial": [[0.1, -0.2, 0.3]]}, 1.0, 1e-2),
+    "verify": (HEISENBERG_PAIR, 1.0, 1e-2),
+}
+
+
+@pytest.mark.parametrize("entry", COLLECTOR_ENTRIES)
+@pytest.mark.parametrize("kind", KIND_RUNS)
+def test_a_cli_process_runs_without_cyclic_collections(tmp_path, entry, kind):
+    """Under ``python -m`` no cyclic collection runs from the module's first
+    line, under the console script none from script() on; either exits 0
+    with the collector disabled and the objects frozen, and no kind's run
+    imports dataclasses."""
+    statement, watched = COLLECTOR_ENTRIES[entry]
+    cfg = write_config(tmp_path / "cfg.json", kind, *KIND_RUNS[kind])
+    proc = subprocess.run(
+        [sys.executable, "-c", COLLECTOR_PROBE.format(statement=statement, watched=watched),
+         kind, "--config", str(cfg), "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=src_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 False True [] False"
+
+
 def test_python_m_logs_as_isospec_lag_cli(tmp_path):
     """Under ``python -m`` the module runs as __main__, but its records
     still come from the isospec_lag.cli logger."""

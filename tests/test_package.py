@@ -1,12 +1,16 @@
-"""The package root: its lazy exports and what importing it loads."""
+"""The package root: its lazy exports and what importing it loads, and the
+package's records."""
 
+import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import isospec_lag
-from isospec_lag import bloch, heisenberg, operator_core, sb2c, trajectory, unitary_orbit, verifier
+from isospec_lag import (bloch, cli, heisenberg, operator_core, sb2c, trajectory, unitary_orbit,
+                         verifier)
 
 from conftest import src_env
 
@@ -77,3 +81,71 @@ def test_importing_the_root_loads_no_submodule(statement, loaded):
                           env=src_env(), timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == repr([f"isospec_lag.{m}" for m in loaded])
+
+
+#: One record of each immutable type, with the name of one of its fields.
+FROZEN = [
+    (cli.InvariantResult("spectrum_drift", 0.0, 1e-10, True), "passed"),
+    (sb2c.SB2CElement(r=1.0, x=0.0, y=0.0), "r"),
+    (sb2c.SB2CParameters(*map(float, range(12))), "h4"),
+    (sb2c.ReducedState(y=0.0, r=1.0), "y"),
+    (bloch.BlochVector(0.0, 0.0, 1.0), "x3"),
+    (bloch.OrbitClass(bloch.OrbitTag.BULK, 0.5), "tag"),
+    (verifier.VerificationReport(0.0, 2, 8, 1), "worst_index"),
+]
+
+
+@pytest.mark.parametrize("record, field", FROZEN, ids=[type(r).__name__ for r, _ in FROZEN])
+def test_an_immutable_record_refuses_assignment(record, field):
+    value = getattr(record, field)
+    for name in (field, "unknown"):
+        with pytest.raises(AttributeError):
+            setattr(record, name, 1.0)
+    assert getattr(record, field) == value
+    assert not hasattr(record, "unknown")
+
+
+@pytest.mark.parametrize("make, error, message", [
+    (lambda: sb2c.SB2CElement(r=0.0, x=0.0, y=0.0), ValueError,
+     "r must be positive and finite, got 0.0"),
+    (lambda: sb2c.SB2CElement(1.0, math.inf, 0.0), ValueError, "coordinates must be finite"),
+    (lambda: sb2c.ReducedState(y=0.0, r=math.nan), ValueError,
+     "r must be positive and finite, got nan"),
+    (lambda: sb2c.ReducedState(math.inf, 1.0), ValueError, "y must be finite, got inf"),
+    (lambda: bloch.BlochVector(0.0, math.nan, 0.0), ValueError,
+     "Bloch vector (0.0, nan, 0.0) is not finite"),
+    (lambda: bloch.BlochVector(0.6, 0.8, 0.6), ValueError,
+     "Bloch vector has norm 1.1661903789690602 > 1"),
+    (lambda: trajectory.Trajectory([0.0, 1.0], np.zeros((3, 2))), ValueError,
+     "times and states lengths differ"),
+    (lambda: trajectory.Trajectory([0.0], np.zeros((1, 2)), column_names=("a", 1)), TypeError,
+     "column names must be strings"),
+    (lambda: trajectory.Trajectory([0.0], np.zeros((1, 2)), column_names=("a",)), ValueError,
+     "1 column names for states of shape (1, 2)"),
+    (lambda: sb2c.SB2CSetup(np.eye(3), np.eye(2)), ValueError,
+     "a0 must have shape (2, 2), got (3, 3)"),
+    (lambda: sb2c.SB2CSetup(np.eye(2), hamiltonian=[[0, 1], [0, 0]]), ValueError,
+     "hamiltonian is not Hermitian: defect 1.414e+00 > tolerance 1.000e-10"),
+    (lambda: heisenberg.OperatorTangent(np.eye(2), velocity=np.eye(3)), ValueError,
+     "velocity must have shape (2, 2), got (3, 3)"),
+    (lambda: unitary_orbit.UnitaryTangent(2 * np.eye(2), np.zeros((2, 2))), ValueError,
+     "u is not unitary: defect 4.243e+00"),
+    (lambda: unitary_orbit.UnitaryTangent(np.eye(2), udot=np.eye(2)), ValueError,
+     "udot is not tangent: defect 2.828e+00"),
+])
+def test_a_validating_record_names_what_is_wrong(make, error, message):
+    with pytest.raises(error) as info:
+        make()
+    assert str(info.value) == message
+
+
+def test_a_trajectory_takes_its_defaults_and_keywords():
+    """name "A", no column names, and a new meta dict per trajectory."""
+    first, second = (trajectory.Trajectory([0.0], np.zeros((1, 2, 2))) for _ in range(2))
+    assert (first.name, first.column_names, first.meta) == ("A", None, {})
+    assert first.meta is not second.meta
+    meta = {"singularity": None}
+    named = trajectory.Trajectory(times=[0.0], states=[[1.0, 2.0]], name="q",
+                                  column_names=("y", "r"), meta=meta)
+    assert (named.name, named.column_names) == ("q", ("y", "r")) and named.meta is meta
+    assert named.times.dtype == float and named.headers() == ["y", "r"]

@@ -11,21 +11,29 @@ each run only the last line of stdout is read: the JSON object with
 correct, attempted, failed and metrics.
 
 For each end-to-end metric of BENCHMARK.json the summary gives both
-sides' median and quartiles and in how many pairs the change read
-better, ties counting for neither; then each side's failed and attempted
-scenarios.  A gain is claimed only on at least nine tenths of the pairs
-and a median gap wider than the parent's quartile spread.
+sides' median and quartiles, in how many pairs the change read better,
+ties counting for neither, and two verdicts: whether a gain is shown,
+that is the change read better in at least nine tenths of the pairs and
+its median is better by more than the parent's quartile spread, and
+whether the change's median is worse than the parent's by more than the
+metric's ``bound``, a fraction of the parent's median.  Then come each
+side's failed and attempted scenarios.
 
 Before the first run and after the last, one probe line says whether two
-busy processes ran in parallel: a second CPU that is listed need not be
-free, and the split trajectory writer runs faster only where it is.
+busy processes ran in parallel, left to the scheduler and, where
+processes can be pinned, each pinned to its own CPU.  A second CPU can
+be free and still go unused: a host that does not balance load keeps a
+forked child on its parent's CPU, so only the pinned pair runs in
+parallel there.  The split trajectory writer pins its two processes so.
 The exit status is 0, or 2 if a run failed or printed no result.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -71,7 +79,8 @@ def _quartiles(values):
 
 def summarize(pairs, metrics) -> list:
     """Summary lines of ``pairs``, a list of (parent, change) result objects,
-    over ``metrics``, BENCHMARK.json's end-to-end entries (name, unit, better)."""
+    over ``metrics``, BENCHMARK.json's end-to-end entries (name, unit,
+    better, bound)."""
     lines = []
     for metric in metrics:
         name, sign = metric["name"], 1 if metric["better"] == "higher" else -1
@@ -81,9 +90,16 @@ def summarize(pairs, metrics) -> list:
         ahead = sum(sign * (c - p) > 0 for p, c in values)
         cells = [f"{statistics.median(side):.4g} [{q1:.4g}-{q3:.4g}]"
                  for side in (parent, change) for q1, q3 in [_quartiles(side)]]
+        q1, q3 = _quartiles(parent)
+        gain = sign * (statistics.median(change) - statistics.median(parent))
+        shown = ahead >= 0.9 * len(values) and gain > q3 - q1
+        beyond = -gain > metric["bound"] * abs(statistics.median(parent))
         lines.append(f"{name} ({metric['unit']}, {metric['better']} is better): "
                      f"parent {cells[0]}, change {cells[1]}, "
-                     f"change ahead in {ahead} of {len(values)}")
+                     f"change ahead in {ahead} of {len(values)}; "
+                     f"gain {'shown' if shown else 'not shown'}; "
+                     f"{'worse by more than' if beyond else 'within'} the "
+                     f"{metric['bound']:.0%} bound")
     for label, side in (("parent", 0), ("change", 1)):
         failed = sum(pair[side]["failed"] for pair in pairs)
         attempted = sum(pair[side]["attempted"] for pair in pairs)
@@ -93,18 +109,24 @@ def summarize(pairs, metrics) -> list:
 
 def probe() -> str:
     """Whether two busy processes, started together, finish in about the
-    time one takes alone."""
-    def wall(count):
+    time one takes alone: unpinned, and where processes can be pinned,
+    each pinned to one of the first two CPUs of this process's mask."""
+    def wall(pins):
         start = time.perf_counter()
-        procs = [subprocess.Popen([sys.executable, "-c", BUSY]) for _ in range(count)]
+        procs = [subprocess.Popen([sys.executable, "-c", BUSY], preexec_fn=pin) for pin in pins]
         for proc in procs:
             proc.wait()
         return time.perf_counter() - start
 
-    alone, together = wall(1), wall(2)
-    verdict = "ran" if together < 1.5 * alone else "did not run"
-    return f"probe: two busy processes {verdict} in parallel " \
-           f"(one alone {alone:.2f} s, two at once {together:.2f} s)"
+    alone, runs = wall([None]), [("unpinned", "", wall([None, None]))]
+    cpus = sorted(os.sched_getaffinity(0))[:2] if hasattr(os, "sched_setaffinity") else []
+    if len(cpus) == 2:
+        runs.append(("pinned", f" to CPUs {cpus[0]} and {cpus[1]}", wall(
+            [functools.partial(os.sched_setaffinity, 0, {cpu}) for cpu in cpus])))
+    verdicts = " and ".join(f"{'ran' if t < 1.5 * alone else 'did not run'} {how}{where}"
+                            for how, where, t in runs)
+    times = "".join(f", two {how} {t:.2f} s" for how, _, t in runs)
+    return f"probe: two busy processes {verdicts} in parallel (one alone {alone:.2f} s{times})"
 
 
 def main(argv=None) -> int:
