@@ -78,9 +78,10 @@ class BlochVector(NamedTuple("BlochVector", [("x1", float), ("x2", float), ("x3"
     def __new__(cls, x1: float, x2: float, x3: float):
         if not all(map(math.isfinite, (x1, x2, x3))):
             raise ValueError(f"Bloch vector {(x1, x2, x3)} is not finite")
-        if (norm := math.hypot(x1, x2, x3)) > 1 + BALL_TOL:
-            raise ValueError(f"Bloch vector has norm {norm} > 1")
-        return super().__new__(cls, x1, x2, x3)
+        self = super().__new__(cls, x1, x2, x3)
+        if self.norm > 1 + BALL_TOL:
+            raise ValueError(f"Bloch vector has norm {self.norm} > 1")
+        return self
 
     @property
     def norm(self) -> float:

@@ -32,9 +32,8 @@ renders the second half of the pieces, which it inherits at the fork,
 while the caller renders the first half into the output.  For a table
 whose rows are still being computed, :func:`stream_csv` (sb2c's CSV in
 the CLI) passes the child each block of rows through a pipe, so the
-rows are rendered while the caller's loop runs.  Where threads can be
-pinned to CPUs, the caller and the child run on different ones.  The
-bytes are the same either way.
+rows are rendered while the caller's loop runs.  The bytes are the same
+either way.
 """
 
 from __future__ import annotations
@@ -249,14 +248,6 @@ def splits(n_floats: int) -> bool:
     return n_floats >= PARALLEL_MIN_FLOATS and _can_split()
 
 
-def _pin(cpus) -> None:
-    """Run this thread on ``cpus`` from now on, unless there are none; a CPU
-    the host refuses (a cpuset's, say) leaves the thread where it was."""
-    if cpus:
-        with contextlib.suppress(OSError):
-            os.sched_setaffinity(0, cpus)
-
-
 @contextlib.contextmanager
 def _render_in_a_child(fh, render):
     """Append to ``fh`` the text a forked child renders while this process
@@ -267,15 +258,7 @@ def _render_in_a_child(fh, render):
     closed (on leaving the block at the latest).  On leaving, this process
     reaps the child and, if both succeeded, appends its bytes.  The child
     leaves only through ``os._exit``, so it never returns into the caller
-    or flushes a buffer it inherited (``fh``, stdout, stderr).
-
-    Where threads can be pinned to CPUs, this thread keeps the first CPU of
-    its mask and the child takes the others until the block is left, when
-    the mask is restored: a host that does not balance load (a cpuset with
-    ``sched_load_balance`` 0) would otherwise keep the child on this
-    thread's CPU."""
-    cpus = (sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            and hasattr(os, "sched_setaffinity") else [])
+    or flushes a buffer it inherited (``fh``, stdout, stderr)."""
     with tempfile.TemporaryFile(dir=os.path.dirname(os.path.abspath(fh.name))) as tmp:
         read_end, write_end = os.pipe()
         with open(read_end, "rb") as pipe, open(write_end, "wb", buffering=0) as sink:
@@ -291,7 +274,6 @@ def _render_in_a_child(fh, render):
                 status = 1
                 try:
                     sink.close()  # else the pipe would never end
-                    _pin(cpus[1:])
                     for text in render(pipe):
                         tmp.write(text.encode(fh.encoding))
                     tmp.flush()
@@ -300,10 +282,8 @@ def _render_in_a_child(fh, render):
                     os._exit(status)
             pipe.close()  # a child that fails then breaks the pipe, not blocks it
             try:
-                _pin(cpus[:1])
                 yield sink
             finally:
-                _pin(cpus)
                 sink.close()
                 status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
         if status:

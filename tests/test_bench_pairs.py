@@ -51,24 +51,33 @@ def test_the_summary_of_canned_result_lines():
 PARENT_P50 = [10 + 0.1 * k for k in range(10)]
 
 
-@pytest.mark.parametrize("shift, verdicts", [
+@pytest.mark.parametrize("shift, verdicts, failed", [
     # ahead in 10 of 10, the median 0.5 s better against a spread of 0.45 s
-    ([-0.5] * 10, "change ahead in 10 of 10; gain shown; within the 25% bound"),
+    ([-0.5] * 10, "change ahead in 10 of 10; gain shown; within the 25% bound", (0, 0)),
+    # the same, with as many failed scenarios on each side, then more on the change's
+    ([-0.5] * 10, "change ahead in 10 of 10; gain shown; within the 25% bound", (1, 1)),
+    ([-0.5] * 10, "change ahead in 10 of 10; gain not shown; within the 25% bound", (1, 2)),
     # ahead in 9 of 10 is enough, in 8 of 10 is not
-    ([-0.5] * 9 + [0.5], "change ahead in 9 of 10; gain shown; within the 25% bound"),
-    ([-0.5] * 8 + [0.5] * 2, "change ahead in 8 of 10; gain not shown; within the 25% bound"),
+    ([-0.5] * 9 + [0.5], "change ahead in 9 of 10; gain shown; within the 25% bound", (0, 0)),
+    ([-0.5] * 8 + [0.5] * 2, "change ahead in 8 of 10; gain not shown; within the 25% bound",
+     (0, 0)),
     # ahead everywhere, but by less than the parent's spread
-    ([-0.4] * 10, "change ahead in 10 of 10; gain not shown; within the 25% bound"),
+    ([-0.4] * 10, "change ahead in 10 of 10; gain not shown; within the 25% bound", (0, 0)),
     # worse by 2.6 s, inside 25% of 10.45 s, then by 2.7 s, beyond it
-    ([2.6] * 10, "change ahead in 0 of 10; gain not shown; within the 25% bound"),
-    ([2.7] * 10, "change ahead in 0 of 10; gain not shown; worse by more than the 25% bound"),
+    ([2.6] * 10, "change ahead in 0 of 10; gain not shown; within the 25% bound", (0, 0)),
+    ([2.7] * 10, "change ahead in 0 of 10; gain not shown; worse by more than the 25% bound",
+     (0, 0)),
 ])
-def test_the_verdicts_of_ten_pairs(shift, verdicts):
-    """A gain is shown when the change reads better in 9 of 10 pairs or more
-    and its median by more than the parent's quartile spread; a median
-    worse than the parent's by more than the bound is named."""
+def test_the_verdicts_of_ten_pairs(shift, verdicts, failed):
+    """A gain is shown when the change reads better in 9 of 10 pairs or more,
+    its median by more than the parent's quartile spread, and no more of its
+    scenarios failed than of the parent's; a median worse than the parent's
+    by more than the bound is named.  ``failed`` gives the scenarios each
+    side failed, all in the first pair."""
     pairs = [tuple(bench_pairs.last_result(stdout(result_line(1.0, value)))
                    for value in (p, p + d)) for p, d in zip(PARENT_P50, shift)]
+    for side, count in enumerate(failed):
+        pairs[0][side]["failed"] = count
     [line, _, _] = bench_pairs.summarize(pairs, METRICS[1:])
     assert line.startswith("scenario_p50_s (s, lower is better): parent 10.45 [10.22-10.67], ")
     assert line.endswith(verdicts), line

@@ -317,45 +317,6 @@ def test_a_process_that_ignores_sigchld_writes_serially(tmp_path, monkeypatch, w
     assert forks == []
 
 
-@pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
-                    reason="needs two CPUs to pin to")
-def test_the_child_renders_on_cpus_this_process_leaves_free(tmp_path, monkeypatch):
-    """During a split write and during a stream this thread runs on one CPU
-    of its mask and the child on the others; after each the mask is whole
-    again.  Each process notes its mask in a shared file as it renders a
-    block, and this one once more while the stream is open."""
-    mask = os.sched_getaffinity(0)
-    monkeypatch.setattr(trajectory, "PARALLEL_MIN_FLOATS", 0)
-    log, block = tmp_path / "masks", trajectory._csv_block
-
-    def note():
-        with open(log, "a") as fh:
-            fh.write(" ".join(map(str, [os.getpid(), *sorted(os.sched_getaffinity(0))])) + "\n")
-
-    def noting(rows):
-        note()
-        return block(rows)
-
-    monkeypatch.setattr(trajectory, "_csv_block", noting)
-    traj = split_traj()
-    write_csv(traj, tmp_path / "split.csv")
-    assert os.sched_getaffinity(0) == mask
-    with stream_csv(tmp_path / "streamed.csv", traj.times, traj.headers()) as send:
-        note()
-        send(traj.table().ravel().tolist())
-    assert os.sched_getaffinity(0) == mask
-    masks = {}
-    for line in log.read_text().splitlines():
-        pid, *cpus = map(int, line.split())
-        masks.setdefault(pid, set()).add(frozenset(cpus))
-    mine = masks.pop(os.getpid())
-    assert len(masks) == 2  # one child per write
-    theirs = set().union(*masks.values())
-    assert all(m and m < mask for m in mine | theirs)
-    assert all(a.isdisjoint(b) for a in mine for b in theirs)
-    assert_no_child_left()
-
-
 @pytest.mark.parametrize("write", [write_csv, write_json, stream_rows])
 def test_a_split_write_lets_no_warning_escape(tmp_path, monkeypatch, write):
     # Python 3.12+ warns on a fork from a multi-threaded process; the

@@ -13,9 +13,9 @@ correct, attempted, failed and metrics.
 For each end-to-end metric of BENCHMARK.json the summary gives both
 sides' median and quartiles, in how many pairs the change read better,
 ties counting for neither, and two verdicts: whether a gain is shown,
-that is the change read better in at least nine tenths of the pairs and
-its median is better by more than the parent's quartile spread, and
-whether the change's median is worse than the parent's by more than the
+that is the change read better in at least nine tenths of the pairs,
+its median is better by more than the parent's quartile spread and no
+more of its scenarios failed than of the parent's, and whether the change's median is worse than the parent's by more than the
 metric's ``bound``, a fraction of the parent's median.  Then come each
 side's failed and attempted scenarios.
 
@@ -24,8 +24,8 @@ busy processes ran in parallel, left to the scheduler and, where
 processes can be pinned, each pinned to its own CPU.  A second CPU can
 be free and still go unused: a host that does not balance load keeps a
 forked child on its parent's CPU, so only the pinned pair runs in
-parallel there.  The split trajectory writer pins its two processes so.
-The exit status is 0, or 2 if a run failed or printed no result.
+parallel there, and the split trajectory writer, which does not pin,
+gains nothing.  The exit status is 0, or 2 if a run failed or printed no result.
 """
 
 from __future__ import annotations
@@ -81,6 +81,8 @@ def summarize(pairs, metrics) -> list:
     """Summary lines of ``pairs``, a list of (parent, change) result objects,
     over ``metrics``, BENCHMARK.json's end-to-end entries (name, unit,
     better, bound)."""
+    failed, attempted = ([sum(pair[side][key] for pair in pairs) for side in (0, 1)]
+                         for key in ("failed", "attempted"))
     lines = []
     for metric in metrics:
         name, sign = metric["name"], 1 if metric["better"] == "higher" else -1
@@ -92,7 +94,7 @@ def summarize(pairs, metrics) -> list:
                  for side in (parent, change) for q1, q3 in [_quartiles(side)]]
         q1, q3 = _quartiles(parent)
         gain = sign * (statistics.median(change) - statistics.median(parent))
-        shown = ahead >= 0.9 * len(values) and gain > q3 - q1
+        shown = ahead >= 0.9 * len(values) and gain > q3 - q1 and failed[1] <= failed[0]
         beyond = -gain > metric["bound"] * abs(statistics.median(parent))
         lines.append(f"{name} ({metric['unit']}, {metric['better']} is better): "
                      f"parent {cells[0]}, change {cells[1]}, "
@@ -101,9 +103,7 @@ def summarize(pairs, metrics) -> list:
                      f"{'worse by more than' if beyond else 'within'} the "
                      f"{metric['bound']:.0%} bound")
     for label, side in (("parent", 0), ("change", 1)):
-        failed = sum(pair[side]["failed"] for pair in pairs)
-        attempted = sum(pair[side]["attempted"] for pair in pairs)
-        lines.append(f"{label}: {failed} of {attempted} scenarios failed")
+        lines.append(f"{label}: {failed[side]} of {attempted[side]} scenarios failed")
     return lines
 
 
